@@ -9,10 +9,12 @@
 //! cargo run --release -p apsq-bench --bin quant_bench [-- --quick] [--out PATH]
 //! ```
 //!
-//! The run asserts the acceptance contract: the integer datapath (no
+//! The full run asserts the acceptance contract: the integer datapath (no
 //! per-call weight fake-quant, no schedule recalibration, i8 operand
 //! traffic) must decode at least as fast as the f32 fake-quant reference,
-//! and a layer-level microbench records the pure per-GEMM gap. PSUM
+//! and a layer-level microbench records the pure per-GEMM gap. `--quick`
+//! skips those wall-clock floors and asserts only deterministic facts
+//! (zero errors, KV byte ratio, session residency). PSUM
 //! bytes use `apsq-dataflow`'s accounting: identical word counts per
 //! Algorithm 1 (traffic is invariant in `gs`), scaled by each storage
 //! format's bytes-per-word β — INT32 baseline (β = 4) for the f32 path
@@ -133,30 +135,30 @@ fn main() {
         bytes_int8
     );
     // Acceptance contract: the integer datapath must beat the fake-quant
-    // path outright. The --quick smoke keeps a small noise margin (tiny
-    // runs are dominated by scheduling, not GEMMs); the recorded full run
-    // asserts strictly above 1.13×.
-    let floor = if quick { 0.85 } else { 1.13 };
-    assert!(
-        speedup > floor,
-        "int8+APSQ decode ({:.1} tok/s) fell below {floor}x the f32 fake-quant path ({:.1} tok/s)",
-        r_int8.tokens_per_s,
-        r_f32.tokens_per_s
-    );
-    // Layer contract: with a SIMD backend the integer GEMM + APSQ fold
-    // must run the FFN layer at ≥ 3× the fake-quant path (the scalar
-    // fallback only has to break even; --quick keeps a noise margin).
+    // path outright (strictly above 1.13×), and with a SIMD backend the
+    // integer GEMM + APSQ fold must run the FFN layer at ≥ 3× the
+    // fake-quant path (the scalar fallback only has to break even). These
+    // are single-sample wall-clock comparisons, so only the full run
+    // asserts them: the --quick smoke is dominated by scheduling noise and
+    // asserts deterministic facts only.
     let layer_speedup = us_fakequant / us_int8;
-    let layer_floor = match (backend, quick) {
-        (KernelBackend::Scalar, _) => 0.85,
-        (_, true) => 2.5,
-        (_, false) => 3.0,
-    };
-    assert!(
-        layer_speedup >= layer_floor,
-        "integer FFN layer ({us_int8:.1} us) only {layer_speedup:.2}x the fake-quant path \
-         ({us_fakequant:.1} us) on the {backend} backend — floor is {layer_floor}x"
-    );
+    if !quick {
+        assert!(
+            speedup > 1.13,
+            "int8+APSQ decode ({:.1} tok/s) fell below 1.13x the f32 fake-quant path ({:.1} tok/s)",
+            r_int8.tokens_per_s,
+            r_f32.tokens_per_s
+        );
+        let layer_floor = match backend {
+            KernelBackend::Scalar => 0.85,
+            _ => 3.0,
+        };
+        assert!(
+            layer_speedup >= layer_floor,
+            "integer FFN layer ({us_int8:.1} us) only {layer_speedup:.2}x the fake-quant path \
+             ({us_fakequant:.1} us) on the {backend} backend — floor is {layer_floor}x"
+        );
+    }
     // KV acceptance contract: ≥ 3.9× fewer bytes per cached token, ≥ 3×
     // the resident sessions at an equal byte budget, actually *held*
     // resident by closed-loop traffic, at no decode-throughput loss.

@@ -16,6 +16,11 @@
 //! fingerprints are asserted equal. The shared-prefix run asserts the
 //! paged cache actually packs ≥1.5× the nominal worst-case session
 //! capacity without evicting or shedding.
+//!
+//! The wall-clock throughput floors (continuous vs barrier, multi-worker
+//! scaling) are single-sample timing comparisons, so only the full run
+//! asserts them; `--quick` is a smoke run that asserts deterministic
+//! facts only (fingerprints, zero errors, residency).
 
 use apsq_bench::report::JsonObject;
 use apsq_bench::serve_report::{
@@ -121,7 +126,7 @@ fn main() {
             0.7
         };
         assert!(
-            continuous.tokens_per_s >= floor * barrier.tokens_per_s,
+            quick || continuous.tokens_per_s >= floor * barrier.tokens_per_s,
             "continuous batching fell well behind the coalescing barrier at {workers} workers: \
              {:.1} < {:.1} tok/s (floor {floor})",
             continuous.tokens_per_s,
@@ -143,7 +148,7 @@ fn main() {
         // Lock-free gathers mean multi-worker continuous decode must
         // actually scale once the hardware can run workers in parallel.
         assert!(
-            multi_worker_scaling >= 1.3,
+            quick || multi_worker_scaling >= 1.3,
             "multi-worker continuous decode scaled only {multi_worker_scaling:.2}x over 1 worker \
              (floor 1.3x on parallel hardware)"
         );
@@ -151,7 +156,7 @@ fn main() {
         // A single hardware thread time-slices the workers, so extra
         // workers cannot add throughput; require they don't collapse it.
         assert!(
-            multi_worker_scaling >= 0.85,
+            quick || multi_worker_scaling >= 0.85,
             "multi-worker continuous decode regressed to {multi_worker_scaling:.2}x of 1 worker \
              on serial hardware (floor 0.85x)"
         );

@@ -43,11 +43,11 @@ impl Precision {
         }
     }
 
-    /// Bytes one cached decode token occupies in a KV cache of this
-    /// precision, per layer: the f32 cache stores `2·d` floats, the int8
-    /// cache `2·d` codes plus `2·heads` per-(token, head) power-of-two
-    /// scale exponents (`apsq_nn::Int8AttentionKvCache`). The serve
-    /// layer's KV byte budget divides by this to size resident sessions.
+    /// Bytes one stored decode token occupies in KV blocks of this
+    /// precision, per layer: f32 blocks store `2·d` floats, int8 blocks
+    /// `2·d` codes plus `2·heads` per-(token, head) power-of-two scale
+    /// exponents (`apsq_nn::BlockAllocator::int8`). The serve layer's KV
+    /// byte budget divides by this to size resident sessions.
     pub fn kv_bytes_per_token(&self, width: usize, heads: usize) -> usize {
         match self {
             Precision::F32 => 2 * width * std::mem::size_of::<f32>(),

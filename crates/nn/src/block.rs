@@ -126,46 +126,11 @@ impl TransformerBlock {
         self.ffn_inference(&x1, eng)
     }
 
-    /// Incremental decode step over one `[1, d]` token with the layer's
-    /// KV cache. Inference-only.
-    pub fn forward_decode(
-        &self,
-        x: &Tensor,
-        cache: &mut crate::kv_cache::AttentionKvCache,
-    ) -> Tensor {
-        self.forward_decode_with(x, cache, &ExecEngine::serial())
-    }
-
-    /// [`TransformerBlock::forward_decode`] routed through an execution
-    /// engine.
-    pub fn forward_decode_with(
-        &self,
-        x: &Tensor,
-        cache: &mut crate::kv_cache::AttentionKvCache,
-        eng: &ExecEngine,
-    ) -> Tensor {
-        self.forward_decode_batch_with(x, &mut [cache], eng)
-    }
-
-    /// Batched decode step over `[B, d]` — one row and one KV cache per
-    /// sequence. FFN and projection GEMMs run once over the whole stack;
-    /// row `b` is bit-identical to decoding that sequence alone (see
-    /// [`crate::MultiHeadAttention::forward_decode_batch_with`]).
-    pub fn forward_decode_batch_with(
-        &self,
-        x: &Tensor,
-        caches: &mut [&mut crate::kv_cache::AttentionKvCache],
-        eng: &ExecEngine,
-    ) -> Tensor {
-        let a = self.ln1.forward_inference(x);
-        let a = self.attn.forward_decode_batch_with(&a, caches, eng);
-        let x1 = x + &a;
-        self.ffn_inference(&x1, eng)
-    }
-
-    /// Paged twin of [`Self::forward_decode_batch_with`]: each sequence's
-    /// K/V for this block live in `layer`'s block table of its
-    /// [`crate::PagedKvState`]. Bit-identical to the contiguous path (see
+    /// Batched decode step over `[B, d]` — one row per sequence, whose K/V
+    /// for this block live in `layer`'s block table of its
+    /// [`crate::PagedKvState`]. FFN and projection GEMMs run once over the
+    /// whole stack; row `b` is bit-identical to decoding that sequence
+    /// alone (see
     /// [`crate::MultiHeadAttention::forward_decode_batch_paged_with`]).
     pub fn forward_decode_batch_paged_with(
         &self,

@@ -27,10 +27,10 @@
 //! shapes/gs/k_tile/threads.
 
 use crate::embedding::Embedding;
-use crate::kv_cache::{Int8AttentionKvCache, Int8DecoderKvState};
 use crate::linear::{observer_pow2_scale, Linear, PsumMode, QuantLinear};
 use crate::models::{DecoderLm, EncoderClassifier};
 use crate::norm::LayerNorm;
+use crate::paged::quantize_int8_kv_row;
 use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule, StreamingApsq};
 use apsq_quant::{Bitwidth, LsqQuantizer};
 use apsq_tensor::{gelu, softmax_rows, sum_axis0, ExecEngine, Int32Tensor, Int8Tensor, Tensor};
@@ -42,11 +42,11 @@ fn pow2_snap(step: f32) -> f32 {
 }
 
 /// A borrowed flat view over int8 KV storage: `[t, d]` row-major i8 codes
-/// plus `[t, heads]` per-(token, head) power-of-two exponents. Both the
-/// contiguous [`Int8AttentionKvCache`] and a gather from paged
-/// [`crate::BlockAllocator`] blocks produce byte-identical views, which is
-/// what makes the paged decode path bit-identical to the contiguous one:
-/// the attention kernel only ever sees this view.
+/// plus `[t, heads]` per-(token, head) power-of-two exponents. The
+/// full-sequence forward's once-quantized K/V buffers (a prefix per query
+/// row) and a gather from paged [`crate::BlockAllocator`] blocks produce
+/// byte-identical views, which is what makes paged decode bit-identical
+/// to a full recompute: the attention kernel only ever sees this view.
 struct Int8KvView<'a> {
     width: usize,
     len: usize,
@@ -54,19 +54,6 @@ struct Int8KvView<'a> {
     v_codes: &'a [i8],
     k_exps: &'a [i8],
     v_exps: &'a [i8],
-}
-
-impl<'a> Int8KvView<'a> {
-    fn from_cache(cache: &'a Int8AttentionKvCache) -> Self {
-        Int8KvView {
-            width: cache.width(),
-            len: cache.len(),
-            k_codes: cache.keys_codes(),
-            v_codes: cache.values_codes(),
-            k_exps: cache.keys_exponents(),
-            v_exps: cache.values_exponents(),
-        }
-    }
 }
 
 /// How an [`Int8Linear`] treats its i32 PSUM stream.
@@ -309,16 +296,16 @@ impl Int8Linear {
 }
 
 /// Integer-datapath multi-head self-attention, **integer end to end**:
-/// the four projections run as [`Int8Linear`] GEMMs, the KV cache stores
+/// the four projections run as [`Int8Linear`] GEMMs, the KV blocks store
 /// i8 codes with per-(token, head) power-of-two scales
-/// ([`Int8AttentionKvCache`]), and both activation-activation GEMMs —
+/// ([`crate::BlockAllocator::int8`]), and both activation-activation GEMMs —
 /// `Q·Kᵀ` and `P·V` — execute as i8×i8→i32 batched kernels with grouped
 /// APSQ folded over their K loops. Only the softmax (and the row-level
 /// dequant/requant glue) stays f32, as on the paper's accelerator.
 ///
 /// Q is quantized at a power-of-two scale **frozen at PTQ conversion**
-/// from a calibration sequence; K/V rows are quantized as they enter the
-/// cache at the tightest covering per-row scale. For `P·V` the softmax
+/// from a calibration sequence; K/V rows are quantized as they enter
+/// storage at the tightest covering per-row scale. For `P·V` the softmax
 /// probabilities absorb each value row's scale before requantization, so
 /// the GEMM runs on one scale pair and APSQ folds over the **context
 /// dimension** — the PSUM traffic that dominates memory-bound decode.
@@ -326,7 +313,7 @@ impl Int8Linear {
 /// Every step is deterministic pure-integer or per-row f32 arithmetic, so
 /// decode results are bit-identical across engine thread counts and batch
 /// shapes, and incremental decode is bit-identical to the full-sequence
-/// forward (both walk the same per-row cache math).
+/// forward (both attend the same per-row KV bytes through one kernel).
 #[derive(Clone, Debug)]
 pub struct Int8MultiHeadAttention {
     wq: Int8Linear,
@@ -427,20 +414,10 @@ impl Int8MultiHeadAttention {
         run.output
     }
 
-    /// Attends one quantized query row over a cache prefix of length
-    /// `t = cache.len()`, returning the `[d]` context row and the PSUM
-    /// buffer traffic the two APSQ folds incurred.
-    fn attend_row(
-        &self,
-        qc: &[i8],
-        cache: &Int8AttentionKvCache,
-        eng: &ExecEngine,
-    ) -> (Vec<f32>, BufferTraffic) {
-        self.attend_row_view(qc, &Int8KvView::from_cache(cache), eng)
-    }
-
-    /// [`Self::attend_row`] over a flat KV view — the single attention
-    /// kernel both the contiguous and the paged decode paths funnel into.
+    /// Attends one quantized query row over a flat KV view of length
+    /// `t = kv.len`, returning the `[d]` context row and the PSUM buffer
+    /// traffic the two APSQ folds incurred — the single attention kernel
+    /// both the full-sequence forward and paged decode funnel into.
     fn attend_row_view(
         &self,
         qc: &[i8],
@@ -552,92 +529,59 @@ impl Int8MultiHeadAttention {
     }
 
     /// Full-sequence inference over `[T, d]` — the integer twin of
-    /// [`crate::MultiHeadAttention::forward_inference_with`], executed as
-    /// the same per-row cache walk the decode path uses, so incremental
-    /// decoding reproduces it **bit for bit**.
+    /// [`crate::MultiHeadAttention::forward_inference_with`] and the oracle
+    /// incremental decode is pinned to. All `T` K/V rows are quantized
+    /// once into flat code and exponent buffers; query row `i` then
+    /// attends a prefix view of them — `i + 1` rows when causal, all `T`
+    /// otherwise — through the same kernel paged decode runs over its
+    /// gathered blocks, so decoding reproduces it **bit for bit**.
     pub fn forward_inference_with(&self, x: &Tensor, eng: &ExecEngine) -> Tensor {
         let (t, d) = (x.dims()[0], x.dims()[1]);
+        let h = self.heads;
         let q = self.wq.forward_inference_with(x, eng);
         let k = self.wk.forward_inference_with(x, eng);
         let v = self.wv.forward_inference_with(x, eng);
-        let mut cache = Int8AttentionKvCache::with_capacity(d, self.heads, t);
+        let (mut k_codes, mut v_codes) = (vec![0i8; t * d], vec![0i8; t * d]);
+        let (mut k_exps, mut v_exps) = (vec![0i8; t * h], vec![0i8; t * h]);
+        for (src, codes, exps) in [
+            (&k, &mut k_codes, &mut k_exps),
+            (&v, &mut v_codes, &mut v_exps),
+        ] {
+            let rows = src.data().chunks(d).zip(codes.chunks_mut(d));
+            for ((row, c), e) in rows.zip(exps.chunks_mut(h)) {
+                quantize_int8_kv_row(row, h, c, e);
+            }
+        }
         let mut ctx = Tensor::zeros([t, d]);
-        if self.causal {
-            for i in 0..t {
-                cache.append_row(&k.data()[i * d..(i + 1) * d], &v.data()[i * d..(i + 1) * d]);
-                let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-                let (row, _) = self.attend_row(&qc, &cache, eng);
-                ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(&row);
-            }
-        } else {
-            for i in 0..t {
-                cache.append_row(&k.data()[i * d..(i + 1) * d], &v.data()[i * d..(i + 1) * d]);
-            }
-            for i in 0..t {
-                let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-                let (row, _) = self.attend_row(&qc, &cache, eng);
-                ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(&row);
-            }
+        for i in 0..t {
+            let len = if self.causal { i + 1 } else { t };
+            let kv = Int8KvView {
+                width: d,
+                len,
+                k_codes: &k_codes[..len * d],
+                v_codes: &v_codes[..len * d],
+                k_exps: &k_exps[..len * h],
+                v_exps: &v_exps[..len * h],
+            };
+            let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
+            let (row, _) = self.attend_row_view(&qc, &kv, eng);
+            ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(&row);
         }
         self.wo.forward_inference_with(&ctx, eng)
     }
 
-    /// Batched decode step over `[B, d]` with one **int8** KV cache per
-    /// row; row `b` is bit-identical to decoding that sequence alone for
-    /// every engine thread count (integer GEMMs are exact and
-    /// row-independent, and all f32 glue is per-row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[B, d]` with one cache per row.
-    pub fn forward_decode_batch_with(
-        &self,
-        x: &Tensor,
-        caches: &mut [&mut Int8AttentionKvCache],
-        eng: &ExecEngine,
-    ) -> Tensor {
-        self.forward_decode_batch_traced(x, caches, eng).0
-    }
-
-    /// [`Self::forward_decode_batch_with`] also returning the PSUM buffer
-    /// traffic the attention APSQ folds incurred across the batch.
-    pub fn forward_decode_batch_traced(
-        &self,
-        x: &Tensor,
-        caches: &mut [&mut Int8AttentionKvCache],
-        eng: &ExecEngine,
-    ) -> (Tensor, BufferTraffic) {
-        let b = x.dims()[0];
-        assert_eq!(b, caches.len(), "one KV cache per batched sequence");
-        let d = x.dims()[1];
-        let q = self.wq.forward_inference_with(x, eng);
-        let k = self.wk.forward_inference_with(x, eng);
-        let v = self.wv.forward_inference_with(x, eng);
-        for (i, cache) in caches.iter_mut().enumerate() {
-            cache.append_row(&k.data()[i * d..(i + 1) * d], &v.data()[i * d..(i + 1) * d]);
-        }
-        let mut traffic = BufferTraffic::new();
-        let mut ctx = Tensor::zeros([b, d]);
-        for (i, cache) in caches.iter().enumerate() {
-            let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-            let (row, row_traffic) = self.attend_row(&qc, cache, eng);
-            traffic += row_traffic;
-            ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(&row);
-        }
-        (self.wo.forward_inference_with(&ctx, eng), traffic)
-    }
-
-    /// Paged twin of [`Self::forward_decode_batch_with`]: each sequence's
-    /// K/V rows for this layer live in fixed-size blocks owned by the
-    /// shared **int8** [`crate::BlockPool`] and addressed through the
-    /// sequence's [`crate::PagedKvState`] block table. Appends quantize
-    /// through the same per-(token, head) covering-scale recipe as
-    /// [`Int8AttentionKvCache`] under one short pool lock; attention
-    /// gathers the table back into the same flat view the contiguous path
-    /// reads via the pool's lock-free gather, so no allocator lock is
-    /// held during the integer GEMMs — and the result is **bit-identical**
-    /// to the contiguous path for every block size, engine thread count,
-    /// and worker count.
+    /// Batched incremental decode step over `[B, d]`: each sequence's K/V
+    /// rows for this layer live in fixed-size blocks owned by the shared
+    /// **int8** [`crate::BlockPool`] and addressed through the sequence's
+    /// [`crate::PagedKvState`] block table. Appends quantize through the
+    /// crate's single per-(token, head) covering-scale recipe under one
+    /// short pool lock; attention gathers the table back into a flat view
+    /// via the pool's lock-free gather, so no allocator lock is held
+    /// during the integer GEMMs. Row `b` is **bit-identical** to decoding
+    /// that sequence alone and to row `t` of
+    /// [`Self::forward_inference_with`] over its prefix, for every block
+    /// size, engine thread count, and worker count (integer GEMMs are
+    /// exact and row-independent, and all f32 glue is per-row).
     ///
     /// Positions are read but **not** advanced; the model driver calls
     /// [`crate::PagedKvState::advance`] once per step after all layers.
@@ -792,23 +736,9 @@ impl Int8TransformerBlock {
         self.ffn_inference(&x1, eng)
     }
 
-    /// Batched decode step over `[B, d]` — one row and one **int8** KV
-    /// cache per sequence.
-    pub fn forward_decode_batch_with(
-        &self,
-        x: &Tensor,
-        caches: &mut [&mut Int8AttentionKvCache],
-        eng: &ExecEngine,
-    ) -> Tensor {
-        let a = self.ln1.forward_inference(x);
-        let a = self.attn.forward_decode_batch_with(&a, caches, eng);
-        let x1 = x + &a;
-        self.ffn_inference(&x1, eng)
-    }
-
-    /// Paged twin of [`Self::forward_decode_batch_with`]: K/V for this
-    /// block live in `layer`'s block table of each sequence's
-    /// [`crate::PagedKvState`]. Bit-identical to the contiguous path (see
+    /// Batched decode step over `[B, d]` — one row per sequence, whose K/V
+    /// for this block live in `layer`'s block table of its
+    /// [`crate::PagedKvState`] (see
     /// [`Int8MultiHeadAttention::forward_decode_batch_paged_with`]).
     pub fn forward_decode_batch_paged_with(
         &self,
@@ -854,7 +784,7 @@ impl Int8TransformerBlock {
 
 /// Integer-datapath causal decoder LM: the serving-path model. Embedding
 /// lookups and LayerNorms stay f32; every projection, FFN, and the LM
-/// head run as [`Int8Linear`] GEMMs, and the KV caches hold **i8 codes
+/// head run as [`Int8Linear`] GEMMs, and the KV blocks hold **i8 codes
 /// with per-(token, head) power-of-two scales** so decode attention runs
 /// `Q·Kᵀ` and `P·V` in the integer domain with grouped APSQ folded over
 /// the context dimension ([`Int8MultiHeadAttention`]).
@@ -925,18 +855,6 @@ impl Int8DecoderLm {
         self.embed.positions.value.dims()[0]
     }
 
-    /// Int8 KV-cache state with every layer preallocated for `max_len` —
-    /// `2·(d + heads)` bytes per cached token instead of the f32 cache's
-    /// `8·d`.
-    pub fn new_kv_state_with_capacity(&self) -> Int8DecoderKvState {
-        Int8DecoderKvState::for_layers_with_capacity(
-            self.blocks.len(),
-            self.width(),
-            self.heads(),
-            self.max_len(),
-        )
-    }
-
     /// Full-sequence inference: token ids → `[T, vocab]` logits.
     pub fn forward_inference_with(&self, ids: &[usize], eng: &ExecEngine) -> Tensor {
         let mut h = self.embed.forward_inference(ids);
@@ -947,74 +865,24 @@ impl Int8DecoderLm {
         self.lm_head.forward_inference_with(&h, eng)
     }
 
-    /// One autoregressive decode step (batch of one).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Int8DecoderLm::decode_batch_with`].
-    pub fn decode_step_with(
-        &self,
-        token: usize,
-        state: &mut Int8DecoderKvState,
-        eng: &ExecEngine,
-    ) -> Tensor {
-        self.decode_batch_with(&[token], std::slice::from_mut(state), eng)
-    }
-
-    /// Batched decode through the integer datapath: one token and one KV
-    /// state per sequence, returning `[B, vocab]` next-token logits. Row
-    /// `b` is bit-identical to decoding that sequence alone, for every
-    /// engine thread count — integer GEMM rows are independent and exact,
-    /// and the f32 glue is per-row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` and `states` lengths differ, the batch is
-    /// empty, a state was built for a different depth, or a position
-    /// exceeds `max_len`.
-    pub fn decode_batch_with(
-        &self,
-        tokens: &[usize],
-        states: &mut [Int8DecoderKvState],
-        eng: &ExecEngine,
-    ) -> Tensor {
-        assert_eq!(tokens.len(), states.len(), "one KV state per token");
-        assert!(!tokens.is_empty(), "empty decode batch");
-        let d = self.width();
-        let mut x = Tensor::zeros([tokens.len(), d]);
-        for (i, (&t, s)) in tokens.iter().zip(states.iter()).enumerate() {
-            assert_eq!(s.layers.len(), self.blocks.len(), "KV state depth mismatch");
-            let row = self.embed.embed_one(t, s.position);
-            x.data_mut()[i * d..(i + 1) * d].copy_from_slice(row.data());
-        }
-        let mut h = x;
-        for (l, b) in self.blocks.iter().enumerate() {
-            let mut caches: Vec<&mut Int8AttentionKvCache> =
-                states.iter_mut().map(|s| &mut s.layers[l]).collect();
-            h = b.forward_decode_batch_with(&h, &mut caches, eng);
-        }
-        let h = self.ln.forward_inference(&h);
-        for s in states.iter_mut() {
-            s.position += 1;
-        }
-        self.lm_head.forward_inference_with(&h, eng)
-    }
-
     /// An empty paged KV state with one block table per decoder layer.
     /// Pair with an **int8** [`crate::BlockPool`] over an allocator sized
     /// by [`crate::BlockAllocator::int8`] from the model's `width()` and
-    /// `heads()`.
+    /// `heads()` — `2·(d + heads)` bytes per stored token instead of the
+    /// f32 blocks' `8·d`.
     pub fn new_paged_state(&self) -> crate::PagedKvState {
         crate::PagedKvState::for_layers(self.blocks.len())
     }
 
-    /// Paged twin of [`Int8DecoderLm::decode_batch_with`]: every
+    /// Batched decode through the integer datapath: one token per
+    /// sequence, returning `[B, vocab]` next-token logits. Every
     /// sequence's KV lives in fixed-size blocks carved from the shared
-    /// pool's byte budget instead of per-session contiguous buffers. The
-    /// pool lock covers only appends; gathers are lock-free, so batches
-    /// on other workers decode concurrently. Bit-identical to the
-    /// contiguous path for every block size, engine thread count, and
-    /// worker count (see
+    /// pool's byte budget. The pool lock covers only appends; gathers are
+    /// lock-free, so batches on other workers decode concurrently. Row `b`
+    /// is bit-identical to decoding that sequence alone and to row `t` of
+    /// [`Self::forward_inference_with`] over its prefix, for every block
+    /// size, engine thread count, and worker count — integer GEMM rows are
+    /// independent and exact, and the f32 glue is per-row (see
     /// [`Int8MultiHeadAttention::forward_decode_batch_paged_with`]).
     ///
     /// # Panics
@@ -1165,6 +1033,23 @@ mod tests {
         (ql, x)
     }
 
+    /// An int8 pool with room for `sessions` sequences of `len` tokens.
+    fn int8_pool(
+        im: &Int8DecoderLm,
+        block_tokens: usize,
+        len: usize,
+        sessions: usize,
+    ) -> crate::BlockPool {
+        let bpb = crate::BlockAllocator::int8_bytes_per_block(block_tokens, im.width(), im.heads());
+        let blocks = sessions * im.num_layers() * len.div_ceil(block_tokens);
+        crate::BlockPool::new(crate::BlockAllocator::int8(
+            blocks * bpb,
+            block_tokens,
+            im.width(),
+            im.heads(),
+        ))
+    }
+
     #[test]
     fn exact_mode_is_bit_identical_to_fake_quant() {
         let (ql, x) = snapped_layer(24, 10, PsumMode::Exact, 3);
@@ -1242,23 +1127,23 @@ mod tests {
 
         let ids = [3usize, 7, 1, 12, 5, 9];
         let full = im.forward_inference_with(&ids, &eng);
-        let mut state = im.new_kv_state_with_capacity();
-        let mut dec = Tensor::zeros([1, 1]);
-        for &t in &ids {
-            dec = im.decode_step_with(t, &mut state, &eng);
+        let pool = int8_pool(&im, 4, ids.len(), 1);
+        let mut state = im.new_paged_state();
+        // Incremental int8 decode attends the exact per-row KV bytes of
+        // the full-sequence forward: bit-identical, not merely close.
+        for (i, &t) in ids.iter().enumerate() {
+            let dec = im.decode_batch_paged_with(&[t], &mut [&mut state], &pool, &eng);
+            for j in 0..cfg.vocab {
+                assert_eq!(
+                    full.at(&[i, j]).to_bits(),
+                    dec.at(&[0, j]).to_bits(),
+                    "step {i} logit {j}: {} vs {}",
+                    full.at(&[i, j]),
+                    dec.at(&[0, j])
+                );
+            }
         }
-        // Incremental int8 decode walks the exact per-row cache math of the
-        // full-sequence forward: bit-identical, not merely close.
-        let last = ids.len() - 1;
-        for j in 0..cfg.vocab {
-            assert_eq!(
-                full.at(&[last, j]).to_bits(),
-                dec.at(&[0, j]).to_bits(),
-                "logit {j}: {} vs {}",
-                full.at(&[last, j]),
-                dec.at(&[0, j])
-            );
-        }
+        state.release(&mut pool.lock());
         let words = im.psum_words_per_token();
         assert!(words.writes > 0 && words.reads > 0);
         let attn_words = im.attn_psum_words_at(ids.len());
@@ -1282,10 +1167,13 @@ mod tests {
         // Degenerate context: no cached rows means no attention GEMMs
         // (and no u64 underflow in the `np − 1` read counts).
         assert_eq!(attn.attn_psum_words(0), BufferTraffic::new());
-        let mut cache = Int8AttentionKvCache::with_capacity(d, im.heads(), 16);
+        let pool = crate::BlockPool::new(crate::BlockAllocator::int8(1 << 16, 4, d, im.heads()));
+        let mut state = crate::PagedKvState::for_layers(1);
         for step in 0..9 {
             let x = apsq_tensor::randn([1, d], 1.0, &mut rng);
-            let (_, traffic) = attn.forward_decode_batch_traced(&x, &mut [&mut cache], &eng);
+            let (_, traffic) =
+                attn.forward_decode_batch_paged_traced(&x, 0, &pool, &mut [&mut state], &eng);
+            state.advance();
             let t = step + 1;
             assert_eq!(
                 traffic,
@@ -1293,6 +1181,7 @@ mod tests {
                 "context length {t}: traced traffic diverged from the analytic counts"
             );
         }
+        state.release(&mut pool.lock());
     }
 
     #[test]
@@ -1305,19 +1194,24 @@ mod tests {
         let eng = ExecEngine::serial();
         let im = Int8DecoderLm::from_decoder(&m, &prime, &eng);
 
-        let mut i8_state = im.new_kv_state_with_capacity();
-        let mut f32_state = m.new_kv_state_with_capacity();
+        // One-token blocks: referenced bytes are exactly per-token bytes.
+        let i8_pool = int8_pool(&im, 1, 3, 1);
+        let f32_pool = crate::BlockPool::new(crate::BlockAllocator::f32(1 << 20, 1, m.width()));
+        let mut i8_state = im.new_paged_state();
+        let mut f32_state = m.new_paged_state();
         for &t in &[1usize, 2, 3] {
-            let _ = im.decode_step_with(t, &mut i8_state, &eng);
-            let _ = m.decode_step_with(t, &mut f32_state, &eng);
+            let _ = im.decode_batch_paged_with(&[t], &mut [&mut i8_state], &i8_pool, &eng);
+            let _ = m.decode_batch_paged_with(&[t], &mut [&mut f32_state], &f32_pool, &eng);
         }
-        let f32_bytes = f32_state.kv_bytes();
-        let i8_bytes = i8_state.kv_bytes();
+        let f32_bytes = f32_state.kv_bytes(&f32_pool.lock());
+        let i8_bytes = i8_state.kv_bytes(&i8_pool.lock());
         assert!(i8_bytes > 0);
         let ratio = f32_bytes as f64 / i8_bytes as f64;
         // tiny config: d = 64, heads = 4 ⇒ 8·64 / (2·(64 + 4)) = 3.76;
-        // serving shapes with head_dim ≥ 40 exceed 3.9 (see kv_cache tests).
+        // serving shapes with head_dim ≥ 40 exceed 3.9 (see paged tests).
         assert!(ratio > 3.7, "per-token KV ratio {ratio}");
+        i8_state.release(&mut i8_pool.lock());
+        f32_state.release(&mut f32_pool.lock());
     }
 
     #[test]
@@ -1331,31 +1225,32 @@ mod tests {
         let im = Int8DecoderLm::from_decoder(&m, &prime, &eng);
 
         let seqs: [&[usize]; 3] = [&[1, 2, 3], &[7, 7], &[4, 9, 2]];
+        let pool = int8_pool(&im, 2, 3, 2 * seqs.len());
         // Sequential reference.
         let mut solo_logits = Vec::new();
         for seq in &seqs {
-            let mut st = im.new_kv_state_with_capacity();
+            let mut st = im.new_paged_state();
             let mut last = Tensor::zeros([1, 1]);
             for &t in *seq {
-                last = im.decode_step_with(t, &mut st, &eng);
+                last = im.decode_batch_paged_with(&[t], &mut [&mut st], &pool, &eng);
             }
             solo_logits.push(last);
         }
         // Batched: step through in lockstep while sequences remain.
-        let mut states: Vec<Int8DecoderKvState> =
-            (0..3).map(|_| im.new_kv_state_with_capacity()).collect();
+        let mut states: Vec<crate::PagedKvState> = (0..3).map(|_| im.new_paged_state()).collect();
         let mut batched_last: Vec<Option<Tensor>> = vec![None; 3];
         for step in 0..3 {
             let active: Vec<usize> = (0..3).filter(|&i| step < seqs[i].len()).collect();
             let tokens: Vec<usize> = active.iter().map(|&i| seqs[i][step]).collect();
-            let mut sts: Vec<Int8DecoderKvState> = Vec::new();
-            for &i in &active {
-                sts.push(states[i].clone());
-            }
-            let logits = im.decode_batch_with(&tokens, &mut sts, &eng);
+            let mut sts: Vec<&mut crate::PagedKvState> = states
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| active.contains(i))
+                .map(|(_, s)| s)
+                .collect();
+            let logits = im.decode_batch_paged_with(&tokens, &mut sts, &pool, &eng);
             let vocab = logits.dims()[1];
             for (row, &i) in active.iter().enumerate() {
-                states[i] = sts[row].clone();
                 batched_last[i] = Some(Tensor::from_vec(
                     logits.data()[row * vocab..(row + 1) * vocab].to_vec(),
                     [1, vocab],
@@ -1368,7 +1263,7 @@ mod tests {
     }
 
     #[test]
-    fn int8_paged_decode_is_bit_identical_to_contiguous() {
+    fn int8_paged_decode_is_bit_identical_to_full_forward() {
         let mut rng = StdRng::seed_from_u64(29);
         let cfg = ModelConfig::tiny(apsq_mode(2, 8));
         let mut m = crate::DecoderLm::new(&cfg, &mut rng);
@@ -1377,28 +1272,15 @@ mod tests {
         let im = Int8DecoderLm::from_decoder(&m, &prime, &ExecEngine::serial());
 
         let ids = [3usize, 7, 1, 12, 5, 9, 2];
-        // Contiguous reference.
-        let mut ref_state = im.new_kv_state_with_capacity();
-        let mut reference = Tensor::zeros([1, 1]);
-        for &t in &ids {
-            reference = im.decode_step_with(t, &mut ref_state, &ExecEngine::serial());
-        }
+        // Full-sequence reference: the last position's logits.
+        let full = im.forward_inference_with(&ids, &ExecEngine::serial());
+        let vocab = full.dims()[1];
+        let reference =
+            Tensor::from_vec(full.data()[(ids.len() - 1) * vocab..].to_vec(), [1, vocab]);
         for block_tokens in [1usize, 3, 8] {
             for threads in [1usize, 4] {
                 let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-                let budget = im.num_layers()
-                    * ids.len().div_ceil(block_tokens)
-                    * crate::BlockAllocator::int8_bytes_per_block(
-                        block_tokens,
-                        im.width(),
-                        im.heads(),
-                    );
-                let pool = crate::BlockPool::new(crate::BlockAllocator::int8(
-                    budget,
-                    block_tokens,
-                    im.width(),
-                    im.heads(),
-                ));
+                let pool = int8_pool(&im, block_tokens, ids.len(), 1);
                 let mut state = im.new_paged_state();
                 let mut paged = Tensor::zeros([1, 1]);
                 for &t in &ids {
@@ -1442,8 +1324,9 @@ mod tests {
         let eng = ExecEngine::serial();
         let prime: Vec<usize> = (0..cfg.max_len).map(|i| i % cfg.vocab).collect();
         let im = Int8DecoderLm::from_decoder(&m, &prime, &eng);
-        let mut st = im.new_kv_state_with_capacity();
-        let logits = im.decode_step_with(1, &mut st, &eng);
+        let pool = int8_pool(&im, 4, 1, 1);
+        let mut st = im.new_paged_state();
+        let logits = im.decode_batch_paged_with(&[1], &mut [&mut st], &pool, &eng);
         assert_eq!(logits.dims(), &[1, cfg.vocab]);
         assert!(logits.data().iter().all(|v| v.is_finite()));
     }

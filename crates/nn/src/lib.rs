@@ -17,9 +17,9 @@
 //!   bit-identical to the fake-quant path under power-of-two scales;
 //! - [`BlockAllocator`], [`PagedKvState`] — paged KV storage: fixed-size
 //!   token blocks carved from one byte budget with refcounted
-//!   copy-on-write sharing, plus `*_paged_with` decode entry points on
-//!   the models that walk block tables bit-identically to the contiguous
-//!   caches;
+//!   copy-on-write sharing, plus the `*_paged_with` decode entry points
+//!   on the models — the one incremental decode path, bit-identical to
+//!   the full-sequence `forward_inference_with` oracle;
 //! - [`GlueTask`], [`SegTask`], [`LmFamily`] — synthetic stand-ins for
 //!   GLUE / ADE20K / zero-shot-reasoning benchmarks (see DESIGN.md for the
 //!   substitution argument);
@@ -47,7 +47,6 @@ mod block;
 mod data;
 mod embedding;
 mod int8;
-mod kv_cache;
 mod linear;
 mod loss;
 mod metrics;
@@ -64,7 +63,6 @@ pub use embedding::Embedding;
 pub use int8::{
     Int8DecoderLm, Int8EncoderClassifier, Int8Linear, Int8MultiHeadAttention, Int8TransformerBlock,
 };
-pub use kv_cache::{AttentionKvCache, DecoderKvState, Int8AttentionKvCache, Int8DecoderKvState};
 pub use linear::{Linear, PsumMode, QuantLinear};
 pub use loss::{cross_entropy, distillation_loss, mse_loss};
 pub use metrics::{accuracy, matthews_corr, mean_iou, pearson, spearman_rho};

@@ -1,16 +1,16 @@
-//! Paged KV storage: fixed-size token blocks carved from one byte budget.
+//! Paged KV storage: fixed-size token blocks carved from one byte budget —
+//! the only KV store incremental decode runs against.
 //!
-//! The contiguous caches in [`crate::AttentionKvCache`] /
-//! [`crate::Int8AttentionKvCache`] preallocate one buffer per session, so
-//! a serving byte budget admits `budget / bytes_per_session` sessions no
-//! matter how short their contexts actually are. This module replaces
-//! that with the vLLM-style paged layout:
+//! Preallocating one contiguous buffer per session would admit
+//! `budget / bytes_per_session` sessions no matter how short their
+//! contexts actually are. This module uses the vLLM-style paged layout
+//! instead:
 //!
 //! - [`BlockAllocator`] carves the budget into **blocks** of
 //!   `block_tokens` tokens each (f32 rows, or i8 codes + per-(token, head)
-//!   power-of-two exponents — the same storage recipe as the contiguous
-//!   caches, produced by the same quantization function), managed through
-//!   a free list and per-block reference counts;
+//!   power-of-two exponents from the crate's single KV quantization
+//!   recipe, the same one the int8 full-sequence forward applies),
+//!   managed through a free list and per-block reference counts;
 //! - [`PagedKvState`] is one session's per-layer **block tables**: block
 //!   ids in token order plus the decode position. Appending a row
 //!   allocates a block at each `block_tokens` boundary and performs
@@ -21,12 +21,13 @@
 //!   prefixes — the decoder is deterministic, so equal prefixes produce
 //!   equal KV bytes) deduplicate them.
 //!
-//! Reads **gather** block contents in token order into the same flat
-//! `[t·d]` layouts the contiguous caches expose
-//! ([`BlockAllocator::gather_f32`] / [`BlockAllocator::gather_int8`]), so
-//! the attention entry points that walk a block table feed byte-identical
-//! operands to the same engine kernels — results are bit-identical across
-//! block sizes, thread counts, and vs. the contiguous path.
+//! Reads **gather** block contents in token order into flat `[t·d]`
+//! layouts ([`BlockAllocator::gather_f32`] /
+//! [`BlockAllocator::gather_int8`]) — the same rows the full-sequence
+//! forward computes for that prefix — so the attention entry points that
+//! walk a block table feed byte-identical operands to the same engine
+//! kernels, and decode is bit-identical across block sizes, thread
+//! counts, and vs. a full-sequence recompute.
 //!
 //! # Concurrency: the block pool
 //!
@@ -84,8 +85,7 @@
 //! fork.advance();
 //! assert_eq!(alloc.blocks_in_use(), 3); // CoW copy of the tail
 //!
-//! // Gathered reads are flat `[t·d]` slices, same layout as the
-//! // contiguous cache.
+//! // Gathered reads are flat `[t·d]` slices in token order.
 //! let mut k = Vec::new();
 //! let (mut v, mut ke, mut ve) = (Vec::new(), Vec::new(), Vec::new());
 //! alloc.gather_int8(s.layer_blocks(0), 5, &mut k, &mut v, &mut ke, &mut ve);
@@ -96,10 +96,42 @@
 //! assert_eq!(alloc.blocks_in_use(), 0);
 //! ```
 
-use crate::kv_cache::quantize_int8_kv_row;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+/// Quantizes one `d`-length KV row per head at the tightest covering
+/// power-of-two scale ([`apsq_quant::covering_pow2_exponent`]), writing i8
+/// codes into `codes` (`d` long) and one exponent per head into `exps`
+/// (`heads` long).
+///
+/// This is the **single** KV quantization recipe in the crate: int8
+/// [`BlockAllocator`] appends and
+/// [`crate::Int8MultiHeadAttention::forward_inference_with`] both call it,
+/// so paged decode reads exactly the bytes a full-sequence recompute
+/// attends — the root of the paged ⇔ full-recompute bit-identity.
+///
+/// # Panics
+///
+/// Panics if a value is not finite.
+pub(crate) fn quantize_int8_kv_row(row: &[f32], heads: usize, codes: &mut [i8], exps: &mut [i8]) {
+    debug_assert_eq!(codes.len(), row.len());
+    debug_assert_eq!(exps.len(), heads);
+    let dh = row.len() / heads;
+    for h in 0..heads {
+        let slice = &row[h * dh..(h + 1) * dh];
+        let max_abs = slice.iter().fold(0.0f32, |m, &x| {
+            assert!(x.is_finite(), "non-finite KV value {x}");
+            m.max(x.abs())
+        });
+        let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
+        let scale = (e as f32).exp2();
+        exps[h] = e as i8;
+        for (c, &x) in codes[h * dh..(h + 1) * dh].iter_mut().zip(slice) {
+            *c = (x / scale).round().clamp(-128.0, 127.0) as i8;
+        }
+    }
+}
 
 /// Index of one fixed-size KV block inside a [`BlockAllocator`].
 pub type BlockId = u32;
@@ -157,6 +189,9 @@ pub struct BlockAllocator {
     /// copy-on-write copies of partially filled blocks).
     filled: Vec<u32>,
     free: Vec<BlockId>,
+    /// Free blocks promised to appends that have not allocated yet; each
+    /// [`Self::alloc`] consumes one promise.
+    reserved: usize,
     in_use: usize,
     /// Blocks with refcount > 1, maintained on retain/release.
     shared: usize,
@@ -207,6 +242,7 @@ impl BlockAllocator {
             refcounts: vec![0; capacity],
             filled: vec![0; capacity],
             free: (0..capacity as BlockId).rev().collect(),
+            reserved: 0,
             in_use: 0,
             shared: 0,
             tokens: 0,
@@ -218,7 +254,7 @@ impl BlockAllocator {
     /// An int8 allocator holding as many `block_tokens`-token blocks of
     /// width `width` / `heads` heads as fit in `budget_bytes`. Rows are
     /// quantized per head at the tightest covering power-of-two scale —
-    /// the exact recipe of [`crate::Int8AttentionKvCache::append_row`].
+    /// the exact recipe the int8 full-sequence forward applies.
     ///
     /// # Panics
     ///
@@ -254,6 +290,7 @@ impl BlockAllocator {
             refcounts: vec![0; capacity],
             filled: vec![0; capacity],
             free: (0..capacity as BlockId).rev().collect(),
+            reserved: 0,
             in_use: 0,
             shared: 0,
             tokens: 0,
@@ -332,10 +369,36 @@ impl BlockAllocator {
         self.tokens as f64 / (self.in_use * self.block_tokens) as f64
     }
 
-    /// Pops a free block at refcount 1, or `None` when the budget is
+    /// Free blocks not promised by [`Self::reserve`] — what a new
+    /// reservation can still claim.
+    pub fn blocks_unreserved(&self) -> usize {
+        self.free.len() - self.reserved
+    }
+
+    /// Promises `n` free blocks to appends that will run later (possibly
+    /// on another thread). Each [`Self::alloc`] consumes one promise, so
+    /// the ledger stays exact while those appends are in flight: a
+    /// scheduler reserving against [`Self::blocks_unreserved`] never
+    /// counts an already-allocated block twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` unreserved free blocks remain.
+    pub fn reserve(&mut self, n: usize) {
+        assert!(
+            n <= self.blocks_unreserved(),
+            "reserving {n} blocks with {} unreserved",
+            self.blocks_unreserved()
+        );
+        self.reserved += n;
+    }
+
+    /// Pops a free block at refcount 1, consuming one outstanding
+    /// [`Self::reserve`] promise if any, or `None` when the budget is
     /// exhausted.
     pub fn alloc(&mut self) -> Option<BlockId> {
         let id = self.free.pop()?;
+        self.reserved = self.reserved.saturating_sub(1);
         self.refcounts[id as usize] = 1;
         self.filled[id as usize] = 0;
         self.in_use += 1;
@@ -530,11 +593,9 @@ impl BlockAllocator {
     }
 
     /// Gathers `len` f32 K and V rows from a block table in token order
-    /// into flat `[len · d]` buffers — byte-identical to what
-    /// [`crate::AttentionKvCache::keys_data`] /
-    /// [`crate::AttentionKvCache::values_data`] would hold after the same
-    /// appends, which is what makes paged attention bit-identical to the
-    /// contiguous path.
+    /// into flat `[len · d]` buffers — byte-identical to the appended
+    /// rows, which is what makes paged attention bit-identical to a
+    /// full-sequence recompute.
     ///
     /// # Panics
     ///
@@ -574,9 +635,8 @@ impl BlockAllocator {
     }
 
     /// Gathers `len` int8 K/V code rows and per-(token, head) exponents
-    /// from a block table in token order into the flat layouts of
-    /// [`crate::Int8AttentionKvCache`] (`[len · d]` codes, `[len · heads]`
-    /// exponents).
+    /// from a block table in token order into flat `[len · d]` codes and
+    /// `[len · heads]` exponents.
     ///
     /// # Panics
     ///
@@ -864,8 +924,7 @@ impl BlockPool {
 }
 
 /// One session's paged KV state: a block table per decoder layer plus the
-/// decode position, replacing the contiguous
-/// [`crate::DecoderKvState`]/[`crate::Int8DecoderKvState`] buffers.
+/// decode position.
 ///
 /// The state does not own its blocks — every mutation takes the shared
 /// [`BlockAllocator`]. Callers must [`Self::release`] before dropping a
@@ -1034,6 +1093,27 @@ mod tests {
     }
 
     #[test]
+    fn reservations_are_consumed_by_alloc() {
+        let mut a = BlockAllocator::f32(4 * BlockAllocator::f32_bytes_per_block(2, 4), 2, 4);
+        a.reserve(3);
+        assert_eq!(a.blocks_unreserved(), 1);
+        // An in-flight append allocating a promised block leaves the
+        // unreserved headroom unchanged: the promise is consumed, not
+        // counted a second time.
+        let b = a.alloc().unwrap();
+        assert_eq!((a.blocks_free(), a.blocks_unreserved()), (3, 1));
+        a.release(b);
+        assert_eq!(a.blocks_unreserved(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreserved")]
+    fn over_reservation_is_rejected() {
+        let mut a = BlockAllocator::f32(BlockAllocator::f32_bytes_per_block(2, 4), 2, 4);
+        a.reserve(2);
+    }
+
+    #[test]
     fn alloc_exhaustion_returns_none() {
         let mut a = BlockAllocator::f32(BlockAllocator::f32_bytes_per_block(2, 4), 2, 4);
         assert!(a.alloc().is_some());
@@ -1054,44 +1134,74 @@ mod tests {
     }
 
     #[test]
-    fn paged_f32_gather_matches_contiguous_cache() {
+    fn paged_f32_gather_returns_appended_rows_in_order() {
         let d = 8;
         let mut a = BlockAllocator::f32(1 << 16, 3, d);
         let mut s = PagedKvState::for_layers(1);
-        let mut c = crate::AttentionKvCache::new();
+        let (mut want_k, mut want_v) = (Vec::new(), Vec::new());
         for i in 0..7 {
             let (k, v) = (row(i as f32, d), row(-(i as f32), d));
             s.append_row(0, &mut a, &k, &v);
             s.advance();
-            c.append_row(&k, &v);
+            want_k.extend_from_slice(&k);
+            want_v.extend_from_slice(&v);
         }
         let (mut gk, mut gv) = (Vec::new(), Vec::new());
         a.gather_f32(s.layer_blocks(0), 7, &mut gk, &mut gv);
-        assert_eq!(gk, c.keys_data());
-        assert_eq!(gv, c.values_data());
+        assert_eq!(gk, want_k);
+        assert_eq!(gv, want_v);
         // 7 tokens at 3-token blocks = 3 blocks, 2 slack slots.
         assert_eq!(s.layer_blocks(0).len(), 3);
         assert!((a.utilization() - 7.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]
-    fn paged_int8_gather_is_byte_identical_to_contiguous_cache() {
+    fn paged_int8_gather_is_byte_identical_to_row_quantization() {
         let (d, h) = (8, 2);
         let mut a = BlockAllocator::int8(1 << 16, 4, d, h);
         let mut s = PagedKvState::for_layers(1);
-        let mut c = crate::Int8AttentionKvCache::new(d, h);
+        let (mut want_kc, mut want_vc) = (vec![0i8; 9 * d], vec![0i8; 9 * d]);
+        let (mut want_ke, mut want_ve) = (vec![0i8; 9 * h], vec![0i8; 9 * h]);
         for i in 0..9 {
             let (k, v) = (row(0.1 * i as f32, d), row(100.0 - i as f32, d));
             s.append_row(0, &mut a, &k, &v);
             s.advance();
-            c.append_row(&k, &v);
+            let (c, e) = (i * d..(i + 1) * d, i * h..(i + 1) * h);
+            quantize_int8_kv_row(&k, h, &mut want_kc[c.clone()], &mut want_ke[e.clone()]);
+            quantize_int8_kv_row(&v, h, &mut want_vc[c], &mut want_ve[e]);
         }
         let (mut kc, mut vc, mut ke, mut ve) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         a.gather_int8(s.layer_blocks(0), 9, &mut kc, &mut vc, &mut ke, &mut ve);
-        assert_eq!(kc, c.keys_codes());
-        assert_eq!(vc, c.values_codes());
-        assert_eq!(ke, c.keys_exponents());
-        assert_eq!(ve, c.values_exponents());
+        assert_eq!(kc, want_kc);
+        assert_eq!(vc, want_vc);
+        assert_eq!(ke, want_ke);
+        assert_eq!(ve, want_ve);
+    }
+
+    #[test]
+    fn int8_row_quantization_uses_per_head_scales() {
+        // Head 0 small magnitudes, head 1 large: distinct per-head scales.
+        let src = [0.5f32, -1.0, 100.0, -200.0];
+        let (mut codes, mut exps) = ([0i8; 4], [0i8; 2]);
+        quantize_int8_kv_row(&src, 2, &mut codes, &mut exps);
+        assert!(exps[0] < exps[1], "head scales should differ: {exps:?}");
+        for (j, &want) in src.iter().enumerate() {
+            let scale = (exps[j / 2] as f32).exp2();
+            let got = codes[j] as f32 * scale;
+            assert!((got - want).abs() <= scale * 0.5, "dequant {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn int8_blocks_are_about_4x_smaller_than_f32() {
+        // tiny shape: 8·64 / (2·(64 + 4)) = 3.76; serving shapes with
+        // head_dim 64 compress ≥ 3.9×.
+        let ratio = |d: usize, h: usize| {
+            BlockAllocator::f32_bytes_per_block(16, d) as f64
+                / BlockAllocator::int8_bytes_per_block(16, d, h) as f64
+        };
+        assert!(ratio(64, 4) > 3.7);
+        assert!(ratio(256, 4) >= 3.9);
     }
 
     #[test]
@@ -1152,6 +1262,14 @@ mod tests {
         // Idempotent when already adopted.
         s2.adopt_tail_block(0, &mut a, shared);
         assert_eq!(a.refcount(shared), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "K row width mismatch")]
+    fn width_change_rejected() {
+        let mut a = BlockAllocator::int8(1 << 12, 4, 4, 2);
+        let b = a.alloc().unwrap();
+        a.write_row(b, 0, &[0.0; 3], &[0.0; 3]);
     }
 
     #[test]

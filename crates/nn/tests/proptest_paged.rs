@@ -1,16 +1,16 @@
 //! Property tests for the paged KV datapath: decoding through
 //! [`BlockAllocator`] block tables must be **bit-identical** to the
-//! contiguous per-session caches — for random shapes, block sizes,
-//! engine thread counts, and both precisions — and a copy-on-write fork
-//! must be bit-identical to an independent session replaying the same
-//! tokens.
+//! full-sequence `forward_inference_with` recompute — for random shapes,
+//! block sizes, engine thread counts, and both precisions — and a
+//! copy-on-write fork must be bit-identical to a full recompute of the
+//! same tokens.
 //!
 //! The invariant: a block-table gather reconstructs byte-for-byte the
-//! flat `[t, d]` operand layouts the contiguous caches expose, and the
-//! int8 paged store quantizes appends through the same per-(token, head)
-//! covering-scale recipe as `Int8AttentionKvCache`. A gather that
-//! reordered tokens, a block boundary that split a reduction, or a CoW
-//! copy that dropped filled rows would all break these assertions.
+//! flat `[t, d]` K/V rows the full forward computes for that prefix, and
+//! the int8 paged store quantizes appends through the same per-(token,
+//! head) covering-scale recipe the int8 full forward applies. A gather
+//! that reordered tokens, a block boundary that split a reduction, or a
+//! CoW copy that dropped filled rows would all break these assertions.
 
 use apsq_nn::{BlockAllocator, BlockPool, DecoderLm, Int8DecoderLm, ModelConfig, PsumMode};
 use apsq_quant::Bitwidth;
@@ -73,14 +73,23 @@ fn f32_pool(m: &DecoderLm, block_tokens: usize, len: usize, sessions: usize) -> 
     ))
 }
 
+/// Row `t` of a `[T, vocab]` logits tensor as a `[1, vocab]` tensor.
+fn row(logits: &Tensor, t: usize) -> Tensor {
+    let vocab = logits.dims()[1];
+    Tensor::from_vec(
+        logits.data()[t * vocab..(t + 1) * vocab].to_vec(),
+        [1, vocab],
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Decoding through f32 block tables yields, at every step, exactly
-    /// the bits the contiguous-cache decode produces — for every block
-    /// size and thread count.
+    /// Decoding through f32 block tables yields, at every step `t`,
+    /// exactly the bits of row `t` of the full-sequence forward — for
+    /// every block size and thread count.
     #[test]
-    fn f32_paged_decode_is_bit_identical_to_contiguous(
+    fn f32_paged_decode_is_bit_identical_to_full_recompute(
         seed in any::<u64>(),
         heads in 1usize..4,
         layers in 1usize..3,
@@ -94,13 +103,12 @@ proptest! {
         let ids = random_ids(seed, len, cfg.vocab);
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
 
-        let mut cont = m.new_kv_state_with_capacity();
+        let full = m.forward_inference_with(&ids, &ExecEngine::serial());
         let pool = f32_pool(&m, block_tokens, len, 1);
         let mut paged = m.new_paged_state();
-        for &tok in &ids {
-            let want = m.decode_step_with(tok, &mut cont, &eng);
+        for (t, &tok) in ids.iter().enumerate() {
             let got = m.decode_batch_paged_with(&[tok], &mut [&mut paged], &pool, &eng);
-            prop_assert_eq!(&got, &want, "token {tok}");
+            prop_assert_eq!(&got, &row(&full, t), "step {} token {}", t, tok);
         }
         prop_assert_eq!(paged.position(), ids.len());
         let mut alloc = pool.lock();
@@ -109,12 +117,12 @@ proptest! {
         prop_assert_eq!(alloc.blocks_in_use(), 0);
     }
 
-    /// The int8 paged datapath reproduces the contiguous int8 decode bit
-    /// for bit: block storage quantizes appends through the same
+    /// The int8 paged datapath reproduces the int8 full-sequence forward
+    /// bit for bit: block storage quantizes appends through the same
     /// covering-scale recipe, so the gathered codes and exponents are
-    /// byte-identical.
+    /// byte-identical to the prefix the full forward attends.
     #[test]
-    fn int8_paged_decode_is_bit_identical_to_contiguous(
+    fn int8_paged_decode_is_bit_identical_to_full_recompute(
         seed in any::<u64>(),
         heads in 1usize..4,
         len in 2usize..8,
@@ -129,7 +137,7 @@ proptest! {
         let im = Int8DecoderLm::from_decoder(&m, &random_ids(seed, 12, cfg.vocab), &eng);
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
 
-        let mut cont = im.new_kv_state_with_capacity();
+        let full = im.forward_inference_with(&ids, &ExecEngine::serial());
         let blocks = im.num_layers() * len.div_ceil(block_tokens);
         let pool = BlockPool::new(BlockAllocator::int8(
             blocks * BlockAllocator::int8_bytes_per_block(block_tokens, im.width(), im.heads()),
@@ -138,10 +146,9 @@ proptest! {
             im.heads(),
         ));
         let mut paged = im.new_paged_state();
-        for &tok in &ids {
-            let want = im.decode_step_with(tok, &mut cont, &eng);
+        for (t, &tok) in ids.iter().enumerate() {
             let got = im.decode_batch_paged_with(&[tok], &mut [&mut paged], &pool, &eng);
-            prop_assert_eq!(&got, &want, "token {tok}");
+            prop_assert_eq!(&got, &row(&full, t), "step {} token {}", t, tok);
         }
         let mut alloc = pool.lock();
         paged.release(&mut alloc);
@@ -150,10 +157,10 @@ proptest! {
 
     /// Forking a session after a shared prefix (zero-copy, refcounted
     /// blocks) and decoding divergent suffixes through copy-on-write is
-    /// bit-identical to two independent sessions replaying the same token
-    /// streams from scratch.
+    /// bit-identical to a full-sequence recompute of each prefix + suffix
+    /// token stream from scratch.
     #[test]
-    fn cow_fork_is_bit_identical_to_independent_session(
+    fn cow_fork_is_bit_identical_to_full_recompute(
         seed in any::<u64>(),
         heads in 1usize..4,
         prefix_len in 1usize..7,
@@ -168,15 +175,11 @@ proptest! {
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
         let total = prefix_len + suffix_len;
 
-        // Independent reference sessions, each replaying prefix + suffix.
+        // Full-recompute references: the last row over prefix + suffix.
         let mut refs = Vec::new();
         for sfx in [&sfx_a, &sfx_b] {
-            let mut st = m.new_kv_state_with_capacity();
-            let mut last = Tensor::zeros([1, 1]);
-            for &tok in prefix.iter().chain(sfx.iter()) {
-                last = m.decode_step_with(tok, &mut st, &eng);
-            }
-            refs.push(last);
+            let ids: Vec<usize> = prefix.iter().chain(sfx.iter()).copied().collect();
+            refs.push(row(&m.forward_inference_with(&ids, &eng), total - 1));
         }
 
         // Paged: decode the prefix once, fork, decode both suffixes.

@@ -61,6 +61,15 @@ pub enum ServeError {
         /// Which rung of the ladder fired.
         reason: &'static str,
     },
+    /// The request itself is malformed (a decode token outside the model
+    /// vocabulary); it was rejected at submit time without entering the
+    /// system.
+    InvalidRequest {
+        /// The offending token id.
+        token: usize,
+        /// The model's vocabulary size.
+        vocab: usize,
+    },
 }
 
 impl ServeError {
@@ -76,6 +85,7 @@ impl ServeError {
             ServeError::SessionEvicted { .. } => 5,
             ServeError::DeadlineExceeded { .. } => 6,
             ServeError::Degraded { .. } => 7,
+            ServeError::InvalidRequest { .. } => 8,
         }
     }
 }
@@ -113,6 +123,12 @@ impl std::fmt::Display for ServeError {
             ServeError::Degraded { level, reason } => {
                 write!(f, "shed by degradation ladder (level {level}: {reason})")
             }
+            ServeError::InvalidRequest { token, vocab } => {
+                write!(
+                    f,
+                    "invalid request: token {token} outside vocabulary {vocab}"
+                )
+            }
         }
     }
 }
@@ -149,13 +165,22 @@ mod tests {
                 level: 2,
                 reason: "decode-length-cap",
             },
+            ServeError::InvalidRequest {
+                token: 99,
+                vocab: 64,
+            },
         ];
         let mut codes: Vec<u8> = errs.iter().map(|e| e.code()).collect();
+        codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), errs.len());
         assert!(errs[0].to_string().contains("queue full"));
         assert!(errs[2].to_string().contains("overflow"));
         assert!(errs[5].to_string().contains("deadline exceeded"));
         assert!(errs[6].to_string().contains("degradation"));
+        assert_eq!(errs[7].code(), 8);
+        assert!(errs[7]
+            .to_string()
+            .contains("token 99 outside vocabulary 64"));
     }
 }

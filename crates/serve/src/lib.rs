@@ -30,7 +30,7 @@
 //! size limit, and batching decision**: the engine reduces each output
 //! element in a fixed order independent of the batch partition, so row `b`
 //! of a coalesced decode GEMM equals the batch-size-1 result exactly (see
-//! `DecoderLm::decode_batch_with`), and prefill requests execute
+//! `DecoderLm::decode_batch_paged_with`), and prefill requests execute
 //! independently inside a coalesced task. Scheduling changes *when* a
 //! request runs and *with whom* — never what it returns. Paged attention
 //! gathers a session's blocks back into flat token order before reducing,

@@ -79,19 +79,15 @@ struct BatchDone {
     items: Vec<DoneItem>,
     /// KV states to check back in (decode batches only).
     states: Vec<(SessionId, SessionKv)>,
-    /// KV blocks the scheduler reserved for this batch, now consumed —
-    /// echoed back so the outstanding-reservation count can shrink.
-    reserved: usize,
 }
 
-/// A coalesced batch dispatched to the worker pool.
+/// A coalesced batch dispatched to the worker pool. A decode batch's KV
+/// block demand is already promised in the pool's reservation ledger;
+/// its appends consume the promises as they allocate.
 enum WorkItem {
     Decode {
         items: Vec<Pending>,
         states: Vec<(SessionId, SessionKv)>,
-        /// Blocks reserved for this batch's appends (echoed in
-        /// [`BatchDone::reserved`]).
-        reserved: usize,
     },
     Prefill {
         items: Vec<Pending>,
@@ -211,13 +207,9 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// [`ServeError::QueueFull`] over the queue budget,
+    /// [`ServeError::InvalidRequest`] for a decode token outside the model
+    /// vocabulary, [`ServeError::QueueFull`] over the queue budget,
     /// [`ServeError::ShuttingDown`] after shutdown began.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a decode request's token is outside the model vocabulary
-    /// (a client programming error, not load-dependent).
     ///
     /// # Example
     ///
@@ -238,12 +230,15 @@ impl ServerHandle {
     /// server.shutdown();
     /// ```
     pub fn submit(&self, req: Request) -> Result<(), ServeError> {
+        // Validate before touching the queue-depth counter, so a rejected
+        // request never holds a depth slot.
         if let RequestKind::Decode { token, .. } = req.kind {
-            assert!(
-                token < self.vocab,
-                "token {token} outside vocabulary {}",
-                self.vocab
-            );
+            if token >= self.vocab {
+                return Err(ServeError::InvalidRequest {
+                    token,
+                    vocab: self.vocab,
+                });
+            }
         }
         if !self.shared.accepting.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
@@ -449,11 +444,7 @@ fn worker_loop(
             Err(_) => return,
         };
         let done = match item {
-            WorkItem::Decode {
-                items,
-                states,
-                reserved,
-            } => run_decode(model, &eng, pool, items, states, reserved),
+            WorkItem::Decode { items, states } => run_decode(model, &eng, pool, items, states),
             WorkItem::Prefill { items } => run_prefill(lib, &eng, items, prefill_budget, precision),
         };
         if evt_tx.send(Event::Done(done)).is_err() {
@@ -475,7 +466,6 @@ fn run_decode(
     pool: &BlockPool,
     items: Vec<Pending>,
     states: Vec<(SessionId, SessionKv)>,
-    reserved: usize,
 ) -> BatchDone {
     let tokens: Vec<usize> = items
         .iter()
@@ -515,7 +505,6 @@ fn run_decode(
         occupancy,
         items: done_items,
         states: sids.into_iter().zip(sts).collect(),
-        reserved,
     }
 }
 
@@ -561,7 +550,6 @@ fn run_prefill(
         occupancy,
         items: done_items,
         states: Vec::new(),
-        reserved: 0,
     }
 }
 
@@ -591,9 +579,6 @@ fn scheduler_loop(
     let mut last_gathered = 0u64;
     let mut idle = cfg.workers;
     let mut inflight = 0usize;
-    // Blocks promised to dispatched-but-uncompleted decode batches; new
-    // reservations must leave room for these.
-    let mut reserved_outstanding = 0usize;
     let mut draining = false;
     // Virtual-time state: the lockstep clock, the degradation-ladder
     // level with its hysteresis streaks, and the ack deferred until the
@@ -684,7 +669,6 @@ fn scheduler_loop(
                 Lane::Decode => {
                     let mut batch = Vec::with_capacity(items.len());
                     let mut states = Vec::with_capacity(items.len());
-                    let mut batch_reserved = 0usize;
                     for p in items {
                         let session = p.req.session().expect("decode lane request has a session");
                         let position = sessions.position(session);
@@ -707,16 +691,13 @@ fn scheduler_loop(
                             batcher.on_session_done(session);
                             continue;
                         }
-                        match sessions.reserve(session, reserved_outstanding + batch_reserved) {
-                            Ok(blocks) => batch_reserved += blocks,
-                            Err(e) => {
-                                shared.depth.fetch_sub(1, Ordering::Relaxed);
-                                metrics.record_shed(ShedCause::SessionCapacity);
-                                respond(&mut metrics, p, Err(e), 0, Lane::Decode, vnow);
-                                sessions.release(session);
-                                batcher.on_session_done(session);
-                                continue;
-                            }
+                        if let Err(e) = sessions.reserve(session) {
+                            shared.depth.fetch_sub(1, Ordering::Relaxed);
+                            metrics.record_shed(ShedCause::SessionCapacity);
+                            respond(&mut metrics, p, Err(e), 0, Lane::Decode, vnow);
+                            sessions.release(session);
+                            batcher.on_session_done(session);
+                            continue;
                         }
                         states.push((session, sessions.checkout(session)));
                         batch.push(p);
@@ -724,13 +705,11 @@ fn scheduler_loop(
                     if batch.is_empty() {
                         continue;
                     }
-                    reserved_outstanding += batch_reserved;
                     shared.depth.fetch_sub(batch.len(), Ordering::Relaxed);
                     metrics.record_batch(batch.len());
                     WorkItem::Decode {
                         items: batch,
                         states,
-                        reserved: batch_reserved,
                     }
                 }
                 Lane::Prefill => unreachable!("prefill dispatches through the spread loop"),
@@ -799,7 +778,6 @@ fn scheduler_loop(
                 Event::Done(done) => {
                     idle += 1;
                     inflight -= 1;
-                    reserved_outstanding -= done.reserved;
                     for (sid, st) in done.states {
                         sessions.checkin(sid, st);
                     }
@@ -953,7 +931,6 @@ fn scheduler_loop(
                         }
                         let mut batch = Vec::with_capacity(items.len());
                         let mut states = Vec::with_capacity(items.len());
-                        let mut batch_reserved = 0usize;
                         for p in items {
                             let session =
                                 p.req.session().expect("decode lane request has a session");
@@ -986,10 +963,7 @@ fn scheduler_loop(
                                 && is_low
                                 && position == 0
                                 && degrade.kv_guard_free_blocks > 0
-                                && sessions
-                                    .blocks_free()
-                                    .saturating_sub(reserved_outstanding + batch_reserved)
-                                    < degrade.kv_guard_free_blocks
+                                && sessions.blocks_unreserved() < degrade.kv_guard_free_blocks
                             {
                                 shared.depth.fetch_sub(1, Ordering::Relaxed);
                                 metrics.record_shed(ShedCause::Degraded);
@@ -1029,17 +1003,14 @@ fn scheduler_loop(
                                 batcher.on_session_done(session);
                                 continue;
                             }
-                            match sessions.reserve(session, reserved_outstanding + batch_reserved) {
-                                Ok(blocks) => batch_reserved += blocks,
-                                Err(e) => {
-                                    shared.depth.fetch_sub(1, Ordering::Relaxed);
-                                    metrics.record_shed(ShedCause::SessionCapacity);
-                                    tick_shed += 1;
-                                    respond(&mut metrics, p, Err(e), 0, Lane::Decode, vnow);
-                                    sessions.release(session);
-                                    batcher.on_session_done(session);
-                                    continue;
-                                }
+                            if let Err(e) = sessions.reserve(session) {
+                                shared.depth.fetch_sub(1, Ordering::Relaxed);
+                                metrics.record_shed(ShedCause::SessionCapacity);
+                                tick_shed += 1;
+                                respond(&mut metrics, p, Err(e), 0, Lane::Decode, vnow);
+                                sessions.release(session);
+                                batcher.on_session_done(session);
+                                continue;
                             }
                             states.push((session, sessions.checkout(session)));
                             batch.push(p);
@@ -1049,13 +1020,11 @@ fn scheduler_loop(
                         }
                         budget -= batch.len().min(budget);
                         dispatched_decode += batch.len();
-                        reserved_outstanding += batch_reserved;
                         shared.depth.fetch_sub(batch.len(), Ordering::Relaxed);
                         metrics.record_batch(batch.len());
                         planned.push(WorkItem::Decode {
                             items: batch,
                             states,
-                            reserved: batch_reserved,
                         });
                     }
                     let mut pbudget = cfg.slo.prefill_units_per_tick;
@@ -1468,11 +1437,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside vocabulary")]
-    fn out_of_vocab_token_is_a_client_bug() {
-        let (server, _rx) = Server::start(&tiny_cfg());
+    fn out_of_vocab_token_is_rejected_with_a_typed_error() {
+        let mut cfg = tiny_cfg();
+        // One queue slot: a depth leaked by the rejection would shed the
+        // valid request below with `QueueFull`.
+        cfg.queue_capacity = 1;
+        let vocab = cfg.model.vocab;
+        let (server, rx) = Server::start(&cfg);
         let h = server.handle();
-        let _ = h.submit(Request::decode(1, 1, 999));
-        server.shutdown();
+        assert_eq!(
+            h.submit(Request::decode(1, 1, vocab)),
+            Err(ServeError::InvalidRequest {
+                token: vocab,
+                vocab
+            })
+        );
+        h.submit(Request::decode(2, 1, 0)).unwrap();
+        let resp = rx.recv().unwrap();
+        assert_eq!(resp.id, 2);
+        assert!(resp.result.is_ok());
+        let snap = server.shutdown();
+        assert_eq!(snap.completed, 1);
+        assert_eq!(snap.errors, 0);
     }
 }

@@ -13,7 +13,11 @@
 //! **reservation time**: before dispatching a decode step the scheduler
 //! calls [`SessionManager::reserve`], which guarantees the step's block
 //! demand or — after reclaiming unreferenced prefix blocks and LRU-evicting
-//! idle sessions — sheds with [`ServeError::SessionCapacity`].
+//! idle sessions — sheds with [`ServeError::SessionCapacity`]. The
+//! guarantee is a promise in the pool's reservation ledger that the
+//! step's own appends consume, so a reservation made while other batches
+//! are mid-append sees the same headroom as one made before they started:
+//! wall-clock shedding matches the virtual-time lockstep decisions.
 //!
 //! # Prefix sharing
 //!
@@ -291,10 +295,10 @@ impl SessionManager {
         self.alloc.lock().blocks_capacity()
     }
 
-    /// Blocks currently on the free list — the headroom gauge the
-    /// degradation ladder's KV admission guard watches.
-    pub fn blocks_free(&self) -> usize {
-        self.alloc.lock().blocks_free()
+    /// Free blocks not yet promised to a reserved decode step — the
+    /// headroom gauge the degradation ladder's KV admission guard watches.
+    pub fn blocks_unreserved(&self) -> usize {
+        self.alloc.lock().blocks_unreserved()
     }
 
     /// Admits a request for `id`: touches the LRU clock, pins the
@@ -331,11 +335,12 @@ impl SessionManager {
     }
 
     /// Guarantees the block pool can serve `id`'s next decode step on top
-    /// of `outstanding` blocks already promised to in-flight or co-batched
-    /// steps. Returns the step's own block demand (to add to the
-    /// caller's outstanding count). Under pressure this first reclaims
-    /// prefix-index blocks no session references anymore, then LRU-evicts
-    /// idle unpinned sessions.
+    /// of the blocks already promised to in-flight or co-batched steps,
+    /// and records the promise in the pool's reservation ledger
+    /// ([`BlockAllocator::reserve`]) — the step's appends consume it.
+    /// Returns the step's own block demand. Under pressure this first
+    /// reclaims prefix-index blocks no session references anymore, then
+    /// LRU-evicts idle unpinned sessions.
     ///
     /// # Errors
     ///
@@ -345,7 +350,7 @@ impl SessionManager {
     /// # Panics
     ///
     /// Panics if the session is absent or checked out.
-    pub fn reserve(&mut self, id: SessionId, outstanding: usize) -> Result<usize, ServeError> {
+    pub fn reserve(&mut self, id: SessionId) -> Result<usize, ServeError> {
         let pool = Arc::clone(&self.alloc);
         let mut alloc = pool.lock();
         let needed = self
@@ -355,7 +360,7 @@ impl SessionManager {
             .expect("reserve of absent or busy session")
             .kv
             .blocks_needed_for_next_append(&alloc);
-        while alloc.blocks_free() < outstanding + needed {
+        while alloc.blocks_unreserved() < needed {
             if self.reclaim_prefix_blocks(&mut alloc) > 0 {
                 continue;
             }
@@ -367,6 +372,7 @@ impl SessionManager {
                 capacity: self.capacity,
             });
         }
+        alloc.reserve(needed);
         Ok(needed)
     }
 
@@ -561,7 +567,7 @@ mod tests {
     /// scheduler's per-step session choreography.
     fn step(m: &mut SessionManager, id: SessionId, token: usize) {
         m.admit(id).unwrap();
-        m.reserve(id, 0).unwrap();
+        m.reserve(id).unwrap();
         let mut s = m.checkout(id);
         {
             let mut alloc = m.alloc.lock();
@@ -634,11 +640,11 @@ mod tests {
         step(&mut m, 1, 5);
         m.admit(1).unwrap(); // keep 1 pinned (in flight)
         m.admit(2).unwrap();
-        let err = m.reserve(2, 0).unwrap_err();
+        let err = m.reserve(2).unwrap_err();
         assert!(matches!(err, ServeError::SessionCapacity { .. }));
         // Unpinning 1 makes it evictable; the reservation then succeeds.
         m.release(1);
-        assert_eq!(m.reserve(2, 0), Ok(LAYERS));
+        assert_eq!(m.reserve(2), Ok(LAYERS));
         assert_eq!(m.evictions(), 1);
         m.release(2);
     }
@@ -650,9 +656,17 @@ mod tests {
         // The pool holds 4 blocks; a first step needs LAYERS = 2. With 3
         // already promised elsewhere, nothing is evictable (session 1 is
         // pinned), so the reservation sheds.
-        let err = m.reserve(1, 3).unwrap_err();
+        m.alloc.lock().reserve(3);
+        let err = m.reserve(1).unwrap_err();
         assert!(matches!(err, ServeError::SessionCapacity { .. }));
-        assert_eq!(m.reserve(1, 2), Ok(LAYERS));
+        // An in-flight step allocating one of its promised blocks consumes
+        // the promise: the headroom is unchanged, not shrunk a second time.
+        let b = m.alloc.lock().alloc().unwrap();
+        assert_eq!(m.blocks_unreserved(), 1);
+        // Once that block is freed again (say, deduplicated), the step fits.
+        m.alloc.lock().release(b);
+        assert_eq!(m.reserve(1), Ok(LAYERS));
+        assert_eq!(m.blocks_unreserved(), 0);
         m.release(1);
     }
 
@@ -696,7 +710,7 @@ mod tests {
         m.admit(2).unwrap();
         // Session 1's blocks are index-shared: eviction alone frees
         // nothing, reclamation of the now-unreferenced index entries does.
-        assert_eq!(m.reserve(2, 0), Ok(LAYERS));
+        assert_eq!(m.reserve(2), Ok(LAYERS));
         assert_eq!(m.evictions(), 1);
         assert_eq!(blocks_in_use(&m), 0);
         m.release(2);
