@@ -5,7 +5,7 @@
 //! WS loop nests over a `Po × Pci × Pco` MAC-array model:
 //!
 //! - outputs are **bit-exact**: the INT32 path equals
-//!   [`apsq_tensor::int8_matmul`], the APSQ path equals the software golden
+//!   [`apsq_tensor::ExecEngine::int8_matmul`], the APSQ path equals the software golden
 //!   model [`apsq_core::grouped_apsq`] (itself equal to the RAE hardware
 //!   model);
 //! - every SRAM/DRAM byte is counted per tensor, which cross-validates the
@@ -18,7 +18,7 @@
 //! ```
 //! use apsq_accel::{GemmSimulator, PsumPath};
 //! use apsq_dataflow::{AcceleratorConfig, Dataflow};
-//! use apsq_tensor::{int8_matmul, Int8Tensor};
+//! use apsq_tensor::{ExecEngine, Int8Tensor};
 //!
 //! let a = Int8Tensor::from_vec(vec![1; 8 * 16], [8, 16]);
 //! let w = Int8Tensor::from_vec(vec![2; 16 * 8], [16, 8]);
@@ -28,7 +28,7 @@
 //!     PsumPath::ExactInt32,
 //! );
 //! let r = sim.run(&a, &w);
-//! assert_eq!(r.output, int8_matmul(&a, &w));
+//! assert_eq!(r.output, ExecEngine::serial().int8_matmul(&a, &w));
 //! ```
 
 #![deny(unsafe_code)]

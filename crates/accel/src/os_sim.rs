@@ -129,7 +129,10 @@ impl OsGemmSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apsq_tensor::int8_matmul;
+
+    fn int8_matmul(a: &Int8Tensor, w: &Int8Tensor) -> Int32Tensor {
+        apsq_tensor::ExecEngine::serial().int8_matmul(a, w)
+    }
 
     fn arch() -> AcceleratorConfig {
         AcceleratorConfig {

@@ -6,7 +6,7 @@ use crate::stats::SimStats;
 use apsq_core::{grouped_apsq, ApsqConfig, GroupSize, ScaleSchedule};
 use apsq_dataflow::{AcceleratorConfig, Dataflow};
 use apsq_quant::Bitwidth;
-use apsq_tensor::{ExecEngine, Int32Tensor, Int8Tensor};
+use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 
 /// How the simulator treats partial sums.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -175,19 +175,22 @@ impl GemmSimulator {
             for cig in 0..np {
                 let ci0 = cig * pci;
                 let ci1 = usize::min(ci0 + pci, ci);
+                // The tile reads this co-group's columns of the weights in
+                // place (`ldb = co`) over this ci-group's K slice.
+                let g = Gemm {
+                    ldb: co,
+                    k_range: ci0..ci1,
+                    ..Gemm::new(
+                        Layout::NN,
+                        ifmap.data(),
+                        &weight.data()[co0..],
+                        t,
+                        co1 - co0,
+                        ci,
+                    )
+                };
                 let mut tile = vec![0i32; t * (co1 - co0)];
-                self.engine.int8_gemm_block(
-                    ifmap.data(),
-                    ci,
-                    &weight.data()[co0..],
-                    co,
-                    &mut tile,
-                    co1 - co0,
-                    t,
-                    co1 - co0,
-                    ci0,
-                    ci1,
-                );
+                self.engine.gemm(&g, &mut tile);
                 // One ifmap SRAM read per (token, input-channel) pair…
                 stats.ifmap.sram_bytes += (t * (ci1 - ci0)) as u64;
                 // …one MAC per (token, output-channel, input-channel)…
@@ -267,19 +270,19 @@ impl GemmSimulator {
             for cig in 0..np {
                 let ci0 = cig * pci;
                 let ci1 = usize::min(ci0 + pci, ci);
+                let g = Gemm {
+                    k_range: ci0..ci1,
+                    ..Gemm::new(
+                        Layout::NN,
+                        &ifmap.data()[t0 * ci..],
+                        weight.data(),
+                        t1 - t0,
+                        co,
+                        ci,
+                    )
+                };
                 let mut tile = vec![0i32; (t1 - t0) * co];
-                self.engine.int8_gemm_block(
-                    &ifmap.data()[t0 * ci..],
-                    ci,
-                    weight.data(),
-                    co,
-                    &mut tile,
-                    co,
-                    t1 - t0,
-                    co,
-                    ci0,
-                    ci1,
-                );
+                self.engine.gemm(&g, &mut tile);
                 stats.macs += ((t1 - t0) * co * (ci1 - ci0)) as u64;
                 stats.array_cycles += co_groups as u64;
                 tiles.push(Int32Tensor::from_vec(tile, [(t1 - t0) * co]));
@@ -363,7 +366,10 @@ impl GemmSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apsq_tensor::int8_matmul;
+
+    fn int8_matmul(a: &Int8Tensor, w: &Int8Tensor) -> Int32Tensor {
+        ExecEngine::serial().int8_matmul(a, w)
+    }
 
     fn test_tensors(t: usize, ci: usize, co: usize) -> (Int8Tensor, Int8Tensor) {
         let a = Int8Tensor::from_vec(

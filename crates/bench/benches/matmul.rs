@@ -1,9 +1,9 @@
 //! Criterion: the matmul kernels behind QAT and the integer simulators —
 //! the legacy serial kernel vs the `ExecEngine` thread sweep at paper
-//! scale, plus the K-tiled PSUM variant's overhead over plain matmul.
+//! scale, plus the K-tiled PSUM stream's overhead over plain matmul.
 
 use apsq_bench::baseline::matmul_reference;
-use apsq_tensor::{int8_matmul, matmul, matmul_psum_tiles, ExecEngine, Int8Tensor, Tensor};
+use apsq_tensor::{ExecEngine, Gemm, Int8Tensor, Layout, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -11,19 +11,25 @@ fn bench_matmul(c: &mut Criterion) {
     let a = Tensor::from_vec((0..m * k).map(|x| (x % 97) as f32 * 0.01).collect(), [m, k]);
     let b = Tensor::from_vec((0..k * n).map(|x| (x % 89) as f32 * 0.01).collect(), [k, n]);
     let flops = (2 * m * k * n) as u64;
+    let eng = ExecEngine::serial();
 
     let mut g = c.benchmark_group("matmul_f32");
     g.throughput(Throughput::Elements(flops));
     g.bench_function("plain", |bch| {
-        bch.iter(|| matmul(std::hint::black_box(&a), std::hint::black_box(&b)))
+        bch.iter(|| eng.matmul(std::hint::black_box(&a), std::hint::black_box(&b)))
     });
+    let dense = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
     for k_tile in [8usize, 32] {
         g.bench_with_input(
             BenchmarkId::new("psum_tiles", k_tile),
             &k_tile,
             |bch, &kt| {
                 bch.iter(|| {
-                    matmul_psum_tiles(std::hint::black_box(&a), std::hint::black_box(&b), kt)
+                    let mut tiles = Vec::new();
+                    eng.gemm_k_tiles(std::hint::black_box(&dense), kt, |_, t| {
+                        tiles.push(t.clone())
+                    });
+                    tiles
                 })
             },
         );
@@ -35,7 +41,7 @@ fn bench_matmul(c: &mut Criterion) {
     let mut g = c.benchmark_group("matmul_int8");
     g.throughput(Throughput::Elements(flops));
     g.bench_function("exact_i32_accumulate", |bch| {
-        bch.iter(|| int8_matmul(std::hint::black_box(&ai), std::hint::black_box(&bi)))
+        bch.iter(|| eng.int8_matmul(std::hint::black_box(&ai), std::hint::black_box(&bi)))
     });
     g.finish();
 }

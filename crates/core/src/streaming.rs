@@ -5,7 +5,7 @@ use crate::config::ApsqConfig;
 use crate::grouped::ApsqRun;
 use crate::schedule::ScaleSchedule;
 use crate::traffic::BufferTraffic;
-use apsq_tensor::{ExecEngine, Int32Tensor, Int8Tensor};
+use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 
 /// A truly incremental implementation of Algorithm 1 (grouped APSQ):
 /// each [`StreamingApsq::push`] executes one algorithm step immediately,
@@ -78,7 +78,7 @@ impl StreamingApsq {
 
     /// Pushes the next PSUM tile by reference — the zero-copy entry point
     /// for engines that stream tiles through one reusable buffer
-    /// ([`ExecEngine::int8_for_each_k_tile`]).
+    /// ([`ExecEngine::gemm_k_tiles`]).
     ///
     /// # Panics
     ///
@@ -182,8 +182,8 @@ fn dequant_tile(codes: &[i32], scale: apsq_quant::Pow2Scale, like: &Int32Tensor)
 /// software shape of the RAE sitting next to the PE array.
 ///
 /// Produces exactly the same [`ApsqRun`] as running [`crate::grouped_apsq`]
-/// over [`apsq_tensor::int8_matmul_psum_tiles`] (verified by property
-/// tests), for every group size and engine thread count.
+/// over the collected tile stream (verified by property tests), for every
+/// group size and engine thread count.
 ///
 /// # Panics
 ///
@@ -195,11 +195,13 @@ fn dequant_tile(codes: &[i32], scale: apsq_quant::Pow2Scale, like: &Int32Tensor)
 /// ```
 /// use apsq_core::{grouped_apsq, grouped_apsq_streamed, ApsqConfig, GroupSize, ScaleSchedule};
 /// use apsq_quant::Bitwidth;
-/// use apsq_tensor::{int8_matmul_psum_tiles, ExecEngine, Int8Tensor};
+/// use apsq_tensor::{ExecEngine, Gemm, Int8Tensor, Layout};
 ///
 /// let a = Int8Tensor::from_vec((0..4 * 16).map(|x| (x % 17) as i8 - 8).collect(), [4, 16]);
 /// let b = Int8Tensor::from_vec((0..16 * 3).map(|x| (x % 11) as i8 - 5).collect(), [16, 3]);
-/// let tiles = int8_matmul_psum_tiles(&a, &b, 4);
+/// let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+/// let mut tiles = Vec::new();
+/// ExecEngine::serial().gemm_k_tiles(&g, 4, |_, t| tiles.push(t.clone()));
 /// let sched = ScaleSchedule::calibrate(
 ///     std::slice::from_ref(&tiles),
 ///     Bitwidth::INT8,
@@ -220,8 +222,8 @@ pub fn grouped_apsq_streamed(
     config: &ApsqConfig,
 ) -> ApsqRun {
     assert!(k_tile > 0, "k_tile must be positive");
-    let k = a.dims()[1];
-    let np = k.div_ceil(k_tile);
+    let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+    let np = g.k.div_ceil(k_tile);
     assert_eq!(
         schedule.len(),
         np,
@@ -230,7 +232,7 @@ pub fn grouped_apsq_streamed(
         np
     );
     let mut stream = StreamingApsq::new(schedule.clone(), *config);
-    engine.int8_for_each_k_tile(a, b, k_tile, |_, tile| stream.push_ref(tile));
+    engine.gemm_k_tiles(&g, k_tile, |_, tile| stream.push_ref(tile));
     stream.finish()
 }
 
@@ -271,7 +273,9 @@ mod tests {
             [48, 6],
         );
         for (k_tile, gs) in [(8usize, 1usize), (8, 2), (8, 4), (8, 6), (7, 3), (48, 1)] {
-            let tiles = apsq_tensor::int8_matmul_psum_tiles(&a, &b, k_tile);
+            let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+            let mut tiles = Vec::new();
+            ExecEngine::serial().gemm_k_tiles(&g, k_tile, |_, t| tiles.push(t.clone()));
             let sched = ScaleSchedule::calibrate(
                 std::slice::from_ref(&tiles),
                 Bitwidth::INT8,

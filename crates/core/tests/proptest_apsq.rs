@@ -5,7 +5,7 @@ use apsq_core::{
     grouped_apsq_streamed, ApsqConfig, FloatScaleSchedule, GroupSize, ScaleSchedule,
 };
 use apsq_quant::Bitwidth;
-use apsq_tensor::{int8_matmul_psum_tiles, ExecEngine, Int32Tensor, Int8Tensor};
+use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 use proptest::prelude::*;
 
 fn stream_strategy() -> impl Strategy<Value = Vec<Int32Tensor>> {
@@ -142,7 +142,9 @@ proptest! {
             (0..k * n).map(|x| ((x as u32).wrapping_mul(73).wrapping_add(seed / 3) % 251) as i8).collect(),
             [k, n],
         );
-        let tiles = int8_matmul_psum_tiles(&a, &b, k_tile);
+        let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+        let mut tiles = Vec::new();
+        ExecEngine::serial().gemm_k_tiles(&g, k_tile, |_, t| tiles.push(t.clone()));
         let sched = ScaleSchedule::calibrate(
             std::slice::from_ref(&tiles),
             Bitwidth::INT8,

@@ -8,8 +8,9 @@
 //! explicit `drop(guard)`; a temporary dies at the statement's `;`),
 //! and flags execution-entry-point calls inside that range:
 //! identifiers starting with `gather_`, `decode_`, `execute_`,
-//! `forward_`, `matmul`, `gemm_`, or `conv2d` that are invoked (next
-//! token `(`).
+//! `forward_`, or one of the `ExecEngine` compute methods' prefixes
+//! (`gemm`, `matmul`, `int8_matmul`, `im2col`, `conv2d`) that are
+//! invoked (next token `(`).
 
 use crate::diag::Diagnostic;
 use crate::engine::FileCtx;
@@ -22,11 +23,13 @@ const BANNED_PREFIXES: &[&str] = &[
     "decode_",
     "execute_",
     "forward_",
+    // Every `ExecEngine` compute method: `gemm`, `gemm_k_tiles`,
+    // `matmul{,_bt,_at}`, `int8_matmul{,_bt}`, `im2col`, `conv2d_i8_gemm`.
+    "gemm",
     "matmul",
-    "gemm_",
-    "conv2d",
     "int8_matmul",
-    "batched_matmul",
+    "im2col",
+    "conv2d",
 ];
 
 pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {

@@ -15,4 +15,6 @@ pub fn gemm_under_guard(pool: &Pool, a: &[f32], b: &[f32]) {
     let mut guard = pool.lock();
     guard.touch();
     int8_matmul(a, b); //~ lock-hold-discipline
+    eng.gemm(&g, out); //~ lock-hold-discipline
+    eng.gemm_k_tiles(&g, 8, |_, _| {}); //~ lock-hold-discipline
 }

@@ -18,7 +18,7 @@
 use apsq_core::{grouped_apsq, ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule};
 use apsq_dataflow::{LayerShape, Workload};
 use apsq_quant::Bitwidth;
-use apsq_tensor::{ExecEngine, Int8Tensor, Tensor};
+use apsq_tensor::{ExecEngine, Gemm, Int8Tensor, Layout, Tensor};
 
 /// The numeric datapath a workload executes on — the serving layer's
 /// precision switch.
@@ -160,7 +160,9 @@ pub fn execute_layer(
                 // exactly once and the collected stream is folded directly
                 // (bit-identical to the streamed fold by construction) —
                 // no second GEMM pass in the serving prefill hot path.
-                let tiles = eng.int8_matmul_psum_tiles(&a, &b, k_tile);
+                let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+                let mut tiles = Vec::new();
+                eng.gemm_k_tiles(&g, k_tile, |_, tile| tiles.push(tile.clone()));
                 let sched = ScaleSchedule::calibrate(
                     std::slice::from_ref(&tiles),
                     Bitwidth::INT8,

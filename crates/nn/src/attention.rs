@@ -4,7 +4,7 @@
 use crate::linear::{PsumMode, QuantLinear};
 use crate::param::{HasParams, Param};
 use apsq_quant::Bitwidth;
-use apsq_tensor::{softmax_rows, softmax_rows_grad, ExecEngine, Tensor};
+use apsq_tensor::{softmax_rows, softmax_rows_grad, ExecEngine, Gemm, Layout, Tensor};
 use rand::Rng;
 
 /// Multi-head self-attention over a single `[T, d]` sequence.
@@ -24,7 +24,7 @@ struct AttnCache {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    probs: Vec<Tensor>, // per head [T, T]
+    probs: Tensor, // head-major [heads·T, T]
 }
 
 impl MultiHeadAttention {
@@ -84,6 +84,48 @@ impl MultiHeadAttention {
         d / self.heads
     }
 
+    /// Scaled-dot-product attention of `m` query rows over `t` key/value
+    /// rows, all `d` wide and row-major, as two head-batched GEMMs: head
+    /// `h` reads its `dh` columns of Q, K and V and writes its columns of
+    /// the `[m, d]` context in place (`ld = d`, batch stride `dh`).
+    /// `causal` masks query row `i` to keys `0..=i`. Returns the
+    /// head-major `[heads·m, t]` probabilities.
+    fn attend(
+        &self,
+        (q, k, v): (&[f32], &[f32], &[f32]),
+        (m, t, d): (usize, usize, usize),
+        causal: bool,
+        eng: &ExecEngine,
+        ctx: &mut [f32],
+    ) -> Tensor {
+        let (heads, dh) = (self.heads, self.head_dim(d));
+        let qk = Gemm {
+            lda: d,
+            ldb: d,
+            batch: heads,
+            stride_a: dh,
+            stride_b: dh,
+            ..Gemm::new(Layout::NT, q, k, m, t, dh)
+        };
+        let mut scores = Tensor::zeros([heads * m, t]);
+        eng.gemm(&qk, scores.data_mut());
+        scores = &scores * (1.0 / (dh as f32).sqrt());
+        if causal {
+            apply_causal_mask(&mut scores);
+        }
+        let p = softmax_rows(&scores);
+        let pv = Gemm {
+            ldb: d,
+            ldo: d,
+            batch: heads,
+            stride_b: dh,
+            stride_o: dh,
+            ..Gemm::new(Layout::NN, p.data(), v, m, dh, t)
+        };
+        eng.gemm(&pv, ctx);
+        p
+    }
+
     /// Forward pass over `[T, d]`.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         self.forward_with(x, &ExecEngine::serial())
@@ -93,29 +135,13 @@ impl MultiHeadAttention {
     /// context: projections, score/context matmuls, and output projection
     /// all dispatch on `eng`.
     pub fn forward_with(&mut self, x: &Tensor, eng: &ExecEngine) -> Tensor {
-        let d = x.dims()[1];
-        let dh = self.head_dim(d);
-        let t = x.dims()[0];
         let q = self.wq.forward_with(x, eng);
         let k = self.wk.forward_with(x, eng);
         let v = self.wv.forward_with(x, eng);
-
+        let (t, d) = (x.dims()[0], x.dims()[1]);
         let mut ctx = Tensor::zeros([t, d]);
-        let mut probs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = slice_cols(&q, h * dh, dh);
-            let kh = slice_cols(&k, h * dh, dh);
-            let vh = slice_cols(&v, h * dh, dh);
-            let mut scores = eng.matmul_bt(&qh, &kh);
-            scores = &scores * (1.0 / (dh as f32).sqrt());
-            if self.causal {
-                apply_causal_mask(&mut scores);
-            }
-            let p = softmax_rows(&scores);
-            let ctx_h = eng.matmul(&p, &vh);
-            write_cols(&mut ctx, &ctx_h, h * dh);
-            probs.push(p);
-        }
+        let qkv = (q.data(), k.data(), v.data());
+        let probs = self.attend(qkv, (t, t, d), self.causal, eng, ctx.data_mut());
         self.cache = Some(AttnCache { q, k, v, probs });
         self.wo.forward_with(&ctx, eng)
     }
@@ -141,25 +167,37 @@ impl MultiHeadAttention {
         let t = cache.q.dims()[0];
 
         let dctx = self.wo.backward_with(dy, eng);
+        // The head-batched twins of `attend`'s GEMMs: every per-head operand
+        // and gradient is its `dh` columns of a `[T, d]` buffer.
+        let dp_g = Gemm {
+            lda: d,
+            ldb: d,
+            batch: self.heads,
+            stride_a: dh,
+            stride_b: dh,
+            ..Gemm::new(Layout::NT, dctx.data(), cache.v.data(), t, t, dh)
+        };
+        let mut dp = Tensor::zeros([self.heads * t, t]);
+        eng.gemm(&dp_g, dp.data_mut());
+        // Causal-masked entries have p = 0, so their softmax grad is 0.
+        let dscores = &softmax_rows_grad(&cache.probs, &dp) * (1.0 / (dh as f32).sqrt());
         let mut dq = Tensor::zeros([t, d]);
         let mut dk = Tensor::zeros([t, d]);
         let mut dv = Tensor::zeros([t, d]);
-        for h in 0..self.heads {
-            let qh = slice_cols(&cache.q, h * dh, dh);
-            let kh = slice_cols(&cache.k, h * dh, dh);
-            let vh = slice_cols(&cache.v, h * dh, dh);
-            let p = &cache.probs[h];
-            let dctx_h = slice_cols(&dctx, h * dh, dh);
-            let dp = eng.matmul_bt(&dctx_h, &vh);
-            let dvh = eng.matmul_at(p, &dctx_h);
-            let mut dscores = softmax_rows_grad(p, &dp);
-            dscores = &dscores * (1.0 / (dh as f32).sqrt());
-            // Causal-masked entries have p = 0, so their softmax grad is 0.
-            let dqh = eng.matmul(&dscores, &kh);
-            let dkh = eng.matmul_at(&dscores, &qh);
-            write_cols(&mut dq, &dqh, h * dh);
-            write_cols(&mut dk, &dkh, h * dh);
-            write_cols(&mut dv, &dvh, h * dh);
+        for (layout, a, b, out) in [
+            (Layout::TN, &cache.probs, &dctx, &mut dv),
+            (Layout::NN, &dscores, &cache.k, &mut dq),
+            (Layout::TN, &dscores, &cache.q, &mut dk),
+        ] {
+            let g = Gemm {
+                ldb: d,
+                ldo: d,
+                batch: self.heads,
+                stride_b: dh,
+                stride_o: dh,
+                ..Gemm::new(layout, a.data(), b.data(), t, dh, t)
+            };
+            eng.gemm(&g, out.data_mut());
         }
         let dx_q = self.wq.backward_with(&dq, eng);
         let dx_k = self.wk.backward_with(&dk, eng);
@@ -180,27 +218,13 @@ impl MultiHeadAttention {
     /// touched. The full-sequence twin of the decode path, used to verify
     /// incremental decoding bit-for-bit.
     pub fn forward_inference_with(&self, x: &Tensor, eng: &ExecEngine) -> Tensor {
-        let d = x.dims()[1];
-        let dh = self.head_dim(d);
-        let t = x.dims()[0];
         let q = self.wq.forward_inference_with(x, eng);
         let k = self.wk.forward_inference_with(x, eng);
         let v = self.wv.forward_inference_with(x, eng);
-
+        let (t, d) = (x.dims()[0], x.dims()[1]);
         let mut ctx = Tensor::zeros([t, d]);
-        for h in 0..self.heads {
-            let qh = slice_cols(&q, h * dh, dh);
-            let kh = slice_cols(&k, h * dh, dh);
-            let vh = slice_cols(&v, h * dh, dh);
-            let mut scores = eng.matmul_bt(&qh, &kh);
-            scores = &scores * (1.0 / (dh as f32).sqrt());
-            if self.causal {
-                apply_causal_mask(&mut scores);
-            }
-            let p = softmax_rows(&scores);
-            let ctx_h = eng.matmul(&p, &vh);
-            write_cols(&mut ctx, &ctx_h, h * dh);
-        }
+        let qkv = (q.data(), k.data(), v.data());
+        self.attend(qkv, (t, t, d), self.causal, eng, ctx.data_mut());
         self.wo.forward_inference_with(&ctx, eng)
     }
 
@@ -242,7 +266,6 @@ impl MultiHeadAttention {
         let b = x.dims()[0];
         assert_eq!(b, states.len(), "one paged KV state per batched sequence");
         let d = x.dims()[1];
-        let dh = self.head_dim(d);
         let q = self.wq.forward_inference_with(x, eng);
         let k = self.wk.forward_inference_with(x, eng);
         let v = self.wv.forward_inference_with(x, eng);
@@ -258,24 +281,15 @@ impl MultiHeadAttention {
             }
         }
 
+        // No mask: the gathered prefix *is* the causal window.
         let mut ctx = Tensor::zeros([b, d]);
         let (mut k_flat, mut v_flat) = (Vec::new(), Vec::new());
         for (i, state) in states.iter().enumerate() {
             let t = state.position() + 1; // this step's row is appended
             pool.gather_f32(state.layer_blocks(layer), t, &mut k_flat, &mut v_flat);
-            let qi = Tensor::from_vec(q.data()[i * d..(i + 1) * d].to_vec(), [1, d]);
-            let mut ctx_i = Tensor::zeros([1, d]);
-            for h in 0..self.heads {
-                let qh = slice_cols(&qi, h * dh, dh);
-                let kh = head_from_rows(&k_flat, t, d, h * dh, dh);
-                let vh = head_from_rows(&v_flat, t, d, h * dh, dh);
-                let mut scores = eng.matmul_bt(&qh, &kh); // [1, t]
-                scores = &scores * (1.0 / (dh as f32).sqrt());
-                let p = softmax_rows(&scores);
-                let ctx_h = eng.matmul(&p, &vh); // [1, dh]
-                write_cols(&mut ctx_i, &ctx_h, h * dh);
-            }
-            ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(ctx_i.data());
+            let qkv = (&q.data()[i * d..(i + 1) * d], &k_flat[..], &v_flat[..]);
+            let ctx_i = &mut ctx.data_mut()[i * d..(i + 1) * d];
+            self.attend(qkv, (1, t, d), false, eng, ctx_i);
         }
         self.wo.forward_inference_with(&ctx, eng)
     }
@@ -290,49 +304,12 @@ impl HasParams for MultiHeadAttention {
     }
 }
 
-/// Column slice `[rows, width]` taken directly from a flat row-major
-/// buffer with leading dimension `ld` — the zero-clone twin of
-/// [`slice_cols`] for KV-cache reads.
-pub(crate) fn head_from_rows(
-    data: &[f32],
-    rows: usize,
-    ld: usize,
-    start: usize,
-    width: usize,
-) -> Tensor {
-    let mut out = vec![0.0f32; rows * width];
-    for i in 0..rows {
-        out[i * width..(i + 1) * width]
-            .copy_from_slice(&data[i * ld + start..i * ld + start + width]);
-    }
-    Tensor::from_vec(out, [rows, width])
-}
-
-pub(crate) fn slice_cols(x: &Tensor, start: usize, width: usize) -> Tensor {
-    let (t, d) = (x.dims()[0], x.dims()[1]);
-    let mut out = vec![0.0f32; t * width];
-    for i in 0..t {
-        out[i * width..(i + 1) * width]
-            .copy_from_slice(&x.data()[i * d + start..i * d + start + width]);
-    }
-    Tensor::from_vec(out, [t, width])
-}
-
-pub(crate) fn write_cols(dst: &mut Tensor, src: &Tensor, start: usize) {
-    let (t, d) = (dst.dims()[0], dst.dims()[1]);
-    let w = src.dims()[1];
-    for i in 0..t {
-        let row = src.data()[i * w..(i + 1) * w].to_vec();
-        dst.data_mut()[i * d + start..i * d + start + w].copy_from_slice(&row);
-    }
-}
-
+/// Masks each `[T, T]` head block of head-major `[heads·T, T]` scores:
+/// query row `i` keeps keys `0..=i`.
 pub(crate) fn apply_causal_mask(scores: &mut Tensor) {
-    let t = scores.dims()[0];
-    for i in 0..t {
-        for j in (i + 1)..t {
-            scores.set(&[i, j], f32::NEG_INFINITY);
-        }
+    let t = scores.dims()[1];
+    for (r, row) in scores.data_mut().chunks_mut(t).enumerate() {
+        row[r % t + 1..].fill(f32::NEG_INFINITY);
     }
 }
 

@@ -5,8 +5,8 @@
 //! [`QuantLinear`] *simulates* the W8A8 + APSQ accumulation path in f32
 //! (fake quantization). [`Int8Linear`] *executes* it: activations are
 //! quantized to i8 codes, weights are stored as i8 codes in the
-//! weight-stationary `[out, in]` layout, the GEMM runs through
-//! [`ExecEngine::int8_bt_for_each_k_tile`], and every `Pci`-deep PSUM
+//! weight-stationary `[out, in]` layout, the GEMM's K tiles stream through
+//! [`ExecEngine::gemm_k_tiles`], and every `Pci`-deep PSUM
 //! tile is pushed into a [`StreamingApsq`] fold the moment it is produced
 //! — exactly the dataflow of the RAE sitting next to the PE array.
 //! Nothing leaves the integer domain between the input quantizer and the
@@ -33,7 +33,9 @@ use crate::norm::LayerNorm;
 use crate::paged::quantize_int8_kv_row;
 use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule, StreamingApsq};
 use apsq_quant::{Bitwidth, LsqQuantizer};
-use apsq_tensor::{gelu, softmax_rows, sum_axis0, ExecEngine, Int32Tensor, Int8Tensor, Tensor};
+use apsq_tensor::{
+    gelu, softmax_rows, sum_axis0, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout, Tensor,
+};
 
 /// Snaps a positive step to the nearest power of two (identity on values
 /// that already are).
@@ -253,9 +255,14 @@ impl Int8Linear {
                 schedule,
             } => {
                 let mut stream = StreamingApsq::new(schedule.clone(), *config);
-                eng.int8_bt_for_each_k_tile(&q, &self.codes, *k_tile, |_, tile| {
-                    stream.push_ref(tile)
-                });
+                let g = Gemm::dense(
+                    Layout::NT,
+                    q.data(),
+                    q.dims(),
+                    self.codes.data(),
+                    self.codes.dims(),
+                );
+                eng.gemm_k_tiles(&g, *k_tile, |_, tile| stream.push_ref(tile));
                 let run = stream.finish();
                 (run.output, run.traffic)
             }
@@ -385,33 +392,37 @@ impl Int8MultiHeadAttention {
             .collect()
     }
 
-    /// Gathers one head-major `[H, t, dh]` code block from a `[t, d]`
-    /// row-major cache code slice.
-    fn gather_heads(codes: &[i8], t: usize, d: usize, heads: usize) -> Int8Tensor {
-        let dh = d / heads;
-        let mut out = vec![0i8; t * d];
-        for h in 0..heads {
-            for i in 0..t {
-                out[h * t * dh + i * dh..h * t * dh + (i + 1) * dh]
-                    .copy_from_slice(&codes[i * d + h * dh..i * d + h * dh + dh]);
-            }
-        }
-        Int8Tensor::from_vec(out, [heads, t, dh])
-    }
-
-    /// Runs Algorithm 1 over a collected per-head PSUM tile stream with a
-    /// schedule calibrated from that stream (deterministic: integer tiles
-    /// are thread-invariant and calibration is a pure function of them).
-    fn fold_apsq(
-        tiles: Vec<Int32Tensor>,
-        config: &ApsqConfig,
+    /// Streams the K tiles of a head-batched GEMM and folds each head's
+    /// PSUM stream through Algorithm 1 with a schedule calibrated from that
+    /// stream (deterministic: integer tiles are thread-invariant and
+    /// calibration is a pure function of them), writing head `h`'s
+    /// `m·n` outputs to `out[h·m·n..]`.
+    fn fold_heads(
+        eng: &ExecEngine,
+        g: &Gemm<'_, i8>,
+        (config, k_tile): (&ApsqConfig, usize),
         traffic: &mut BufferTraffic,
-    ) -> Int32Tensor {
-        let sched =
-            ScaleSchedule::calibrate(std::slice::from_ref(&tiles), config.bits, config.group_size);
-        let run = apsq_core::grouped_apsq(&tiles, &sched, config);
-        *traffic += run.traffic;
-        run.output
+        out: &mut [i32],
+    ) {
+        let mut tiles: Vec<Int32Tensor> = Vec::new();
+        eng.gemm_k_tiles(g, k_tile, |_, tile| tiles.push(tile.clone()));
+        let width = g.m * g.n;
+        for (h, out_h) in out.chunks_exact_mut(width).enumerate() {
+            let stream: Vec<Int32Tensor> = tiles
+                .iter()
+                .map(|tl| {
+                    Int32Tensor::from_vec(tl.data()[h * width..][..width].to_vec(), [1, width])
+                })
+                .collect();
+            let sched = ScaleSchedule::calibrate(
+                std::slice::from_ref(&stream),
+                config.bits,
+                config.group_size,
+            );
+            let run = apsq_core::grouped_apsq(&stream, &sched, config);
+            *traffic += run.traffic;
+            out_h.copy_from_slice(run.output.data());
+        }
     }
 
     /// Attends one quantized query row over a flat KV view of length
@@ -433,43 +444,35 @@ impl Int8MultiHeadAttention {
         let mut traffic = BufferTraffic::new();
 
         // Q·Kᵀ in the integer domain: [H, 1, dh] × [H, t, dh]ᵀ → [H, 1, t],
-        // dequantized with one scale per (head, cached token) — the key
-        // row's covering scale — and 1/√dh folded into the Q-side scale.
-        // No mask needed: the cache prefix *is* the causal window.
-        let qb = Int8Tensor::from_vec(qc.to_vec(), [heads, 1, dh]);
-        let kb = Self::gather_heads(kv.k_codes, t, d, heads);
-        let k_exps = kv.k_exps;
-        let row_scales: Vec<f32> = (0..heads * t)
-            .map(|i| (k_exps[(i % t) * heads + i / t] as f32).exp2())
-            .collect();
-        let scores = match &self.seq_apsq {
-            None => eng.int8_rowscaled_batched_matmul_bt(&qb, &kb, q_scale * inv_sqrt, &row_scales),
-            Some((config, k_tile)) => {
-                let mut tiles: Vec<Int32Tensor> = Vec::new();
-                eng.int8_batched_bt_for_each_k_tile(&qb, &kb, *k_tile, |_, tile| {
-                    tiles.push(tile.clone())
-                });
-                let mut out = vec![0.0f32; heads * t];
-                for h in 0..heads {
-                    let stream: Vec<Int32Tensor> = tiles
-                        .iter()
-                        .map(|tl| {
-                            Int32Tensor::from_vec(tl.data()[h * t..(h + 1) * t].to_vec(), [1, t])
-                        })
-                        .collect();
-                    let folded = Self::fold_apsq(stream, config, &mut traffic);
-                    for (j, &v) in folded.data().iter().enumerate() {
-                        out[h * t + j] = v as f32 * (q_scale * inv_sqrt) * row_scales[h * t + j];
-                    }
-                }
-                Tensor::from_vec(out, [heads, 1, t])
-            }
+        // each head reading its dh columns of the [t, d] key rows in place.
+        // One epilogue dequantizes with one scale per (head, cached token)
+        // — the key row's covering scale — and 1/√dh folded into the
+        // Q-side scale. No mask needed: the cache prefix *is* the causal
+        // window.
+        let qk = Gemm {
+            ldb: d,
+            batch: heads,
+            stride_b: dh,
+            ..Gemm::new(Layout::NT, qc, kv.k_codes, 1, t, dh)
         };
+        let mut acc = vec![0i32; heads * t];
+        match &self.seq_apsq {
+            None => eng.gemm(&qk, &mut acc),
+            Some((config, k_tile)) => {
+                Self::fold_heads(eng, &qk, (config, *k_tile), &mut traffic, &mut acc)
+            }
+        }
+        let qk_scale = q_scale * inv_sqrt;
+        let scores: Vec<f32> = acc
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| v as f32 * qk_scale * (kv.k_exps[(i % t) * heads + i / t] as f32).exp2())
+            .collect();
 
         // Softmax in f32, per head.
         let mut probs: Vec<Tensor> = Vec::with_capacity(heads);
         for h in 0..heads {
-            let row = scores.data()[h * t..(h + 1) * t].to_vec();
+            let row = scores[h * t..(h + 1) * t].to_vec();
             probs.push(softmax_rows(&Tensor::from_vec(row, [1, t])));
         }
 
@@ -493,36 +496,26 @@ impl Int8MultiHeadAttention {
                 rc[h * t + j] = (rj / scale).round().clamp(-128.0, 127.0) as i8;
             }
         }
-        let rb = Int8Tensor::from_vec(rc, [heads, 1, t]);
-        // Per head this is already the [t, dh] = K×N operand the context
-        // GEMM consumes.
-        let vb = Self::gather_heads(kv.v_codes, t, d, heads);
-        let ctx_i32 = match &self.seq_apsq {
-            None => eng.int8_batched_matmul(&rb, &vb),
-            Some((config, k_tile)) => {
-                let mut tiles: Vec<Int32Tensor> = Vec::new();
-                eng.int8_batched_for_each_k_tile(&rb, &vb, *k_tile, |_, tile| {
-                    tiles.push(tile.clone())
-                });
-                let mut out = Int32Tensor::zeros([heads, 1, dh]);
-                for h in 0..heads {
-                    let stream: Vec<Int32Tensor> = tiles
-                        .iter()
-                        .map(|tl| {
-                            Int32Tensor::from_vec(tl.data()[h * dh..(h + 1) * dh].to_vec(), [1, dh])
-                        })
-                        .collect();
-                    let folded = Self::fold_apsq(stream, config, &mut traffic);
-                    out.data_mut()[h * dh..(h + 1) * dh].copy_from_slice(folded.data());
-                }
-                out
-            }
+        // Per head the [t, dh] column block of the value rows is already
+        // the K×N operand the context GEMM consumes.
+        let pv = Gemm {
+            ldb: d,
+            batch: heads,
+            stride_b: dh,
+            ..Gemm::new(Layout::NN, &rc, kv.v_codes, 1, dh, t)
         };
+        let mut ctx_i32 = vec![0i32; d];
+        match &self.seq_apsq {
+            None => eng.gemm(&pv, &mut ctx_i32),
+            Some((config, k_tile)) => {
+                Self::fold_heads(eng, &pv, (config, *k_tile), &mut traffic, &mut ctx_i32)
+            }
+        }
         let mut ctx = vec![0.0f32; d];
         for h in 0..heads {
             let scale = (r_exps[h] as f32).exp2();
             for j in 0..dh {
-                ctx[h * dh + j] = ctx_i32.data()[h * dh + j] as f32 * scale;
+                ctx[h * dh + j] = ctx_i32[h * dh + j] as f32 * scale;
             }
         }
         (ctx, traffic)

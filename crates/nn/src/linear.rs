@@ -4,7 +4,7 @@
 use crate::param::{HasParams, Param};
 use apsq_core::{grouped_apsq_f32, FloatScaleSchedule, GroupSize};
 use apsq_quant::{Bitwidth, LsqQuantizer};
-use apsq_tensor::{sum_axis0, ExecEngine, Tensor};
+use apsq_tensor::{sum_axis0, ExecEngine, Gemm, Layout, Tensor};
 use rand::Rng;
 
 /// A plain FP32 linear layer `y = x·W + b` with manual backprop.
@@ -66,7 +66,11 @@ impl Linear {
     /// Panics if called before `forward`.
     pub fn backward_with(&mut self, dy: &Tensor, eng: &ExecEngine) -> Tensor {
         let x = self.cache_x.as_ref().expect("backward before forward");
-        eng.matmul_at_acc(x, dy, &mut self.w.grad);
+        let dw = Gemm {
+            accumulate: true,
+            ..Gemm::dense(Layout::TN, x.data(), x.dims(), dy.data(), dy.dims())
+        };
+        eng.gemm(&dw, self.w.grad.data_mut());
         self.b.accumulate(&sum_axis0(dy));
         eng.matmul_bt(dy, &self.w.value)
     }
@@ -348,7 +352,9 @@ impl QuantLinear {
         let x = self.cache_x.take().expect("backward before forward");
         let xq = self.cache_xq.take().expect("backward before forward");
         // dW through the weight fake-quantizer (LSQ / STE).
-        let dwq = eng.matmul_at(&xq, dy);
+        let mut dwq = Tensor::zeros(self.inner.w.value.dims());
+        let g = Gemm::dense(Layout::TN, xq.data(), xq.dims(), dy.data(), dy.dims());
+        eng.gemm(&g, dwq.data_mut());
         let dw = self.wq.backward(&self.inner.w.value, &dwq);
         self.inner.w.accumulate(&dw);
         self.inner.b.accumulate(&sum_axis0(dy));
@@ -402,7 +408,9 @@ fn apsq_matmul(
     eng: &ExecEngine,
     obs: Observers<'_>,
 ) -> Tensor {
-    let tiles = eng.matmul_psum_tiles(xq, wq, k_tile);
+    let mut tiles = Vec::new();
+    let g = Gemm::dense(Layout::NN, xq.data(), xq.dims(), wq.data(), wq.dims());
+    eng.gemm_k_tiles(&g, k_tile, |_, tile| tiles.push(tile.clone()));
     let scaled: Vec<Tensor> = tiles.iter().map(|t| t * (1.0 / base)).collect();
     let batch =
         FloatScaleSchedule::calibrate_pow2(std::slice::from_ref(&scaled), bits, GroupSize::new(gs));

@@ -2,28 +2,86 @@
 //! GEMMs the tile-based accelerator actually executes, so conv layers in
 //! the model inventories share the same PSUM path as everything else.
 
+use crate::exec::ExecEngine;
 use crate::int_tensor::{Int32Tensor, Int8Tensor};
 use crate::tensor::Tensor;
 
-/// Lowers an `[C, H, W]` input into the im2col matrix
-/// `[Ho·Wo, C·K·K]` for a `K×K` / stride-`s` convolution (no padding —
-/// matching the "enlarged ifmap" convention of the analytical framework).
-///
-/// # Panics
-///
-/// Panics if the input is not rank-3, `k == 0`, `stride == 0`, or the
-/// kernel does not fit the spatial extent.
-pub fn im2col(input: &Tensor, k: usize, stride: usize) -> Tensor {
-    crate::exec::ExecEngine::serial().im2col(input, k, stride)
-}
+impl ExecEngine {
+    /// Lowers an `[C, H, W]` input into the im2col matrix
+    /// `[Ho·Wo, C·K·K]` for a `K×K` / stride-`s` convolution (no padding —
+    /// matching the "enlarged ifmap" convention of the analytical
+    /// framework), parallelized over output rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input is not rank-3, `ksize == 0`, `stride == 0`, or
+    /// the kernel does not fit the spatial extent.
+    pub fn im2col(&self, input: &Tensor, ksize: usize, stride: usize) -> Tensor {
+        let (out, rows, cols) = self.im2col_buffer(input.data(), input.dims(), ksize, stride);
+        Tensor::from_vec(out, [rows, cols])
+    }
 
-/// Integer im2col for the bit-accurate path.
-///
-/// # Panics
-///
-/// Same conditions as [`im2col`].
-pub fn im2col_i8(input: &Int8Tensor, k: usize, stride: usize) -> Int8Tensor {
-    crate::exec::ExecEngine::serial().im2col_i8(input, k, stride)
+    /// Shared im2col geometry + parallel fill for both element types:
+    /// returns the `[rows, cols]` patch matrix as a flat buffer.
+    fn im2col_buffer<T: Copy + Default + Send + Sync>(
+        &self,
+        data: &[T],
+        dims: &[usize],
+        ksize: usize,
+        stride: usize,
+    ) -> (Vec<T>, usize, usize) {
+        assert_eq!(dims.len(), 3, "im2col expects [C, H, W]");
+        let (c, h, w) = (dims[0], dims[1], dims[2]);
+        assert!(ksize > 0 && stride > 0, "degenerate kernel/stride");
+        assert!(
+            h >= ksize && w >= ksize,
+            "kernel {ksize} does not fit {h}x{w}"
+        );
+        let ho = (h - ksize) / stride + 1;
+        let wo = (w - ksize) / stride + 1;
+        let cols = c * ksize * ksize;
+        let mut out = vec![T::default(); ho * wo * cols];
+        let macs = ho * wo * cols;
+        self.partition_rows(&mut out, cols, ho * wo, cols, macs, &|r0, r1, chunk| {
+            for row in r0..r1 {
+                let (oy, ox) = (row / wo, row % wo);
+                let dst = &mut chunk[(row - r0) * cols..(row - r0 + 1) * cols];
+                let mut col = 0;
+                for ch in 0..c {
+                    for ky in 0..ksize {
+                        let src = ch * h * w + (oy * stride + ky) * w + ox * stride;
+                        dst[col..col + ksize].copy_from_slice(&data[src..src + ksize]);
+                        col += ksize;
+                    }
+                }
+            }
+        });
+        (out, ho * wo, cols)
+    }
+
+    /// Convolution via im2col + GEMM: `[C, H, W] ⊛ [Co, C, K, K]` →
+    /// `[Ho·Wo, Co]` (the GEMM layout the accelerator produces; transpose
+    /// of [`conv2d_i8_reference`]'s channel-major layout), both stages
+    /// running through the engine. The `[Co, C·K·K]` weight rows are
+    /// exactly the transposed-B operand, so no weight reshuffle is needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank/shape mismatches.
+    pub fn conv2d_i8_gemm(
+        &self,
+        input: &Int8Tensor,
+        weight: &Int8Tensor,
+        stride: usize,
+    ) -> Int32Tensor {
+        assert_eq!(weight.dims().len(), 4, "weight must be [Co, C, K, K]");
+        let (co, c, k) = (weight.dims()[0], weight.dims()[1], weight.dims()[2]);
+        let (lowered, rows, cols) = self.im2col_buffer(input.data(), input.dims(), k, stride);
+        assert_eq!(cols, c * k * k, "channel mismatch");
+        let lowered = Int8Tensor::from_vec(lowered, [rows, cols]);
+        let wmat = Int8Tensor::from_vec(weight.data().to_vec(), [co, cols]);
+        self.int8_matmul_bt(&lowered, &wmat)
+    }
 }
 
 /// Direct (nested-loop) integer convolution: `[C, H, W] ⊛ [Co, C, K, K]`
@@ -68,17 +126,6 @@ pub fn conv2d_i8_reference(input: &Int8Tensor, weight: &Int8Tensor, stride: usiz
     Int32Tensor::from_vec(out, [co, ho, wo])
 }
 
-/// Convolution via im2col + GEMM: returns `[Ho·Wo, Co]` (the GEMM layout
-/// the accelerator produces; transpose of the reference's channel-major
-/// layout).
-///
-/// # Panics
-///
-/// Panics on rank/shape mismatches.
-pub fn conv2d_i8_gemm(input: &Int8Tensor, weight: &Int8Tensor, stride: usize) -> Int32Tensor {
-    crate::exec::ExecEngine::serial().conv2d_i8_gemm(input, weight, stride)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,7 +149,7 @@ mod tests {
     #[test]
     fn im2col_shape_and_content() {
         let x = Tensor::from_vec((0..3 * 3).map(|v| v as f32).collect(), [1, 3, 3]);
-        let m = im2col(&x, 2, 1);
+        let m = ExecEngine::serial().im2col(&x, 2, 1);
         assert_eq!(m.dims(), &[4, 4]);
         // First patch is the top-left 2×2 window.
         assert_eq!(&m.data()[..4], &[0.0, 1.0, 3.0, 4.0]);
@@ -118,7 +165,7 @@ mod tests {
             let x = input(c, h, h);
             let wt = weight(co, c, k);
             let direct = conv2d_i8_reference(&x, &wt, s);
-            let gemm = conv2d_i8_gemm(&x, &wt, s);
+            let gemm = ExecEngine::serial().conv2d_i8_gemm(&x, &wt, s);
             let ho = (h - k) / s + 1;
             for oc in 0..co {
                 for oy in 0..ho {
@@ -138,11 +185,11 @@ mod tests {
     fn pointwise_conv_is_plain_gemm() {
         // A 1×1 conv lowers to exactly the input reshaped to [H·W, C].
         let x = input(4, 5, 5);
-        let m = im2col_i8(&x, 1, 1);
-        assert_eq!(m.dims(), &[25, 4]);
+        let (m, rows, cols) = ExecEngine::serial().im2col_buffer(x.data(), x.dims(), 1, 1);
+        assert_eq!((rows, cols), (25, 4));
         for p in 0..25 {
             for ch in 0..4 {
-                assert_eq!(m.at(&[p, ch]), x.at(&[ch, p / 5, p % 5]));
+                assert_eq!(m[p * 4 + ch], x.at(&[ch, p / 5, p % 5]));
             }
         }
     }
@@ -150,6 +197,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit")]
     fn oversized_kernel_rejected() {
-        im2col(&Tensor::zeros([1, 2, 2]), 3, 1);
+        ExecEngine::serial().im2col(&Tensor::zeros([1, 2, 2]), 3, 1);
     }
 }

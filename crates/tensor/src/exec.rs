@@ -9,6 +9,17 @@
 //! `apsq-models`, the PE-array simulator in `apsq-accel`, and the
 //! paper-figure binaries in `apsq-bench`.
 //!
+//! # One GEMM entry
+//!
+//! Every product is described by one strided [`Gemm`] descriptor — operand
+//! slices, a [`Layout`] (NN, NT or TN), extents `m, n, k`, leading
+//! dimensions, a batch count with per-operand batch strides, the reduction
+//! range `[k0, k1)`, and accumulate-or-overwrite — and executed by
+//! [`ExecEngine::gemm`], or streamed one K tile at a time by
+//! [`ExecEngine::gemm_k_tiles`]. Both are generic over `f32` and
+//! `i8 → i32`. The tensor-shaped wrappers ([`ExecEngine::matmul`],
+//! [`ExecEngine::int8_matmul_bt`], …) are thin wrappers over dense descriptors.
+//!
 //! # Determinism
 //!
 //! Work is partitioned over **rows of the output**, aligned to the register
@@ -16,13 +27,12 @@
 //! a fixed K order. Results are therefore **bit-identical for every thread
 //! count** — integer paths trivially (integer addition is exact), float
 //! paths because the reduction order per element depends only on the
-//! kernel, never on the partition. The same contract extends across
+//! kernel and the `[k0, k1)` range, never on the partition, the leading
+//! dimensions or the batch strides. The same contract extends across
 //! **kernel backends**: every [`crate::KernelBackend`] (scalar reference,
 //! SSE2, AVX2) implements the identical per-element reduction order, so an
 //! engine produces the same bits whichever backend it dispatches (see the
-//! `kernels` module docs for the lane-reduction-order rule). The
-//! golden-model tests that pin the integer APSQ path keep passing
-//! unchanged no matter how the engine is configured.
+//! `kernels` module docs for the lane-reduction-order rule).
 //!
 //! # Thread-scaling example
 //!
@@ -38,27 +48,49 @@
 //! assert_eq!(serial.matmul(&a, &b), quad.matmul(&a, &b));
 //! ```
 //!
-//! # Streaming K tiles
+//! # Strided operands
 //!
-//! [`ExecEngine::for_each_k_tile`] feeds partial-sum tiles to a fold
-//! without materializing a `Vec<Tensor>` — the APSQ integration point:
+//! Leading dimensions and batch strides address sub-blocks in place. Here
+//! each of two heads multiplies its own `[3, 2]` column block of a `[3, 4]`
+//! row-major matrix, with no copy:
 //!
 //! ```
-//! use apsq_tensor::{ExecEngine, Tensor};
+//! use apsq_tensor::{ExecEngine, Gemm, Layout};
+//!
+//! let q = [1i8, 1, 2, 2]; // [heads = 2, 1, dh = 2]
+//! let keys = [1i8, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]; // [t = 3, d = 4]
+//! let g = Gemm {
+//!     ldb: 4,       // key rows are d = 4 wide…
+//!     batch: 2,     // …one batch per head…
+//!     stride_b: 2,  // …whose columns start dh = 2 further right
+//!     ..Gemm::new(Layout::NT, &q[..], &keys[..], 1, 3, 2)
+//! };
+//! let mut scores = [0i32; 6]; // [heads, 1, t]
+//! ExecEngine::serial().gemm(&g, &mut scores);
+//! assert_eq!(scores, [3, 11, 19, 14, 30, 46]);
+//! ```
+//!
+//! # Streaming K tiles
+//!
+//! [`ExecEngine::gemm_k_tiles`] feeds partial-sum tiles to a fold without
+//! materializing a `Vec` of them — the APSQ integration point:
+//!
+//! ```
+//! use apsq_tensor::{ExecEngine, Gemm, Layout, Tensor};
 //!
 //! let eng = ExecEngine::serial();
 //! let a = Tensor::ones([4, 32]);
 //! let b = Tensor::ones([32, 8]);
+//! let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
 //! let mut running = Tensor::zeros([4, 8]);
-//! eng.for_each_k_tile(&a, &b, 8, |_step, tile| {
+//! eng.gemm_k_tiles(&g, 8, |_step, tile| {
 //!     running = &running + tile; // a requantizing fold would go here
 //! });
 //! assert_eq!(running, eng.matmul(&a, &b));
 //! ```
 
-use crate::int_tensor::{Int32Tensor, Int8Tensor};
 use crate::kernels;
-use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Below this many multiply-accumulates a dispatch runs inline on the
 /// calling thread. Spawning scoped workers costs tens of microseconds per
@@ -86,6 +118,324 @@ impl Default for ExecEngine {
         ExecEngine::auto()
     }
 }
+
+/// Which operand of a [`Gemm`] is stored transposed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// `a` is `[m, k]`, `b` is `[k, n]`.
+    NN,
+    /// `a` is `[m, k]`, `b` is stored `[n, k]`: `a · bᵀ`, the
+    /// weight-stationary `[B, d] × Wᵀ` and decode `Q·Kᵀ` layout.
+    NT,
+    /// `a` is stored `[k, m]`, `b` is `[k, n]`: `aᵀ · b`, the
+    /// weight-gradient `Xᵀ · dY` layout. `f32` only — there is no i8 TN
+    /// kernel.
+    TN,
+}
+
+/// One strided (optionally batched) GEMM:
+/// `out[β][i, j] (+)= Σ_{l ∈ k_range} A[β][i, l] · B[β][l, j]` for every
+/// batch `β < batch`, `i < m`, `j < n`.
+///
+/// Row `r` of a stored operand starts at `r · ld` within its batch, and
+/// batch `β` starts at `β · stride` within its slice, so sub-blocks of
+/// larger buffers (a head's columns, a PE-array tile) are addressed in
+/// place. Slices need only reach the last addressed element. Build a
+/// dense descriptor with [`Gemm::new`] or [`Gemm::dense`] and override
+/// fields with struct-update syntax.
+#[derive(Clone, Debug)]
+pub struct Gemm<'a, T> {
+    /// Left operand: `[m, k]` rows, or `[k, m]` for [`Layout::TN`].
+    pub a: &'a [T],
+    /// Right operand: `[k, n]` rows, or `[n, k]` for [`Layout::NT`].
+    pub b: &'a [T],
+    /// Which operand is stored transposed.
+    pub layout: Layout,
+    /// Output rows.
+    pub m: usize,
+    /// Output columns.
+    pub n: usize,
+    /// Reduction depth (the full K extent of the operands).
+    pub k: usize,
+    /// Row stride of the stored `a`.
+    pub lda: usize,
+    /// Row stride of the stored `b`.
+    pub ldb: usize,
+    /// Row stride of the output.
+    pub ldo: usize,
+    /// Number of independent products.
+    pub batch: usize,
+    /// Distance between consecutive batches of `a`.
+    pub stride_a: usize,
+    /// Distance between consecutive batches of `b`.
+    pub stride_b: usize,
+    /// Distance between consecutive batches of the output.
+    pub stride_o: usize,
+    /// The reduction slice `[k0, k1)` summed (a sub-range of `0..k`).
+    pub k_range: Range<usize>,
+    /// Add into the output instead of overwriting it.
+    pub accumulate: bool,
+}
+
+impl<'a, T> Gemm<'a, T> {
+    /// A single dense row-major product with the given extents: unpadded
+    /// leading dimensions for `layout`, one batch (strides set to the
+    /// dense per-batch sizes), the full `0..k` range, overwrite.
+    pub fn new(layout: Layout, a: &'a [T], b: &'a [T], m: usize, n: usize, k: usize) -> Self {
+        let (lda, ldb) = match layout {
+            Layout::NN => (k, n),
+            Layout::NT => (k, k),
+            Layout::TN => (m, n),
+        };
+        Gemm {
+            a,
+            b,
+            layout,
+            m,
+            n,
+            k,
+            lda,
+            ldb,
+            ldo: n,
+            batch: 1,
+            stride_a: m * k,
+            stride_b: k * n,
+            stride_o: m * n,
+            k_range: 0..k,
+            accumulate: false,
+        }
+    }
+
+    /// [`Gemm::new`] with the extents read off two rank-2 operand shapes
+    /// (stored shapes, so `b_dims` is `[n, k]` for [`Layout::NT`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either shape is not rank-2 or the K extents disagree.
+    pub fn dense(
+        layout: Layout,
+        a: &'a [T],
+        a_dims: &[usize],
+        b: &'a [T],
+        b_dims: &[usize],
+    ) -> Self {
+        assert_eq!(a_dims.len(), 2, "gemm: `a` must be rank-2, got {a_dims:?}");
+        assert_eq!(b_dims.len(), 2, "gemm: `b` must be rank-2, got {b_dims:?}");
+        let ((m, k), (kb, n)) = match layout {
+            Layout::NN => ((a_dims[0], a_dims[1]), (b_dims[0], b_dims[1])),
+            Layout::NT => ((a_dims[0], a_dims[1]), (b_dims[1], b_dims[0])),
+            Layout::TN => ((a_dims[1], a_dims[0]), (b_dims[0], b_dims[1])),
+        };
+        assert_eq!(k, kb, "gemm: inner dimensions {k} vs {kb} disagree");
+        Gemm::new(layout, a, b, m, n, k)
+    }
+
+    /// Validates every addressed element against the slices.
+    fn check(&self, out_len: usize) {
+        let Range { start: k0, end: k1 } = self.k_range;
+        assert!(
+            k0 <= k1 && k1 <= self.k,
+            "gemm: k range {k0}..{k1} outside 0..{}",
+            self.k
+        );
+        assert!(
+            self.ldo >= self.n || self.m <= 1,
+            "gemm: ldo {} is narrower than n {}",
+            self.ldo,
+            self.n
+        );
+        let (a_shape, b_shape) = match self.layout {
+            Layout::NN => ((self.m, k1), (k1, self.n)),
+            Layout::NT => ((self.m, k1), (self.n, k1)),
+            Layout::TN => ((k1, self.m), (k1, self.n)),
+        };
+        let span = |stride, (rows, cols), ld| {
+            if self.batch == 0 || rows == 0 || cols == 0 {
+                0
+            } else {
+                (self.batch - 1) * stride + (rows - 1) * ld + cols
+            }
+        };
+        for (name, len, need) in [
+            ("a", self.a.len(), span(self.stride_a, a_shape, self.lda)),
+            ("b", self.b.len(), span(self.stride_b, b_shape, self.ldb)),
+            (
+                "out",
+                out_len,
+                span(self.stride_o, (self.m, self.n), self.ldo),
+            ),
+        ] {
+            assert!(
+                len >= need,
+                "gemm: `{name}` must be at least {need} elements, got {len}"
+            );
+        }
+    }
+}
+
+pub(crate) mod elem {
+    use super::Layout;
+    use crate::int_tensor::Int32Tensor;
+    use crate::kernels::{self, KernelBackend};
+    use crate::tensor::Tensor;
+
+    /// The element types [`super::ExecEngine::gemm`] multiplies, mapping
+    /// each (layout, backend) pair to its micro-kernel. Sealed: only `f32`
+    /// (accumulating in `f32`) and `i8` (accumulating in `i32`) implement
+    /// it.
+    pub trait GemmElem: Copy + Sync {
+        /// The accumulator / output element.
+        type Acc: Copy + Default + Send + Sync;
+        /// The tensor type a streamed K tile is handed out as.
+        type Tile;
+        /// Whether a [`Layout::TN`] kernel exists for this element.
+        const HAS_TN: bool;
+
+        /// Accumulates output rows `[r0, r1)` into `out` (whose row 0 is
+        /// global row `r0`) over the reduction slice `[k0, k1)`.
+        #[allow(clippy::too_many_arguments)]
+        fn kernel(
+            bk: KernelBackend,
+            layout: Layout,
+            a: &[Self],
+            lda: usize,
+            b: &[Self],
+            ldb: usize,
+            out: &mut [Self::Acc],
+            ldo: usize,
+            rows: (usize, usize),
+            n: usize,
+            k0: usize,
+            k1: usize,
+        );
+
+        /// A zero tile of the given shape.
+        fn zero_tile(dims: &[usize]) -> Self::Tile;
+
+        /// The tile's row-major storage.
+        fn tile_data(tile: &mut Self::Tile) -> &mut [Self::Acc];
+    }
+
+    impl GemmElem for f32 {
+        type Acc = f32;
+        type Tile = Tensor;
+        const HAS_TN: bool = true;
+
+        fn kernel(
+            bk: KernelBackend,
+            layout: Layout,
+            a: &[f32],
+            lda: usize,
+            b: &[f32],
+            ldb: usize,
+            out: &mut [f32],
+            ldo: usize,
+            (r0, r1): (usize, usize),
+            n: usize,
+            k0: usize,
+            k1: usize,
+        ) {
+            match layout {
+                Layout::NN => kernels::gemm_f32(
+                    bk,
+                    &a[r0 * lda..],
+                    lda,
+                    b,
+                    ldb,
+                    out,
+                    ldo,
+                    r1 - r0,
+                    n,
+                    k0,
+                    k1,
+                ),
+                Layout::NT => kernels::gemm_bt_f32(
+                    bk,
+                    &a[r0 * lda..],
+                    lda,
+                    b,
+                    ldb,
+                    out,
+                    ldo,
+                    r1 - r0,
+                    n,
+                    k0,
+                    k1,
+                ),
+                Layout::TN => kernels::gemm_at_f32(bk, a, lda, b, ldb, out, ldo, r0, r1, n, k0, k1),
+            }
+        }
+
+        fn zero_tile(dims: &[usize]) -> Tensor {
+            Tensor::zeros(dims)
+        }
+
+        fn tile_data(tile: &mut Tensor) -> &mut [f32] {
+            tile.data_mut()
+        }
+    }
+
+    impl GemmElem for i8 {
+        type Acc = i32;
+        type Tile = Int32Tensor;
+        const HAS_TN: bool = false;
+
+        fn kernel(
+            bk: KernelBackend,
+            layout: Layout,
+            a: &[i8],
+            lda: usize,
+            b: &[i8],
+            ldb: usize,
+            out: &mut [i32],
+            ldo: usize,
+            (r0, r1): (usize, usize),
+            n: usize,
+            k0: usize,
+            k1: usize,
+        ) {
+            match layout {
+                Layout::NN => kernels::gemm_i8(
+                    bk,
+                    &a[r0 * lda..],
+                    lda,
+                    b,
+                    ldb,
+                    out,
+                    ldo,
+                    r1 - r0,
+                    n,
+                    k0,
+                    k1,
+                ),
+                Layout::NT => kernels::gemm_bt_i8(
+                    bk,
+                    &a[r0 * lda..],
+                    lda,
+                    b,
+                    ldb,
+                    out,
+                    ldo,
+                    r1 - r0,
+                    n,
+                    k0,
+                    k1,
+                ),
+                Layout::TN => unreachable!("rejected before dispatch"),
+            }
+        }
+
+        fn zero_tile(dims: &[usize]) -> Int32Tensor {
+            Int32Tensor::zeros(dims)
+        }
+
+        fn tile_data(tile: &mut Int32Tensor) -> &mut [i32] {
+            tile.data_mut()
+        }
+    }
+}
+
+use elem::GemmElem;
 
 impl ExecEngine {
     /// A single-threaded engine: every kernel runs on the calling thread.
@@ -157,24 +507,30 @@ impl ExecEngine {
         self.backend
     }
 
-    /// Partitions `out` (rows of `ld` elements, `m` rows total) into
-    /// register-tile-aligned contiguous row chunks and runs `body` on each,
-    /// in parallel when the estimated `macs` justify spawning.
+    /// Partitions the `m` rows of `out` (row stride `ld`, `n` addressed
+    /// elements per row) into register-tile-aligned contiguous row chunks
+    /// and runs `body` on each, in parallel when the estimated `macs`
+    /// justify spawning. `out` needs only the minimal `(m-1)·ld + n`
+    /// elements, so a strided sub-block may end at its buffer's end.
     ///
-    /// `body(r0, r1, chunk)` must write only into `chunk`, which aliases
-    /// `out[r0*ld .. r1*ld]`.
-    fn partition_rows<T: Send>(
+    /// `body(r0, r1, chunk)` must write only into `chunk`, whose element 0
+    /// is row `r0`'s first.
+    pub(crate) fn partition_rows<T: Send>(
         &self,
         out: &mut [T],
         ld: usize,
         m: usize,
+        n: usize,
         macs: usize,
         body: &(impl Fn(usize, usize, &mut [T]) + Sync),
     ) {
-        let max_chunks = m.div_ceil(kernels::MR).max(1);
-        let chunks = self.threads.min(max_chunks);
+        if m == 0 {
+            return;
+        }
+        let out = &mut out[..(m - 1) * ld + n];
+        let chunks = self.threads.min(m.div_ceil(kernels::MR));
         if chunks <= 1 || macs < self.spawn_threshold {
-            body(0, m, &mut out[..m * ld]);
+            body(0, m, out);
             return;
         }
         // Rows per chunk, rounded up to the register-tile height so the
@@ -182,11 +538,12 @@ impl ExecEngine {
         // serial schedule exactly.
         let rows = m.div_ceil(chunks).div_ceil(kernels::MR) * kernels::MR;
         std::thread::scope(|s| {
-            let mut rest = &mut out[..m * ld];
+            let mut rest = out;
             let mut r0 = 0usize;
             while r0 < m {
                 let r1 = usize::min(r0 + rows, m);
-                let (head, tail) = rest.split_at_mut((r1 - r0) * ld);
+                let take = if r1 == m { rest.len() } else { (r1 - r0) * ld };
+                let (head, tail) = rest.split_at_mut(take);
                 rest = tail;
                 s.spawn(move || body(r0, r1, head));
                 r0 = r1;
@@ -194,938 +551,100 @@ impl ExecEngine {
         });
     }
 
-    // ---------------------------------------------------------------- f32
-
-    /// `a` (`[M, K]`) × `b` (`[K, N]`) → `[M, N]`.
+    /// Runs the product `g` describes into `out`, overwriting (or, with
+    /// `g.accumulate`, adding to) exactly the addressed elements; every
+    /// other element of `out` is left untouched.
     ///
     /// # Panics
     ///
-    /// Panics if either operand is not rank-2 or inner dims disagree.
-    pub fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, _, n) = dims_mm(a, b);
-        let mut out = Tensor::zeros([m, n]);
-        self.matmul_into(a, b, &mut out);
-        out
-    }
-
-    /// [`ExecEngine::matmul`] into a caller-owned output buffer
-    /// (overwritten), avoiding the allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches, including `out`.
-    pub fn matmul_into(&self, a: &Tensor, b: &Tensor, out: &mut Tensor) {
-        let (m, k, n) = dims_mm(a, b);
-        assert_eq!(out.dims(), &[m, n], "matmul_into: out must be [{m}, {n}]");
-        out.data_mut().fill(0.0);
-        self.gemm_f32_rows(a.data(), b.data(), out.data_mut(), m, k, n, 0, k);
-    }
-
-    /// `a` (`[M, K]`) × `bᵀ` (`b` stored `[N, K]`) → `[M, N]`, the
-    /// backward-pass `dX = dY · Wᵀ` primitive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not rank-2 or the K dims disagree.
-    pub fn matmul_bt(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, _, n) = dims_bt(a, b);
-        let mut out = Tensor::zeros([m, n]);
-        self.matmul_bt_into(a, b, &mut out);
-        out
-    }
-
-    /// [`ExecEngine::matmul_bt`] into a caller-owned buffer (overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches, including `out`.
-    pub fn matmul_bt_into(&self, a: &Tensor, b: &Tensor, out: &mut Tensor) {
-        let (m, k, n) = dims_bt(a, b);
-        assert_eq!(
-            out.dims(),
-            &[m, n],
-            "matmul_bt_into: out must be [{m}, {n}]"
-        );
-        out.data_mut().fill(0.0);
-        let (ad, bd) = (a.data(), b.data());
-        self.partition_rows(out.data_mut(), n, m, m * n * k, &|r0, r1, chunk| {
-            kernels::gemm_bt_f32(
-                self.backend,
-                &ad[r0 * k..],
-                k,
-                bd,
-                k,
-                chunk,
-                n,
-                r1 - r0,
-                n,
-                0,
-                k,
-            );
-        });
-    }
-
-    /// `aᵀ` (`a` stored `[K, M]`) × `b` (`[K, N]`) → `[M, N]`, the
-    /// weight-gradient `dW = Xᵀ · dY` primitive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either operand is not rank-2 or the K dims disagree.
-    pub fn matmul_at(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, _, n) = dims_at(a, b);
-        let mut out = Tensor::zeros([m, n]);
-        self.matmul_at_acc(a, b, &mut out);
-        out
-    }
-
-    /// [`ExecEngine::matmul_at`] into a caller-owned buffer (overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches, including `out`.
-    pub fn matmul_at_into(&self, a: &Tensor, b: &Tensor, out: &mut Tensor) {
-        let (m, _, n) = dims_at(a, b);
-        assert_eq!(
-            out.dims(),
-            &[m, n],
-            "matmul_at_into: out must be [{m}, {n}]"
-        );
-        out.data_mut().fill(0.0);
-        self.matmul_at_acc(a, b, out);
-    }
-
-    /// **Accumulates** `aᵀ · b` into `acc` (`acc += aᵀ·b`) — the gradient
-    /// hot path: backward passes add weight gradients straight into the
-    /// parameter's gradient buffer instead of allocating a fresh tensor
-    /// per step.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches, including `acc`.
-    pub fn matmul_at_acc(&self, a: &Tensor, b: &Tensor, acc: &mut Tensor) {
-        let (m, k, n) = dims_at(a, b);
-        assert_eq!(acc.dims(), &[m, n], "matmul_at_acc: acc must be [{m}, {n}]");
-        let (ad, bd) = (a.data(), b.data());
-        self.partition_rows(acc.data_mut(), n, m, m * n * k, &|r0, r1, chunk| {
-            kernels::gemm_at_f32(self.backend, ad, m, bd, n, chunk, n, r0, r1, n, 0, k);
-        });
-    }
-
-    /// Batched matmul: `[B, M, K] × [B, K, N] → [B, M, N]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-3 or batch/inner dims disagree.
-    pub fn batched_matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        assert_eq!(a.rank(), 3, "batched_matmul: `a` must be rank-3");
-        assert_eq!(b.rank(), 3, "batched_matmul: `b` must be rank-3");
-        let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-        let (bb, kb, n) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-        assert_eq!(ba, bb, "batched_matmul: batch sizes {ba} vs {bb} disagree");
-        assert_eq!(k, kb, "batched_matmul: inner dims {k} vs {kb} disagree");
-        let mut out = vec![0.0f32; ba * m * n];
-        for batch in 0..ba {
-            self.gemm_f32_rows(
-                &a.data()[batch * m * k..(batch + 1) * m * k],
-                &b.data()[batch * k * n..(batch + 1) * k * n],
-                &mut out[batch * m * n..(batch + 1) * m * n],
-                m,
-                k,
-                n,
-                0,
-                k,
-            );
-        }
-        Tensor::from_vec(out, [ba, m, n])
-    }
-
-    /// Streams the K-tiled partial-sum (PSUM) tiles of `a · b` to `f`
-    /// without materializing them: one reusable `[M, N]` buffer holds the
-    /// current tile, computed in parallel, and `f(step, tile)` is called
-    /// once per tile in accumulation order. `Σ_step tile_step = a·b`
-    /// exactly (paper eq 8).
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-2, inner dims disagree, or
-    /// `k_tile == 0`.
-    pub fn for_each_k_tile(
-        &self,
-        a: &Tensor,
-        b: &Tensor,
-        k_tile: usize,
-        mut f: impl FnMut(usize, &Tensor),
-    ) {
-        assert!(k_tile > 0, "k_tile must be positive");
-        let (m, k, n) = dims_mm(a, b);
-        let np = k.div_ceil(k_tile);
-        let mut tile = Tensor::zeros([m, n]);
-        for t in 0..np {
-            let k0 = t * k_tile;
-            let k1 = usize::min(k0 + k_tile, k);
-            tile.data_mut().fill(0.0);
-            self.gemm_f32_rows(a.data(), b.data(), tile.data_mut(), m, k, n, k0, k1);
-            f(t, &tile);
-        }
-    }
-
-    /// Computes `a · b` by folding the K-tiled PSUM stream through `fold`
-    /// — without collecting the tiles. `fold(step, running, tile)` receives
-    /// the running accumulation (initially zero); the default fold
-    /// `running += tile` reproduces plain matmul, a requantizing fold
-    /// implements APSQ in the fake-quant domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-2, inner dims disagree, or
-    /// `k_tile == 0`.
-    pub fn matmul_tiled_fold(
-        &self,
-        a: &Tensor,
-        b: &Tensor,
-        k_tile: usize,
-        mut fold: impl FnMut(usize, &mut Tensor, &Tensor),
-    ) -> Tensor {
-        let (m, _, n) = dims_mm(a, b);
-        let mut running = Tensor::zeros([m, n]);
-        self.for_each_k_tile(a, b, k_tile, |step, tile| fold(step, &mut running, tile));
-        running
-    }
-
-    /// Collects the K-tiled PSUM stream into a `Vec` (each tile `[M, N]`).
-    /// Prefer [`ExecEngine::for_each_k_tile`] unless a later pass genuinely
-    /// needs every tile at once (e.g. scale calibration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-2, inner dims disagree, or
-    /// `k_tile == 0`.
-    pub fn matmul_psum_tiles(&self, a: &Tensor, b: &Tensor, k_tile: usize) -> Vec<Tensor> {
-        let mut tiles = Vec::new();
-        self.for_each_k_tile(a, b, k_tile, |_, tile| tiles.push(tile.clone()));
-        tiles
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_f32_rows(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        k0: usize,
-        k1: usize,
-    ) {
-        self.partition_rows(out, n, m, m * n * (k1 - k0), &|r0, r1, chunk| {
-            kernels::gemm_f32(
-                self.backend,
-                &a[r0 * k..],
-                k,
-                b,
-                n,
-                chunk,
-                n,
-                r1 - r0,
-                n,
-                k0,
-                k1,
-            );
-        });
-    }
-
-    // ------------------------------------------------------------- integer
-
-    /// Exact integer matmul: `[M, K]` i8 × `[K, N]` i8 → `[M, N]` i32.
-    /// Bit-identical to the serial reference for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-2 or inner dims disagree.
-    pub fn int8_matmul(&self, a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
-        let (m, _, n) = dims_i8(a, b);
-        let mut out = Int32Tensor::zeros([m, n]);
-        self.int8_matmul_into(a, b, &mut out);
-        out
-    }
-
-    /// [`ExecEngine::int8_matmul`] into a caller-owned buffer
-    /// (overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches, including `out`.
-    pub fn int8_matmul_into(&self, a: &Int8Tensor, b: &Int8Tensor, out: &mut Int32Tensor) {
-        let (m, k, n) = dims_i8(a, b);
-        assert_eq!(
-            out.dims(),
-            &[m, n],
-            "int8_matmul_into: out must be [{m}, {n}]"
-        );
-        out.data_mut().fill(0);
-        self.gemm_i8_rows(a.data(), b.data(), out.data_mut(), m, k, n, 0, k);
-    }
-
-    /// **Accumulates** `a · b` into `acc` (`acc += a·b`) — the integer
-    /// twin of [`ExecEngine::matmul_at_acc`]: residual/requantizing
-    /// epilogues add fresh partial products straight into a caller-owned
-    /// i32 accumulator instead of allocating per step. Addition is exact,
-    /// so results stay bit-identical for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches, including `acc`.
-    pub fn int8_matmul_acc(&self, a: &Int8Tensor, b: &Int8Tensor, acc: &mut Int32Tensor) {
-        let (m, k, n) = dims_i8(a, b);
-        assert_eq!(
-            acc.dims(),
-            &[m, n],
-            "int8_matmul_acc: acc must be [{m}, {n}]"
-        );
-        self.gemm_i8_rows(a.data(), b.data(), acc.data_mut(), m, k, n, 0, k);
-    }
-
-    /// Exact integer transposed-B matmul: `a` (`[M, K]` i8) × `bᵀ` (`b`
-    /// stored `[N, K]` i8) → `[M, N]` i32 — the weight layout a
-    /// weight-stationary datapath keeps resident, and the decode-path
-    /// `[B, d] × Wᵀ` primitive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-2 or the K dims disagree.
-    pub fn int8_matmul_bt(&self, a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
-        let (m, _, n) = dims_bt_i8(a, b);
-        let mut out = Int32Tensor::zeros([m, n]);
-        self.int8_matmul_bt_into(a, b, &mut out);
-        out
-    }
-
-    /// [`ExecEngine::int8_matmul_bt`] into a caller-owned buffer
-    /// (overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches, including `out`.
-    pub fn int8_matmul_bt_into(&self, a: &Int8Tensor, b: &Int8Tensor, out: &mut Int32Tensor) {
-        let (m, k, n) = dims_bt_i8(a, b);
-        assert_eq!(
-            out.dims(),
-            &[m, n],
-            "int8_matmul_bt_into: out must be [{m}, {n}]"
-        );
-        out.data_mut().fill(0);
-        let (ad, bd) = (a.data(), b.data());
-        self.partition_rows(out.data_mut(), n, m, m * n * k, &|r0, r1, chunk| {
-            kernels::gemm_bt_i8(
-                self.backend,
-                &ad[r0 * k..],
-                k,
-                bd,
-                k,
-                chunk,
-                n,
-                r1 - r0,
-                n,
-                0,
-                k,
-            );
-        });
-    }
-
-    /// Batched exact integer matmul: `[B, M, K]` i8 × `[B, K, N]` i8 →
-    /// `[B, M, N]` i32.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-3 or batch/inner dims disagree.
-    pub fn int8_batched_matmul(&self, a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
-        assert_eq!(
-            a.shape().rank(),
-            3,
-            "int8_batched_matmul: `a` must be rank-3"
-        );
-        assert_eq!(
-            b.shape().rank(),
-            3,
-            "int8_batched_matmul: `b` must be rank-3"
-        );
-        let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-        let (bb, kb, n) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-        assert_eq!(
-            ba, bb,
-            "int8_batched_matmul: batch sizes {ba} vs {bb} disagree"
-        );
-        assert_eq!(
-            k, kb,
-            "int8_batched_matmul: inner dims {k} vs {kb} disagree"
-        );
-        let mut out = Int32Tensor::zeros([ba, m, n]);
-        for batch in 0..ba {
-            self.gemm_i8_rows(
-                &a.data()[batch * m * k..(batch + 1) * m * k],
-                &b.data()[batch * k * n..(batch + 1) * k * n],
-                &mut out.data_mut()[batch * m * n..(batch + 1) * m * n],
-                m,
-                k,
-                n,
-                0,
-                k,
-            );
-        }
-        out
-    }
-
-    /// Batched exact integer transposed-B matmul: `[B, M, K]` i8 × `bᵀ`
-    /// per batch (`b` stored `[B, N, K]` i8) → `[B, M, N]` i32 — the
-    /// decode-attention `Q·Kᵀ` primitive, where the batch axis is the head
-    /// and the cached key rows already sit in the `[N, K]` row-major
-    /// layout the KV cache appends them in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-3 or batch/K dims disagree.
-    pub fn int8_batched_matmul_bt(&self, a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
-        let (ba, m, k, n) = dims_batched_bt_i8(a, b);
-        let mut out = Int32Tensor::zeros([ba, m, n]);
-        for batch in 0..ba {
-            let ad = &a.data()[batch * m * k..(batch + 1) * m * k];
-            let bd = &b.data()[batch * n * k..(batch + 1) * n * k];
-            let od = &mut out.data_mut()[batch * m * n..(batch + 1) * m * n];
-            self.partition_rows(od, n, m, m * n * k, &|r0, r1, chunk| {
-                kernels::gemm_bt_i8(
-                    self.backend,
-                    &ad[r0 * k..],
-                    k,
-                    bd,
-                    k,
-                    chunk,
-                    n,
-                    r1 - r0,
-                    n,
-                    0,
-                    k,
-                );
-            });
-        }
-        out
-    }
-
-    /// [`ExecEngine::int8_batched_matmul_bt`] dequantized on the way out
-    /// with one scale per (batch, output column): `out[b, i, j] =
-    /// Σ_k a[b,i,k]·b[b,j,k] · a_scale · row_scales[b·N + j]` — the
-    /// per-row-scaled decode `Q·Kᵀ`, where every cached key row carries
-    /// its own (per-token, per-head) power-of-two scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches or if `row_scales.len() != B·N`.
-    pub fn int8_rowscaled_batched_matmul_bt(
-        &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        a_scale: f32,
-        row_scales: &[f32],
-    ) -> Tensor {
-        let (ba, m, _, n) = dims_batched_bt_i8(a, b);
-        assert_eq!(
-            row_scales.len(),
-            ba * n,
-            "row_scales must provide one scale per (batch, row): {} != {}",
-            row_scales.len(),
-            ba * n
-        );
-        let acc = self.int8_batched_matmul_bt(a, b);
-        let mut out = vec![0.0f32; ba * m * n];
-        for batch in 0..ba {
-            for i in 0..m {
-                let base = batch * m * n + i * n;
-                for j in 0..n {
-                    out[base + j] =
-                        acc.data()[base + j] as f32 * a_scale * row_scales[batch * n + j];
-                }
-            }
-        }
-        Tensor::from_vec(out, [ba, m, n])
-    }
-
-    /// Streams the exact i32 PSUM tiles of the batched transposed-B matmul
-    /// along K to `f`: one reusable `[B, M, N]` buffer, tiles in fixed
-    /// accumulation order — the batched twin of
-    /// [`ExecEngine::int8_bt_for_each_k_tile`], so a per-batch APSQ fold
-    /// can sit inside the decode score GEMM's K loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-3, batch/K dims disagree, or
-    /// `k_tile == 0`.
-    pub fn int8_batched_bt_for_each_k_tile(
-        &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        k_tile: usize,
-        mut f: impl FnMut(usize, &Int32Tensor),
-    ) {
-        assert!(k_tile > 0, "k_tile must be positive");
-        let (ba, m, k, n) = dims_batched_bt_i8(a, b);
-        let np = k.div_ceil(k_tile);
-        let mut tile = Int32Tensor::zeros([ba, m, n]);
-        for t in 0..np {
-            let k0 = t * k_tile;
-            let k1 = usize::min(k0 + k_tile, k);
-            tile.data_mut().fill(0);
-            for batch in 0..ba {
-                let ad = &a.data()[batch * m * k..(batch + 1) * m * k];
-                let bd = &b.data()[batch * n * k..(batch + 1) * n * k];
-                let od = &mut tile.data_mut()[batch * m * n..(batch + 1) * m * n];
-                self.partition_rows(od, n, m, m * n * (k1 - k0), &|r0, r1, chunk| {
-                    kernels::gemm_bt_i8(
-                        self.backend,
-                        &ad[r0 * k..],
-                        k,
-                        bd,
-                        k,
-                        chunk,
-                        n,
-                        r1 - r0,
-                        n,
-                        k0,
-                        k1,
-                    );
-                });
-            }
-            f(t, &tile);
-        }
-    }
-
-    /// Streams the exact i32 PSUM tiles of the batched `[B, M, K] ×
-    /// [B, K, N]` matmul along K to `f`: one reusable `[B, M, N]` buffer,
-    /// fixed accumulation order — the batched twin of
-    /// [`ExecEngine::int8_for_each_k_tile`]. In decode attention this is
-    /// the `P·V` GEMM whose K axis is the **context length**, so grouped
-    /// APSQ folds over the sequence dimension exactly where the KV-cache
-    /// PSUM traffic lives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-3, batch/inner dims disagree, or
-    /// `k_tile == 0`.
-    pub fn int8_batched_for_each_k_tile(
-        &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        k_tile: usize,
-        mut f: impl FnMut(usize, &Int32Tensor),
-    ) {
-        assert!(k_tile > 0, "k_tile must be positive");
-        assert_eq!(
-            a.shape().rank(),
-            3,
-            "int8_batched_for_each_k_tile: `a` must be rank-3"
-        );
-        assert_eq!(
-            b.shape().rank(),
-            3,
-            "int8_batched_for_each_k_tile: `b` must be rank-3"
-        );
-        let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-        let (bb, kb, n) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-        assert_eq!(ba, bb, "batch sizes {ba} vs {bb} disagree");
-        assert_eq!(k, kb, "inner dimensions {k} vs {kb} disagree");
-        let np = k.div_ceil(k_tile);
-        let mut tile = Int32Tensor::zeros([ba, m, n]);
-        for t in 0..np {
-            let k0 = t * k_tile;
-            let k1 = usize::min(k0 + k_tile, k);
-            tile.data_mut().fill(0);
-            for batch in 0..ba {
-                self.partition_rows(
-                    &mut tile.data_mut()[batch * m * n..(batch + 1) * m * n],
-                    n,
-                    m,
-                    m * n * (k1 - k0),
-                    &|r0, r1, chunk| {
-                        kernels::gemm_i8(
-                            self.backend,
-                            &a.data()[batch * m * k + r0 * k..],
-                            k,
-                            &b.data()[batch * k * n..(batch + 1) * k * n],
-                            n,
-                            chunk,
-                            n,
-                            r1 - r0,
-                            n,
-                            k0,
-                            k1,
-                        );
-                    },
-                );
-            }
-            f(t, &tile);
-        }
-    }
-
-    /// Streams the exact i32 PSUM tiles of `a · bᵀ` (`b` stored `[N, K]`)
-    /// along K to `f` — [`ExecEngine::int8_for_each_k_tile`] for the
-    /// transposed weight layout, so a requantizing APSQ fold can sit
-    /// directly inside the decode GEMM's K loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-2, K dims disagree, or
-    /// `k_tile == 0`.
-    pub fn int8_bt_for_each_k_tile(
-        &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        k_tile: usize,
-        mut f: impl FnMut(usize, &Int32Tensor),
-    ) {
-        assert!(k_tile > 0, "k_tile must be positive");
-        let (m, k, n) = dims_bt_i8(a, b);
-        let np = k.div_ceil(k_tile);
-        let mut tile = Int32Tensor::zeros([m, n]);
-        let (ad, bd) = (a.data(), b.data());
-        for t in 0..np {
-            let k0 = t * k_tile;
-            let k1 = usize::min(k0 + k_tile, k);
-            tile.data_mut().fill(0);
-            self.partition_rows(
-                tile.data_mut(),
-                n,
-                m,
-                m * n * (k1 - k0),
-                &|r0, r1, chunk| {
-                    kernels::gemm_bt_i8(
-                        self.backend,
-                        &ad[r0 * k..],
-                        k,
-                        bd,
-                        k,
-                        chunk,
-                        n,
-                        r1 - r0,
-                        n,
-                        k0,
-                        k1,
-                    );
-                },
-            );
-            f(t, &tile);
-        }
-    }
-
-    /// Streams the exact i32 PSUM tiles of `a · b` along K to `f`, one
-    /// reusable buffer, no `Vec<Int32Tensor>` — the integration point for
-    /// folding APSQ quantization directly into the K loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-2, inner dims disagree, or
-    /// `k_tile == 0`.
-    pub fn int8_for_each_k_tile(
-        &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        k_tile: usize,
-        mut f: impl FnMut(usize, &Int32Tensor),
-    ) {
-        assert!(k_tile > 0, "k_tile must be positive");
-        let (m, k, n) = dims_i8(a, b);
-        let np = k.div_ceil(k_tile);
-        let mut tile = Int32Tensor::zeros([m, n]);
-        for t in 0..np {
-            let k0 = t * k_tile;
-            let k1 = usize::min(k0 + k_tile, k);
-            tile.data_mut().fill(0);
-            self.gemm_i8_rows(a.data(), b.data(), tile.data_mut(), m, k, n, k0, k1);
-            f(t, &tile);
-        }
-    }
-
-    /// Collects the exact i32 PSUM tile stream into a `Vec`. Prefer
-    /// [`ExecEngine::int8_for_each_k_tile`] unless every tile is needed at
-    /// once (e.g. scale calibration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if operands are not rank-2, inner dims disagree, or
-    /// `k_tile == 0`.
-    pub fn int8_matmul_psum_tiles(
-        &self,
-        a: &Int8Tensor,
-        b: &Int8Tensor,
-        k_tile: usize,
-    ) -> Vec<Int32Tensor> {
-        let mut tiles = Vec::new();
-        self.int8_for_each_k_tile(a, b, k_tile, |_, tile| tiles.push(tile.clone()));
-        tiles
-    }
-
-    /// Low-level ranged integer GEMM over sub-blocks of larger matrices:
-    /// accumulates `out[i, j] += Σ_{l ∈ [k0, k1)} a[i, l] · b[l, j]` for
-    /// `i < m`, `j < n` with explicit leading dimensions. This is the entry
-    /// point the accelerator simulators use to compute one PE-array output
-    /// tile in place (slicing `a` by row/K range and `b` by column range),
-    /// parallelized over the tile's rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row of the addressed region escapes a slice.
-    #[allow(clippy::too_many_arguments)]
-    pub fn int8_gemm_block(
-        &self,
-        a: &[i8],
-        lda: usize,
-        b: &[i8],
-        ldb: usize,
-        out: &mut [i32],
-        ldo: usize,
-        m: usize,
-        n: usize,
-        k0: usize,
-        k1: usize,
-    ) {
-        self.partition_rows(out, ldo, m, m * n * (k1 - k0), &|r0, r1, chunk| {
-            kernels::gemm_i8(
-                self.backend,
-                &a[r0 * lda..],
-                lda,
-                b,
-                ldb,
-                chunk,
-                ldo,
-                r1 - r0,
-                n,
-                k0,
-                k1,
-            );
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_i8_rows(
-        &self,
-        a: &[i8],
-        b: &[i8],
-        out: &mut [i32],
-        m: usize,
-        k: usize,
-        n: usize,
-        k0: usize,
-        k1: usize,
-    ) {
-        self.partition_rows(out, n, m, m * n * (k1 - k0), &|r0, r1, chunk| {
-            kernels::gemm_i8(
-                self.backend,
-                &a[r0 * k..],
-                k,
-                b,
-                n,
-                chunk,
-                n,
-                r1 - r0,
-                n,
-                k0,
-                k1,
-            );
-        });
-    }
-
-    // ------------------------------------------------------------ conv/im2col
-
-    /// im2col lowering of an `[C, H, W]` input (see [`crate::im2col`]),
-    /// parallelized over output rows.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`crate::im2col`].
-    pub fn im2col(&self, input: &Tensor, ksize: usize, stride: usize) -> Tensor {
-        assert_eq!(input.rank(), 3, "im2col expects [C, H, W]");
-        let dims = [input.dims()[0], input.dims()[1], input.dims()[2]];
-        let (out, rows, cols) = self.im2col_buffer(input.data(), dims, ksize, stride);
-        Tensor::from_vec(out, [rows, cols])
-    }
-
-    /// Integer im2col for the bit-accurate path, parallelized over output
-    /// rows.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`crate::im2col`].
-    pub fn im2col_i8(&self, input: &Int8Tensor, ksize: usize, stride: usize) -> Int8Tensor {
-        assert_eq!(input.shape().rank(), 3, "im2col expects [C, H, W]");
-        let dims = [input.dims()[0], input.dims()[1], input.dims()[2]];
-        let (out, rows, cols) = self.im2col_buffer(input.data(), dims, ksize, stride);
-        Int8Tensor::from_vec(out, [rows, cols])
-    }
-
-    /// Shared im2col geometry + parallel fill for both element types:
-    /// returns the `[rows, cols]` patch matrix as a flat buffer.
-    fn im2col_buffer<T: Copy + Default + Send + Sync>(
-        &self,
-        data: &[T],
-        [c, h, w]: [usize; 3],
-        ksize: usize,
-        stride: usize,
-    ) -> (Vec<T>, usize, usize) {
-        assert!(ksize > 0 && stride > 0, "degenerate kernel/stride");
+    /// Panics if `g.k_range` leaves `0..g.k`, a slice is shorter than the
+    /// last element `g` addresses in it, or `g` asks for the i8
+    /// [`Layout::TN`] product (which has no kernel).
+    pub fn gemm<T: GemmElem>(&self, g: &Gemm<'_, T>, out: &mut [T::Acc]) {
+        g.check(out.len());
         assert!(
-            h >= ksize && w >= ksize,
-            "kernel {ksize} does not fit {h}x{w}"
+            T::HAS_TN || g.layout != Layout::TN,
+            "gemm: the i8 TN layout has no kernel"
         );
-        let ho = (h - ksize) / stride + 1;
-        let wo = (w - ksize) / stride + 1;
-        let cols = c * ksize * ksize;
-        let mut out = vec![T::default(); ho * wo * cols];
-        self.partition_rows(&mut out, cols, ho * wo, ho * wo * cols, &|r0, r1, chunk| {
-            im2col_rows(data, chunk, r0, r1, c, h, w, ksize, stride, wo, cols);
-        });
-        (out, ho * wo, cols)
-    }
-
-    /// Convolution via im2col + GEMM: `[C, H, W] ⊛ [Co, C, K, K]` →
-    /// `[Ho·Wo, Co]` (the GEMM layout the accelerator produces), both
-    /// stages running through the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/shape mismatches.
-    pub fn conv2d_i8_gemm(
-        &self,
-        input: &Int8Tensor,
-        weight: &Int8Tensor,
-        stride: usize,
-    ) -> Int32Tensor {
-        assert_eq!(weight.shape().rank(), 4, "weight must be [Co, C, K, K]");
-        let (co, c, k) = (weight.dims()[0], weight.dims()[1], weight.dims()[2]);
-        let lowered = self.im2col_i8(input, k, stride);
-        // Reshape weights to [C·K·K, Co].
-        let cols = c * k * k;
-        let mut wmat = vec![0i8; cols * co];
-        for oc in 0..co {
-            let mut idx = 0;
-            for ch in 0..c {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        wmat[idx * co + oc] = weight.at(&[oc, ch, ky, kx]);
-                        idx += 1;
+        if g.m == 0 || g.n == 0 {
+            return;
+        }
+        let Range { start: k0, end: k1 } = g.k_range;
+        let macs = g.m * g.n * (k1 - k0);
+        for batch in 0..g.batch {
+            let a = g.a.get(batch * g.stride_a..).unwrap_or_default();
+            let b = g.b.get(batch * g.stride_b..).unwrap_or_default();
+            let o = &mut out[batch * g.stride_o..];
+            self.partition_rows(o, g.ldo, g.m, g.n, macs, &|r0, r1, chunk| {
+                if !g.accumulate {
+                    for i in 0..r1 - r0 {
+                        chunk[i * g.ldo..i * g.ldo + g.n].fill(T::Acc::default());
                     }
                 }
-            }
-        }
-        let wmat = Int8Tensor::from_vec(wmat, [cols, co]);
-        self.int8_matmul(&lowered, &wmat)
-    }
-}
-
-/// Copies im2col patch rows `[r0, r1)` into `chunk` (local row 0 = global
-/// row `r0`); generic over the element type so f32 and i8 share the loop.
-#[allow(clippy::too_many_arguments)]
-fn im2col_rows<T: Copy>(
-    data: &[T],
-    chunk: &mut [T],
-    r0: usize,
-    r1: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    ksize: usize,
-    stride: usize,
-    wo: usize,
-    cols: usize,
-) {
-    for row in r0..r1 {
-        let (oy, ox) = (row / wo, row % wo);
-        let dst = &mut chunk[(row - r0) * cols..(row - r0 + 1) * cols];
-        let mut col = 0;
-        for ch in 0..c {
-            for ky in 0..ksize {
-                let src = ch * h * w + (oy * stride + ky) * w + ox * stride;
-                for kx in 0..ksize {
-                    dst[col] = data[src + kx];
-                    col += 1;
+                if k1 > k0 {
+                    T::kernel(
+                        self.backend,
+                        g.layout,
+                        a,
+                        g.lda,
+                        b,
+                        g.ldb,
+                        chunk,
+                        g.ldo,
+                        (r0, r1),
+                        g.n,
+                        k0,
+                        k1,
+                    );
                 }
-            }
+            });
         }
     }
-}
 
-fn dims_mm(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
-    assert_eq!(a.rank(), 2, "matmul: `a` must be rank-2, got {}", a.shape());
-    assert_eq!(b.rank(), 2, "matmul: `b` must be rank-2, got {}", b.shape());
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (kb, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, kb, "matmul: inner dimensions {k} vs {kb} disagree");
-    (m, k, n)
-}
-
-fn dims_bt(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
-    assert_eq!(a.rank(), 2, "matmul_bt: `a` must be rank-2");
-    assert_eq!(b.rank(), 2, "matmul_bt: `b` must be rank-2");
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (n, kb) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, kb, "matmul_bt: inner dimensions {k} vs {kb} disagree");
-    (m, k, n)
-}
-
-fn dims_at(a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
-    assert_eq!(a.rank(), 2, "matmul_at: `a` must be rank-2");
-    assert_eq!(b.rank(), 2, "matmul_at: `b` must be rank-2");
-    let (k, m) = (a.dims()[0], a.dims()[1]);
-    let (kb, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, kb, "matmul_at: inner dimensions {k} vs {kb} disagree");
-    (m, k, n)
-}
-
-fn dims_i8(a: &Int8Tensor, b: &Int8Tensor) -> (usize, usize, usize) {
-    assert_eq!(a.shape().rank(), 2, "int8_matmul: `a` must be rank-2");
-    assert_eq!(b.shape().rank(), 2, "int8_matmul: `b` must be rank-2");
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (kb, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, kb, "int8_matmul: inner dimensions {k} vs {kb} disagree");
-    (m, k, n)
-}
-
-fn dims_batched_bt_i8(a: &Int8Tensor, b: &Int8Tensor) -> (usize, usize, usize, usize) {
-    assert_eq!(
-        a.shape().rank(),
-        3,
-        "int8_batched_matmul_bt: `a` must be rank-3"
-    );
-    assert_eq!(
-        b.shape().rank(),
-        3,
-        "int8_batched_matmul_bt: `b` must be rank-3"
-    );
-    let (ba, m, k) = (a.dims()[0], a.dims()[1], a.dims()[2]);
-    let (bb, n, kb) = (b.dims()[0], b.dims()[1], b.dims()[2]);
-    assert_eq!(
-        ba, bb,
-        "int8_batched_matmul_bt: batch sizes {ba} vs {bb} disagree"
-    );
-    assert_eq!(
-        k, kb,
-        "int8_batched_matmul_bt: K dimensions {k} vs {kb} disagree"
-    );
-    (ba, m, k, n)
-}
-
-fn dims_bt_i8(a: &Int8Tensor, b: &Int8Tensor) -> (usize, usize, usize) {
-    assert_eq!(a.shape().rank(), 2, "int8_matmul_bt: `a` must be rank-2");
-    assert_eq!(b.shape().rank(), 2, "int8_matmul_bt: `b` must be rank-2");
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (n, kb) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(
-        k, kb,
-        "int8_matmul_bt: inner dimensions {k} vs {kb} disagree"
-    );
-    (m, k, n)
+    /// Streams the K-tiled partial-sum (PSUM) tiles of `g` to `f`: the
+    /// reduction range `g.k_range` is cut into `k_tile`-deep slices, and
+    /// `f(step, tile)` receives each slice's product in accumulation order
+    /// through one reusable tile — `[m, n]`, or `[batch, m, n]` when
+    /// `g.batch > 1`. `Σ_step tile_step` is the full product (paper eq. 8).
+    /// `g.ldo`, `g.stride_o` and `g.accumulate` describe a caller's output
+    /// buffer and play no part here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k_tile == 0` or [`ExecEngine::gemm`] would.
+    pub fn gemm_k_tiles<T: GemmElem>(
+        &self,
+        g: &Gemm<'_, T>,
+        k_tile: usize,
+        mut f: impl FnMut(usize, &T::Tile),
+    ) {
+        assert!(k_tile > 0, "k_tile must be positive");
+        let dims = if g.batch == 1 {
+            vec![g.m, g.n]
+        } else {
+            vec![g.batch, g.m, g.n]
+        };
+        let mut tile = T::zero_tile(&dims);
+        let Range { start, end } = g.k_range;
+        for (step, k0) in (start..end).step_by(k_tile).enumerate() {
+            let slice = Gemm {
+                ldo: g.n,
+                stride_o: g.m * g.n,
+                k_range: k0..usize::min(k0 + k_tile, end),
+                accumulate: false,
+                ..g.clone()
+            };
+            self.gemm(&slice, T::tile_data(&mut tile));
+            f(step, &tile);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::int_tensor::{Int32Tensor, Int8Tensor};
+    use crate::tensor::Tensor;
 
     fn f32_pair(m: usize, k: usize, n: usize) -> (Tensor, Tensor) {
         let a = Tensor::from_vec(
@@ -1172,12 +691,19 @@ mod tests {
     fn int8_bit_identical_across_thread_counts_and_matches_reference() {
         for (m, k, n) in [(29, 70, 31), (64, 128, 32)] {
             let (a, b) = i8_pair(m, k, n);
-            let reference = crate::int_tensor::int8_matmul(&a, &b);
+            let mut reference = vec![0i32; m * n];
+            for i in 0..m {
+                for j in 0..n {
+                    reference[i * n + j] = (0..k)
+                        .map(|l| a.data()[i * k + l] as i32 * b.data()[l * n + j] as i32)
+                        .sum();
+                }
+            }
             for threads in [1, 2, 3, 8] {
                 let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
                 assert_eq!(
-                    eng.int8_matmul(&a, &b),
-                    reference,
+                    eng.int8_matmul(&a, &b).data(),
+                    &reference[..],
                     "threads={threads} {m}x{k}x{n}"
                 );
             }
@@ -1195,22 +721,23 @@ mod tests {
 
     #[test]
     fn into_variants_overwrite_stale_contents() {
+        // Overwrite mode replaces whatever the output held, for every
+        // layout.
         let (a, b) = f32_pair(6, 10, 7);
-        let eng = ExecEngine::serial();
-        let mut out = Tensor::full([6, 7], 123.0);
-        eng.matmul_into(&a, &b, &mut out);
-        assert_eq!(out, eng.matmul(&a, &b));
-
+        let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
         let bt = b.transpose();
-        let mut out = Tensor::full([6, 10], -9.0);
-        eng.matmul_bt_into(&eng.matmul(&a, &b), &bt.transpose(), &mut out);
-        // (a·b)·bᵀᵀᵀ sanity is covered elsewhere; here: buffer equality.
-        assert_eq!(out, eng.matmul_bt(&eng.matmul(&a, &b), &bt.transpose()));
-
         let at = a.transpose();
-        let mut out = Tensor::full([6, 7], 7.0);
-        eng.matmul_at_into(&at, &b, &mut out);
-        assert_eq!(out, eng.matmul_at(&at, &b));
+        for g in [
+            Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims()),
+            Gemm::dense(Layout::NT, a.data(), a.dims(), bt.data(), bt.dims()),
+            Gemm::dense(Layout::TN, at.data(), at.dims(), b.data(), b.dims()),
+        ] {
+            let mut fresh = vec![0.0f32; 6 * 7];
+            eng.gemm(&g, &mut fresh);
+            let mut stale = vec![123.0f32; 6 * 7];
+            eng.gemm(&g, &mut stale);
+            assert_eq!(stale, fresh, "{:?}", g.layout);
+        }
     }
 
     #[test]
@@ -1218,9 +745,17 @@ mod tests {
         let (a, b) = f32_pair(5, 9, 4);
         let at = a.transpose();
         let eng = ExecEngine::serial();
-        let grad1 = eng.matmul_at(&at, &b);
+        let g = Gemm::dense(Layout::TN, at.data(), at.dims(), b.data(), b.dims());
+        let mut grad1 = Tensor::zeros([5, 4]);
+        eng.gemm(&g, grad1.data_mut());
         let mut acc = grad1.clone();
-        eng.matmul_at_acc(&at, &b, &mut acc);
+        eng.gemm(
+            &Gemm {
+                accumulate: true,
+                ..g
+            },
+            acc.data_mut(),
+        );
         for (x, y) in acc.data().iter().zip(grad1.data()) {
             assert!((x - 2.0 * y).abs() <= 1e-4 * (1.0 + y.abs()));
         }
@@ -1228,12 +763,21 @@ mod tests {
 
     #[test]
     fn k_tiles_stream_matches_collected_tiles() {
+        // Each streamed tile is exactly the ranged product over its slice.
         let (a, b) = f32_pair(5, 23, 6);
         let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
-        let collected = eng.matmul_psum_tiles(&a, &b, 7);
+        let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
         let mut steps = 0;
-        eng.for_each_k_tile(&a, &b, 7, |step, tile| {
-            assert_eq!(tile, &collected[step]);
+        eng.gemm_k_tiles(&g, 7, |step, tile| {
+            let k0 = step * 7;
+            let mut want = vec![0.0f32; 5 * 6];
+            let ranged = Gemm {
+                k_range: k0..(k0 + 7).min(23),
+                ..g.clone()
+            };
+            eng.gemm(&ranged, &mut want);
+            assert_eq!(tile.data(), &want[..], "step {step}");
+            assert_eq!(tile.dims(), &[5, 6]);
             steps += 1;
         });
         assert_eq!(steps, 23usize.div_ceil(7));
@@ -1268,53 +812,67 @@ mod tests {
         let (a, b) = i8_pair(6, 33, 5);
         let bt = transpose_i8(&b);
         let eng = ExecEngine::with_threads(3).with_spawn_threshold(0);
-        let legacy = crate::int_tensor::int8_matmul_psum_tiles(&a, &b, 8);
+        let mut kn = Vec::new();
+        eng.gemm_k_tiles(
+            &Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims()),
+            8,
+            |_, tile| kn.push(tile.clone()),
+        );
         let mut steps = 0;
-        eng.int8_bt_for_each_k_tile(&a, &bt, 8, |step, tile| {
-            assert_eq!(tile, &legacy[step], "step {step}");
-            steps += 1;
-        });
+        eng.gemm_k_tiles(
+            &Gemm::dense(Layout::NT, a.data(), a.dims(), bt.data(), bt.dims()),
+            8,
+            |step, tile| {
+                assert_eq!(tile, &kn[step], "step {step}");
+                steps += 1;
+            },
+        );
         assert_eq!(steps, 33usize.div_ceil(8));
     }
 
-    /// Builds a `[B, M, K] / [B, N, K]` batched pair whose per-batch
-    /// contents differ.
-    fn batched_i8_pair(bsz: usize, m: usize, k: usize, n: usize) -> (Int8Tensor, Int8Tensor) {
-        let a = Int8Tensor::from_vec(
-            (0..bsz * m * k)
-                .map(|x| ((x * 37 + 11) % 255) as i8)
-                .collect(),
-            [bsz, m, k],
-        );
-        let b = Int8Tensor::from_vec(
-            (0..bsz * n * k)
-                .map(|x| ((x * 73 + 5) % 251) as i8)
-                .collect(),
-            [bsz, n, k],
-        );
+    /// Flat `[B, M, K]` and `[B, N, K]` operands whose per-batch contents
+    /// differ.
+    fn batched_i8(bsz: usize, m: usize, k: usize, n: usize) -> (Vec<i8>, Vec<i8>) {
+        let a = (0..bsz * m * k)
+            .map(|x| ((x * 37 + 11) % 255) as i8)
+            .collect();
+        let b = (0..bsz * n * k)
+            .map(|x| ((x * 73 + 5) % 251) as i8)
+            .collect();
         (a, b)
+    }
+
+    /// The dense batched descriptor over `bsz` contiguous products.
+    fn batched<'a, T>(
+        layout: Layout,
+        a: &'a [T],
+        b: &'a [T],
+        bsz: usize,
+        mnk: [usize; 3],
+    ) -> Gemm<'a, T> {
+        let [m, n, k] = mnk;
+        Gemm {
+            batch: bsz,
+            ..Gemm::new(layout, a, b, m, n, k)
+        }
     }
 
     #[test]
     fn int8_batched_bt_matches_per_batch_bt() {
         let (bsz, m, k, n) = (3usize, 2usize, 33usize, 5usize);
-        let (a, b) = batched_i8_pair(bsz, m, k, n);
+        let (a, b) = batched_i8(bsz, m, k, n);
         for threads in [1usize, 3] {
             let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-            let out = eng.int8_batched_matmul_bt(&a, &b);
-            assert_eq!(out.dims(), &[bsz, m, n]);
+            let mut out = vec![0i32; bsz * m * n];
+            eng.gemm(&batched(Layout::NT, &a, &b, bsz, [m, n, k]), &mut out);
             for batch in 0..bsz {
-                let ab = Int8Tensor::from_vec(
-                    a.data()[batch * m * k..(batch + 1) * m * k].to_vec(),
-                    [m, k],
-                );
-                let bb = Int8Tensor::from_vec(
-                    b.data()[batch * n * k..(batch + 1) * n * k].to_vec(),
-                    [n, k],
-                );
+                let ab =
+                    Int8Tensor::from_vec(a[batch * m * k..(batch + 1) * m * k].to_vec(), [m, k]);
+                let bb =
+                    Int8Tensor::from_vec(b[batch * n * k..(batch + 1) * n * k].to_vec(), [n, k]);
                 let want = eng.int8_matmul_bt(&ab, &bb);
                 assert_eq!(
-                    &out.data()[batch * m * n..(batch + 1) * m * n],
+                    &out[batch * m * n..(batch + 1) * m * n],
                     want.data(),
                     "batch {batch} threads {threads}"
                 );
@@ -1323,31 +881,16 @@ mod tests {
     }
 
     #[test]
-    fn int8_rowscaled_batched_bt_applies_per_row_scales() {
-        let (bsz, m, k, n) = (2usize, 1usize, 16usize, 4usize);
-        let (a, b) = batched_i8_pair(bsz, m, k, n);
-        let scales: Vec<f32> = (0..bsz * n).map(|i| ((i as i32) - 3) as f32).collect();
-        let eng = ExecEngine::serial();
-        let acc = eng.int8_batched_matmul_bt(&a, &b);
-        let out = eng.int8_rowscaled_batched_matmul_bt(&a, &b, 0.5, &scales);
-        assert_eq!(out.dims(), &[bsz, m, n]);
-        for batch in 0..bsz {
-            for j in 0..n {
-                let want = acc.data()[batch * n + j] as f32 * 0.5 * scales[batch * n + j];
-                assert_eq!(out.data()[batch * n + j], want, "batch {batch} col {j}");
-            }
-        }
-    }
-
-    #[test]
     fn int8_batched_bt_k_tiles_sum_to_full_gemm() {
         let (bsz, m, k, n) = (2usize, 2usize, 23usize, 3usize);
-        let (a, b) = batched_i8_pair(bsz, m, k, n);
+        let (a, b) = batched_i8(bsz, m, k, n);
         let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
-        let want = eng.int8_batched_matmul_bt(&a, &b);
+        let g = batched(Layout::NT, &a, &b, bsz, [m, n, k]);
+        let mut want = Int32Tensor::zeros([bsz, m, n]);
+        eng.gemm(&g, want.data_mut());
         let mut acc = Int32Tensor::zeros([bsz, m, n]);
         let mut steps = 0;
-        eng.int8_batched_bt_for_each_k_tile(&a, &b, 7, |step, tile| {
+        eng.gemm_k_tiles(&g, 7, |step, tile| {
             assert_eq!(step, steps);
             acc = acc.checked_add(tile).unwrap();
             steps += 1;
@@ -1359,23 +902,19 @@ mod tests {
     #[test]
     fn int8_batched_kn_k_tiles_sum_to_batched_matmul() {
         let (bsz, m, k, n) = (3usize, 1usize, 29usize, 6usize);
-        let a = Int8Tensor::from_vec(
-            (0..bsz * m * k)
-                .map(|x| ((x * 31 + 7) % 253) as i8)
-                .collect(),
-            [bsz, m, k],
-        );
-        let b = Int8Tensor::from_vec(
-            (0..bsz * k * n)
-                .map(|x| ((x * 41 + 13) % 249) as i8)
-                .collect(),
-            [bsz, k, n],
-        );
+        let a: Vec<i8> = (0..bsz * m * k)
+            .map(|x| ((x * 31 + 7) % 253) as i8)
+            .collect();
+        let b: Vec<i8> = (0..bsz * k * n)
+            .map(|x| ((x * 41 + 13) % 249) as i8)
+            .collect();
+        let g = batched(Layout::NN, &a, &b, bsz, [m, n, k]);
         for threads in [1usize, 4] {
             let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-            let want = eng.int8_batched_matmul(&a, &b);
+            let mut want = Int32Tensor::zeros([bsz, m, n]);
+            eng.gemm(&g, want.data_mut());
             let mut acc = Int32Tensor::zeros([bsz, m, n]);
-            eng.int8_batched_for_each_k_tile(&a, &b, 8, |_, tile| {
+            eng.gemm_k_tiles(&g, 8, |_, tile| {
                 acc = acc.checked_add(tile).unwrap();
             });
             assert_eq!(acc, want, "threads={threads}");
@@ -1388,7 +927,11 @@ mod tests {
         let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
         let once = eng.int8_matmul(&a, &b);
         let mut acc = once.clone();
-        eng.int8_matmul_acc(&a, &b, &mut acc);
+        let g = Gemm {
+            accumulate: true,
+            ..Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims())
+        };
+        eng.gemm(&g, acc.data_mut());
         for (x, y) in acc.data().iter().zip(once.data()) {
             assert_eq!(*x, 2 * y);
         }
@@ -1404,38 +947,46 @@ mod tests {
         b1.data_mut()
             .iter_mut()
             .for_each(|v| *v = v.wrapping_sub(7));
-        let mut ad = a0.data().to_vec();
-        ad.extend_from_slice(a1.data());
-        let mut bd = b0.data().to_vec();
-        bd.extend_from_slice(b1.data());
-        let a = Int8Tensor::from_vec(ad, [2, 3, 16]);
-        let b = Int8Tensor::from_vec(bd, [2, 16, 5]);
+        let a = [a0.data(), a1.data()].concat();
+        let b = [b0.data(), b1.data()].concat();
         let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
-        let out = eng.int8_batched_matmul(&a, &b);
-        assert_eq!(out.dims(), &[2, 3, 5]);
-        let want0 = eng.int8_matmul(&a0, &b0);
-        let want1 = eng.int8_matmul(&a1, &b1);
-        assert_eq!(&out.data()[..15], want0.data());
-        assert_eq!(&out.data()[15..], want1.data());
+        let mut out = vec![0i32; 2 * 3 * 5];
+        eng.gemm(&batched(Layout::NN, &a, &b, 2, [3, 5, 16]), &mut out);
+        assert_eq!(&out[..15], eng.int8_matmul(&a0, &b0).data());
+        assert_eq!(&out[15..], eng.int8_matmul(&a1, &b1).data());
     }
 
     #[test]
     fn int8_k_tiles_match_legacy_psum_tiles() {
+        // Tiles straddling a register tile and the final ragged slice
+        // equal the ranged products they stand for.
         let (a, b) = i8_pair(6, 33, 5);
         let eng = ExecEngine::with_threads(3).with_spawn_threshold(0);
-        let legacy = crate::int_tensor::int8_matmul_psum_tiles(&a, &b, 8);
-        eng.int8_for_each_k_tile(&a, &b, 8, |step, tile| {
-            assert_eq!(tile, &legacy[step], "step {step}");
+        let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+        let mut steps = 0;
+        eng.gemm_k_tiles(&g, 8, |step, tile| {
+            let mut want = Int32Tensor::zeros([6, 5]);
+            let ranged = Gemm {
+                k_range: step * 8..(step * 8 + 8).min(33),
+                ..g.clone()
+            };
+            ExecEngine::serial().gemm(&ranged, want.data_mut());
+            assert_eq!(tile, &want, "step {step}");
+            steps += 1;
         });
+        assert_eq!(steps, 5);
     }
 
     #[test]
     fn tiled_fold_without_collecting_is_matmul() {
         let (a, b) = f32_pair(4, 30, 5);
         let eng = ExecEngine::serial();
-        let folded = eng.matmul_tiled_fold(&a, &b, 9, |_, run, tile| {
-            *run = &*run + tile;
-        });
+        let mut folded = Tensor::zeros([4, 5]);
+        eng.gemm_k_tiles(
+            &Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims()),
+            9,
+            |_, tile| folded = &folded + tile,
+        );
         // Tile-by-tile summation reassociates the float reduction, so
         // compare within rounding rather than bitwise.
         for (x, y) in folded.data().iter().zip(eng.matmul(&a, &b).data()) {
@@ -1455,23 +1006,39 @@ mod tests {
                 .collect(),
             [4, 3, 3, 3],
         );
-        let legacy = crate::conv::conv2d_i8_gemm(&x, &w, 2);
+        // The reference is channel-major [Co, Ho, Wo]; the GEMM lowering
+        // produces its transpose [Ho·Wo, Co].
+        let direct = crate::conv::conv2d_i8_reference(&x, &w, 2);
+        let pixels = 4 * 4;
         for threads in [1, 4] {
             let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-            assert_eq!(eng.conv2d_i8_gemm(&x, &w, 2), legacy, "threads={threads}");
+            let got = eng.conv2d_i8_gemm(&x, &w, 2);
+            for p in 0..pixels {
+                for oc in 0..4 {
+                    assert_eq!(
+                        got.data()[p * 4 + oc],
+                        direct.data()[oc * pixels + p],
+                        "threads={threads}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn batched_matches_per_batch() {
-        let a = Tensor::from_vec((0..2 * 3 * 4).map(|x| x as f32 * 0.1).collect(), [2, 3, 4]);
-        let b = Tensor::from_vec((0..2 * 4 * 5).map(|x| x as f32 * 0.2).collect(), [2, 4, 5]);
+        let a: Vec<f32> = (0..2 * 3 * 4).map(|x| x as f32 * 0.1).collect();
+        let b: Vec<f32> = (0..2 * 4 * 5).map(|x| x as f32 * 0.2).collect();
         let eng = ExecEngine::serial();
-        let out = eng.batched_matmul(&a, &b);
-        assert_eq!(out.dims(), &[2, 3, 5]);
-        let legacy = crate::matmul::batched_matmul(&a, &b);
-        for (x, y) in out.data().iter().zip(legacy.data()) {
-            assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()));
+        let mut out = vec![0.0f32; 2 * 3 * 5];
+        eng.gemm(&batched(Layout::NN, &a, &b, 2, [3, 5, 4]), &mut out);
+        for batch in 0..2 {
+            let ab = Tensor::from_vec(a[batch * 12..(batch + 1) * 12].to_vec(), [3, 4]);
+            let bb = Tensor::from_vec(b[batch * 20..(batch + 1) * 20].to_vec(), [4, 5]);
+            assert_eq!(
+                &out[batch * 15..(batch + 1) * 15],
+                eng.matmul(&ab, &bb).data()
+            );
         }
     }
 
@@ -1482,9 +1049,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "i8 TN layout has no kernel")]
+    fn int8_tn_layout_rejected() {
+        let (a, b) = i8_pair(2, 3, 4);
+        let mut out = vec![0i32; 3 * 4];
+        ExecEngine::serial().gemm(
+            &Gemm::new(Layout::TN, a.data(), b.data(), 3, 4, 2),
+            &mut out,
+        );
+    }
+
+    #[test]
     fn degenerate_extents_produce_empty_tensors() {
         // Zero-row/column operands must yield empty results, not panic
-        // (regression: matmul_bt_into once divided by n == 0).
+        // (regression: the transposed-B product once divided by n == 0).
         let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
         assert_eq!(
             eng.matmul_bt(&Tensor::zeros([3, 4]), &Tensor::zeros([0, 4])),
@@ -1494,9 +1072,19 @@ mod tests {
             eng.matmul(&Tensor::zeros([0, 4]), &Tensor::zeros([4, 5])),
             Tensor::zeros([0, 5])
         );
-        assert_eq!(
-            eng.matmul_at(&Tensor::zeros([4, 0]), &Tensor::zeros([4, 3])),
-            Tensor::zeros([0, 3])
-        );
+        let (a0, b0) = (Tensor::zeros([4, 0]), Tensor::zeros([4, 3]));
+        let tn = Gemm::dense(Layout::TN, a0.data(), a0.dims(), b0.data(), b0.dims());
+        eng.gemm(&tn, &mut []);
+        // An empty K range still overwrites (zeroes) the addressed output,
+        // and streams no tiles.
+        let (a, b) = f32_pair(2, 3, 2);
+        let g = Gemm {
+            k_range: 1..1,
+            ..Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims())
+        };
+        let mut out = vec![5.0f32; 4];
+        eng.gemm(&g, &mut out);
+        assert_eq!(out, [0.0; 4]);
+        eng.gemm_k_tiles(&g, 4, |_, _| panic!("no tiles over an empty range"));
     }
 }

@@ -283,35 +283,14 @@ fn rel_l2_error(x: &crate::tensor::Tensor, y: &crate::tensor::Tensor) -> f32 {
     (num.sqrt() / den.sqrt().max(1e-12)) as f32
 }
 
-/// Exact integer matmul: `a` (`[M, K]` i8) × `b` (`[K, N]` i8) → `[M, N]` i32.
-///
-/// Products are formed in `i32` and accumulated in `i32`; for `K ≤ 2^15`
-/// this cannot overflow (|product| ≤ 2^14, so |sum| ≤ 2^29).
-///
-/// # Panics
-///
-/// Panics if operands are not rank-2 or inner dims disagree.
-pub fn int8_matmul(a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
-    crate::exec::ExecEngine::serial().int8_matmul(a, b)
-}
-
-/// K-tiled exact integer matmul: returns the stream of i32 PSUM tiles
-/// `Tp_i` (each `[M, N]`), whose elementwise sum is [`int8_matmul`].
-///
-/// Tile `i` covers input-channel rows `i·k_tile .. (i+1)·k_tile` of `b` —
-/// this models the PE array producing one PSUM tile per `Pci` input-channel
-/// slice (eq 8 of the paper).
-///
-/// # Panics
-///
-/// Panics if operands are not rank-2, inner dims disagree, or `k_tile == 0`.
-pub fn int8_matmul_psum_tiles(a: &Int8Tensor, b: &Int8Tensor, k_tile: usize) -> Vec<Int32Tensor> {
-    crate::exec::ExecEngine::serial().int8_matmul_psum_tiles(a, b, k_tile)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{ExecEngine, Gemm, Layout};
+
+    fn int8_matmul(a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
+        ExecEngine::serial().int8_matmul(a, b)
+    }
 
     #[test]
     fn exact_matmul() {
@@ -329,12 +308,12 @@ mod tests {
         let a = Int8Tensor::from_vec((0..6 * 16).map(|x| (x % 17) as i8 - 8).collect(), [6, 16]);
         let b = Int8Tensor::from_vec((0..16 * 4).map(|x| (x % 11) as i8 - 5).collect(), [16, 4]);
         let exact = int8_matmul(&a, &b);
+        let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
         for k_tile in [1, 3, 4, 8, 16, 32] {
-            let tiles = int8_matmul_psum_tiles(&a, &b, k_tile);
             let mut acc = Int32Tensor::zeros([6, 4]);
-            for t in &tiles {
+            ExecEngine::serial().gemm_k_tiles(&g, k_tile, |_, t| {
                 acc = acc.checked_add(t).unwrap();
-            }
+            });
             assert_eq!(acc, exact, "k_tile={k_tile}");
         }
     }

@@ -1,134 +1,81 @@
-//! Matrix multiplication entry points, including the K-tiled variant that
-//! exposes partial-sum (PSUM) tiles — the integration point for APSQ.
-//!
-//! These free functions are thin serial-engine wrappers over
-//! [`crate::ExecEngine`], kept for ergonomic call sites; pass an engine
-//! explicitly (and pick a thread count) to parallelize the same kernels.
+//! Tensor-shaped matrix multiplication wrappers over the one strided
+//! [`Gemm`] entry point: each checks the operand shapes, allocates the
+//! output, and runs a dense descriptor through [`ExecEngine::gemm`]. Build
+//! a [`Gemm`] directly for strided, batched, ranged or accumulating
+//! products and for the K-tiled partial-sum stream
+//! ([`ExecEngine::gemm_k_tiles`]).
 
-use crate::exec::ExecEngine;
+use crate::exec::elem::GemmElem;
+use crate::exec::{ExecEngine, Gemm, Layout};
+use crate::int_tensor::{Int32Tensor, Int8Tensor};
 use crate::tensor::Tensor;
 
-/// Multiplies `a` (`[M, K]`) by `b` (`[K, N]`) producing `[M, N]`.
-///
-/// Runs the cache-blocked micro-kernel on the calling thread; use
-/// [`ExecEngine::matmul`] for the multi-threaded version (bit-identical
-/// output for any thread count).
-///
-/// # Panics
-///
-/// Panics if either operand is not rank-2 or the inner dimensions disagree.
-///
-/// # Examples
-///
-/// ```
-/// use apsq_tensor::{matmul, Tensor};
-///
-/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
-/// let i = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]);
-/// assert_eq!(matmul(&a, &i), a);
-/// ```
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    ExecEngine::serial().matmul(a, b)
-}
+impl ExecEngine {
+    /// `a` (`[M, K]`) × `b` (`[K, N]`) → `[M, N]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either operand is not rank-2 or the inner dimensions
+    /// disagree.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use apsq_tensor::{ExecEngine, Tensor};
+    ///
+    /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]);
+    /// let i = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]);
+    /// assert_eq!(ExecEngine::serial().matmul(&a, &i), a);
+    /// ```
+    pub fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        self.product(Layout::NN, (a.data(), a.dims()), (b.data(), b.dims()))
+    }
 
-/// [`matmul`] into a caller-owned `[M, N]` buffer (overwritten), avoiding
-/// the output allocation.
-///
-/// # Panics
-///
-/// Panics on rank/shape mismatches, including `out`.
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    ExecEngine::serial().matmul_into(a, b, out);
-}
+    /// `a` (`[M, K]`) × `bᵀ` (`b` stored `[N, K]`) → `[M, N]`, the
+    /// backward-pass `dX = dY · Wᵀ` primitive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either operand is not rank-2 or the K dims disagree.
+    pub fn matmul_bt(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        self.product(Layout::NT, (a.data(), a.dims()), (b.data(), b.dims()))
+    }
 
-/// Multiplies `a` (`[M, K]`) by the transpose of `b` (`[N, K]`), producing
-/// `[M, N]` without materializing the transpose.
-///
-/// This is the common backward-pass primitive (`dX = dY · Wᵀ`).
-///
-/// # Panics
-///
-/// Panics if either operand is not rank-2 or the K dimensions disagree.
-pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    ExecEngine::serial().matmul_bt(a, b)
-}
+    /// Exact integer matmul: `[M, K]` i8 × `[K, N]` i8 → `[M, N]` i32.
+    /// Products and sums are formed in `i32`; for `K ≤ 2^15` this cannot
+    /// overflow (|product| ≤ 2^14, so |sum| ≤ 2^29).
+    ///
+    /// # Panics
+    ///
+    /// Panics if operands are not rank-2 or inner dims disagree.
+    pub fn int8_matmul(&self, a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
+        self.product(Layout::NN, (a.data(), a.dims()), (b.data(), b.dims()))
+    }
 
-/// [`matmul_bt`] into a caller-owned `[M, N]` buffer (overwritten).
-///
-/// # Panics
-///
-/// Panics on rank/shape mismatches, including `out`.
-pub fn matmul_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    ExecEngine::serial().matmul_bt_into(a, b, out);
-}
+    /// Exact integer transposed-B matmul: `a` (`[M, K]` i8) × `bᵀ` (`b`
+    /// stored `[N, K]` i8) → `[M, N]` i32 — the weight layout a
+    /// weight-stationary datapath keeps resident, and the decode-path
+    /// `[B, d] × Wᵀ` primitive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if operands are not rank-2 or the K dims disagree.
+    pub fn int8_matmul_bt(&self, a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
+        self.product(Layout::NT, (a.data(), a.dims()), (b.data(), b.dims()))
+    }
 
-/// Multiplies the transpose of `a` (`[K, M]`) by `b` (`[K, N]`), producing
-/// `[M, N]` without materializing the transpose.
-///
-/// This is the weight-gradient primitive (`dW = Xᵀ · dY`).
-///
-/// # Panics
-///
-/// Panics if either operand is not rank-2 or the K dimensions disagree.
-pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
-    ExecEngine::serial().matmul_at(a, b)
-}
-
-/// [`matmul_at`] into a caller-owned `[M, N]` buffer (overwritten).
-///
-/// # Panics
-///
-/// Panics on rank/shape mismatches, including `out`.
-pub fn matmul_at_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    ExecEngine::serial().matmul_at_into(a, b, out);
-}
-
-/// Batched matmul: `[B, M, K] × [B, K, N] → [B, M, N]`.
-///
-/// # Panics
-///
-/// Panics if operands are not rank-3 or batch/inner dims disagree.
-pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    ExecEngine::serial().batched_matmul(a, b)
-}
-
-/// Splits the reduction axis of `a · b` into `ceil(K / k_tile)` tiles and
-/// returns the sequence of partial-sum matrices `Tp_i` (each `[M, N]`).
-///
-/// The full product is exactly `Σ_i Tp_i` (eq 8 of the paper). This is how
-/// both the QAT path and the hardware simulators obtain realistic PSUM tile
-/// streams: tile `i` covers input-channel columns `i·k_tile .. (i+1)·k_tile`.
-///
-/// Prefer [`ExecEngine::for_each_k_tile`] when the tiles feed a sequential
-/// fold — it reuses one buffer instead of materializing the whole stream.
-///
-/// # Panics
-///
-/// Panics if operands are not rank-2, inner dims disagree, or `k_tile == 0`.
-pub fn matmul_psum_tiles(a: &Tensor, b: &Tensor, k_tile: usize) -> Vec<Tensor> {
-    ExecEngine::serial().matmul_psum_tiles(a, b, k_tile)
-}
-
-/// Computes `a · b` by folding the K-tiled PSUM stream through `fold`.
-///
-/// `fold(step, running, tile)` is called once per PSUM tile with the running
-/// accumulation so far (`running` initially zero). The default fold —
-/// `running += tile` — reproduces plain matmul; a fold that requantizes
-/// `running` after adding implements APSQ in the fake-quant (float) domain.
-///
-/// Tiles are streamed through one reusable buffer (no `Vec<Tensor>` is
-/// materialized).
-///
-/// # Panics
-///
-/// Panics if operands are not rank-2, inner dims disagree, or `k_tile == 0`.
-pub fn matmul_tiled_fold(
-    a: &Tensor,
-    b: &Tensor,
-    k_tile: usize,
-    fold: impl FnMut(usize, &mut Tensor, &Tensor),
-) -> Tensor {
-    ExecEngine::serial().matmul_tiled_fold(a, b, k_tile, fold)
+    /// The dense product of two rank-2 operands into a fresh tensor.
+    fn product<T: GemmElem>(
+        &self,
+        layout: Layout,
+        (a, a_dims): (&[T], &[usize]),
+        (b, b_dims): (&[T], &[usize]),
+    ) -> T::Tile {
+        let g = Gemm::dense(layout, a, a_dims, b, b_dims);
+        let mut out = T::zero_tile(&[g.m, g.n]);
+        self.gemm(&g, T::tile_data(&mut out));
+        out
+    }
 }
 
 #[cfg(test)]
@@ -158,11 +105,15 @@ mod tests {
         )
     }
 
+    fn eng() -> ExecEngine {
+        ExecEngine::serial()
+    }
+
     #[test]
     fn matches_naive() {
         let a = arange(4, 6);
         let b = arange(6, 5);
-        let c = matmul(&a, &b);
+        let c = eng().matmul(&a, &b);
         let r = naive(&a, &b);
         for (x, y) in c.data().iter().zip(r.data()) {
             assert!((x - y).abs() < 1e-4);
@@ -173,9 +124,12 @@ mod tests {
     fn bt_and_at_match() {
         let a = arange(3, 4);
         let b = arange(4, 5);
-        let c = matmul(&a, &b);
-        let c_bt = matmul_bt(&a, &b.transpose());
-        let c_at = matmul_at(&a.transpose(), &b);
+        let c = eng().matmul(&a, &b);
+        let c_bt = eng().matmul_bt(&a, &b.transpose());
+        let at = a.transpose();
+        let mut c_at = Tensor::zeros([3, 5]);
+        let tn = Gemm::dense(Layout::TN, at.data(), at.dims(), b.data(), b.dims());
+        eng().gemm(&tn, c_at.data_mut());
         for (x, y) in c.data().iter().zip(c_bt.data()) {
             assert!((x - y).abs() < 1e-4);
         }
@@ -186,45 +140,49 @@ mod tests {
 
     #[test]
     fn into_variants_match_allocating_ones() {
+        // A strided descriptor writing into the interior of a NaN-filled
+        // buffer overwrites exactly its block and matches the wrapper.
         let a = arange(3, 7);
         let b = arange(7, 4);
-        let mut out = Tensor::full([3, 4], f32::NAN);
-        matmul_into(&a, &b, &mut out);
-        assert_eq!(out, matmul(&a, &b));
-
-        let bt = arange(5, 7); // [N, K] operand for the bt variant
-        let mut out = Tensor::full([3, 5], f32::NAN);
-        matmul_bt_into(&a, &bt, &mut out);
-        assert_eq!(out, matmul_bt(&a, &bt));
-
-        let at = b; // [K, M] operand: at = [7, 4] ⇒ atᵀ·a2 needs a2 [7, N]
-        let a2 = arange(7, 6);
-        let mut out = Tensor::full([4, 6], f32::NAN);
-        matmul_at_into(&at, &a2, &mut out);
-        assert_eq!(out, matmul_at(&at, &a2));
+        let mut buf = [f32::NAN; 3 * 6];
+        let g = Gemm {
+            ldo: 6,
+            ..Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims())
+        };
+        eng().gemm(&g, &mut buf[1..]);
+        let want = eng().matmul(&a, &b);
+        for i in 0..3 {
+            assert_eq!(&buf[i * 6 + 1..i * 6 + 5], &want.data()[i * 4..(i + 1) * 4]);
+            assert!(buf[i * 6].is_nan() && buf[i * 6 + 5].is_nan());
+        }
     }
 
     #[test]
-    #[should_panic(expected = "out must be")]
+    #[should_panic(expected = "out` must be at least")]
     fn into_shape_mismatch_rejected() {
         let a = arange(2, 3);
         let b = arange(3, 2);
-        let mut out = Tensor::zeros([2, 3]);
-        matmul_into(&a, &b, &mut out);
+        let mut out = vec![0.0f32; 3];
+        eng().gemm(
+            &Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims()),
+            &mut out,
+        );
     }
 
     #[test]
     fn psum_tiles_sum_to_product() {
         let a = arange(3, 10);
         let b = arange(10, 4);
-        let full = matmul(&a, &b);
+        let full = eng().matmul(&a, &b);
+        let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
         for k_tile in [1, 2, 3, 4, 10, 16] {
-            let tiles = matmul_psum_tiles(&a, &b, k_tile);
-            assert_eq!(tiles.len(), 10usize.div_ceil(k_tile));
+            let mut steps = 0;
             let mut acc = Tensor::zeros([3, 4]);
-            for t in &tiles {
+            eng().gemm_k_tiles(&g, k_tile, |_, t| {
                 acc = &acc + t;
-            }
+                steps += 1;
+            });
+            assert_eq!(steps, 10usize.div_ceil(k_tile));
             for (x, y) in acc.data().iter().zip(full.data()) {
                 assert!((x - y).abs() < 1e-3, "k_tile={k_tile}: {x} vs {y}");
             }
@@ -233,32 +191,41 @@ mod tests {
 
     #[test]
     fn tiled_fold_default_is_matmul() {
+        // Streaming a sub-range of K in tiles sums to the ranged product.
         let a = arange(2, 8);
         let b = arange(8, 3);
-        let folded = matmul_tiled_fold(&a, &b, 3, |_, run, tile| {
-            *run = &*run + tile;
-        });
-        let full = matmul(&a, &b);
-        for (x, y) in folded.data().iter().zip(full.data()) {
+        let g = Gemm {
+            k_range: 2..7,
+            ..Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims())
+        };
+        let mut folded = Tensor::zeros([2, 3]);
+        eng().gemm_k_tiles(&g, 3, |_, tile| folded = &folded + tile);
+        let mut ranged = vec![0.0f32; 6];
+        eng().gemm(&g, &mut ranged);
+        for (x, y) in folded.data().iter().zip(&ranged) {
             assert!((x - y).abs() < 1e-3);
         }
     }
 
     #[test]
     fn batched() {
-        let a = Tensor::from_vec((0..2 * 2 * 3).map(|x| x as f32).collect(), [2, 2, 3]);
-        let b = Tensor::from_vec((0..2 * 3 * 2).map(|x| x as f32 * 0.5).collect(), [2, 3, 2]);
-        let c = batched_matmul(&a, &b);
-        assert_eq!(c.dims(), &[2, 2, 2]);
+        let a: Vec<f32> = (0..2 * 2 * 3).map(|x| x as f32).collect();
+        let b: Vec<f32> = (0..2 * 3 * 2).map(|x| x as f32 * 0.5).collect();
+        let mut c = vec![0.0f32; 2 * 2 * 2];
+        let g = Gemm {
+            batch: 2,
+            ..Gemm::new(Layout::NN, &a[..], &b[..], 2, 2, 3)
+        };
+        eng().gemm(&g, &mut c);
         // Check one element by hand: batch 1, row 0, col 0.
         // a[1,0,:] = [6,7,8]; b[1,:,0] = [3,4,5] (×0.5 applied already in data)
         let expect = 6.0 * 3.0 + 7.0 * 4.0 + 8.0 * 5.0;
-        assert!((c.at(&[1, 0, 0]) - expect).abs() < 1e-4);
+        assert!((c[4] - expect).abs() < 1e-4);
     }
 
     #[test]
     #[should_panic(expected = "inner dimensions")]
     fn dim_mismatch() {
-        matmul(&Tensor::zeros([2, 3]), &Tensor::zeros([4, 2]));
+        eng().matmul(&Tensor::zeros([2, 3]), &Tensor::zeros([4, 2]));
     }
 }

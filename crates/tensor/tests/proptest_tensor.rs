@@ -1,9 +1,6 @@
 //! Property-based tests for the tensor substrate.
 
-use apsq_tensor::{
-    int8_matmul, int8_matmul_psum_tiles, matmul, matmul_at, matmul_bt, matmul_psum_tiles,
-    softmax_rows, ExecEngine, Int32Tensor, Int8Tensor, Tensor,
-};
+use apsq_tensor::{softmax_rows, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout, Tensor};
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 
@@ -28,6 +25,18 @@ fn seeded_i8(m: usize, n: usize, seed: u32) -> Int8Tensor {
             .collect(),
         [m, n],
     )
+}
+
+fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    ExecEngine::serial().matmul(a, b)
+}
+
+fn int8_matmul(a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
+    ExecEngine::serial().int8_matmul(a, b)
+}
+
+fn nn<'a, T>(a: &'a [T], a_dims: &[usize], b: &'a [T], b_dims: &[usize]) -> Gemm<'a, T> {
+    Gemm::dense(Layout::NN, a, a_dims, b, b_dims)
 }
 
 fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -72,12 +81,13 @@ proptest! {
     ) {
         let a = Tensor::from_vec(vals[..m * k].to_vec(), [m, k]);
         let b = Tensor::from_vec(vals[vals.len() - k * n..].to_vec(), [k, n]);
-        let tiles = matmul_psum_tiles(&a, &b, k_tile);
-        prop_assert_eq!(tiles.len(), k.div_ceil(k_tile));
+        let mut steps = 0;
         let mut acc = Tensor::zeros([m, n]);
-        for t in &tiles {
+        ExecEngine::serial().gemm_k_tiles(&nn(a.data(), a.dims(), b.data(), b.dims()), k_tile, |_, t| {
             acc = &acc + t;
-        }
+            steps += 1;
+        });
+        prop_assert_eq!(steps, k.div_ceil(k_tile));
         let full = matmul(&a, &b);
         for (x, y) in acc.data().iter().zip(full.data()) {
             prop_assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()));
@@ -92,8 +102,11 @@ proptest! {
         let a = Tensor::from_vec(vals[..m * k].to_vec(), [m, k]);
         let b = Tensor::from_vec(vals[vals.len() - k * n..].to_vec(), [k, n]);
         let c = matmul(&a, &b);
-        let c_bt = matmul_bt(&a, &b.transpose());
-        let c_at = matmul_at(&a.transpose(), &b);
+        let c_bt = ExecEngine::serial().matmul_bt(&a, &b.transpose());
+        let at = a.transpose();
+        let mut c_at = Tensor::zeros([m, n]);
+        let tn = Gemm::dense(Layout::TN, at.data(), at.dims(), b.data(), b.dims());
+        ExecEngine::serial().gemm(&tn, c_at.data_mut());
         for (x, y) in c.data().iter().zip(c_bt.data()) {
             prop_assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()));
         }
@@ -177,7 +190,7 @@ proptest! {
         let mut steps = 0usize;
         ExecEngine::with_threads(threads)
             .with_spawn_threshold(0)
-            .int8_for_each_k_tile(&a, &b, k_tile, |step, tile| {
+            .gemm_k_tiles(&nn(a.data(), a.dims(), b.data(), b.dims()), k_tile, |step, tile| {
             prop_assert_eq!(step, steps);
             acc = acc.checked_add(tile).expect("no overflow at these depths");
             steps += 1;
@@ -208,16 +221,20 @@ proptest! {
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
         let want = int8_matmul(&a, &b);
         prop_assert_eq!(&eng.int8_matmul_bt(&a, &bt), &want);
-        let tiles = int8_matmul_psum_tiles(&a, &b, k_tile);
+        let mut tiles = Vec::new();
+        eng.gemm_k_tiles(&nn(a.data(), a.dims(), b.data(), b.dims()), k_tile, |_, t| {
+            tiles.push(t.clone())
+        });
         let mut steps = 0usize;
-        eng.int8_bt_for_each_k_tile(&a, &bt, k_tile, |step, tile| {
+        let g = Gemm::dense(Layout::NT, a.data(), a.dims(), bt.data(), bt.dims());
+        eng.gemm_k_tiles(&g, k_tile, |step, tile| {
             prop_assert_eq!(tile, &tiles[step]);
             steps += 1;
         });
         prop_assert_eq!(steps, k.div_ceil(k_tile));
-        // Accumulating entry point doubles the exact result.
+        // Accumulate mode doubles the exact result.
         let mut acc = want.clone();
-        eng.int8_matmul_acc(&a, &b, &mut acc);
+        eng.gemm(&Gemm { accumulate: true, ..nn(a.data(), a.dims(), b.data(), b.dims()) }, acc.data_mut());
         for (x, y) in acc.data().iter().zip(want.data()) {
             prop_assert_eq!(*x, 2 * y);
         }
@@ -259,11 +276,10 @@ proptest! {
         let a = int8_strategy(m, k).new_tree(&mut runner).unwrap().current();
         let b = int8_strategy(k, n).new_tree(&mut runner).unwrap().current();
         let exact = int8_matmul(&a, &b);
-        let tiles = int8_matmul_psum_tiles(&a, &b, k_tile);
         let mut acc = Int32Tensor::zeros([m, n]);
-        for t in &tiles {
+        ExecEngine::serial().gemm_k_tiles(&nn(a.data(), a.dims(), b.data(), b.dims()), k_tile, |_, t| {
             acc = acc.checked_add(t).expect("no overflow at these depths");
-        }
+        });
         prop_assert_eq!(acc, exact);
     }
 }

@@ -71,6 +71,14 @@ fn main() {
         (0..n * n).map(|x| ((x % 89) as f32) * 0.01).collect(),
         [n, n],
     );
+    // One dense descriptor, run into a caller-owned output buffer.
+    let gemm = apsq::tensor::Gemm::dense(
+        apsq::tensor::Layout::NN,
+        a.data(),
+        a.dims(),
+        b.data(),
+        b.dims(),
+    );
     let time = |eng: &apsq::tensor::ExecEngine| {
         let mut best = f64::MAX;
         let mut out = apsq::tensor::Tensor::zeros([n, n]);
@@ -78,7 +86,7 @@ fn main() {
             // Demo timing printout — wall-clock by design.
             #[allow(clippy::disallowed_methods)]
             let t = std::time::Instant::now();
-            eng.matmul_into(&a, &b, &mut out);
+            eng.gemm(&gemm, out.data_mut());
             best = best.min(t.elapsed().as_secs_f64());
         }
         (out, best)

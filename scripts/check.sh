@@ -24,6 +24,9 @@ cargo build --release --workspace
 echo "==> cargo build --examples"
 cargo build --examples
 
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml  (benchmark package, outside the workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

@@ -7,7 +7,19 @@ use apsq::core::{exact_accumulate, grouped_apsq, ApsqConfig, GroupSize, ScaleSch
 use apsq::dataflow::{AcceleratorConfig, Dataflow};
 use apsq::quant::Bitwidth;
 use apsq::rae::{RaeConfig, RaeEngine};
-use apsq::tensor::{int8_matmul, int8_matmul_psum_tiles, Int8Tensor};
+use apsq::tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
+
+fn int8_matmul(a: &Int8Tensor, w: &Int8Tensor) -> Int32Tensor {
+    ExecEngine::serial().int8_matmul(a, w)
+}
+
+/// The K-tiled PSUM stream of `a · w`, one tile per `k_tile` input channels.
+fn int8_matmul_psum_tiles(a: &Int8Tensor, w: &Int8Tensor, k_tile: usize) -> Vec<Int32Tensor> {
+    let g = Gemm::dense(Layout::NN, a.data(), a.dims(), w.data(), w.dims());
+    let mut tiles = Vec::new();
+    ExecEngine::serial().gemm_k_tiles(&g, k_tile, |_, t| tiles.push(t.clone()));
+    tiles
+}
 
 fn tensors(t: usize, ci: usize, co: usize, seed: i32) -> (Int8Tensor, Int8Tensor) {
     let a = Int8Tensor::from_vec(
@@ -109,7 +121,7 @@ fn simulator_apsq_error_matches_golden_scale_bound() {
 fn convolution_through_the_accelerator_is_bit_exact() {
     // Lower a 3×3/stride-2 conv with im2col and execute it as a GEMM on
     // the WS simulator: output must equal the direct convolution.
-    use apsq::tensor::{conv2d_i8_reference, im2col_i8};
+    use apsq::tensor::conv2d_i8_reference;
     let input = Int8Tensor::from_vec(
         (0..3 * 11 * 11)
             .map(|x| ((x * 41 + 9) % 253) as i8)
@@ -124,7 +136,9 @@ fn convolution_through_the_accelerator_is_bit_exact() {
     );
     let direct = conv2d_i8_reference(&input, &weight4, 2);
 
-    let lowered = im2col_i8(&input, 3, 2); // [25, 27]
+    // i8 codes are exact in f32, so lowering at scale 1 round-trips them.
+    let lowered = ExecEngine::serial().im2col(&input.dequantize(1.0), 3, 2);
+    let lowered = Int8Tensor::quantize(&lowered, 1.0); // [25, 27]
 
     // Weights as [C·K·K, Co].
     let mut wmat = vec![0i8; 27 * 8];
