@@ -82,12 +82,14 @@ impl LintConfig {
                     && !Self::is_harness_path(rel)
             }
             // Wall-clock reads are banned in the virtual-time scheduling
-            // path: scheduler, batcher, session manager, block pool.
-            // (The closed-loop loadgen and open-loop trafficgen pace
-            // real time by design and are out of scope.)
+            // path: the scheduler state machine and its thread driver,
+            // batcher, session manager, block pool. (The closed-loop
+            // loadgen and open-loop trafficgen pace real time by design
+            // and are out of scope.)
             "wall-clock-in-scheduling" => matches!(
                 rel,
-                "crates/serve/src/server.rs"
+                "crates/serve/src/scheduler.rs"
+                    | "crates/serve/src/server.rs"
                     | "crates/serve/src/batcher.rs"
                     | "crates/serve/src/session.rs"
                     | "crates/nn/src/paged.rs"

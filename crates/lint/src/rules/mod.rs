@@ -55,8 +55,8 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "wall-clock-in-scheduling",
-        desc: "Instant::now/SystemTime forbidden in virtual-time scheduling paths (metrics \
-               sampling allowlisted per site)",
+        desc: "Instant::now/.elapsed()/SystemTime forbidden in virtual-time scheduling paths \
+               (metrics sampling allowlisted per site)",
         skips_tests: true,
         check: wall_clock::check,
     },

@@ -1,7 +1,7 @@
 //! Rule `wall-clock-in-scheduling`: the virtual-time scheduling path
-//! must be a pure function of the seed — a stray `Instant::now()` or
-//! any `SystemTime` read makes a scheduling decision depend on real
-//! time. Scheduling code takes `now` as a parameter; the allowlisted
+//! must be a pure function of the seed — a stray `Instant::now()`, an
+//! `.elapsed()` (which reads the clock too), or any `SystemTime` read
+//! makes a scheduling decision depend on real time. Scheduling code takes `now` as a parameter; the allowlisted
 //! exceptions are metrics sampling and wall-clock-mode-only branches,
 //! each with a per-site reason.
 
@@ -27,6 +27,14 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
             && ctx.ct(i + 2).is_ident("now")
         {
             out.push(diag(ctx, t.line, "`Instant::now()` in a scheduling path — take `now` as a parameter (virtual time) or allow the site as metrics/wall-clock-mode-only"));
+        }
+        if t.text == "elapsed"
+            && i > 0
+            && ctx.ct(i - 1).is_punct(".")
+            && i + 1 < ctx.code_len()
+            && ctx.ct(i + 1).is_punct("(")
+        {
+            out.push(diag(ctx, t.line, "`.elapsed()` reads the wall clock in a scheduling path — subtract from a `now` parameter instead, or allow the site as metrics-only"));
         }
         if t.text == "SystemTime" {
             out.push(diag(

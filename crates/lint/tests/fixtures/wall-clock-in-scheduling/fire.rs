@@ -10,3 +10,7 @@ pub fn dispatch() -> Instant {
 pub fn stamp() -> SystemTime { //~ wall-clock-in-scheduling
     SystemTime::now() //~ wall-clock-in-scheduling
 }
+
+pub fn waited(since: Instant) -> u128 {
+    since.elapsed().as_micros() //~ wall-clock-in-scheduling
+}

@@ -756,6 +756,7 @@ impl std::ops::DerefMut for PoolGuard<'_> {
 
 impl Drop for PoolGuard<'_> {
     fn drop(&mut self) {
+        // lint: allow(wall-clock-in-scheduling) -- contention metrics: hold-time sampling only, the measured duration never reaches a scheduling decision
         let held = self.acquired.elapsed().as_nanos() as u64;
         self.pool
             .lock_hold_max_ns
@@ -797,6 +798,7 @@ impl BlockPool {
         // lint: allow(wall-clock-in-scheduling) -- contention metrics: wait-time sampling only, the measured duration never reaches a scheduling decision
         let t0 = Instant::now();
         let guard = self.inner.lock().expect("block pool poisoned");
+        // lint: allow(wall-clock-in-scheduling) -- contention metrics: wait-time sampling only, the measured duration never reaches a scheduling decision
         let waited = t0.elapsed().as_nanos() as u64;
         self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
         self.lock_wait_ns.fetch_add(waited, Ordering::Relaxed);

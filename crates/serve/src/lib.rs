@@ -21,8 +21,12 @@
 //!                                (block tables ──▶ shared BlockAllocator)
 //! ```
 //!
-//! Std-only: threads are [`std::thread`], channels are [`std::sync::mpsc`],
-//! and the only RNG is the workspace's vendored deterministic `rand`.
+//! The scheduler is a state machine with no threads, channels, or clock:
+//! its thread only waits for events or the machine's next wake, reads
+//! the clock once per wake, and forwards dispatches, responses, and
+//! tick acks. Std-only: threads are [`std::thread`], channels are
+//! [`std::sync::mpsc`], and the only RNG is the workspace's vendored
+//! deterministic `rand`.
 //!
 //! # Determinism
 //!
@@ -119,6 +123,7 @@ mod error;
 mod loadgen;
 mod metrics;
 mod request;
+mod scheduler;
 mod server;
 mod session;
 mod trafficgen;
@@ -132,7 +137,8 @@ pub use metrics::{
     LatencyStats, Metrics, MetricsSnapshot, PoolReport, PriorityClassStats, ShedCause,
 };
 pub use request::{Payload, PrefillModel, Priority, Request, RequestId, Response, SessionId, Slo};
-pub use server::{Server, ServerHandle, TickDone};
+pub use scheduler::TickDone;
+pub use server::{Server, ServerHandle};
 pub use session::{SessionKv, SessionManager};
 pub use trafficgen::{
     Arrival, ArrivalProcess, ClassCounts, ClassKind, OpenLoopGenerator, OverloadReport,

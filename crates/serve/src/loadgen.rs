@@ -12,7 +12,7 @@
 //! across server shapes.
 
 use crate::config::ServeConfig;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{ratio, MetricsSnapshot};
 use crate::request::{fnv1a, Payload, PrefillModel, Request, Response, FNV_OFFSET};
 use crate::server::Server;
 use rand::rngs::StdRng;
@@ -279,16 +279,8 @@ impl LoadGenerator {
             client_shed,
             fingerprint,
             elapsed_s,
-            tokens_per_s: if elapsed_s > 0.0 {
-                tokens as f64 / elapsed_s
-            } else {
-                0.0
-            },
-            requests_per_s: if elapsed_s > 0.0 {
-                (ok + errors) as f64 / elapsed_s
-            } else {
-                0.0
-            },
+            tokens_per_s: ratio(tokens as f64, elapsed_s),
+            requests_per_s: ratio((ok + errors) as f64, elapsed_s),
             snapshot,
         }
     }

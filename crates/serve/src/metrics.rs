@@ -7,6 +7,7 @@
 //! the server handle. A [`MetricsSnapshot`] is computed once at shutdown.
 
 use crate::batcher::Lane;
+use crate::error::ServeError;
 use crate::request::Priority;
 use apsq_nn::PoolContention;
 
@@ -49,6 +50,21 @@ pub enum ShedCause {
     /// Shed by a rung of the graceful-degradation ladder
     /// ([`crate::ServeError::Degraded`]).
     Degraded,
+}
+
+impl ShedCause {
+    /// The shed counter a scheduler-side error lands in (`None` for
+    /// errors that are not sheds, such as `ShuttingDown`).
+    pub(crate) fn of(err: &ServeError) -> Option<ShedCause> {
+        Some(match err {
+            ServeError::SessionCapacity { .. } => ShedCause::SessionCapacity,
+            ServeError::ContextOverflow { .. } => ShedCause::ContextOverflow,
+            ServeError::SessionEvicted { .. } => ShedCause::SessionEvicted,
+            ServeError::DeadlineExceeded { .. } => ShedCause::DeadlineExceeded,
+            ServeError::Degraded { .. } => ShedCause::Degraded,
+            _ => return None,
+        })
+    }
 }
 
 /// Percentile summary of a latency population.
@@ -302,11 +318,8 @@ impl Metrics {
             }
             hist
         };
-        let occ_mean = if self.batch_sizes.is_empty() {
-            0.0
-        } else {
-            self.batch_sizes.iter().sum::<usize>() as f64 / self.batch_sizes.len() as f64
-        };
+        let occupancy_sum = self.batch_sizes.iter().sum::<usize>() as f64;
+        let occ_mean = ratio(occupancy_sum, self.batch_sizes.len() as f64);
         let priority = {
             let mut per = <[PriorityClassStats; 3]>::default();
             for (rank, stats) in per.iter_mut().enumerate() {
@@ -344,21 +357,16 @@ impl Metrics {
             // ones; keeping the max also covers direct-sample-only tests.
             blocks_peak: self.blocks_peak.max(pool.blocks_peak),
             blocks_shared_peak: self.blocks_shared_peak.max(pool.blocks_shared_peak),
-            block_utilization_mean: if self.util_samples == 0 {
-                0.0
-            } else {
-                self.util_sum / self.util_samples as f64
-            },
+            block_utilization_mean: ratio(self.util_sum, self.util_samples as f64),
             shared_prefix_hits,
             alloc_lock_acquisitions: pool.contention.lock_acquisitions,
             alloc_lock_wait_us: pool.contention.lock_wait_ns / 1_000,
             alloc_lock_hold_max_us: pool.contention.lock_hold_max_ns / 1_000,
             gathered_bytes: pool.contention.gathered_bytes,
-            gathered_bytes_per_batch_mean: if self.gathered_batches == 0 {
-                0.0
-            } else {
-                self.gathered_bytes_sum as f64 / self.gathered_batches as f64
-            },
+            gathered_bytes_per_batch_mean: ratio(
+                self.gathered_bytes_sum as f64,
+                self.gathered_batches as f64,
+            ),
             gathered_bytes_per_batch_max: self.gathered_bytes_max,
             decode_tokens: self.decode_tokens,
             elapsed_s,
@@ -369,23 +377,20 @@ impl Metrics {
             batch_occupancy_mean: occ_mean,
             batch_occupancy_max: self.batch_sizes.iter().copied().max().unwrap_or(0),
             batch_occupancy_hist: occupancy_hist,
-            queue_depth_mean: if self.queue_samples == 0 {
-                0.0
-            } else {
-                self.queue_depth_sum as f64 / self.queue_samples as f64
-            },
+            queue_depth_mean: ratio(self.queue_depth_sum as f64, self.queue_samples as f64),
             queue_depth_max: self.queue_depth_max,
-            tokens_per_s: if elapsed_s > 0.0 {
-                self.decode_tokens as f64 / elapsed_s
-            } else {
-                0.0
-            },
-            requests_per_s: if elapsed_s > 0.0 {
-                self.completed as f64 / elapsed_s
-            } else {
-                0.0
-            },
+            tokens_per_s: ratio(self.decode_tokens as f64, elapsed_s),
+            requests_per_s: ratio(self.completed as f64, elapsed_s),
         }
+    }
+}
+
+/// `num / den`, or 0 over an empty (zero) denominator.
+pub(crate) fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
     }
 }
 

@@ -1,27 +1,24 @@
-//! The server runtime: admission handle, scheduler thread, and the
+//! The server runtime: admission handle, the scheduler thread, and the
 //! `ExecEngine`-backed worker pool over one shared paged KV pool.
 //!
-//! One scheduler thread owns the [`Batcher`], the
-//! [`SessionManager`](crate::SessionManager), and the [`Metrics`]
-//! accumulator; `workers` executor threads pull coalesced batches from a
-//! shared work channel and run them on their own engines. All KV storage
-//! lives in a single [`BlockPool`]: the scheduler takes its short
-//! mutation lock to reserve blocks, evict, and hash-cons shared
-//! prefixes; a worker takes it only for the per-layer appends of a
-//! decode step — the gathers feeding each GEMM pin `Arc`-backed block
-//! payloads and read them with **no lock held**, so decode batches on
-//! different workers overlap their matmuls. All communication is
-//! `std::sync::mpsc` — submissions and batch completions multiplex onto
-//! a single event channel so the scheduler can block on one receiver
-//! with a batching deadline (or none, under continuous batching).
+//! The scheduler thread drives the clock-free [`Scheduler`] from one
+//! `std::sync::mpsc` event channel (submits, ticks, batch completions);
+//! `workers` executor threads pull coalesced batches from a shared work
+//! channel and run them on their own engines. All KV storage lives in a
+//! single [`BlockPool`]: the scheduler takes its short mutation lock to
+//! reserve blocks, evict, and hash-cons shared prefixes; a worker takes
+//! it only for the per-layer appends of a decode step — the gathers
+//! feeding each GEMM read pinned block payloads with **no lock held**,
+//! so decode batches on different workers overlap their matmuls.
 
-use crate::batcher::{Batcher, Lane, Pending};
+use crate::batcher::{Lane, Pending};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use crate::metrics::{Metrics, MetricsSnapshot, ShedCause};
+use crate::metrics::MetricsSnapshot;
 use crate::request::{
-    fnv1a, Payload, Priority, Request, RequestKind, Response, SessionId, FNV_OFFSET,
+    fnv1a, Payload, PrefillModel, Request, RequestKind, Response, SessionId, FNV_OFFSET,
 };
+use crate::scheduler::{BatchDone, Input, Output, Scheduler, Shared, TickDone, WorkItem};
 use crate::session::SessionKv;
 use apsq_dataflow::Workload;
 use apsq_models::{
@@ -29,76 +26,33 @@ use apsq_models::{
 };
 use apsq_nn::{BlockAllocator, BlockPool, DecoderLm, Int8DecoderLm, PagedKvState};
 use apsq_tensor::ExecEngine;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Everything flowing into the scheduler.
+/// Everything flowing into the scheduler thread.
 enum Event {
-    Submit(Pending),
-    Done(BatchDone),
-    /// Advance the virtual clock to `now` and run one lockstep scheduling
-    /// round; `ack` fires once every batch dispatched this tick completed.
-    Tick {
-        now: u64,
-        ack: Sender<TickDone>,
-    },
-    Shutdown,
+    Input(Input),
+    /// A virtual-time tick and the channel its [`TickDone`] goes to.
+    Tick(u64, Sender<TickDone>),
 }
 
-/// What one virtual-time tick accomplished, returned by
-/// [`ServerHandle::tick`] after the system quiesced again.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TickDone {
-    /// The virtual clock value this tick ran at.
-    pub now: u64,
-    /// Decode steps dispatched (and completed) this tick.
-    pub dispatched_decode: usize,
-    /// Prefill requests dispatched (and completed) this tick.
-    pub dispatched_prefill: usize,
-    /// Requests shed during this tick's scheduling round (deadline,
-    /// degradation, overflow, and capacity sheds combined).
-    pub shed: usize,
-    /// Degradation-ladder level in force this tick (0 = normal).
-    pub level: u8,
-}
-
-/// One request's outcome inside a completed batch.
-struct DoneItem {
-    req: Request,
-    submitted: Instant,
-    result: Result<Payload, ServeError>,
-}
-
-/// A completed batch returning from a worker.
-struct BatchDone {
-    lane: Lane,
-    occupancy: usize,
-    items: Vec<DoneItem>,
-    /// KV states to check back in (decode batches only).
-    states: Vec<(SessionId, SessionKv)>,
-}
-
-/// A coalesced batch dispatched to the worker pool. A decode batch's KV
-/// block demand is already promised in the pool's reservation ledger;
-/// its appends consume the promises as they allocate.
-enum WorkItem {
-    Decode {
-        items: Vec<Pending>,
-        states: Vec<(SessionId, SessionKv)>,
-    },
-    Prefill {
-        items: Vec<Pending>,
-    },
+/// The server's one wall clock: client submit stamps and the driver's
+/// once-per-wake `now` (the scheduler sees time only as a parameter).
+#[allow(clippy::disallowed_methods)]
+pub(crate) fn clock() -> Instant {
+    // lint: allow(wall-clock-in-scheduling) -- the server's one clock source: latency stamps and the driver's per-wake `now`; virtual-time scheduling runs on ticks, never on this
+    Instant::now()
 }
 
 /// The decode model a server executes: the fake-quant f32 reference or
 /// its PTQ-converted integer twin. Both expose the same batched decode
 /// entry point with the same row-independence guarantee, so the batcher,
 /// sessions, and workers are precision-agnostic.
-enum DecodeModel {
+pub(crate) enum DecodeModel {
     F32(Box<DecoderLm>),
     Int8(Box<Int8DecoderLm>),
 }
@@ -107,7 +61,7 @@ impl DecodeModel {
     /// Builds the configured precision's model from the spec (the f32
     /// model is always built first — the integer model is its PTQ
     /// conversion, calibrated on the same priming sequence the spec uses).
-    fn build(cfg: &ServeConfig) -> DecodeModel {
+    pub(crate) fn build(cfg: &ServeConfig) -> DecodeModel {
         let f32_model = cfg.model.build();
         match cfg.precision {
             Precision::F32 => DecodeModel::F32(Box::new(f32_model)),
@@ -121,13 +75,6 @@ impl DecodeModel {
                     &ExecEngine::serial(),
                 )))
             }
-        }
-    }
-
-    fn max_len(&self) -> usize {
-        match self {
-            DecodeModel::F32(m) => m.max_len(),
-            DecodeModel::Int8(m) => m.max_len(),
         }
     }
 
@@ -154,14 +101,14 @@ impl DecodeModel {
 }
 
 /// The prefill inventories servable by this instance, built once.
-struct PrefillLib {
+pub(crate) struct PrefillLib {
     bert: Workload,
     segformer: Workload,
     llama: Workload,
 }
 
 impl PrefillLib {
-    fn build() -> Self {
+    pub(crate) fn build() -> Self {
         PrefillLib {
             bert: bert_base_128(),
             segformer: segformer_b0_512(),
@@ -169,23 +116,30 @@ impl PrefillLib {
         }
     }
 
-    fn get(&self, model: crate::request::PrefillModel) -> &Workload {
+    fn get(&self, model: PrefillModel) -> &Workload {
         match model {
-            crate::request::PrefillModel::BertBase128 => &self.bert,
-            crate::request::PrefillModel::SegformerB0 => &self.segformer,
-            crate::request::PrefillModel::LlamaPrefill128 => &self.llama,
+            PrefillModel::BertBase128 => &self.bert,
+            PrefillModel::SegformerB0 => &self.segformer,
+            PrefillModel::LlamaPrefill128 => &self.llama,
         }
     }
 }
 
-/// State shared between client handles and the scheduler.
-struct Shared {
-    /// Requests admitted but not yet dispatched or error-responded.
-    depth: AtomicUsize,
-    /// Submits shed with [`ServeError::QueueFull`].
-    shed_queue: AtomicU64,
-    /// Cleared when draining begins.
-    accepting: AtomicBool,
+/// One paged KV pool for every session and layer, at the decode
+/// precision: the byte budget is carved into `kv_block_tokens`-sized
+/// blocks handed out on demand.
+pub(crate) fn kv_pool(cfg: &ServeConfig) -> BlockPool {
+    BlockPool::new(match cfg.precision {
+        Precision::F32 => {
+            BlockAllocator::f32(cfg.kv_budget_bytes, cfg.kv_block_tokens, cfg.model.d_model)
+        }
+        Precision::Int8Apsq => BlockAllocator::int8(
+            cfg.kv_budget_bytes,
+            cfg.kv_block_tokens,
+            cfg.model.d_model,
+            cfg.model.heads,
+        ),
+    })
 }
 
 /// Cloneable submission handle.
@@ -240,7 +194,7 @@ impl ServerHandle {
                 });
             }
         }
-        if !self.shared.accepting.load(Ordering::Acquire) {
+        if self.shared.closed.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
         // Priority-aware admission: lower classes see a smaller queue, so
@@ -267,14 +221,14 @@ impl ServerHandle {
         }
         let pending = Pending {
             req,
-            // lint: allow(wall-clock-in-scheduling) -- client-side submit stamp for latency accounting; virtual-time deadlines use ticks, never this
-            #[allow(clippy::disallowed_methods)]
-            submitted: Instant::now(),
+            submitted: clock(),
         };
-        self.tx.send(Event::Submit(pending)).map_err(|_| {
-            self.shared.depth.fetch_sub(1, Ordering::Relaxed);
-            ServeError::ShuttingDown
-        })
+        self.tx
+            .send(Event::Input(Input::Submit(pending)))
+            .map_err(|_| {
+                self.shared.depth.fetch_sub(1, Ordering::Relaxed);
+                ServeError::ShuttingDown
+            })
     }
 
     /// Advances the virtual clock to `now` and runs one lockstep
@@ -286,8 +240,9 @@ impl ServerHandle {
     /// in flight, every shed and dispatch decision is a pure function of
     /// the submitted traffic — independent of worker count, batch policy,
     /// and thread timing. Only meaningful on a server configured with
-    /// [`crate::SloPolicy::virtual_time`]; a wall-clock server processes
-    /// the tick (deadline sheds still run) but dispatches nothing from it.
+    /// [`crate::SloPolicy::virtual_time`]; a wall-clock server runs only
+    /// the tick's deadline sheds, dispatches nothing from it, and
+    /// returns at once.
     ///
     /// # Errors
     ///
@@ -295,7 +250,7 @@ impl ServerHandle {
     pub fn tick(&self, now: u64) -> Result<TickDone, ServeError> {
         let (ack_tx, ack_rx) = mpsc::channel();
         self.tx
-            .send(Event::Tick { now, ack: ack_tx })
+            .send(Event::Tick(now, ack_tx))
             .map_err(|_| ServeError::ShuttingDown)?;
         ack_rx.recv().map_err(|_| ServeError::ShuttingDown)
     }
@@ -315,29 +270,12 @@ impl Server {
         cfg.validate();
         let model = Arc::new(DecodeModel::build(cfg));
         let lib = Arc::new(PrefillLib::build());
-        // One paged KV pool for every session and layer, at the decode
-        // precision: the byte budget is carved into kv_block_tokens-sized
-        // blocks handed out on demand.
-        let alloc = Arc::new(BlockPool::new(match cfg.precision {
-            Precision::F32 => {
-                BlockAllocator::f32(cfg.kv_budget_bytes, cfg.kv_block_tokens, cfg.model.d_model)
-            }
-            Precision::Int8Apsq => BlockAllocator::int8(
-                cfg.kv_budget_bytes,
-                cfg.kv_block_tokens,
-                cfg.model.d_model,
-                cfg.model.heads,
-            ),
-        }));
+        let alloc = Arc::new(kv_pool(cfg));
         let (evt_tx, evt_rx) = mpsc::channel::<Event>();
         let (resp_tx, resp_rx) = mpsc::channel::<Response>();
         let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
         let work_rx = Arc::new(Mutex::new(work_rx));
-        let shared = Arc::new(Shared {
-            depth: AtomicUsize::new(0),
-            shed_queue: AtomicU64::new(0),
-            accepting: AtomicBool::new(true),
-        });
+        let shared = Arc::new(Shared::default());
 
         let workers: Vec<JoinHandle<()>> = (0..cfg.workers)
             .map(|_| {
@@ -358,22 +296,15 @@ impl Server {
             .collect();
 
         let scheduler = {
-            let cfg = cfg.clone();
+            let sched = Scheduler::new(cfg, alloc, Arc::clone(&shared));
             let shared = Arc::clone(&shared);
-            let max_len = model.max_len();
-            std::thread::spawn(move || {
-                scheduler_loop(&cfg, max_len, alloc, shared, evt_rx, work_tx, resp_tx)
-            })
+            std::thread::spawn(move || drive(sched, &shared, &evt_rx, &work_tx, &resp_tx))
         };
 
         let handle = ServerHandle {
             tx: evt_tx,
             shared,
-            admit_depth: [
-                cfg.slo.admit_depth[0].min(cfg.queue_capacity),
-                cfg.slo.admit_depth[1].min(cfg.queue_capacity),
-                cfg.slo.admit_depth[2].min(cfg.queue_capacity),
-            ],
+            admit_depth: cfg.slo.admit_depth.map(|d| d.min(cfg.queue_capacity)),
             vocab: cfg.model.vocab,
         };
         (
@@ -398,30 +329,106 @@ impl Server {
     ///
     /// Panics if the scheduler or a worker panicked.
     pub fn shutdown(mut self) -> MetricsSnapshot {
-        self.stop().expect("shutdown called once")
+        let joined = self.stop().expect("shutdown called once");
+        joined.expect("scheduler or worker panicked")
     }
 
     /// The shared shutdown path behind [`Self::shutdown`] and [`Drop`]:
     /// signals the scheduler, joins every thread, and returns the
-    /// snapshot (`None` if already stopped).
-    fn stop(&mut self) -> Option<MetricsSnapshot> {
+    /// snapshot, or the first panic (`None` if already stopped).
+    fn stop(&mut self) -> Option<std::thread::Result<MetricsSnapshot>> {
         let scheduler = self.scheduler.take()?;
-        let _ = self.handle.tx.send(Event::Shutdown);
-        let snap = scheduler.join().expect("scheduler panicked");
-        for w in self.workers.drain(..) {
-            w.join().expect("worker panicked");
-        }
-        Some(snap)
+        let _ = self.handle.tx.send(Event::Input(Input::Shutdown));
+        let snap = scheduler.join();
+        let workers = self.workers.drain(..).map(JoinHandle::join);
+        Some(workers.fold(Ok(()), Result::and).and(snap))
     }
 }
 
 impl Drop for Server {
     /// A `Server` dropped without [`Self::shutdown`] still drains and
     /// joins its threads — leaking a server can never pin the scheduler
-    /// and worker pool (blocked on channels only each other hold) forever.
+    /// and worker pool (blocked on channels only each other hold)
+    /// forever. Thread panics are ignored here: `drop` may run while the
+    /// caller is already unwinding, and a second panic would abort.
     fn drop(&mut self) {
         let _ = self.stop();
     }
+}
+
+/// The scheduler thread: blocks until the next event or the state
+/// machine's next wake, reads the clock once per wake, and forwards
+/// every [`Output`]. Returns the end-of-run snapshot once drained.
+fn drive(
+    mut sched: Scheduler,
+    shared: &Shared,
+    evt_rx: &Receiver<Event>,
+    work_tx: &Sender<WorkItem>,
+    resp_tx: &Sender<Response>,
+) -> MetricsSnapshot {
+    // Ack channels of the ticks not yet acked, oldest first — the order
+    // the scheduler emits their reports in.
+    let mut acks: VecDeque<Sender<TickDone>> = VecDeque::new();
+    let mut out = Vec::new();
+    let forward = |out: &mut Vec<Output>, acks: &mut VecDeque<Sender<TickDone>>| {
+        for o in out.drain(..) {
+            match o {
+                Output::Dispatch(work) => work_tx.send(work).expect("worker pool alive"),
+                Output::Respond(resp) => {
+                    let _ = resp_tx.send(resp);
+                }
+                Output::Ack(td) => {
+                    if let Some(ack) = acks.pop_front() {
+                        let _ = ack.send(td);
+                    }
+                }
+            }
+        }
+    };
+    let started = clock();
+    let mut now = started;
+    loop {
+        sched.poll(now, &mut out);
+        forward(&mut out, &mut acks);
+        // Once drained, wait only for stragglers: a submit that raced the
+        // shutdown took its depth slot before sending, and the scheduler
+        // answers it with `ShuttingDown`. The timeout only fires if a
+        // client died between its depth increment and its send.
+        let drained = sched.is_drained();
+        if drained && shared.depth.load(Ordering::Acquire) == 0 {
+            break;
+        }
+        let timeout = if drained {
+            Some(Duration::from_millis(50))
+        } else {
+            sched.next_wake().map(|w| w.saturating_duration_since(now))
+        };
+        let event = match timeout {
+            Some(t) => evt_rx.recv_timeout(t),
+            None => evt_rx.recv().map_err(RecvTimeoutError::from),
+        };
+        let first = match event {
+            Ok(e) => Some(e),
+            Err(RecvTimeoutError::Timeout) if !drained => None,
+            Err(_) => break,
+        };
+        now = clock();
+        // Handle the waking event plus everything already queued.
+        let mut next = first;
+        while let Some(ev) = next {
+            let input = match ev {
+                Event::Input(input) => input,
+                Event::Tick(t, ack) => {
+                    acks.push_back(ack);
+                    Input::Tick(t)
+                }
+            };
+            sched.step(input, now, &mut out);
+            forward(&mut out, &mut acks);
+            next = evt_rx.try_recv().ok();
+        }
+    }
+    sched.finish(clock().saturating_duration_since(started))
 }
 
 /// Executor thread: pull a coalesced batch, run it on this worker's
@@ -447,7 +454,7 @@ fn worker_loop(
             WorkItem::Decode { items, states } => run_decode(model, &eng, pool, items, states),
             WorkItem::Prefill { items } => run_prefill(lib, &eng, items, prefill_budget, precision),
         };
-        if evt_tx.send(Event::Done(done)).is_err() {
+        if evt_tx.send(Event::Input(Input::Done(done))).is_err() {
             return;
         }
     }
@@ -460,7 +467,7 @@ fn worker_loop(
 /// per-layer appends (consuming blocks the scheduler already reserved);
 /// the gathers and GEMMs run lock-free, so decode batches on different
 /// workers execute truly concurrently.
-fn run_decode(
+pub(crate) fn run_decode(
     model: &DecodeModel,
     eng: &ExecEngine,
     pool: &BlockPool,
@@ -479,7 +486,6 @@ fn run_decode(
     let logits = model.decode_batch_states(&tokens, &mut sts, pool, eng);
     let vocab = logits.dims()[1];
     let next = apsq_tensor::argmax_axis1(&logits);
-    let occupancy = items.len();
     let done_items = items
         .into_iter()
         .enumerate()
@@ -488,21 +494,17 @@ fn run_decode(
             let digest = row
                 .iter()
                 .fold(FNV_OFFSET, |h, v| fnv1a(h, v.to_bits() as u64));
-            DoneItem {
-                submitted: p.submitted,
-                result: Ok(Payload::Decode {
-                    session: sids[b],
-                    position: positions[b],
-                    next_token: next[b],
-                    logits_digest: digest,
-                }),
-                req: p.req,
-            }
+            let payload = Payload::Decode {
+                session: sids[b],
+                position: positions[b],
+                next_token: next[b],
+                logits_digest: digest,
+            };
+            (p, Ok(payload))
         })
         .collect();
     BatchDone {
         lane: Lane::Decode,
-        occupancy,
         items: done_items,
         states: sids.into_iter().zip(sts).collect(),
     }
@@ -510,629 +512,39 @@ fn run_decode(
 
 /// Runs one coalesced prefill batch back-to-back on this worker's engine
 /// at the server's configured precision.
-fn run_prefill(
+pub(crate) fn run_prefill(
     lib: &PrefillLib,
     eng: &ExecEngine,
     items: Vec<Pending>,
     budget: u64,
     precision: Precision,
 ) -> BatchDone {
-    let batch: Vec<(&Workload, u64)> = items
+    let models: Vec<PrefillModel> = items
         .iter()
         .map(|p| match p.req.kind {
-            RequestKind::Prefill { model } => (lib.get(model), budget),
+            RequestKind::Prefill { model } => model,
             RequestKind::Decode { .. } => unreachable!("decode in prefill batch"),
         })
         .collect();
+    let batch: Vec<(&Workload, u64)> = models.iter().map(|&m| (lib.get(m), budget)).collect();
     let runs = execute_workloads(eng, &batch, precision);
-    let occupancy = items.len();
     let done_items = items
         .into_iter()
-        .zip(runs)
-        .map(|(p, run)| {
-            let name = match p.req.kind {
-                RequestKind::Prefill { model } => model.name(),
-                RequestKind::Decode { .. } => unreachable!(),
+        .zip(models.iter().zip(runs))
+        .map(|(p, (model, run))| {
+            let payload = Payload::Prefill {
+                workload: model.name(),
+                checksum: run.checksum(),
+                macs: run.total_macs_executed(),
             };
-            DoneItem {
-                submitted: p.submitted,
-                result: Ok(Payload::Prefill {
-                    workload: name,
-                    checksum: run.checksum(),
-                    macs: run.total_macs_executed(),
-                }),
-                req: p.req,
-            }
+            (p, Ok(payload))
         })
         .collect();
     BatchDone {
         lane: Lane::Prefill,
-        occupancy,
         items: done_items,
         states: Vec::new(),
     }
-}
-
-/// The scheduler: admission, batching, dispatch, completion bookkeeping,
-/// and metrics. Returns the end-of-run snapshot when drained.
-fn scheduler_loop(
-    cfg: &ServeConfig,
-    max_len: usize,
-    alloc: Arc<BlockPool>,
-    shared: Arc<Shared>,
-    evt_rx: Receiver<Event>,
-    work_tx: Sender<WorkItem>,
-    resp_tx: Sender<Response>,
-) -> MetricsSnapshot {
-    // lint: allow(wall-clock-in-scheduling) -- metrics only: serve-loop uptime anchor, reported in the snapshot, never read by scheduling
-    #[allow(clippy::disallowed_methods)]
-    let started = Instant::now();
-    let virtual_mode = cfg.slo.virtual_time;
-    let degrade = cfg.slo.degrade;
-    let mut batcher = Batcher::new(cfg.batch);
-    let pool = Arc::clone(&alloc);
-    let mut sessions =
-        crate::session::SessionManager::new(alloc, cfg.session_capacity(), cfg.model.layers);
-    let mut metrics = Metrics::new();
-    // Gathered-bytes watermark: the pool counter is cumulative, so each
-    // completed decode batch samples the delta since the last one.
-    let mut last_gathered = 0u64;
-    let mut idle = cfg.workers;
-    let mut inflight = 0usize;
-    let mut draining = false;
-    // Virtual-time state: the lockstep clock, the degradation-ladder
-    // level with its hysteresis streaks, and the ack deferred until the
-    // tick's dispatched batches complete.
-    let mut vnow = 0u64;
-    let mut level = 0u8;
-    let mut hot_streak = 0u64;
-    let mut calm_streak = 0u64;
-    let mut pending_ack: Option<(Sender<TickDone>, TickDone)> = None;
-    // Depth decrements for admit-time sheds, deferred to the next tick in
-    // virtual mode: decrementing immediately would race the client's
-    // sequential admission reads and make QueueFull decisions depend on
-    // scheduler timing.
-    let mut deferred_depth_subs = 0usize;
-
-    let respond = |metrics: &mut Metrics,
-                   p: Pending,
-                   result: Result<Payload, ServeError>,
-                   occupancy: usize,
-                   lane: Lane,
-                   now: u64| {
-        let latency_us = p.submitted.elapsed().as_micros() as u64;
-        // In virtual time a request dispatched at tick T completes at T,
-        // so the SLO is met iff T has not passed the deadline. A shed for
-        // an expired deadline is by definition a miss.
-        let deadline_met = match (&result, p.req.slo.deadline) {
-            (Err(ServeError::DeadlineExceeded { .. }), _) => Some(false),
-            (_, Some(d)) => Some(now <= d),
-            (_, None) => None,
-        };
-        metrics.record_response(
-            lane,
-            p.req.slo.priority,
-            latency_us,
-            result.is_err(),
-            deadline_met,
-        );
-        let _ = resp_tx.send(Response {
-            id: p.req.id,
-            result,
-            latency_us,
-            batch_size: occupancy,
-        });
-    };
-
-    loop {
-        metrics.sample_queue_depth(batcher.depth());
-
-        // Dispatch to idle workers while a lane is ready. Virtual-time
-        // servers never self-dispatch — all dispatch happens inside the
-        // Tick handler, within per-tick budgets.
-        while !virtual_mode && idle > 0 {
-            // lint: allow(wall-clock-in-scheduling) -- wall-clock-mode-only branch (guarded by !virtual_mode); virtual-time dispatch happens in the Tick handler
-            #[allow(clippy::disallowed_methods)]
-            let now = Instant::now();
-            let Some(lane) = batcher.next_lane(now, draining) else {
-                break;
-            };
-            // Prefill requests execute independently even when coalesced,
-            // so once the lane fires, spread the whole burst across every
-            // idle worker right away — one div_ceil-sized chunk per worker
-            // (capped at max_batch inside take_up_to). Taking a single
-            // chunk and re-evaluating would strand the remainder (below
-            // the full-batch trigger again) until the max-wait deadline
-            // while the other workers sit idle.
-            if lane == Lane::Prefill {
-                while idle > 0 && batcher.lane_len(Lane::Prefill) > 0 {
-                    let chunk = batcher.lane_len(Lane::Prefill).div_ceil(idle);
-                    let items = batcher.take_up_to(Lane::Prefill, chunk);
-                    shared.depth.fetch_sub(items.len(), Ordering::Relaxed);
-                    metrics.record_batch(items.len());
-                    idle -= 1;
-                    inflight += 1;
-                    work_tx
-                        .send(WorkItem::Prefill { items })
-                        .expect("worker pool alive");
-                }
-                continue;
-            }
-            // Decode batches coalesce greedily — stacked rows share one
-            // GEMM, so occupancy is pure win. Each item's KV block demand
-            // is reserved before checkout: the reservation reclaims
-            // unreferenced prefix blocks and LRU-evicts idle sessions
-            // under pressure, and sheds the item when even that fails —
-            // so a dispatched batch can never exhaust the pool mid-step.
-            let items = batcher.take(lane);
-            let work = match lane {
-                Lane::Decode => {
-                    let mut batch = Vec::with_capacity(items.len());
-                    let mut states = Vec::with_capacity(items.len());
-                    for p in items {
-                        let session = p.req.session().expect("decode lane request has a session");
-                        let position = sessions.position(session);
-                        if position >= max_len {
-                            shared.depth.fetch_sub(1, Ordering::Relaxed);
-                            metrics.record_shed(ShedCause::ContextOverflow);
-                            respond(
-                                &mut metrics,
-                                p,
-                                Err(ServeError::ContextOverflow {
-                                    session,
-                                    position,
-                                    max_len,
-                                }),
-                                0,
-                                Lane::Decode,
-                                vnow,
-                            );
-                            sessions.release(session);
-                            batcher.on_session_done(session);
-                            continue;
-                        }
-                        if let Err(e) = sessions.reserve(session) {
-                            shared.depth.fetch_sub(1, Ordering::Relaxed);
-                            metrics.record_shed(ShedCause::SessionCapacity);
-                            respond(&mut metrics, p, Err(e), 0, Lane::Decode, vnow);
-                            sessions.release(session);
-                            batcher.on_session_done(session);
-                            continue;
-                        }
-                        states.push((session, sessions.checkout(session)));
-                        batch.push(p);
-                    }
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    shared.depth.fetch_sub(batch.len(), Ordering::Relaxed);
-                    metrics.record_batch(batch.len());
-                    WorkItem::Decode {
-                        items: batch,
-                        states,
-                    }
-                }
-                Lane::Prefill => unreachable!("prefill dispatches through the spread loop"),
-            };
-            idle -= 1;
-            inflight += 1;
-            work_tx.send(work).expect("worker pool alive");
-        }
-
-        if draining && inflight == 0 && batcher.is_empty() {
-            break;
-        }
-
-        // Block for the next event; with a partial batch pending and an
-        // idle worker, wake at the coalescing deadline instead. A
-        // virtual-time server has no coalescing deadlines — it sleeps
-        // until the next submit, tick, or completion.
-        let first = if virtual_mode {
-            match evt_rx.recv() {
-                Ok(e) => Some(e),
-                Err(_) => break,
-            }
-        } else if idle > 0 {
-            match batcher.next_deadline() {
-                Some(deadline) => {
-                    // lint: allow(wall-clock-in-scheduling) -- wall-clock-mode sleep bound: converts the coalescing deadline into a channel timeout; virtual mode never sets one
-                    #[allow(clippy::disallowed_methods)]
-                    let timeout = deadline.saturating_duration_since(Instant::now());
-                    match evt_rx.recv_timeout(timeout) {
-                        Ok(e) => Some(e),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                None => match evt_rx.recv() {
-                    Ok(e) => Some(e),
-                    Err(_) => break,
-                },
-            }
-        } else {
-            match evt_rx.recv() {
-                Ok(e) => Some(e),
-                Err(_) => break,
-            }
-        };
-
-        // Handle the blocking event plus everything already queued.
-        let mut next = first;
-        while let Some(ev) = next {
-            match ev {
-                Event::Submit(p) => match p.req.kind {
-                    RequestKind::Decode { session, .. } => match sessions.admit(session) {
-                        Ok(()) => batcher.push(p),
-                        Err(e) => {
-                            if virtual_mode {
-                                deferred_depth_subs += 1;
-                            } else {
-                                shared.depth.fetch_sub(1, Ordering::Relaxed);
-                            }
-                            metrics.record_shed(ShedCause::SessionEvicted);
-                            respond(&mut metrics, p, Err(e), 0, Lane::Decode, vnow);
-                        }
-                    },
-                    RequestKind::Prefill { .. } => batcher.push(p),
-                },
-                Event::Done(done) => {
-                    idle += 1;
-                    inflight -= 1;
-                    for (sid, st) in done.states {
-                        sessions.checkin(sid, st);
-                    }
-                    for item in done.items {
-                        let session = item.req.session();
-                        // A successful decode folds its token into the
-                        // session's prefix chain and may hash-cons a
-                        // just-filled block against older sessions.
-                        let decoded = match (&item.result, &item.req.kind) {
-                            (Ok(_), &RequestKind::Decode { token, .. }) => Some(token),
-                            _ => None,
-                        };
-                        respond(
-                            &mut metrics,
-                            Pending {
-                                req: item.req,
-                                submitted: item.submitted,
-                            },
-                            item.result,
-                            done.occupancy,
-                            done.lane,
-                            vnow,
-                        );
-                        if let Some(s) = session {
-                            if let Some(token) = decoded {
-                                sessions.note_decoded(s, token);
-                            }
-                            sessions.release(s);
-                            batcher.on_session_done(s);
-                        }
-                    }
-                    if done.lane == Lane::Decode {
-                        let (in_use, shared_blocks, tokens, block_tokens) = sessions.block_gauges();
-                        metrics.sample_blocks(in_use, shared_blocks, tokens, block_tokens);
-                        let gathered = pool.contention().gathered_bytes;
-                        metrics.sample_gathered_bytes(gathered - last_gathered);
-                        last_gathered = gathered;
-                    }
-                    // The lockstep barrier: the tick's ack fires only
-                    // once everything it dispatched has drained.
-                    if inflight == 0 {
-                        if let Some((ack, td)) = pending_ack.take() {
-                            let _ = ack.send(td);
-                        }
-                    }
-                }
-                Event::Tick { now, ack } => {
-                    // Lockstep protocol: the driver waits for each ack
-                    // before ticking again, so the system is quiesced —
-                    // every decision below is a pure function of the
-                    // submitted traffic.
-                    debug_assert_eq!(inflight, 0, "tick on a non-quiesced server");
-                    vnow = now;
-                    let mut tick_shed = 0usize;
-                    if deferred_depth_subs > 0 {
-                        shared
-                            .depth
-                            .fetch_sub(deferred_depth_subs, Ordering::Relaxed);
-                        deferred_depth_subs = 0;
-                    }
-
-                    // 1. Degradation-ladder level from sustained batcher
-                    // depth (hysteresis both ways).
-                    let depth = batcher.depth();
-                    let target: u8 = if depth >= degrade.severe_depth {
-                        2
-                    } else if depth >= degrade.elevate_depth {
-                        1
-                    } else {
-                        0
-                    };
-                    if target > level {
-                        hot_streak += 1;
-                        calm_streak = 0;
-                        if hot_streak >= degrade.sustain_ticks {
-                            level = target;
-                            hot_streak = 0;
-                            metrics.record_degrade_transition(true);
-                        }
-                    } else if target < level {
-                        calm_streak += 1;
-                        hot_streak = 0;
-                        if calm_streak >= degrade.sustain_ticks {
-                            level -= 1;
-                            calm_streak = 0;
-                            metrics.record_degrade_transition(false);
-                        }
-                    } else {
-                        hot_streak = 0;
-                        calm_streak = 0;
-                    }
-                    metrics.record_tick(level);
-
-                    // 2. Severe overload: shed queued sub-interactive
-                    // prefill before touching any decode work.
-                    if level >= 2 && degrade.shed_prefill_first {
-                        for p in batcher.shed_prefill_below(Priority::High) {
-                            shared.depth.fetch_sub(1, Ordering::Relaxed);
-                            metrics.record_shed(ShedCause::Degraded);
-                            tick_shed += 1;
-                            respond(
-                                &mut metrics,
-                                p,
-                                Err(ServeError::Degraded {
-                                    level,
-                                    reason: "prefill-shed",
-                                }),
-                                0,
-                                Lane::Prefill,
-                                vnow,
-                            );
-                        }
-                    }
-
-                    // 3. Shed everything whose deadline has passed —
-                    // dispatching it could no longer meet the SLO.
-                    for p in batcher.shed_expired(now) {
-                        shared.depth.fetch_sub(1, Ordering::Relaxed);
-                        metrics.record_shed(ShedCause::DeadlineExceeded);
-                        tick_shed += 1;
-                        let lane = match p.req.kind {
-                            RequestKind::Decode { .. } => Lane::Decode,
-                            RequestKind::Prefill { .. } => Lane::Prefill,
-                        };
-                        let deadline = p.req.slo.deadline.unwrap_or(0);
-                        if let Some(s) = p.req.session() {
-                            sessions.release(s);
-                        }
-                        respond(
-                            &mut metrics,
-                            p,
-                            Err(ServeError::DeadlineExceeded { deadline, now }),
-                            0,
-                            lane,
-                            vnow,
-                        );
-                    }
-
-                    // 4. Budgeted dispatch, two-phase: plan every batch
-                    // (reservations + checkouts) while the workers are
-                    // idle, then send them all — allocator state during
-                    // planning is race-free by construction.
-                    let mut planned: Vec<WorkItem> = Vec::new();
-                    let mut dispatched_decode = 0usize;
-                    let mut dispatched_prefill = 0usize;
-                    let mut budget = cfg.slo.decode_units_per_tick;
-                    while budget > 0 {
-                        let items = batcher.take_up_to(Lane::Decode, budget);
-                        if items.is_empty() {
-                            break;
-                        }
-                        let mut batch = Vec::with_capacity(items.len());
-                        let mut states = Vec::with_capacity(items.len());
-                        for p in items {
-                            let session =
-                                p.req.session().expect("decode lane request has a session");
-                            let position = sessions.position(session);
-                            let is_low = p.req.slo.priority == Priority::Low;
-                            // Ladder rung: cap best-effort decode lengths.
-                            if level >= 1 && is_low && position >= degrade.low_decode_cap {
-                                shared.depth.fetch_sub(1, Ordering::Relaxed);
-                                metrics.record_shed(ShedCause::Degraded);
-                                tick_shed += 1;
-                                respond(
-                                    &mut metrics,
-                                    p,
-                                    Err(ServeError::Degraded {
-                                        level,
-                                        reason: "decode-length-cap",
-                                    }),
-                                    0,
-                                    Lane::Decode,
-                                    vnow,
-                                );
-                                sessions.release(session);
-                                batcher.on_session_done(session);
-                                continue;
-                            }
-                            // Ladder rung: refuse *new* best-effort
-                            // sessions when KV headroom is thin, so
-                            // interactive sessions keep room to grow.
-                            if level >= 1
-                                && is_low
-                                && position == 0
-                                && degrade.kv_guard_free_blocks > 0
-                                && sessions.blocks_unreserved() < degrade.kv_guard_free_blocks
-                            {
-                                shared.depth.fetch_sub(1, Ordering::Relaxed);
-                                metrics.record_shed(ShedCause::Degraded);
-                                tick_shed += 1;
-                                respond(
-                                    &mut metrics,
-                                    p,
-                                    Err(ServeError::Degraded {
-                                        level,
-                                        reason: "kv-guard",
-                                    }),
-                                    0,
-                                    Lane::Decode,
-                                    vnow,
-                                );
-                                sessions.release(session);
-                                batcher.on_session_done(session);
-                                continue;
-                            }
-                            if position >= max_len {
-                                shared.depth.fetch_sub(1, Ordering::Relaxed);
-                                metrics.record_shed(ShedCause::ContextOverflow);
-                                tick_shed += 1;
-                                respond(
-                                    &mut metrics,
-                                    p,
-                                    Err(ServeError::ContextOverflow {
-                                        session,
-                                        position,
-                                        max_len,
-                                    }),
-                                    0,
-                                    Lane::Decode,
-                                    vnow,
-                                );
-                                sessions.release(session);
-                                batcher.on_session_done(session);
-                                continue;
-                            }
-                            if let Err(e) = sessions.reserve(session) {
-                                shared.depth.fetch_sub(1, Ordering::Relaxed);
-                                metrics.record_shed(ShedCause::SessionCapacity);
-                                tick_shed += 1;
-                                respond(&mut metrics, p, Err(e), 0, Lane::Decode, vnow);
-                                sessions.release(session);
-                                batcher.on_session_done(session);
-                                continue;
-                            }
-                            states.push((session, sessions.checkout(session)));
-                            batch.push(p);
-                        }
-                        if batch.is_empty() {
-                            continue;
-                        }
-                        budget -= batch.len().min(budget);
-                        dispatched_decode += batch.len();
-                        shared.depth.fetch_sub(batch.len(), Ordering::Relaxed);
-                        metrics.record_batch(batch.len());
-                        planned.push(WorkItem::Decode {
-                            items: batch,
-                            states,
-                        });
-                    }
-                    let mut pbudget = cfg.slo.prefill_units_per_tick;
-                    while pbudget > 0 {
-                        let items = batcher.take_up_to(Lane::Prefill, pbudget);
-                        if items.is_empty() {
-                            break;
-                        }
-                        pbudget -= items.len().min(pbudget);
-                        dispatched_prefill += items.len();
-                        shared.depth.fetch_sub(items.len(), Ordering::Relaxed);
-                        metrics.record_batch(items.len());
-                        planned.push(WorkItem::Prefill { items });
-                    }
-
-                    let td = TickDone {
-                        now,
-                        dispatched_decode,
-                        dispatched_prefill,
-                        shed: tick_shed,
-                        level,
-                    };
-                    if planned.is_empty() {
-                        let _ = ack.send(td);
-                    } else {
-                        for work in planned {
-                            inflight += 1;
-                            work_tx.send(work).expect("worker pool alive");
-                        }
-                        pending_ack = Some((ack, td));
-                    }
-                }
-                Event::Shutdown => {
-                    shared.accepting.store(false, Ordering::Release);
-                    draining = true;
-                    if deferred_depth_subs > 0 {
-                        shared
-                            .depth
-                            .fetch_sub(deferred_depth_subs, Ordering::Relaxed);
-                        deferred_depth_subs = 0;
-                    }
-                    // A virtual-time server never self-drains its queue —
-                    // answer everything still waiting with ShuttingDown.
-                    if virtual_mode {
-                        for p in batcher.drain_all() {
-                            shared.depth.fetch_sub(1, Ordering::Relaxed);
-                            let lane = match p.req.kind {
-                                RequestKind::Decode { .. } => Lane::Decode,
-                                RequestKind::Prefill { .. } => Lane::Prefill,
-                            };
-                            if let Some(s) = p.req.session() {
-                                sessions.release(s);
-                            }
-                            respond(
-                                &mut metrics,
-                                p,
-                                Err(ServeError::ShuttingDown),
-                                0,
-                                lane,
-                                vnow,
-                            );
-                        }
-                    }
-                }
-            }
-            next = evt_rx.try_recv().ok();
-        }
-    }
-
-    // A submit can race the drain: it observes `accepting == true` and
-    // lands its event after the loop above decided everything was done.
-    // Every such submit incremented `depth` *before* sending, so drain
-    // until the depth reaches zero and answer the stragglers with
-    // `ShuttingDown` instead of silently dropping an accepted request
-    // (`inflight == 0` here, so only Submit and Shutdown events remain).
-    // The timeout only fires if a client died between its depth increment
-    // and its send.
-    while shared.depth.load(Ordering::Acquire) > 0 {
-        let ev = match evt_rx.recv_timeout(std::time::Duration::from_millis(50)) {
-            Ok(ev) => ev,
-            Err(_) => break,
-        };
-        if let Event::Submit(p) = ev {
-            shared.depth.fetch_sub(1, Ordering::Relaxed);
-            let lane = match p.req.kind {
-                RequestKind::Decode { .. } => Lane::Decode,
-                RequestKind::Prefill { .. } => Lane::Prefill,
-            };
-            respond(
-                &mut metrics,
-                p,
-                Err(ServeError::ShuttingDown),
-                0,
-                lane,
-                vnow,
-            );
-        }
-    }
-
-    metrics.snapshot(
-        started.elapsed().as_secs_f64(),
-        shared.shed_queue.load(Ordering::Relaxed),
-        sessions.evictions(),
-        sessions.peak(),
-        sessions.capacity(),
-        sessions.pool_report(),
-        sessions.shared_prefix_hits(),
-    )
 }
 
 #[cfg(test)]

@@ -376,6 +376,13 @@ impl SessionManager {
         Ok(needed)
     }
 
+    /// Admission pins outstanding across all sessions: one per admitted
+    /// request not yet answered.
+    #[cfg(test)]
+    pub(crate) fn pins(&self) -> usize {
+        self.entries.values().map(|e| e.pins as usize).sum()
+    }
+
     /// Whether the session's state is currently checked out to a batch.
     pub fn is_busy(&self, id: SessionId) -> bool {
         self.entries

@@ -49,7 +49,7 @@ APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-tensor
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_int8
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib int8
 
-echo "==> cargo test -q --release -p apsq-serve  (server + determinism suite at release opt)"
+echo "==> cargo test -q --release -p apsq-serve  (server, scheduler, determinism + overload suites at release opt)"
 cargo test -q --release -p apsq-serve
 
 echo "==> block-pool contention: stress + determinism at 8 workers, overflow-checked"
@@ -57,9 +57,6 @@ RUSTFLAGS="-C overflow-checks" APSQ_STRESS_WORKERS=8 cargo test -q --release -p 
 RUSTFLAGS="-C overflow-checks" APSQ_STRESS_WORKERS=8 cargo test -q --release -p apsq-serve --test determinism
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib paged
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_paged
-
-echo "==> cargo test -q --release -p apsq-serve --test overload  (SLO sheds + degradation ladder)"
-cargo test -q --release -p apsq-serve --test overload
 
 echo "==> bench smoke: engine_speedup --quick (writes BENCH_matmul.json)"
 cargo run -q --release -p apsq-bench --bin engine_speedup -- --quick --out target/BENCH_matmul.smoke.json
