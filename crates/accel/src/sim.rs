@@ -3,7 +3,7 @@
 //! PSUM path (exact INT32 or grouped APSQ).
 
 use crate::stats::SimStats;
-use apsq_core::{grouped_apsq, ApsqConfig, GroupSize, ScaleSchedule};
+use apsq_core::{ApsqConfig, GroupSize, StreamingApsq};
 use apsq_dataflow::{AcceleratorConfig, Dataflow};
 use apsq_quant::Bitwidth;
 use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
@@ -344,20 +344,17 @@ impl GemmSimulator {
                 // Grouped APSQ: word-count invariant — np writes, np−1
                 // reads per element, each 1 word at `bits`.
                 charge((np - 1) * numel, np * numel, stats);
-                let sched = ScaleSchedule::calibrate(
-                    std::slice::from_ref(&tiles.to_vec()),
-                    bits,
-                    GroupSize::new(gs),
-                );
-                let run = grouped_apsq(
-                    tiles,
-                    &sched,
-                    &ApsqConfig {
+                let mut stream = StreamingApsq::calibrating(
+                    tiles.len(),
+                    ApsqConfig {
                         bits,
                         group_size: GroupSize::new(gs),
                     },
                 );
-                run.output
+                for tile in tiles {
+                    stream.push_ref(tile);
+                }
+                stream.finish().output
             }
         }
     }

@@ -19,6 +19,9 @@ pub struct ApsqRun {
     pub stored_codes: Vec<Vec<i32>>,
     /// PSUM-buffer traffic incurred, in words.
     pub traffic: BufferTraffic,
+    /// The per-step scales the run quantized with: the given schedule, or
+    /// the scales a [`crate::StreamingApsq::calibrating`] stream committed.
+    pub schedule: ScaleSchedule,
 }
 
 /// Executes Algorithm 1 (grouped APSQ) over a stream of i32 PSUM tiles.

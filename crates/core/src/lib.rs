@@ -21,7 +21,8 @@
 //!   for cross-checking `gs = 1`;
 //! - [`grouped_apsq_f32`] — the float fake-quant twin used during QAT;
 //! - [`StreamingApsq`] / [`grouped_apsq_streamed`] — the incremental form:
-//!   one algorithm step per pushed tile, and an
+//!   one algorithm step per pushed tile, with a fixed schedule or scales
+//!   it commits itself from each step's exact accumulator, and an
 //!   [`apsq_tensor::ExecEngine`]-driven GEMM that folds APSQ quantization
 //!   directly into the K loop without materializing the tile stream;
 //! - [`exact_accumulate`] / [`psq_adc_reference`] — the baselines;

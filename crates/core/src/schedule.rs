@@ -4,7 +4,8 @@
 //! own scaling factor `α_i`. In hardware the scales live in a register list
 //! (Algorithm 1, line 1) and are powers of two so that scaling is a shift.
 
-use crate::config::GroupSize;
+use crate::config::{ApsqConfig, GroupSize};
+use crate::streaming::StreamingApsq;
 use apsq_quant::{Bitwidth, Pow2Scale};
 use apsq_tensor::Int32Tensor;
 
@@ -57,12 +58,13 @@ impl ScaleSchedule {
     /// Calibrates a schedule from sample PSUM-tile streams so that no
     /// quantization step clips, for a given group size.
     ///
-    /// For each step `i` the calibrator replays Algorithm 1 on every stream
-    /// and records the maximum absolute value entering quantizer `Q^i_k`;
-    /// the step's exponent is the tightest power of two covering it.
-    /// Because later steps see *dequantized* values produced by earlier
-    /// steps, calibration proceeds step by step, committing each exponent
-    /// before measuring the next — a fixed point of the replay.
+    /// Each step's exponent is the tightest power of two covering the
+    /// largest |value| entering quantizer `Q^i_k` on any stream (floored
+    /// at 1). Because later steps see *dequantized* values produced by
+    /// earlier steps, every exponent is committed before the next step
+    /// runs. That makes calibration causal: the streams run Algorithm 1
+    /// in lockstep as [`StreamingApsq::calibrating`] folds, and one
+    /// stream's committed scales are exactly its self-calibrated run.
     ///
     /// # Panics
     ///
@@ -76,77 +78,28 @@ impl ScaleSchedule {
             streams.iter().all(|s| s.len() == np),
             "calibration streams must have equal length"
         );
-
-        if streams.len() == 1 {
-            return Self::calibrate_single(&streams[0], bits, group_size);
-        }
-
-        let gs = group_size.get();
-        let mut scales: Vec<Pow2Scale> = Vec::with_capacity(np);
-        for step in 0..np {
-            // Measure the worst-case |input| to quantizer `step` across all
-            // streams, replaying the committed prefix of the schedule.
-            let mut max_abs: i32 = 1;
-            for stream in streams {
-                let v = replay_quantizer_input(stream, &scales, step, gs);
-                max_abs = max_abs.max(v);
+        let config = ApsqConfig { bits, group_size };
+        let mut runs: Vec<StreamingApsq> = streams
+            .iter()
+            .map(|_| StreamingApsq::calibrating(np, config))
+            .collect();
+        for i in 0..np {
+            let mut max_abs = 1;
+            for (run, stream) in runs.iter_mut().zip(streams) {
+                run.load(stream[i].dims(), stream[i].data());
+                max_abs = max_abs.max(run.input_max_abs());
             }
-            scales.push(Pow2Scale::covering(max_abs, bits));
+            let scale = Pow2Scale::covering(max_abs, bits);
+            for run in &mut runs {
+                run.commit(scale);
+            }
         }
-        ScaleSchedule { scales }
+        runs.swap_remove(0).finish().schedule
     }
 
-    /// Single-stream linear-time calibration: one incremental replay that
-    /// commits each step's exponent before executing the step. Identical
-    /// to the fixed-point replay restricted to one stream.
-    fn calibrate_single(stream: &[Int32Tensor], bits: Bitwidth, group_size: GroupSize) -> Self {
-        let np = stream.len();
-        let numel = stream[0].numel();
-        let gs = group_size.get();
-        let mut scales: Vec<Pow2Scale> = Vec::with_capacity(np);
-        let mut stored: Vec<Vec<i32>> = Vec::with_capacity(np);
-        let mut acc: Vec<i64> = vec![0; numel];
-
-        // `i` is the algorithm's PSUM step number, not a slice cursor.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..np {
-            let is_apsq_step = i % gs == 0;
-            let is_final = i == np - 1;
-            acc.fill(0);
-            if is_apsq_step && i > 0 {
-                for l in i - gs..i {
-                    let s = scales[l];
-                    for (a, &c) in acc.iter_mut().zip(stored[l].iter()) {
-                        *a += s.dequantize(c) as i64;
-                    }
-                }
-            } else if is_final && !is_apsq_step {
-                let group_start = (i / gs) * gs;
-                for l in group_start..i {
-                    let s = scales[l];
-                    for (a, &c) in acc.iter_mut().zip(stored[l].iter()) {
-                        *a += s.dequantize(c) as i64;
-                    }
-                }
-            }
-            for (a, &t) in acc.iter_mut().zip(stream[i].data().iter()) {
-                *a += t as i64;
-            }
-            let max_abs = acc
-                .iter()
-                .map(|v| v.unsigned_abs())
-                .max()
-                .unwrap_or(0)
-                .min(i32::MAX as u64)
-                .max(1) as i32;
-            let s = Pow2Scale::covering(max_abs, bits);
-            scales.push(s);
-            stored.push(
-                acc.iter()
-                    .map(|&v| s.quantize(v.clamp(i32::MIN as i64, i32::MAX as i64) as i32))
-                    .collect(),
-            );
-        }
+    /// Wraps already-validated scales (one per step).
+    pub(crate) fn from_scales(scales: Vec<Pow2Scale>) -> Self {
+        debug_assert!(!scales.is_empty());
         ScaleSchedule { scales }
     }
 
@@ -178,70 +131,6 @@ impl ScaleSchedule {
     pub fn bits(&self) -> Bitwidth {
         self.scales[0].bits()
     }
-}
-
-/// Replays Algorithm 1 over `stream` with the committed `scales` prefix and
-/// returns the max |value| that would enter quantizer `target_step`.
-///
-/// Steps beyond the committed prefix never run (calibration is in step
-/// order, so `target_step == scales.len()`).
-fn replay_quantizer_input(
-    stream: &[Int32Tensor],
-    scales: &[Pow2Scale],
-    target_step: usize,
-    gs: usize,
-) -> i32 {
-    debug_assert_eq!(scales.len(), target_step);
-    let np = stream.len();
-    let numel = stream[0].numel();
-    // Stored codes for steps < target_step (already-committed quantizers).
-    let mut codes: Vec<Vec<i32>> = Vec::with_capacity(target_step);
-    for i in 0..=target_step {
-        let is_apsq_step = i % gs == 0;
-        let is_final = i == np - 1;
-        // Assemble the quantizer input for step i.
-        let mut input: Vec<i64> = vec![0; numel];
-        if is_apsq_step && i > 0 {
-            for l in i.saturating_sub(gs)..i {
-                let s = scales[l];
-                for (acc, &c) in input.iter_mut().zip(codes[l].iter()) {
-                    *acc += (s.dequantize(c)) as i64;
-                }
-            }
-        } else if is_final && !is_apsq_step {
-            let group_start = (i / gs) * gs;
-            for l in group_start..i {
-                let s = scales[l];
-                for (acc, &c) in input.iter_mut().zip(codes[l].iter()) {
-                    *acc += (s.dequantize(c)) as i64;
-                }
-            }
-        }
-        // Every step adds its own tile: APSQ steps on top of the dequantized
-        // previous group, the final step on top of the dequantized group
-        // prefix, and plain PSQ steps on top of nothing.
-        for (acc, &t) in input.iter_mut().zip(stream[i].data().iter()) {
-            *acc += t as i64;
-        }
-        if i == target_step {
-            let m = input
-                .iter()
-                .map(|v| v.unsigned_abs())
-                .max()
-                .unwrap_or(0)
-                .min(i32::MAX as u64) as i32;
-            return m;
-        }
-        // Commit step i's codes with the known scale.
-        let s = scales[i];
-        codes.push(
-            input
-                .iter()
-                .map(|&v| s.quantize(v.clamp(i32::MIN as i64, i32::MAX as i64) as i32))
-                .collect(),
-        );
-    }
-    unreachable!("target step is always reached")
 }
 
 #[cfg(test)]

@@ -5,13 +5,23 @@ use crate::config::ApsqConfig;
 use crate::grouped::ApsqRun;
 use crate::schedule::ScaleSchedule;
 use crate::traffic::BufferTraffic;
-use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
+use apsq_quant::Pow2Scale;
+use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout, Shape};
 
 /// A truly incremental implementation of Algorithm 1 (grouped APSQ):
-/// each [`StreamingApsq::push`] executes one algorithm step immediately,
-/// so only the INT8 code bank — the state the hardware itself keeps — is
-/// retained between steps. The incoming PSUM tiles are **not** collected;
-/// peak tile memory is one tile regardless of stream length.
+/// each push executes one algorithm step immediately, so only the INT8
+/// code bank — the state the hardware itself keeps — is retained between
+/// steps. The incoming PSUM tiles are **not** collected; peak tile memory
+/// is one tile (plus the reused accumulator buffers) regardless of stream
+/// length.
+///
+/// A stream quantizes with either a fixed [`ScaleSchedule`]
+/// ([`StreamingApsq::new`]) or scales it commits itself
+/// ([`StreamingApsq::calibrating`]): each push then picks the tightest
+/// power of two covering the exact accumulator it is about to quantize.
+/// That choice is causal — it needs nothing from later tiles — so the
+/// calibrating stream *is* single-stream [`ScaleSchedule::calibrate`];
+/// there is no separate replay.
 ///
 /// [`crate::grouped_apsq`] is a thin batch wrapper over this type, so the
 /// two stay bit-identical by construction.
@@ -29,28 +39,68 @@ use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 /// s.push(Int32Tensor::from_vec(vec![5], [1]));
 /// let run = s.finish();
 /// assert_eq!(run.output.data(), &[15]);
+///
+/// // Self-calibrating: 1000 needs 2^3 (127 · 8 ≥ 1000), and the final
+/// // fold sees 1000 + 24 = 1024 → 2^4.
+/// let mut s = StreamingApsq::calibrating(2, ApsqConfig::int8(1));
+/// s.push_slice(&[1000]);
+/// s.push_slice(&[24]);
+/// let run = s.finish();
+/// assert_eq!(run.schedule.scale(0).exponent(), 3);
+/// assert_eq!(run.schedule.scale(1).exponent(), 4);
+/// assert_eq!(run.output.data(), &[1024]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct StreamingApsq {
-    schedule: ScaleSchedule,
     config: ApsqConfig,
+    steps: usize,
+    /// Committed per-step scales: a fixed stream starts with all `steps`
+    /// of them, a calibrating stream starts empty and commits one per push.
+    scales: Vec<Pow2Scale>,
     step: usize,
-    shape: Option<apsq_tensor::Shape>,
+    shape: Option<Shape>,
+    /// Exact 64-bit fold of the current step's tile and carried codes.
+    acc: Vec<i64>,
+    /// The current step's quantizer input (clamped to i32).
+    input: Vec<i32>,
     stored_codes: Vec<Vec<i32>>,
     traffic: BufferTraffic,
     output: Option<Int32Tensor>,
 }
 
 impl StreamingApsq {
-    /// Creates a stream expecting `schedule.len()` tiles.
+    /// Creates a stream expecting `schedule.len()` tiles, quantized with
+    /// the schedule's scales.
     pub fn new(schedule: ScaleSchedule, config: ApsqConfig) -> Self {
-        let np = schedule.len();
+        let steps = schedule.len();
+        Self::with_scales(steps, schedule.scales().to_vec(), config)
+    }
+
+    /// Creates a self-calibrating stream expecting `steps` tiles: step
+    /// `i`'s scale is [`Pow2Scale::covering`] the largest |value| of the
+    /// exact accumulator it quantizes (clamped to `i32::MAX`, floored at
+    /// 1), committed before the step runs. The run is bit-identical to
+    /// [`ScaleSchedule::calibrate`] over the collected stream followed by
+    /// [`crate::grouped_apsq`] with that schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps == 0`.
+    pub fn calibrating(steps: usize, config: ApsqConfig) -> Self {
+        Self::with_scales(steps, Vec::with_capacity(steps), config)
+    }
+
+    fn with_scales(steps: usize, scales: Vec<Pow2Scale>, config: ApsqConfig) -> Self {
+        assert!(steps > 0, "stream must cover at least one step");
         StreamingApsq {
-            schedule,
             config,
+            steps,
+            scales,
             step: 0,
             shape: None,
-            stored_codes: Vec::with_capacity(np),
+            acc: Vec::new(),
+            input: Vec::new(),
+            stored_codes: Vec::with_capacity(steps),
             traffic: BufferTraffic::new(),
             output: None,
         }
@@ -63,14 +113,14 @@ impl StreamingApsq {
 
     /// Number of tiles expected in total.
     pub fn steps_expected(&self) -> usize {
-        self.schedule.len()
+        self.steps
     }
 
     /// Pushes the next PSUM tile.
     ///
     /// # Panics
     ///
-    /// Panics if more tiles are pushed than the schedule covers, or if the
+    /// Panics if more tiles are pushed than the stream expects, or if the
     /// tile shape differs from the first tile's.
     pub fn push(&mut self, tile: Int32Tensor) {
         self.push_ref(&tile);
@@ -84,65 +134,103 @@ impl StreamingApsq {
     ///
     /// Same conditions as [`StreamingApsq::push`].
     pub fn push_ref(&mut self, tile: &Int32Tensor) {
-        let np = self.schedule.len();
-        assert!(self.step < np, "stream already received all {} tiles", np);
+        self.push_shaped(tile.dims(), tile.data());
+    }
+
+    /// Pushes the next PSUM tile as a flat slice (shape `[len]`) — how one
+    /// head's sub-tile of a batched [`ExecEngine::gemm_k_tiles`] tile
+    /// feeds its own stream without a copy.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`StreamingApsq::push`].
+    pub fn push_slice(&mut self, tile: &[i32]) {
+        self.push_shaped(&[tile.len()], tile);
+    }
+
+    fn push_shaped(&mut self, dims: &[usize], tile: &[i32]) {
+        self.load(dims, tile);
+        let scale = match self.scales.get(self.step) {
+            Some(&s) => s,
+            None => Pow2Scale::covering(self.input_max_abs(), self.config.bits),
+        };
+        self.commit(scale);
+    }
+
+    /// First half of one Algorithm-1 step: assembles the next step's
+    /// quantizer input in the accumulator — the tile, plus the
+    /// dequantized previous group on an APSQ step (lines 4–7) or the
+    /// current group's stored prefix on a final mid-group step (lines
+    /// 13–14). A plain PSQ step (lines 9–11) quantizes the tile alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream already received all its tiles, or `dims`
+    /// differs from the first tile's shape.
+    pub(crate) fn load(&mut self, dims: &[usize], tile: &[i32]) {
+        let np = self.steps;
+        assert!(self.step < np, "stream already received all {np} tiles");
         match &self.shape {
-            Some(shape) => assert_eq!(shape, tile.shape(), "all PSUM tiles must share one shape"),
-            None => self.shape = Some(tile.shape().clone()),
+            Some(shape) => assert_eq!(shape.dims(), dims, "all PSUM tiles must share one shape"),
+            None => self.shape = Some(Shape::from(dims)),
         }
-        let numel = tile.numel();
         let gs = self.config.group_size.get();
         let i = self.step;
-        let is_apsq_step = i.is_multiple_of(gs);
-        let is_final = i == np - 1;
-        let scale = self.schedule.scale(i);
-
-        // The per-tile inner loops below all run through the branch-free
-        // slice epilogues in `apsq-quant` (`quantize_clamped_i64_into`,
-        // `dequantize_accumulate`), which are bit-identical to the scalar
-        // `quantize`/`dequantize` maps — `apsq_recursion_reference` stays
-        // scalar on purpose as the cross-check.
-        if is_apsq_step {
-            // Lines 4–7: accumulate the previous group (if any) + Tp_i.
-            // Seeding the accumulator from the tile instead of zeroing it
-            // saves a whole pass; integer adds make the regrouping exact.
-            let mut acc: Vec<i64> = tile.data().iter().map(|&t| t as i64).collect();
-            if i > 0 {
-                for l in i - gs..i {
-                    let ls = self.schedule.scale(l);
-                    ls.dequantize_accumulate(&self.stored_codes[l], &mut acc);
-                    self.traffic.reads += numel as u64;
-                }
-            }
-            let mut codes = Vec::new();
-            scale.quantize_clamped_i64_into(&acc, &mut codes);
-            self.traffic.writes += numel as u64;
-            if is_final {
-                self.output = Some(dequant_tile(&codes, scale, tile));
-            }
-            self.stored_codes.push(codes);
-        } else if !is_final {
-            // Lines 9–11: plain PSUM quantization of Tp_i.
-            let mut codes = Vec::new();
-            scale.quantize_slice_into(tile.data(), &mut codes);
-            self.traffic.writes += numel as u64;
-            self.stored_codes.push(codes);
+        let folded = if i.is_multiple_of(gs) {
+            i.saturating_sub(gs)..i
+        } else if i == np - 1 {
+            i - i % gs..i
         } else {
-            // Lines 13–14: final tile inside a group — fold the stored
-            // group prefix with Tp_{np−1} and produce To.
-            let group_start = (i / gs) * gs;
-            let mut acc: Vec<i64> = tile.data().iter().map(|&t| t as i64).collect();
-            for l in group_start..i {
-                let ls = self.schedule.scale(l);
-                ls.dequantize_accumulate(&self.stored_codes[l], &mut acc);
-                self.traffic.reads += numel as u64;
-            }
-            let mut codes = Vec::new();
-            scale.quantize_clamped_i64_into(&acc, &mut codes);
-            self.traffic.writes += numel as u64;
-            self.output = Some(dequant_tile(&codes, scale, tile));
-            self.stored_codes.push(codes);
+            i..i
+        };
+        self.input.clear();
+        if folded.is_empty() {
+            self.input.extend_from_slice(tile);
+            return;
         }
+        // Seeding the accumulator from the tile instead of zeroing it
+        // saves a whole pass; integer adds make the regrouping exact.
+        self.acc.clear();
+        self.acc.extend(tile.iter().map(|&t| t as i64));
+        for l in folded {
+            // The slice epilogues in `apsq-quant` are branch-free and
+            // bit-identical to the scalar `quantize`/`dequantize` maps —
+            // `apsq_recursion_reference` stays scalar as the cross-check.
+            self.scales[l].dequantize_accumulate(&self.stored_codes[l], &mut self.acc);
+            self.traffic.reads += tile.len() as u64;
+        }
+        // `Qᵢ(clamp(Σ …))`: clamping once here lets the max and the
+        // quantizer run in 32-bit lanes.
+        const LO: i64 = i32::MIN as i64;
+        const HI: i64 = i32::MAX as i64;
+        self.input
+            .extend(self.acc.iter().map(|&v| v.clamp(LO, HI) as i32));
+    }
+
+    /// The magnitude a covering scale must reach for the loaded input:
+    /// its largest |value|, clamped to `i32::MAX` and floored at 1.
+    pub(crate) fn input_max_abs(&self) -> i32 {
+        let m = self.input.iter().fold(0u32, |m, v| m.max(v.unsigned_abs()));
+        m.clamp(1, i32::MAX as u32) as i32
+    }
+
+    /// Second half of one Algorithm-1 step: quantizes the loaded input at
+    /// `scale` (committing it when the stream is calibrating), stores the
+    /// codes, and on the final step dequantizes them into `To`.
+    pub(crate) fn commit(&mut self, scale: Pow2Scale) {
+        if self.scales.len() == self.step {
+            self.scales.push(scale);
+        }
+        let mut codes = Vec::new();
+        scale.quantize_slice_into(&self.input, &mut codes);
+        self.traffic.writes += codes.len() as u64;
+        if self.step == self.steps - 1 {
+            let mut out = Vec::new();
+            scale.dequantize_slice_into(&codes, &mut out);
+            let shape = self.shape.clone().expect("set by the first load");
+            self.output = Some(Int32Tensor::from_vec(out, shape));
+        }
+        self.stored_codes.push(codes);
         self.step += 1;
     }
 
@@ -150,14 +238,12 @@ impl StreamingApsq {
     ///
     /// # Panics
     ///
-    /// Panics if fewer tiles were pushed than the schedule covers.
+    /// Panics if fewer tiles were pushed than the stream expects.
     pub fn finish(self) -> ApsqRun {
         assert_eq!(
-            self.step,
-            self.schedule.len(),
+            self.step, self.steps,
             "stream received {} of {} tiles",
-            self.step,
-            self.schedule.len()
+            self.step, self.steps
         );
         ApsqRun {
             output: self
@@ -165,14 +251,9 @@ impl StreamingApsq {
                 .expect("final step always produces the output tile"),
             stored_codes: self.stored_codes,
             traffic: self.traffic,
+            schedule: ScaleSchedule::from_scales(self.scales),
         }
     }
-}
-
-fn dequant_tile(codes: &[i32], scale: apsq_quant::Pow2Scale, like: &Int32Tensor) -> Int32Tensor {
-    let mut out = Vec::new();
-    scale.dequantize_slice_into(codes, &mut out);
-    Int32Tensor::from_vec(out, like.shape().clone())
 }
 
 /// Grouped APSQ folded directly into the K loop of an INT8 GEMM: the

@@ -2,9 +2,9 @@
 
 use apsq_core::{
     apsq_recursion_reference, exact_accumulate, grouped_apsq, grouped_apsq_f32,
-    grouped_apsq_streamed, ApsqConfig, FloatScaleSchedule, GroupSize, ScaleSchedule,
+    grouped_apsq_streamed, ApsqConfig, FloatScaleSchedule, GroupSize, ScaleSchedule, StreamingApsq,
 };
-use apsq_quant::Bitwidth;
+use apsq_quant::{Bitwidth, Pow2Scale};
 use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 use proptest::prelude::*;
 
@@ -23,8 +23,106 @@ fn stream_strategy() -> impl Strategy<Value = Vec<Int32Tensor>> {
     })
 }
 
+/// One PSUM value: ordinary two times in three, otherwise within 1000 of
+/// `i32::MIN` or `i32::MAX` (clamped folds, saturated exponents).
+fn extreme_value() -> impl Strategy<Value = i32> {
+    (0u8..6, 0i32..20_000).prop_map(|(class, v)| match class {
+        4 => i32::MIN + v % 1000,
+        5 => i32::MAX - v % 1000,
+        _ => v - 10_000,
+    })
+}
+
+/// Long streams whose tiles may be all zero (one in five — the `max(1)`
+/// floor) or hold values next to the i32 limits.
+fn extreme_stream_strategy() -> impl Strategy<Value = Vec<Int32Tensor>> {
+    (1usize..40, 1usize..6).prop_flat_map(|(np, numel)| {
+        let tile = (
+            0u8..5,
+            proptest::collection::vec(extreme_value(), numel..=numel),
+        );
+        proptest::collection::vec(tile, np..=np).prop_map(move |tiles| {
+            tiles
+                .into_iter()
+                .map(|(zero, v)| {
+                    let v = if zero == 0 { vec![0; numel] } else { v };
+                    Int32Tensor::from_vec(v, [numel])
+                })
+                .collect()
+        })
+    })
+}
+
+/// An independent scalar spelling of single-stream calibration: replay
+/// Algorithm 1 step by step, committing each step's covering exponent
+/// (of the exact input, clamped to `i32::MAX`, floored at 1) before
+/// quantizing with it.
+fn reference_exponents(stream: &[Int32Tensor], bits: Bitwidth, gs: usize) -> Vec<u32> {
+    let np = stream.len();
+    let mut scales: Vec<Pow2Scale> = Vec::new();
+    let mut stored: Vec<Vec<i32>> = Vec::new();
+    for (i, tile) in stream.iter().enumerate() {
+        let prefix = if i % gs == 0 {
+            i.saturating_sub(gs)..i
+        } else if i == np - 1 {
+            (i / gs) * gs..i
+        } else {
+            0..0
+        };
+        let input: Vec<i64> = (0..tile.numel())
+            .map(|j| {
+                let carried: i64 = prefix
+                    .clone()
+                    .map(|l| scales[l].dequantize(stored[l][j]) as i64)
+                    .sum();
+                tile.data()[j] as i64 + carried
+            })
+            .collect();
+        let max_abs = input.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+        let scale = Pow2Scale::covering(max_abs.clamp(1, i32::MAX as u64) as i32, bits);
+        stored.push(
+            input
+                .iter()
+                .map(|&v| scale.quantize(v.clamp(i32::MIN as i64, i32::MAX as i64) as i32))
+                .collect(),
+        );
+        scales.push(scale);
+    }
+    scales.iter().map(|s| s.exponent()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The self-calibrating stream is `ScaleSchedule::calibrate` followed
+    /// by `grouped_apsq`: same output, code bank, traffic and scales —
+    /// and those scales match an independent scalar replay — for long
+    /// streams, every group size (including gs = 1 and gs > np), all-zero
+    /// tiles and values at the i32 limits (exponents saturating at 30 for
+    /// 2-bit codes).
+    #[test]
+    fn calibrating_stream_equals_calibrate_then_fold(
+        stream in extreme_stream_strategy(),
+        gs in 1usize..9,
+        bits in 0usize..3,
+    ) {
+        let bits = Bitwidth::new([2, 4, 8][bits]);
+        let cfg = ApsqConfig { bits, group_size: GroupSize::new(gs) };
+        let sched = ScaleSchedule::calibrate(std::slice::from_ref(&stream), bits, GroupSize::new(gs));
+        let batch = grouped_apsq(&stream, &sched, &cfg);
+        let mut s = StreamingApsq::calibrating(stream.len(), cfg);
+        for tile in &stream {
+            s.push_slice(tile.data());
+        }
+        let run = s.finish();
+        prop_assert_eq!(run.output.data(), batch.output.data());
+        prop_assert_eq!(&run.stored_codes, &batch.stored_codes);
+        prop_assert_eq!(run.traffic, batch.traffic);
+        prop_assert_eq!(&run.schedule, &sched);
+        prop_assert_eq!(&batch.schedule, &sched);
+        let exps: Vec<u32> = sched.scales().iter().map(|s| s.exponent()).collect();
+        prop_assert_eq!(exps, reference_exponents(&stream, bits, gs));
+    }
 
     /// gs = 1 must reduce exactly to the eq (10) recursion.
     #[test]

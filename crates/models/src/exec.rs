@@ -15,9 +15,8 @@
 //! preserving the reduction depth `Ci·Kh·Kw` — the dimension APSQ tiles —
 //! so PSUM streams stay representative.
 
-use apsq_core::{grouped_apsq, ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule};
+use apsq_core::{ApsqConfig, BufferTraffic, StreamingApsq};
 use apsq_dataflow::{LayerShape, Workload};
-use apsq_quant::Bitwidth;
 use apsq_tensor::{ExecEngine, Gemm, Int8Tensor, Layout, Tensor};
 
 /// The numeric datapath a workload executes on — the serving layer's
@@ -156,19 +155,14 @@ pub fn execute_layer(
                 let a = synthetic_i8(tokens * ci, 0x5eed).reshape2(tokens, ci);
                 let b = synthetic_i8(ci * co, 0xca1f).reshape2(ci, co);
                 let k_tile = ci.min(64);
-                // Calibration needs every tile at once, so the GEMM runs
-                // exactly once and the collected stream is folded directly
-                // (bit-identical to the streamed fold by construction) —
-                // no second GEMM pass in the serving prefill hot path.
+                // One GEMM pass folds each k-tile the moment it lands; the
+                // stream commits each step's scale from the accumulator it
+                // quantizes, so no tile is collected first.
                 let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
-                let mut tiles = Vec::new();
-                eng.gemm_k_tiles(&g, k_tile, |_, tile| tiles.push(tile.clone()));
-                let sched = ScaleSchedule::calibrate(
-                    std::slice::from_ref(&tiles),
-                    Bitwidth::INT8,
-                    GroupSize::new(APSQ_GS),
-                );
-                let run = grouped_apsq(&tiles, &sched, &ApsqConfig::int8(APSQ_GS));
+                let mut stream =
+                    StreamingApsq::calibrating(ci.div_ceil(k_tile), ApsqConfig::int8(APSQ_GS));
+                eng.gemm_k_tiles(&g, k_tile, |_, tile| stream.push_ref(tile));
+                let run = stream.finish();
                 psum_traffic = run.traffic;
                 wrapping_sum(run.output.data())
             }

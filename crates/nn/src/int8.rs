@@ -32,9 +32,9 @@ use crate::models::{DecoderLm, EncoderClassifier};
 use crate::norm::LayerNorm;
 use crate::paged::quantize_int8_kv_row;
 use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule, StreamingApsq};
-use apsq_quant::{Bitwidth, LsqQuantizer};
+use apsq_quant::{pow2_f32, round_to_i8, Bitwidth, LsqQuantizer};
 use apsq_tensor::{
-    gelu, softmax_rows, sum_axis0, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout, Tensor,
+    gelu, softmax_row_into, sum_axis0, ExecEngine, Gemm, Int8Tensor, Layout, Tensor,
 };
 
 /// Snaps a positive step to the nearest power of two (identity on values
@@ -56,6 +56,25 @@ struct Int8KvView<'a> {
     v_codes: &'a [i8],
     k_exps: &'a [i8],
     v_exps: &'a [i8],
+}
+
+/// Reusable buffers for [`Int8MultiHeadAttention`]'s attention kernel:
+/// one set per forward call, resized to each row's context and reused
+/// across rows and heads, so the per-row epilogues allocate nothing.
+#[derive(Default)]
+struct AttnScratch {
+    /// `[H, t]` Q·Kᵀ accumulators.
+    acc: Vec<i32>,
+    /// `[H, t]` dequantized scores.
+    scores: Vec<f32>,
+    /// `[t]` one head's probabilities, then its value-scaled weights.
+    probs: Vec<f32>,
+    /// `[H, t]` requantized P·V operand.
+    rc: Vec<i8>,
+    /// `[d]` P·V accumulators.
+    ctx_i32: Vec<i32>,
+    /// `[H]` power-of-two exponents of the requantized P·V operand.
+    r_exps: Vec<i32>,
 }
 
 /// How an [`Int8Linear`] treats its i32 PSUM stream.
@@ -381,22 +400,21 @@ impl Int8MultiHeadAttention {
 
     /// The frozen power-of-two Q scale `α_q`.
     pub fn q_scale(&self) -> f32 {
-        (self.q_exp as f32).exp2()
+        pow2_f32(self.q_exp)
     }
 
     /// Quantizes one `[d]` query row at the frozen Q scale.
     fn quantize_q_row(&self, row: &[f32]) -> Vec<i8> {
         let scale = self.q_scale();
-        row.iter()
-            .map(|&x| (x / scale).round().clamp(-128.0, 127.0) as i8)
-            .collect()
+        row.iter().map(|&x| round_to_i8(x / scale)).collect()
     }
 
     /// Streams the K tiles of a head-batched GEMM and folds each head's
-    /// PSUM stream through Algorithm 1 with a schedule calibrated from that
-    /// stream (deterministic: integer tiles are thread-invariant and
-    /// calibration is a pure function of them), writing head `h`'s
-    /// `m·n` outputs to `out[h·m·n..]`.
+    /// PSUM stream through Algorithm 1 the moment its tile lands: head
+    /// `h`'s slice of every tile feeds its own self-calibrating
+    /// [`StreamingApsq`] (deterministic: integer tiles are thread-invariant
+    /// and each step's scale is a pure function of them), and head `h`'s
+    /// `m·n` outputs land in `out[h·m·n..]`.
     fn fold_heads(
         eng: &ExecEngine,
         g: &Gemm<'_, i8>,
@@ -404,44 +422,57 @@ impl Int8MultiHeadAttention {
         traffic: &mut BufferTraffic,
         out: &mut [i32],
     ) {
-        let mut tiles: Vec<Int32Tensor> = Vec::new();
-        eng.gemm_k_tiles(g, k_tile, |_, tile| tiles.push(tile.clone()));
         let width = g.m * g.n;
-        for (h, out_h) in out.chunks_exact_mut(width).enumerate() {
-            let stream: Vec<Int32Tensor> = tiles
-                .iter()
-                .map(|tl| {
-                    Int32Tensor::from_vec(tl.data()[h * width..][..width].to_vec(), [1, width])
-                })
-                .collect();
-            let sched = ScaleSchedule::calibrate(
-                std::slice::from_ref(&stream),
-                config.bits,
-                config.group_size,
-            );
-            let run = apsq_core::grouped_apsq(&stream, &sched, config);
+        let np = g.k_range.len().div_ceil(k_tile);
+        let mut streams: Vec<StreamingApsq> = (0..g.batch)
+            .map(|_| StreamingApsq::calibrating(np, *config))
+            .collect();
+        eng.gemm_k_tiles(g, k_tile, |_, tile| {
+            for (stream, head) in streams.iter_mut().zip(tile.data().chunks_exact(width)) {
+                stream.push_slice(head);
+            }
+        });
+        for (stream, out_h) in streams.into_iter().zip(out.chunks_exact_mut(width)) {
+            let run = stream.finish();
             *traffic += run.traffic;
             out_h.copy_from_slice(run.output.data());
         }
     }
 
     /// Attends one quantized query row over a flat KV view of length
-    /// `t = kv.len`, returning the `[d]` context row and the PSUM buffer
-    /// traffic the two APSQ folds incurred — the single attention kernel
-    /// both the full-sequence forward and paged decode funnel into.
+    /// `t = kv.len`, writing the `[d]` context row to `ctx` and returning
+    /// the PSUM buffer traffic the two APSQ folds incurred — the single
+    /// attention kernel both the full-sequence forward and paged decode
+    /// funnel into. Every intermediate lives in the caller's `scratch`,
+    /// reused across rows and heads.
     fn attend_row_view(
         &self,
         qc: &[i8],
         kv: &Int8KvView<'_>,
         eng: &ExecEngine,
-    ) -> (Vec<f32>, BufferTraffic) {
+        scratch: &mut AttnScratch,
+        ctx: &mut [f32],
+    ) -> BufferTraffic {
         let d = kv.width;
         let heads = self.heads;
         let dh = d / heads;
         let t = kv.len;
         let inv_sqrt = 1.0 / (dh as f32).sqrt();
-        let q_scale = self.q_scale();
         let mut traffic = BufferTraffic::new();
+        let AttnScratch {
+            acc,
+            scores,
+            probs,
+            rc,
+            ctx_i32,
+            r_exps,
+        } = scratch;
+        acc.resize(heads * t, 0);
+        scores.resize(heads * t, 0.0);
+        probs.resize(t, 0.0);
+        rc.resize(heads * t, 0);
+        ctx_i32.resize(d, 0);
+        r_exps.resize(heads, 0);
 
         // Q·Kᵀ in the integer domain: [H, 1, dh] × [H, t, dh]ᵀ → [H, 1, t],
         // each head reading its dh columns of the [t, d] key rows in place.
@@ -455,45 +486,43 @@ impl Int8MultiHeadAttention {
             stride_b: dh,
             ..Gemm::new(Layout::NT, qc, kv.k_codes, 1, t, dh)
         };
-        let mut acc = vec![0i32; heads * t];
         match &self.seq_apsq {
-            None => eng.gemm(&qk, &mut acc),
+            None => eng.gemm(&qk, acc),
             Some((config, k_tile)) => {
-                Self::fold_heads(eng, &qk, (config, *k_tile), &mut traffic, &mut acc)
+                Self::fold_heads(eng, &qk, (config, *k_tile), &mut traffic, acc)
             }
         }
-        let qk_scale = q_scale * inv_sqrt;
-        let scores: Vec<f32> = acc
-            .iter()
+        let qk_scale = self.q_scale() * inv_sqrt;
+        for (h, (s_h, acc_h)) in scores
+            .chunks_exact_mut(t)
+            .zip(acc.chunks_exact(t))
             .enumerate()
-            .map(|(i, &v)| v as f32 * qk_scale * (kv.k_exps[(i % t) * heads + i / t] as f32).exp2())
-            .collect();
-
-        // Softmax in f32, per head.
-        let mut probs: Vec<Tensor> = Vec::with_capacity(heads);
-        for h in 0..heads {
-            let row = scores[h * t..(h + 1) * t].to_vec();
-            probs.push(softmax_rows(&Tensor::from_vec(row, [1, t])));
+        {
+            for (j, (s, &v)) in s_h.iter_mut().zip(acc_h).enumerate() {
+                *s = v as f32 * qk_scale * pow2_f32(kv.k_exps[j * heads + h] as i32);
+            }
         }
 
-        // P·V: fold each value row's scale into the probabilities, then
-        // requantize so the GEMM runs on a single scale pair and APSQ can
-        // fold over the context (K) dimension.
-        let v_exps = kv.v_exps;
-        let mut r_exps = vec![0i32; heads];
-        let mut rc = vec![0i8; heads * t];
-        for h in 0..heads {
-            let mut r = vec![0.0f32; t];
+        // Softmax in f32, per head; then P·V: fold each value row's scale
+        // into the probabilities and requantize, so the GEMM runs on a
+        // single scale pair and APSQ can fold over the context (K)
+        // dimension.
+        for (h, (row, rc_h)) in scores
+            .chunks_exact(t)
+            .zip(rc.chunks_exact_mut(t))
+            .enumerate()
+        {
+            softmax_row_into(row, probs);
             let mut max_abs = 0.0f32;
-            for (j, rj) in r.iter_mut().enumerate() {
-                *rj = probs[h].data()[j] * (v_exps[j * heads + h] as f32).exp2();
-                max_abs = max_abs.max(rj.abs());
+            for (j, p) in probs.iter_mut().enumerate() {
+                *p *= pow2_f32(kv.v_exps[j * heads + h] as i32);
+                max_abs = max_abs.max(p.abs());
             }
             let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
-            let scale = (e as f32).exp2();
+            let scale = pow2_f32(e);
             r_exps[h] = e;
-            for (j, rj) in r.iter().enumerate() {
-                rc[h * t + j] = (rj / scale).round().clamp(-128.0, 127.0) as i8;
+            for (c, p) in rc_h.iter_mut().zip(probs.iter()) {
+                *c = round_to_i8(p / scale);
             }
         }
         // Per head the [t, dh] column block of the value rows is already
@@ -502,23 +531,25 @@ impl Int8MultiHeadAttention {
             ldb: d,
             batch: heads,
             stride_b: dh,
-            ..Gemm::new(Layout::NN, &rc, kv.v_codes, 1, dh, t)
+            ..Gemm::new(Layout::NN, rc, kv.v_codes, 1, dh, t)
         };
-        let mut ctx_i32 = vec![0i32; d];
         match &self.seq_apsq {
-            None => eng.gemm(&pv, &mut ctx_i32),
+            None => eng.gemm(&pv, ctx_i32),
             Some((config, k_tile)) => {
-                Self::fold_heads(eng, &pv, (config, *k_tile), &mut traffic, &mut ctx_i32)
+                Self::fold_heads(eng, &pv, (config, *k_tile), &mut traffic, ctx_i32)
             }
         }
-        let mut ctx = vec![0.0f32; d];
-        for h in 0..heads {
-            let scale = (r_exps[h] as f32).exp2();
-            for j in 0..dh {
-                ctx[h * dh + j] = ctx_i32[h * dh + j] as f32 * scale;
+        for ((out_h, acc_h), &e) in ctx
+            .chunks_exact_mut(dh)
+            .zip(ctx_i32.chunks_exact(dh))
+            .zip(r_exps.iter())
+        {
+            let scale = pow2_f32(e);
+            for (o, &v) in out_h.iter_mut().zip(acc_h) {
+                *o = v as f32 * scale;
             }
         }
-        (ctx, traffic)
+        traffic
     }
 
     /// Full-sequence inference over `[T, d]` — the integer twin of
@@ -546,7 +577,8 @@ impl Int8MultiHeadAttention {
             }
         }
         let mut ctx = Tensor::zeros([t, d]);
-        for i in 0..t {
+        let mut scratch = AttnScratch::default();
+        for (i, ctx_row) in ctx.data_mut().chunks_exact_mut(d).enumerate() {
             let len = if self.causal { i + 1 } else { t };
             let kv = Int8KvView {
                 width: d,
@@ -557,8 +589,7 @@ impl Int8MultiHeadAttention {
                 v_exps: &v_exps[..len * h],
             };
             let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-            let (row, _) = self.attend_row_view(&qc, &kv, eng);
-            ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(&row);
+            self.attend_row_view(&qc, &kv, eng, &mut scratch, ctx_row);
         }
         self.wo.forward_inference_with(&ctx, eng)
     }
@@ -626,7 +657,12 @@ impl Int8MultiHeadAttention {
         let mut ctx = Tensor::zeros([b, d]);
         let (mut kc, mut vc) = (Vec::new(), Vec::new());
         let (mut ke, mut ve) = (Vec::new(), Vec::new());
-        for (i, state) in states.iter().enumerate() {
+        let mut scratch = AttnScratch::default();
+        for ((i, state), ctx_row) in states
+            .iter()
+            .enumerate()
+            .zip(ctx.data_mut().chunks_exact_mut(d))
+        {
             // This step's row was just appended but `advance` has not run.
             let t = state.position() + 1;
             pool.gather_int8(
@@ -646,9 +682,7 @@ impl Int8MultiHeadAttention {
                 v_exps: &ve,
             };
             let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-            let (row, row_traffic) = self.attend_row_view(&qc, &kv, eng);
-            traffic += row_traffic;
-            ctx.data_mut()[i * d..(i + 1) * d].copy_from_slice(&row);
+            traffic += self.attend_row_view(&qc, &kv, eng, &mut scratch, ctx_row);
         }
         (self.wo.forward_inference_with(&ctx, eng), traffic)
     }

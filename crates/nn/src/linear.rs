@@ -393,10 +393,11 @@ enum Observers<'a> {
 }
 
 /// The one APSQ fake-quant matmul both forward paths share: collect the
-/// K-tiled PSUM stream (engine-parallel per tile — calibration needs every
-/// tile), scale into the integer PSUM domain, build the power-of-two
-/// schedule from observers + batch calibration, and fold through the
-/// grouped float twin of Algorithm 1.
+/// K-tiled PSUM stream scaled into the integer PSUM domain (the batch
+/// calibration replays it on its own scales, the fold on the blended
+/// ones, so both need every tile), build the power-of-two schedule from
+/// observers + batch calibration, and fold through the grouped float twin
+/// of Algorithm 1.
 #[allow(clippy::too_many_arguments)]
 fn apsq_matmul(
     xq: &Tensor,
@@ -408,10 +409,9 @@ fn apsq_matmul(
     eng: &ExecEngine,
     obs: Observers<'_>,
 ) -> Tensor {
-    let mut tiles = Vec::new();
+    let mut scaled: Vec<Tensor> = Vec::new();
     let g = Gemm::dense(Layout::NN, xq.data(), xq.dims(), wq.data(), wq.dims());
-    eng.gemm_k_tiles(&g, k_tile, |_, tile| tiles.push(tile.clone()));
-    let scaled: Vec<Tensor> = tiles.iter().map(|t| t * (1.0 / base)).collect();
+    eng.gemm_k_tiles(&g, k_tile, |_, tile| scaled.push(tile * (1.0 / base)));
     let batch =
         FloatScaleSchedule::calibrate_pow2(std::slice::from_ref(&scaled), bits, GroupSize::new(gs));
     // Both paths floor every scale at 2^0: a fractional PSUM scale is a

@@ -125,10 +125,10 @@ pub(crate) fn quantize_int8_kv_row(row: &[f32], heads: usize, codes: &mut [i8], 
             m.max(x.abs())
         });
         let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
-        let scale = (e as f32).exp2();
+        let scale = apsq_quant::pow2_f32(e);
         exps[h] = e as i8;
         for (c, &x) in codes[h * dh..(h + 1) * dh].iter_mut().zip(slice) {
-            *c = (x / scale).round().clamp(-128.0, 127.0) as i8;
+            *c = apsq_quant::round_to_i8(x / scale);
         }
     }
 }

@@ -67,6 +67,31 @@ pub fn shift_dequantize(code: i32, sh: u32) -> i32 {
     saturating_shift_left(code, sh)
 }
 
+/// `x.round().clamp(-128.0, 127.0) as i8` — the f32 → i8 code map every
+/// activation quantizer ends in — without the libm `round` call, so
+/// per-element loops over it vectorize. Bit-identical for every input,
+/// NaN (→ 0) and infinities included: after clamping to `[−129, 128]`,
+/// `x − trunc(x)` is exact, and rounding the magnitude half away from
+/// zero is one compare per sign.
+///
+/// # Examples
+///
+/// ```
+/// use apsq_quant::round_to_i8;
+///
+/// assert_eq!(round_to_i8(2.5), 3);
+/// assert_eq!(round_to_i8(-2.5), -3);
+/// assert_eq!(round_to_i8(1e9), 127);
+/// ```
+#[inline]
+pub fn round_to_i8(x: f32) -> i8 {
+    let c = x.clamp(-129.0, 128.0);
+    let t = c as i32;
+    let f = c - t as f32;
+    let r = t + i32::from(f >= 0.5) - i32::from(f <= -0.5);
+    r.clamp(-128, 127) as i8
+}
+
 // ------------------------------------------------------------------ slices
 //
 // Branch-free slice forms of the shift quantizer. The APSQ fold epilogue
@@ -76,54 +101,34 @@ pub fn shift_dequantize(code: i32, sh: u32) -> i32 {
 // blends. Each is bit-identical to mapping its scalar twin over the slice
 // (pinned by unit tests).
 
-/// Round-half-away-from-zero shift without a sign branch: extract the sign
-/// mask, round the magnitude, restore the sign. Callers keep `x` within
-/// the i32 range, so `|x| + add` cannot overflow.
+/// Round-half-away-from-zero shift without a sign branch: extract the
+/// sign mask, round the magnitude, restore the sign. `|x| + 2^(sh−1)`
+/// cannot overflow a `u32` for `sh ≤ 30`, so the lanes stay 32 bits wide
+/// and the loop vectorizes even on baseline SSE2.
 #[inline]
-fn branchless_rounding_shift(x: i64, sh: u32, add: i64) -> i64 {
-    debug_assert!(sh > 0);
-    let s = x >> 63; // 0 for x ≥ 0, −1 for x < 0
-    let mag = (x ^ s) - s; // |x|
-    let t = (mag + add) >> sh;
+fn branchless_rounding_shift(x: i32, sh: u32, add: u32) -> i32 {
+    debug_assert!((1..=30).contains(&sh));
+    let s = x >> 31; // 0 for x ≥ 0, −1 for x < 0
+    let t = ((x.unsigned_abs() + add) >> sh) as i32;
     (t ^ s) - s
 }
 
 /// Maps [`shift_quantize`] over a slice of exact i32 PSUMs into `out`
-/// (cleared first), branch-free.
+/// (cleared first), branch-free for every shift a [`crate::Pow2Scale`]
+/// can hold (`sh ≤ 30`).
 pub fn shift_quantize_slice(xs: &[i32], sh: u32, range: QRange, out: &mut Vec<i32>) {
     out.clear();
-    out.reserve(xs.len());
-    let (qn, qp) = (range.qn as i64, range.qp as i64);
-    if sh == 0 {
-        out.extend(xs.iter().map(|&x| (x as i64).clamp(qn, qp) as i32));
-        return;
+    out.resize(xs.len(), 0);
+    let (qn, qp) = (range.qn, range.qp);
+    let pairs = out.iter_mut().zip(xs);
+    match sh {
+        0 => pairs.for_each(|(o, &x)| *o = x.clamp(qn, qp)),
+        1..=30 => {
+            let add = 1u32 << (sh - 1);
+            pairs.for_each(|(o, &x)| *o = branchless_rounding_shift(x, sh, add).clamp(qn, qp));
+        }
+        _ => pairs.for_each(|(o, &x)| *o = shift_quantize(x, sh, range)),
     }
-    let add = 1i64 << (sh - 1);
-    out.extend(
-        xs.iter()
-            .map(|&x| branchless_rounding_shift(x as i64, sh, add).clamp(qn, qp) as i32),
-    );
-}
-
-/// Clamps each 64-bit running PSUM into the i32 domain and
-/// [`shift_quantize`]s it — the fused Algorithm-1 group-fold epilogue
-/// (`Qᵢ(clamp(Σ …))`), bit-identical to `shift_quantize(clamp(x), …)` per
-/// element.
-pub fn shift_quantize_i64_slice(xs: &[i64], sh: u32, range: QRange, out: &mut Vec<i32>) {
-    const LO: i64 = i32::MIN as i64;
-    const HI: i64 = i32::MAX as i64;
-    out.clear();
-    out.reserve(xs.len());
-    let (qn, qp) = (range.qn as i64, range.qp as i64);
-    if sh == 0 {
-        out.extend(xs.iter().map(|&x| x.clamp(LO, HI).clamp(qn, qp) as i32));
-        return;
-    }
-    let add = 1i64 << (sh - 1);
-    out.extend(
-        xs.iter()
-            .map(|&x| branchless_rounding_shift(x.clamp(LO, HI), sh, add).clamp(qn, qp) as i32),
-    );
 }
 
 /// Adds the dequantized codes (`code · 2^sh`, saturating at the i32 limits
@@ -204,6 +209,39 @@ mod tests {
         }
     }
 
+    #[test]
+    fn round_to_i8_matches_round_then_clamp() {
+        let want = |x: f32| x.round().clamp(-128.0, 127.0) as i8;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-45,
+            -1e-45,
+        ];
+        // Every half-integer boundary in and past the code range, with its
+        // float neighbours.
+        for k in -140i32..=140 {
+            for base in [k as f32, k as f32 + 0.5, k as f32 - 0.5, k as f32 + 0.25] {
+                xs.extend([base, base.next_up(), base.next_down()]);
+            }
+        }
+        for x in &xs {
+            assert_eq!(round_to_i8(*x), want(*x), "x={x:e}");
+        }
+        // A strided walk over every bit pattern class.
+        for bits in (0..=u32::MAX).step_by(65_521) {
+            let x = f32::from_bits(bits);
+            assert_eq!(round_to_i8(x), want(x), "bits={bits:#x}");
+        }
+    }
+
     /// Awkward i32 values for the slice-vs-scalar equivalence sweeps:
     /// zeros, small values of both signs, rounding-boundary magnitudes,
     /// and the extremes.
@@ -220,30 +258,11 @@ mod tests {
         let mut out = Vec::new();
         for bits in [Bitwidth::INT8, Bitwidth::new(4), Bitwidth::new(16)] {
             let r = bits.signed_range();
-            for sh in 0u32..16 {
+            for sh in 0u32..=32 {
                 shift_quantize_slice(&xs, sh, r, &mut out);
                 let want: Vec<i32> = xs.iter().map(|&x| shift_quantize(x, sh, r)).collect();
                 assert_eq!(out, want, "sh={sh}");
             }
-        }
-    }
-
-    #[test]
-    fn quantize_i64_slice_matches_clamp_then_scalar() {
-        let mut xs: Vec<i64> = awkward_i32().iter().map(|&x| x as i64).collect();
-        xs.extend([i64::MAX / 4, i64::MIN / 4, 1i64 << 40, -(1i64 << 40)]);
-        let r = Bitwidth::INT8.signed_range();
-        let mut out = Vec::new();
-        for sh in 0u32..16 {
-            shift_quantize_i64_slice(&xs, sh, r, &mut out);
-            let want: Vec<i32> = xs
-                .iter()
-                .map(|&x| {
-                    let clamped = x.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
-                    shift_quantize(clamped, sh, r)
-                })
-                .collect();
-            assert_eq!(out, want, "sh={sh}");
         }
     }
 

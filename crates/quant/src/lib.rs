@@ -40,12 +40,12 @@ mod uniform;
 
 pub use bitwidth::{Bitwidth, QRange};
 pub use fixed::{
-    rounding_shift_right, saturating_add_in_range, saturating_shift_left, shift_dequantize,
-    shift_dequantize_accumulate, shift_dequantize_slice, shift_quantize, shift_quantize_i64_slice,
+    round_to_i8, rounding_shift_right, saturating_add_in_range, saturating_shift_left,
+    shift_dequantize, shift_dequantize_accumulate, shift_dequantize_slice, shift_quantize,
     shift_quantize_slice,
 };
 pub use lsq::LsqQuantizer;
 pub use observer::{EmaObserver, MinMaxObserver};
 pub use per_channel::PerChannelLsq;
-pub use pow2::{covering_pow2_exponent, Pow2LsqQuantizer, Pow2Scale};
+pub use pow2::{covering_pow2_exponent, pow2_f32, Pow2LsqQuantizer, Pow2Scale};
 pub use uniform::{pow2_exponent_for, UniformQuantizer};

@@ -119,13 +119,6 @@ impl Pow2Scale {
         crate::fixed::shift_quantize_slice(xs, self.exp, self.range, out);
     }
 
-    /// Fused clamp-to-i32 + [`Pow2Scale::quantize`] over a 64-bit running
-    /// group accumulator — the Algorithm-1 fold epilogue
-    /// `Qᵢ(clamp(Σ αₗ·APₗ + Tpᵢ))` as one branch-free pass.
-    pub fn quantize_clamped_i64_into(&self, acc: &[i64], out: &mut Vec<i32>) {
-        crate::fixed::shift_quantize_i64_slice(acc, self.exp, self.range, out);
-    }
-
     /// Adds the dequantized codes into a 64-bit group accumulator
     /// (`acc[j] += dequantize(codes[j])`), branch-free.
     ///
@@ -140,6 +133,33 @@ impl Pow2Scale {
     /// (cleared first).
     pub fn dequantize_slice_into(&self, codes: &[i32], out: &mut Vec<i32>) {
         crate::fixed::shift_dequantize_slice(codes, self.exp, out);
+    }
+}
+
+/// `2^e` as an f32, built from the exponent bits — bit-identical to
+/// `(e as f32).exp2()` for every `e` (an integer power of two is exactly
+/// representable wherever it is normal), without the libm call. Below
+/// the normal range (`e < −126`) and above it (`e > 127`) it falls back
+/// to `exp2`, which rounds to the subnormal / infinity the same way.
+///
+/// This is how per-row power-of-two activation scales (the int8 KV-cache
+/// exponents, the attention requantization scales) turn into multipliers
+/// in per-element epilogues.
+///
+/// # Examples
+///
+/// ```
+/// use apsq_quant::pow2_f32;
+///
+/// assert_eq!(pow2_f32(3), 8.0);
+/// assert_eq!(pow2_f32(-2), 0.25);
+/// ```
+#[inline]
+pub fn pow2_f32(e: i32) -> f32 {
+    if (-126..=127).contains(&e) {
+        f32::from_bits(((e + 127) as u32) << 23)
+    } else {
+        (e as f32).exp2()
     }
 }
 
@@ -281,6 +301,17 @@ impl Pow2LsqQuantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bit_built_pow2_matches_exp2_exhaustively() {
+        // Every i8 exponent the KV cache can store, including the two
+        // subnormal ones (−127, −128) that take the `exp2` fallback.
+        for e in -128i32..=127 {
+            let want = (e as f32).exp2();
+            assert_eq!(pow2_f32(e).to_bits(), want.to_bits(), "e={e}");
+        }
+        assert!(pow2_f32(-127) > 0.0 && !pow2_f32(-127).is_normal());
+    }
 
     #[test]
     fn shift_equivalence_with_float_path() {

@@ -62,23 +62,36 @@ pub fn silu_grad(x: &Tensor) -> Tensor {
 /// Panics if `x` is not rank-2.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     assert_eq!(x.rank(), 2, "softmax_rows requires a rank-2 tensor");
-    let (m, n) = (x.dims()[0], x.dims()[1]);
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        let row = &x.data()[i * n..(i + 1) * n];
-        let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for (j, &v) in row.iter().enumerate() {
-            let e = (v - mx).exp();
-            out[i * n + j] = e;
-            // lint: allow(float-reduction-outside-kernels) -- softmax row sum in fixed left-to-right order; this IS the blessed order
-            sum += e;
-        }
-        for v in &mut out[i * n..(i + 1) * n] {
-            *v /= sum;
+    let n = x.dims()[1];
+    let mut out = vec![0.0f32; x.numel()];
+    if n > 0 {
+        for (row, o) in x.data().chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+            softmax_row_into(row, o);
         }
     }
-    Tensor::from_vec(out, [m, n])
+    Tensor::from_vec(out, x.dims())
+}
+
+/// Softmax of one row into `out` — the single op order every softmax in
+/// the workspace runs ([`softmax_rows`] maps it over rows), so callers
+/// with their own scratch buffers stay bit-identical to it.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn softmax_row_into(row: &[f32], out: &mut [f32]) {
+    assert_eq!(row.len(), out.len(), "softmax row/output length mismatch");
+    let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for (o, &v) in out.iter_mut().zip(row) {
+        let e = (v - mx).exp();
+        *o = e;
+        // lint: allow(float-reduction-outside-kernels) -- softmax row sum in fixed left-to-right order; this IS the blessed order
+        sum += e;
+    }
+    for v in out.iter_mut() {
+        *v /= sum;
+    }
 }
 
 /// Backward pass of [`softmax_rows`]: given the softmax output `y` and the

@@ -242,43 +242,94 @@ pub(super) fn sse2_gemm_i8(
         let kq = usize::min(kp + KC, k1);
         let mut i = 0;
         while i + MR <= m {
-            let mut j = 0;
-            while j + NR <= n {
-                // MR rows × NR i32 accumulators (two 4-wide registers per
-                // row). Integer adds are exact, so lane order is free.
-                let mut acc = [[_mm_setzero_si128(); 2]; MR];
-                for l in kp..kq {
-                    let bv16 = sse2_load8_i8_as_i16(&b[l * ldb + j..l * ldb + j + NR]);
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let av16 = _mm_set1_epi16(a[(i + r) * lda + l] as i16);
-                        let (p0, p1) = sse2_mul_i16_to_i32(bv16, av16);
-                        accr[0] = _mm_add_epi32(accr[0], p0);
-                        accr[1] = _mm_add_epi32(accr[1], p1);
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + NR];
-                    // SAFETY: orow has exactly NR = 8 i32 slots.
-                    unsafe {
-                        let p = orow.as_mut_ptr() as *mut __m128i;
-                        _mm_storeu_si128(p, _mm_add_epi32(_mm_loadu_si128(p), accr[0]));
-                        _mm_storeu_si128(
-                            p.add(1),
-                            _mm_add_epi32(_mm_loadu_si128(p.add(1)), accr[1]),
-                        );
-                    }
-                }
-                j += NR;
-            }
-            if j < n {
-                tail_i8(a, lda, b, ldb, out, ldo, i, i + MR, j, n, kp, kq);
-            }
+            sse2_i8_strip::<MR, 1>(a, lda, b, ldb, out, ldo, i, n, kp, kq);
             i += MR;
         }
-        if i < m {
-            tail_i8(a, lda, b, ldb, out, ldo, i, m, 0, n, kp, kq);
+        // Rows left after the MR tiles — all of an M = 1 decode product —
+        // run one-row vector tiles 4·NR wide, so each b row loaded per l
+        // feeds 32 columns.
+        while i < m {
+            sse2_i8_strip::<1, 4>(a, lda, b, ldb, out, ldo, i, n, kp, kq);
+            i += 1;
         }
         kp = kq;
+    }
+}
+
+/// Rows `i..i + R` of [`sse2_gemm_i8`] over one K panel: R×(C·NR)
+/// vector tiles across the columns, then R×NR tiles, then the < NR column
+/// tail through [`tail_i8`].
+#[target_feature(enable = "sse2")]
+#[inline]
+fn sse2_i8_strip<const R: usize, const C: usize>(
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    i: usize,
+    n: usize,
+    kp: usize,
+    kq: usize,
+) {
+    let mut j = 0;
+    while j + C * NR <= n {
+        sse2_i8_tile::<R, C>(a, lda, b, ldb, out, ldo, i, j, kp, kq);
+        j += C * NR;
+    }
+    while j + NR <= n {
+        sse2_i8_tile::<R, 1>(a, lda, b, ldb, out, ldo, i, j, kp, kq);
+        j += NR;
+    }
+    if j < n {
+        tail_i8(a, lda, b, ldb, out, ldo, i, i + R, j, n, kp, kq);
+    }
+}
+
+/// One R×(C·NR) register tile at `(i, j)`: each row keeps two 4×i32
+/// registers per NR columns. Integer adds are exact, so lane order is
+/// free.
+#[target_feature(enable = "sse2")]
+#[inline]
+fn sse2_i8_tile<const R: usize, const C: usize>(
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    i: usize,
+    j: usize,
+    kp: usize,
+    kq: usize,
+) {
+    let mut acc = [[[_mm_setzero_si128(); 2]; C]; R];
+    for l in kp..kq {
+        let brow = &b[l * ldb + j..l * ldb + j + C * NR];
+        let mut bv16 = [_mm_setzero_si128(); C];
+        for (c, bv) in bv16.iter_mut().enumerate() {
+            *bv = sse2_load8_i8_as_i16(&brow[c * NR..(c + 1) * NR]);
+        }
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av16 = _mm_set1_epi16(a[(i + r) * lda + l] as i16);
+            for (accv, &bv) in accr.iter_mut().zip(&bv16) {
+                let (p0, p1) = sse2_mul_i16_to_i32(bv, av16);
+                accv[0] = _mm_add_epi32(accv[0], p0);
+                accv[1] = _mm_add_epi32(accv[1], p1);
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + C * NR];
+        for (chunk, accv) in orow.chunks_exact_mut(NR).zip(accr) {
+            // SAFETY: chunk has exactly NR = 8 i32 slots.
+            unsafe {
+                let p = chunk.as_mut_ptr() as *mut __m128i;
+                _mm_storeu_si128(p, _mm_add_epi32(_mm_loadu_si128(p), accv[0]));
+                _mm_storeu_si128(p.add(1), _mm_add_epi32(_mm_loadu_si128(p.add(1)), accv[1]));
+            }
+        }
     }
 }
 
@@ -536,41 +587,94 @@ pub(super) fn avx2_gemm_i8(
         let kq = usize::min(kp + KC, k1);
         let mut i = 0;
         while i + MR <= m {
-            let mut j = 0;
-            while j + NR <= n {
-                // MR rows × one 8×i32 register each: widen b's 8 codes to
-                // i32 lanes once per l, broadcast-multiply per row.
-                let mut acc = [_mm256_setzero_si256(); MR];
-                for l in kp..kq {
-                    let brow = &b[l * ldb + j..l * ldb + j + NR];
-                    // SAFETY: brow has exactly NR = 8 bytes for the
-                    // 64-bit load.
-                    let bv8 = unsafe { _mm_loadl_epi64(brow.as_ptr() as *const __m128i) };
-                    let bv32 = _mm256_cvtepi8_epi32(bv8);
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let av = _mm256_set1_epi32(a[(i + r) * lda + l] as i32);
-                        *accr = _mm256_add_epi32(*accr, _mm256_mullo_epi32(av, bv32));
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + NR];
-                    // SAFETY: orow has exactly NR = 8 i32 slots.
-                    unsafe {
-                        let p = orow.as_mut_ptr() as *mut __m256i;
-                        _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), *accr));
-                    }
-                }
-                j += NR;
-            }
-            if j < n {
-                tail_i8(a, lda, b, ldb, out, ldo, i, i + MR, j, n, kp, kq);
-            }
+            avx2_i8_strip::<MR, 1>(a, lda, b, ldb, out, ldo, i, n, kp, kq);
             i += MR;
         }
-        if i < m {
-            tail_i8(a, lda, b, ldb, out, ldo, i, m, 0, n, kp, kq);
+        // Rows left after the MR tiles — all of an M = 1 decode product —
+        // run one-row vector tiles 4·NR wide, so each b row loaded per l
+        // feeds 32 columns.
+        while i < m {
+            avx2_i8_strip::<1, 4>(a, lda, b, ldb, out, ldo, i, n, kp, kq);
+            i += 1;
         }
         kp = kq;
+    }
+}
+
+/// Rows `i..i + R` of [`avx2_gemm_i8`] over one K panel: R×(C·NR)
+/// vector tiles across the columns, then R×NR tiles, then the < NR column
+/// tail through [`tail_i8`].
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_i8_strip<const R: usize, const C: usize>(
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    i: usize,
+    n: usize,
+    kp: usize,
+    kq: usize,
+) {
+    let mut j = 0;
+    while j + C * NR <= n {
+        avx2_i8_tile::<R, C>(a, lda, b, ldb, out, ldo, i, j, kp, kq);
+        j += C * NR;
+    }
+    while j + NR <= n {
+        avx2_i8_tile::<R, 1>(a, lda, b, ldb, out, ldo, i, j, kp, kq);
+        j += NR;
+    }
+    if j < n {
+        tail_i8(a, lda, b, ldb, out, ldo, i, i + R, j, n, kp, kq);
+    }
+}
+
+/// One R×(C·NR) register tile at `(i, j)`: R rows × C 8×i32 registers.
+/// b's C·NR codes are widened to i32 lanes once per l, and each row's
+/// broadcast a-value feeds all C of them.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_i8_tile<const R: usize, const C: usize>(
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    i: usize,
+    j: usize,
+    kp: usize,
+    kq: usize,
+) {
+    let mut acc = [[_mm256_setzero_si256(); C]; R];
+    for l in kp..kq {
+        let brow = &b[l * ldb + j..l * ldb + j + C * NR];
+        let mut bv32 = [_mm256_setzero_si256(); C];
+        for (c, bv) in bv32.iter_mut().enumerate() {
+            let chunk = &brow[c * NR..(c + 1) * NR];
+            // SAFETY: chunk has exactly NR = 8 bytes for the 64-bit load.
+            let bv8 = unsafe { _mm_loadl_epi64(chunk.as_ptr() as *const __m128i) };
+            *bv = _mm256_cvtepi8_epi32(bv8);
+        }
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av = _mm256_set1_epi32(a[(i + r) * lda + l] as i32);
+            for (accv, &bv) in accr.iter_mut().zip(&bv32) {
+                *accv = _mm256_add_epi32(*accv, _mm256_mullo_epi32(av, bv));
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + C * NR];
+        for (chunk, accv) in orow.chunks_exact_mut(NR).zip(accr) {
+            // SAFETY: chunk has exactly NR = 8 i32 slots.
+            unsafe {
+                let p = chunk.as_mut_ptr() as *mut __m256i;
+                _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), *accv));
+            }
+        }
     }
 }
 

@@ -50,8 +50,8 @@ mod shape;
 mod tensor;
 
 pub use activation::{
-    gelu, gelu_grad, gelu_scalar, relu, relu_grad, sigmoid, silu, silu_grad, softmax_rows,
-    softmax_rows_grad,
+    gelu, gelu_grad, gelu_scalar, relu, relu_grad, sigmoid, silu, silu_grad, softmax_row_into,
+    softmax_rows, softmax_rows_grad,
 };
 pub use conv::conv2d_i8_reference;
 pub use exec::{ExecEngine, Gemm, Layout};

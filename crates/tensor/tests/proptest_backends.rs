@@ -278,10 +278,16 @@ proptest! {
 
     /// Attention-shaped head products (the serve decode hot path): each
     /// head reads its `dh` columns of `[t, d]` K/V rows in place through
-    /// `ld = d` and a batch stride of `dh`, for both element types.
+    /// `ld = d` and a batch stride of `dh`, for both element types. The
+    /// context reaches past `KC = 256` (a K panel boundary), and the
+    /// M = 1 P·V product also streams through `gemm_k_tiles` the way the
+    /// APSQ context fold consumes it, with tiles shallow and deeper than
+    /// one panel.
     #[test]
     fn batched_i8_bit_identical_across_backends(
-        (heads, dh, t) in (1usize..4, 1usize..20, 1usize..10),
+        (heads, dh) in (1usize..4, 1usize..20),
+        t in prop_oneof![1usize..10, 255usize..=261, 470usize..=490],
+        k_tile in prop_oneof![1usize..20, 250usize..300],
         seed in any::<u16>(),
     ) {
         let d = heads * dh;
@@ -303,7 +309,9 @@ proptest! {
             let (mut scores, mut ctx) = (vec![0i32; heads * t], vec![0i32; d]);
             eng.gemm(&qk, &mut scores);
             eng.gemm(&pv, &mut ctx);
-            (scores, ctx)
+            let mut tiles = Vec::new();
+            eng.gemm_k_tiles(&pv, k_tile, |_, tile| tiles.push(tile.clone()));
+            (scores, ctx, tiles)
         });
         // Head h's scores equal the dense product over a copied-out head.
         let mut scores = vec![0i32; heads * t];
