@@ -1,8 +1,11 @@
 //! Multi-head self-attention with manual backprop, quantization-aware
 //! projections, and an optional causal mask (for the decoder LM).
 
+use crate::decode::Attention;
 use crate::linear::{PsumMode, QuantLinear};
+use crate::paged::{BlockId, BlockPool, PagedKvState};
 use crate::param::{HasParams, Param};
+use apsq_core::BufferTraffic;
 use apsq_quant::Bitwidth;
 use apsq_tensor::{softmax_rows, softmax_rows_grad, ExecEngine, Gemm, Layout, Tensor};
 use rand::Rng;
@@ -56,20 +59,9 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// Whether a causal mask is applied.
     pub fn is_causal(&self) -> bool {
         self.causal
-    }
-
-    /// The four projections `(wq, wk, wv, wo)` — the PTQ conversion's
-    /// read-only view.
-    pub(crate) fn projections(&self) -> (&QuantLinear, &QuantLinear, &QuantLinear, &QuantLinear) {
-        (&self.wq, &self.wk, &self.wv, &self.wo)
     }
 
     /// Switches the PSUM mode of all four projections.
@@ -213,43 +205,9 @@ impl MultiHeadAttention {
         self.wo.apply_quantizer_grads(lr);
     }
 
-    /// Inference-only forward over `[T, d]` — same math as
-    /// [`Self::forward`] with frozen quantizers and no training caches
-    /// touched. The full-sequence twin of the decode path, used to verify
-    /// incremental decoding bit-for-bit.
-    pub fn forward_inference_with(&self, x: &Tensor, eng: &ExecEngine) -> Tensor {
-        let q = self.wq.forward_inference_with(x, eng);
-        let k = self.wk.forward_inference_with(x, eng);
-        let v = self.wv.forward_inference_with(x, eng);
-        let (t, d) = (x.dims()[0], x.dims()[1]);
-        let mut ctx = Tensor::zeros([t, d]);
-        let qkv = (q.data(), k.data(), v.data());
-        self.attend(qkv, (t, t, d), self.causal, eng, ctx.data_mut());
-        self.wo.forward_inference_with(&ctx, eng)
-    }
-
-    /// Batched incremental decode step: one query row per sequence, each
-    /// attending its own K/V history, which lives in `layer`'s block table
-    /// of its [`crate::PagedKvState`]. The projections and the output GEMM
-    /// run once over the whole `[B, d]` stack — the serving-path batching
-    /// win. This step's K/V rows are appended first (allocating or
-    /// copy-on-writing blocks as needed) under **one short lock** on the
-    /// shared [`crate::BlockPool`], then each sequence's blocks are
-    /// **gathered in token order** into a flat `[t·d]` layout via the
-    /// pool's lock-free gather, so no allocator lock is held during the
-    /// attention GEMMs and decode batches on other workers proceed
-    /// concurrently. Inference-only — no training caches are touched.
-    ///
-    /// Every engine kernel reduces each output element in a fixed order
-    /// independent of the batch partition, so row `b` is bit-identical to
-    /// running that sequence alone, and to row `t` of
-    /// [`Self::forward_inference_with`] over its whole prefix (the causal
-    /// mask zeroes exactly the rows not yet gathered) — for every block
-    /// size, thread count, and worker count.
-    ///
-    /// Positions are read from the states but **not** advanced — the
-    /// caller advances once after all layers of the step (see
-    /// [`crate::DecoderLm::decode_batch_paged_with`]).
+    /// The batched paged decode step over `[B, d]`: the shared
+    /// [`Attention::forward_decode_batch_paged_traced`] without its
+    /// traffic count (always zero on the f32 path).
     ///
     /// # Panics
     ///
@@ -259,39 +217,50 @@ impl MultiHeadAttention {
         &self,
         x: &Tensor,
         layer: usize,
-        pool: &crate::paged::BlockPool,
-        states: &mut [&mut crate::paged::PagedKvState],
+        pool: &BlockPool,
+        states: &mut [&mut PagedKvState],
         eng: &ExecEngine,
     ) -> Tensor {
-        let b = x.dims()[0];
-        assert_eq!(b, states.len(), "one paged KV state per batched sequence");
-        let d = x.dims()[1];
-        let q = self.wq.forward_inference_with(x, eng);
-        let k = self.wk.forward_inference_with(x, eng);
-        let v = self.wv.forward_inference_with(x, eng);
-        {
-            let mut alloc = pool.lock();
-            for (i, state) in states.iter_mut().enumerate() {
-                state.append_row(
-                    layer,
-                    &mut alloc,
-                    &k.data()[i * d..(i + 1) * d],
-                    &v.data()[i * d..(i + 1) * d],
-                );
-            }
-        }
+        self.forward_decode_batch_paged_traced(x, layer, pool, states, eng)
+            .0
+    }
+}
 
+impl Attention for MultiHeadAttention {
+    type Proj = QuantLinear;
+    /// The gathered `[t·d]` K and V rows.
+    type Scratch = (Vec<f32>, Vec<f32>);
+
+    fn heads(&self) -> usize {
+        self.heads
+    }
+
+    fn projections(&self) -> [&QuantLinear; 4] {
+        [&self.wq, &self.wk, &self.wv, &self.wo]
+    }
+
+    fn attend_sequence(&self, q: &Tensor, k: &Tensor, v: &Tensor, eng: &ExecEngine) -> Tensor {
+        let (t, d) = (q.dims()[0], q.dims()[1]);
+        let mut ctx = Tensor::zeros([t, d]);
+        let qkv = (q.data(), k.data(), v.data());
+        self.attend(qkv, (t, t, d), self.causal, eng, ctx.data_mut());
+        ctx
+    }
+
+    fn attend_paged_row(
+        &self,
+        q: &[f32],
+        blocks: &[BlockId],
+        t: usize,
+        pool: &BlockPool,
+        eng: &ExecEngine,
+        (k, v): &mut Self::Scratch,
+        ctx: &mut [f32],
+    ) -> BufferTraffic {
+        pool.gather_f32(blocks, t, k, v);
         // No mask: the gathered prefix *is* the causal window.
-        let mut ctx = Tensor::zeros([b, d]);
-        let (mut k_flat, mut v_flat) = (Vec::new(), Vec::new());
-        for (i, state) in states.iter().enumerate() {
-            let t = state.position() + 1; // this step's row is appended
-            pool.gather_f32(state.layer_blocks(layer), t, &mut k_flat, &mut v_flat);
-            let qkv = (&q.data()[i * d..(i + 1) * d], &k_flat[..], &v_flat[..]);
-            let ctx_i = &mut ctx.data_mut()[i * d..(i + 1) * d];
-            self.attend(qkv, (1, t, d), false, eng, ctx_i);
-        }
-        self.wo.forward_inference_with(&ctx, eng)
+        self.attend((q, &k[..], &v[..]), (1, t, q.len()), false, eng, ctx);
+        BufferTraffic::new()
     }
 }
 

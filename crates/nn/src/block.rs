@@ -1,22 +1,34 @@
-//! A pre-LayerNorm transformer block with quantization-aware sub-layers.
+//! A pre-LayerNorm transformer block, generic over its sub-layer types:
+//! the quantization-aware f32 block trains, and its PTQ conversion
+//! ([`crate::Int8TransformerBlock`]) runs the same inference code on the
+//! integer datapath.
 
 use crate::attention::MultiHeadAttention;
+use crate::decode::{Attention, Project};
 use crate::linear::{PsumMode, QuantLinear};
 use crate::norm::LayerNorm;
+use crate::paged::{BlockPool, PagedKvState};
 use crate::param::{HasParams, Param};
+use apsq_core::BufferTraffic;
 use apsq_quant::Bitwidth;
 use apsq_tensor::{gelu, gelu_grad, ExecEngine, Tensor};
 use rand::Rng;
 
 /// Pre-LN block: `x + Attn(LN(x))`, then `x + FFN(LN(x))` with a GELU MLP.
+///
+/// `A` is the attention sub-layer and `L` the FFN projection type; the
+/// defaults are the trainable fake-quant f32 layers. Training methods
+/// live on the default instantiation, and inference methods on every
+/// instantiation.
 #[derive(Clone, Debug)]
-pub struct TransformerBlock {
-    ln1: LayerNorm,
-    attn: MultiHeadAttention,
-    ln2: LayerNorm,
-    fc1: QuantLinear,
-    fc2: QuantLinear,
-    cache_h: Option<Tensor>, // pre-GELU activations
+pub struct TransformerBlock<A = MultiHeadAttention, L = QuantLinear> {
+    pub(crate) ln1: LayerNorm,
+    pub(crate) attn: A,
+    pub(crate) ln2: LayerNorm,
+    pub(crate) fc1: L,
+    pub(crate) fc2: L,
+    /// Pre-GELU activations of the last training forward.
+    pub(crate) cache_h: Option<Tensor>,
 }
 
 impl TransformerBlock {
@@ -38,20 +50,6 @@ impl TransformerBlock {
             fc2: QuantLinear::new(d_ff, d, bits, psum_mode, rng),
             cache_h: None,
         }
-    }
-
-    /// The block's sub-layers `(ln1, attn, ln2, fc1, fc2)` — the PTQ
-    /// conversion's read-only view.
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        &LayerNorm,
-        &MultiHeadAttention,
-        &LayerNorm,
-        &QuantLinear,
-        &QuantLinear,
-    ) {
-        (&self.ln1, &self.attn, &self.ln2, &self.fc1, &self.fc2)
     }
 
     /// Switches the PSUM mode of every quantized matmul in the block.
@@ -115,7 +113,9 @@ impl TransformerBlock {
         self.fc1.apply_quantizer_grads(lr);
         self.fc2.apply_quantizer_grads(lr);
     }
+}
 
+impl<A: Attention, L: Project> TransformerBlock<A, L> {
     /// Inference-only forward over `[T, d]`: frozen quantizers, no
     /// training caches. The full-sequence reference the decode path is
     /// verified bit-for-bit against.
@@ -128,22 +128,21 @@ impl TransformerBlock {
 
     /// Batched decode step over `[B, d]` — one row per sequence, whose K/V
     /// for this block live in `layer`'s block table of its
-    /// [`crate::PagedKvState`]. FFN and projection GEMMs run once over the
-    /// whole stack; row `b` is bit-identical to decoding that sequence
-    /// alone (see
-    /// [`crate::MultiHeadAttention::forward_decode_batch_paged_with`]).
+    /// [`PagedKvState`]. FFN and projection GEMMs run once over the whole
+    /// stack; row `b` is bit-identical to decoding that sequence alone
+    /// (see [`Attention::forward_decode_batch_paged_traced`]).
     pub fn forward_decode_batch_paged_with(
         &self,
         x: &Tensor,
         layer: usize,
-        pool: &crate::paged::BlockPool,
-        states: &mut [&mut crate::paged::PagedKvState],
+        pool: &BlockPool,
+        states: &mut [&mut PagedKvState],
         eng: &ExecEngine,
     ) -> Tensor {
         let a = self.ln1.forward_inference(x);
-        let a = self
+        let (a, _) = self
             .attn
-            .forward_decode_batch_paged_with(&a, layer, pool, states, eng);
+            .forward_decode_batch_paged_traced(&a, layer, pool, states, eng);
         let x1 = x + &a;
         self.ffn_inference(&x1, eng)
     }
@@ -152,10 +151,18 @@ impl TransformerBlock {
     /// with residual.
     fn ffn_inference(&self, x1: &Tensor, eng: &ExecEngine) -> Tensor {
         let f = self.ln2.forward_inference(x1);
-        let h = self.fc1.forward_inference_with(&f, eng);
+        let h = self.fc1.project(&f, eng);
         let g = gelu(&h);
-        let o = self.fc2.forward_inference_with(&g, eng);
+        let o = self.fc2.project(&g, eng);
         x1 + &o
+    }
+
+    /// PSUM words one `m`-row call incurs across the block's projections.
+    pub(crate) fn psum_words(&self, m: usize) -> BufferTraffic {
+        let mut words = self.attn.psum_words(m);
+        words += self.fc1.psum_words(m);
+        words += self.fc2.psum_words(m);
+        words
     }
 }
 

@@ -26,11 +26,11 @@
 //! property tests in `tests/proptest_int8.rs` pin this across random
 //! shapes/gs/k_tile/threads.
 
-use crate::embedding::Embedding;
+use crate::block::TransformerBlock;
+use crate::decode::{Attention, Project};
 use crate::linear::{observer_pow2_scale, Linear, PsumMode, QuantLinear};
 use crate::models::{DecoderLm, EncoderClassifier};
-use crate::norm::LayerNorm;
-use crate::paged::quantize_int8_kv_row;
+use crate::paged::{quantize_int8_kv_row, BlockId, BlockPool, PagedKvState};
 use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule, StreamingApsq};
 use apsq_quant::{pow2_f32, round_to_i8, Bitwidth, LsqQuantizer};
 use apsq_tensor::{
@@ -75,6 +75,16 @@ struct AttnScratch {
     ctx_i32: Vec<i32>,
     /// `[H]` power-of-two exponents of the requantized P·V operand.
     r_exps: Vec<i32>,
+}
+
+/// [`Int8MultiHeadAttention`]'s paged-decode scratch: the gathered K/V
+/// codes and exponents of the current row's block table plus the
+/// kernel's [`AttnScratch`], all reused across the rows of one step.
+#[derive(Default)]
+pub struct Int8PagedScratch {
+    /// Gathered `[t·d]` K and V codes, then `[t·heads]` K and V exponents.
+    gathered: [Vec<i8>; 4],
+    row: AttnScratch,
 }
 
 /// How an [`Int8Linear`] treats its i32 PSUM stream.
@@ -301,12 +311,16 @@ impl Int8Linear {
         }
         (Tensor::from_vec(y, [m, d_out]), traffic)
     }
+}
 
-    /// PSUM-buffer traffic (in stored words) one `m`-row call incurs —
-    /// the Algorithm-1 invariant counts: `np` writes and `np − 1` reads
-    /// per output element regardless of `gs`, zero for the exact
-    /// register-resident path.
-    pub fn psum_words(&self, m: usize) -> BufferTraffic {
+impl Project for Int8Linear {
+    fn project(&self, x: &Tensor, eng: &ExecEngine) -> Tensor {
+        self.forward_inference_with(x, eng)
+    }
+
+    /// `np` writes and `np − 1` reads per output element regardless of
+    /// `gs`; zero for the exact register-resident path.
+    fn psum_words(&self, m: usize) -> BufferTraffic {
         let numel = (m * self.d_out()) as u64;
         match &self.psum {
             Int8PsumPath::Exact => BufferTraffic::new(),
@@ -365,7 +379,7 @@ impl Int8MultiHeadAttention {
     /// Same conditions as [`Int8Linear::from_quant_linear`], plus an empty
     /// or non-finite calibration batch.
     pub fn from_float(attn: &crate::MultiHeadAttention, calib: &Tensor, eng: &ExecEngine) -> Self {
-        let (wq, wk, wv, wo) = attn.projections();
+        let [wq, wk, wv, wo] = attn.projections();
         let seq_apsq = match wq.psum_mode() {
             PsumMode::Exact => None,
             PsumMode::Apsq { bits, gs, k_tile } => Some((
@@ -552,63 +566,10 @@ impl Int8MultiHeadAttention {
         traffic
     }
 
-    /// Full-sequence inference over `[T, d]` — the integer twin of
-    /// [`crate::MultiHeadAttention::forward_inference_with`] and the oracle
-    /// incremental decode is pinned to. All `T` K/V rows are quantized
-    /// once into flat code and exponent buffers; query row `i` then
-    /// attends a prefix view of them — `i + 1` rows when causal, all `T`
-    /// otherwise — through the same kernel paged decode runs over its
-    /// gathered blocks, so decoding reproduces it **bit for bit**.
-    pub fn forward_inference_with(&self, x: &Tensor, eng: &ExecEngine) -> Tensor {
-        let (t, d) = (x.dims()[0], x.dims()[1]);
-        let h = self.heads;
-        let q = self.wq.forward_inference_with(x, eng);
-        let k = self.wk.forward_inference_with(x, eng);
-        let v = self.wv.forward_inference_with(x, eng);
-        let (mut k_codes, mut v_codes) = (vec![0i8; t * d], vec![0i8; t * d]);
-        let (mut k_exps, mut v_exps) = (vec![0i8; t * h], vec![0i8; t * h]);
-        for (src, codes, exps) in [
-            (&k, &mut k_codes, &mut k_exps),
-            (&v, &mut v_codes, &mut v_exps),
-        ] {
-            let rows = src.data().chunks(d).zip(codes.chunks_mut(d));
-            for ((row, c), e) in rows.zip(exps.chunks_mut(h)) {
-                quantize_int8_kv_row(row, h, c, e);
-            }
-        }
-        let mut ctx = Tensor::zeros([t, d]);
-        let mut scratch = AttnScratch::default();
-        for (i, ctx_row) in ctx.data_mut().chunks_exact_mut(d).enumerate() {
-            let len = if self.causal { i + 1 } else { t };
-            let kv = Int8KvView {
-                width: d,
-                len,
-                k_codes: &k_codes[..len * d],
-                v_codes: &v_codes[..len * d],
-                k_exps: &k_exps[..len * h],
-                v_exps: &v_exps[..len * h],
-            };
-            let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-            self.attend_row_view(&qc, &kv, eng, &mut scratch, ctx_row);
-        }
-        self.wo.forward_inference_with(&ctx, eng)
-    }
-
-    /// Batched incremental decode step over `[B, d]`: each sequence's K/V
-    /// rows for this layer live in fixed-size blocks owned by the shared
-    /// **int8** [`crate::BlockPool`] and addressed through the sequence's
-    /// [`crate::PagedKvState`] block table. Appends quantize through the
-    /// crate's single per-(token, head) covering-scale recipe under one
-    /// short pool lock; attention gathers the table back into a flat view
-    /// via the pool's lock-free gather, so no allocator lock is held
-    /// during the integer GEMMs. Row `b` is **bit-identical** to decoding
-    /// that sequence alone and to row `t` of
-    /// [`Self::forward_inference_with`] over its prefix, for every block
-    /// size, engine thread count, and worker count (integer GEMMs are
-    /// exact and row-independent, and all f32 glue is per-row).
-    ///
-    /// Positions are read but **not** advanced; the model driver calls
-    /// [`crate::PagedKvState::advance`] once per step after all layers.
+    /// The batched paged decode step over `[B, d]` on an **int8**
+    /// [`BlockPool`]: the shared
+    /// [`Attention::forward_decode_batch_paged_traced`] without its
+    /// traffic count.
     ///
     /// # Panics
     ///
@@ -618,82 +579,100 @@ impl Int8MultiHeadAttention {
         &self,
         x: &Tensor,
         layer: usize,
-        pool: &crate::BlockPool,
-        states: &mut [&mut crate::PagedKvState],
+        pool: &BlockPool,
+        states: &mut [&mut PagedKvState],
         eng: &ExecEngine,
     ) -> Tensor {
         self.forward_decode_batch_paged_traced(x, layer, pool, states, eng)
             .0
     }
+}
 
-    /// [`Self::forward_decode_batch_paged_with`] also returning the PSUM
-    /// buffer traffic the attention APSQ folds incurred across the batch.
-    pub fn forward_decode_batch_paged_traced(
-        &self,
-        x: &Tensor,
-        layer: usize,
-        pool: &crate::BlockPool,
-        states: &mut [&mut crate::PagedKvState],
-        eng: &ExecEngine,
-    ) -> (Tensor, BufferTraffic) {
-        let b = x.dims()[0];
-        assert_eq!(b, states.len(), "one paged KV state per batched sequence");
-        let d = x.dims()[1];
-        let q = self.wq.forward_inference_with(x, eng);
-        let k = self.wk.forward_inference_with(x, eng);
-        let v = self.wv.forward_inference_with(x, eng);
-        {
-            let mut alloc = pool.lock();
-            for (i, state) in states.iter_mut().enumerate() {
-                state.append_row(
-                    layer,
-                    &mut alloc,
-                    &k.data()[i * d..(i + 1) * d],
-                    &v.data()[i * d..(i + 1) * d],
-                );
-            }
-        }
-        let mut traffic = BufferTraffic::new();
-        let mut ctx = Tensor::zeros([b, d]);
-        let (mut kc, mut vc) = (Vec::new(), Vec::new());
-        let (mut ke, mut ve) = (Vec::new(), Vec::new());
-        let mut scratch = AttnScratch::default();
-        for ((i, state), ctx_row) in states
-            .iter()
-            .enumerate()
-            .zip(ctx.data_mut().chunks_exact_mut(d))
-        {
-            // This step's row was just appended but `advance` has not run.
-            let t = state.position() + 1;
-            pool.gather_int8(
-                state.layer_blocks(layer),
-                t,
-                &mut kc,
-                &mut vc,
-                &mut ke,
-                &mut ve,
-            );
-            let kv = Int8KvView {
-                width: d,
-                len: t,
-                k_codes: &kc,
-                v_codes: &vc,
-                k_exps: &ke,
-                v_exps: &ve,
-            };
-            let qc = self.quantize_q_row(&q.data()[i * d..(i + 1) * d]);
-            traffic += self.attend_row_view(&qc, &kv, eng, &mut scratch, ctx_row);
-        }
-        (self.wo.forward_inference_with(&ctx, eng), traffic)
+impl Attention for Int8MultiHeadAttention {
+    type Proj = Int8Linear;
+    type Scratch = Int8PagedScratch;
+
+    fn heads(&self) -> usize {
+        self.heads
     }
 
-    /// Analytic PSUM-buffer word counts (Algorithm-1 invariant: `np`
-    /// writes, `np − 1` reads per output element, independent of `gs`)
-    /// for one decode row attending a context of length `t` — `Q·Kᵀ`
-    /// streams `⌈dh/k_tile⌉` tiles over `t` scores, `P·V` streams
-    /// `⌈t/k_tile⌉` tiles over `dh` outputs, per head. Zero in exact mode
-    /// and at `t = 0` (no cached context, no attention GEMMs).
-    pub fn attn_psum_words(&self, t: usize) -> BufferTraffic {
+    fn projections(&self) -> [&Int8Linear; 4] {
+        [&self.wq, &self.wk, &self.wv, &self.wo]
+    }
+
+    /// All `T` K/V rows are quantized once into flat code and exponent
+    /// buffers; query row `i` then attends a prefix view of them — `i + 1`
+    /// rows when causal, all `T` otherwise — through the same kernel paged
+    /// decode runs over its gathered blocks, so decoding reproduces it
+    /// **bit for bit**.
+    fn attend_sequence(&self, q: &Tensor, k: &Tensor, v: &Tensor, eng: &ExecEngine) -> Tensor {
+        let (t, d) = (q.dims()[0], q.dims()[1]);
+        let h = self.heads;
+        let (mut k_codes, mut v_codes) = (vec![0i8; t * d], vec![0i8; t * d]);
+        let (mut k_exps, mut v_exps) = (vec![0i8; t * h], vec![0i8; t * h]);
+        for (src, codes, exps) in [
+            (k, &mut k_codes, &mut k_exps),
+            (v, &mut v_codes, &mut v_exps),
+        ] {
+            let rows = src.data().chunks(d).zip(codes.chunks_mut(d));
+            for ((row, c), e) in rows.zip(exps.chunks_mut(h)) {
+                quantize_int8_kv_row(row, h, c, e);
+            }
+        }
+        let mut ctx = Tensor::zeros([t, d]);
+        let mut scratch = AttnScratch::default();
+        let rows = q
+            .data()
+            .chunks_exact(d)
+            .zip(ctx.data_mut().chunks_exact_mut(d));
+        for (i, (q_row, ctx_row)) in rows.enumerate() {
+            let len = if self.causal { i + 1 } else { t };
+            let kv = Int8KvView {
+                width: d,
+                len,
+                k_codes: &k_codes[..len * d],
+                v_codes: &v_codes[..len * d],
+                k_exps: &k_exps[..len * h],
+                v_exps: &v_exps[..len * h],
+            };
+            let qc = self.quantize_q_row(q_row);
+            self.attend_row_view(&qc, &kv, eng, &mut scratch, ctx_row);
+        }
+        ctx
+    }
+
+    /// Gathers the table's i8 codes and exponents (written through the
+    /// crate's single per-(token, head) covering-scale recipe) into
+    /// `scratch` and runs the integer attention kernel over them.
+    fn attend_paged_row(
+        &self,
+        q: &[f32],
+        blocks: &[BlockId],
+        t: usize,
+        pool: &BlockPool,
+        eng: &ExecEngine,
+        scratch: &mut Int8PagedScratch,
+        ctx: &mut [f32],
+    ) -> BufferTraffic {
+        let [k_codes, v_codes, k_exps, v_exps] = &mut scratch.gathered;
+        pool.gather_int8(blocks, t, k_codes, v_codes, k_exps, v_exps);
+        let kv = Int8KvView {
+            width: q.len(),
+            len: t,
+            k_codes,
+            v_codes,
+            k_exps,
+            v_exps,
+        };
+        let qc = self.quantize_q_row(q);
+        self.attend_row_view(&qc, &kv, eng, &mut scratch.row, ctx)
+    }
+
+    /// Algorithm-1 invariant counts: `Q·Kᵀ` streams `⌈dh/k_tile⌉` tiles
+    /// over `t` scores, `P·V` streams `⌈t/k_tile⌉` tiles over `dh`
+    /// outputs, per head. Zero in exact mode and at `t = 0` (no cached
+    /// context, no attention GEMMs).
+    fn attn_psum_words(&self, t: usize) -> BufferTraffic {
         if t == 0 {
             return BufferTraffic::new();
         }
@@ -712,28 +691,12 @@ impl Int8MultiHeadAttention {
             }
         }
     }
-
-    /// PSUM words for one `m`-row call across all four projections.
-    fn psum_words(&self, m: usize) -> BufferTraffic {
-        let mut t = self.wq.psum_words(m);
-        t += self.wk.psum_words(m);
-        t += self.wv.psum_words(m);
-        t += self.wo.psum_words(m);
-        t
-    }
 }
 
 /// Integer-datapath pre-LN transformer block: LayerNorm / GELU /
 /// residuals in f32, every weight GEMM through [`Int8Linear`] with
 /// requantization at each integer layer's input.
-#[derive(Clone, Debug)]
-pub struct Int8TransformerBlock {
-    ln1: LayerNorm,
-    attn: Int8MultiHeadAttention,
-    ln2: LayerNorm,
-    fc1: Int8Linear,
-    fc2: Int8Linear,
-}
+pub type Int8TransformerBlock = TransformerBlock<Int8MultiHeadAttention, Int8Linear>;
 
 impl Int8TransformerBlock {
     /// PTQ-converts a trained block; `x` is the block's calibration input
@@ -743,70 +706,33 @@ impl Int8TransformerBlock {
     /// # Panics
     ///
     /// Same conditions as [`Int8Linear::from_quant_linear`].
-    pub fn from_float(block: &crate::TransformerBlock, x: &Tensor, eng: &ExecEngine) -> Self {
-        let (ln1, attn, ln2, fc1, fc2) = block.parts();
-        let a = ln1.forward_inference(x);
-        Int8TransformerBlock {
-            ln1: ln1.clone(),
-            attn: Int8MultiHeadAttention::from_float(attn, &a, eng),
-            ln2: ln2.clone(),
-            fc1: Int8Linear::from_quant_linear(fc1),
-            fc2: Int8Linear::from_quant_linear(fc2),
+    pub fn from_float(block: &TransformerBlock, x: &Tensor, eng: &ExecEngine) -> Self {
+        let a = block.ln1.forward_inference(x);
+        TransformerBlock {
+            ln1: block.ln1.clone(),
+            attn: Int8MultiHeadAttention::from_float(&block.attn, &a, eng),
+            ln2: block.ln2.clone(),
+            fc1: Int8Linear::from_quant_linear(&block.fc1),
+            fc2: Int8Linear::from_quant_linear(&block.fc2),
+            cache_h: None,
         }
     }
+}
 
-    /// Full-sequence inference over `[T, d]`.
-    pub fn forward_inference_with(&self, x: &Tensor, eng: &ExecEngine) -> Tensor {
-        let a = self.ln1.forward_inference(x);
-        let a = self.attn.forward_inference_with(&a, eng);
-        let x1 = x + &a;
-        self.ffn_inference(&x1, eng)
+/// PTQ-converts every block of a trained stack, propagating the f32
+/// calibration activations `h` through it; returns the converted blocks
+/// and the stack's output on `h`.
+fn convert_blocks(
+    blocks: &[TransformerBlock],
+    mut h: Tensor,
+    eng: &ExecEngine,
+) -> (Vec<Int8TransformerBlock>, Tensor) {
+    let mut int8_blocks = Vec::with_capacity(blocks.len());
+    for b in blocks {
+        int8_blocks.push(Int8TransformerBlock::from_float(b, &h, eng));
+        h = b.forward_inference_with(&h, eng);
     }
-
-    /// Batched decode step over `[B, d]` — one row per sequence, whose K/V
-    /// for this block live in `layer`'s block table of its
-    /// [`crate::PagedKvState`] (see
-    /// [`Int8MultiHeadAttention::forward_decode_batch_paged_with`]).
-    pub fn forward_decode_batch_paged_with(
-        &self,
-        x: &Tensor,
-        layer: usize,
-        pool: &crate::BlockPool,
-        states: &mut [&mut crate::PagedKvState],
-        eng: &ExecEngine,
-    ) -> Tensor {
-        let a = self.ln1.forward_inference(x);
-        let a = self
-            .attn
-            .forward_decode_batch_paged_with(&a, layer, pool, states, eng);
-        let x1 = x + &a;
-        self.ffn_inference(&x1, eng)
-    }
-
-    /// Attention heads of the block.
-    pub(crate) fn heads(&self) -> usize {
-        self.attn.heads
-    }
-
-    /// Analytic attention PSUM words for one decode row at context `t`.
-    fn attn_psum_words(&self, t: usize) -> BufferTraffic {
-        self.attn.attn_psum_words(t)
-    }
-
-    fn ffn_inference(&self, x1: &Tensor, eng: &ExecEngine) -> Tensor {
-        let f = self.ln2.forward_inference(x1);
-        let h = self.fc1.forward_inference_with(&f, eng);
-        let g = gelu(&h);
-        let o = self.fc2.forward_inference_with(&g, eng);
-        x1 + &o
-    }
-
-    fn psum_words(&self, m: usize) -> BufferTraffic {
-        let mut t = self.attn.psum_words(m);
-        t += self.fc1.psum_words(m);
-        t += self.fc2.psum_words(m);
-        t
-    }
+    (int8_blocks, h)
 }
 
 /// Integer-datapath causal decoder LM: the serving-path model. Embedding
@@ -815,13 +741,7 @@ impl Int8TransformerBlock {
 /// with per-(token, head) power-of-two scales** so decode attention runs
 /// `Q·Kᵀ` and `P·V` in the integer domain with grouped APSQ folded over
 /// the context dimension ([`Int8MultiHeadAttention`]).
-#[derive(Clone, Debug)]
-pub struct Int8DecoderLm {
-    embed: Embedding,
-    blocks: Vec<Int8TransformerBlock>,
-    ln: LayerNorm,
-    lm_head: Int8Linear,
-}
+pub type Int8DecoderLm = DecoderLm<Int8MultiHeadAttention, Int8Linear, Int8Linear>;
 
 impl Int8DecoderLm {
     /// PTQ conversion pass: converts every [`QuantLinear`] site from its
@@ -837,149 +757,20 @@ impl Int8DecoderLm {
             !calib_ids.is_empty(),
             "need a non-empty calibration sequence"
         );
-        let (embed, blocks, ln, lm_head) = m.parts();
-        let mut h = embed.forward_inference(calib_ids);
-        let mut int8_blocks = Vec::with_capacity(blocks.len());
-        for b in blocks {
-            int8_blocks.push(Int8TransformerBlock::from_float(b, &h, eng));
-            h = b.forward_inference_with(&h, eng);
+        let (blocks, h) = convert_blocks(&m.blocks, m.embed.forward_inference(calib_ids), eng);
+        let hn = m.ln.forward_inference(&h);
+        DecoderLm {
+            embed: m.embed.clone(),
+            blocks,
+            ln: m.ln.clone(),
+            lm_head: Int8Linear::from_linear(&m.lm_head, &hn),
         }
-        let hn = ln.forward_inference(&h);
-        Int8DecoderLm {
-            embed: embed.clone(),
-            blocks: int8_blocks,
-            ln: ln.clone(),
-            lm_head: Int8Linear::from_linear(lm_head, &hn),
-        }
-    }
-
-    /// Decoder depth (transformer blocks).
-    pub fn num_layers(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Attention heads per block.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a depth-0 model (never produced by the conversion pass).
-    pub fn heads(&self) -> usize {
-        self.blocks.first().expect("decoder has no blocks").heads()
-    }
-
-    /// Hidden width `d_model`.
-    pub fn width(&self) -> usize {
-        self.embed.tokens.value.dims()[1]
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.embed.tokens.value.dims()[0]
-    }
-
-    /// Maximum sequence length (positional-table rows).
-    pub fn max_len(&self) -> usize {
-        self.embed.positions.value.dims()[0]
-    }
-
-    /// Full-sequence inference: token ids → `[T, vocab]` logits.
-    pub fn forward_inference_with(&self, ids: &[usize], eng: &ExecEngine) -> Tensor {
-        let mut h = self.embed.forward_inference(ids);
-        for b in &self.blocks {
-            h = b.forward_inference_with(&h, eng);
-        }
-        let h = self.ln.forward_inference(&h);
-        self.lm_head.forward_inference_with(&h, eng)
-    }
-
-    /// An empty paged KV state with one block table per decoder layer.
-    /// Pair with an **int8** [`crate::BlockPool`] over an allocator sized
-    /// by [`crate::BlockAllocator::int8`] from the model's `width()` and
-    /// `heads()` — `2·(d + heads)` bytes per stored token instead of the
-    /// f32 blocks' `8·d`.
-    pub fn new_paged_state(&self) -> crate::PagedKvState {
-        crate::PagedKvState::for_layers(self.blocks.len())
-    }
-
-    /// Batched decode through the integer datapath: one token per
-    /// sequence, returning `[B, vocab]` next-token logits. Every
-    /// sequence's KV lives in fixed-size blocks carved from the shared
-    /// pool's byte budget. The pool lock covers only appends; gathers are
-    /// lock-free, so batches on other workers decode concurrently. Row `b`
-    /// is bit-identical to decoding that sequence alone and to row `t` of
-    /// [`Self::forward_inference_with`] over its prefix, for every block
-    /// size, engine thread count, and worker count — integer GEMM rows are
-    /// independent and exact, and the f32 glue is per-row (see
-    /// [`Int8MultiHeadAttention::forward_decode_batch_paged_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` and `states` lengths differ, the batch is
-    /// empty, a state was built for a different depth, a position exceeds
-    /// `max_len`, or the block pool is exhausted.
-    pub fn decode_batch_paged_with(
-        &self,
-        tokens: &[usize],
-        states: &mut [&mut crate::PagedKvState],
-        pool: &crate::BlockPool,
-        eng: &ExecEngine,
-    ) -> Tensor {
-        assert_eq!(tokens.len(), states.len(), "one KV state per token");
-        assert!(!tokens.is_empty(), "empty decode batch");
-        let d = self.width();
-        let mut x = Tensor::zeros([tokens.len(), d]);
-        for (i, (&t, s)) in tokens.iter().zip(states.iter()).enumerate() {
-            assert_eq!(s.num_layers(), self.blocks.len(), "KV state depth mismatch");
-            let row = self.embed.embed_one(t, s.position());
-            x.data_mut()[i * d..(i + 1) * d].copy_from_slice(row.data());
-        }
-        let mut h = x;
-        for (l, b) in self.blocks.iter().enumerate() {
-            h = b.forward_decode_batch_paged_with(&h, l, pool, states, eng);
-        }
-        let h = self.ln.forward_inference(&h);
-        for s in states.iter_mut() {
-            s.advance();
-        }
-        self.lm_head.forward_inference_with(&h, eng)
-    }
-
-    /// PSUM-buffer traffic (stored words) one decode token incurs across
-    /// every integer **projection/FFN/head** GEMM in the model — the
-    /// Algorithm-1 invariant counts, independent of `gs`. Multiply by the
-    /// storage format's bytes-per-word (`apsq_dataflow::PsumFormat::beta`)
-    /// for bytes. Attention-GEMM traffic grows with the context; see
-    /// [`Int8DecoderLm::attn_psum_words_at`].
-    pub fn psum_words_per_token(&self) -> BufferTraffic {
-        let mut t = BufferTraffic::new();
-        for b in &self.blocks {
-            t += b.psum_words(1);
-        }
-        t += self.lm_head.psum_words(1);
-        t
-    }
-
-    /// PSUM-buffer traffic the **attention** APSQ folds incur for one
-    /// decode token at context length `t`, summed over all layers.
-    pub fn attn_psum_words_at(&self, t: usize) -> BufferTraffic {
-        let mut words = BufferTraffic::new();
-        for b in &self.blocks {
-            words += b.attn_psum_words(t);
-        }
-        words
     }
 }
 
 /// Integer-datapath encoder classifier: quantized blocks plus the
 /// nonlinear pooler/head converted by best-effort W8A8 PTQ.
-#[derive(Clone, Debug)]
-pub struct Int8EncoderClassifier {
-    embed: Embedding,
-    blocks: Vec<Int8TransformerBlock>,
-    ln: LayerNorm,
-    pooler: Int8Linear,
-    head: Int8Linear,
-}
+pub type Int8EncoderClassifier = EncoderClassifier<Int8MultiHeadAttention, Int8Linear, Int8Linear>;
 
 impl Int8EncoderClassifier {
     /// PTQ conversion pass: converts every [`QuantLinear`] site and
@@ -995,37 +786,20 @@ impl Int8EncoderClassifier {
             !calib_ids.is_empty(),
             "need a non-empty calibration sequence"
         );
-        let (embed, blocks, ln, pooler, head) = m.parts();
-        let mut h = embed.forward_inference(calib_ids);
-        let mut int8_blocks = Vec::with_capacity(blocks.len());
-        for b in blocks {
-            int8_blocks.push(Int8TransformerBlock::from_float(b, &h, eng));
-            h = b.forward_inference_with(&h, eng);
-        }
-        let hn = ln.forward_inference(&h);
+        let (blocks, h) = convert_blocks(&m.blocks, m.embed.forward_inference(calib_ids), eng);
+        let hn = m.ln.forward_inference(&h);
         let pooled = &sum_axis0(&hn) * (1.0 / calib_ids.len() as f32);
         let pooled = pooled.reshape([1, hn.dims()[1]]);
-        let z = pooler.forward_inference_with(&pooled, eng);
-        Int8EncoderClassifier {
-            embed: embed.clone(),
-            blocks: int8_blocks,
-            ln: ln.clone(),
-            pooler: Int8Linear::from_linear(pooler, &pooled),
-            head: Int8Linear::from_linear(head, &gelu(&z)),
+        let z = m.pooler.forward_inference_with(&pooled, eng);
+        EncoderClassifier {
+            embed: m.embed.clone(),
+            blocks,
+            ln: m.ln.clone(),
+            pooler: Int8Linear::from_linear(&m.pooler, &pooled),
+            head: Int8Linear::from_linear(&m.head, &gelu(&z)),
+            seq_len_cache: 0,
+            pooler_pre_act: None,
         }
-    }
-
-    /// Inference: token ids → `[1, classes]` logits (mean-pooled).
-    pub fn forward_inference_with(&self, ids: &[usize], eng: &ExecEngine) -> Tensor {
-        let mut h = self.embed.forward_inference(ids);
-        for b in &self.blocks {
-            h = b.forward_inference_with(&h, eng);
-        }
-        let h = self.ln.forward_inference(&h);
-        let pooled = &sum_axis0(&h) * (1.0 / ids.len() as f32);
-        let pooled = pooled.reshape([1, h.dims()[1]]);
-        let z = self.pooler.forward_inference_with(&pooled, eng);
-        self.head.forward_inference_with(&gelu(&z), eng)
     }
 }
 

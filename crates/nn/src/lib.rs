@@ -11,15 +11,21 @@
 //!   would execute it at inference;
 //! - [`MultiHeadAttention`], [`TransformerBlock`], [`EncoderClassifier`],
 //!   [`TokenTagger`], [`DecoderLm`] — the task models (manual backprop);
-//! - [`Int8Linear`], [`Int8TransformerBlock`], [`Int8DecoderLm`], … — the
-//!   **true integer inference datapath**: i8×i8→i32 GEMMs with grouped
-//!   APSQ folded into the K loop, produced by a PTQ conversion pass and
-//!   bit-identical to the fake-quant path under power-of-two scales;
-//! - [`BlockAllocator`], [`PagedKvState`] — paged KV storage: fixed-size
-//!   token blocks carved from one byte budget with refcounted
-//!   copy-on-write sharing, plus the `*_paged_with` decode entry points
-//!   on the models — the one incremental decode path, bit-identical to
-//!   the full-sequence `forward_inference_with` oracle;
+//! - [`Int8Linear`], [`Int8MultiHeadAttention`] — the **true integer
+//!   inference datapath**: i8×i8→i32 GEMMs with grouped APSQ folded into
+//!   the K loop, produced by a PTQ conversion pass and bit-identical to
+//!   the fake-quant path under power-of-two scales;
+//! - one model tree: the block, decoder and classifier are generic over
+//!   their sub-layer types, so [`Int8TransformerBlock`],
+//!   [`Int8DecoderLm`] and [`Int8EncoderClassifier`] are the same models
+//!   with the integer sub-layers plugged in. Inference and paged decode
+//!   are written once against the [`Project`] and [`Attention`] traits,
+//!   and [`PagedDecoder`] drives either precision behind one object;
+//! - [`BlockAllocator`], [`BlockPool`], [`PagedKvState`] — paged KV
+//!   storage: fixed-size token blocks carved from one byte budget with
+//!   refcounted copy-on-write sharing, behind the models'
+//!   `decode_batch_paged_with` — the one incremental decode path,
+//!   bit-identical to the full-sequence `forward_inference_with` oracle;
 //! - [`GlueTask`], [`SegTask`], [`LmFamily`] — synthetic stand-ins for
 //!   GLUE / ADE20K / zero-shot-reasoning benchmarks (see DESIGN.md for the
 //!   substitution argument);
@@ -45,6 +51,7 @@
 mod attention;
 mod block;
 mod data;
+mod decode;
 mod embedding;
 mod int8;
 mod linear;
@@ -59,6 +66,7 @@ mod qat;
 pub use attention::MultiHeadAttention;
 pub use block::TransformerBlock;
 pub use data::{GlueTask, Label, LmFamily, MetricKind, SegTask, SeqExample};
+pub use decode::{Attention, PagedDecoder, Project};
 pub use embedding::Embedding;
 pub use int8::{
     Int8DecoderLm, Int8EncoderClassifier, Int8Linear, Int8MultiHeadAttention, Int8TransformerBlock,

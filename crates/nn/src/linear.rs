@@ -1,6 +1,7 @@
 //! Fully connected layers: plain FP32 and quantization-aware with the APSQ
 //! PSUM path.
 
+use crate::decode::Project;
 use crate::param::{HasParams, Param};
 use apsq_core::{grouped_apsq_f32, FloatScaleSchedule, GroupSize};
 use apsq_quant::{Bitwidth, LsqQuantizer};
@@ -73,6 +74,12 @@ impl Linear {
         eng.gemm(&dw, self.w.grad.data_mut());
         self.b.accumulate(&sum_axis0(dy));
         eng.matmul_bt(dy, &self.w.value)
+    }
+}
+
+impl Project for Linear {
+    fn project(&self, x: &Tensor, eng: &ExecEngine) -> Tensor {
+        self.forward_inference_with(x, eng)
     }
 }
 
@@ -489,6 +496,12 @@ fn blended_schedule(
 /// of `log2`'s rounding.
 pub(crate) fn observer_pow2_scale(o: f32, qp: f32) -> f32 {
     (o / qp).log2().ceil().exp2()
+}
+
+impl Project for QuantLinear {
+    fn project(&self, x: &Tensor, eng: &ExecEngine) -> Tensor {
+        self.forward_inference_with(x, eng)
+    }
 }
 
 impl HasParams for QuantLinear {

@@ -1,11 +1,15 @@
 //! Task-level models: encoder classifier/regressor, token tagger
 //! (segmentation stand-in), and a causal decoder LM.
 
+use crate::attention::MultiHeadAttention;
 use crate::block::TransformerBlock;
+use crate::decode::{Attention, PagedDecoder, Project};
 use crate::embedding::Embedding;
-use crate::linear::{Linear, PsumMode};
+use crate::linear::{Linear, PsumMode, QuantLinear};
 use crate::norm::LayerNorm;
+use crate::paged::{BlockPool, PagedKvState};
 use crate::param::{HasParams, Param};
+use apsq_core::BufferTraffic;
 use apsq_quant::Bitwidth;
 use apsq_tensor::{sum_axis0, ExecEngine, Tensor};
 use rand::Rng;
@@ -55,15 +59,20 @@ impl ModelConfig {
 /// The head is a BERT-style nonlinear pooler — `Linear → GELU → Linear` —
 /// so magnitude-style decisions on pooled statistics (|mean feature| vs a
 /// threshold) are representable; a purely linear head cannot express them.
+///
+/// Generic over its sub-layer types like [`TransformerBlock`] (`H` is the
+/// pooler/head projection); training lives on the default f32
+/// instantiation, and [`crate::Int8EncoderClassifier`] is its PTQ
+/// conversion.
 #[derive(Clone, Debug)]
-pub struct EncoderClassifier {
-    embed: Embedding,
-    blocks: Vec<TransformerBlock>,
-    ln: LayerNorm,
-    pooler: Linear,
-    head: Linear,
-    seq_len_cache: usize,
-    pooler_pre_act: Option<Tensor>,
+pub struct EncoderClassifier<A = MultiHeadAttention, L = QuantLinear, H = Linear> {
+    pub(crate) embed: Embedding,
+    pub(crate) blocks: Vec<TransformerBlock<A, L>>,
+    pub(crate) ln: LayerNorm,
+    pub(crate) pooler: H,
+    pub(crate) head: H,
+    pub(crate) seq_len_cache: usize,
+    pub(crate) pooler_pre_act: Option<Tensor>,
 }
 
 impl EncoderClassifier {
@@ -97,26 +106,6 @@ impl EncoderClassifier {
         for b in &mut self.blocks {
             b.set_psum_mode(mode);
         }
-    }
-
-    /// The model's pieces `(embed, blocks, ln, pooler, head)` — the PTQ
-    /// conversion's read-only view.
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        &Embedding,
-        &[TransformerBlock],
-        &LayerNorm,
-        &Linear,
-        &Linear,
-    ) {
-        (
-            &self.embed,
-            &self.blocks,
-            &self.ln,
-            &self.pooler,
-            &self.head,
-        )
     }
 
     /// Forward: token ids → `[1, classes]` logits (mean-pooled).
@@ -179,6 +168,22 @@ impl EncoderClassifier {
         for b in &mut self.blocks {
             b.apply_quantizer_grads(lr);
         }
+    }
+}
+
+impl<A: Attention, L: Project, H: Project> EncoderClassifier<A, L, H> {
+    /// Inference: token ids → `[1, classes]` logits (mean-pooled); frozen
+    /// quantizers, no training caches.
+    pub fn forward_inference_with(&self, ids: &[usize], eng: &ExecEngine) -> Tensor {
+        let mut h = self.embed.forward_inference(ids);
+        for b in &self.blocks {
+            h = b.forward_inference_with(&h, eng);
+        }
+        let h = self.ln.forward_inference(&h);
+        let pooled = &sum_axis0(&h) * (1.0 / ids.len() as f32);
+        let pooled = pooled.reshape([1, h.dims()[1]]);
+        let z = self.pooler.project(&pooled, eng);
+        self.head.project(&apsq_tensor::gelu(&z), eng)
     }
 }
 
@@ -288,12 +293,18 @@ impl HasParams for TokenTagger {
 }
 
 /// Decoder-only causal language model (the LLaMA stand-in for Table III).
+///
+/// Generic over its sub-layer types like [`TransformerBlock`] (`H` is the
+/// LM head): the default instantiation is the trainable fake-quant f32
+/// model, and [`crate::Int8DecoderLm`] is its PTQ conversion onto the
+/// integer datapath. Inference, paged decode, the accessors and the PSUM
+/// counts are one code path for both.
 #[derive(Clone, Debug)]
-pub struct DecoderLm {
-    embed: Embedding,
-    blocks: Vec<TransformerBlock>,
-    ln: LayerNorm,
-    lm_head: Linear,
+pub struct DecoderLm<A = MultiHeadAttention, L = QuantLinear, H = Linear> {
+    pub(crate) embed: Embedding,
+    pub(crate) blocks: Vec<TransformerBlock<A, L>>,
+    pub(crate) ln: LayerNorm,
+    pub(crate) lm_head: H,
 }
 
 impl DecoderLm {
@@ -366,23 +377,20 @@ impl DecoderLm {
             b.apply_quantizer_grads(lr);
         }
     }
+}
 
-    /// The model's pieces `(embed, blocks, ln, lm_head)` — the PTQ
-    /// conversion's read-only view.
-    pub(crate) fn parts(&self) -> (&Embedding, &[TransformerBlock], &LayerNorm, &Linear) {
-        (&self.embed, &self.blocks, &self.ln, &self.lm_head)
-    }
-
-    /// Inference-only full-sequence forward: frozen quantizers, no
-    /// training caches touched. The reference the incremental decode path
-    /// is verified bit-for-bit against.
+impl<A: Attention, L: Project, H: Project> DecoderLm<A, L, H> {
+    /// Inference-only full-sequence forward: token ids → `[T, vocab]`
+    /// logits with frozen quantizers and no training caches touched. The
+    /// reference the incremental decode path is verified bit-for-bit
+    /// against.
     pub fn forward_inference_with(&self, ids: &[usize], eng: &ExecEngine) -> Tensor {
         let mut h = self.embed.forward_inference(ids);
         for b in &self.blocks {
             h = b.forward_inference_with(&h, eng);
         }
         let h = self.ln.forward_inference(&h);
-        self.lm_head.forward_inference_with(&h, eng)
+        self.lm_head.project(&h, eng)
     }
 
     /// Decoder depth (transformer blocks).
@@ -390,9 +398,22 @@ impl DecoderLm {
         self.blocks.len()
     }
 
+    /// Attention heads per block.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a depth-0 model.
+    pub fn heads(&self) -> usize {
+        self.blocks
+            .first()
+            .expect("decoder has no blocks")
+            .attn
+            .heads()
+    }
+
     /// Hidden width `d_model`.
     pub fn width(&self) -> usize {
-        self.ln.gamma.value.numel()
+        self.embed.tokens.value.dims()[1]
     }
 
     /// Vocabulary size.
@@ -405,12 +426,15 @@ impl DecoderLm {
         self.embed.positions.value.dims()[0]
     }
 
-    /// Initializes **paged** KV state for this model's depth: one block
-    /// table per layer, growing block-by-block from a shared
-    /// [`crate::BlockAllocator`] instead of one preallocated buffer per
-    /// session.
-    pub fn new_paged_state(&self) -> crate::paged::PagedKvState {
-        crate::paged::PagedKvState::for_layers(self.blocks.len())
+    /// An empty **paged** KV state for this model's depth: one block table
+    /// per layer, growing block by block from a shared [`BlockPool`]. Pair
+    /// it with a pool in the model's KV format — an f32
+    /// [`crate::BlockAllocator::f32`] for the f32 model, an
+    /// [`crate::BlockAllocator::int8`] sized from `width()` and `heads()`
+    /// for the integer model (`2·(d + heads)` bytes per stored token
+    /// instead of `8·d`).
+    pub fn new_paged_state(&self) -> PagedKvState {
+        PagedKvState::for_layers(self.blocks.len())
     }
 
     /// Batched autoregressive decode: consumes one token per sequence at
@@ -423,7 +447,7 @@ impl DecoderLm {
     ///
     /// Each sequence's KV rows live in fixed-size blocks referenced by its
     /// state's per-layer block tables, carved from the shared
-    /// [`crate::BlockPool`]. Appends take one short pool lock per layer,
+    /// [`BlockPool`]. Appends take one short pool lock per layer,
     /// allocate a block per layer at each `block_tokens` boundary, and
     /// copy-on-write shared tail blocks; reads gather blocks in token
     /// order **without holding the pool lock**, so decode batches on other
@@ -442,12 +466,12 @@ impl DecoderLm {
     /// Panics if `tokens` and `states` lengths differ, the batch is
     /// empty, a state was built for a different depth, a position exceeds
     /// `max_len`, or the allocator is exhausted (reserve
-    /// [`crate::PagedKvState::blocks_needed_for_next_append`] first).
+    /// [`PagedKvState::blocks_needed_for_next_append`] first).
     pub fn decode_batch_paged_with(
         &self,
         tokens: &[usize],
-        states: &mut [&mut crate::paged::PagedKvState],
-        pool: &crate::paged::BlockPool,
+        states: &mut [&mut PagedKvState],
+        pool: &BlockPool,
         eng: &ExecEngine,
     ) -> Tensor {
         assert_eq!(tokens.len(), states.len(), "one KV state per token");
@@ -467,7 +491,44 @@ impl DecoderLm {
         for s in states.iter_mut() {
             s.advance();
         }
-        self.lm_head.forward_inference_with(&h, eng)
+        self.lm_head.project(&h, eng)
+    }
+
+    /// PSUM-buffer traffic (stored words) one decode token incurs across
+    /// every **projection/FFN/head** GEMM in the model — the Algorithm-1
+    /// invariant counts, independent of `gs`, and zero on the f32
+    /// datapath. Multiply by the storage format's bytes-per-word
+    /// (`apsq_dataflow::PsumFormat::beta`) for bytes. Attention-GEMM
+    /// traffic grows with the context; see [`Self::attn_psum_words_at`].
+    pub fn psum_words_per_token(&self) -> BufferTraffic {
+        let mut words = BufferTraffic::new();
+        for b in &self.blocks {
+            words += b.psum_words(1);
+        }
+        words += self.lm_head.psum_words(1);
+        words
+    }
+
+    /// PSUM-buffer traffic the **attention** APSQ folds incur for one
+    /// decode token at context length `t`, summed over all layers.
+    pub fn attn_psum_words_at(&self, t: usize) -> BufferTraffic {
+        let mut words = BufferTraffic::new();
+        for b in &self.blocks {
+            words += b.attn.attn_psum_words(t);
+        }
+        words
+    }
+}
+
+impl<A: Attention, L: Project, H: Project> PagedDecoder for DecoderLm<A, L, H> {
+    fn decode_paged(
+        &self,
+        tokens: &[usize],
+        states: &mut [&mut PagedKvState],
+        pool: &BlockPool,
+        eng: &ExecEngine,
+    ) -> Tensor {
+        self.decode_batch_paged_with(tokens, states, pool, eng)
     }
 }
 

@@ -22,21 +22,19 @@
 //!   equal KV bytes) deduplicate them.
 //!
 //! Reads **gather** block contents in token order into flat `[t·d]`
-//! layouts ([`BlockAllocator::gather_f32`] /
-//! [`BlockAllocator::gather_int8`]) — the same rows the full-sequence
-//! forward computes for that prefix — so the attention entry points that
-//! walk a block table feed byte-identical operands to the same engine
-//! kernels, and decode is bit-identical across block sizes, thread
-//! counts, and vs. a full-sequence recompute.
+//! layouts ([`BlockPool::gather_f32`] / [`BlockPool::gather_int8`]) — the
+//! same rows the full-sequence forward computes for that prefix — so the
+//! attention kernels that walk a block table feed byte-identical operands
+//! to the same engine kernels, and decode is bit-identical across block
+//! sizes, thread counts, and vs. a full-sequence recompute.
 //!
 //! # Concurrency: the block pool
 //!
 //! Each block's payload lives in its own [`Arc`], so a reader can pin a
 //! block's bytes without holding any lock. [`BlockPool`] wraps the
 //! allocator in a mutex whose critical sections are **short**: appends,
-//! allocation, release, and hash-cons bookkeeping. Its gather entry
-//! points ([`BlockPool::gather_f32`] / [`BlockPool::gather_int8`]) clone
-//! the table's payload `Arc`s under the lock, then copy the rows into the
+//! allocation, release, and hash-cons bookkeeping. Its gathers clone the
+//! table's payload `Arc`s under the lock, then copy the rows into the
 //! caller's flat buffers **after unlocking** — so the attention GEMMs
 //! that follow never run under the allocator lock, and decode batches on
 //! different workers proceed concurrently. Why this is safe:
@@ -60,11 +58,12 @@
 //! # Example
 //!
 //! ```
-//! use apsq_nn::{BlockAllocator, PagedKvState};
+//! use apsq_nn::{BlockAllocator, BlockPool, PagedKvState};
 //!
 //! // 1 KiB budget, 4-token blocks, width 8, 2 heads → int8 blocks of
 //! // 4 · 2 · (8 + 2) = 80 bytes each, so the budget holds 12 blocks.
-//! let mut alloc = BlockAllocator::int8(1024, 4, 8, 2);
+//! let pool = BlockPool::new(BlockAllocator::int8(1024, 4, 8, 2));
+//! let mut alloc = pool.lock();
 //! assert_eq!(alloc.blocks_capacity(), 12);
 //!
 //! // One single-layer session; append five rows (allocates two blocks).
@@ -84,13 +83,16 @@
 //! fork.append_row(0, &mut alloc, &[9.0; 8], &[9.0; 8]);
 //! fork.advance();
 //! assert_eq!(alloc.blocks_in_use(), 3); // CoW copy of the tail
+//! drop(alloc);
 //!
-//! // Gathered reads are flat `[t·d]` slices in token order.
+//! // Gathered reads are flat `[t·d]` slices in token order, copied
+//! // outside the pool lock.
 //! let mut k = Vec::new();
 //! let (mut v, mut ke, mut ve) = (Vec::new(), Vec::new(), Vec::new());
-//! alloc.gather_int8(s.layer_blocks(0), 5, &mut k, &mut v, &mut ke, &mut ve);
+//! pool.gather_int8(s.layer_blocks(0), 5, &mut k, &mut v, &mut ke, &mut ve);
 //! assert_eq!(k.len(), 5 * 8);
 //!
+//! let mut alloc = pool.lock();
 //! s.release(&mut alloc);
 //! fork.release(&mut alloc);
 //! assert_eq!(alloc.blocks_in_use(), 0);
@@ -591,103 +593,6 @@ impl BlockAllocator {
             _ => unreachable!("mixed-precision payloads in one pool"),
         }
     }
-
-    /// Gathers `len` f32 K and V rows from a block table in token order
-    /// into flat `[len · d]` buffers — byte-identical to the appended
-    /// rows, which is what makes paged attention bit-identical to a
-    /// full-sequence recompute.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an f32 gather from an int8 allocator or a table too
-    /// short for `len`.
-    pub fn gather_f32(
-        &self,
-        blocks: &[BlockId],
-        len: usize,
-        k_out: &mut Vec<f32>,
-        v_out: &mut Vec<f32>,
-    ) {
-        assert_eq!(
-            self.kind,
-            BlockKind::F32,
-            "f32 gather from an int8 allocator"
-        );
-        let d = self.width;
-        k_out.clear();
-        v_out.clear();
-        k_out.reserve(len * d);
-        v_out.reserve(len * d);
-        let mut remaining = len;
-        for &b in blocks {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(self.block_tokens);
-            let BlockData::F32 { k, v } = &*self.payloads[b as usize] else {
-                unreachable!("mixed-precision payloads in one pool");
-            };
-            k_out.extend_from_slice(&k[..take * d]);
-            v_out.extend_from_slice(&v[..take * d]);
-            remaining -= take;
-        }
-        assert_eq!(remaining, 0, "block table shorter than {len} tokens");
-    }
-
-    /// Gathers `len` int8 K/V code rows and per-(token, head) exponents
-    /// from a block table in token order into flat `[len · d]` codes and
-    /// `[len · heads]` exponents.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an int8 gather from an f32 allocator or a table too
-    /// short for `len`.
-    pub fn gather_int8(
-        &self,
-        blocks: &[BlockId],
-        len: usize,
-        k_codes_out: &mut Vec<i8>,
-        v_codes_out: &mut Vec<i8>,
-        k_exps_out: &mut Vec<i8>,
-        v_exps_out: &mut Vec<i8>,
-    ) {
-        assert_eq!(
-            self.kind,
-            BlockKind::Int8,
-            "int8 gather from an f32 allocator"
-        );
-        let (d, h) = (self.width, self.heads);
-        for out in [&mut *k_codes_out, &mut *v_codes_out] {
-            out.clear();
-            out.reserve(len * d);
-        }
-        for out in [&mut *k_exps_out, &mut *v_exps_out] {
-            out.clear();
-            out.reserve(len * h);
-        }
-        let mut remaining = len;
-        for &b in blocks {
-            if remaining == 0 {
-                break;
-            }
-            let take = remaining.min(self.block_tokens);
-            let BlockData::Int8 {
-                k_codes,
-                v_codes,
-                k_exps,
-                v_exps,
-            } = &*self.payloads[b as usize]
-            else {
-                unreachable!("mixed-precision payloads in one pool");
-            };
-            k_codes_out.extend_from_slice(&k_codes[..take * d]);
-            v_codes_out.extend_from_slice(&v_codes[..take * d]);
-            k_exps_out.extend_from_slice(&k_exps[..take * h]);
-            v_exps_out.extend_from_slice(&v_exps[..take * h]);
-            remaining -= take;
-        }
-        assert_eq!(remaining, 0, "block table shorter than {len} tokens");
-    }
 }
 
 /// Allocator-contention counters accumulated by a [`BlockPool`] since
@@ -712,9 +617,10 @@ pub struct PoolContention {
 /// whose critical sections are short (append / alloc / release /
 /// bookkeeping) plus **lock-free block reads** for the decode hot path.
 ///
-/// [`Self::gather_f32`] / [`Self::gather_int8`] clone the block table's
-/// payload `Arc`s under the lock — O(blocks), no byte copies — then
-/// materialize the flat `[t·d]` buffers after unlocking. The attention
+/// [`Self::gather_f32`] / [`Self::gather_int8`] share one pinned-block
+/// walk: clone the block table's payload `Arc`s under the lock —
+/// O(blocks), no byte copies — then materialize the flat `[t·d]` buffers
+/// after unlocking. The attention
 /// GEMMs that consume those buffers therefore never hold the allocator
 /// lock, which is what lets decode batches on different workers run
 /// truly concurrently. See the module docs for the safety argument.
@@ -820,27 +726,44 @@ impl BlockPool {
         }
     }
 
-    /// Clones the payload handles covering `len` tokens of a block table.
-    /// The only locked step of a gather: O(blocks) `Arc` bumps, no byte
-    /// copies.
-    fn pin_payloads(&self, blocks: &[BlockId], len: usize) -> Vec<Arc<BlockData>> {
+    /// The one pinned-block walk behind both gathers: clones the payload
+    /// `Arc`s covering `len` tokens of a block table under a short lock
+    /// (O(blocks) bumps, no byte copies), then — **after unlocking** —
+    /// hands each pinned block and the token count it contributes to
+    /// `copy`, in token order, and counts the gathered bytes.
+    fn walk_pinned(&self, blocks: &[BlockId], len: usize, mut copy: impl FnMut(&BlockData, usize)) {
         let need = len.div_ceil(self.block_tokens);
         assert!(
             blocks.len() >= need,
             "block table shorter than {len} tokens"
         );
-        let guard = self.lock();
-        blocks[..need]
-            .iter()
-            .map(|&b| Arc::clone(&guard.payloads[b as usize]))
-            .collect()
+        let pinned: Vec<Arc<BlockData>> = {
+            let guard = self.lock();
+            blocks[..need]
+                .iter()
+                .map(|&b| Arc::clone(&guard.payloads[b as usize]))
+                .collect()
+        };
+        let mut remaining = len;
+        for data in &pinned {
+            let take = remaining.min(self.block_tokens);
+            copy(data, take);
+            remaining -= take;
+        }
+        let bytes_per_token = match self.kind {
+            BlockKind::F32 => BlockAllocator::f32_bytes_per_block(1, self.width),
+            BlockKind::Int8 => BlockAllocator::int8_bytes_per_block(1, self.width, self.heads),
+        };
+        self.gathered_bytes
+            .fetch_add((len * bytes_per_token) as u64, Ordering::Relaxed);
     }
 
-    /// Lock-free twin of [`BlockAllocator::gather_f32`]: pins the table's
-    /// payloads under a short lock, then copies the rows into `k_out` /
-    /// `v_out` **outside** the lock. The output bytes are identical to
-    /// the locked gather, so results stay bit-identical; the caller runs
-    /// its GEMMs on the owned flat buffers with no lock held.
+    /// Gathers `len` f32 K and V rows from a block table in token order
+    /// into flat `[len · d]` buffers — byte-identical to the appended
+    /// rows, which is what makes paged attention bit-identical to a
+    /// full-sequence recompute. Only pinning the payloads takes the lock;
+    /// the copies run outside it, so the caller's GEMMs on the owned flat
+    /// buffers hold no lock either.
     ///
     /// # Panics
     ///
@@ -854,29 +777,24 @@ impl BlockPool {
         v_out: &mut Vec<f32>,
     ) {
         assert_eq!(self.kind, BlockKind::F32, "f32 gather from an int8 pool");
-        let pinned = self.pin_payloads(blocks, len);
         let d = self.width;
-        k_out.clear();
-        v_out.clear();
-        k_out.reserve(len * d);
-        v_out.reserve(len * d);
-        let mut remaining = len;
-        for data in &pinned {
-            let take = remaining.min(self.block_tokens);
-            let BlockData::F32 { k, v } = &**data else {
+        for out in [&mut *k_out, &mut *v_out] {
+            out.clear();
+            out.reserve(len * d);
+        }
+        self.walk_pinned(blocks, len, |data, take| {
+            let BlockData::F32 { k, v } = data else {
                 unreachable!("mixed-precision payloads in one pool");
             };
             k_out.extend_from_slice(&k[..take * d]);
             v_out.extend_from_slice(&v[..take * d]);
-            remaining -= take;
-        }
-        self.gathered_bytes
-            .fetch_add((2 * len * d * size_of::<f32>()) as u64, Ordering::Relaxed);
+        });
     }
 
-    /// Lock-free twin of [`BlockAllocator::gather_int8`]: pins the
-    /// table's payloads under a short lock, then copies codes and
-    /// exponents outside it. Byte-identical to the locked gather.
+    /// Gathers `len` int8 K/V code rows and per-(token, head) exponents
+    /// from a block table in token order into flat `[len · d]` codes and
+    /// `[len · heads]` exponents, copying outside the lock like
+    /// [`Self::gather_f32`].
     ///
     /// # Panics
     ///
@@ -892,7 +810,6 @@ impl BlockPool {
         v_exps_out: &mut Vec<i8>,
     ) {
         assert_eq!(self.kind, BlockKind::Int8, "int8 gather from an f32 pool");
-        let pinned = self.pin_payloads(blocks, len);
         let (d, h) = (self.width, self.heads);
         for out in [&mut *k_codes_out, &mut *v_codes_out] {
             out.clear();
@@ -902,15 +819,13 @@ impl BlockPool {
             out.clear();
             out.reserve(len * h);
         }
-        let mut remaining = len;
-        for data in &pinned {
-            let take = remaining.min(self.block_tokens);
+        self.walk_pinned(blocks, len, |data, take| {
             let BlockData::Int8 {
                 k_codes,
                 v_codes,
                 k_exps,
                 v_exps,
-            } = &**data
+            } = data
             else {
                 unreachable!("mixed-precision payloads in one pool");
             };
@@ -918,10 +833,7 @@ impl BlockPool {
             v_codes_out.extend_from_slice(&v_codes[..take * d]);
             k_exps_out.extend_from_slice(&k_exps[..take * h]);
             v_exps_out.extend_from_slice(&v_exps[..take * h]);
-            remaining -= take;
-        }
-        self.gathered_bytes
-            .fetch_add((2 * len * (d + h)) as u64, Ordering::Relaxed);
+        });
     }
 }
 
@@ -1138,46 +1050,50 @@ mod tests {
     #[test]
     fn paged_f32_gather_returns_appended_rows_in_order() {
         let d = 8;
-        let mut a = BlockAllocator::f32(1 << 16, 3, d);
+        let pool = BlockPool::new(BlockAllocator::f32(1 << 16, 3, d));
         let mut s = PagedKvState::for_layers(1);
         let (mut want_k, mut want_v) = (Vec::new(), Vec::new());
         for i in 0..7 {
             let (k, v) = (row(i as f32, d), row(-(i as f32), d));
-            s.append_row(0, &mut a, &k, &v);
+            s.append_row(0, &mut pool.lock(), &k, &v);
             s.advance();
             want_k.extend_from_slice(&k);
             want_v.extend_from_slice(&v);
         }
         let (mut gk, mut gv) = (Vec::new(), Vec::new());
-        a.gather_f32(s.layer_blocks(0), 7, &mut gk, &mut gv);
+        pool.gather_f32(s.layer_blocks(0), 7, &mut gk, &mut gv);
         assert_eq!(gk, want_k);
         assert_eq!(gv, want_v);
+        assert_eq!(pool.contention().gathered_bytes, (2 * 7 * d * 4) as u64);
         // 7 tokens at 3-token blocks = 3 blocks, 2 slack slots.
         assert_eq!(s.layer_blocks(0).len(), 3);
-        assert!((a.utilization() - 7.0 / 9.0).abs() < 1e-12);
+        assert!((pool.lock().utilization() - 7.0 / 9.0).abs() < 1e-12);
+        s.release(&mut pool.lock());
     }
 
     #[test]
     fn paged_int8_gather_is_byte_identical_to_row_quantization() {
         let (d, h) = (8, 2);
-        let mut a = BlockAllocator::int8(1 << 16, 4, d, h);
+        let pool = BlockPool::new(BlockAllocator::int8(1 << 16, 4, d, h));
         let mut s = PagedKvState::for_layers(1);
         let (mut want_kc, mut want_vc) = (vec![0i8; 9 * d], vec![0i8; 9 * d]);
         let (mut want_ke, mut want_ve) = (vec![0i8; 9 * h], vec![0i8; 9 * h]);
         for i in 0..9 {
             let (k, v) = (row(0.1 * i as f32, d), row(100.0 - i as f32, d));
-            s.append_row(0, &mut a, &k, &v);
+            s.append_row(0, &mut pool.lock(), &k, &v);
             s.advance();
             let (c, e) = (i * d..(i + 1) * d, i * h..(i + 1) * h);
             quantize_int8_kv_row(&k, h, &mut want_kc[c.clone()], &mut want_ke[e.clone()]);
             quantize_int8_kv_row(&v, h, &mut want_vc[c], &mut want_ve[e]);
         }
         let (mut kc, mut vc, mut ke, mut ve) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        a.gather_int8(s.layer_blocks(0), 9, &mut kc, &mut vc, &mut ke, &mut ve);
+        pool.gather_int8(s.layer_blocks(0), 9, &mut kc, &mut vc, &mut ke, &mut ve);
         assert_eq!(kc, want_kc);
         assert_eq!(vc, want_vc);
         assert_eq!(ke, want_ke);
         assert_eq!(ve, want_ve);
+        assert_eq!(pool.contention().gathered_bytes, (2 * 9 * (d + h)) as u64);
+        s.release(&mut pool.lock());
     }
 
     #[test]
@@ -1209,7 +1125,8 @@ mod tests {
     #[test]
     fn fork_is_zero_copy_until_write_then_cow() {
         let d = 4;
-        let mut a = BlockAllocator::f32(1 << 16, 4, d);
+        let pool = BlockPool::new(BlockAllocator::f32(1 << 16, 4, d));
+        let mut a = pool.lock();
         let mut s = PagedKvState::for_layers(2);
         for i in 0..6 {
             for l in 0..2 {
@@ -1231,12 +1148,14 @@ mod tests {
         f.advance();
         assert_eq!(a.blocks_in_use(), 6);
         assert_eq!(a.blocks_shared(), 2, "full prefix blocks stay shared");
+        drop(a);
 
         // Original still reads its own bytes: positions 0..6 unchanged.
         let (mut gk, mut gv) = (Vec::new(), Vec::new());
-        a.gather_f32(s.layer_blocks(0), 6, &mut gk, &mut gv);
+        pool.gather_f32(s.layer_blocks(0), 6, &mut gk, &mut gv);
         assert_eq!(&gk[5 * d..6 * d], row(5.0, d).as_slice());
 
+        let mut a = pool.lock();
         f.release(&mut a);
         s.release(&mut a);
         assert_eq!(a.blocks_in_use(), 0);
@@ -1327,56 +1246,6 @@ mod tests {
         // Peaks are high-water marks: they survive the release.
         assert_eq!(a.blocks_peak(), 3);
         assert_eq!(a.blocks_shared_peak(), 2);
-    }
-
-    #[test]
-    fn pool_gather_is_byte_identical_to_locked_gather() {
-        let d = 8;
-        let pool = BlockPool::new(BlockAllocator::f32(1 << 16, 3, d));
-        let mut s = PagedKvState::for_layers(1);
-        {
-            let mut a = pool.lock();
-            for i in 0..7 {
-                s.append_row(0, &mut a, &row(i as f32, d), &row(-(i as f32), d));
-                s.advance();
-            }
-        }
-        let (mut pk, mut pv) = (Vec::new(), Vec::new());
-        pool.gather_f32(s.layer_blocks(0), 7, &mut pk, &mut pv);
-        let (mut lk, mut lv) = (Vec::new(), Vec::new());
-        pool.lock()
-            .gather_f32(s.layer_blocks(0), 7, &mut lk, &mut lv);
-        assert_eq!(pk, lk);
-        assert_eq!(pv, lv);
-        let c = pool.contention();
-        assert!(c.lock_acquisitions >= 2);
-        assert_eq!(c.gathered_bytes, (2 * 7 * d * 4) as u64);
-        s.release(&mut pool.lock());
-    }
-
-    #[test]
-    fn pool_gather_int8_is_byte_identical_to_locked_gather() {
-        let (d, h) = (8, 2);
-        let pool = BlockPool::new(BlockAllocator::int8(1 << 16, 4, d, h));
-        let mut s = PagedKvState::for_layers(1);
-        {
-            let mut a = pool.lock();
-            for i in 0..9 {
-                s.append_row(0, &mut a, &row(0.1 * i as f32, d), &row(50.0 - i as f32, d));
-                s.advance();
-            }
-        }
-        let (mut kc, mut vc, mut ke, mut ve) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        pool.gather_int8(s.layer_blocks(0), 9, &mut kc, &mut vc, &mut ke, &mut ve);
-        let (mut lkc, mut lvc, mut lke, mut lve) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        pool.lock()
-            .gather_int8(s.layer_blocks(0), 9, &mut lkc, &mut lvc, &mut lke, &mut lve);
-        assert_eq!(kc, lkc);
-        assert_eq!(vc, lvc);
-        assert_eq!(ke, lke);
-        assert_eq!(ve, lve);
-        assert_eq!(pool.contention().gathered_bytes, (2 * 9 * (d + h)) as u64);
-        s.release(&mut pool.lock());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! full-sequence `forward_inference_with` recompute — for random shapes,
 //! block sizes, engine thread counts, and both precisions — and a
 //! copy-on-write fork must be bit-identical to a full recompute of the
-//! same tokens.
+//! same tokens. Both decode properties go through `&dyn PagedDecoder`,
+//! the call the server makes.
 //!
 //! The invariant: a block-table gather reconstructs byte-for-byte the
 //! flat `[t, d]` K/V rows the full forward computes for that prefix, and
@@ -12,7 +13,9 @@
 //! that reordered tokens, a block boundary that split a reduction, or a
 //! CoW copy that dropped filled rows would all break these assertions.
 
-use apsq_nn::{BlockAllocator, BlockPool, DecoderLm, Int8DecoderLm, ModelConfig, PsumMode};
+use apsq_nn::{
+    BlockAllocator, BlockPool, DecoderLm, Int8DecoderLm, ModelConfig, PagedDecoder, PsumMode,
+};
 use apsq_quant::Bitwidth;
 use apsq_tensor::{ExecEngine, Tensor};
 use proptest::prelude::*;
@@ -106,8 +109,9 @@ proptest! {
         let full = m.forward_inference_with(&ids, &ExecEngine::serial());
         let pool = f32_pool(&m, block_tokens, len, 1);
         let mut paged = m.new_paged_state();
+        let dec: &dyn PagedDecoder = &m;
         for (t, &tok) in ids.iter().enumerate() {
-            let got = m.decode_batch_paged_with(&[tok], &mut [&mut paged], &pool, &eng);
+            let got = dec.decode_paged(&[tok], &mut [&mut paged], &pool, &eng);
             prop_assert_eq!(&got, &row(&full, t), "step {} token {}", t, tok);
         }
         prop_assert_eq!(paged.position(), ids.len());
@@ -146,13 +150,79 @@ proptest! {
             im.heads(),
         ));
         let mut paged = im.new_paged_state();
+        let dec: &dyn PagedDecoder = &im;
         for (t, &tok) in ids.iter().enumerate() {
-            let got = im.decode_batch_paged_with(&[tok], &mut [&mut paged], &pool, &eng);
+            let got = dec.decode_paged(&[tok], &mut [&mut paged], &pool, &eng);
             prop_assert_eq!(&got, &row(&full, t), "step {} token {}", t, tok);
         }
         let mut alloc = pool.lock();
         paged.release(&mut alloc);
         prop_assert_eq!(alloc.blocks_in_use(), 0);
+    }
+
+    /// The append step is shared by both precisions, so block accounting
+    /// cannot depend on precision: the same token streams — two
+    /// sessions decoded in lockstep, then a copy-on-write fork of the
+    /// first — through an f32 pool and an int8 pool with equal block
+    /// capacities leave equal block tables and equal `blocks_in_use`,
+    /// `tokens_stored` and `blocks_peak`.
+    #[test]
+    fn block_accounting_is_identical_across_precisions(
+        seed in any::<u64>(),
+        heads in 1usize..4,
+        prefix_len in 1usize..7,
+        suffix_len in 1usize..5,
+        block_tokens in 1usize..6,
+    ) {
+        let (m, cfg) = primed_model(seed, heads, 2, psum_mode(true, 2, 8));
+        let eng = ExecEngine::serial();
+        let im = Int8DecoderLm::from_decoder(&m, &random_ids(seed, 12, cfg.vocab), &eng);
+        let streams = [
+            random_ids(seed, prefix_len + suffix_len, cfg.vocab),
+            random_ids(seed ^ 1, prefix_len + suffix_len, cfg.vocab),
+            random_ids(seed ^ 2, suffix_len, cfg.vocab),
+        ];
+        let blocks = 3 * m.num_layers() * (prefix_len + suffix_len).div_ceil(block_tokens);
+        let pools = [
+            f32_pool(&m, block_tokens, prefix_len + suffix_len, 3),
+            BlockPool::new(BlockAllocator::int8(
+                blocks * BlockAllocator::int8_bytes_per_block(block_tokens, im.width(), im.heads()),
+                block_tokens,
+                im.width(),
+                im.heads(),
+            )),
+        ];
+        let decoders: [&dyn PagedDecoder; 2] = [&m, &im];
+        let mut tables = Vec::new();
+        let mut gauges = Vec::new();
+        for (dec, pool) in decoders.into_iter().zip(&pools) {
+            let mut a = m.new_paged_state();
+            let mut b = m.new_paged_state();
+            let pairs = streams[0].iter().zip(&streams[1]);
+            for (&ta, &tb) in pairs.clone().take(prefix_len) {
+                let _ = dec.decode_paged(&[ta, tb], &mut [&mut a, &mut b], pool, &eng);
+            }
+            let mut fork = a.fork(&mut pool.lock());
+            for ((&ta, &tb), &tf) in pairs.skip(prefix_len).zip(&streams[2]) {
+                let states = &mut [&mut a, &mut b, &mut fork];
+                let _ = dec.decode_paged(&[ta, tb, tf], states, pool, &eng);
+            }
+            let states = [&a, &b, &fork];
+            tables.push(
+                states
+                    .iter()
+                    .flat_map(|s| (0..m.num_layers()).map(|l| s.layer_blocks(l).to_vec()))
+                    .collect::<Vec<_>>(),
+            );
+            let mut alloc = pool.lock();
+            gauges.push((alloc.blocks_in_use(), alloc.tokens_stored(), alloc.blocks_peak()));
+            for s in [&mut a, &mut b, &mut fork] {
+                s.release(&mut alloc);
+            }
+            prop_assert_eq!(alloc.blocks_in_use(), 0);
+        }
+        prop_assert_eq!(&tables[0], &tables[1], "block tables depend on precision");
+        prop_assert_eq!(gauges[0], gauges[1], "(in use, tokens, peak) depend on precision");
     }
 
     /// Forking a session after a shared prefix (zero-copy, refcounted

@@ -2,8 +2,9 @@
 //! the knobs tying them together.
 
 use apsq_models::Precision;
-use apsq_nn::{DecoderLm, ModelConfig, PsumMode};
+use apsq_nn::{DecoderLm, Int8DecoderLm, ModelConfig, PagedDecoder, PsumMode};
 use apsq_quant::Bitwidth;
+use apsq_tensor::ExecEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -68,21 +69,43 @@ impl ModelSpec {
         }
     }
 
+    /// The fixed priming sequence `i % vocab` over the context window:
+    /// the training-mode forward that primes the f32 model and the PTQ
+    /// calibration of its integer conversion both run on it.
+    fn prime_ids(&self) -> Vec<usize> {
+        (0..self.max_len).map(|i| i % self.vocab).collect()
+    }
+
     /// Builds and primes the decoder: one training-mode forward over the
-    /// fixed sequence `i % vocab` initializes activation quantizers and
-    /// PSUM observers; the model is immutable afterwards.
+    /// fixed priming sequence initializes activation quantizers and PSUM
+    /// observers; the model is immutable afterwards.
     pub fn build(&self) -> DecoderLm {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut model = DecoderLm::new(&self.model_config(), &mut rng);
-        let prime: Vec<usize> = (0..self.max_len).map(|i| i % self.vocab).collect();
-        let _ = model.forward(&prime);
+        let _ = model.forward(&self.prime_ids());
         model
     }
 
-    /// Bytes one fully grown session (KV caches preallocated for the
-    /// whole context window, across all layers) occupies at the given
-    /// decode precision — the unit [`ServeConfig::kv_budget_bytes`] is
-    /// divided by.
+    /// Builds the decoder a server runs at `precision`: the primed f32
+    /// model of [`Self::build`], or its PTQ conversion to the integer
+    /// datapath calibrated on the same priming sequence.
+    pub fn build_decoder(&self, precision: Precision) -> Box<dyn PagedDecoder> {
+        let model = self.build();
+        match precision {
+            Precision::F32 => Box::new(model),
+            Precision::Int8Apsq => Box::new(Int8DecoderLm::from_decoder(
+                &model,
+                &self.prime_ids(),
+                &ExecEngine::serial(),
+            )),
+        }
+    }
+
+    /// Bytes one fully grown session (every layer's K/V for the whole
+    /// context window) occupies at the given decode precision — the
+    /// worst case [`ServeConfig::kv_budget_bytes`] is divided by to get
+    /// [`ServeConfig::session_capacity`]. Sessions actually hold KV
+    /// blocks on demand, so shorter ones take less.
     pub fn kv_bytes_per_session(&self, precision: Precision) -> usize {
         self.layers * self.max_len * precision.kv_bytes_per_token(self.d_model, self.heads)
     }
@@ -390,13 +413,30 @@ impl ServeConfig {
         self
     }
 
-    /// Validates invariants (non-zero workers, batch, queue, and a KV
-    /// budget that admits at least one session).
+    /// Validates invariants (a model with no zero dimension and heads
+    /// dividing `d_model`; non-zero workers, batch, queue; and a KV budget
+    /// that admits at least one session).
     ///
     /// # Panics
     ///
-    /// Panics on a zero-sized resource.
+    /// Panics on a zero-sized model dimension or resource.
     pub fn validate(&self) {
+        let m = &self.model;
+        for (name, size) in [
+            ("vocab", m.vocab),
+            ("d_model", m.d_model),
+            ("heads", m.heads),
+            ("d_ff", m.d_ff),
+            ("layers", m.layers),
+        ] {
+            assert!(size > 0, "model.{name} must be positive");
+        }
+        assert!(
+            m.d_model.is_multiple_of(m.heads),
+            "model.d_model {} not divisible by model.heads {}",
+            m.d_model,
+            m.heads
+        );
         assert!(self.workers > 0, "need at least one worker");
         assert!(self.engine_threads > 0, "need at least one engine thread");
         assert!(self.batch.max_batch > 0, "max_batch must be positive");
@@ -460,6 +500,22 @@ mod tests {
     fn zero_workers_rejected() {
         let mut c = ServeConfig::smoke();
         c.workers = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "model.layers must be positive")]
+    fn zero_layers_rejected() {
+        let mut c = ServeConfig::smoke();
+        c.model.layers = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "model.vocab must be positive")]
+    fn zero_vocab_rejected() {
+        let mut c = ServeConfig::smoke();
+        c.model.vocab = 0;
         c.validate();
     }
 

@@ -558,7 +558,8 @@ mod tests {
     use super::*;
     use crate::config::BatchPolicy;
     use crate::request::{PrefillModel, Request, Slo};
-    use crate::server::{clock, kv_pool, run_decode, run_prefill, DecodeModel, PrefillLib};
+    use crate::server::{clock, kv_pool, run_decode, run_prefill, PrefillLib};
+    use apsq_nn::PagedDecoder;
     use apsq_tensor::ExecEngine;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -580,7 +581,7 @@ mod tests {
     /// accounting invariants are checked after every step.
     struct Sim {
         sched: Scheduler,
-        model: DecodeModel,
+        model: Box<dyn PagedDecoder>,
         lib: PrefillLib,
         pool: Arc<BlockPool>,
         eng: ExecEngine,
@@ -596,7 +597,7 @@ mod tests {
 
     impl Sim {
         fn new(cfg: &ServeConfig) -> Sim {
-            let model = DecodeModel::build(cfg);
+            let model = cfg.model.build_decoder(cfg.precision);
             let pool = Arc::new(kv_pool(cfg));
             let now = clock();
             let shared = Arc::new(Shared::default());
@@ -644,7 +645,7 @@ mod tests {
         fn complete(&mut self, i: usize) {
             let done = match self.inflight.swap_remove(i) {
                 WorkItem::Decode { items, states } => {
-                    run_decode(&self.model, &self.eng, &self.pool, items, states)
+                    run_decode(&*self.model, &self.eng, &self.pool, items, states)
                 }
                 WorkItem::Prefill { items } => run_prefill(
                     &self.lib,

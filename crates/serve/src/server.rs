@@ -24,7 +24,7 @@ use apsq_dataflow::Workload;
 use apsq_models::{
     bert_base_128, execute_workloads, llama_prefill, segformer_b0_512, LlamaConfig, Precision,
 };
-use apsq_nn::{BlockAllocator, BlockPool, DecoderLm, Int8DecoderLm, PagedKvState};
+use apsq_nn::{BlockAllocator, BlockPool, PagedDecoder, PagedKvState};
 use apsq_tensor::ExecEngine;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -46,58 +46,6 @@ enum Event {
 pub(crate) fn clock() -> Instant {
     // lint: allow(wall-clock-in-scheduling) -- the server's one clock source: latency stamps and the driver's per-wake `now`; virtual-time scheduling runs on ticks, never on this
     Instant::now()
-}
-
-/// The decode model a server executes: the fake-quant f32 reference or
-/// its PTQ-converted integer twin. Both expose the same batched decode
-/// entry point with the same row-independence guarantee, so the batcher,
-/// sessions, and workers are precision-agnostic.
-pub(crate) enum DecodeModel {
-    F32(Box<DecoderLm>),
-    Int8(Box<Int8DecoderLm>),
-}
-
-impl DecodeModel {
-    /// Builds the configured precision's model from the spec (the f32
-    /// model is always built first — the integer model is its PTQ
-    /// conversion, calibrated on the same priming sequence the spec uses).
-    pub(crate) fn build(cfg: &ServeConfig) -> DecodeModel {
-        let f32_model = cfg.model.build();
-        match cfg.precision {
-            Precision::F32 => DecodeModel::F32(Box::new(f32_model)),
-            Precision::Int8Apsq => {
-                let prime: Vec<usize> = (0..cfg.model.max_len)
-                    .map(|i| i % cfg.model.vocab)
-                    .collect();
-                DecodeModel::Int8(Box::new(Int8DecoderLm::from_decoder(
-                    &f32_model,
-                    &prime,
-                    &ExecEngine::serial(),
-                )))
-            }
-        }
-    }
-
-    /// Runs one decode batch over paged session states. The states are
-    /// precision-agnostic block tables; the pool (built at the server's
-    /// precision) owns the storage, so the f32 model walks f32 blocks
-    /// and the integer model walks int8 blocks — a mismatch is a server
-    /// bug, not load-dependent. The pool's mutation lock is held only
-    /// for the per-layer appends; every gather feeding a GEMM runs
-    /// lock-free on pinned block payloads.
-    fn decode_batch_states(
-        &self,
-        tokens: &[usize],
-        states: &mut [SessionKv],
-        pool: &BlockPool,
-        eng: &ExecEngine,
-    ) -> apsq_tensor::Tensor {
-        let mut paged: Vec<&mut PagedKvState> = states.iter_mut().map(|s| s.state_mut()).collect();
-        match self {
-            DecodeModel::F32(m) => m.decode_batch_paged_with(tokens, &mut paged, pool, eng),
-            DecodeModel::Int8(m) => m.decode_batch_paged_with(tokens, &mut paged, pool, eng),
-        }
-    }
 }
 
 /// The prefill inventories servable by this instance, built once.
@@ -268,7 +216,7 @@ impl Server {
     /// returns the server plus the response stream.
     pub fn start(cfg: &ServeConfig) -> (Server, Receiver<Response>) {
         cfg.validate();
-        let model = Arc::new(DecodeModel::build(cfg));
+        let model: Arc<dyn PagedDecoder> = Arc::from(cfg.model.build_decoder(cfg.precision));
         let lib = Arc::new(PrefillLib::build());
         let alloc = Arc::new(kv_pool(cfg));
         let (evt_tx, evt_rx) = mpsc::channel::<Event>();
@@ -289,7 +237,7 @@ impl Server {
                 let precision = cfg.precision;
                 std::thread::spawn(move || {
                     worker_loop(
-                        &model, &lib, &alloc, &work_rx, &evt_tx, eng, budget, precision,
+                        &*model, &lib, &alloc, &work_rx, &evt_tx, eng, budget, precision,
                     )
                 })
             })
@@ -435,7 +383,7 @@ fn drive(
 /// engine, report completion. Exits when the work channel closes.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    model: &DecodeModel,
+    model: &dyn PagedDecoder,
     lib: &PrefillLib,
     pool: &BlockPool,
     work_rx: &Mutex<Receiver<WorkItem>>,
@@ -463,12 +411,14 @@ fn worker_loop(
 /// Runs one decode batch: every request's token row goes through one
 /// GEMM-stacked paged decode call; each row is bit-identical to a
 /// batch-of-one execution, so the response payload never depends on the
-/// batch composition. The pool's mutation lock is taken only for the
-/// per-layer appends (consuming blocks the scheduler already reserved);
-/// the gathers and GEMMs run lock-free, so decode batches on different
-/// workers execute truly concurrently.
+/// batch composition. The session states are precision-agnostic block
+/// tables; the pool, built at the server's precision, owns the storage
+/// the model's attention reads. The pool's mutation lock is taken only
+/// for the per-layer appends (consuming blocks the scheduler already
+/// reserved); the gathers and GEMMs run lock-free, so decode batches on
+/// different workers execute truly concurrently.
 pub(crate) fn run_decode(
-    model: &DecodeModel,
+    model: &dyn PagedDecoder,
     eng: &ExecEngine,
     pool: &BlockPool,
     items: Vec<Pending>,
@@ -483,7 +433,8 @@ pub(crate) fn run_decode(
         .collect();
     let (sids, mut sts): (Vec<SessionId>, Vec<SessionKv>) = states.into_iter().unzip();
     let positions: Vec<usize> = sts.iter().map(|s| s.position()).collect();
-    let logits = model.decode_batch_states(&tokens, &mut sts, pool, eng);
+    let mut paged: Vec<&mut PagedKvState> = sts.iter_mut().map(|s| s.state_mut()).collect();
+    let logits = model.decode_paged(&tokens, &mut paged, pool, eng);
     let vocab = logits.dims()[1];
     let next = apsq_tensor::argmax_axis1(&logits);
     let done_items = items

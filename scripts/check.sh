@@ -44,14 +44,16 @@ RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-tensor
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-core
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_int8
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_paged
-RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib int8
+RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_decode
+RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib -- int8 decode::
 
 echo "==> scalar-forced backend: tensor, APSQ + int8 suites on the portable fallback"
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-tensor
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-core
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_int8
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_paged
-APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib int8
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_decode
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib -- int8 decode::
 
 echo "==> cargo test -q --release -p apsq-serve  (server, scheduler, determinism + overload suites at release opt)"
 cargo test -q --release -p apsq-serve
@@ -59,7 +61,7 @@ cargo test -q --release -p apsq-serve
 echo "==> block-pool contention: stress + determinism at 8 workers, overflow-checked"
 RUSTFLAGS="-C overflow-checks" APSQ_STRESS_WORKERS=8 cargo test -q --release -p apsq-serve --test stress_concurrent
 RUSTFLAGS="-C overflow-checks" APSQ_STRESS_WORKERS=8 cargo test -q --release -p apsq-serve --test determinism
-RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib paged
+RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib -- paged decode::
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_paged
 
 echo "==> bench smoke: engine_speedup --quick (writes BENCH_matmul.json)"
