@@ -15,7 +15,10 @@ pub struct ApsqRun {
     /// The dequantized output tile `To` (i32 domain, scale applied).
     pub output: Int32Tensor,
     /// Every stored INT8 code tile `AP*_i`, in step order (useful for
-    /// verifying hardware bank contents).
+    /// verifying hardware bank contents), as the batch wrappers
+    /// ([`grouped_apsq`], [`crate::grouped_apsq_streamed`]) record it.
+    /// Empty from [`crate::StreamingApsq::finish`]: the stream keeps only
+    /// the last group's rows.
     pub stored_codes: Vec<Vec<i32>>,
     /// PSUM-buffer traffic incurred, in words.
     pub traffic: BufferTraffic,
@@ -94,10 +97,15 @@ pub fn grouped_apsq(
     // this batch entry point just drives it, so the push-based and batch
     // APIs stay bit-identical by construction.
     let mut stream = crate::streaming::StreamingApsq::new(schedule.clone(), *config);
+    let mut stored_codes = Vec::with_capacity(np);
     for tile in tiles {
         stream.push_ref(tile);
+        stored_codes.push(stream.last_codes().to_vec());
     }
-    stream.finish()
+    ApsqRun {
+        stored_codes,
+        ..stream.finish()
+    }
 }
 
 /// The pure eq (10) recursion (`gs = 1`), written independently of

@@ -87,11 +87,11 @@ impl ScaleSchedule {
             let mut max_abs = 1;
             for (run, stream) in runs.iter_mut().zip(streams) {
                 run.load(stream[i].dims(), stream[i].data());
-                max_abs = max_abs.max(run.input_max_abs());
+                max_abs = max_abs.max(run.input_max_abs(stream[i].data()));
             }
             let scale = Pow2Scale::covering(max_abs, bits);
-            for run in &mut runs {
-                run.commit(scale);
+            for (run, stream) in runs.iter_mut().zip(streams) {
+                run.commit(scale, stream[i].data());
             }
         }
         runs.swap_remove(0).finish().schedule

@@ -6,14 +6,17 @@ use crate::grouped::ApsqRun;
 use crate::schedule::ScaleSchedule;
 use crate::traffic::BufferTraffic;
 use apsq_quant::Pow2Scale;
-use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout, Shape};
+use apsq_tensor::{lanes, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 
 /// A truly incremental implementation of Algorithm 1 (grouped APSQ):
-/// each push executes one algorithm step immediately, so only the INT8
-/// code bank — the state the hardware itself keeps — is retained between
-/// steps. The incoming PSUM tiles are **not** collected; peak tile memory
-/// is one tile (plus the reused accumulator buffers) regardless of stream
-/// length.
+/// each push executes one algorithm step immediately, and between steps
+/// the stream keeps only what the RAE keeps — a ring of `gs` INT8 code
+/// rows (step `i` writes row `i mod gs`, the RAE's bank rule; Algorithm 1
+/// never reads further back than the previous group) plus the committed
+/// per-step scales. Incoming PSUM tiles are **not** collected, and every
+/// buffer is sized by a stream's first push and then reused: no later
+/// push, no [`StreamingApsq::reset`] to the same step count and tile
+/// width, and no [`StreamingApsq::finish_into`] allocates.
 ///
 /// A stream quantizes with either a fixed [`ScaleSchedule`]
 /// ([`StreamingApsq::new`]) or scales it commits itself
@@ -23,8 +26,14 @@ use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout, Shape};
 /// calibrating stream *is* single-stream [`ScaleSchedule::calibrate`];
 /// there is no separate replay.
 ///
+/// The fold runs in i32 lanes whenever a per-push check proves the exact
+/// sum cannot leave i32 (`max|tile| + Σ_l 2^(bits−1)·2^e_l ≤ i32::MAX`
+/// over the carried rows); otherwise it falls back to an i64 fold clamped
+/// into i32. Both lanes give the same bits.
+///
 /// [`crate::grouped_apsq`] is a thin batch wrapper over this type, so the
-/// two stay bit-identical by construction.
+/// two stay bit-identical by construction; it records the full code
+/// history from [`StreamingApsq::last_codes`] after every push.
 ///
 /// # Examples
 ///
@@ -44,28 +53,42 @@ use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout, Shape};
 /// // fold sees 1000 + 24 = 1024 → 2^4.
 /// let mut s = StreamingApsq::calibrating(2, ApsqConfig::int8(1));
 /// s.push_slice(&[1000]);
+/// assert_eq!(s.last_codes(), &[125]);
 /// s.push_slice(&[24]);
-/// let run = s.finish();
-/// assert_eq!(run.schedule.scale(0).exponent(), 3);
-/// assert_eq!(run.schedule.scale(1).exponent(), 4);
-/// assert_eq!(run.output.data(), &[1024]);
+/// let mut out = [0];
+/// let traffic = s.finish_into(&mut out);
+/// assert_eq!(out, [1024]);
+/// assert_eq!((traffic.writes, traffic.reads), (2, 1));
+///
+/// // The same stream folds again without allocating.
+/// s.reset(2);
+/// s.push_slice(&[-7]);
+/// s.push_slice(&[3]);
+/// s.finish_into(&mut out);
+/// assert_eq!(out, [-4]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct StreamingApsq {
     config: ApsqConfig,
     steps: usize,
-    /// Committed per-step scales: a fixed stream starts with all `steps`
-    /// of them, a calibrating stream starts empty and commits one per push.
+    /// Whether the stream commits its own scales (one per push) instead
+    /// of replaying a fixed schedule.
+    calibrating: bool,
+    /// Committed per-step scales: a fixed stream holds all `steps` of
+    /// them, a calibrating stream commits one per push.
     scales: Vec<Pow2Scale>,
     step: usize,
-    shape: Option<Shape>,
-    /// Exact 64-bit fold of the current step's tile and carried codes.
-    acc: Vec<i64>,
-    /// The current step's quantizer input (clamped to i32).
+    /// The current stream's tile shape, set by its first push.
+    dims: Vec<usize>,
+    /// The current stream's tile width (`dims` product).
+    width: usize,
+    /// The RAE code banks: `min(gs, steps)` rows of `width` codes.
+    ring: Vec<i32>,
+    /// The current step's quantizer input when it folds carried codes
+    /// (`staged`); a step that folds nothing quantizes its tile directly.
     input: Vec<i32>,
-    stored_codes: Vec<Vec<i32>>,
+    staged: bool,
     traffic: BufferTraffic,
-    output: Option<Int32Tensor>,
 }
 
 impl StreamingApsq {
@@ -73,7 +96,7 @@ impl StreamingApsq {
     /// the schedule's scales.
     pub fn new(schedule: ScaleSchedule, config: ApsqConfig) -> Self {
         let steps = schedule.len();
-        Self::with_scales(steps, schedule.scales().to_vec(), config)
+        Self::with_scales(steps, false, schedule.scales().to_vec(), config)
     }
 
     /// Creates a self-calibrating stream expecting `steps` tiles: step
@@ -87,23 +110,54 @@ impl StreamingApsq {
     ///
     /// Panics if `steps == 0`.
     pub fn calibrating(steps: usize, config: ApsqConfig) -> Self {
-        Self::with_scales(steps, Vec::with_capacity(steps), config)
+        Self::with_scales(steps, true, Vec::with_capacity(steps), config)
     }
 
-    fn with_scales(steps: usize, scales: Vec<Pow2Scale>, config: ApsqConfig) -> Self {
+    fn with_scales(
+        steps: usize,
+        calibrating: bool,
+        scales: Vec<Pow2Scale>,
+        config: ApsqConfig,
+    ) -> Self {
         assert!(steps > 0, "stream must cover at least one step");
         StreamingApsq {
             config,
             steps,
+            calibrating,
             scales,
             step: 0,
-            shape: None,
-            acc: Vec::new(),
+            dims: Vec::new(),
+            width: 0,
+            ring: Vec::new(),
             input: Vec::new(),
-            stored_codes: Vec::with_capacity(steps),
+            staged: false,
             traffic: BufferTraffic::new(),
-            output: None,
         }
+    }
+
+    /// Rewinds the stream to expect `steps` new tiles, of any one shape,
+    /// keeping its buffers: a calibrating stream drops its committed
+    /// scales, a fixed stream keeps its schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps == 0`, or if the stream has a fixed schedule of a
+    /// different length.
+    pub fn reset(&mut self, steps: usize) {
+        assert!(steps > 0, "stream must cover at least one step");
+        if self.calibrating {
+            self.scales.clear();
+            self.scales.reserve(steps);
+        } else {
+            assert_eq!(
+                steps,
+                self.scales.len(),
+                "a fixed-schedule stream resets to its schedule's length"
+            );
+        }
+        self.steps = steps;
+        self.step = 0;
+        self.traffic = BufferTraffic::new();
     }
 
     /// Number of tiles pushed so far.
@@ -150,18 +204,20 @@ impl StreamingApsq {
 
     fn push_shaped(&mut self, dims: &[usize], tile: &[i32]) {
         self.load(dims, tile);
-        let scale = match self.scales.get(self.step) {
-            Some(&s) => s,
-            None => Pow2Scale::covering(self.input_max_abs(), self.config.bits),
+        let scale = if self.calibrating {
+            Pow2Scale::covering(self.input_max_abs(tile), self.config.bits)
+        } else {
+            self.scales[self.step]
         };
-        self.commit(scale);
+        self.commit(scale, tile);
     }
 
-    /// First half of one Algorithm-1 step: assembles the next step's
-    /// quantizer input in the accumulator — the tile, plus the
-    /// dequantized previous group on an APSQ step (lines 4–7) or the
-    /// current group's stored prefix on a final mid-group step (lines
-    /// 13–14). A plain PSQ step (lines 9–11) quantizes the tile alone.
+    /// First half of one Algorithm-1 step: on an APSQ step (lines 4–7)
+    /// or a final mid-group step (lines 13–14), folds the tile and the
+    /// dequantized carried code rows — the previous group, or the
+    /// current group's stored prefix — into the staged quantizer input.
+    /// A plain PSQ step (lines 9–11) stages nothing: its tile is the
+    /// input.
     ///
     /// # Panics
     ///
@@ -170,12 +226,22 @@ impl StreamingApsq {
     pub(crate) fn load(&mut self, dims: &[usize], tile: &[i32]) {
         let np = self.steps;
         assert!(self.step < np, "stream already received all {np} tiles");
-        match &self.shape {
-            Some(shape) => assert_eq!(shape.dims(), dims, "all PSUM tiles must share one shape"),
-            None => self.shape = Some(Shape::from(dims)),
-        }
         let gs = self.config.group_size.get();
         let i = self.step;
+        if i == 0 {
+            self.dims.clear();
+            self.dims.extend_from_slice(dims);
+            self.width = tile.len();
+            self.ring.resize(gs.min(np) * tile.len(), 0);
+            self.input.clear();
+            self.input.reserve(tile.len());
+        } else {
+            assert_eq!(
+                self.dims.as_slice(),
+                dims,
+                "all PSUM tiles must share one shape"
+            );
+        }
         let folded = if i.is_multiple_of(gs) {
             i.saturating_sub(gs)..i
         } else if i == np - 1 {
@@ -183,74 +249,108 @@ impl StreamingApsq {
         } else {
             i..i
         };
-        self.input.clear();
-        if folded.is_empty() {
-            self.input.extend_from_slice(tile);
+        self.staged = !folded.is_empty();
+        if !self.staged {
             return;
         }
-        // Seeding the accumulator from the tile instead of zeroing it
-        // saves a whole pass; integer adds make the regrouping exact.
-        self.acc.clear();
-        self.acc.extend(tile.iter().map(|&t| t as i64));
-        for l in folded {
-            // The slice epilogues in `apsq-quant` are branch-free and
-            // bit-identical to the scalar `quantize`/`dequantize` maps —
-            // `apsq_recursion_reference` stays scalar as the cross-check.
-            self.scales[l].dequantize_accumulate(&self.stored_codes[l], &mut self.acc);
-            self.traffic.reads += tile.len() as u64;
+        let w = self.width;
+        let rows = folded.map(|l| (self.scales[l], &self.ring[(l % gs) * w..][..w]));
+        self.traffic.reads += (rows.len() * w) as u64;
+        // |code| ≤ 2^(bits−1), so this bounds every partial sum of the fold.
+        let code_mag = 1u64 << (self.config.bits.get() - 1);
+        let bound = rows
+            .clone()
+            .fold(lanes::max_abs_i32(tile) as u64, |b, (s, _)| {
+                b.saturating_add(code_mag << s.exponent())
+            });
+        self.input.clear();
+        if bound <= i32::MAX as u64 {
+            // i32 lanes: no dequantized code saturates and no partial sum
+            // wraps, so this is the exact sum the i64 fold would clamp.
+            self.input.extend_from_slice(tile);
+            for (scale, codes) in rows {
+                scale.dequantize_add(codes, &mut self.input);
+            }
+        } else {
+            // `Qᵢ(clamp(Σ …))` with every dequantized code saturating at
+            // the i32 limits, as the scalar maps define it.
+            self.input.extend(tile.iter().enumerate().map(|(j, &t)| {
+                let sum = rows
+                    .clone()
+                    .fold(t as i64, |a, (s, codes)| a + s.dequantize(codes[j]) as i64);
+                sum.clamp(i32::MIN as i64, i32::MAX as i64) as i32
+            }));
         }
-        // `Qᵢ(clamp(Σ …))`: clamping once here lets the max and the
-        // quantizer run in 32-bit lanes.
-        const LO: i64 = i32::MIN as i64;
-        const HI: i64 = i32::MAX as i64;
-        self.input
-            .extend(self.acc.iter().map(|&v| v.clamp(LO, HI) as i32));
     }
 
-    /// The magnitude a covering scale must reach for the loaded input:
-    /// its largest |value|, clamped to `i32::MAX` and floored at 1.
-    pub(crate) fn input_max_abs(&self) -> i32 {
-        let m = self.input.iter().fold(0u32, |m, v| m.max(v.unsigned_abs()));
-        m.clamp(1, i32::MAX as u32) as i32
+    /// The magnitude a covering scale must reach for the loaded input
+    /// (the staged fold, or else `tile`): its largest |value|, clamped to
+    /// `i32::MAX` and floored at 1.
+    pub(crate) fn input_max_abs(&self, tile: &[i32]) -> i32 {
+        let input = if self.staged { &self.input } else { tile };
+        lanes::max_abs_i32(input).clamp(1, i32::MAX as u32) as i32
     }
 
-    /// Second half of one Algorithm-1 step: quantizes the loaded input at
-    /// `scale` (committing it when the stream is calibrating), stores the
-    /// codes, and on the final step dequantizes them into `To`.
-    pub(crate) fn commit(&mut self, scale: Pow2Scale) {
-        if self.scales.len() == self.step {
+    /// Second half of one Algorithm-1 step: quantizes the loaded input
+    /// (the staged fold, or else `tile`) at `scale` — committing it when
+    /// the stream is calibrating — straight into the step's ring row.
+    pub(crate) fn commit(&mut self, scale: Pow2Scale, tile: &[i32]) {
+        if self.calibrating {
             self.scales.push(scale);
         }
-        let mut codes = Vec::new();
-        scale.quantize_slice_into(&self.input, &mut codes);
-        self.traffic.writes += codes.len() as u64;
-        if self.step == self.steps - 1 {
-            let mut out = Vec::new();
-            scale.dequantize_slice_into(&codes, &mut out);
-            let shape = self.shape.clone().expect("set by the first load");
-            self.output = Some(Int32Tensor::from_vec(out, shape));
-        }
-        self.stored_codes.push(codes);
+        let w = self.width;
+        let row = self.step % self.config.group_size.get();
+        let input = if self.staged { &self.input } else { tile };
+        scale.quantize_slice_into(input, &mut self.ring[row * w..][..w]);
+        self.traffic.writes += w as u64;
         self.step += 1;
     }
 
-    /// Completes the stream and returns the APSQ result.
+    /// The codes the latest push stored — its RAE bank row.
     ///
     /// # Panics
     ///
-    /// Panics if fewer tiles were pushed than the stream expects.
-    pub fn finish(self) -> ApsqRun {
+    /// Panics if nothing was pushed since construction or the last
+    /// [`StreamingApsq::reset`].
+    pub fn last_codes(&self) -> &[i32] {
+        assert!(self.step > 0, "no tile pushed yet");
+        let w = self.width;
+        let row = (self.step - 1) % self.config.group_size.get();
+        &self.ring[row * w..][..w]
+    }
+
+    /// Completes the stream: dequantizes the final step's codes into
+    /// `out` (the output tile `To`) and returns the buffer traffic the
+    /// run incurred. The stream can then be [`StreamingApsq::reset`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer tiles were pushed than the stream expects, or
+    /// `out` is not one tile wide.
+    pub fn finish_into(&self, out: &mut [i32]) -> BufferTraffic {
         assert_eq!(
             self.step, self.steps,
             "stream received {} of {} tiles",
             self.step, self.steps
         );
+        self.scales[self.steps - 1].dequantize_slice_into(self.last_codes(), out);
+        self.traffic
+    }
+
+    /// Completes the stream and returns the APSQ result. The ring keeps
+    /// only the last group, so [`ApsqRun::stored_codes`] is empty here;
+    /// the batch wrappers record it from [`StreamingApsq::last_codes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer tiles were pushed than the stream expects.
+    pub fn finish(self) -> ApsqRun {
+        let mut out = vec![0; self.width];
+        let traffic = self.finish_into(&mut out);
         ApsqRun {
-            output: self
-                .output
-                .expect("final step always produces the output tile"),
-            stored_codes: self.stored_codes,
-            traffic: self.traffic,
+            output: Int32Tensor::from_vec(out, self.dims),
+            stored_codes: Vec::new(),
+            traffic,
             schedule: ScaleSchedule::from_scales(self.scales),
         }
     }
@@ -313,14 +413,21 @@ pub fn grouped_apsq_streamed(
         np
     );
     let mut stream = StreamingApsq::new(schedule.clone(), *config);
-    engine.gemm_k_tiles(&g, k_tile, |_, tile| stream.push_ref(tile));
-    stream.finish()
+    let mut stored_codes = Vec::with_capacity(np);
+    engine.gemm_k_tiles(&g, k_tile, |_, tile| {
+        stream.push_ref(tile);
+        stored_codes.push(stream.last_codes().to_vec());
+    });
+    ApsqRun {
+        stored_codes,
+        ..stream.finish()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grouped::grouped_apsq;
+    use crate::grouped::{apsq_recursion_reference, grouped_apsq};
     use apsq_quant::Bitwidth;
 
     #[test]
@@ -372,6 +479,110 @@ mod tests {
                 assert_eq!(run.traffic, batch.traffic);
             }
         }
+    }
+
+    /// Address and capacity of every buffer a stream owns.
+    fn buffers(s: &StreamingApsq) -> [(usize, usize); 4] {
+        [
+            (s.scales.as_ptr() as usize, s.scales.capacity()),
+            (s.dims.as_ptr() as usize, s.dims.capacity()),
+            (s.ring.as_ptr() as usize, s.ring.capacity()),
+            (s.input.as_ptr() as usize, s.input.capacity()),
+        ]
+    }
+
+    #[test]
+    fn buffers_never_grow_after_the_first_group() {
+        let (np, gs, w) = (11usize, 3usize, 24usize);
+        let tiles: Vec<Vec<i32>> = (0..np)
+            .map(|i| {
+                (0..w)
+                    .map(|j| ((i * 131 + j * 37) % 2001) as i32 - 1000)
+                    .collect()
+            })
+            .collect();
+        let fixed = StreamingApsq::new(
+            ScaleSchedule::uniform(np, 3, Bitwidth::INT8),
+            ApsqConfig::int8(gs),
+        );
+        let calibrating = StreamingApsq::calibrating(np, ApsqConfig::int8(gs));
+        for mut s in [fixed, calibrating] {
+            let mut first_group = None;
+            let mut outputs = Vec::new();
+            for round in 0..3 {
+                if round > 0 {
+                    s.reset(np);
+                    assert_eq!(Some(buffers(&s)), first_group, "reset grew a buffer");
+                }
+                for (i, tile) in tiles.iter().enumerate() {
+                    s.push_slice(tile);
+                    if round == 0 && i == gs - 1 {
+                        first_group = Some(buffers(&s));
+                    }
+                    if round > 0 || i >= gs - 1 {
+                        assert_eq!(Some(buffers(&s)), first_group, "round {round} step {i}");
+                    }
+                }
+                let mut out = vec![0; w];
+                s.finish_into(&mut out);
+                outputs.push(out);
+            }
+            // Reuse changes nothing observable either.
+            assert!(outputs.iter().all(|o| *o == outputs[0]));
+            assert_eq!(outputs[0], s.clone().finish().output.data());
+        }
+    }
+
+    #[test]
+    fn i32_lanes_and_i64_fallback_in_one_stream() {
+        // gs = 1, so the eq (10) recursion is an independent oracle. The
+        // early tiles fold in i32 lanes; the tile within 1000 of the i32
+        // limits cannot, and neither can the last step, which carries its
+        // 2^25 scale (there the exact sum clamps at i32::MAX, where
+        // wrapping i32 lanes would land near i32::MIN).
+        let rows: [[i32; 3]; 7] = [
+            [100, -37, 5],
+            [-150, 74, 6],
+            [2000, -111, 7],
+            [-900, 148, 8],
+            [450, -185, 9],
+            [i32::MAX - 700, i32::MIN + 300, 5],
+            [1000, -1000, 7],
+        ];
+        let tiles: Vec<Int32Tensor> = rows
+            .iter()
+            .map(|r| Int32Tensor::from_vec(r.to_vec(), [3]))
+            .collect();
+        let cfg = ApsqConfig::int8(1);
+        let mut s = StreamingApsq::calibrating(tiles.len(), cfg);
+        let mut stored_codes = Vec::new();
+        for t in &tiles {
+            s.push_ref(t);
+            stored_codes.push(s.last_codes().to_vec());
+        }
+        let mut out = vec![0; 3];
+        let traffic = s.finish_into(&mut out);
+        let run = s.finish();
+        let sched = run.schedule;
+
+        // Which lane each folding step took: |tile| plus the carried
+        // row's largest dequantized magnitude, 2^7 · 2^e.
+        let lane_bound = |i: usize| {
+            let max = rows[i]
+                .iter()
+                .map(|v| v.unsigned_abs() as u64)
+                .max()
+                .unwrap();
+            max + (128u64 << sched.scale(i - 1).exponent())
+        };
+        assert!((1..5).all(|i| lane_bound(i) <= i32::MAX as u64));
+        assert!((5..7).all(|i| lane_bound(i) > i32::MAX as u64));
+
+        assert_eq!(out, apsq_recursion_reference(&tiles, &sched).data());
+        let batch = grouped_apsq(&tiles, &sched, &cfg);
+        assert_eq!(out, batch.output.data());
+        assert_eq!(stored_codes, batch.stored_codes);
+        assert_eq!(traffic, batch.traffic);
     }
 
     #[test]

@@ -95,7 +95,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The self-calibrating stream is `ScaleSchedule::calibrate` followed
-    /// by `grouped_apsq`: same output, code bank, traffic and scales —
+    /// by `grouped_apsq`: same output, per-step codes, traffic and scales —
     /// and those scales match an independent scalar replay — for long
     /// streams, every group size (including gs = 1 and gs > np), all-zero
     /// tiles and values at the i32 limits (exponents saturating at 30 for
@@ -111,12 +111,14 @@ proptest! {
         let sched = ScaleSchedule::calibrate(std::slice::from_ref(&stream), bits, GroupSize::new(gs));
         let batch = grouped_apsq(&stream, &sched, &cfg);
         let mut s = StreamingApsq::calibrating(stream.len(), cfg);
+        let mut stored_codes = Vec::new();
         for tile in &stream {
             s.push_slice(tile.data());
+            stored_codes.push(s.last_codes().to_vec());
         }
         let run = s.finish();
         prop_assert_eq!(run.output.data(), batch.output.data());
-        prop_assert_eq!(&run.stored_codes, &batch.stored_codes);
+        prop_assert_eq!(&stored_codes, &batch.stored_codes);
         prop_assert_eq!(run.traffic, batch.traffic);
         prop_assert_eq!(&run.schedule, &sched);
         prop_assert_eq!(&batch.schedule, &sched);

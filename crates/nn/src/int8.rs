@@ -75,6 +75,10 @@ struct AttnScratch {
     ctx_i32: Vec<i32>,
     /// `[H]` power-of-two exponents of the requantized P·V operand.
     r_exps: Vec<i32>,
+    /// `[d]` the query row's i8 codes.
+    qc: Vec<i8>,
+    /// One APSQ stream per head, reset for every Q·Kᵀ and P·V fold.
+    streams: Vec<StreamingApsq>,
 }
 
 /// [`Int8MultiHeadAttention`]'s paged-decode scratch: the gathered K/V
@@ -276,33 +280,33 @@ impl Int8Linear {
     /// whose accumulator never leaves registers in this model).
     pub fn forward_traced(&self, x: &Tensor, eng: &ExecEngine) -> (Tensor, BufferTraffic) {
         let q = Int8Tensor::quantize(x, self.x_scale);
-        let (acc, traffic) = match &self.psum {
-            Int8PsumPath::Exact => (eng.int8_matmul_bt(&q, &self.codes), BufferTraffic::new()),
+        let (m, d_out) = (x.dims()[0], self.d_out());
+        let g = Gemm::dense(
+            Layout::NT,
+            q.data(),
+            q.dims(),
+            self.codes.data(),
+            self.codes.dims(),
+        );
+        let mut acc = vec![0i32; m * d_out];
+        let traffic = match &self.psum {
+            Int8PsumPath::Exact => {
+                eng.gemm(&g, &mut acc);
+                BufferTraffic::new()
+            }
             Int8PsumPath::Apsq {
                 config,
                 k_tile,
                 schedule,
             } => {
                 let mut stream = StreamingApsq::new(schedule.clone(), *config);
-                let g = Gemm::dense(
-                    Layout::NT,
-                    q.data(),
-                    q.dims(),
-                    self.codes.data(),
-                    self.codes.dims(),
-                );
                 eng.gemm_k_tiles(&g, *k_tile, |_, tile| stream.push_ref(tile));
-                let run = stream.finish();
-                (run.output, run.traffic)
+                stream.finish_into(&mut acc)
             }
         };
         let base = self.x_scale * self.w_scale;
-        let (m, d_out) = (x.dims()[0], self.d_out());
         let mut y = vec![0.0f32; m * d_out];
-        for (yrow, arow) in y
-            .chunks_exact_mut(d_out)
-            .zip(acc.data().chunks_exact(d_out))
-        {
+        for (yrow, arow) in y.chunks_exact_mut(d_out).zip(acc.chunks_exact(d_out)) {
             for ((yv, &av), &bf) in yrow.iter_mut().zip(arow).zip(&self.bias_f) {
                 // Multiply-then-add in the same order as the fake-quant
                 // epilogue (`out * base` then `+ b`), preserving bit-identity.
@@ -417,43 +421,41 @@ impl Int8MultiHeadAttention {
         pow2_f32(self.q_exp)
     }
 
-    /// Quantizes one `[d]` query row at the frozen Q scale.
-    fn quantize_q_row(&self, row: &[f32]) -> Vec<i8> {
-        let scale = self.q_scale();
-        row.iter().map(|&x| round_to_i8(x / scale)).collect()
-    }
-
     /// Streams the K tiles of a head-batched GEMM and folds each head's
     /// PSUM stream through Algorithm 1 the moment its tile lands: head
     /// `h`'s slice of every tile feeds its own self-calibrating
     /// [`StreamingApsq`] (deterministic: integer tiles are thread-invariant
     /// and each step's scale is a pure function of them), and head `h`'s
-    /// `m·n` outputs land in `out[h·m·n..]`.
+    /// `m·n` outputs land in `out[h·m·n..]`. The streams are the caller's,
+    /// reset here, so a fold allocates nothing once they have seen its
+    /// width.
     fn fold_heads(
         eng: &ExecEngine,
         g: &Gemm<'_, i8>,
         (config, k_tile): (&ApsqConfig, usize),
+        streams: &mut Vec<StreamingApsq>,
         traffic: &mut BufferTraffic,
         out: &mut [i32],
     ) {
         let width = g.m * g.n;
         let np = g.k_range.len().div_ceil(k_tile);
-        let mut streams: Vec<StreamingApsq> = (0..g.batch)
-            .map(|_| StreamingApsq::calibrating(np, *config))
-            .collect();
+        // One layer owns the scratch, so every stream shares its config.
+        streams.resize_with(g.batch, || StreamingApsq::calibrating(np, *config));
+        for stream in streams.iter_mut() {
+            stream.reset(np);
+        }
         eng.gemm_k_tiles(g, k_tile, |_, tile| {
             for (stream, head) in streams.iter_mut().zip(tile.data().chunks_exact(width)) {
                 stream.push_slice(head);
             }
         });
-        for (stream, out_h) in streams.into_iter().zip(out.chunks_exact_mut(width)) {
-            let run = stream.finish();
-            *traffic += run.traffic;
-            out_h.copy_from_slice(run.output.data());
+        for (stream, out_h) in streams.iter().zip(out.chunks_exact_mut(width)) {
+            *traffic += stream.finish_into(out_h);
         }
     }
 
-    /// Attends one quantized query row over a flat KV view of length
+    /// Quantizes the `[d]` query row `q` at the frozen Q scale into
+    /// `scratch` and attends it over a flat KV view of length
     /// `t = kv.len`, writing the `[d]` context row to `ctx` and returning
     /// the PSUM buffer traffic the two APSQ folds incurred — the single
     /// attention kernel both the full-sequence forward and paged decode
@@ -461,7 +463,7 @@ impl Int8MultiHeadAttention {
     /// reused across rows and heads.
     fn attend_row_view(
         &self,
-        qc: &[i8],
+        q: &[f32],
         kv: &Int8KvView<'_>,
         eng: &ExecEngine,
         scratch: &mut AttnScratch,
@@ -480,7 +482,12 @@ impl Int8MultiHeadAttention {
             rc,
             ctx_i32,
             r_exps,
+            qc,
+            streams,
         } = scratch;
+        let q_scale = self.q_scale();
+        qc.clear();
+        qc.extend(q.iter().map(|&x| round_to_i8(x / q_scale)));
         acc.resize(heads * t, 0);
         scores.resize(heads * t, 0.0);
         probs.resize(t, 0.0);
@@ -503,10 +510,10 @@ impl Int8MultiHeadAttention {
         match &self.seq_apsq {
             None => eng.gemm(&qk, acc),
             Some((config, k_tile)) => {
-                Self::fold_heads(eng, &qk, (config, *k_tile), &mut traffic, acc)
+                Self::fold_heads(eng, &qk, (config, *k_tile), streams, &mut traffic, acc)
             }
         }
-        let qk_scale = self.q_scale() * inv_sqrt;
+        let qk_scale = q_scale * inv_sqrt;
         for (h, (s_h, acc_h)) in scores
             .chunks_exact_mut(t)
             .zip(acc.chunks_exact(t))
@@ -550,7 +557,7 @@ impl Int8MultiHeadAttention {
         match &self.seq_apsq {
             None => eng.gemm(&pv, ctx_i32),
             Some((config, k_tile)) => {
-                Self::fold_heads(eng, &pv, (config, *k_tile), &mut traffic, ctx_i32)
+                Self::fold_heads(eng, &pv, (config, *k_tile), streams, &mut traffic, ctx_i32)
             }
         }
         for ((out_h, acc_h), &e) in ctx
@@ -635,8 +642,7 @@ impl Attention for Int8MultiHeadAttention {
                 k_exps: &k_exps[..len * h],
                 v_exps: &v_exps[..len * h],
             };
-            let qc = self.quantize_q_row(q_row);
-            self.attend_row_view(&qc, &kv, eng, &mut scratch, ctx_row);
+            self.attend_row_view(q_row, &kv, eng, &mut scratch, ctx_row);
         }
         ctx
     }
@@ -664,8 +670,7 @@ impl Attention for Int8MultiHeadAttention {
             k_exps,
             v_exps,
         };
-        let qc = self.quantize_q_row(q);
-        self.attend_row_view(&qc, &kv, eng, &mut scratch.row, ctx)
+        self.attend_row_view(q, &kv, eng, &mut scratch.row, ctx)
     }
 
     /// Algorithm-1 invariant counts: `Q·Kᵀ` streams `⌈dh/k_tile⌉` tiles

@@ -6,6 +6,7 @@
 //! hardware agree bit-for-bit.
 
 use crate::bitwidth::QRange;
+use apsq_tensor::lanes;
 
 /// Arithmetic right shift by `sh` with round-half-away-from-zero.
 ///
@@ -94,72 +95,52 @@ pub fn round_to_i8(x: f32) -> i8 {
 
 // ------------------------------------------------------------------ slices
 //
-// Branch-free slice forms of the shift quantizer. The APSQ fold epilogue
-// runs these over whole PSUM tiles inside the GEMM K loop, so the
-// per-element sign branch of `rounding_shift_right` is replaced by
-// arithmetic-shift sign masks the autovectorizer can lower to SIMD
-// blends. Each is bit-identical to mapping its scalar twin over the slice
-// (pinned by unit tests).
+// Slice forms of the shift quantizer for whole PSUM tiles: the APSQ fold
+// runs them inside the GEMM K loop. They run on the branch-free
+// `apsq_tensor::lanes` kernels, which vectorize (AVX2 when detected), and
+// each is bit-identical to mapping its scalar twin over the slice (pinned
+// by unit tests).
 
-/// Round-half-away-from-zero shift without a sign branch: extract the
-/// sign mask, round the magnitude, restore the sign. `|x| + 2^(sh−1)`
-/// cannot overflow a `u32` for `sh ≤ 30`, so the lanes stay 32 bits wide
-/// and the loop vectorizes even on baseline SSE2.
-#[inline]
-fn branchless_rounding_shift(x: i32, sh: u32, add: u32) -> i32 {
-    debug_assert!((1..=30).contains(&sh));
-    let s = x >> 31; // 0 for x ≥ 0, −1 for x < 0
-    let t = ((x.unsigned_abs() + add) >> sh) as i32;
-    (t ^ s) - s
-}
-
-/// Maps [`shift_quantize`] over a slice of exact i32 PSUMs into `out`
-/// (cleared first), branch-free for every shift a [`crate::Pow2Scale`]
-/// can hold (`sh ≤ 30`).
-pub fn shift_quantize_slice(xs: &[i32], sh: u32, range: QRange, out: &mut Vec<i32>) {
-    out.clear();
-    out.resize(xs.len(), 0);
-    let (qn, qp) = (range.qn, range.qp);
-    let pairs = out.iter_mut().zip(xs);
-    match sh {
-        0 => pairs.for_each(|(o, &x)| *o = x.clamp(qn, qp)),
-        1..=30 => {
-            let add = 1u32 << (sh - 1);
-            pairs.for_each(|(o, &x)| *o = branchless_rounding_shift(x, sh, add).clamp(qn, qp));
-        }
-        _ => pairs.for_each(|(o, &x)| *o = shift_quantize(x, sh, range)),
-    }
-}
-
-/// Adds the dequantized codes (`code · 2^sh`, saturating at the i32 limits
-/// like [`shift_dequantize`]) into a 64-bit group accumulator — the
-/// de-accumulation of Algorithm 1 lines 4–6, branch-free.
+/// Maps [`shift_quantize`] over a slice of exact i32 PSUMs into `out`,
+/// branch-free for every shift a [`crate::Pow2Scale`] can hold
+/// (`sh ≤ 30`).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn shift_dequantize_accumulate(codes: &[i32], sh: u32, acc: &mut [i64]) {
-    const LO: i64 = i32::MIN as i64;
-    const HI: i64 = i32::MAX as i64;
-    assert_eq!(codes.len(), acc.len(), "code/accumulator length mismatch");
-    let sh = sh.min(62);
-    for (a, &c) in acc.iter_mut().zip(codes.iter()) {
-        *a += ((c as i64) << sh).clamp(LO, HI);
+pub fn shift_quantize_slice(xs: &[i32], sh: u32, range: QRange, out: &mut [i32]) {
+    assert_eq!(xs.len(), out.len(), "input/code length mismatch");
+    if sh <= 30 {
+        lanes::round_shift_clamp_i32(xs, sh, range.qn, range.qp, out);
+    } else {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = shift_quantize(x, sh, range);
+        }
     }
 }
 
-/// Maps [`shift_dequantize`] over a slice into `out` (cleared first).
-pub fn shift_dequantize_slice(codes: &[i32], sh: u32, out: &mut Vec<i32>) {
-    const LO: i64 = i32::MIN as i64;
-    const HI: i64 = i32::MAX as i64;
-    out.clear();
-    out.reserve(codes.len());
-    let sh = sh.min(62);
-    out.extend(
-        codes
-            .iter()
-            .map(|&c| ((c as i64) << sh).clamp(LO, HI) as i32),
-    );
+/// Adds the dequantized codes into an i32 accumulator
+/// (`acc[j] += codes[j] · 2^sh`) — the de-accumulation of Algorithm 1
+/// lines 4–6 in 32-bit lanes, for callers that have proven no product or
+/// sum leaves i32 (the APSQ stream checks `max|tile| + Σ 2^(bits−1)·2^sh
+/// ≤ i32::MAX` before taking this lane). An overflow-checked build
+/// panics on a broken proof instead of wrapping
+/// ([`lanes::shl_add_i32`]).
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or `sh > 30`.
+pub fn shift_dequantize_add(codes: &[i32], sh: u32, acc: &mut [i32]) {
+    lanes::shl_add_i32(codes, sh, acc);
+}
+
+/// Maps [`shift_dequantize`] over a slice into `out`.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn shift_dequantize_slice(codes: &[i32], sh: u32, out: &mut [i32]) {
+    lanes::shl_saturate_i32(codes, sh, out);
 }
 
 #[cfg(test)]
@@ -255,7 +236,7 @@ mod tests {
     #[test]
     fn quantize_slice_matches_scalar_map() {
         let xs = awkward_i32();
-        let mut out = Vec::new();
+        let mut out = vec![0; xs.len()];
         for bits in [Bitwidth::INT8, Bitwidth::new(4), Bitwidth::new(16)] {
             let r = bits.signed_range();
             for sh in 0u32..=32 {
@@ -267,28 +248,33 @@ mod tests {
     }
 
     #[test]
-    fn dequantize_slice_and_accumulate_match_scalar() {
+    fn dequantize_slice_and_add_match_scalar() {
         let codes: Vec<i32> = awkward_i32();
-        let mut out = Vec::new();
+        let mut out = vec![0; codes.len()];
         for sh in [0u32, 1, 4, 15, 30] {
             shift_dequantize_slice(&codes, sh, &mut out);
             let want: Vec<i32> = codes.iter().map(|&c| shift_dequantize(c, sh)).collect();
             assert_eq!(out, want, "sh={sh}");
-
-            let mut acc: Vec<i64> = (0..codes.len()).map(|i| i as i64 * 1000 - 7).collect();
-            let mut acc_want = acc.clone();
-            shift_dequantize_accumulate(&codes, sh, &mut acc);
-            for (a, &c) in acc_want.iter_mut().zip(codes.iter()) {
-                *a += shift_dequantize(c, sh) as i64;
-            }
-            assert_eq!(acc, acc_want, "sh={sh}");
+        }
+        // The i32 lane on 8-bit codes, up to the largest shift whose sum
+        // stays in range.
+        let codes: Vec<i32> = (-128..=127).collect();
+        for sh in [0u32, 1, 4, 15, 22] {
+            let mut acc: Vec<i32> = (0..codes.len() as i32).map(|i| i * 1000 - 7).collect();
+            let want: Vec<i32> = acc
+                .iter()
+                .zip(&codes)
+                .map(|(&a, &c)| a + shift_dequantize(c, sh))
+                .collect();
+            shift_dequantize_add(&codes, sh, &mut acc);
+            assert_eq!(acc, want, "sh={sh}");
         }
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn dequantize_accumulate_rejects_length_mismatch() {
-        let mut acc = vec![0i64; 3];
-        shift_dequantize_accumulate(&[1, 2], 0, &mut acc);
+    fn dequantize_add_rejects_length_mismatch() {
+        let mut acc = vec![0i32; 3];
+        shift_dequantize_add(&[1, 2], 0, &mut acc);
     }
 }

@@ -41,7 +41,7 @@ mod uniform;
 pub use bitwidth::{Bitwidth, QRange};
 pub use fixed::{
     round_to_i8, rounding_shift_right, saturating_add_in_range, saturating_shift_left,
-    shift_dequantize, shift_dequantize_accumulate, shift_dequantize_slice, shift_quantize,
+    shift_dequantize, shift_dequantize_add, shift_dequantize_slice, shift_quantize,
     shift_quantize_slice,
 };
 pub use lsq::LsqQuantizer;

@@ -52,13 +52,23 @@ impl Pow2Scale {
         }
     }
 
-    /// Chooses the tightest exponent so `max_abs` quantizes without clipping.
+    /// Chooses the tightest exponent so `max_abs` quantizes without
+    /// clipping: the least `e ≤ 30` with `qp · 2^e ≥ |max_abs|`, or 30 when
+    /// none covers it. Closed form: `qp · 2^e` shares its top bit with
+    /// `|max_abs|` at `e = lz(qp) − lz(|max_abs|)`, and one compare decides
+    /// whether that `e` or the next covers.
     pub fn covering(max_abs: i32, bits: Bitwidth) -> Self {
-        let qp = bits.signed_range().qp as i64;
-        let mut exp = 0u32;
-        while (qp << exp) < max_abs.unsigned_abs() as i64 && exp < 30 {
-            exp += 1;
-        }
+        let qp = bits.signed_range().qp as u32;
+        let m = max_abs.unsigned_abs();
+        let exp = if m <= qp {
+            0
+        } else if qp == 0 {
+            30
+        } else {
+            let e = qp.leading_zeros() - m.leading_zeros();
+            let e = e + u32::from(u64::from(qp) << e < u64::from(m));
+            e.min(30)
+        };
         Pow2Scale::new(exp, bits)
     }
 
@@ -112,26 +122,34 @@ impl Pow2Scale {
         self.dequantize(self.quantize(x))
     }
 
-    /// Slice form of [`Pow2Scale::quantize`] into a reusable buffer
-    /// (cleared first) — branch-free ([`crate::shift_quantize_slice`]),
-    /// bit-identical to mapping `quantize` over the slice.
-    pub fn quantize_slice_into(&self, xs: &[i32], out: &mut Vec<i32>) {
-        crate::fixed::shift_quantize_slice(xs, self.exp, self.range, out);
-    }
-
-    /// Adds the dequantized codes into a 64-bit group accumulator
-    /// (`acc[j] += dequantize(codes[j])`), branch-free.
+    /// Slice form of [`Pow2Scale::quantize`] into `out` — branch-free
+    /// ([`crate::shift_quantize_slice`]), bit-identical to mapping
+    /// `quantize` over the slice.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
-    pub fn dequantize_accumulate(&self, codes: &[i32], acc: &mut [i64]) {
-        crate::fixed::shift_dequantize_accumulate(codes, self.exp, acc);
+    pub fn quantize_slice_into(&self, xs: &[i32], out: &mut [i32]) {
+        crate::fixed::shift_quantize_slice(xs, self.exp, self.range, out);
     }
 
-    /// Slice form of [`Pow2Scale::dequantize`] into a reusable buffer
-    /// (cleared first).
-    pub fn dequantize_slice_into(&self, codes: &[i32], out: &mut Vec<i32>) {
+    /// Adds the dequantized codes into an i32 accumulator
+    /// (`acc[j] += dequantize(codes[j])`) in 32-bit lanes; the caller
+    /// proves no sum leaves i32 ([`crate::shift_dequantize_add`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn dequantize_add(&self, codes: &[i32], acc: &mut [i32]) {
+        crate::fixed::shift_dequantize_add(codes, self.exp, acc);
+    }
+
+    /// Slice form of [`Pow2Scale::dequantize`] into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn dequantize_slice_into(&self, codes: &[i32], out: &mut [i32]) {
         crate::fixed::shift_dequantize_slice(codes, self.exp, out);
     }
 }
@@ -348,6 +366,36 @@ mod tests {
                     (127i64 << tighter.exponent()) < max_abs as i64,
                     "max_abs={max_abs}"
                 );
+            }
+        }
+    }
+
+    /// The search loop `covering` replaced, kept as its oracle.
+    fn covering_by_search(max_abs: i32, bits: Bitwidth) -> u32 {
+        let qp = bits.signed_range().qp as i64;
+        let mut exp = 0u32;
+        while (qp << exp) < max_abs.unsigned_abs() as i64 && exp < 30 {
+            exp += 1;
+        }
+        exp
+    }
+
+    #[test]
+    fn covering_closed_form_matches_search_at_every_boundary() {
+        for b in 2u8..=8 {
+            let bits = Bitwidth::new(b);
+            let qp = bits.signed_range().qp as i64;
+            let mut xs = vec![0i64, 1, -1, i32::MAX as i64, i32::MIN as i64];
+            for k in 0..=32 {
+                let edge = qp << k;
+                xs.extend([edge - 1, edge, edge + 1]);
+            }
+            for x in xs {
+                let Ok(x) = i32::try_from(x) else { continue };
+                for x in [x, x.saturating_neg()] {
+                    let got = Pow2Scale::covering(x, bits).exponent();
+                    assert_eq!(got, covering_by_search(x, bits), "bits={b} max_abs={x}");
+                }
             }
         }
     }

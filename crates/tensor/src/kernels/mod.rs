@@ -53,6 +53,7 @@
 // clearest way to spell these kernels.
 #![allow(clippy::too_many_arguments)]
 
+pub mod lanes;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;

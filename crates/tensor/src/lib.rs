@@ -17,7 +17,9 @@
 //!   bit-accurate hardware path;
 //! - [`KernelBackend`] — the explicit-width SIMD micro-kernel tiers
 //!   (scalar reference, SSE2, AVX2) behind the engine, runtime-detected
-//!   and bit-identical to each other by construction.
+//!   and bit-identical to each other by construction;
+//! - [`lanes`] — elementwise i32 slice kernels (the APSQ fold's lanes)
+//!   under the same dispatch.
 //!
 //! # Example
 //!
@@ -57,7 +59,7 @@ pub use conv::conv2d_i8_reference;
 pub use exec::{ExecEngine, Gemm, Layout};
 pub use init::{kaiming_normal, rand_uniform, randn, xavier_uniform};
 pub use int_tensor::{Int32Tensor, Int8Tensor};
-pub use kernels::{KernelBackend, BACKEND_ENV};
+pub use kernels::{lanes, KernelBackend, BACKEND_ENV};
 pub use reduce::{argmax_axis1, mean_axis1, sum_axis0, sum_axis1, var_axis1};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -39,9 +39,11 @@ cargo test -q --release -p apsq-nn --test proptest_int8
 echo "==> cargo test -q --release -p apsq-tensor  (engine kernels at release opt)"
 cargo test -q --release -p apsq-tensor
 
-echo "==> overflow-checked release: tensor kernels, APSQ fold + int8 datapath wrap loudly"
+echo "==> overflow-checked release: tensor kernels, APSQ fold (i32 lane + i64 fallback) + int8 datapath wrap loudly"
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-tensor
+RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-quant
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-core
+RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-rae
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_int8
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_paged
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_decode
@@ -49,7 +51,9 @@ RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib -- int8 
 
 echo "==> scalar-forced backend: tensor, APSQ + int8 suites on the portable fallback"
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-tensor
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-quant
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-core
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-rae
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_int8
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_paged
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_decode
