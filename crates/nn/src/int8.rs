@@ -4,11 +4,12 @@
 //!
 //! [`QuantLinear`] *simulates* the W8A8 + APSQ accumulation path in f32
 //! (fake quantization). [`Int8Linear`] *executes* it: activations are
-//! quantized to i8 codes, weights are stored as i8 codes in the
-//! weight-stationary `[out, in]` layout, the GEMM's K tiles stream through
-//! [`ExecEngine::gemm_k_tiles`], and every `Pci`-deep PSUM
-//! tile is pushed into a [`StreamingApsq`] fold the moment it is produced
-//! — exactly the dataflow of the RAE sitting next to the PE array.
+//! quantized to i8 codes, weights are stored once as i8 codes in the
+//! weight-stationary k-pair panels of [`Layout::NP`] (`[⌈in/2⌉][out][2]`),
+//! the GEMM's K tiles stream through [`ExecEngine::gemm_k_tiles`], and
+//! every `Pci`-deep PSUM tile is pushed into a [`StreamingApsq`] fold the
+//! moment it is produced — exactly the dataflow of the RAE sitting next to
+//! the PE array.
 //! Nothing leaves the integer domain between the input quantizer and the
 //! single dequantize-and-bias epilogue.
 //!
@@ -34,7 +35,7 @@ use crate::paged::{quantize_int8_kv_row, BlockId, BlockPool, PagedKvState};
 use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule, StreamingApsq};
 use apsq_quant::{pow2_f32, round_to_i8, Bitwidth, LsqQuantizer};
 use apsq_tensor::{
-    gelu, softmax_row_into, sum_axis0, ExecEngine, Gemm, Int8Tensor, Layout, Tensor,
+    gelu, pack_k_pairs, softmax_row_into, sum_axis0, ExecEngine, Gemm, Int8Tensor, Layout, Tensor,
 };
 
 /// Snaps a positive step to the nearest power of two (identity on values
@@ -104,9 +105,12 @@ enum Int8PsumPath {
     },
 }
 
-/// A fully integer linear layer: i8 weight codes in the weight-stationary
-/// `[out, in]` layout, power-of-two activation/weight scales frozen from
-/// the trained LSQ observers, and an i32 bias on the product-scale grid.
+/// A fully integer linear layer: i8 weight codes packed once into the
+/// weight-stationary k-pair panels `[⌈in/2⌉][out][2]` of [`Layout::NP`]
+/// (an odd `in` pads a zero weight), power-of-two activation/weight
+/// scales frozen from the trained LSQ observers, and an i32 bias on the
+/// product-scale grid. Both PSUM paths run the packed-B kernel, so every
+/// PSUM tile is the exact integer partial sum of its k range.
 ///
 /// Built by the PTQ conversion pass from either a [`QuantLinear`]
 /// ([`Int8Linear::from_quant_linear`] — preserves the APSQ PSUM path and
@@ -115,8 +119,10 @@ enum Int8PsumPath {
 /// best-effort W8A8 PTQ for classifier heads).
 #[derive(Clone, Debug)]
 pub struct Int8Linear {
-    /// Weight codes `[out, in]`.
-    codes: Int8Tensor,
+    /// Weight codes as [`Layout::NP`] panels ([`pack_k_pairs`]).
+    panels: Vec<i8>,
+    d_in: usize,
+    d_out: usize,
     x_scale: f32,
     w_scale: f32,
     /// Bias codes at the product scale `α_x·α_w`.
@@ -203,16 +209,11 @@ impl Int8Linear {
         Self::build(&l.w.value, &l.b.value, ax, aw, Int8PsumPath::Exact)
     }
 
-    /// Shared constructor: quantizes `w` (`[in, out]`) into the `[out,
-    /// in]` code layout and `b` onto the product-scale grid.
+    /// Shared constructor: quantizes `w` (`[in, out]`) into the packed
+    /// k-pair panels and `b` onto the product-scale grid.
     fn build(w: &Tensor, b: &Tensor, x_scale: f32, w_scale: f32, psum: Int8PsumPath) -> Int8Linear {
         let (d_in, d_out) = (w.dims()[0], w.dims()[1]);
-        let mut codes = vec![0i8; d_out * d_in];
-        for i in 0..d_in {
-            for o in 0..d_out {
-                codes[o * d_in + i] = (w.at(&[i, o]) / w_scale).round().clamp(-128.0, 127.0) as i8;
-            }
-        }
+        let codes = Int8Tensor::quantize(w, w_scale);
         let base = x_scale * w_scale;
         let bias_q: Vec<i32> = b
             .data()
@@ -231,7 +232,9 @@ impl Int8Linear {
             .collect();
         let bias_f: Vec<f32> = bias_q.iter().map(|&q| q as f32 * base).collect();
         Int8Linear {
-            codes: Int8Tensor::from_vec(codes, [d_out, d_in]),
+            panels: pack_k_pairs(codes.data(), d_in, d_out),
+            d_in,
+            d_out,
             x_scale,
             w_scale,
             bias_q,
@@ -242,12 +245,12 @@ impl Int8Linear {
 
     /// Input features.
     pub fn d_in(&self) -> usize {
-        self.codes.dims()[1]
+        self.d_in
     }
 
     /// Output features.
     pub fn d_out(&self) -> usize {
-        self.codes.dims()[0]
+        self.d_out
     }
 
     /// The frozen power-of-two activation scale `α_x`.
@@ -280,13 +283,13 @@ impl Int8Linear {
     /// whose accumulator never leaves registers in this model).
     pub fn forward_traced(&self, x: &Tensor, eng: &ExecEngine) -> (Tensor, BufferTraffic) {
         let q = Int8Tensor::quantize(x, self.x_scale);
-        let (m, d_out) = (x.dims()[0], self.d_out());
+        let (m, d_out) = (x.dims()[0], self.d_out);
         let g = Gemm::dense(
-            Layout::NT,
+            Layout::NP,
             q.data(),
             q.dims(),
-            self.codes.data(),
-            self.codes.dims(),
+            &self.panels,
+            &[self.d_in, d_out],
         );
         let mut acc = vec![0i32; m * d_out];
         let traffic = match &self.psum {

@@ -11,6 +11,20 @@
 use apsq_serve::{BatchPolicy, LoadGenerator, Precision, Scenario, ServeConfig};
 use std::time::Duration;
 
+/// The response fingerprints of `decode_traffic_is_bit_identical_across_server_shapes`
+/// (seed 42, `llama_decode(8, 8)`), one per precision. Agreement across
+/// server shapes alone cannot catch a change that moves every shape's
+/// bits together — a kernel, quantizer or fold that drifts — so the
+/// values themselves are pinned. A change that is meant to alter the
+/// numerics must say so and re-record them.
+const F32_DECODE_FINGERPRINT: u64 = 0x158364369cd9722c;
+const INT8_DECODE_FINGERPRINT: u64 = 0x5849ba36e57bd61f;
+
+/// The same pin for `decode_traffic_is_bit_identical_across_kv_block_sizes`
+/// (seed 42, `llama_decode(6, 8)`), one per precision.
+const F32_BLOCK_SWEEP_FINGERPRINT: u64 = 0xfa81f0a90d2ac300;
+const INT8_BLOCK_SWEEP_FINGERPRINT: u64 = 0x22de365c4aea9677;
+
 fn base_cfg() -> ServeConfig {
     let mut cfg = ServeConfig::smoke();
     // Small model: the test sweeps five server shapes.
@@ -103,6 +117,12 @@ fn decode_traffic_is_bit_identical_across_server_shapes() {
         per_precision[0], per_precision[1],
         "f32 and int8 traffic produced identical fingerprints — the precision switch is dead"
     );
+    assert_eq!(
+        per_precision,
+        [F32_DECODE_FINGERPRINT, INT8_DECODE_FINGERPRINT],
+        "decode fingerprints (f32, int8) moved off their pinned values: {:#018x?}",
+        per_precision
+    );
 }
 
 /// KV block size is a pure memory-layout knob: replaying one seed across
@@ -115,7 +135,11 @@ fn decode_traffic_is_bit_identical_across_server_shapes() {
 fn decode_traffic_is_bit_identical_across_kv_block_sizes() {
     let scenario = Scenario::llama_decode(6, 8);
     let gen = LoadGenerator::new(42, scenario);
-    for precision in [Precision::F32, Precision::Int8Apsq] {
+    let pinned = [F32_BLOCK_SWEEP_FINGERPRINT, INT8_BLOCK_SWEEP_FINGERPRINT];
+    for (precision, want) in [Precision::F32, Precision::Int8Apsq]
+        .into_iter()
+        .zip(pinned)
+    {
         let mut fingerprints = Vec::new();
         for block_tokens in [2usize, 5, 16] {
             let cfg = base_cfg()
@@ -132,6 +156,13 @@ fn decode_traffic_is_bit_identical_across_kv_block_sizes() {
             fingerprints.iter().all(|(fp, _)| *fp == fingerprints[0].0),
             "{} fingerprints diverged across KV block sizes: {fingerprints:?}",
             precision.name()
+        );
+        assert_eq!(
+            fingerprints[0].0,
+            want,
+            "{} block-sweep fingerprint {:#018x} moved off its pinned value",
+            precision.name(),
+            fingerprints[0].0
         );
     }
 }

@@ -12,9 +12,10 @@
 //! # One GEMM entry
 //!
 //! Every product is described by one strided [`Gemm`] descriptor — operand
-//! slices, a [`Layout`] (NN, NT or TN), extents `m, n, k`, leading
-//! dimensions, a batch count with per-operand batch strides, the reduction
-//! range `[k0, k1)`, and accumulate-or-overwrite — and executed by
+//! slices, a [`Layout`] (NN, NT, TN or the i8 packed-B NP), extents
+//! `m, n, k`, leading dimensions, a batch count with per-operand batch
+//! strides, the reduction range `[k0, k1)`, and accumulate-or-overwrite —
+//! and executed by
 //! [`ExecEngine::gemm`], or streamed one K tile at a time by
 //! [`ExecEngine::gemm_k_tiles`]. Both are generic over `f32` and
 //! `i8 → i32`. The tensor-shaped wrappers ([`ExecEngine::matmul`],
@@ -124,13 +125,40 @@ impl Default for ExecEngine {
 pub enum Layout {
     /// `a` is `[m, k]`, `b` is `[k, n]`.
     NN,
-    /// `a` is `[m, k]`, `b` is stored `[n, k]`: `a · bᵀ`, the
-    /// weight-stationary `[B, d] × Wᵀ` and decode `Q·Kᵀ` layout.
+    /// `a` is `[m, k]`, `b` is stored `[n, k]`: `a · bᵀ`, the decode
+    /// `Q·Kᵀ` layout.
     NT,
     /// `a` is stored `[k, m]`, `b` is `[k, n]`: `aᵀ · b`, the
     /// weight-gradient `Xᵀ · dY` layout. `f32` only — there is no i8 TN
     /// kernel.
     TN,
+    /// `a` is `[m, k]`, `b` is packed in k-pair panels `[⌈k/2⌉][n][2]`
+    /// ([`pack_k_pairs`]): element `(l, j)` sits at `(l / 2) · ldb + 2j +
+    /// l % 2`, so a panel row is `ldb ≥ 2n` wide. The weight-stationary
+    /// `[B, d] × W` layout `Int8Linear` stores its weights in, run by a
+    /// `madd` kernel that never reduces horizontally. `i8` only — there is
+    /// no f32 NP kernel.
+    NP,
+}
+
+/// Packs the row-major `[k, n]` i8 matrix `b` into the k-pair panels
+/// `[⌈k/2⌉][n][2]` of [`Layout::NP`]: pair row `p` holds `(b[2p, j],
+/// b[2p + 1, j])` for every column `j`, and an odd `k` pads its last pair
+/// with a zero weight. Same bytes, one layout change, done once per
+/// weight matrix.
+///
+/// # Panics
+///
+/// Panics if `b.len() != k · n`.
+pub fn pack_k_pairs(b: &[i8], k: usize, n: usize) -> Vec<i8> {
+    assert_eq!(b.len(), k * n, "pack_k_pairs: `b` is not [{k}, {n}]");
+    let mut panels = vec![0i8; k.div_ceil(2) * 2 * n];
+    for l in 0..k {
+        for j in 0..n {
+            panels[(l / 2) * 2 * n + 2 * j + l % 2] = b[l * n + j];
+        }
+    }
+    panels
 }
 
 /// One strided (optionally batched) GEMM:
@@ -147,7 +175,8 @@ pub enum Layout {
 pub struct Gemm<'a, T> {
     /// Left operand: `[m, k]` rows, or `[k, m]` for [`Layout::TN`].
     pub a: &'a [T],
-    /// Right operand: `[k, n]` rows, or `[n, k]` for [`Layout::NT`].
+    /// Right operand: `[k, n]` rows, `[n, k]` for [`Layout::NT`], or
+    /// `[⌈k/2⌉]` panel rows of `2n` for [`Layout::NP`].
     pub b: &'a [T],
     /// Which operand is stored transposed.
     pub layout: Layout,
@@ -182,10 +211,11 @@ impl<'a, T> Gemm<'a, T> {
     /// leading dimensions for `layout`, one batch (strides set to the
     /// dense per-batch sizes), the full `0..k` range, overwrite.
     pub fn new(layout: Layout, a: &'a [T], b: &'a [T], m: usize, n: usize, k: usize) -> Self {
-        let (lda, ldb) = match layout {
-            Layout::NN => (k, n),
-            Layout::NT => (k, k),
-            Layout::TN => (m, n),
+        let (lda, ldb, b_len) = match layout {
+            Layout::NN => (k, n, k * n),
+            Layout::NT => (k, k, k * n),
+            Layout::TN => (m, n, k * n),
+            Layout::NP => (k, 2 * n, k.div_ceil(2) * 2 * n),
         };
         Gemm {
             a,
@@ -199,7 +229,7 @@ impl<'a, T> Gemm<'a, T> {
             ldo: n,
             batch: 1,
             stride_a: m * k,
-            stride_b: k * n,
+            stride_b: b_len,
             stride_o: m * n,
             k_range: 0..k,
             accumulate: false,
@@ -207,7 +237,9 @@ impl<'a, T> Gemm<'a, T> {
     }
 
     /// [`Gemm::new`] with the extents read off two rank-2 operand shapes
-    /// (stored shapes, so `b_dims` is `[n, k]` for [`Layout::NT`]).
+    /// (stored shapes, so `b_dims` is `[n, k]` for [`Layout::NT`]; packed
+    /// panels have no rank-2 shape, so [`Layout::NP`] takes the unpacked
+    /// `[k, n]`).
     ///
     /// # Panics
     ///
@@ -222,7 +254,7 @@ impl<'a, T> Gemm<'a, T> {
         assert_eq!(a_dims.len(), 2, "gemm: `a` must be rank-2, got {a_dims:?}");
         assert_eq!(b_dims.len(), 2, "gemm: `b` must be rank-2, got {b_dims:?}");
         let ((m, k), (kb, n)) = match layout {
-            Layout::NN => ((a_dims[0], a_dims[1]), (b_dims[0], b_dims[1])),
+            Layout::NN | Layout::NP => ((a_dims[0], a_dims[1]), (b_dims[0], b_dims[1])),
             Layout::NT => ((a_dims[0], a_dims[1]), (b_dims[1], b_dims[0])),
             Layout::TN => ((a_dims[1], a_dims[0]), (b_dims[0], b_dims[1])),
         };
@@ -248,6 +280,7 @@ impl<'a, T> Gemm<'a, T> {
             Layout::NN => ((self.m, k1), (k1, self.n)),
             Layout::NT => ((self.m, k1), (self.n, k1)),
             Layout::TN => ((k1, self.m), (k1, self.n)),
+            Layout::NP => ((self.m, k1), (k1.div_ceil(2), 2 * self.n)),
         };
         let span = |stride, (rows, cols), ld| {
             if self.batch == 0 || rows == 0 || cols == 0 {
@@ -288,8 +321,10 @@ pub(crate) mod elem {
         type Acc: Copy + Default + Send + Sync;
         /// The tensor type a streamed K tile is handed out as.
         type Tile;
-        /// Whether a [`Layout::TN`] kernel exists for this element.
-        const HAS_TN: bool;
+        /// The element's name in error messages.
+        const NAME: &'static str;
+        /// The one layout this element has no kernel for.
+        const NO_KERNEL: Layout;
 
         /// Accumulates output rows `[r0, r1)` into `out` (whose row 0 is
         /// global row `r0`) over the reduction slice `[k0, k1)`.
@@ -319,7 +354,8 @@ pub(crate) mod elem {
     impl GemmElem for f32 {
         type Acc = f32;
         type Tile = Tensor;
-        const HAS_TN: bool = true;
+        const NAME: &'static str = "f32";
+        const NO_KERNEL: Layout = Layout::NP;
 
         fn kernel(
             bk: KernelBackend,
@@ -363,6 +399,7 @@ pub(crate) mod elem {
                     k1,
                 ),
                 Layout::TN => kernels::gemm_at_f32(bk, a, lda, b, ldb, out, ldo, r0, r1, n, k0, k1),
+                Layout::NP => unreachable!("rejected before dispatch"),
             }
         }
 
@@ -378,7 +415,8 @@ pub(crate) mod elem {
     impl GemmElem for i8 {
         type Acc = i32;
         type Tile = Int32Tensor;
-        const HAS_TN: bool = false;
+        const NAME: &'static str = "i8";
+        const NO_KERNEL: Layout = Layout::TN;
 
         fn kernel(
             bk: KernelBackend,
@@ -409,6 +447,19 @@ pub(crate) mod elem {
                     k1,
                 ),
                 Layout::NT => kernels::gemm_bt_i8(
+                    bk,
+                    &a[r0 * lda..],
+                    lda,
+                    b,
+                    ldb,
+                    out,
+                    ldo,
+                    r1 - r0,
+                    n,
+                    k0,
+                    k1,
+                ),
+                Layout::NP => kernels::gemm_np_i8(
                     bk,
                     &a[r0 * lda..],
                     lda,
@@ -559,12 +610,15 @@ impl ExecEngine {
     ///
     /// Panics if `g.k_range` leaves `0..g.k`, a slice is shorter than the
     /// last element `g` addresses in it, or `g` asks for the i8
-    /// [`Layout::TN`] product (which has no kernel).
+    /// [`Layout::TN`] or the f32 [`Layout::NP`] product (neither has a
+    /// kernel).
     pub fn gemm<T: GemmElem>(&self, g: &Gemm<'_, T>, out: &mut [T::Acc]) {
         g.check(out.len());
         assert!(
-            T::HAS_TN || g.layout != Layout::TN,
-            "gemm: the i8 TN layout has no kernel"
+            g.layout != T::NO_KERNEL,
+            "gemm: the {} {:?} layout has no kernel",
+            T::NAME,
+            g.layout
         );
         if g.m == 0 || g.n == 0 {
             return;
@@ -796,13 +850,18 @@ mod tests {
 
     #[test]
     fn int8_bt_matches_plain_across_thread_counts() {
-        for (m, k, n) in [(1, 70, 31), (13, 128, 32)] {
+        for (m, k, n) in [(1, 70, 31), (13, 128, 32), (9, 41, 35)] {
             let (a, b) = i8_pair(m, k, n);
             let bt = transpose_i8(&b);
+            let panels = pack_k_pairs(b.data(), k, n);
+            let np = Gemm::new(Layout::NP, a.data(), &panels, m, n, k);
             let want = ExecEngine::serial().int8_matmul(&a, &b);
             for threads in [1, 3, 8] {
                 let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
                 assert_eq!(eng.int8_matmul_bt(&a, &bt), want, "threads={threads}");
+                let mut packed = Int32Tensor::zeros([m, n]);
+                eng.gemm(&np, packed.data_mut());
+                assert_eq!(packed, want, "packed, threads={threads}");
             }
         }
     }
@@ -818,16 +877,18 @@ mod tests {
             8,
             |_, tile| kn.push(tile.clone()),
         );
-        let mut steps = 0;
-        eng.gemm_k_tiles(
-            &Gemm::dense(Layout::NT, a.data(), a.dims(), bt.data(), bt.dims()),
-            8,
-            |step, tile| {
-                assert_eq!(tile, &kn[step], "step {step}");
+        let panels = pack_k_pairs(b.data(), 33, 5);
+        for g in [
+            Gemm::dense(Layout::NT, a.data(), a.dims(), bt.data(), bt.dims()),
+            Gemm::dense(Layout::NP, a.data(), a.dims(), &panels, b.dims()),
+        ] {
+            let mut steps = 0;
+            eng.gemm_k_tiles(&g, 8, |step, tile| {
+                assert_eq!(tile, &kn[step], "{:?} step {step}", g.layout);
                 steps += 1;
-            },
-        );
-        assert_eq!(steps, 33usize.div_ceil(8));
+            });
+            assert_eq!(steps, 33usize.div_ceil(8));
+        }
     }
 
     /// Flat `[B, M, K]` and `[B, N, K]` operands whose per-batch contents
@@ -1057,6 +1118,24 @@ mod tests {
             &Gemm::new(Layout::TN, a.data(), b.data(), 3, 4, 2),
             &mut out,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "f32 NP layout has no kernel")]
+    fn f32_np_layout_rejected() {
+        let (a, b) = f32_pair(2, 4, 3);
+        let mut out = vec![0.0f32; 2 * 3];
+        ExecEngine::serial().gemm(
+            &Gemm::new(Layout::NP, a.data(), b.data(), 2, 3, 4),
+            &mut out,
+        );
+    }
+
+    #[test]
+    fn pack_k_pairs_interleaves_and_pads_odd_k() {
+        // b = [3, 2]: rows (1, 2), (3, 4), (5, 6).
+        let panels = pack_k_pairs(&[1, 2, 3, 4, 5, 6], 3, 2);
+        assert_eq!(panels, [1, 3, 2, 4, 5, 0, 6, 0]);
     }
 
     #[test]

@@ -186,13 +186,9 @@ impl Int8Tensor {
     /// Panics if `scale` is not a positive power of two.
     pub fn quantize(x: &crate::tensor::Tensor, scale: f32) -> Int8Tensor {
         assert_pow2(scale);
-        Int8Tensor::from_vec(
-            x.data()
-                .iter()
-                .map(|&v| (v / scale).round().clamp(-128.0, 127.0) as i8)
-                .collect(),
-            x.shape().clone(),
-        )
+        let mut codes = vec![0i8; x.data().len()];
+        crate::lanes::quantize_i8(x.data(), scale, &mut codes);
+        Int8Tensor::from_vec(codes, x.shape().clone())
     }
 
     /// Dequantizes the codes back to floats: `x̃ = q · scale`.

@@ -1,14 +1,17 @@
-//! Elementwise `i32` slice kernels: the lanes of the APSQ fold
-//! (`apsq_core::StreamingApsq`). They are an abs-max, a shifted
-//! de-accumulate, the rounding right shift with clamp that quantizes, and
-//! the saturating left shift that dequantizes.
+//! Elementwise slice kernels. Four are the `i32` lanes of the APSQ fold
+//! (`apsq_core::StreamingApsq`): an abs-max, a shifted de-accumulate, the
+//! rounding right shift with clamp that quantizes, and the saturating left
+//! shift that dequantizes. The fifth is the f32 → i8 activation quantizer
+//! behind [`crate::Int8Tensor::quantize`].
 //!
 //! Each kernel has one body, written as plain scalar Rust. The
 //! [`KernelBackend::Avx2`] tier compiles that same body inside a
 //! `#[target_feature(enable = "avx2")]` wrapper, so the autovectorizer
-//! emits 256-bit lanes; every other tier runs the body as is. The bodies
-//! are integer-exact, so the tiers cannot disagree. The process-wide
-//! [`KernelBackend::detect`] picks the tier, which makes the
+//! emits 256-bit lanes (for the quantizer, `f32::round` becomes a vector
+//! round instead of a libm call per element); every other tier runs the
+//! body as is. The integer bodies are exact and the quantizer is one IEEE
+//! expression per element, so the tiers cannot disagree. The
+//! process-wide [`KernelBackend::detect`] picks the tier, which makes the
 //! [`crate::BACKEND_ENV`] override force the portable build.
 
 use super::KernelBackend;
@@ -79,6 +82,16 @@ lane_kernel! {
         => shl_saturate_body, shl_saturate_avx2;
 }
 
+lane_kernel! {
+    /// `out[j] = clamp(round(xs[j] / scale), −128, 127)` as `i8`, rounding
+    /// half away from zero (NaN maps to 0, like `as i8`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) => quantize_i8_body, quantize_i8_avx2;
+}
+
 #[inline(always)]
 fn max_abs_body(xs: &[i32]) -> u32 {
     xs.iter().fold(0, |m, x| m.max(x.unsigned_abs()))
@@ -119,6 +132,14 @@ fn shl_saturate_body(codes: &[i32], sh: u32, out: &mut [i32]) {
     let sh = sh.min(62);
     for (o, &c) in out.iter_mut().zip(codes) {
         *o = ((c as i64) << sh).clamp(LO, HI) as i32;
+    }
+}
+
+#[inline(always)]
+fn quantize_i8_body(xs: &[f32], scale: f32, out: &mut [i8]) {
+    assert_eq!(xs.len(), out.len(), "input/output length mismatch");
+    for (o, &x) in out.iter_mut().zip(xs) {
+        *o = (x / scale).round().clamp(-128.0, 127.0) as i8;
     }
 }
 
@@ -193,6 +214,42 @@ mod tests {
                 saturate: |c, sh, out| unsafe { shl_saturate_avx2(c, sh, out) },
             });
         }
+    }
+
+    /// Both builds of the quantizer equal the portable body on ties,
+    /// clamps, signed zeros, subnormals, infinities and NaN, at several
+    /// power-of-two scales.
+    #[test]
+    fn quantize_builds_match_the_portable_body() {
+        let mut xs = vec![
+            0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 127.49, 127.5, -128.5,
+        ];
+        xs.extend([
+            -129.0,
+            1e30,
+            -1e30,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ]);
+        xs.extend([f32::MIN_POSITIVE / 4.0, 0.49999997, -0.49999997]);
+        xs.extend((0..61).map(|i| (i as f32 * 0.7311).sin() * 300.0));
+        for scale in [0.25f32, 1.0, 8.0, 2f32.powi(-20)] {
+            let mut want = vec![0i8; xs.len()];
+            quantize_i8_body(&xs, scale, &mut want);
+            let mut got = vec![0i8; xs.len()];
+            quantize_i8(&xs, scale, &mut got);
+            assert_eq!(got, want, "dispatched, scale {scale}");
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: this host has AVX2 (detected just above).
+                unsafe { quantize_i8_avx2(&xs, scale, &mut got) };
+                assert_eq!(got, want, "avx2, scale {scale}");
+            }
+        }
+        let mut out = [0i8; 4];
+        quantize_i8(&[2.5, -2.5, 300.0, -0.4], 1.0, &mut out);
+        assert_eq!(out, [3, -3, 127, 0]);
     }
 
     #[test]

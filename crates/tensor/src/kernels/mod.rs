@@ -30,6 +30,18 @@
 //!   multiply-add into i32 lanes, 8-wide f32 mul/add lanes), used when
 //!   `is_x86_feature_detected!("avx2")` reports support.
 //!
+//! # The packed-B i8 kernel
+//!
+//! [`gemm_np_i8`] is the weight-stationary product: `b` is stored once as
+//! k-pair panels `[⌈k/2⌉][n][2]` ([`crate::pack_k_pairs`]), so one pair
+//! row holds both k values of every column side by side. Each row of `a`
+//! contributes an activation pair `(a[i, 2p], a[i, 2p + 1])`, staged once
+//! per pass and broadcast against a whole run of columns; a
+//! `madd_epi16` turns that into one i32 partial sum per column, so the
+//! register tile accumulates straight into output lanes and never
+//! reduces horizontally. A `[k0, k1)` boundary at odd k splits a pair:
+//! the out-of-range half is zeroed on the activation side.
+//!
 //! # The lane-reduction-order rule
 //!
 //! Bit-identity across backends is a hard contract, not an accident:
@@ -66,6 +78,9 @@ pub(crate) const MR: usize = 4;
 pub(crate) const NR: usize = 8;
 /// K-panel depth: reduction slice summed into registers per pass.
 pub(crate) const KC: usize = 256;
+/// K pairs per packed-B pass ([`gemm_np_i8`]): the staged activation
+/// pairs of one row block cover at most [`KC`] reduction steps.
+pub(crate) const KP: usize = KC / 2;
 /// Fixed partial-sum lane count for f32 K-axis reductions (`gemm_bt_f32`):
 /// every backend accumulates into exactly this many lanes and reduces them
 /// in ascending index order, which is what keeps a 128-bit, a 256-bit, and
@@ -330,10 +345,10 @@ pub(crate) fn gemm_i8(
 
 /// Exact integer transposed-B micro-kernel:
 /// `out[i, j] += Σ_{l ∈ [k0, k1)} a[i, l] · b[j, l]` — `b` stored `[N, K]`
-/// row-major, the layout a weight-stationary PE array keeps its filter
-/// rows in. Unit-stride dot products on both operands make this the
-/// decode-path (`[B, d] × Wᵀ`) primitive — and the kernel where the AVX2
-/// i8×i8→i16 widening multiply-add pays off hardest.
+/// row-major, the layout cached key rows sit in. Unit-stride dot products
+/// on both operands make this the decode `Q·Kᵀ` primitive; weights take
+/// the packed-B [`gemm_np_i8`] instead, which needs no horizontal
+/// reduction per output.
 pub(crate) fn gemm_bt_i8(
     bk: KernelBackend,
     a: &[i8],
@@ -364,7 +379,125 @@ pub(crate) fn gemm_bt_i8(
     }
 }
 
+/// Exact integer packed-B micro-kernel:
+/// `out[i, j] += Σ_{l ∈ [k0, k1)} a[i, l] · b[(l / 2) · ldb + 2j + l % 2]`
+/// — `b` stored as k-pair panels (module docs), the weight-stationary
+/// `[B, d] × W` layout of `Int8Linear`.
+pub(crate) fn gemm_np_i8(
+    bk: KernelBackend,
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    m: usize,
+    n: usize,
+    k0: usize,
+    k1: usize,
+) {
+    match bk {
+        KernelBackend::Scalar => scalar::gemm_np_i8(a, lda, b, ldb, out, ldo, m, n, k0, k1),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86-64 baseline — always present.
+        KernelBackend::Sse2 => unsafe {
+            x86::sse2_gemm_np_i8(a, lda, b, ldb, out, ldo, m, n, k0, k1)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_f32`.
+        KernelBackend::Avx2 => unsafe {
+            x86::avx2_gemm_np_i8(a, lda, b, ldb, out, ldo, m, n, k0, k1)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("x86 backends are rejected at engine construction"),
+    }
+}
+
 // ------------------------------------------------------- shared helpers
+
+/// The staged activation pairs of one [`gemm_np_i8`] row block: row `r`,
+/// pass-local pair `t`.
+pub(super) type Pairs = [[[i16; 2]; KP]; MR];
+
+/// Stages the activation pairs `[pp, pq)` of rows `[i, i + rows)` of `a`:
+/// pair `p` is `(a[i, 2p], a[i, 2p + 1])`, with a half outside `[k0, k1)`
+/// zeroed (and never read), so a range that starts or ends at odd k
+/// splits its boundary pair exactly.
+#[inline(always)]
+fn stage_pairs(
+    a: &[i8],
+    lda: usize,
+    i: usize,
+    rows: usize,
+    (k0, k1): (usize, usize),
+    (pp, pq): (usize, usize),
+    pairs: &mut Pairs,
+) {
+    for (r, staged) in pairs[..rows].iter_mut().enumerate() {
+        let arow = &a[(i + r) * lda..];
+        for (s, p) in staged[..pq - pp].iter_mut().zip(pp..pq) {
+            let l = 2 * p;
+            let lo = if l >= k0 { arow[l] } else { 0 };
+            let hi = if l + 1 < k1 { arow[l + 1] } else { 0 };
+            *s = [lo as i16, hi as i16];
+        }
+    }
+}
+
+/// The pass structure every [`gemm_np_i8`] backend shares: the pair range
+/// of `[k0, k1)` in passes of at most [`KP`] pairs, each pass over
+/// [`MR`]-row blocks (the last may be shorter) whose activation pairs are
+/// staged once; `strip(pairs, i, rows, (pp, pq))` then runs every column
+/// tile of rows `[i, i + rows)` over pairs `[pp, pq)`.
+#[inline(always)]
+pub(super) fn np_passes(
+    a: &[i8],
+    lda: usize,
+    m: usize,
+    (k0, k1): (usize, usize),
+    mut strip: impl FnMut(&Pairs, usize, usize, (usize, usize)),
+) {
+    let mut pairs: Pairs = [[[0; 2]; KP]; MR];
+    let (mut pp, pend) = (k0 / 2, k1.div_ceil(2));
+    while pp < pend {
+        let pq = usize::min(pp + KP, pend);
+        let mut i = 0;
+        while i < m {
+            let rows = usize::min(MR, m - i);
+            stage_pairs(a, lda, i, rows, (k0, k1), (pp, pq), &mut pairs);
+            strip(&pairs, i, rows, (pp, pq));
+            i += rows;
+        }
+        pp = pq;
+    }
+}
+
+/// Ragged-edge packed-B tile over staged pairs: rows `[i, i + rows)` ×
+/// cols `[j0, j1)` over pass pairs `[pp, pq)`. The one tail path of the
+/// scalar kernel and every SIMD variant's column edges.
+#[inline]
+pub(super) fn tail_np_i8(
+    pairs: &Pairs,
+    rows: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    i: usize,
+    (j0, j1): (usize, usize),
+    (pp, pq): (usize, usize),
+) {
+    for (r, staged) in pairs[..rows].iter().enumerate() {
+        for j in j0..j1 {
+            let mut acc = 0i32;
+            for (p, &[x0, x1]) in (pp..pq).zip(staged) {
+                let bp = &b[p * ldb + 2 * j..p * ldb + 2 * j + 2];
+                acc += x0 as i32 * bp[0] as i32 + x1 as i32 * bp[1] as i32;
+            }
+            out[(i + r) * ldo + j] += acc;
+        }
+    }
+}
 
 /// Reduces the [`LANES`] f32 partial sums in ascending index order —
 /// the one and only lane-reduction every backend is allowed to use.
@@ -709,6 +842,37 @@ mod tests {
                     );
                     gemm_bt_i8(bk, &ai, k, &bti, k, &mut got, n, m, n, k0, k1);
                     assert_eq!(want, got, "gemm_bt_i8 {bk} {m}x{k}x{n} [{k0},{k1})");
+                }
+            }
+        }
+    }
+
+    /// The packed-B kernel equals the NN kernel on the unpacked codes on
+    /// every backend: odd and even k, ranges that start or end mid-pair,
+    /// a range crossing a [`KP`]-pair pass, every row tail below [`MR`]
+    /// and column tails below 16, 8 and 4.
+    #[test]
+    fn np_i8_matches_plain_i8_at_every_split() {
+        for bk in KernelBackend::supported() {
+            for (m, k, n) in [
+                (1, 1, 1),
+                (3, 5, 4),
+                (4, 16, 16),
+                (5, 33, 27),
+                (9, KC + 9, 41),
+            ] {
+                let a: Vec<i8> = (0..m * k).map(|x| ((x * 37 + 11) % 255) as i8).collect();
+                let b: Vec<i8> = (0..k * n).map(|x| ((x * 73 + 5) % 251) as i8).collect();
+                let panels = crate::pack_k_pairs(&b, k, n);
+                for (k0, k1) in [(0, k), (1, k), (0, k - k / 2), (k / 3, 2 * k / 3 + 1)] {
+                    if k0 >= k1 {
+                        continue;
+                    }
+                    let mut want = vec![0i32; m * n];
+                    gemm_i8(bk, &a, k, &b, n, &mut want, n, m, n, k0, k1);
+                    let mut got = vec![0i32; m * n];
+                    gemm_np_i8(bk, &a, k, &panels, 2 * n, &mut got, n, m, n, k0, k1);
+                    assert_eq!(got, want, "{bk} {m}x{k}x{n} [{k0},{k1})");
                 }
             }
         }

@@ -4,12 +4,12 @@
 //! Written with fixed-width lane arrays (the unrolled shape non-x86
 //! autovectorizers digest well): the `MR×NR` register tile of the blocked
 //! kernels, the [`LANES`]-lane K-dot of `gemm_bt_f32`. Ragged edges all go
-//! through the shared [`tail_f32`]/[`tail_i8`] helpers, so the edge index
-//! arithmetic — historically triplicated across partial-NR, partial-MR,
-//! and remainder paths — is written once and shared with the SIMD
-//! variants.
+//! through the shared [`tail_f32`]/[`tail_i8`]/[`tail_np_i8`] helpers, so
+//! the edge index arithmetic — historically triplicated across partial-NR,
+//! partial-MR, and remainder paths — is written once and shared with the
+//! SIMD variants.
 
-use super::{dot_f32_lanes, tail_f32, tail_i8, KC, MR, NR};
+use super::{dot_f32_lanes, np_passes, tail_f32, tail_i8, tail_np_i8, KC, MR, NR};
 
 pub(super) fn gemm_f32(
     a: &[f32],
@@ -183,4 +183,43 @@ pub(super) fn gemm_bt_i8(
             out[i * ldo + j] += acc;
         }
     }
+}
+
+pub(super) fn gemm_np_i8(
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    m: usize,
+    n: usize,
+    k0: usize,
+    k1: usize,
+) {
+    np_passes(a, lda, m, (k0, k1), |pairs, i, rows, (pp, pq)| {
+        let mut j = 0;
+        while rows == MR && j + NR <= n {
+            // Full MR×NR tile: each staged pair meets the NR column pairs
+            // of its panel row, one i32 lane per column.
+            let mut acc = [[0i32; NR]; MR];
+            for (t, p) in (pp..pq).enumerate() {
+                let bp = &b[p * ldb + 2 * j..p * ldb + 2 * (j + NR)];
+                for (accr, staged) in acc.iter_mut().zip(pairs) {
+                    let [x0, x1] = staged[t];
+                    for (accv, w) in accr.iter_mut().zip(bp.chunks_exact(2)) {
+                        *accv += x0 as i32 * w[0] as i32 + x1 as i32 * w[1] as i32;
+                    }
+                }
+            }
+            for (r, accr) in acc.iter().enumerate() {
+                let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + NR];
+                for (o, &v) in orow.iter_mut().zip(accr.iter()) {
+                    *o += v;
+                }
+            }
+            j += NR;
+        }
+        tail_np_i8(pairs, rows, b, ldb, out, ldo, i, (j, n), (pp, pq));
+    });
 }

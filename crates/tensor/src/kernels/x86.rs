@@ -14,7 +14,10 @@
 //!   sums of [`super::dot_f32_lanes`] (SSE2 splits them across two
 //!   128-bit registers), then reduces through the same lane array.
 //! - Integer kernels accumulate in `i32`; any summation order is exact, so
-//!   they are free to use `madd_epi16` widening reductions.
+//!   they are free to use `madd_epi16` widening reductions. The packed-B
+//!   kernels (`*_gemm_np_i8`) madd a broadcast activation pair against a
+//!   run of column pairs, so each i32 lane is one output column and no
+//!   tile ever reduces horizontally.
 //!
 //! Memory safety: every vector load/store first carves a bounds-checked
 //! subslice of exactly the lanes it touches, then loads from the slice
@@ -23,7 +26,7 @@
 
 use core::arch::x86_64::*;
 
-use super::{reduce_lanes_f32, tail_f32, tail_i8, KC, LANES, MR, NR};
+use super::{np_passes, reduce_lanes_f32, tail_f32, tail_i8, tail_np_i8, Pairs, KC, LANES, MR, NR};
 
 /// Sign-extends the low 8 bytes of `v` to 8×i16 without SSE4.1:
 /// duplicate each byte into a 16-bit lane, then arithmetic-shift the copy
@@ -62,6 +65,13 @@ fn sse2_hsum_i32(v: __m128i) -> i32 {
     // SAFETY: 4-lane stack array matches the 128-bit store width.
     unsafe { _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, v) };
     lanes.iter().sum()
+}
+
+/// A staged activation pair as the i32 lane `madd_epi16` pairs with one
+/// column's `(b[2p], b[2p + 1])`: the low half multiplies the even k.
+#[inline(always)]
+fn pair_bits([lo, hi]: [i16; 2]) -> i32 {
+    (lo as u16 as u32 | (hi as u16 as u32) << 16) as i32
 }
 
 // ================================================================== SSE2
@@ -366,6 +376,93 @@ pub(super) fn sse2_gemm_bt_i8(
                 sum += x as i32 * y as i32;
             }
             out[i * ldo + j] += sum;
+        }
+    }
+}
+
+#[target_feature(enable = "sse2")]
+pub(super) fn sse2_gemm_np_i8(
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    m: usize,
+    n: usize,
+    k0: usize,
+    k1: usize,
+) {
+    np_passes(a, lda, m, (k0, k1), |pairs, i, rows, pass| match rows {
+        4 => sse2_np_strip::<4>(pairs, b, ldb, out, ldo, i, n, pass),
+        3 => sse2_np_strip::<3>(pairs, b, ldb, out, ldo, i, n, pass),
+        2 => sse2_np_strip::<2>(pairs, b, ldb, out, ldo, i, n, pass),
+        _ => sse2_np_strip::<1>(pairs, b, ldb, out, ldo, i, n, pass),
+    });
+}
+
+/// Rows `i..i + R` of [`sse2_gemm_np_i8`] over one pass: R×8 madd tiles,
+/// then an R×4 tile, then the < 4 column tail through [`tail_np_i8`].
+#[target_feature(enable = "sse2")]
+#[inline]
+fn sse2_np_strip<const R: usize>(
+    pairs: &Pairs,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    i: usize,
+    n: usize,
+    pass: (usize, usize),
+) {
+    let mut j = 0;
+    while j + 8 <= n {
+        sse2_np_tile::<R, 2>(pairs, b, ldb, out, ldo, i, j, pass);
+        j += 8;
+    }
+    while j + 4 <= n {
+        sse2_np_tile::<R, 1>(pairs, b, ldb, out, ldo, i, j, pass);
+        j += 4;
+    }
+    tail_np_i8(pairs, R, b, ldb, out, ldo, i, (j, n), pass);
+}
+
+/// One R×(4·C) tile at `(i, j)`: per pair, C loads of 4 columns × 2 k,
+/// widened to 8×i16 and madd'd against each row's broadcast pair.
+#[target_feature(enable = "sse2")]
+#[inline]
+fn sse2_np_tile<const R: usize, const C: usize>(
+    pairs: &Pairs,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    i: usize,
+    j: usize,
+    (pp, pq): (usize, usize),
+) {
+    let mut acc = [[_mm_setzero_si128(); C]; R];
+    for (t, p) in (pp..pq).enumerate() {
+        let bp = &b[p * ldb + 2 * j..p * ldb + 2 * (j + 4 * C)];
+        let mut bv = [_mm_setzero_si128(); C];
+        for (v, chunk) in bv.iter_mut().zip(bp.chunks_exact(8)) {
+            *v = sse2_load8_i8_as_i16(chunk);
+        }
+        for (accr, staged) in acc.iter_mut().zip(pairs) {
+            let av = _mm_set1_epi32(pair_bits(staged[t]));
+            for (accv, &v) in accr.iter_mut().zip(&bv) {
+                *accv = _mm_add_epi32(*accv, _mm_madd_epi16(v, av));
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + 4 * C];
+        for (chunk, accv) in orow.chunks_exact_mut(4).zip(accr) {
+            // SAFETY: chunk has exactly 4 i32 slots.
+            unsafe {
+                let p = chunk.as_mut_ptr() as *mut __m128i;
+                _mm_storeu_si128(p, _mm_add_epi32(_mm_loadu_si128(p), *accv));
+            }
         }
     }
 }
@@ -785,6 +882,95 @@ pub(super) fn avx2_gemm_bt_i8(
             }
             out[i * ldo + j] += sum;
             j += 1;
+        }
+    }
+}
+
+#[target_feature(enable = "avx2")]
+pub(super) fn avx2_gemm_np_i8(
+    a: &[i8],
+    lda: usize,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    m: usize,
+    n: usize,
+    k0: usize,
+    k1: usize,
+) {
+    np_passes(a, lda, m, (k0, k1), |pairs, i, rows, pass| match rows {
+        4 => avx2_np_strip::<4>(pairs, b, ldb, out, ldo, i, n, pass),
+        3 => avx2_np_strip::<3>(pairs, b, ldb, out, ldo, i, n, pass),
+        2 => avx2_np_strip::<2>(pairs, b, ldb, out, ldo, i, n, pass),
+        _ => avx2_np_strip::<1>(pairs, b, ldb, out, ldo, i, n, pass),
+    });
+}
+
+/// Rows `i..i + R` of [`avx2_gemm_np_i8`] over one pass: R×2·NR madd
+/// tiles (4×16 for a full row block), then an R×NR tile, then the < NR
+/// column tail through [`tail_np_i8`].
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_np_strip<const R: usize>(
+    pairs: &Pairs,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    i: usize,
+    n: usize,
+    pass: (usize, usize),
+) {
+    let mut j = 0;
+    while j + 2 * NR <= n {
+        avx2_np_tile::<R, 2>(pairs, b, ldb, out, ldo, i, j, pass);
+        j += 2 * NR;
+    }
+    while j + NR <= n {
+        avx2_np_tile::<R, 1>(pairs, b, ldb, out, ldo, i, j, pass);
+        j += NR;
+    }
+    tail_np_i8(pairs, R, b, ldb, out, ldo, i, (j, n), pass);
+}
+
+/// One R×(C·NR) tile at `(i, j)`: per pair, C loads of NR columns × 2 k,
+/// widened to 16×i16 once and madd'd against every row's broadcast pair
+/// into that row's C 8×i32 accumulators.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_np_tile<const R: usize, const C: usize>(
+    pairs: &Pairs,
+    b: &[i8],
+    ldb: usize,
+    out: &mut [i32],
+    ldo: usize,
+    i: usize,
+    j: usize,
+    (pp, pq): (usize, usize),
+) {
+    let mut acc = [[_mm256_setzero_si256(); C]; R];
+    for (t, p) in (pp..pq).enumerate() {
+        let bp = &b[p * ldb + 2 * j..p * ldb + 2 * (j + C * NR)];
+        let mut bv = [_mm256_setzero_si256(); C];
+        for (v, chunk) in bv.iter_mut().zip(bp.chunks_exact(2 * NR)) {
+            *v = avx2_load16_i8_as_i16(chunk);
+        }
+        for (accr, staged) in acc.iter_mut().zip(pairs) {
+            let av = _mm256_set1_epi32(pair_bits(staged[t]));
+            for (accv, &v) in accr.iter_mut().zip(&bv) {
+                *accv = _mm256_add_epi32(*accv, _mm256_madd_epi16(v, av));
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + C * NR];
+        for (chunk, accv) in orow.chunks_exact_mut(NR).zip(accr) {
+            // SAFETY: chunk has exactly NR = 8 i32 slots.
+            unsafe {
+                let p = chunk.as_mut_ptr() as *mut __m256i;
+                _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), *accv));
+            }
         }
     }
 }

@@ -18,8 +18,8 @@
 //! - [`KernelBackend`] — the explicit-width SIMD micro-kernel tiers
 //!   (scalar reference, SSE2, AVX2) behind the engine, runtime-detected
 //!   and bit-identical to each other by construction;
-//! - [`lanes`] — elementwise i32 slice kernels (the APSQ fold's lanes)
-//!   under the same dispatch.
+//! - [`lanes`] — elementwise slice kernels (the APSQ fold's i32 lanes and
+//!   the f32 → i8 activation quantizer) under the same dispatch.
 //!
 //! # Example
 //!
@@ -56,7 +56,7 @@ pub use activation::{
     softmax_rows, softmax_rows_grad,
 };
 pub use conv::conv2d_i8_reference;
-pub use exec::{ExecEngine, Gemm, Layout};
+pub use exec::{pack_k_pairs, ExecEngine, Gemm, Layout};
 pub use init::{kaiming_normal, rand_uniform, randn, xavier_uniform};
 pub use int_tensor::{Int32Tensor, Int8Tensor};
 pub use kernels::{lanes, KernelBackend, BACKEND_ENV};

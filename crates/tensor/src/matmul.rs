@@ -53,9 +53,8 @@ impl ExecEngine {
     }
 
     /// Exact integer transposed-B matmul: `a` (`[M, K]` i8) × `bᵀ` (`b`
-    /// stored `[N, K]` i8) → `[M, N]` i32 — the weight layout a
-    /// weight-stationary datapath keeps resident, and the decode-path
-    /// `[B, d] × Wᵀ` primitive.
+    /// stored `[N, K]` i8) → `[M, N]` i32 — the layout of cached key rows
+    /// (decode `Q·Kᵀ`).
     ///
     /// # Panics
     ///

@@ -9,9 +9,10 @@
 //! [`ExecEngine::with_backend`] and compare against the scalar serial
 //! engine across layout × element type × batch × strides × K range /
 //! K tile, at random shapes (including ragged MR/NR/LANES tails) and
-//! thread counts.
+//! thread counts. The i8 packed-B layout (`Layout::NP`) is pinned to the
+//! NT kernel on the unpacked codes as well.
 
-use apsq_tensor::{ExecEngine, Gemm, Int8Tensor, KernelBackend, Layout, Tensor};
+use apsq_tensor::{pack_k_pairs, ExecEngine, Gemm, Int8Tensor, KernelBackend, Layout, Tensor};
 use proptest::prelude::*;
 use std::fmt::Debug;
 
@@ -89,6 +90,7 @@ impl Case {
             Layout::NN => ((m, k), (k, n)),
             Layout::NT => ((m, k), (n, k)),
             Layout::TN => ((k, m), (k, n)),
+            Layout::NP => unreachable!("packed cases are built by `PackedCase`"),
         }
     }
 
@@ -177,8 +179,119 @@ fn case() -> impl Strategy<Value = Case> {
         )
 }
 
+/// One batched, K-ranged product in both i8 weight layouts: the
+/// `[n, k]` NT codes (`ldb = k + pad`) and the same codes packed into
+/// k-pair panels (`ldb = 2n + pad`), over `[m, k]` activations with
+/// `lda = k + pad`.
+#[derive(Clone, Debug)]
+struct PackedCase {
+    m: usize,
+    n: usize,
+    k: usize,
+    pad: [usize; 3],
+    batch: usize,
+    k_range: (usize, usize),
+}
+
+impl PackedCase {
+    /// The activations, the NT codes and the packed panels, batch after
+    /// batch, each padded to its leading dimension.
+    fn operands(&self, seed: u32) -> (Vec<i8>, Vec<i8>, Vec<i8>) {
+        let (m, n, k) = (self.m, self.n, self.k);
+        let [pa, pt, pp] = self.pad;
+        let a = seeded_i8(self.batch * m * (k + pa), seed);
+        let (mut nt, mut np) = (Vec::new(), Vec::new());
+        for batch in 0..self.batch {
+            // Row-major [k, n] codes, then both stored forms of them.
+            let b = seeded_i8(k * n, seed ^ 0x2545 ^ batch as u32);
+            for j in 0..n {
+                nt.extend((0..k).map(|l| b[l * n + j]));
+                nt.extend(std::iter::repeat_n(0, pt));
+            }
+            for panel in pack_k_pairs(&b, k, n).chunks(2 * n) {
+                np.extend_from_slice(panel);
+                np.extend(std::iter::repeat_n(0, pp));
+            }
+        }
+        (a, nt, np)
+    }
+
+    fn gemm<'a>(&self, layout: Layout, a: &'a [i8], b: &'a [i8]) -> Gemm<'a, i8> {
+        let (m, n, k) = (self.m, self.n, self.k);
+        let [pa, pt, pp] = self.pad;
+        let (ldb, rows) = match layout {
+            Layout::NT => (k + pt, n),
+            _ => (2 * n + pp, k.div_ceil(2)),
+        };
+        Gemm {
+            lda: k + pa,
+            ldb,
+            batch: self.batch,
+            stride_a: m * (k + pa),
+            stride_b: rows * ldb,
+            k_range: self.k_range.0..self.k_range.1,
+            ..Gemm::new(layout, a, b, m, n, k)
+        }
+    }
+}
+
+/// Row tails below MR = 4, column tails below 16, 8 and 4, odd and even
+/// k, and a K range that may start and end mid-pair.
+fn packed_case() -> impl Strategy<Value = PackedCase> {
+    (
+        (
+            prop_oneof![1usize..5, 7usize..10, 15usize..18],
+            prop_oneof![1usize..9, 13usize..20, 31usize..35, 63usize..68],
+            prop_oneof![1usize..20, 30usize..40, 255usize..262],
+        ),
+        (0usize..4, 0usize..4, 0usize..4),
+        (1usize..3, 0usize..8, 0usize..8),
+    )
+        .prop_map(|((m, n, k), (pa, pt, pp), (batch, cut0, cut1))| {
+            let k0 = cut0.min(k - 1);
+            let k1 = (k - cut1.min(k - k0 - 1)).max(k0 + 1);
+            PackedCase {
+                m,
+                n,
+                k,
+                pad: [pa, pt, pp],
+                batch,
+                k_range: (k0, k1),
+            }
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The packed-B product and its K-tile stream equal the NT kernel on
+    /// the unpacked codes, on every backend (against the scalar body) and
+    /// at 1–4 threads: odd k, K ranges and odd `k_tile`s that split a k
+    /// pair, and every row and column tail of the 4×16 tile.
+    #[test]
+    fn packed_i8_matches_nt_on_every_backend(
+        c in packed_case(),
+        k_tile in prop_oneof![1usize..8, 15usize..18],
+        threads in 1usize..5,
+        seed in any::<u16>(),
+    ) {
+        let (a, nt, np) = c.operands(seed as u32);
+        let (g_nt, g_np) = (c.gemm(Layout::NT, &a, &nt), c.gemm(Layout::NP, &a, &np));
+        let len = c.batch * c.m * c.n;
+        let run = |eng: &ExecEngine, g: &Gemm<'_, i8>| {
+            let mut out = vec![0i32; len];
+            eng.gemm(g, &mut out);
+            let mut tiles = Vec::new();
+            eng.gemm_k_tiles(g, k_tile, |_, t| tiles.push(t.clone()));
+            (out, tiles)
+        };
+        let want = run(&scalar_engine(1), &g_nt);
+        same_on_every_backend(threads, |eng| {
+            let got = run(eng, &g_np);
+            prop_assert_eq!(&got, &want);
+            got
+        });
+    }
 
     /// The tensor-shaped f32 wrappers (plain, bᵀ) and the dense aᵀ·b
     /// product are bit-identical on every supported backend, at ragged
