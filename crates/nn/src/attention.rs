@@ -3,7 +3,7 @@
 
 use crate::decode::Attention;
 use crate::linear::{PsumMode, QuantLinear};
-use crate::paged::{BlockId, BlockPool, PagedKvState};
+use crate::paged::{BlockPool, PagedKvState, PinnedTable};
 use crate::param::{HasParams, Param};
 use apsq_core::BufferTraffic;
 use apsq_quant::Bitwidth;
@@ -250,16 +250,15 @@ impl Attention for MultiHeadAttention {
     fn attend_paged_row(
         &self,
         q: &[f32],
-        blocks: &[BlockId],
-        t: usize,
+        kv: PinnedTable<'_>,
         pool: &BlockPool,
         eng: &ExecEngine,
         (k, v): &mut Self::Scratch,
         ctx: &mut [f32],
     ) -> BufferTraffic {
-        pool.gather_f32(blocks, t, k, v);
+        pool.gather_pinned_f32(kv, k, v);
         // No mask: the gathered prefix *is* the causal window.
-        self.attend((q, &k[..], &v[..]), (1, t, q.len()), false, eng, ctx);
+        self.attend((q, &k[..], &v[..]), (1, kv.len(), q.len()), false, eng, ctx);
         BufferTraffic::new()
     }
 }

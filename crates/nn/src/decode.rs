@@ -12,7 +12,7 @@
 //! walk, the output projection, the position advance and the logits — is
 //! written once, here and in the generic models.
 
-use crate::paged::{BlockId, BlockPool, PagedKvState};
+use crate::paged::{BlockPool, PagedKvState, PinnedTable};
 use apsq_core::BufferTraffic;
 use apsq_tensor::{ExecEngine, Tensor};
 
@@ -57,18 +57,16 @@ pub trait Attention: Send + Sync {
     /// pinned to.
     fn attend_sequence(&self, q: &Tensor, k: &Tensor, v: &Tensor, eng: &ExecEngine) -> Tensor;
 
-    /// The paged kernel: attends one projected `[d]` query row over the
-    /// first `t` tokens of a block table in `pool` and writes its `[d]`
-    /// context row to `ctx`. It reads the blocks through the pool's
-    /// lock-free gather into `scratch`, so no allocator lock is held
-    /// while it computes. Returns the PSUM traffic its attention GEMMs
-    /// incurred.
-    #[allow(clippy::too_many_arguments)]
+    /// The paged kernel: attends one projected `[d]` query row over a
+    /// block table pinned by the decode step and writes its `[d]` context
+    /// row to `ctx`. It reads the pinned payloads with no lock held (in
+    /// place at int8; f32 copies them into `scratch` through `pool`, which
+    /// counts the gathered bytes). Returns the PSUM traffic its attention
+    /// GEMMs incurred.
     fn attend_paged_row(
         &self,
         q: &[f32],
-        blocks: &[BlockId],
-        t: usize,
+        kv: PinnedTable<'_>,
         pool: &BlockPool,
         eng: &ExecEngine,
         scratch: &mut Self::Scratch,
@@ -93,10 +91,11 @@ pub trait Attention: Send + Sync {
     /// sequence; each sequence's K/V for this layer live in `layer`'s
     /// block table of its [`PagedKvState`].
     ///
-    /// The Q/K/V projections run once over the whole stack. Every row's
-    /// K/V is then appended under **one short lock** on the shared pool
-    /// (allocating or copying-on-write blocks as needed). Each sequence
-    /// then attends its own block table through
+    /// The Q/K/V projections run once over the whole stack. Under **one
+    /// short lock** on the shared pool, every row's K/V is appended
+    /// (allocating or copying-on-write blocks as needed) and then every
+    /// row's block table is pinned (an `Arc` clone per block). Each
+    /// sequence then attends its pinned table through
     /// [`Self::attend_paged_row`], with no lock held, and the output
     /// projection runs once over the stacked context. Returns the output
     /// and the PSUM traffic of the attention GEMMs across the batch.
@@ -127,11 +126,20 @@ pub trait Attention: Send + Sync {
         assert_eq!(b, states.len(), "one paged KV state per batched sequence");
         let [wq, wk, wv, wo] = self.projections();
         let (q, k, v) = (wq.project(x, eng), wk.project(x, eng), wv.project(x, eng));
+        // Pinning after every append leaves no payload a row reads open
+        // to a write in this section.
+        let mut pinned = Vec::new();
+        let mut ends = Vec::with_capacity(b);
         {
             let mut alloc = pool.lock();
             let rows = k.data().chunks_exact(d).zip(v.data().chunks_exact(d));
             for (state, (k_row, v_row)) in states.iter_mut().zip(rows) {
                 state.append_row(layer, &mut alloc, k_row, v_row);
+            }
+            for state in states.iter() {
+                // This step's row is appended but `advance` has not run.
+                alloc.pin(state.layer_blocks(layer), state.position() + 1, &mut pinned);
+                ends.push(pinned.len());
             }
         }
         let mut traffic = BufferTraffic::new();
@@ -141,11 +149,11 @@ pub trait Attention: Send + Sync {
             .data()
             .chunks_exact(d)
             .zip(ctx.data_mut().chunks_exact_mut(d));
-        for (state, (q_row, ctx_row)) in states.iter().zip(rows) {
-            // This step's row is appended but `advance` has not run.
-            let t = state.position() + 1;
-            let blocks = state.layer_blocks(layer);
-            traffic += self.attend_paged_row(q_row, blocks, t, pool, eng, &mut scratch, ctx_row);
+        let mut start = 0;
+        for ((state, &end), (q_row, ctx_row)) in states.iter().zip(&ends).zip(rows) {
+            let kv = pool.table(&pinned[start..end], state.position() + 1);
+            traffic += self.attend_paged_row(q_row, kv, pool, eng, &mut scratch, ctx_row);
+            start = end;
         }
         (wo.project(&ctx, eng), traffic)
     }

@@ -31,12 +31,14 @@ use crate::block::TransformerBlock;
 use crate::decode::{Attention, Project};
 use crate::linear::{observer_pow2_scale, Linear, PsumMode, QuantLinear};
 use crate::models::{DecoderLm, EncoderClassifier};
-use crate::paged::{quantize_int8_kv_row, BlockId, BlockPool, PagedKvState};
+use crate::paged::{quantize_int8_kv_row, BlockPool, Int8Segment, PagedKvState, PinnedTable};
 use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule, StreamingApsq};
-use apsq_quant::{pow2_f32, round_to_i8, Bitwidth, LsqQuantizer};
+use apsq_quant::{pow2_f32, Bitwidth, LsqQuantizer};
 use apsq_tensor::{
-    gelu, pack_k_pairs, softmax_row_into, sum_axis0, ExecEngine, Gemm, Int8Tensor, Layout, Tensor,
+    gelu, lanes, pack_k_pairs, softmax_row_into, sum_axis0, ExecEngine, Gemm, Int8Tensor, Layout,
+    Tensor,
 };
+use std::sync::OnceLock;
 
 /// Snaps a positive step to the nearest power of two (identity on values
 /// that already are).
@@ -44,52 +46,44 @@ fn pow2_snap(step: f32) -> f32 {
     step.log2().round().exp2()
 }
 
-/// A borrowed flat view over int8 KV storage: `[t, d]` row-major i8 codes
-/// plus `[t, heads]` per-(token, head) power-of-two exponents. The
-/// full-sequence forward's once-quantized K/V buffers (a prefix per query
-/// row) and a gather from paged [`crate::BlockAllocator`] blocks produce
-/// byte-identical views, which is what makes paged decode bit-identical
-/// to a full recompute: the attention kernel only ever sees this view.
-struct Int8KvView<'a> {
-    width: usize,
-    len: usize,
-    k_codes: &'a [i8],
-    v_codes: &'a [i8],
-    k_exps: &'a [i8],
-    v_exps: &'a [i8],
+/// `2^e` for every i8 exponent `e`, indexed by `e as u8`: the KV scales
+/// as one table load each, bit-identical to [`pow2_f32`] by construction.
+fn pow2_i8_table() -> &'static [f32; 256] {
+    static TABLE: OnceLock<[f32; 256]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|i| pow2_f32(i as u8 as i8 as i32)))
 }
 
-/// Reusable buffers for [`Int8MultiHeadAttention`]'s attention kernel:
-/// one set per forward call, resized to each row's context and reused
-/// across rows and heads, so the per-row epilogues allocate nothing.
+/// Reusable buffers for [`Int8MultiHeadAttention`]'s attention kernel,
+/// resized to each row's context and reused across rows and heads, so a
+/// row allocates nothing once the buffers have grown: the paged decode
+/// step creates one per step, the full-sequence forward one per call.
 #[derive(Default)]
-struct AttnScratch {
-    /// `[H, t]` Q·Kᵀ accumulators.
+pub struct Int8PagedScratch {
+    /// `[d]` the query row's i8 codes.
+    qc: Vec<i8>,
+    /// `[H, t]` key scales `2^e` per (head, cached token), head-major.
+    k_scales: Vec<f32>,
+    /// `[H, t]` value scales, head-major.
+    v_scales: Vec<f32>,
+    /// `[np, H, t]` Q·Kᵀ PSUM tiles: per K step, every head's tile.
+    qk_tiles: Vec<i32>,
+    /// `[H, t]` folded Q·Kᵀ accumulators.
     acc: Vec<i32>,
-    /// `[H, t]` dequantized scores.
+    /// `[t]` one head's dequantized scores.
     scores: Vec<f32>,
     /// `[t]` one head's probabilities, then its value-scaled weights.
     probs: Vec<f32>,
     /// `[H, t]` requantized P·V operand.
     rc: Vec<i8>,
-    /// `[d]` P·V accumulators.
-    ctx_i32: Vec<i32>,
     /// `[H]` power-of-two exponents of the requantized P·V operand.
     r_exps: Vec<i32>,
-    /// `[d]` the query row's i8 codes.
-    qc: Vec<i8>,
-    /// One APSQ stream per head, reset for every Q·Kᵀ and P·V fold.
-    streams: Vec<StreamingApsq>,
-}
-
-/// [`Int8MultiHeadAttention`]'s paged-decode scratch: the gathered K/V
-/// codes and exponents of the current row's block table plus the
-/// kernel's [`AttnScratch`], all reused across the rows of one step.
-#[derive(Default)]
-pub struct Int8PagedScratch {
-    /// Gathered `[t·d]` K and V codes, then `[t·heads]` K and V exponents.
-    gathered: [Vec<i8>; 4],
-    row: AttnScratch,
+    /// `[np, H, dh]` P·V PSUM tiles: per K step, every head's tile.
+    pv_tiles: Vec<i32>,
+    /// `[d]` folded P·V accumulators.
+    ctx_i32: Vec<i32>,
+    /// The APSQ stream both folds reuse: one segment per head, reset per
+    /// GEMM.
+    stream: Option<StreamingApsq>,
 }
 
 /// How an [`Int8Linear`] treats its i32 PSUM stream.
@@ -424,150 +418,178 @@ impl Int8MultiHeadAttention {
         pow2_f32(self.q_exp)
     }
 
-    /// Streams the K tiles of a head-batched GEMM and folds each head's
-    /// PSUM stream through Algorithm 1 the moment its tile lands: head
-    /// `h`'s slice of every tile feeds its own self-calibrating
-    /// [`StreamingApsq`] (deterministic: integer tiles are thread-invariant
-    /// and each step's scale is a pure function of them), and head `h`'s
-    /// `m·n` outputs land in `out[h·m·n..]`. The streams are the caller's,
-    /// reset here, so a fold allocates nothing once they have seen its
-    /// width.
+    /// Reduces step-major PSUM tiles (`tiles`, each `out.len()` wide and
+    /// holding every head's tile side by side) into `out`: through
+    /// Algorithm 1 on `stream`, one self-calibrating segment per head —
+    /// each head's scales are a pure function of its exact integer tiles
+    /// — when the layer folds with APSQ, else the one exact tile is the
+    /// result.
     fn fold_heads(
-        eng: &ExecEngine,
-        g: &Gemm<'_, i8>,
-        (config, k_tile): (&ApsqConfig, usize),
-        streams: &mut Vec<StreamingApsq>,
+        &self,
+        stream: &mut Option<StreamingApsq>,
+        tiles: &[i32],
         traffic: &mut BufferTraffic,
         out: &mut [i32],
     ) {
-        let width = g.m * g.n;
-        let np = g.k_range.len().div_ceil(k_tile);
-        // One layer owns the scratch, so every stream shares its config.
-        streams.resize_with(g.batch, || StreamingApsq::calibrating(np, *config));
-        for stream in streams.iter_mut() {
-            stream.reset(np);
+        let Some((config, _)) = &self.seq_apsq else {
+            out.copy_from_slice(tiles);
+            return;
+        };
+        let np = tiles.len() / out.len();
+        let stream = stream
+            .get_or_insert_with(|| StreamingApsq::calibrating_segments(np, self.heads, *config));
+        stream.reset(np);
+        for tile in tiles.chunks_exact(out.len()) {
+            stream.push_slice(tile);
         }
-        eng.gemm_k_tiles(g, k_tile, |_, tile| {
-            for (stream, head) in streams.iter_mut().zip(tile.data().chunks_exact(width)) {
-                stream.push_slice(head);
-            }
-        });
-        for (stream, out_h) in streams.iter().zip(out.chunks_exact_mut(width)) {
-            *traffic += stream.finish_into(out_h);
-        }
+        *traffic += stream.finish_into(out);
     }
 
-    /// Quantizes the `[d]` query row `q` at the frozen Q scale into
-    /// `scratch` and attends it over a flat KV view of length
-    /// `t = kv.len`, writing the `[d]` context row to `ctx` and returning
-    /// the PSUM buffer traffic the two APSQ folds incurred — the single
-    /// attention kernel both the full-sequence forward and paged decode
-    /// funnel into. Every intermediate lives in the caller's `scratch`,
-    /// reused across rows and heads.
-    fn attend_row_view(
+    /// The single int8 attention kernel: quantizes the `[d]` query row
+    /// `q` at the frozen Q scale and attends it over `t` cached tokens
+    /// stored as `kv`'s segments in token order, writing the `[d]` context
+    /// row to `ctx` and returning the PSUM buffer traffic of its two APSQ
+    /// folds. The full-sequence forward passes one flat segment, paged
+    /// decode one pinned block per segment, and both read the codes in
+    /// place; every intermediate lives in `scratch`.
+    ///
+    /// The K steps of both GEMMs are the ones a single GEMM over the flat
+    /// prefix would stream: each Q·Kᵀ step fills the head's `[t]` tile
+    /// from every block, and a P·V step of `k_tile` tokens may straddle a
+    /// block boundary (its second piece accumulates into the same tile).
+    /// Integer tiles are exact, so each head's stream folds the same
+    /// PSUM sequence whatever the block size.
+    fn attend_row<'a>(
         &self,
         q: &[f32],
-        kv: &Int8KvView<'_>,
+        kv: impl Iterator<Item = Int8Segment<'a>> + Clone,
+        t: usize,
         eng: &ExecEngine,
-        scratch: &mut AttnScratch,
+        scratch: &mut Int8PagedScratch,
         ctx: &mut [f32],
     ) -> BufferTraffic {
-        let d = kv.width;
+        let d = q.len();
         let heads = self.heads;
         let dh = d / heads;
-        let t = kv.len;
         let inv_sqrt = 1.0 / (dh as f32).sqrt();
+        // Exact mode runs each GEMM as one K step.
+        let (kt_qk, kt_pv) = match &self.seq_apsq {
+            Some((_, k_tile)) => (*k_tile, *k_tile),
+            None => (dh, t),
+        };
+        let (np_qk, np_pv) = (dh.div_ceil(kt_qk), t.div_ceil(kt_pv));
         let mut traffic = BufferTraffic::new();
-        let AttnScratch {
+        let Int8PagedScratch {
+            qc,
+            k_scales,
+            v_scales,
+            qk_tiles,
             acc,
             scores,
             probs,
             rc,
-            ctx_i32,
             r_exps,
-            qc,
-            streams,
+            pv_tiles,
+            ctx_i32,
+            stream,
         } = scratch;
         let q_scale = self.q_scale();
-        qc.clear();
-        qc.extend(q.iter().map(|&x| round_to_i8(x / q_scale)));
+        qc.resize(d, 0);
+        lanes::quantize_i8(q, q_scale, qc);
+        k_scales.resize(heads * t, 0.0);
+        v_scales.resize(heads * t, 0.0);
+        qk_tiles.resize(heads * np_qk * t, 0);
         acc.resize(heads * t, 0);
-        scores.resize(heads * t, 0.0);
+        scores.resize(t, 0.0);
         probs.resize(t, 0.0);
         rc.resize(heads * t, 0);
-        ctx_i32.resize(d, 0);
         r_exps.resize(heads, 0);
+        pv_tiles.resize(heads * np_pv * dh, 0);
+        ctx_i32.resize(d, 0);
 
-        // Q·Kᵀ in the integer domain: [H, 1, dh] × [H, t, dh]ᵀ → [H, 1, t],
-        // each head reading its dh columns of the [t, d] key rows in place.
-        // One epilogue dequantizes with one scale per (head, cached token)
-        // — the key row's covering scale — and 1/√dh folded into the
-        // Q-side scale. No mask needed: the cache prefix *is* the causal
-        // window.
-        let qk = Gemm {
-            ldb: d,
-            batch: heads,
-            stride_b: dh,
-            ..Gemm::new(Layout::NT, qc, kv.k_codes, 1, t, dh)
-        };
-        match &self.seq_apsq {
-            None => eng.gemm(&qk, acc),
-            Some((config, k_tile)) => {
-                Self::fold_heads(eng, &qk, (config, *k_tile), streams, &mut traffic, acc)
+        // One walk over the blocks stages the per-(token, head) exponents
+        // head-major as scales and runs every Q·Kᵀ K step: [H, 1, dh] ×
+        // [H, len, dh]ᵀ per block, each head reading its dh columns of the
+        // block's [len, d] key rows in place. No mask needed: the cached
+        // prefix *is* the causal window.
+        let pow2 = pow2_i8_table();
+        let mut off = 0;
+        for seg in kv.clone() {
+            for (exps, scales) in [(seg.k_exps, &mut *k_scales), (seg.v_exps, &mut *v_scales)] {
+                for h in 0..heads {
+                    let head = exps[h..].iter().step_by(heads);
+                    for (s, &e) in scales[h * t + off..][..seg.len].iter_mut().zip(head) {
+                        *s = pow2[e as u8 as usize];
+                    }
+                }
             }
+            for step in 0..np_qk {
+                let qk = Gemm {
+                    ldb: d,
+                    batch: heads,
+                    stride_b: dh,
+                    stride_o: t,
+                    k_range: step * kt_qk..dh.min((step + 1) * kt_qk),
+                    ..Gemm::new(Layout::NT, qc, seg.k_codes, 1, seg.len, dh)
+                };
+                eng.gemm(&qk, &mut qk_tiles[step * heads * t + off..]);
+            }
+            off += seg.len;
         }
+        debug_assert_eq!(off, t, "segments must cover the context");
+
+        // Fold every head's scores at once; then per head dequantize them
+        // with one scale per cached token (1/√dh folded into the Q side),
+        // softmax in f32, fold each value row's scale into the
+        // probabilities and requantize, so the P·V GEMM runs on a single
+        // scale pair and APSQ folds over the context (K) dimension.
+        self.fold_heads(stream, qk_tiles, &mut traffic, acc);
         let qk_scale = q_scale * inv_sqrt;
-        for (h, (s_h, acc_h)) in scores
-            .chunks_exact_mut(t)
-            .zip(acc.chunks_exact(t))
-            .enumerate()
-        {
-            for (j, (s, &v)) in s_h.iter_mut().zip(acc_h).enumerate() {
-                *s = v as f32 * qk_scale * pow2_f32(kv.k_exps[j * heads + h] as i32);
-            }
+        for h in 0..heads {
+            let acc = &acc[h * t..][..t];
+            lanes::scale_i32_f32(acc, qk_scale, &k_scales[h * t..][..t], scores);
+            softmax_row_into(scores, probs);
+            let max_abs = lanes::mul_max_abs_f32(probs, &v_scales[h * t..][..t]);
+            let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
+            r_exps[h] = e;
+            lanes::quantize_i8(probs, pow2_f32(e), &mut rc[h * t..][..t]);
         }
 
-        // Softmax in f32, per head; then P·V: fold each value row's scale
-        // into the probabilities and requantize, so the GEMM runs on a
-        // single scale pair and APSQ can fold over the context (K)
-        // dimension.
-        for (h, (row, rc_h)) in scores
-            .chunks_exact(t)
-            .zip(rc.chunks_exact_mut(t))
-            .enumerate()
-        {
-            softmax_row_into(row, probs);
-            let mut max_abs = 0.0f32;
-            for (j, p) in probs.iter_mut().enumerate() {
-                *p *= pow2_f32(kv.v_exps[j * heads + h] as i32);
-                max_abs = max_abs.max(p.abs());
+        // P·V, walking the blocks again: per head the block's [len, dh]
+        // column slice of the value rows is the K×N operand. Each K step
+        // of `kt_pv` tokens lands in its own tile row; a step that began
+        // in an earlier block accumulates onto that block's piece.
+        let mut off = 0;
+        for seg in kv {
+            let end = off + seg.len;
+            let mut j0 = off;
+            while j0 < end {
+                let step = j0 / kt_pv;
+                let j1 = end.min((step + 1) * kt_pv);
+                let pv = Gemm {
+                    ldb: d,
+                    batch: heads,
+                    stride_a: t,
+                    stride_b: dh,
+                    stride_o: dh,
+                    accumulate: j0 % kt_pv != 0,
+                    ..Gemm::new(
+                        Layout::NN,
+                        &rc[j0..],
+                        &seg.v_codes[(j0 - off) * d..],
+                        1,
+                        dh,
+                        j1 - j0,
+                    )
+                };
+                eng.gemm(&pv, &mut pv_tiles[step * d..]);
+                j0 = j1;
             }
-            let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
-            let scale = pow2_f32(e);
-            r_exps[h] = e;
-            for (c, p) in rc_h.iter_mut().zip(probs.iter()) {
-                *c = round_to_i8(p / scale);
-            }
+            off = end;
         }
-        // Per head the [t, dh] column block of the value rows is already
-        // the K×N operand the context GEMM consumes.
-        let pv = Gemm {
-            ldb: d,
-            batch: heads,
-            stride_b: dh,
-            ..Gemm::new(Layout::NN, rc, kv.v_codes, 1, dh, t)
-        };
-        match &self.seq_apsq {
-            None => eng.gemm(&pv, ctx_i32),
-            Some((config, k_tile)) => {
-                Self::fold_heads(eng, &pv, (config, *k_tile), streams, &mut traffic, ctx_i32)
-            }
-        }
-        for ((out_h, acc_h), &e) in ctx
-            .chunks_exact_mut(dh)
-            .zip(ctx_i32.chunks_exact(dh))
-            .zip(r_exps.iter())
-        {
+        self.fold_heads(stream, pv_tiles, &mut traffic, ctx_i32);
+        let heads_out = ctx.chunks_exact_mut(dh).zip(ctx_i32.chunks_exact(dh));
+        for ((out_h, acc_h), &e) in heads_out.zip(r_exps.iter()) {
             let scale = pow2_f32(e);
             for (o, &v) in out_h.iter_mut().zip(acc_h) {
                 *o = v as f32 * scale;
@@ -611,10 +633,10 @@ impl Attention for Int8MultiHeadAttention {
     }
 
     /// All `T` K/V rows are quantized once into flat code and exponent
-    /// buffers; query row `i` then attends a prefix view of them — `i + 1`
-    /// rows when causal, all `T` otherwise — through the same kernel paged
-    /// decode runs over its gathered blocks, so decoding reproduces it
-    /// **bit for bit**.
+    /// buffers; query row `i` then attends a prefix of them — `i + 1` rows
+    /// when causal, all `T` otherwise — as one segment, through the same
+    /// kernel paged decode runs over its pinned blocks, so decoding
+    /// reproduces it **bit for bit**.
     fn attend_sequence(&self, q: &Tensor, k: &Tensor, v: &Tensor, eng: &ExecEngine) -> Tensor {
         let (t, d) = (q.dims()[0], q.dims()[1]);
         let h = self.heads;
@@ -630,50 +652,37 @@ impl Attention for Int8MultiHeadAttention {
             }
         }
         let mut ctx = Tensor::zeros([t, d]);
-        let mut scratch = AttnScratch::default();
+        let mut scratch = Int8PagedScratch::default();
         let rows = q
             .data()
             .chunks_exact(d)
             .zip(ctx.data_mut().chunks_exact_mut(d));
         for (i, (q_row, ctx_row)) in rows.enumerate() {
             let len = if self.causal { i + 1 } else { t };
-            let kv = Int8KvView {
-                width: d,
+            let seg = Int8Segment {
                 len,
                 k_codes: &k_codes[..len * d],
                 v_codes: &v_codes[..len * d],
                 k_exps: &k_exps[..len * h],
                 v_exps: &v_exps[..len * h],
             };
-            self.attend_row_view(q_row, &kv, eng, &mut scratch, ctx_row);
+            self.attend_row(q_row, std::iter::once(seg), len, eng, &mut scratch, ctx_row);
         }
         ctx
     }
 
-    /// Gathers the table's i8 codes and exponents (written through the
-    /// crate's single per-(token, head) covering-scale recipe) into
-    /// `scratch` and runs the integer attention kernel over them.
+    /// Runs the integer attention kernel over the pinned table's blocks
+    /// in place, one segment per block: nothing is gathered or copied.
     fn attend_paged_row(
         &self,
         q: &[f32],
-        blocks: &[BlockId],
-        t: usize,
-        pool: &BlockPool,
+        kv: PinnedTable<'_>,
+        _pool: &BlockPool,
         eng: &ExecEngine,
         scratch: &mut Int8PagedScratch,
         ctx: &mut [f32],
     ) -> BufferTraffic {
-        let [k_codes, v_codes, k_exps, v_exps] = &mut scratch.gathered;
-        pool.gather_int8(blocks, t, k_codes, v_codes, k_exps, v_exps);
-        let kv = Int8KvView {
-            width: q.len(),
-            len: t,
-            k_codes,
-            v_codes,
-            k_exps,
-            v_exps,
-        };
-        self.attend_row_view(q, &kv, eng, &mut scratch.row, ctx)
+        self.attend_row(q, kv.int8_segments(), kv.len(), eng, scratch, ctx)
     }
 
     /// Algorithm-1 invariant counts: `Q·Kᵀ` streams `⌈dh/k_tile⌉` tiles

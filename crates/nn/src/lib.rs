@@ -76,7 +76,9 @@ pub use loss::{cross_entropy, distillation_loss, mse_loss};
 pub use metrics::{accuracy, matthews_corr, mean_iou, pearson, spearman_rho};
 pub use models::{DecoderLm, EncoderClassifier, ModelConfig, TokenTagger};
 pub use norm::LayerNorm;
-pub use paged::{BlockAllocator, BlockId, BlockPool, PagedKvState, PoolContention, PoolGuard};
+pub use paged::{
+    BlockAllocator, BlockId, BlockPool, PagedKvState, PinnedTable, PoolContention, PoolGuard,
+};
 pub use param::{HasParams, Param};
 pub use qat::{
     evaluate_glue, evaluate_lm, evaluate_seg, train_glue, train_lm, train_seg, with_psum_mode,

@@ -45,9 +45,30 @@ impl LayerNorm {
         y
     }
 
-    /// Inference-only forward (no layer state cloned or touched).
+    /// Inference-only forward (no layer state cloned or touched): one
+    /// pass per row into one output buffer, bit-identical to
+    /// [`Self::forward`] — the same left-to-right row sums,
+    /// `1 / √(var + ε)`, and `(x − μ) · inv · γ + β` in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not rank-2 with the configured feature width.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
-        self.normalize(x).0
+        assert_eq!(x.rank(), 2, "LayerNorm expects [n, d]");
+        let d = x.dims()[1];
+        assert_eq!(d, self.gamma.value.numel(), "feature width mismatch");
+        assert!(d > 0, "LayerNorm over zero features");
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        let mut y = vec![0.0f32; x.numel()];
+        for (row, out) in x.data().chunks_exact(d).zip(y.chunks_exact_mut(d)) {
+            let mu = row.iter().sum::<f32>() / d as f32;
+            let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / d as f32;
+            let inv = 1.0 / (var + self.eps).sqrt();
+            for (((o, &v), &g), &b) in out.iter_mut().zip(row).zip(gamma).zip(beta) {
+                *o = (v - mu) * inv * g + b;
+            }
+        }
+        Tensor::from_vec(y, x.dims())
     }
 
     fn normalize(&self, x: &Tensor) -> (Tensor, NormCache) {
@@ -138,6 +159,28 @@ mod tests {
         for i in 0..4 {
             assert!(mu.data()[i].abs() < 1e-4);
             assert!((var.data()[i] - 1.0).abs() < 1e-3);
+        }
+    }
+
+    /// The one-pass inference forward equals the training forward bit
+    /// for bit, over odd widths, a non-trivial γ/β, a constant row and
+    /// rows far from zero mean.
+    #[test]
+    fn inference_forward_is_bit_identical_to_training_forward() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for d in [1usize, 3, 7, 13, 31, 129] {
+            let mut ln = LayerNorm::new(d);
+            ln.gamma.value = apsq_tensor::randn([d], 1.0, &mut rng);
+            ln.beta.value = apsq_tensor::randn([d], 0.5, &mut rng);
+            let mut x = &apsq_tensor::randn([5, d], 3.0, &mut rng) + 40.0;
+            for j in 0..d {
+                x.set(&[2, j], -7.25);
+            }
+            let want = ln.forward(&x);
+            let got = ln.forward_inference(&x);
+            assert_eq!(got.dims(), want.dims());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "d = {d}");
         }
     }
 

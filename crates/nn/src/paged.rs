@@ -21,35 +21,37 @@
 //!   prefixes — the decoder is deterministic, so equal prefixes produce
 //!   equal KV bytes) deduplicate them.
 //!
-//! Reads **gather** block contents in token order into flat `[t·d]`
-//! layouts ([`BlockPool::gather_f32`] / [`BlockPool::gather_int8`]) — the
-//! same rows the full-sequence forward computes for that prefix — so the
-//! attention kernels that walk a block table feed byte-identical operands
-//! to the same engine kernels, and decode is bit-identical across block
-//! sizes, thread counts, and vs. a full-sequence recompute.
+//! Reads see block contents in token order — the same rows the
+//! full-sequence forward computes for that prefix. The f32 attention
+//! gathers them into flat `[t·d]` rows; the int8 attention reads each
+//! pinned block in place and forms the same exact integer PSUM tiles a
+//! flat GEMM would ([`BlockPool::gather_f32`] / [`BlockPool::gather_int8`]
+//! copy a table out for callers that want flat rows). So decode is
+//! bit-identical across block sizes, thread counts, and vs. a
+//! full-sequence recompute.
 //!
 //! # Concurrency: the block pool
 //!
 //! Each block's payload lives in its own [`Arc`], so a reader can pin a
 //! block's bytes without holding any lock. [`BlockPool`] wraps the
 //! allocator in a mutex whose critical sections are **short**: appends,
-//! allocation, release, and hash-cons bookkeeping. Its gathers clone the
-//! table's payload `Arc`s under the lock, then copy the rows into the
-//! caller's flat buffers **after unlocking** — so the attention GEMMs
-//! that follow never run under the allocator lock, and decode batches on
-//! different workers proceed concurrently. Why this is safe:
+//! allocation, release, and hash-cons bookkeeping. A decode step pins
+//! every row's block table under its append lock (one `Arc` clone per
+//! block) and reads the pinned payloads **after unlocking** — so the
+//! attention GEMMs never run under the allocator lock, and decode batches
+//! on different workers proceed concurrently. The gathers pin and copy
+//! the same way. Why this is safe:
 //!
 //! - a block with refcount > 1 is **immutable** ([`BlockAllocator::write_row`]
 //!   rejects shared blocks; appends copy-on-write first), so concurrent
 //!   readers of shared prefix blocks can never observe a write;
 //! - a block with refcount 1 belongs to exactly one session's table, and
 //!   the serve layer checks out a session to at most one in-flight batch,
-//!   so its appends and gathers are sequenced on one worker thread;
-//! - a freed-and-reused block cannot race a stale reader: the reader's
-//!   `Arc` clone keeps the *old* payload alive only for the duration of
-//!   the copy, and writes to the reused block go through
-//!   [`Arc::get_mut`], which panics — loudly, never silently corrupting —
-//!   if a reader still held the payload.
+//!   so its appends and reads are sequenced on one worker thread, and a
+//!   step pins only after all of its batch's appends;
+//! - a freed-and-reused block cannot race a stale reader: writes go
+//!   through [`Arc::get_mut`], which panics — loudly, never silently
+//!   corrupting — if a reader still pins the payload.
 //!
 //! The pool also counts lock acquisitions, total wait, maximum hold time,
 //! and gathered bytes ([`BlockPool::contention`]) so serving metrics can
@@ -561,6 +563,27 @@ impl BlockAllocator {
         self.tokens += slots;
     }
 
+    /// Pins the payloads of the blocks covering the first `len` tokens of
+    /// `blocks` onto `out`: one `Arc` clone per block, no byte copy, so a
+    /// caller holding the pool lock can pin every table it needs and read
+    /// them all after unlocking ([`BlockPool::table`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is shorter than `len` tokens.
+    pub(crate) fn pin(&self, blocks: &[BlockId], len: usize, out: &mut Vec<PinnedBlock>) {
+        let need = len.div_ceil(self.block_tokens);
+        assert!(
+            blocks.len() >= need,
+            "block table shorter than {len} tokens"
+        );
+        out.extend(
+            blocks[..need]
+                .iter()
+                .map(|&b| PinnedBlock(Arc::clone(&self.payloads[b as usize]))),
+        );
+    }
+
     /// Whether two allocated blocks hold identical bytes over their first
     /// `slots` token slots — the safety check behind prefix
     /// deduplication.
@@ -726,30 +749,17 @@ impl BlockPool {
         }
     }
 
-    /// The one pinned-block walk behind both gathers: clones the payload
-    /// `Arc`s covering `len` tokens of a block table under a short lock
-    /// (O(blocks) bumps, no byte copies), then — **after unlocking** —
-    /// hands each pinned block and the token count it contributes to
-    /// `copy`, in token order, and counts the gathered bytes.
-    fn walk_pinned(&self, blocks: &[BlockId], len: usize, mut copy: impl FnMut(&BlockData, usize)) {
-        let need = len.div_ceil(self.block_tokens);
-        assert!(
-            blocks.len() >= need,
-            "block table shorter than {len} tokens"
-        );
-        let pinned: Vec<Arc<BlockData>> = {
-            let guard = self.lock();
-            blocks[..need]
-                .iter()
-                .map(|&b| Arc::clone(&guard.payloads[b as usize]))
-                .collect()
-        };
-        let mut remaining = len;
-        for data in &pinned {
-            let take = remaining.min(self.block_tokens);
-            copy(data, take);
-            remaining -= take;
-        }
+    /// Pins the payloads covering `len` tokens of a block table under one
+    /// short lock.
+    fn pin(&self, blocks: &[BlockId], len: usize) -> Vec<PinnedBlock> {
+        let mut pinned = Vec::new();
+        self.lock().pin(blocks, len, &mut pinned);
+        pinned
+    }
+
+    /// Counts `len` tokens copied out of blocks into the gathered-bytes
+    /// counter.
+    fn count_gathered(&self, len: usize) {
         let bytes_per_token = match self.kind {
             BlockKind::F32 => BlockAllocator::f32_bytes_per_block(1, self.width),
             BlockKind::Int8 => BlockAllocator::int8_bytes_per_block(1, self.width, self.heads),
@@ -776,25 +786,44 @@ impl BlockPool {
         k_out: &mut Vec<f32>,
         v_out: &mut Vec<f32>,
     ) {
+        let pinned = self.pin(blocks, len);
+        self.gather_pinned_f32(self.table(&pinned, len), k_out, v_out);
+    }
+
+    /// [`Self::gather_f32`] over a table pinned earlier, with no lock
+    /// taken at all: the f32 paged decode step pins every row's table
+    /// under its append lock and gathers each one here.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an f32 gather from an int8 pool.
+    pub(crate) fn gather_pinned_f32(
+        &self,
+        kv: PinnedTable<'_>,
+        k_out: &mut Vec<f32>,
+        v_out: &mut Vec<f32>,
+    ) {
         assert_eq!(self.kind, BlockKind::F32, "f32 gather from an int8 pool");
         let d = self.width;
         for out in [&mut *k_out, &mut *v_out] {
             out.clear();
-            out.reserve(len * d);
+            out.reserve(kv.len * d);
         }
-        self.walk_pinned(blocks, len, |data, take| {
+        for (data, take) in kv.payloads() {
             let BlockData::F32 { k, v } = data else {
                 unreachable!("mixed-precision payloads in one pool");
             };
             k_out.extend_from_slice(&k[..take * d]);
             v_out.extend_from_slice(&v[..take * d]);
-        });
+        }
+        self.count_gathered(kv.len);
     }
 
     /// Gathers `len` int8 K/V code rows and per-(token, head) exponents
     /// from a block table in token order into flat `[len · d]` codes and
     /// `[len · heads]` exponents, copying outside the lock like
-    /// [`Self::gather_f32`].
+    /// [`Self::gather_f32`]. No decode path calls it: int8 decode
+    /// attention reads the pinned blocks in place.
     ///
     /// # Panics
     ///
@@ -819,7 +848,81 @@ impl BlockPool {
             out.clear();
             out.reserve(len * h);
         }
-        self.walk_pinned(blocks, len, |data, take| {
+        let pinned = self.pin(blocks, len);
+        for seg in self.table(&pinned, len).int8_segments() {
+            k_codes_out.extend_from_slice(seg.k_codes);
+            v_codes_out.extend_from_slice(seg.v_codes);
+            k_exps_out.extend_from_slice(seg.k_exps);
+            v_exps_out.extend_from_slice(seg.v_exps);
+        }
+        self.count_gathered(len);
+    }
+
+    /// The first `len` tokens of a table whose blocks `pinned` holds, as
+    /// [`BlockAllocator::pin`] left them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pinned` does not hold exactly the blocks `len` tokens
+    /// span.
+    pub(crate) fn table<'a>(&self, pinned: &'a [PinnedBlock], len: usize) -> PinnedTable<'a> {
+        assert_eq!(
+            pinned.len(),
+            len.div_ceil(self.block_tokens),
+            "{} pinned blocks for {len} tokens",
+            pinned.len()
+        );
+        PinnedTable {
+            blocks: pinned,
+            len,
+            block_tokens: self.block_tokens,
+        }
+    }
+}
+
+/// One KV block's payload pinned for reading without the pool lock: an
+/// `Arc` clone taken under the lock by [`BlockAllocator::pin`]. While it
+/// lives, a write to the block trips [`Arc::get_mut`]'s panic instead of
+/// racing the reader (see the module docs).
+#[derive(Clone, Debug)]
+pub(crate) struct PinnedBlock(Arc<BlockData>);
+
+/// The first `len` tokens of one block table, read without the pool lock
+/// through payloads the decode step pinned under its append lock
+/// ([`crate::Attention::forward_decode_batch_paged_traced`]): int8
+/// attention walks them block by block in place, f32 attention copies
+/// them into flat rows.
+#[derive(Clone, Copy, Debug)]
+pub struct PinnedTable<'a> {
+    blocks: &'a [PinnedBlock],
+    len: usize,
+    block_tokens: usize,
+}
+
+impl<'a> PinnedTable<'a> {
+    /// Tokens the table covers.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Each pinned payload in token order with the tokens it contributes.
+    fn payloads(self) -> impl Iterator<Item = (&'a BlockData, usize)> + Clone {
+        let (len, bt) = (self.len, self.block_tokens);
+        self.blocks
+            .iter()
+            .enumerate()
+            .map(move |(i, b)| (&*b.0, bt.min(len - i * bt)))
+    }
+
+    /// The table's int8 storage as one [`Int8Segment`] per block, in token
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when iterated) if the payloads are f32 rows.
+    pub(crate) fn int8_segments(self) -> impl Iterator<Item = Int8Segment<'a>> + Clone {
+        let bt = self.block_tokens;
+        self.payloads().map(move |(data, take)| {
             let BlockData::Int8 {
                 k_codes,
                 v_codes,
@@ -827,14 +930,33 @@ impl BlockPool {
                 v_exps,
             } = data
             else {
-                unreachable!("mixed-precision payloads in one pool");
+                panic!("int8 read of an f32 pool");
             };
-            k_codes_out.extend_from_slice(&k_codes[..take * d]);
-            v_codes_out.extend_from_slice(&v_codes[..take * d]);
-            k_exps_out.extend_from_slice(&k_exps[..take * h]);
-            v_exps_out.extend_from_slice(&v_exps[..take * h]);
-        });
+            let (d, h) = (k_codes.len() / bt, k_exps.len() / bt);
+            Int8Segment {
+                len: take,
+                k_codes: &k_codes[..take * d],
+                v_codes: &v_codes[..take * d],
+                k_exps: &k_exps[..take * h],
+                v_exps: &v_exps[..take * h],
+            }
+        })
     }
+}
+
+/// One contiguous run of int8 KV storage in token order: `[len, d]`
+/// row-major i8 codes for K and V plus `[len, heads]` per-(token, head)
+/// power-of-two exponents. A pinned block yields one
+/// ([`PinnedTable::int8_segments`]); the full-sequence forward's flat
+/// buffers are a single one over the whole prefix, so both attend
+/// byte-identical operands through one kernel.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Int8Segment<'a> {
+    pub(crate) len: usize,
+    pub(crate) k_codes: &'a [i8],
+    pub(crate) v_codes: &'a [i8],
+    pub(crate) k_exps: &'a [i8],
+    pub(crate) v_exps: &'a [i8],
 }
 
 /// One session's paged KV state: a block table per decoder layer plus the

@@ -31,9 +31,20 @@ fn primed_model(
     layers: usize,
     psum: PsumMode,
 ) -> (DecoderLm, ModelConfig) {
+    primed_model_with_len(seed, heads, layers, psum, 24)
+}
+
+/// [`primed_model`] with a `max_len`-token context window.
+fn primed_model_with_len(
+    seed: u64,
+    heads: usize,
+    layers: usize,
+    psum: PsumMode,
+    max_len: usize,
+) -> (DecoderLm, ModelConfig) {
     let cfg = ModelConfig {
         vocab: 16,
-        max_len: 24,
+        max_len,
         d_model: 8 * heads,
         heads,
         d_ff: 16 * heads,
@@ -73,6 +84,17 @@ fn f32_pool(m: &DecoderLm, block_tokens: usize, len: usize, sessions: usize) -> 
         blocks * BlockAllocator::f32_bytes_per_block(block_tokens, m.width()),
         block_tokens,
         m.width(),
+    ))
+}
+
+/// An int8 block pool with room for `tokens` tokens per layer in total.
+fn int8_pool(im: &Int8DecoderLm, block_tokens: usize, tokens: usize) -> BlockPool {
+    let blocks = im.num_layers() * tokens.div_ceil(block_tokens);
+    BlockPool::new(BlockAllocator::int8(
+        blocks * BlockAllocator::int8_bytes_per_block(block_tokens, im.width(), im.heads()),
+        block_tokens,
+        im.width(),
+        im.heads(),
     ))
 }
 
@@ -123,40 +145,71 @@ proptest! {
 
     /// The int8 paged datapath reproduces the int8 full-sequence forward
     /// bit for bit: block storage quantizes appends through the same
-    /// covering-scale recipe, so the gathered codes and exponents are
-    /// byte-identical to the prefix the full forward attends.
+    /// covering-scale recipe, and attention reads the pinned blocks in
+    /// place, so it folds the same PSUM tiles the full forward folds over
+    /// its flat prefix. Two or three sequences of different lengths start
+    /// at different steps and decode in one batch, so each batch mixes
+    /// context lengths; contexts reach 40+ tokens and `k_tile` varies, so
+    /// P·V runs many K steps, some straddling a block boundary, and
+    /// Q·Kᵀ steps that do and do not divide the head width.
     #[test]
     fn int8_paged_decode_is_bit_identical_to_full_recompute(
         seed in any::<u64>(),
         heads in 1usize..4,
-        len in 2usize..8,
+        seqs in proptest::collection::vec((1usize..44, 0usize..8), 2..4),
         block_tokens in 1usize..9,
         apsq in any::<bool>(),
         gs in 1usize..5,
+        k_tile in 2usize..11,
         threads in 1usize..5,
     ) {
-        let (m, cfg) = primed_model(seed, heads, 2, psum_mode(apsq, gs, 8));
-        let ids = random_ids(seed, len, cfg.vocab);
+        let max_len = 48;
+        let (m, cfg) =
+            primed_model_with_len(seed, heads, 2, psum_mode(apsq, gs, k_tile), max_len);
         let eng = ExecEngine::serial();
         let im = Int8DecoderLm::from_decoder(&m, &random_ids(seed, 12, cfg.vocab), &eng);
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
 
-        let full = im.forward_inference_with(&ids, &ExecEngine::serial());
-        let blocks = im.num_layers() * len.div_ceil(block_tokens);
-        let pool = BlockPool::new(BlockAllocator::int8(
-            blocks * BlockAllocator::int8_bytes_per_block(block_tokens, im.width(), im.heads()),
-            block_tokens,
-            im.width(),
-            im.heads(),
-        ));
-        let mut paged = im.new_paged_state();
+        let ids: Vec<Vec<usize>> = (0..seqs.len())
+            .map(|s| random_ids(seed ^ (s as u64 + 1), seqs[s].0, cfg.vocab))
+            .collect();
+        let full: Vec<Tensor> = ids
+            .iter()
+            .map(|ids| im.forward_inference_with(ids, &ExecEngine::serial()))
+            .collect();
+        let total: usize = seqs.iter().map(|&(len, _)| len.div_ceil(block_tokens)).sum();
+        let pool = int8_pool(&im, block_tokens, total * block_tokens);
+        let mut states: Vec<_> = seqs.iter().map(|_| im.new_paged_state()).collect();
         let dec: &dyn PagedDecoder = &im;
-        for (t, &tok) in ids.iter().enumerate() {
-            let got = dec.decode_paged(&[tok], &mut [&mut paged], &pool, &eng);
-            prop_assert_eq!(&got, &row(&full, t), "step {} token {}", t, tok);
+        let steps = seqs.iter().map(|&(len, start)| start + len).max().unwrap();
+        for g in 0..steps {
+            // Sequence s decodes its token g − start while it has one left.
+            let active: Vec<usize> = (0..seqs.len())
+                .filter(|&s| (seqs[s].1..seqs[s].1 + seqs[s].0).contains(&g))
+                .collect();
+            if active.is_empty() {
+                continue;
+            }
+            let tokens: Vec<usize> = active.iter().map(|&s| ids[s][g - seqs[s].1]).collect();
+            let mut refs: Vec<_> = states
+                .iter_mut()
+                .enumerate()
+                .filter(|(s, _)| active.contains(s))
+                .map(|(_, st)| st)
+                .collect();
+            let got = dec.decode_paged(&tokens, &mut refs, &pool, &eng);
+            let vocab = cfg.vocab;
+            for (b, &s) in active.iter().enumerate() {
+                let got_row = Tensor::from_vec(got.data()[b * vocab..(b + 1) * vocab].to_vec(), [1, vocab]);
+                let t = g - seqs[s].1;
+                prop_assert_eq!(&got_row, &row(&full[s], t), "seq {} step {}", s, t);
+            }
         }
+        prop_assert_eq!(pool.contention().gathered_bytes, 0, "int8 decode gathered");
         let mut alloc = pool.lock();
-        paged.release(&mut alloc);
+        for st in &mut states {
+            st.release(&mut alloc);
+        }
         prop_assert_eq!(alloc.blocks_in_use(), 0);
     }
 
@@ -283,6 +336,70 @@ proptest! {
             "prefix blocks not shared"
         );
         prop_assert!(alloc.blocks_in_use() <= capacity);
+        sess_a.release(&mut alloc);
+        sess_b.release(&mut alloc);
+        prop_assert_eq!(alloc.blocks_in_use(), 0);
+    }
+
+    /// The int8 twin of [`cow_fork_is_bit_identical_to_full_recompute`]:
+    /// after the fork, both sessions' attention reads the shared
+    /// (refcount > 1) prefix blocks in place, and each suffix decodes
+    /// bit-identically to an int8 full recompute of its token stream.
+    #[test]
+    fn int8_cow_fork_is_bit_identical_to_full_recompute(
+        seed in any::<u64>(),
+        heads in 1usize..4,
+        prefix_len in 1usize..20,
+        suffix_len in 1usize..6,
+        block_tokens in 1usize..6,
+        k_tile in 2usize..11,
+        threads in 1usize..4,
+    ) {
+        let (m, cfg) = primed_model(seed, heads, 2, psum_mode(true, 2, k_tile));
+        let im = Int8DecoderLm::from_decoder(&m, &random_ids(seed, 12, cfg.vocab), &ExecEngine::serial());
+        let prefix = random_ids(seed, prefix_len, cfg.vocab);
+        let sfx_a = random_ids(seed ^ 1, suffix_len, cfg.vocab);
+        let sfx_b = random_ids(seed ^ 2, suffix_len, cfg.vocab);
+        let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
+        let total = prefix_len + suffix_len;
+
+        let mut refs = Vec::new();
+        for sfx in [&sfx_a, &sfx_b] {
+            let ids: Vec<usize> = prefix.iter().chain(sfx.iter()).copied().collect();
+            refs.push(row(&im.forward_inference_with(&ids, &ExecEngine::serial()), total - 1));
+        }
+
+        let pool = int8_pool(&im, block_tokens, 2 * total.div_ceil(block_tokens) * block_tokens);
+        let mut sess_a = im.new_paged_state();
+        for &tok in &prefix {
+            let _ = im.decode_batch_paged_with(&[tok], &mut [&mut sess_a], &pool, &eng);
+        }
+        let before_fork = pool.lock().blocks_in_use();
+        let mut sess_b = sess_a.fork(&mut pool.lock());
+        prop_assert_eq!(pool.lock().blocks_in_use(), before_fork);
+        let mut last = [Tensor::zeros([1, 1]), Tensor::zeros([1, 1])];
+        for i in 0..suffix_len {
+            // Both sessions in one batch: their shared blocks are pinned
+            // twice in the same step.
+            let states = &mut [&mut sess_a, &mut sess_b];
+            let got = im.decode_batch_paged_with(&[sfx_a[i], sfx_b[i]], states, &pool, &eng);
+            let vocab = cfg.vocab;
+            for (s, out) in last.iter_mut().enumerate() {
+                *out = Tensor::from_vec(got.data()[s * vocab..(s + 1) * vocab].to_vec(), [1, vocab]);
+            }
+        }
+        prop_assert_eq!(&last[0], &refs[0], "forked session A diverged");
+        prop_assert_eq!(&last[1], &refs[1], "forked session B diverged");
+        prop_assert_eq!(pool.contention().gathered_bytes, 0, "int8 decode gathered");
+
+        let per_layer_indep = 2 * total.div_ceil(block_tokens);
+        let shared_full = prefix_len / block_tokens;
+        let mut alloc = pool.lock();
+        prop_assert_eq!(
+            alloc.blocks_in_use(),
+            im.num_layers() * (per_layer_indep - shared_full),
+            "prefix blocks not shared"
+        );
         sess_a.release(&mut alloc);
         sess_b.release(&mut alloc);
         prop_assert_eq!(alloc.blocks_in_use(), 0);

@@ -81,7 +81,22 @@ pub fn softmax_rows(x: &Tensor) -> Tensor {
 /// Panics if the slices differ in length.
 pub fn softmax_row_into(row: &[f32], out: &mut [f32]) {
     assert_eq!(row.len(), out.len(), "softmax row/output length mismatch");
-    let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    // The row maximum in eight independent lanes: a maximum ignores
+    // order (and NaN), and `v − mx` is the same for either zero, so this
+    // is the sequential fold's result without its serial dependency.
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    let chunks = row.chunks_exact(8);
+    let tail = chunks.remainder();
+    for c in chunks {
+        for (m, &v) in lanes.iter_mut().zip(c) {
+            *m = m.max(v);
+        }
+    }
+    let mx = tail
+        .iter()
+        .chain(&lanes)
+        .copied()
+        .fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0;
     for (o, &v) in out.iter_mut().zip(row) {
         let e = (v - mx).exp();

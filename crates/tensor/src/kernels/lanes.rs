@@ -1,16 +1,23 @@
 //! Elementwise slice kernels. Four are the `i32` lanes of the APSQ fold
 //! (`apsq_core::StreamingApsq`): an abs-max, a shifted de-accumulate, the
 //! rounding right shift with clamp that quantizes, and the saturating left
-//! shift that dequantizes. The fifth is the f32 → i8 activation quantizer
-//! behind [`crate::Int8Tensor::quantize`].
+//! shift that dequantizes. The first three also come in a segmented form
+//! (`*_segments_i32`) that splits the slice into equal segments, each with
+//! its own shift or maximum, so a stream folding several independent
+//! tiles side by side makes one call per operation, not one per tile.
+//! [`quantize_i8`] is the f32 → i8 quantizer
+//! behind [`crate::Int8Tensor::quantize`] and the int8 attention's
+//! requantization; [`scale_i32_f32`] and [`mul_max_abs_f32`] are that
+//! attention's score dequantization and value-scale fold.
 //!
 //! Each kernel has one body, written as plain scalar Rust. The
 //! [`KernelBackend::Avx2`] tier compiles that same body inside a
 //! `#[target_feature(enable = "avx2")]` wrapper, so the autovectorizer
 //! emits 256-bit lanes (for the quantizer, `f32::round` becomes a vector
 //! round instead of a libm call per element); every other tier runs the
-//! body as is. The integer bodies are exact and the quantizer is one IEEE
-//! expression per element, so the tiers cannot disagree. The
+//! body as is. The integer bodies are exact, the f32 bodies evaluate one
+//! IEEE expression per element, and the one f32 reduction is a maximum,
+//! which no evaluation order changes, so the tiers cannot disagree. The
 //! process-wide [`KernelBackend::detect`] picks the tier, which makes the
 //! [`crate::BACKEND_ENV`] override force the portable build.
 
@@ -90,6 +97,160 @@ lane_kernel! {
     ///
     /// Panics if the slices differ in length.
     pub fn quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) => quantize_i8_body, quantize_i8_avx2;
+}
+
+lane_kernel! {
+    /// [`max_abs_i32`] of each of the `out.len()` segments of `w`
+    /// elements that make up `xs`: `out[g]` is the largest `|x|` in
+    /// segment `g` (0 when empty).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is not `out.len()` segments of `w` elements.
+    pub fn max_abs_segments_i32(xs: &[i32], w: usize, out: &mut [u32])
+        => max_abs_segments_body, max_abs_segments_avx2;
+}
+
+lane_kernel! {
+    /// [`shl_add_i32`] over `shifts.len()` segments of `w` elements:
+    /// segment `g` of `acc` gains segment `g` of `codes` times
+    /// `2^shifts[g]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length, are not `shifts.len()`
+    /// segments of `w` elements, or a shift exceeds 30.
+    pub fn shl_add_segments_i32(codes: &[i32], w: usize, shifts: &[u32], acc: &mut [i32])
+        => shl_add_segments_body, shl_add_segments_avx2;
+}
+
+lane_kernel! {
+    /// [`round_shift_clamp_i32`] over `shifts.len()` segments of `w`
+    /// elements, each rounded at its own shift.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length, are not `shifts.len()`
+    /// segments of `w` elements, or a shift exceeds 30.
+    pub fn round_shift_clamp_segments_i32(xs: &[i32], w: usize, shifts: &[u32], lo: i32, hi: i32, out: &mut [i32])
+        => round_shift_clamp_segments_body, round_shift_clamp_segments_avx2;
+}
+
+lane_kernel! {
+    /// `out[j] = xs[j] as f32 · s · scales[j]`, multiplied left to right.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn scale_i32_f32(xs: &[i32], s: f32, scales: &[f32], out: &mut [f32])
+        => scale_i32_f32_body, scale_i32_f32_avx2;
+}
+
+lane_kernel! {
+    /// `xs[j] *= scales[j]`, returning the largest `|xs[j]|` afterwards
+    /// (0 when empty; NaN is skipped, as by `f32::max`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn mul_max_abs_f32(xs: &mut [f32], scales: &[f32]) -> f32
+        => mul_max_abs_body, mul_max_abs_avx2;
+}
+
+/// Checks that `len` elements are `segments` segments of `w`; false when
+/// they are empty, so callers skip the (zero-width) segment walk.
+#[inline(always)]
+fn has_segments(len: usize, w: usize, segments: usize) -> bool {
+    assert_eq!(
+        len,
+        w * segments,
+        "{len} elements are not {segments} segments of {w}"
+    );
+    w > 0
+}
+
+#[inline(always)]
+fn max_abs_segments_body(xs: &[i32], w: usize, out: &mut [u32]) {
+    if !has_segments(xs.len(), w, out.len()) {
+        out.fill(0);
+        return;
+    }
+    // One segment is the plain kernel: it keeps the plain kernel's code.
+    if let [o] = out {
+        *o = max_abs_body(xs);
+        return;
+    }
+    // Index arithmetic, not `chunks_exact`, which divides by `w`.
+    for (g, o) in out.iter_mut().enumerate() {
+        *o = max_abs_body(&xs[g * w..][..w]);
+    }
+}
+
+#[inline(always)]
+fn shl_add_segments_body(codes: &[i32], w: usize, shifts: &[u32], acc: &mut [i32]) {
+    assert_eq!(codes.len(), acc.len(), "code/accumulator length mismatch");
+    if !has_segments(codes.len(), w, shifts.len()) {
+        return;
+    }
+    if let [sh] = shifts {
+        return shl_add_body(codes, *sh, acc);
+    }
+    for (g, &sh) in shifts.iter().enumerate() {
+        shl_add_body(&codes[g * w..][..w], sh, &mut acc[g * w..][..w]);
+    }
+}
+
+#[inline(always)]
+fn round_shift_clamp_segments_body(
+    xs: &[i32],
+    w: usize,
+    shifts: &[u32],
+    lo: i32,
+    hi: i32,
+    out: &mut [i32],
+) {
+    assert_eq!(xs.len(), out.len(), "input/output length mismatch");
+    if !has_segments(xs.len(), w, shifts.len()) {
+        return;
+    }
+    if let [sh] = shifts {
+        return round_shift_clamp_body(xs, *sh, lo, hi, out);
+    }
+    for (g, &sh) in shifts.iter().enumerate() {
+        round_shift_clamp_body(&xs[g * w..][..w], sh, lo, hi, &mut out[g * w..][..w]);
+    }
+}
+
+#[inline(always)]
+fn scale_i32_f32_body(xs: &[i32], s: f32, scales: &[f32], out: &mut [f32]) {
+    assert_eq!(xs.len(), scales.len(), "input/scale length mismatch");
+    assert_eq!(xs.len(), out.len(), "input/output length mismatch");
+    for ((o, &x), &c) in out.iter_mut().zip(xs).zip(scales) {
+        *o = x as f32 * s * c;
+    }
+}
+
+#[inline(always)]
+fn mul_max_abs_body(xs: &mut [f32], scales: &[f32]) -> f32 {
+    /// Independent running maxima: a maximum ignores order, so folding
+    /// them at the end equals the sequential fold, and they vectorize.
+    const W: usize = 8;
+    assert_eq!(xs.len(), scales.len(), "input/scale length mismatch");
+    let mut m = [0.0f32; W];
+    let mut x_chunks = xs.chunks_exact_mut(W);
+    let mut s_chunks = scales.chunks_exact(W);
+    for (x8, s8) in (&mut x_chunks).zip(&mut s_chunks) {
+        for ((x, &s), m) in x8.iter_mut().zip(s8).zip(&mut m) {
+            *x *= s;
+            *m = m.max(x.abs());
+        }
+    }
+    let tail = x_chunks.into_remainder().iter_mut();
+    for (x, &s) in tail.zip(s_chunks.remainder()) {
+        *x *= s;
+        m[0] = m[0].max(x.abs());
+    }
+    m.into_iter().fold(0.0, f32::max)
 }
 
 #[inline(always)]
@@ -250,6 +411,113 @@ mod tests {
         let mut out = [0i8; 4];
         quantize_i8(&[2.5, -2.5, 300.0, -0.4], 1.0, &mut out);
         assert_eq!(out, [3, -3, 127, 0]);
+    }
+
+    /// Both builds of the attention glue kernels equal the portable
+    /// bodies, and the value-scale fold returns what a sequential
+    /// `f32::max` fold over the scaled values does, on ragged lengths
+    /// with NaN, infinities, signed zeros and subnormals.
+    #[test]
+    fn attention_glue_builds_match_the_portable_bodies() {
+        let mut xs: Vec<f32> = vec![0.0, -0.0, f32::NAN, 1e-40, -3.5, f32::INFINITY, 2.0];
+        xs.extend((0..53).map(|i| (i as f32 * 0.377).cos() * 0.9));
+        let scales: Vec<f32> = (0..xs.len()).map(|i| 2f32.powi(i as i32 % 7 - 3)).collect();
+        let ints = awkward();
+        let int_scales: Vec<f32> = (0..ints.len())
+            .map(|i| 2f32.powi(i as i32 % 9 - 20))
+            .collect();
+        for len in [0, 1, 7, 8, 9, 31, xs.len()] {
+            let want_xs: Vec<f32> = xs[..len].iter().zip(&scales).map(|(x, s)| x * s).collect();
+            let want_max = want_xs.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+            let mut got = xs[..len].to_vec();
+            let max = mul_max_abs_f32(&mut got, &scales[..len]);
+            assert_eq!(max.to_bits(), want_max.to_bits(), "len {len}");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want_xs), "len {len}");
+            let n = len.min(ints.len());
+            let mut want = vec![0.0f32; n];
+            scale_i32_f32_body(&ints[..n], 0.125, &int_scales[..n], &mut want);
+            let mut got = vec![0.0f32; n];
+            scale_i32_f32(&ints[..n], 0.125, &int_scales[..n], &mut got);
+            assert_eq!(bits(&got), bits(&want), "len {len}");
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut got = xs[..len].to_vec();
+                // SAFETY: this host has AVX2 (detected just above).
+                let max = unsafe { mul_max_abs_avx2(&mut got, &scales[..len]) };
+                assert_eq!(max.to_bits(), want_max.to_bits(), "avx2 len {len}");
+                assert_eq!(bits(&got), bits(&want_xs), "avx2 len {len}");
+                let mut got = vec![0.0f32; n];
+                // SAFETY: as above.
+                unsafe { scale_i32_f32_avx2(&ints[..n], 0.125, &int_scales[..n], &mut got) };
+                assert_eq!(bits(&got), bits(&want), "avx2 len {len}");
+            }
+        }
+    }
+
+    /// The segmented kernels, dispatched and (on an AVX2 host) as AVX2
+    /// builds, equal the unsegmented bodies applied segment by segment,
+    /// at one, three and seven segments with a distinct shift each.
+    #[test]
+    fn segmented_builds_match_per_segment_bodies() {
+        let mut xs = awkward();
+        xs.push(5); // 77 = 7 · 11 elements
+        let codes: Vec<i32> = (0..77).map(|i| i % 256 - 128).collect();
+        type Seg = (
+            fn(&[i32], usize, &mut [u32]),
+            fn(&[i32], usize, &[u32], &mut [i32]),
+            fn(&[i32], usize, &[u32], i32, i32, &mut [i32]),
+        );
+        let mut builds: Vec<Seg> = vec![(
+            max_abs_segments_i32,
+            shl_add_segments_i32,
+            round_shift_clamp_segments_i32,
+        )];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            builds.push((
+                // SAFETY: this host has AVX2 (detected just above).
+                |xs, w, out| unsafe { max_abs_segments_avx2(xs, w, out) },
+                // SAFETY: as above.
+                |c, w, sh, acc| unsafe { shl_add_segments_avx2(c, w, sh, acc) },
+                // SAFETY: as above.
+                |xs, w, sh, lo, hi, out| unsafe {
+                    round_shift_clamp_segments_avx2(xs, w, sh, lo, hi, out)
+                },
+            ));
+        }
+        for (max_abs, shl_add, round) in builds {
+            for segments in [1usize, 7, 11] {
+                let w = xs.len() / segments;
+                let shifts: Vec<u32> = (0..segments as u32).map(|g| g * 4 % 23).collect();
+                let mut got = vec![0u32; segments];
+                max_abs(&xs, w, &mut got);
+                let want: Vec<u32> = xs.chunks(w).map(max_abs_body).collect();
+                assert_eq!(got, want, "max_abs, {segments} segments");
+                let (mut got, mut want) = (vec![0; xs.len()], vec![0; xs.len()]);
+                round(&xs, w, &shifts, -128, 127, &mut got);
+                for ((x, o), &sh) in xs.chunks(w).zip(want.chunks_mut(w)).zip(&shifts) {
+                    round_shift_clamp_body(x, sh, -128, 127, o);
+                }
+                assert_eq!(got, want, "round, {segments} segments");
+                let base: Vec<i32> = (0..xs.len() as i32).map(|i| i * 1000 - 7).collect();
+                let (mut got, mut want) = (base.clone(), base);
+                shl_add(&codes, w, &shifts, &mut got);
+                for ((c, a), &sh) in codes.chunks(w).zip(want.chunks_mut(w)).zip(&shifts) {
+                    shl_add_body(c, sh, a);
+                }
+                assert_eq!(got, want, "shl_add, {segments} segments");
+            }
+            let mut out = [9u32; 3];
+            max_abs(&[], 0, &mut out);
+            assert_eq!(out, [0; 3], "empty segments");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "are not 2 segments of 2")]
+    fn segments_must_cover_the_slice() {
+        max_abs_segments_i32(&[1, 2, 3], 2, &mut [0; 2]);
     }
 
     #[test]

@@ -59,9 +59,11 @@ APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_pa
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_decode
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib -- int8 decode::
 
-echo "==> SSE2-forced backend: tensor + int8 suites on the SSE2 kernels"
+echo "==> SSE2-forced backend: tensor, int8 + paged suites on the SSE2 kernels"
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-tensor
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_int8
+APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_paged
+APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_decode
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --lib -- int8 decode::
 
 echo "==> cargo test -q --release -p apsq-serve  (server, scheduler, determinism + overload suites at release opt)"
