@@ -38,7 +38,6 @@ use apsq_tensor::{
     gelu, lanes, pack_k_pairs, softmax_row_into, sum_axis0, ExecEngine, Gemm, Int8Tensor, Layout,
     Tensor,
 };
-use std::sync::OnceLock;
 
 /// Snaps a positive step to the nearest power of two (identity on values
 /// that already are).
@@ -46,17 +45,13 @@ fn pow2_snap(step: f32) -> f32 {
     step.log2().round().exp2()
 }
 
-/// `2^e` for every i8 exponent `e`, indexed by `e as u8`: the KV scales
-/// as one table load each, bit-identical to [`pow2_f32`] by construction.
-fn pow2_i8_table() -> &'static [f32; 256] {
-    static TABLE: OnceLock<[f32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| std::array::from_fn(|i| pow2_f32(i as u8 as i8 as i32)))
-}
-
 /// Reusable buffers for [`Int8MultiHeadAttention`]'s attention kernel,
 /// resized to each row's context and reused across rows and heads, so a
 /// row allocates nothing once the buffers have grown: the paged decode
 /// step creates one per step, the full-sequence forward one per call.
+/// The per-block kernels fill the scale rows and PSUM tiles block by
+/// block, so each row's segments must cover its context: the kernel
+/// asserts it, or a row would read the previous row's scores.
 #[derive(Default)]
 pub struct Int8PagedScratch {
     /// `[d]` the query row's i8 codes.
@@ -340,7 +335,8 @@ impl Project for Int8Linear {
 /// the four projections run as [`Int8Linear`] GEMMs, the KV blocks store
 /// i8 codes with per-(token, head) power-of-two scales
 /// ([`crate::BlockAllocator::int8`]), and both activation-activation GEMMs —
-/// `Q·Kᵀ` and `P·V` — execute as i8×i8→i32 batched kernels with grouped
+/// `Q·Kᵀ` and `P·V` — execute as i8×i8→i32 per-block kernels
+/// ([`ExecEngine::qk_block_i8`], [`ExecEngine::pv_block_i8`]) with grouped
 /// APSQ folded over their K loops. Only the softmax (and the row-level
 /// dequant/requant glue) stays f32, as on the paper's accelerator.
 ///
@@ -453,12 +449,20 @@ impl Int8MultiHeadAttention {
     /// decode one pinned block per segment, and both read the codes in
     /// place; every intermediate lives in `scratch`.
     ///
-    /// The K steps of both GEMMs are the ones a single GEMM over the flat
-    /// prefix would stream: each Q·Kᵀ step fills the head's `[t]` tile
-    /// from every block, and a P·V step of `k_tile` tokens may straddle a
-    /// block boundary (its second piece accumulates into the same tile).
+    /// Each segment costs one call per kernel and K step piece: one
+    /// [`ExecEngine::qk_block_i8`] pass scores the segment's key rows for
+    /// every head and Q·Kᵀ K step, and one [`ExecEngine::pv_block_i8`]
+    /// call adds the segment's part of each P·V K step for every head.
+    /// The K steps are the ones a single GEMM over the flat prefix would
+    /// stream: each Q·Kᵀ step fills the head's `[t]` tile from every
+    /// block, and a P·V step of `k_tile` tokens may straddle a block
+    /// boundary (its second piece accumulates into the same tile).
     /// Integer tiles are exact, so each head's stream folds the same
     /// PSUM sequence whatever the block size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segments do not hold exactly `t` tokens.
     fn attend_row<'a>(
         &self,
         q: &[f32],
@@ -508,35 +512,19 @@ impl Int8MultiHeadAttention {
         ctx_i32.resize(d, 0);
 
         // One walk over the blocks stages the per-(token, head) exponents
-        // head-major as scales and runs every Q·Kᵀ K step: [H, 1, dh] ×
-        // [H, len, dh]ᵀ per block, each head reading its dh columns of the
-        // block's [len, d] key rows in place. No mask needed: the cached
-        // prefix *is* the causal window.
-        let pow2 = pow2_i8_table();
+        // head-major as scales and scores the block's key rows in place:
+        // one `qk_block_i8` pass writes every head's K-step tiles. No mask
+        // needed: the cached prefix *is* the causal window.
         let mut off = 0;
         for seg in kv.clone() {
-            for (exps, scales) in [(seg.k_exps, &mut *k_scales), (seg.v_exps, &mut *v_scales)] {
-                for h in 0..heads {
-                    let head = exps[h..].iter().step_by(heads);
-                    for (s, &e) in scales[h * t + off..][..seg.len].iter_mut().zip(head) {
-                        *s = pow2[e as u8 as usize];
-                    }
-                }
-            }
-            for step in 0..np_qk {
-                let qk = Gemm {
-                    ldb: d,
-                    batch: heads,
-                    stride_b: dh,
-                    stride_o: t,
-                    k_range: step * kt_qk..dh.min((step + 1) * kt_qk),
-                    ..Gemm::new(Layout::NT, qc, seg.k_codes, 1, seg.len, dh)
-                };
-                eng.gemm(&qk, &mut qk_tiles[step * heads * t + off..]);
-            }
+            lanes::pow2_heads_f32(seg.k_exps, heads, &mut k_scales[off..], t);
+            lanes::pow2_heads_f32(seg.v_exps, heads, &mut v_scales[off..], t);
+            eng.qk_block_i8(qc, heads, kt_qk, seg.k_codes, &mut qk_tiles[off..], t);
             off += seg.len;
         }
-        debug_assert_eq!(off, t, "segments must cover the context");
+        // The scratch outlives the row: a walk that stopped short would
+        // fold the previous row's scores.
+        assert_eq!(off, t, "segments must cover the context");
 
         // Fold every head's scores at once; then per head dequantize them
         // with one scale per cached token (1/√dh folded into the Q side),
@@ -555,10 +543,9 @@ impl Int8MultiHeadAttention {
             lanes::quantize_i8(probs, pow2_f32(e), &mut rc[h * t..][..t]);
         }
 
-        // P·V, walking the blocks again: per head the block's [len, dh]
-        // column slice of the value rows is the K×N operand. Each K step
-        // of `kt_pv` tokens lands in its own tile row; a step that began
-        // in an earlier block accumulates onto that block's piece.
+        // P·V, walking the blocks again: each K step of `kt_pv` tokens
+        // lands in its own tile row, and a step that began in an earlier
+        // block accumulates onto that block's piece.
         let mut off = 0;
         for seg in kv {
             let end = off + seg.len;
@@ -566,23 +553,14 @@ impl Int8MultiHeadAttention {
             while j0 < end {
                 let step = j0 / kt_pv;
                 let j1 = end.min((step + 1) * kt_pv);
-                let pv = Gemm {
-                    ldb: d,
-                    batch: heads,
-                    stride_a: t,
-                    stride_b: dh,
-                    stride_o: dh,
-                    accumulate: j0 % kt_pv != 0,
-                    ..Gemm::new(
-                        Layout::NN,
-                        &rc[j0..],
-                        &seg.v_codes[(j0 - off) * d..],
-                        1,
-                        dh,
-                        j1 - j0,
-                    )
-                };
-                eng.gemm(&pv, &mut pv_tiles[step * d..]);
+                eng.pv_block_i8(
+                    &rc[j0..],
+                    t,
+                    &seg.v_codes[(j0 - off) * d..(j1 - off) * d],
+                    heads,
+                    &mut pv_tiles[step * d..][..d],
+                    j0 % kt_pv != 0,
+                );
                 j0 = j1;
             }
             off = end;
@@ -1000,6 +978,25 @@ mod tests {
             );
         }
         state.release(&mut pool.lock());
+    }
+
+    /// The exponent staging gives the very scales `pow2_f32` does for
+    /// all 256 per-(token, head) exponents, the subnormal −127 and −128
+    /// included, each in its head's row.
+    #[test]
+    fn kv_exponent_staging_matches_pow2_f32_for_every_exponent() {
+        let exps: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+        let (heads, t) = (4, 64 + 3);
+        let mut scales = vec![0.0f32; heads * t];
+        lanes::pow2_heads_f32(&exps, heads, &mut scales, t);
+        for (i, &e) in exps.iter().enumerate() {
+            let (j, h) = (i / heads, i % heads);
+            assert_eq!(
+                scales[h * t + j].to_bits(),
+                pow2_f32(e as i32).to_bits(),
+                "2^{e}"
+            );
+        }
     }
 
     #[test]

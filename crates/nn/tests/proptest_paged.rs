@@ -22,22 +22,24 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Builds a primed tiny decoder: one training-mode forward initializes the
-/// activation quantizers and PSUM observers, after which the model is
-/// frozen and every inference path must agree bitwise.
+/// Builds a primed tiny decoder with 8-wide heads: one training-mode
+/// forward initializes the activation quantizers and PSUM observers,
+/// after which the model is frozen and every inference path must agree
+/// bitwise.
 fn primed_model(
     seed: u64,
     heads: usize,
     layers: usize,
     psum: PsumMode,
 ) -> (DecoderLm, ModelConfig) {
-    primed_model_with_len(seed, heads, layers, psum, 24)
+    primed_model_with_len(seed, (heads, 8), layers, psum, 24)
 }
 
-/// [`primed_model`] with a `max_len`-token context window.
+/// [`primed_model`] with `heads` heads of `dh` columns each and a
+/// `max_len`-token context window.
 fn primed_model_with_len(
     seed: u64,
-    heads: usize,
+    (heads, dh): (usize, usize),
     layers: usize,
     psum: PsumMode,
     max_len: usize,
@@ -45,9 +47,9 @@ fn primed_model_with_len(
     let cfg = ModelConfig {
         vocab: 16,
         max_len,
-        d_model: 8 * heads,
+        d_model: dh * heads,
         heads,
-        d_ff: 16 * heads,
+        d_ff: 2 * dh * heads,
         layers,
         bits: Bitwidth::INT8,
         psum_mode: psum,
@@ -107,6 +109,94 @@ fn row(logits: &Tensor, t: usize) -> Tensor {
     )
 }
 
+/// One int8 paged-decode run: sequences of `(len, start step)` decoded
+/// in one batch through `&dyn PagedDecoder`.
+struct Int8Case {
+    seed: u64,
+    heads: usize,
+    dh: usize,
+    seqs: Vec<(usize, usize)>,
+    block_tokens: usize,
+    psum: PsumMode,
+    threads: usize,
+}
+
+/// Decodes `c`'s sequences through an int8 block pool and checks every
+/// step's logits against the int8 full-sequence forward, bit for bit,
+/// then checks nothing was gathered and every block came back.
+fn int8_paged_matches_full(c: &Int8Case) {
+    let (seed, block_tokens) = (c.seed, c.block_tokens);
+    let (m, cfg) = primed_model_with_len(seed, (c.heads, c.dh), 2, c.psum, 48);
+    let eng = ExecEngine::serial();
+    let im = Int8DecoderLm::from_decoder(&m, &random_ids(seed, 12, cfg.vocab), &eng);
+    let eng = ExecEngine::with_threads(c.threads).with_spawn_threshold(0);
+
+    let seqs = &c.seqs;
+    let ids: Vec<Vec<usize>> = (0..seqs.len())
+        .map(|s| random_ids(seed ^ (s as u64 + 1), seqs[s].0, cfg.vocab))
+        .collect();
+    let full: Vec<Tensor> = ids
+        .iter()
+        .map(|ids| im.forward_inference_with(ids, &ExecEngine::serial()))
+        .collect();
+    let total: usize = seqs
+        .iter()
+        .map(|&(len, _)| len.div_ceil(block_tokens))
+        .sum();
+    let pool = int8_pool(&im, block_tokens, total * block_tokens);
+    let mut states: Vec<_> = seqs.iter().map(|_| im.new_paged_state()).collect();
+    let dec: &dyn PagedDecoder = &im;
+    let steps = seqs.iter().map(|&(len, start)| start + len).max().unwrap();
+    for g in 0..steps {
+        // Sequence s decodes its token g − start while it has one left.
+        let active: Vec<usize> = (0..seqs.len())
+            .filter(|&s| (seqs[s].1..seqs[s].1 + seqs[s].0).contains(&g))
+            .collect();
+        if active.is_empty() {
+            continue;
+        }
+        let tokens: Vec<usize> = active.iter().map(|&s| ids[s][g - seqs[s].1]).collect();
+        let mut refs: Vec<_> = states
+            .iter_mut()
+            .enumerate()
+            .filter(|(s, _)| active.contains(s))
+            .map(|(_, st)| st)
+            .collect();
+        let got = dec.decode_paged(&tokens, &mut refs, &pool, &eng);
+        let vocab = cfg.vocab;
+        for (b, &s) in active.iter().enumerate() {
+            let got_row =
+                Tensor::from_vec(got.data()[b * vocab..(b + 1) * vocab].to_vec(), [1, vocab]);
+            let t = g - seqs[s].1;
+            assert_eq!(&got_row, &row(&full[s], t), "seq {s} step {t}");
+        }
+    }
+    assert_eq!(pool.contention().gathered_bytes, 0, "int8 decode gathered");
+    let mut alloc = pool.lock();
+    for st in &mut states {
+        st.release(&mut alloc);
+    }
+    assert_eq!(alloc.blocks_in_use(), 0);
+}
+
+/// The served attention shape, every time: four 32-wide heads folded in
+/// 16-deep K steps, so every Q·Kᵀ chunk is 16 columns wide (`d` = 128),
+/// at block sizes that do and do not divide the 16-token steps.
+#[test]
+fn int8_paged_decode_matches_full_recompute_at_the_served_shape() {
+    for block_tokens in [16, 5] {
+        int8_paged_matches_full(&Int8Case {
+            seed: 0x5E12ED,
+            heads: 4,
+            dh: 32,
+            seqs: vec![(40, 0), (23, 3)],
+            block_tokens,
+            psum: psum_mode(true, 3, 16),
+            threads: 1,
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -151,66 +241,30 @@ proptest! {
     /// at different steps and decode in one batch, so each batch mixes
     /// context lengths; contexts reach 40+ tokens and `k_tile` varies, so
     /// P·V runs many K steps, some straddling a block boundary, and
-    /// Q·Kᵀ steps that do and do not divide the head width.
+    /// Q·Kᵀ steps that do and do not divide the head width. Heads are 8,
+    /// 16, 20 or 32 wide and `k_tile` reaches 15..17, so the served
+    /// shape's 16-wide Q·Kᵀ chunks (`dh` 32, `k_tile` 16) run too.
     #[test]
     fn int8_paged_decode_is_bit_identical_to_full_recompute(
         seed in any::<u64>(),
-        heads in 1usize..4,
+        heads in 1usize..5,
+        dh in prop_oneof![Just(8usize), Just(16), Just(20), Just(32)],
         seqs in proptest::collection::vec((1usize..44, 0usize..8), 2..4),
         block_tokens in 1usize..9,
         apsq in any::<bool>(),
         gs in 1usize..5,
-        k_tile in 2usize..11,
+        k_tile in prop_oneof![2usize..11, 15usize..18],
         threads in 1usize..5,
     ) {
-        let max_len = 48;
-        let (m, cfg) =
-            primed_model_with_len(seed, heads, 2, psum_mode(apsq, gs, k_tile), max_len);
-        let eng = ExecEngine::serial();
-        let im = Int8DecoderLm::from_decoder(&m, &random_ids(seed, 12, cfg.vocab), &eng);
-        let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-
-        let ids: Vec<Vec<usize>> = (0..seqs.len())
-            .map(|s| random_ids(seed ^ (s as u64 + 1), seqs[s].0, cfg.vocab))
-            .collect();
-        let full: Vec<Tensor> = ids
-            .iter()
-            .map(|ids| im.forward_inference_with(ids, &ExecEngine::serial()))
-            .collect();
-        let total: usize = seqs.iter().map(|&(len, _)| len.div_ceil(block_tokens)).sum();
-        let pool = int8_pool(&im, block_tokens, total * block_tokens);
-        let mut states: Vec<_> = seqs.iter().map(|_| im.new_paged_state()).collect();
-        let dec: &dyn PagedDecoder = &im;
-        let steps = seqs.iter().map(|&(len, start)| start + len).max().unwrap();
-        for g in 0..steps {
-            // Sequence s decodes its token g − start while it has one left.
-            let active: Vec<usize> = (0..seqs.len())
-                .filter(|&s| (seqs[s].1..seqs[s].1 + seqs[s].0).contains(&g))
-                .collect();
-            if active.is_empty() {
-                continue;
-            }
-            let tokens: Vec<usize> = active.iter().map(|&s| ids[s][g - seqs[s].1]).collect();
-            let mut refs: Vec<_> = states
-                .iter_mut()
-                .enumerate()
-                .filter(|(s, _)| active.contains(s))
-                .map(|(_, st)| st)
-                .collect();
-            let got = dec.decode_paged(&tokens, &mut refs, &pool, &eng);
-            let vocab = cfg.vocab;
-            for (b, &s) in active.iter().enumerate() {
-                let got_row = Tensor::from_vec(got.data()[b * vocab..(b + 1) * vocab].to_vec(), [1, vocab]);
-                let t = g - seqs[s].1;
-                prop_assert_eq!(&got_row, &row(&full[s], t), "seq {} step {}", s, t);
-            }
-        }
-        prop_assert_eq!(pool.contention().gathered_bytes, 0, "int8 decode gathered");
-        let mut alloc = pool.lock();
-        for st in &mut states {
-            st.release(&mut alloc);
-        }
-        prop_assert_eq!(alloc.blocks_in_use(), 0);
+        int8_paged_matches_full(&Int8Case {
+            seed,
+            heads,
+            dh,
+            seqs,
+            block_tokens,
+            psum: psum_mode(apsq, gs, k_tile),
+            threads,
+        });
     }
 
     /// The append step is shared by both precisions, so block accounting

@@ -125,8 +125,9 @@ impl Default for ExecEngine {
 pub enum Layout {
     /// `a` is `[m, k]`, `b` is `[k, n]`.
     NN,
-    /// `a` is `[m, k]`, `b` is stored `[n, k]`: `a · bᵀ`, the decode
-    /// `Q·Kᵀ` layout.
+    /// `a` is `[m, k]`, `b` is stored `[n, k]`: `a · bᵀ`, the layout of
+    /// key rows (the f32 attention's `Q·Kᵀ`; int8 decode attention scores
+    /// whole KV blocks through [`ExecEngine::qk_block_i8`] instead).
     NT,
     /// `a` is stored `[k, m]`, `b` is `[k, n]`: `aᵀ · b`, the
     /// weight-gradient `Xᵀ · dY` layout. `f32` only — there is no i8 TN

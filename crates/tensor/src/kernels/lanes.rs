@@ -8,7 +8,9 @@
 //! [`quantize_i8`] is the f32 → i8 quantizer
 //! behind [`crate::Int8Tensor::quantize`] and the int8 attention's
 //! requantization; [`scale_i32_f32`] and [`mul_max_abs_f32`] are that
-//! attention's score dequantization and value-scale fold.
+//! attention's score dequantization and value-scale fold, and
+//! [`pow2_heads_f32`] stages its per-(token, head) KV exponents as
+//! head-major scales.
 //!
 //! Each kernel has one body, written as plain scalar Rust. The
 //! [`KernelBackend::Avx2`] tier compiles that same body inside a
@@ -16,7 +18,8 @@
 //! emits 256-bit lanes (for the quantizer, `f32::round` becomes a vector
 //! round instead of a libm call per element); every other tier runs the
 //! body as is. The integer bodies are exact, the f32 bodies evaluate one
-//! IEEE expression per element, and the one f32 reduction is a maximum,
+//! IEEE expression per element (the exponent staging is a table lookup),
+//! and the one f32 reduction is a maximum,
 //! which no evaluation order changes, so the tiers cannot disagree. The
 //! process-wide [`KernelBackend::detect`] picks the tier, which makes the
 //! [`crate::BACKEND_ENV`] override force the portable build.
@@ -157,6 +160,22 @@ lane_kernel! {
         => mul_max_abs_body, mul_max_abs_avx2;
 }
 
+lane_kernel! {
+    /// Stages `[len, heads]` token-major power-of-two exponents as
+    /// head-major scales: `out[h · ldo + j] = 2^exps[j · heads + h]` for
+    /// the `len = exps.len() / heads` rows, each looked up in a 256-entry
+    /// table. Every `i8` exponent is exact: `e ≥ −126` sets the f32
+    /// exponent field, and −127 and −128 set the subnormal mantissa bit
+    /// `2^(e + 149)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `heads` is 0, `exps` is not whole rows of `heads`, or
+    /// `out` ends before the last head's row.
+    pub fn pow2_heads_f32(exps: &[i8], heads: usize, out: &mut [f32], ldo: usize)
+        => pow2_heads_body, pow2_heads_avx2;
+}
+
 /// Checks that `len` elements are `segments` segments of `w`; false when
 /// they are empty, so callers skip the (zero-width) segment walk.
 #[inline(always)]
@@ -251,6 +270,56 @@ fn mul_max_abs_body(xs: &mut [f32], scales: &[f32]) -> f32 {
         m[0] = m[0].max(x.abs());
     }
     m.into_iter().fold(0.0, f32::max)
+}
+
+/// `2^e` as an f32, exact for every `i8` exponent (see
+/// [`pow2_heads_f32`]).
+const fn pow2_i8(e: i8) -> f32 {
+    let e = e as i32;
+    let bits = if e >= -126 {
+        ((e + 127) as u32) << 23
+    } else {
+        1u32 << (e + 149)
+    };
+    f32::from_bits(bits)
+}
+
+/// [`pow2_i8`] of every `i8`, indexed by `e as u8`.
+static POW2_I8: [f32; 256] = {
+    let mut table = [0.0f32; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = pow2_i8(i as u8 as i8);
+        i += 1;
+    }
+    table
+};
+
+#[inline(always)]
+fn pow2_heads_body(exps: &[i8], heads: usize, out: &mut [f32], ldo: usize) {
+    assert!(heads > 0, "no heads to stage");
+    assert_eq!(
+        exps.len() % heads,
+        0,
+        "{} exponents are not rows of {heads} heads",
+        exps.len()
+    );
+    let len = exps.len() / heads;
+    if len == 0 {
+        return;
+    }
+    let need = (heads - 1) * ldo + len;
+    assert!(
+        out.len() >= need,
+        "{} scale slots, {need} needed",
+        out.len()
+    );
+    for h in 0..heads {
+        let row = &mut out[h * ldo..][..len];
+        for (o, erow) in row.iter_mut().zip(exps.chunks_exact(heads)) {
+            *o = POW2_I8[erow[h] as u8 as usize];
+        }
+    }
 }
 
 #[inline(always)]
@@ -511,6 +580,41 @@ mod tests {
             let mut out = [9u32; 3];
             max_abs(&[], 0, &mut out);
             assert_eq!(out, [0; 3], "empty segments");
+        }
+    }
+
+    /// Every build of the exponent staging gives `2^e` for all 256 `i8`
+    /// exponents, the two subnormal ones included, bit for bit as `exp2`
+    /// does, and lands each head's scales in its own row, leaving the
+    /// rest of `out` alone.
+    #[test]
+    fn pow2_staging_is_exact_for_every_exponent() {
+        let exps: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+        assert_eq!(POW2_I8[128].to_bits(), 1 << 21, "2^-128 = 2^21 · 2^-149");
+        type Stage = fn(&[i8], usize, &mut [f32], usize);
+        let mut builds: Vec<Stage> = vec![pow2_heads_f32, pow2_heads_body];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: this host has AVX2 (detected just above).
+            builds.push(|e, h, out, ldo| unsafe { pow2_heads_avx2(e, h, out, ldo) });
+        }
+        // Head counts 1 to 4 and row counts with and without an
+        // 8-row tail.
+        for (heads, rows) in [(4, 64), (1, 256), (2, 128), (4, 61), (2, 13), (3, 85)] {
+            let exps = &exps[..heads * rows];
+            let ldo = rows + 3;
+            let want: Vec<u32> = (0..heads * ldo)
+                .map(|i| match (i / ldo, i % ldo) {
+                    (h, j) if j < rows => (exps[j * heads + h] as f32).exp2().to_bits(),
+                    _ => 7.0f32.to_bits(),
+                })
+                .collect();
+            for stage in &builds {
+                let mut out = vec![7.0f32; heads * ldo];
+                stage(exps, heads, &mut out, ldo);
+                let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{heads} heads, {rows} rows");
+            }
         }
     }
 

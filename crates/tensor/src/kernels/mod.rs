@@ -42,6 +42,23 @@
 //! reduces horizontally. A `[k0, k1)` boundary at odd k splits a pair:
 //! the out-of-range half is zeroed on the activation side.
 //!
+//! # The per-block attention kernels
+//!
+//! Int8 decode attention reads a paged KV block where it is stored:
+//! `[len, d]` code rows, `d = heads · dh`. [`qk_block_i8`] scores one
+//! `[d]` query row against every key row of a block in one pass. It cuts
+//! `d` into *chunks*, one per (K step `s`, head `h`): columns
+//! `h·dh + [s·k_tile, min((s + 1)·k_tile, dh))`. Chunk `c = s·heads + h`
+//! of row `j` lands in `tiles[c · ldt + j]`, so the caller's step-major
+//! `[steps][heads][t]` tiles fill block by block ([`qk_chunk`]).
+//! [`pv_block_i8`] is the P·V piece of one K step that a block holds:
+//! every head's `[dh]` tile summed over the block's rows, overwriting or
+//! accumulating. The AVX2 builds use `madd_epi16` on sign-extended i16
+//! codes, never `maddubs`, so no sum saturates in i16. Q·Kᵀ reduces each
+//! chunk with an `hadd` tree over eight rows at once. P·V interleaves two
+//! value rows and madds them against a broadcast probability pair, so
+//! each i32 lane is one output column. SSE2 runs the scalar body.
+//!
 //! # The lane-reduction-order rule
 //!
 //! Bit-identity across backends is a hard contract, not an accident:
@@ -345,10 +362,10 @@ pub(crate) fn gemm_i8(
 
 /// Exact integer transposed-B micro-kernel:
 /// `out[i, j] += Σ_{l ∈ [k0, k1)} a[i, l] · b[j, l]` — `b` stored `[N, K]`
-/// row-major, the layout cached key rows sit in. Unit-stride dot products
-/// on both operands make this the decode `Q·Kᵀ` primitive; weights take
-/// the packed-B [`gemm_np_i8`] instead, which needs no horizontal
-/// reduction per output.
+/// row-major, one unit-stride dot product per output. Int8 decode
+/// attention scores a whole KV block per call through [`qk_block_i8`]
+/// instead, and weights take the packed-B [`gemm_np_i8`], which needs no
+/// horizontal reduction per output.
 pub(crate) fn gemm_bt_i8(
     bk: KernelBackend,
     a: &[i8],
@@ -413,7 +430,62 @@ pub(crate) fn gemm_np_i8(
     }
 }
 
+/// Per-block Q·Kᵀ (module docs): for every row `j` of `keys` (`[len, d]`
+/// row-major, `d = q.len()`) and every chunk `c`,
+/// `tiles[c · ldt + j] = Σ_{l ∈ chunk c} q[l] · keys[j · d + l]`,
+/// overwriting. Callers check the extents.
+pub(crate) fn qk_block_i8(
+    bk: KernelBackend,
+    q: &[i8],
+    heads: usize,
+    k_tile: usize,
+    keys: &[i8],
+    tiles: &mut [i32],
+    ldt: usize,
+) {
+    match bk {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_f32`.
+        KernelBackend::Avx2 => unsafe { x86::avx2_qk_block_i8(q, heads, k_tile, keys, tiles, ldt) },
+        _ => scalar::qk_block_i8(q, heads, k_tile, keys, tiles, ldt),
+    }
+}
+
+/// Per-block P·V (module docs): for every head `h` and column `c < dh`
+/// (`dh = out.len() / heads`),
+/// `out[h · dh + c] (+)= Σ_j p[h · ldp + j] · values[j · d + h · dh + c]`
+/// over the `len` rows of `values` (`[len, d]`, `d = out.len()`), adding
+/// to `out` when `accumulate` and overwriting it otherwise. Callers check
+/// the extents.
+pub(crate) fn pv_block_i8(
+    bk: KernelBackend,
+    p: &[i8],
+    ldp: usize,
+    values: &[i8],
+    heads: usize,
+    out: &mut [i32],
+    accumulate: bool,
+) {
+    match bk {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_f32`.
+        KernelBackend::Avx2 => unsafe {
+            x86::avx2_pv_block_i8(p, ldp, values, heads, out, accumulate)
+        },
+        _ => scalar::pv_block_i8(p, ldp, values, heads, out, accumulate),
+    }
+}
+
 // ------------------------------------------------------- shared helpers
+
+/// The columns `[l0, l1)` of [`qk_block_i8`]'s chunk `c`: head
+/// `c % heads`'s K step `c / heads` of width `k_tile` (the last step of a
+/// head may be narrower).
+#[inline(always)]
+pub(super) fn qk_chunk(c: usize, heads: usize, dh: usize, k_tile: usize) -> (usize, usize) {
+    let (s, h) = (c / heads, c % heads);
+    (h * dh + s * k_tile, h * dh + dh.min((s + 1) * k_tile))
+}
 
 /// The staged activation pairs of one [`gemm_np_i8`] row block: row `r`,
 /// pass-local pair `t`.

@@ -9,7 +9,7 @@
 //! partial-MR, and remainder paths — is written once and shared with the
 //! SIMD variants.
 
-use super::{dot_f32_lanes, np_passes, tail_f32, tail_i8, tail_np_i8, KC, MR, NR};
+use super::{dot_f32_lanes, np_passes, qk_chunk, tail_f32, tail_i8, tail_np_i8, KC, MR, NR};
 
 pub(super) fn gemm_f32(
     a: &[f32],
@@ -222,4 +222,50 @@ pub(super) fn gemm_np_i8(
         }
         tail_np_i8(pairs, rows, b, ldb, out, ldo, i, (j, n), (pp, pq));
     });
+}
+
+pub(super) fn qk_block_i8(
+    q: &[i8],
+    heads: usize,
+    k_tile: usize,
+    keys: &[i8],
+    tiles: &mut [i32],
+    ldt: usize,
+) {
+    let d = q.len();
+    let dh = d / heads;
+    for (j, krow) in keys.chunks_exact(d).enumerate() {
+        for c in 0..heads * dh.div_ceil(k_tile) {
+            let (l0, l1) = qk_chunk(c, heads, dh, k_tile);
+            let mut acc = 0i32;
+            for (&x, &y) in q[l0..l1].iter().zip(&krow[l0..l1]) {
+                acc += x as i32 * y as i32;
+            }
+            tiles[c * ldt + j] = acc;
+        }
+    }
+}
+
+pub(super) fn pv_block_i8(
+    p: &[i8],
+    ldp: usize,
+    values: &[i8],
+    heads: usize,
+    out: &mut [i32],
+    accumulate: bool,
+) {
+    let d = out.len();
+    let dh = d / heads;
+    let len = values.len() / d;
+    for (h, o) in out.chunks_exact_mut(dh).enumerate() {
+        if !accumulate {
+            o.fill(0);
+        }
+        for (j, &pj) in p[h * ldp..][..len].iter().enumerate() {
+            let vrow = &values[j * d + h * dh..][..dh];
+            for (oc, &v) in o.iter_mut().zip(vrow) {
+                *oc += pj as i32 * v as i32;
+            }
+        }
+    }
 }

@@ -26,7 +26,9 @@
 
 use core::arch::x86_64::*;
 
-use super::{np_passes, reduce_lanes_f32, tail_f32, tail_i8, tail_np_i8, Pairs, KC, LANES, MR, NR};
+use super::{
+    np_passes, qk_chunk, reduce_lanes_f32, tail_f32, tail_i8, tail_np_i8, Pairs, KC, LANES, MR, NR,
+};
 
 /// Sign-extends the low 8 bytes of `v` to 8×i16 without SSE4.1:
 /// duplicate each byte into a 16-bit lane, then arithmetic-shift the copy
@@ -255,7 +257,7 @@ pub(super) fn sse2_gemm_i8(
             sse2_i8_strip::<MR, 1>(a, lda, b, ldb, out, ldo, i, n, kp, kq);
             i += MR;
         }
-        // Rows left after the MR tiles — all of an M = 1 decode product —
+        // Rows left after the MR tiles — all of an M = 1 product —
         // run one-row vector tiles 4·NR wide, so each b row loaded per l
         // feeds 32 columns.
         while i < m {
@@ -483,9 +485,46 @@ fn avx2_hsum_i32(v: __m256i) -> i32 {
 #[target_feature(enable = "avx2")]
 #[inline]
 fn avx2_load16_i8_as_i16(s: &[i8]) -> __m256i {
-    debug_assert!(s.len() >= 16);
-    // SAFETY: the slice carries ≥16 bytes for the 128-bit load.
-    _mm256_cvtepi8_epi16(unsafe { _mm_loadu_si128(s.as_ptr() as *const __m128i) })
+    _mm256_cvtepi8_epi16(avx2_load16_i8(s))
+}
+
+/// Loads 8 `i8` values from a bounds-checked slice: as 8×i16 in the low
+/// 128 bits of the result, zeros above.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_load8_i8_as_i16(s: &[i8]) -> __m256i {
+    _mm256_cvtepi8_epi16(avx2_load8_i8(s))
+}
+
+/// Loads 8 `i8` values from a bounds-checked slice into the low 64 bits.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_load8_i8(s: &[i8]) -> __m128i {
+    let s = &s[..8];
+    // SAFETY: `s` holds exactly the 8 bytes loadl reads (unaligned
+    // allowed).
+    unsafe { _mm_loadl_epi64(s.as_ptr() as *const __m128i) }
+}
+
+/// Loads 16 `i8` values from a bounds-checked slice.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_load16_i8(s: &[i8]) -> __m128i {
+    let s = &s[..16];
+    // SAFETY: `s` holds exactly the 16 bytes loadu reads.
+    unsafe { _mm_loadu_si128(s.as_ptr() as *const __m128i) }
+}
+
+/// Adds the 8 i32 lanes of `v` into `out` (exactly 8 slots).
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_add_store_i32(out: &mut [i32], v: __m256i) {
+    let out = &mut out[..NR];
+    // SAFETY: `out` has exactly NR = 8 i32 slots.
+    unsafe {
+        let p = out.as_mut_ptr() as *mut __m256i;
+        _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), v));
+    }
 }
 
 #[target_feature(enable = "avx2")]
@@ -687,7 +726,7 @@ pub(super) fn avx2_gemm_i8(
             avx2_i8_strip::<MR, 1>(a, lda, b, ldb, out, ldo, i, n, kp, kq);
             i += MR;
         }
-        // Rows left after the MR tiles — all of an M = 1 decode product —
+        // Rows left after the MR tiles — all of an M = 1 product —
         // run one-row vector tiles 4·NR wide, so each b row loaded per l
         // feeds 32 columns.
         while i < m {
@@ -751,10 +790,7 @@ fn avx2_i8_tile<const R: usize, const C: usize>(
         let brow = &b[l * ldb + j..l * ldb + j + C * NR];
         let mut bv32 = [_mm256_setzero_si256(); C];
         for (c, bv) in bv32.iter_mut().enumerate() {
-            let chunk = &brow[c * NR..(c + 1) * NR];
-            // SAFETY: chunk has exactly NR = 8 bytes for the 64-bit load.
-            let bv8 = unsafe { _mm_loadl_epi64(chunk.as_ptr() as *const __m128i) };
-            *bv = _mm256_cvtepi8_epi32(bv8);
+            *bv = _mm256_cvtepi8_epi32(avx2_load8_i8(&brow[c * NR..]));
         }
         for (r, accr) in acc.iter_mut().enumerate() {
             let av = _mm256_set1_epi32(a[(i + r) * lda + l] as i32);
@@ -765,12 +801,8 @@ fn avx2_i8_tile<const R: usize, const C: usize>(
     }
     for (r, accr) in acc.iter().enumerate() {
         let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + C * NR];
-        for (chunk, accv) in orow.chunks_exact_mut(NR).zip(accr) {
-            // SAFETY: chunk has exactly NR = 8 i32 slots.
-            unsafe {
-                let p = chunk.as_mut_ptr() as *mut __m256i;
-                _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), *accv));
-            }
+        for (chunk, &accv) in orow.chunks_exact_mut(NR).zip(accr) {
+            avx2_add_store_i32(chunk, accv);
         }
     }
 }
@@ -965,12 +997,198 @@ fn avx2_np_tile<const R: usize, const C: usize>(
     }
     for (r, accr) in acc.iter().enumerate() {
         let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + C * NR];
-        for (chunk, accv) in orow.chunks_exact_mut(NR).zip(accr) {
-            // SAFETY: chunk has exactly NR = 8 i32 slots.
-            unsafe {
-                let p = chunk.as_mut_ptr() as *mut __m256i;
-                _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), *accv));
+        for (chunk, &accv) in orow.chunks_exact_mut(NR).zip(accr) {
+            avx2_add_store_i32(chunk, accv);
+        }
+    }
+}
+
+#[target_feature(enable = "avx2")]
+pub(super) fn avx2_qk_block_i8(
+    q: &[i8],
+    heads: usize,
+    k_tile: usize,
+    keys: &[i8],
+    tiles: &mut [i32],
+    ldt: usize,
+) {
+    let d = q.len();
+    let dh = d / heads;
+    let len = keys.len() / d;
+    for c in 0..heads * dh.div_ceil(k_tile) {
+        let row = &mut tiles[c * ldt..][..len];
+        avx2_qk_chunk(q, keys, row, qk_chunk(c, heads, dh, k_tile));
+    }
+}
+
+/// Chunk `[l0, l1)` of every key row into `row`, one score per key row,
+/// for any chunk shape: eight rows per pass share one widened query
+/// piece per 16 columns, and one hadd tree reduces their eight dot
+/// products into one vector of consecutive scores.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_qk_chunk(q: &[i8], keys: &[i8], row: &mut [i32], (l0, l1): (usize, usize)) {
+    let d = q.len();
+    let len = row.len();
+    let mut j = 0;
+    while j + 8 <= len {
+        let [a0, a1, a2, a3, a4, a5, a6, a7] = avx2_qk_dots::<8>(q, keys, d, j, (l0, l1));
+        let sums = _mm256_set_m128i(
+            avx2_hadd4_i32([a4, a5, a6, a7]),
+            avx2_hadd4_i32([a0, a1, a2, a3]),
+        );
+        let dst = &mut row[j..j + 8];
+        // SAFETY: `dst` has exactly 8 i32 slots.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, sums) };
+        j += 8;
+    }
+    for (r, o) in row.iter_mut().enumerate().skip(j) {
+        let [acc] = avx2_qk_dots::<1>(q, keys, d, r, (l0, l1));
+        *o = avx2_hsum_i32(acc);
+    }
+    // The < 8-column tail of a narrow or ragged chunk.
+    let t0 = l0 + (l1 - l0) / 8 * 8;
+    if t0 < l1 {
+        for (o, krow) in row.iter_mut().zip(keys.chunks_exact(d)) {
+            for (&x, &y) in q[t0..l1].iter().zip(&krow[t0..l1]) {
+                *o += x as i32 * y as i32;
             }
         }
     }
+}
+
+/// The madd partial sums of chunk `[l0, l1)` against key rows
+/// `j..j + R`, one 8×i32 accumulator per row: 16 columns per madd, then
+/// one 8-column madd, leaving the < 8-column tail to the caller.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_qk_dots<const R: usize>(
+    q: &[i8],
+    keys: &[i8],
+    d: usize,
+    j: usize,
+    (l0, l1): (usize, usize),
+) -> [__m256i; R] {
+    let mut acc = [_mm256_setzero_si256(); R];
+    let mut l = l0;
+    while l + 16 <= l1 {
+        let qv = avx2_load16_i8_as_i16(&q[l..l + 16]);
+        for (r, accv) in acc.iter_mut().enumerate() {
+            let kv = avx2_load16_i8_as_i16(&keys[(j + r) * d + l..][..16]);
+            *accv = _mm256_add_epi32(*accv, _mm256_madd_epi16(qv, kv));
+        }
+        l += 16;
+    }
+    if l + 8 <= l1 {
+        let qv = avx2_load8_i8_as_i16(&q[l..]);
+        for (r, accv) in acc.iter_mut().enumerate() {
+            let kv = avx2_load8_i8_as_i16(&keys[(j + r) * d + l..]);
+            *accv = _mm256_add_epi32(*accv, _mm256_madd_epi16(qv, kv));
+        }
+    }
+    acc
+}
+
+/// The four horizontal sums of `v`, in order: hadd twice folds pairs
+/// within each 128-bit lane, then the two lanes add.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_hadd4_i32([v0, v1, v2, v3]: [__m256i; 4]) -> __m128i {
+    let h = _mm256_hadd_epi32(_mm256_hadd_epi32(v0, v1), _mm256_hadd_epi32(v2, v3));
+    _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256::<1>(h))
+}
+
+#[target_feature(enable = "avx2")]
+pub(super) fn avx2_pv_block_i8(
+    p: &[i8],
+    ldp: usize,
+    values: &[i8],
+    heads: usize,
+    out: &mut [i32],
+    accumulate: bool,
+) {
+    let d = out.len();
+    let dh = d / heads;
+    let len = values.len() / d;
+    for (h, o) in out.chunks_exact_mut(dh).enumerate() {
+        if !accumulate {
+            o.fill(0);
+        }
+        let ph = &p[h * ldp..][..len];
+        let mut c = 0;
+        while c + 4 * NR <= dh {
+            avx2_pv_cols::<4>(ph, values, d, h * dh + c, &mut o[c..c + 4 * NR]);
+            c += 4 * NR;
+        }
+        while c + NR <= dh {
+            avx2_pv_cols::<1>(ph, values, d, h * dh + c, &mut o[c..c + NR]);
+            c += NR;
+        }
+        if c < dh {
+            for (&pj, vrow) in ph.iter().zip(values.chunks_exact(d)) {
+                for (oc, &v) in o[c..].iter_mut().zip(&vrow[h * dh + c..(h + 1) * dh]) {
+                    *oc += pj as i32 * v as i32;
+                }
+            }
+        }
+    }
+}
+
+/// Adds `Σ_j ph[j] · values[j · d + col + c]` into `o[c]` for the
+/// `C · NR` columns of `o`. Rows go in pairs: the two rows' codes
+/// interleave into (row j, row j + 1) i16 pairs, and one madd against the
+/// broadcast probability pair gives each column's two-row sum in its own
+/// i32 lane. An odd last row pairs with itself at probability zero.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_pv_cols<const C: usize>(ph: &[i8], values: &[i8], d: usize, col: usize, o: &mut [i32]) {
+    let mut acc = [_mm256_setzero_si256(); C];
+    let row = |j: usize| &values[j * d + col..][..C * NR];
+    let mut j = 0;
+    while j + 2 <= ph.len() {
+        avx2_pv_madd_rows(&mut acc, row(j), row(j + 1), [ph[j], ph[j + 1]]);
+        j += 2;
+    }
+    if j < ph.len() {
+        avx2_pv_madd_rows(&mut acc, row(j), row(j), [ph[j], 0]);
+    }
+    for (chunk, &accv) in o.chunks_exact_mut(NR).zip(&acc) {
+        avx2_add_store_i32(chunk, accv);
+    }
+}
+
+/// One row pair of [`avx2_pv_cols`]: `acc[cc]` gains
+/// `w0 · r0[cc·NR + i] + w1 · r1[cc·NR + i]` in lane `i`. Two units of
+/// NR columns share one 16-byte load per row.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_pv_madd_rows<const C: usize>(
+    acc: &mut [__m256i; C],
+    r0: &[i8],
+    r1: &[i8],
+    [w0, w1]: [i8; 2],
+) {
+    let w = _mm256_set1_epi32(pair_bits([w0 as i16, w1 as i16]));
+    let mut cc = 0;
+    while cc + 2 <= C {
+        let (v0, v1) = (
+            avx2_load16_i8(&r0[cc * NR..]),
+            avx2_load16_i8(&r1[cc * NR..]),
+        );
+        acc[cc] = avx2_madd_pairs(acc[cc], _mm_unpacklo_epi8(v0, v1), w);
+        acc[cc + 1] = avx2_madd_pairs(acc[cc + 1], _mm_unpackhi_epi8(v0, v1), w);
+        cc += 2;
+    }
+    if cc < C {
+        let (v0, v1) = (avx2_load8_i8(&r0[cc * NR..]), avx2_load8_i8(&r1[cc * NR..]));
+        acc[cc] = avx2_madd_pairs(acc[cc], _mm_unpacklo_epi8(v0, v1), w);
+    }
+}
+
+/// `acc + madd(pairs, w)` for 8 interleaved i8 code pairs, sign-extended
+/// to i16 first.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_madd_pairs(acc: __m256i, pairs: __m128i, w: __m256i) -> __m256i {
+    _mm256_add_epi32(acc, _mm256_madd_epi16(_mm256_cvtepi8_epi16(pairs), w))
 }

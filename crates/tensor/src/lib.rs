@@ -18,6 +18,9 @@
 //! - [`KernelBackend`] — the explicit-width SIMD micro-kernel tiers
 //!   (scalar reference, SSE2, AVX2) behind the engine, runtime-detected
 //!   and bit-identical to each other by construction;
+//! - [`ExecEngine::qk_block_i8`] / [`ExecEngine::pv_block_i8`] — the
+//!   per-block int8 attention kernels, which read one paged KV block's
+//!   codes in place for every head's Q·Kᵀ K steps and its P·V tile;
 //! - [`lanes`] — elementwise slice kernels (the APSQ fold's i32 lanes and
 //!   the f32 → i8 activation quantizer) under the same dispatch.
 //!
@@ -41,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod activation;
+mod attn;
 mod conv;
 mod exec;
 mod init;

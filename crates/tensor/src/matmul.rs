@@ -53,8 +53,9 @@ impl ExecEngine {
     }
 
     /// Exact integer transposed-B matmul: `a` (`[M, K]` i8) × `bᵀ` (`b`
-    /// stored `[N, K]` i8) → `[M, N]` i32 — the layout of cached key rows
-    /// (decode `Q·Kᵀ`).
+    /// stored `[N, K]` i8) → `[M, N]` i32, the layout of key rows. Int8
+    /// decode attention scores whole KV blocks through
+    /// [`ExecEngine::qk_block_i8`] instead.
     ///
     /// # Panics
     ///

@@ -10,7 +10,9 @@
 //! engine across layout × element type × batch × strides × K range /
 //! K tile, at random shapes (including ragged MR/NR/LANES tails) and
 //! thread counts. The i8 packed-B layout (`Layout::NP`) is pinned to the
-//! NT kernel on the unpacked codes as well.
+//! NT kernel on the unpacked codes as well, and the per-block int8
+//! attention kernels (`qk_block_i8`, `pv_block_i8`) to the NT and NN
+//! GEMMs they replace.
 
 use apsq_tensor::{pack_k_pairs, ExecEngine, Gemm, Int8Tensor, KernelBackend, Layout, Tensor};
 use proptest::prelude::*;
@@ -447,6 +449,169 @@ proptest! {
             eng.gemm(&qkf, &mut scores);
             scores
         });
+    }
+}
+
+/// One paged KV block's attention operands: a `[d]` query, `len` K/V
+/// rows of `d = heads · dh` codes, and `[heads, t]` probability codes,
+/// with the block at token offset `off` of a `t`-token context.
+#[derive(Clone, Debug)]
+struct BlockCase {
+    heads: usize,
+    dh: usize,
+    k_tile: usize,
+    len: usize,
+    off: usize,
+    t: usize,
+    accumulate: bool,
+}
+
+impl BlockCase {
+    fn d(&self) -> usize {
+        self.heads * self.dh
+    }
+
+    fn steps(&self) -> usize {
+        self.dh.div_ceil(self.k_tile)
+    }
+
+    /// The step-major `[steps, heads, t]` Q·Kᵀ tiles after scoring the
+    /// block's rows into their columns (everything else stays −7), by
+    /// `qk_block_i8` or, as the oracle, one head-batched NT GEMM per K
+    /// step.
+    fn qk(&self, eng: &ExecEngine, q: &[i8], keys: &[i8], oracle: bool) -> Vec<i32> {
+        let (heads, t) = (self.heads, self.t);
+        let mut tiles = vec![-7i32; self.steps() * heads * t];
+        if !oracle {
+            eng.qk_block_i8(q, heads, self.k_tile, keys, &mut tiles[self.off..], t);
+            return tiles;
+        }
+        for step in 0..self.steps() {
+            let g = Gemm {
+                ldb: self.d(),
+                batch: heads,
+                stride_b: self.dh,
+                stride_o: t,
+                k_range: step * self.k_tile..self.dh.min((step + 1) * self.k_tile),
+                ..Gemm::new(Layout::NT, q, keys, 1, self.len, self.dh)
+            };
+            eng.gemm(&g, &mut tiles[step * heads * t + self.off..]);
+        }
+        tiles
+    }
+
+    /// The `[heads, dh]` P·V tile over the block's rows, starting from a
+    /// nonzero tile (so `accumulate` shows), by `pv_block_i8` or by the
+    /// head-batched NN GEMM.
+    fn pv(&self, eng: &ExecEngine, p: &[i8], values: &[i8], oracle: bool) -> Vec<i32> {
+        let mut out: Vec<i32> = (0..self.d() as i32).map(|x| x * 3 - 11).collect();
+        let p = &p[self.off..];
+        if !oracle {
+            eng.pv_block_i8(p, self.t, values, self.heads, &mut out, self.accumulate);
+            return out;
+        }
+        let g = Gemm {
+            ldb: self.d(),
+            batch: self.heads,
+            stride_a: self.t,
+            stride_b: self.dh,
+            stride_o: self.dh,
+            accumulate: self.accumulate,
+            ..Gemm::new(Layout::NN, p, values, 1, self.dh, self.len)
+        };
+        eng.gemm(&g, &mut out);
+        out
+    }
+}
+
+/// Heads 1..6 and `dh` 1..40; a `k_tile` from 1 to `dh + 3`, so it may
+/// not divide `dh` or may exceed it; block lengths 1..17, odd ones
+/// included for the P·V row-pair tail; the block anywhere in a context.
+fn block_case() -> impl Strategy<Value = BlockCase> {
+    (1usize..=6, 1usize..=40)
+        .prop_flat_map(|(heads, dh)| {
+            (
+                Just((heads, dh)),
+                1usize..dh + 4,
+                1usize..=17,
+                (0usize..20, 0usize..5),
+                any::<bool>(),
+            )
+        })
+        .prop_map(
+            |((heads, dh), k_tile, len, (off, spare), accumulate)| BlockCase {
+                heads,
+                dh,
+                k_tile,
+                len,
+                off,
+                t: off + len + spare,
+                accumulate,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The per-block attention kernels equal the head-batched NT and NN
+    /// GEMMs they replace, on every backend: every (K step, head) score
+    /// lands in its step-major tile row and nothing else moves, and the
+    /// P·V tile overwrites or accumulates as asked.
+    #[test]
+    fn block_attention_kernels_match_the_gemm_oracle(
+        c in block_case(),
+        seed in any::<u16>(),
+    ) {
+        let d = c.d();
+        let q = seeded_i8(d, seed as u32);
+        let (keys, values) = (
+            seeded_i8(c.len * d, seed as u32 ^ 0x3c3c),
+            seeded_i8(c.len * d, seed as u32 ^ 0xc3c3),
+        );
+        let p = seeded_i8(c.heads * c.t, seed as u32 ^ 0x1111);
+        let want = (
+            c.qk(&scalar_engine(1), &q, &keys, true),
+            c.pv(&scalar_engine(1), &p, &values, true),
+        );
+        same_on_every_backend(1, |eng| {
+            let got = (c.qk(eng, &q, &keys, false), c.pv(eng, &p, &values, false));
+            prop_assert_eq!(&got, &want);
+            got
+        });
+    }
+}
+
+/// Shapes whose every Q·Kᵀ chunk is 16 columns wide — the served four
+/// 32-wide heads at `k_tile` 16, plus eight 16-wide heads and five
+/// 32-wide heads — at every block length up to 17, against the GEMM
+/// oracle on every backend.
+#[test]
+fn block_kernels_match_the_gemm_oracle_at_16_column_chunks() {
+    for (heads, dh) in [(4, 32), (8, 16), (5, 32)] {
+        for len in 1..=17 {
+            let c = BlockCase {
+                heads,
+                dh,
+                k_tile: 16,
+                len,
+                off: 3,
+                t: len + 5,
+                accumulate: len % 2 == 0,
+            };
+            let d = c.d();
+            let (q, kv) = (seeded_i8(d, 1), seeded_i8(len * d, 2));
+            let p = seeded_i8(heads * c.t, 3);
+            let want = (
+                c.qk(&scalar_engine(1), &q, &kv, true),
+                c.pv(&scalar_engine(1), &p, &kv, true),
+            );
+            same_on_every_backend(1, |eng| {
+                let got = (c.qk(eng, &q, &kv, false), c.pv(eng, &p, &kv, false));
+                assert_eq!(got, want, "{heads} heads of {dh}, {len} rows");
+                got
+            });
+        }
     }
 }
 
