@@ -66,6 +66,12 @@ impl LintConfig {
                     && !rel.starts_with("crates/tensor/src/kernels/")
                     && rel != "crates/tensor/src/reduce.rs"
             }
+            // Platform-rounded libm calls: library code only, outside the
+            // kernel modules that define the workspace's own `exp`/`tanh`
+            // (their provenance tests compare against libm on purpose).
+            "libm-transcendental" => {
+                !Self::is_harness_path(rel) && !rel.starts_with("crates/tensor/src/kernels/")
+            }
             // Hash collections are banned where iteration order could
             // reach a response, a fingerprint, or an eviction decision:
             // the whole serve scheduler/session/traffic layer plus the

@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub mod collections;
 pub mod float_reduction;
 pub mod intrinsics;
+pub mod libm;
 pub mod lock_discipline;
 pub mod unsafe_doc;
 pub mod wall_clock;
@@ -66,6 +67,13 @@ pub const RULES: &[Rule] = &[
                a runtime is_x86_feature_detected! dispatch site in the same crate",
         skips_tests: false,
         check: intrinsics::check,
+    },
+    Rule {
+        name: "libm-transcendental",
+        desc: "no libm exp/exp_m1/tanh/ln/ln_1p/sin/cos in library code outside the kernel \
+               modules — the tensor kernels' exp/tanh are the same on every host",
+        skips_tests: true,
+        check: libm::check,
     },
 ];
 

@@ -35,7 +35,7 @@ use crate::paged::{quantize_int8_kv_row, BlockPool, Int8Segment, PagedKvState, P
 use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule, StreamingApsq};
 use apsq_quant::{pow2_f32, Bitwidth, LsqQuantizer};
 use apsq_tensor::{
-    gelu, lanes, pack_k_pairs, softmax_row_into, sum_axis0, ExecEngine, Gemm, Int8Tensor, Layout,
+    gelu, lanes, pack_k_pairs, softmax_exps_into, sum_axis0, ExecEngine, Gemm, Int8Tensor, Layout,
     Tensor,
 };
 
@@ -536,8 +536,8 @@ impl Int8MultiHeadAttention {
         for h in 0..heads {
             let acc = &acc[h * t..][..t];
             lanes::scale_i32_f32(acc, qk_scale, &k_scales[h * t..][..t], scores);
-            softmax_row_into(scores, probs);
-            let max_abs = lanes::mul_max_abs_f32(probs, &v_scales[h * t..][..t]);
+            let sum = softmax_exps_into(scores, probs);
+            let max_abs = lanes::div_mul_max_abs_f32(probs, sum, &v_scales[h * t..][..t]);
             let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
             r_exps[h] = e;
             lanes::quantize_i8(probs, pow2_f32(e), &mut rc[h * t..][..t]);

@@ -19,6 +19,7 @@ pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     let mut grad = probs.clone();
     for (i, &y) in labels.iter().enumerate() {
         assert!(y < c, "label {y} out of range {c}");
+        // lint: allow(libm-transcendental) -- training loss on libm `ln`; no kernel yet (ROADMAP item 9)
         loss -= probs.at(&[i, y]).max(1e-12).ln();
         grad.set(&[i, y], grad.at(&[i, y]) - 1.0);
     }
@@ -64,6 +65,7 @@ pub fn distillation_loss(
     let mut loss = 0.0f32;
     for (s, tt) in ps.data().iter().zip(pt.data().iter()) {
         if *tt > 0.0 {
+            // lint: allow(libm-transcendental) -- distillation loss on libm `ln`; no kernel yet (ROADMAP item 9)
             loss += tt * (tt.max(1e-12).ln() - s.max(1e-12).ln());
         }
     }

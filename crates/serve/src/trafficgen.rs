@@ -164,6 +164,7 @@ impl ArrivalProcess {
                 }
             }
             let u: f64 = rng.gen();
+            // lint: allow(libm-transcendental) -- seeded exponential gaps on libm `ln`, so arrivals depend on libm (ROADMAP item 9)
             let gap = -(1.0 - u).ln() / rate;
             if let Some(b) = self.next_rate_boundary(tick) {
                 if t + gap >= b as f64 {

@@ -1,5 +1,6 @@
 //! Pointwise activations and row-wise softmax, with their derivatives.
 
+use crate::kernels::{lanes, tanh_one};
 use crate::tensor::Tensor;
 
 /// Rectified linear unit, elementwise.
@@ -17,42 +18,67 @@ pub fn relu_grad(x: &Tensor) -> Tensor {
 /// Uses the approximation from the GELU paper:
 /// `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
 pub fn gelu(x: &Tensor) -> Tensor {
-    x.map(gelu_scalar)
+    through(x, gelu_inner, lanes::tanh_f32, |v, t| 0.5 * v * (1.0 + t))
 }
 
-/// Scalar GELU (tanh approximation).
+/// Scalar GELU (tanh approximation), bit for bit one element of [`gelu`].
 pub fn gelu_scalar(v: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh())
+    0.5 * v * (1.0 + tanh_one(gelu_inner(v)))
+}
+
+/// `√(2/π)`.
+const GELU_C: f32 = 0.797_884_6;
+
+/// GELU's tanh argument, `√(2/π)·(v + 0.044715·v³)`.
+fn gelu_inner(v: f32) -> f32 {
+    GELU_C * (v + 0.044715 * v * v * v)
 }
 
 /// Derivative of [`gelu`] with respect to its input, elementwise.
 pub fn gelu_grad(x: &Tensor) -> Tensor {
-    x.map(|v| {
-        const C: f32 = 0.797_884_6;
-        let inner = C * (v + 0.044715 * v * v * v);
-        let t = inner.tanh();
+    through(x, gelu_inner, lanes::tanh_f32, |v, t| {
         let sech2 = 1.0 - t * t;
-        0.5 * (1.0 + t) + 0.5 * v * sech2 * C * (1.0 + 3.0 * 0.044715 * v * v)
+        0.5 * (1.0 + t) + 0.5 * v * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * v * v)
     })
 }
 
 /// Logistic sigmoid, elementwise.
 pub fn sigmoid(x: &Tensor) -> Tensor {
-    x.map(|v| 1.0 / (1.0 + (-v).exp()))
+    through(x, |v| -v, lanes::exp_f32, |_, e| 1.0 / (1.0 + e))
 }
 
 /// SiLU / swish (`x · sigmoid(x)`), elementwise. Used by LLaMA-style FFNs.
 pub fn silu(x: &Tensor) -> Tensor {
-    x.map(|v| v / (1.0 + (-v).exp()))
+    through(x, |v| -v, lanes::exp_f32, |v, e| v / (1.0 + e))
 }
 
 /// Derivative of [`silu`] with respect to its input, elementwise.
 pub fn silu_grad(x: &Tensor) -> Tensor {
-    x.map(|v| {
-        let s = 1.0 / (1.0 + (-v).exp());
-        s * (1.0 + v * (1.0 - s))
-    })
+    through(
+        x,
+        |v| -v,
+        lanes::exp_f32,
+        |v, e| {
+            let s = 1.0 / (1.0 + e);
+            s * (1.0 + v * (1.0 - s))
+        },
+    )
+}
+
+/// `post(v, f(pre(v)))` for every element `v` of `x`, where `kernel`
+/// applies the transcendental `f` to the whole tensor in one call.
+fn through(
+    x: &Tensor,
+    pre: impl Fn(f32) -> f32,
+    kernel: fn(&mut [f32]),
+    post: impl Fn(f32, f32) -> f32,
+) -> Tensor {
+    let mut out: Vec<f32> = x.data().iter().map(|&v| pre(v)).collect();
+    kernel(&mut out);
+    for (o, &v) in out.iter_mut().zip(x.data()) {
+        *o = post(v, *o);
+    }
+    Tensor::from_vec(out, x.dims())
 }
 
 /// Numerically stable softmax over the last axis of a rank-2 tensor.
@@ -74,39 +100,57 @@ pub fn softmax_rows(x: &Tensor) -> Tensor {
 
 /// Softmax of one row into `out` — the single op order every softmax in
 /// the workspace runs ([`softmax_rows`] maps it over rows), so callers
-/// with their own scratch buffers stay bit-identical to it.
+/// with their own scratch buffers stay bit-identical to it: the
+/// numerators and their sum from [`softmax_exps_into`], then one divide
+/// per element.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn softmax_row_into(row: &[f32], out: &mut [f32]) {
+    let sum = softmax_exps_into(row, out);
+    for v in out.iter_mut() {
+        *v /= sum;
+    }
+}
+
+/// The softmax of one row up to its divide: writes `e^(v − max)` for
+/// every `v` of `row` into `out` and returns their sum, taken left to
+/// right. A caller that divides each element by it has
+/// [`softmax_row_into`]'s bits, and may fuse the divide into its next
+/// pass.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn softmax_exps_into(row: &[f32], out: &mut [f32]) -> f32 {
     assert_eq!(row.len(), out.len(), "softmax row/output length mismatch");
     // The row maximum in eight independent lanes: a maximum ignores
     // order (and NaN), and `v − mx` is the same for either zero, so this
     // is the sequential fold's result without its serial dependency.
-    let mut lanes = [f32::NEG_INFINITY; 8];
+    let mut maxes = [f32::NEG_INFINITY; 8];
     let chunks = row.chunks_exact(8);
     let tail = chunks.remainder();
     for c in chunks {
-        for (m, &v) in lanes.iter_mut().zip(c) {
+        for (m, &v) in maxes.iter_mut().zip(c) {
             *m = m.max(v);
         }
     }
     let mx = tail
         .iter()
-        .chain(&lanes)
+        .chain(&maxes)
         .copied()
         .fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
     for (o, &v) in out.iter_mut().zip(row) {
-        let e = (v - mx).exp();
-        *o = e;
+        *o = v - mx;
+    }
+    lanes::exp_f32(out);
+    let mut sum = 0.0;
+    for &e in out.iter() {
         // lint: allow(float-reduction-outside-kernels) -- softmax row sum in fixed left-to-right order; this IS the blessed order
         sum += e;
     }
-    for v in out.iter_mut() {
-        *v /= sum;
-    }
+    sum
 }
 
 /// Backward pass of [`softmax_rows`]: given the softmax output `y` and the

@@ -18,6 +18,7 @@ fn sample_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
         }
     };
     let u2: f32 = rng.gen();
+    // lint: allow(libm-transcendental) -- Box–Muller on libm `ln`/`cos`, so seeded weights depend on libm (ROADMAP item 9)
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 

@@ -7,10 +7,13 @@
 //! tiles side by side makes one call per operation, not one per tile.
 //! [`quantize_i8`] is the f32 → i8 quantizer
 //! behind [`crate::Int8Tensor::quantize`] and the int8 attention's
-//! requantization; [`scale_i32_f32`] and [`mul_max_abs_f32`] are that
-//! attention's score dequantization and value-scale fold, and
-//! [`pow2_heads_f32`] stages its per-(token, head) KV exponents as
-//! head-major scales.
+//! requantization; [`scale_i32_f32`] and [`div_mul_max_abs_f32`] are
+//! that attention's score dequantization and its softmax divide fused
+//! with the value-scale fold, and [`pow2_heads_f32`] stages its
+//! per-(token, head) KV exponents as head-major scales. [`exp_f32`] and
+//! [`tanh_f32`] are the workspace's `exp` and `tanh` (the softmax's and
+//! GELU's): a scalar body and an AVX2+FMA build of each, bit-identical,
+//! that the [`KernelBackend`] dispatch picks between.
 //!
 //! Each kernel has one body, written as plain scalar Rust. The
 //! [`KernelBackend::Avx2`] tier compiles that same body inside a
@@ -150,14 +153,27 @@ lane_kernel! {
 }
 
 lane_kernel! {
-    /// `xs[j] *= scales[j]`, returning the largest `|xs[j]|` afterwards
-    /// (0 when empty; NaN is skipped, as by `f32::max`).
+    /// `xs[j] = xs[j] / d · scales[j]`, divided then multiplied, returning
+    /// the largest `|xs[j]|` afterwards (0 when empty; NaN is skipped, as
+    /// by `f32::max`).
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
-    pub fn mul_max_abs_f32(xs: &mut [f32], scales: &[f32]) -> f32
-        => mul_max_abs_body, mul_max_abs_avx2;
+    pub fn div_mul_max_abs_f32(xs: &mut [f32], d: f32, scales: &[f32]) -> f32
+        => div_mul_max_abs_body, div_mul_max_abs_avx2;
+}
+
+/// `xs[j] = e^xs[j]`, in place: glibc 2.36's `expf`, bit for bit, on
+/// every backend and host.
+pub fn exp_f32(xs: &mut [f32]) {
+    super::exp_f32(KernelBackend::detect(), xs);
+}
+
+/// `xs[j] = tanh xs[j]`, in place: fdlibm's `tanhf`, bit for bit, on
+/// every backend and host.
+pub fn tanh_f32(xs: &mut [f32]) {
+    super::tanh_f32(KernelBackend::detect(), xs);
 }
 
 lane_kernel! {
@@ -250,7 +266,7 @@ fn scale_i32_f32_body(xs: &[i32], s: f32, scales: &[f32], out: &mut [f32]) {
 }
 
 #[inline(always)]
-fn mul_max_abs_body(xs: &mut [f32], scales: &[f32]) -> f32 {
+fn div_mul_max_abs_body(xs: &mut [f32], d: f32, scales: &[f32]) -> f32 {
     /// Independent running maxima: a maximum ignores order, so folding
     /// them at the end equals the sequential fold, and they vectorize.
     const W: usize = 8;
@@ -260,13 +276,13 @@ fn mul_max_abs_body(xs: &mut [f32], scales: &[f32]) -> f32 {
     let mut s_chunks = scales.chunks_exact(W);
     for (x8, s8) in (&mut x_chunks).zip(&mut s_chunks) {
         for ((x, &s), m) in x8.iter_mut().zip(s8).zip(&mut m) {
-            *x *= s;
+            *x = *x / d * s;
             *m = m.max(x.abs());
         }
     }
     let tail = x_chunks.into_remainder().iter_mut();
     for (x, &s) in tail.zip(s_chunks.remainder()) {
-        *x *= s;
+        *x = *x / d * s;
         m[0] = m[0].max(x.abs());
     }
     m.into_iter().fold(0.0, f32::max)
@@ -483,9 +499,9 @@ mod tests {
     }
 
     /// Both builds of the attention glue kernels equal the portable
-    /// bodies, and the value-scale fold returns what a sequential
-    /// `f32::max` fold over the scaled values does, on ragged lengths
-    /// with NaN, infinities, signed zeros and subnormals.
+    /// bodies, and the divide and value-scale fold returns what a
+    /// sequential `f32::max` fold over the scaled values does, on ragged
+    /// lengths with NaN, infinities, signed zeros and subnormals.
     #[test]
     fn attention_glue_builds_match_the_portable_bodies() {
         let mut xs: Vec<f32> = vec![0.0, -0.0, f32::NAN, 1e-40, -3.5, f32::INFINITY, 2.0];
@@ -496,10 +512,14 @@ mod tests {
             .map(|i| 2f32.powi(i as i32 % 9 - 20))
             .collect();
         for len in [0, 1, 7, 8, 9, 31, xs.len()] {
-            let want_xs: Vec<f32> = xs[..len].iter().zip(&scales).map(|(x, s)| x * s).collect();
+            let want_xs: Vec<f32> = xs[..len]
+                .iter()
+                .zip(&scales)
+                .map(|(x, s)| x / 3.0 * s)
+                .collect();
             let want_max = want_xs.iter().fold(0.0f32, |m, x| m.max(x.abs()));
             let mut got = xs[..len].to_vec();
-            let max = mul_max_abs_f32(&mut got, &scales[..len]);
+            let max = div_mul_max_abs_f32(&mut got, 3.0, &scales[..len]);
             assert_eq!(max.to_bits(), want_max.to_bits(), "len {len}");
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want_xs), "len {len}");
@@ -513,7 +533,7 @@ mod tests {
             if std::arch::is_x86_feature_detected!("avx2") {
                 let mut got = xs[..len].to_vec();
                 // SAFETY: this host has AVX2 (detected just above).
-                let max = unsafe { mul_max_abs_avx2(&mut got, &scales[..len]) };
+                let max = unsafe { div_mul_max_abs_avx2(&mut got, 3.0, &scales[..len]) };
                 assert_eq!(max.to_bits(), want_max.to_bits(), "avx2 len {len}");
                 assert_eq!(bits(&got), bits(&want_xs), "avx2 len {len}");
                 let mut got = vec![0.0f32; n];

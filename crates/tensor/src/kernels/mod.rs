@@ -59,6 +59,23 @@
 //! value rows and madds them against a broadcast probability pair, so
 //! each i32 lane is one output column. SSE2 runs the scalar body.
 //!
+//! # The transcendental kernels
+//!
+//! [`exp_f32`] and [`tanh_f32`] (public as [`lanes::exp_f32`] and
+//! [`lanes::tanh_f32`]) are the workspace's only `exp` and `tanh`. Each
+//! scalar body is a port of a libm routine, kept operation for operation:
+//! `exp` is glibc 2.36's `expf` (its range reduction is two fused
+//! multiply-adds, then a table of `2^(i/32)` and an unfused f64 cubic),
+//! and `tanh` is fdlibm's `tanhf` over fdlibm's `expm1f`, in f32. Every
+//! step is a correctly rounded IEEE operation, so the bodies give the same
+//! bits on every host. The scalar and SSE2 tiers run the bodies. The AVX2
+//! build runs the same operations per lane: `exp` in two f64×4 halves
+//! per 8 lanes, `tanh` through every `expm1` path, blended per lane. It
+//! needs FMA too, and an `Avx2` process on a host without FMA runs the
+//! bodies. An exhaustive sweep finds no input where the AVX2 builds and
+//! the bodies differ, nor, on glibc 2.36 (x86-64), where the bodies and
+//! libm's `expf`/`tanhf` do.
+//!
 //! # The lane-reduction-order rule
 //!
 //! Bit-identity across backends is a hard contract, not an accident:
@@ -475,6 +492,39 @@ pub(crate) fn pv_block_i8(
         _ => scalar::pv_block_i8(p, ldp, values, heads, out, accumulate),
     }
 }
+
+/// `xs[j] = e^xs[j]`, in place, bit for bit glibc 2.36's `expf` on every
+/// backend (module docs, "The transcendental kernels").
+pub(crate) fn exp_f32(bk: KernelBackend, xs: &mut [f32]) {
+    match bk {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 engines only exist on hosts with AVX2 (as in
+        // `gemm_f32`), and the guard confirms FMA.
+        KernelBackend::Avx2 if has_fma() => unsafe { x86::avx2_exp_f32(xs) },
+        _ => scalar::exp_f32(xs),
+    }
+}
+
+/// `xs[j] = tanh xs[j]`, in place, bit for bit fdlibm's `tanhf` on every
+/// backend (module docs, "The transcendental kernels").
+pub(crate) fn tanh_f32(bk: KernelBackend, xs: &mut [f32]) {
+    match bk {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `exp_f32`.
+        KernelBackend::Avx2 if has_fma() => unsafe { x86::avx2_tanh_f32(xs) },
+        _ => scalar::tanh_f32(xs),
+    }
+}
+
+/// Whether this host has FMA, which the AVX2 builds of [`exp_f32`] and
+/// [`tanh_f32`] also need (std caches the answer).
+#[cfg(target_arch = "x86_64")]
+fn has_fma() -> bool {
+    std::arch::is_x86_feature_detected!("fma")
+}
+
+/// The scalar body of [`tanh_f32`], one element at a time.
+pub(crate) use scalar::tanh as tanh_one;
 
 // ------------------------------------------------------- shared helpers
 
@@ -947,6 +997,182 @@ mod tests {
                     assert_eq!(got, want, "{bk} {m}x{k}x{n} [{k0},{k1})");
                 }
             }
+        }
+    }
+
+    /// The inputs every `exp`/`tanh` sweep includes: signed zeros,
+    /// infinities, NaNs, subnormals, `exp`'s special-case cut (±88), both
+    /// ends of its finite range (±88.72, −103.97), `tanh`'s saturation
+    /// (±22) and tiny cut (2^-55), and `expm1`'s 27·ln 2 — each cut with
+    /// its neighbours.
+    fn transcendental_edges() -> Vec<f32> {
+        let mut bits = vec![
+            0u32,
+            0x8000_0000,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7fc0_0000,
+            0xffc0_0000,
+        ];
+        bits.extend([
+            0x7f80_0001,
+            0x0000_0001,
+            0x8000_0001,
+            0x007f_ffff,
+            0x0080_0000,
+        ]);
+        for b in [
+            0x42b0_0000u32,
+            0xc2b0_0000,
+            0x42b1_7217,
+            0xc2b1_7217,
+            0xc2cf_f1b4,
+            0x41b0_0000,
+            0xc1b0_0000,
+            0x2400_0000,
+            0x4195_b844,
+        ] {
+            bits.extend([b - 1, b, b + 1]);
+        }
+        bits.into_iter().map(f32::from_bits).collect()
+    }
+
+    /// About 2^20 bit patterns strided over all of f32, then the edges.
+    fn transcendental_sweep() -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..1u32 << 20)
+            .map(|i| f32::from_bits(i.wrapping_mul(4099)))
+            .collect();
+        xs.extend(transcendental_edges());
+        xs
+    }
+
+    /// FNV-1a over the output bits.
+    fn fnv1a(xs: &[f32]) -> u64 {
+        xs.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            x.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    /// Every backend this host runs, each forced in turn, gives the
+    /// scalar body's bits for `exp` and `tanh` on the strided sweep, the
+    /// edge inputs (also spliced into a full vector, so the AVX2 build's
+    /// fallback runs) and every tail length; and the body's output hashes
+    /// to the pinned checksums, which hold on every host: the body is
+    /// correctly rounded IEEE arithmetic only.
+    #[test]
+    fn exp_and_tanh_are_the_body_on_every_backend() {
+        let xs = transcendental_sweep();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut spliced: Vec<f32> = (0..64).map(|i| i as f32 * 0.37 - 11.0).collect();
+        for (i, e) in transcendental_edges().into_iter().enumerate() {
+            spliced[(i * 9) % 64] = e;
+        }
+        for (name, kernel, body, checksum) in [
+            (
+                "exp",
+                exp_f32 as fn(KernelBackend, &mut [f32]),
+                scalar::exp as fn(f32) -> f32,
+                17286579507614582964,
+            ),
+            ("tanh", tanh_f32, scalar::tanh, 532369865028702316),
+        ] {
+            let want: Vec<f32> = xs.iter().map(|&x| body(x)).collect();
+            assert_eq!(fnv1a(&want), checksum, "{name} body checksum");
+            for bk in KernelBackend::supported() {
+                let mut got = xs.clone();
+                kernel(bk, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{name} {bk}, sweep");
+                for len in 0..=spliced.len() {
+                    let mut got = spliced[..len].to_vec();
+                    kernel(bk, &mut got);
+                    let want: Vec<f32> = spliced[..len].iter().map(|&x| body(x)).collect();
+                    assert_eq!(bits(&got), bits(&want), "{name} {bk}, len {len}");
+                }
+            }
+        }
+    }
+
+    /// Runs `check` over all 2^32 f32 bit patterns in 2^16-element
+    /// blocks on two threads and returns the mismatches it counts.
+    fn exhaustive(check: impl Fn(&[f32]) -> u64 + Sync) -> u64 {
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2u32)
+                .map(|w| {
+                    let check = &check;
+                    s.spawn(move || {
+                        let mut bad = 0;
+                        for block in (w..1 << 16).step_by(2) {
+                            let xs: Vec<f32> = (0..1 << 16)
+                                .map(|i| f32::from_bits(block << 16 | i))
+                                .collect();
+                            bad += check(&xs);
+                        }
+                        bad
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        })
+    }
+
+    /// Counts lanes where `got` and `f` of `xs` differ in bits.
+    fn mismatches(xs: &[f32], got: &[f32], f: impl Fn(f32) -> f32) -> u64 {
+        let bad = xs
+            .iter()
+            .zip(got)
+            .filter(|&(&x, y)| f(x).to_bits() != y.to_bits());
+        bad.count() as u64
+    }
+
+    /// The AVX2 builds equal the scalar bodies on every f32 input (a
+    /// release CI step; about a minute at release opt on two threads).
+    #[test]
+    #[ignore = "exhaustive 2^32 sweep: run with --release -- --ignored"]
+    fn exp_and_tanh_avx2_builds_are_the_body_on_every_input() {
+        if !KernelBackend::Avx2.is_supported() {
+            eprintln!("no AVX2 on this host: nothing to sweep");
+            return;
+        }
+        for (name, kernel, body) in [
+            (
+                "exp",
+                exp_f32 as fn(KernelBackend, &mut [f32]),
+                scalar::exp as fn(f32) -> f32,
+            ),
+            ("tanh", tanh_f32, scalar::tanh),
+        ] {
+            let bad = exhaustive(|xs| {
+                let mut got = xs.to_vec();
+                kernel(KernelBackend::Avx2, &mut got);
+                mismatches(xs, &got, body)
+            });
+            assert_eq!(bad, 0, "{name}: AVX2 build differs from the body");
+        }
+    }
+
+    /// Provenance: the bodies reproduce the platform libm's `expf` and
+    /// `tanhf` on every f32 input. Exact against glibc 2.36 on x86-64
+    /// (whose `expf` is the FMA build); another libm may round some
+    /// inputs differently, which this test then counts.
+    #[test]
+    #[ignore = "exhaustive 2^32 sweep against the platform libm"]
+    fn exp_and_tanh_bodies_are_glibc_on_every_input() {
+        for (name, body, libm) in [
+            (
+                "exp",
+                scalar::exp as fn(f32) -> f32,
+                f32::exp as fn(f32) -> f32,
+            ),
+            ("tanh", scalar::tanh, f32::tanh),
+        ] {
+            let bad = exhaustive(|xs| {
+                let got: Vec<f32> = xs.iter().map(|&x| body(x)).collect();
+                mismatches(xs, &got, libm)
+            });
+            assert_eq!(bad, 0, "{name}: body differs from libm");
         }
     }
 

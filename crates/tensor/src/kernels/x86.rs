@@ -1,12 +1,14 @@
 //! `core::arch::x86_64` kernel backends: 128-bit SSE2 (baseline, no
-//! detection needed) and 256-bit AVX2 (runtime-detected).
+//! detection needed) and 256-bit AVX2 (runtime-detected; the `exp` and
+//! `tanh` builds also need FMA).
 //!
 //! Bit-identity with the scalar reference is the design rule, not a test
 //! afterthought:
 //!
 //! - f32 kernels use separate multiply and add intrinsics — never FMA,
 //!   whose single rounding would diverge from the scalar two-rounding
-//!   sequence.
+//!   sequence. The one FMA is in `exp`'s range reduction, where the
+//!   scalar body fuses too (`f64::mul_add`).
 //! - f32 kernels that vectorize along N (`gemm_f32`, `gemm_at_f32`) keep
 //!   one output element per lane, so each element still reduces in `l`
 //!   order, exactly like scalar.
@@ -26,6 +28,10 @@
 
 use core::arch::x86_64::*;
 
+use super::scalar::{
+    self, EXPM1_Q, EXP_INV_LN2_N, EXP_N, EXP_POLY, EXP_SHIFT, EXP_SPECIAL_TOP, EXP_TAB, INV_LN2,
+    LN2_HI, LN2_LO,
+};
 use super::{
     np_passes, qk_chunk, reduce_lanes_f32, tail_f32, tail_i8, tail_np_i8, Pairs, KC, LANES, MR, NR,
 };
@@ -1191,4 +1197,210 @@ fn avx2_pv_madd_rows<const C: usize>(
 #[inline]
 fn avx2_madd_pairs(acc: __m256i, pairs: __m128i, w: __m256i) -> __m256i {
     _mm256_add_epi32(acc, _mm256_madd_epi16(_mm256_cvtepi8_epi16(pairs), w))
+}
+
+// ======================================================= AVX2+FMA exp/tanh
+//
+// The vector builds of `scalar::exp` and `scalar::tanh`: the same IEEE
+// operations in the same order per lane (the two fused multiply-adds of
+// `exp`'s range reduction included), so every lane is bit-identical to
+// the body. A vector holding any lane the body special-cases outside the
+// blended paths runs the body on all eight lanes, and so does the short
+// tail.
+
+/// `scalar::exp` over `xs`, in place, eight lanes per step as two f64×4
+/// halves.
+#[target_feature(enable = "avx2,fma")]
+pub(super) fn avx2_exp_f32(xs: &mut [f32]) {
+    let mut chunks = xs.chunks_exact_mut(8);
+    for c in &mut chunks {
+        // SAFETY: `c` holds exactly the 8 f32 loadu reads.
+        let x = unsafe { _mm256_loadu_ps(c.as_ptr()) };
+        let top = _mm256_and_si256(
+            _mm256_srli_epi32::<20>(_mm256_castps_si256(x)),
+            _mm256_set1_epi32(0x7ff),
+        );
+        let special = _mm256_cmpgt_epi32(top, _mm256_set1_epi32(EXP_SPECIAL_TOP as i32 - 1));
+        if _mm256_movemask_epi8(special) != 0 {
+            scalar::exp_f32(c);
+            continue;
+        }
+        let lo = avx2_exp_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
+        let hi = avx2_exp_pd(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)));
+        // SAFETY: as for the load.
+        unsafe { _mm256_storeu_ps(c.as_mut_ptr(), _mm256_set_m128(hi, lo)) };
+    }
+    scalar::exp_f32(chunks.into_remainder());
+}
+
+/// The non-special path of `scalar::exp` on four lanes widened to f64.
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn avx2_exp_pd(xd: __m256d) -> __m128 {
+    let inv_ln2_n = _mm256_set1_pd(EXP_INV_LN2_N);
+    let shift = _mm256_set1_pd(EXP_SHIFT);
+    let kd = _mm256_fmadd_pd(inv_ln2_n, xd, shift);
+    let ki = _mm256_castpd_si256(kd);
+    let kd = _mm256_sub_pd(kd, shift);
+    let r = _mm256_fmsub_pd(inv_ln2_n, xd, kd);
+    let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(EXP_N as i64 - 1));
+    // SAFETY: every index is masked to 0..EXP_N, inside the table.
+    let t = unsafe { _mm256_i64gather_epi64::<8>(EXP_TAB.as_ptr() as *const i64, idx) };
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    let [c0, c1, c2] = EXP_POLY.map(|c| _mm256_set1_pd(c));
+    let z = _mm256_add_pd(_mm256_mul_pd(c0, r), c1);
+    let r2 = _mm256_mul_pd(r, r);
+    let y = _mm256_add_pd(_mm256_mul_pd(c2, r), _mm256_set1_pd(1.0));
+    let y = _mm256_add_pd(_mm256_mul_pd(z, r2), y);
+    _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+}
+
+/// `scalar::tanh` over `xs`, in place: every lane runs the `expm1`
+/// reduction and all of its `k` paths, and the lane's own branches pick
+/// the result. Only a vector with an infinite or NaN lane runs the body.
+#[target_feature(enable = "avx2,fma")]
+pub(super) fn avx2_tanh_f32(xs: &mut [f32]) {
+    let mut chunks = xs.chunks_exact_mut(8);
+    for c in &mut chunks {
+        // SAFETY: `c` holds exactly the 8 f32 loadu reads.
+        let x = unsafe { _mm256_loadu_ps(c.as_ptr()) };
+        let sign = _mm256_set1_ps(-0.0);
+        let ax = _mm256_andnot_ps(sign, x);
+        let ix = _mm256_castps_si256(ax);
+        let above =
+            |bits: i32| _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, _mm256_set1_epi32(bits - 1)));
+        let below =
+            |bits: i32| _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(bits), ix));
+        if _mm256_movemask_ps(above(0x7f80_0000)) != 0 {
+            scalar::tanh_f32(c);
+            continue;
+        }
+        let one = _mm256_set1_ps(1.0);
+        let two = _mm256_set1_ps(2.0);
+        // |x| ≥ 1: 1 − 2/(expm1(2|x|) + 2); else −t/(t + 2), t = expm1(−2|x|).
+        let big = above(0x3f80_0000);
+        let t = avx2_expm1_ps(_mm256_blendv_ps(
+            _mm256_mul_ps(_mm256_set1_ps(-2.0), ax),
+            _mm256_mul_ps(two, ax),
+            big,
+        ));
+        let t2 = _mm256_add_ps(t, two);
+        let z = _mm256_blendv_ps(
+            _mm256_div_ps(_mm256_xor_ps(t, sign), t2),
+            _mm256_sub_ps(one, _mm256_div_ps(two, t2)),
+            big,
+        );
+        // |x| ≥ 22: 1.
+        let z = _mm256_blendv_ps(z, one, above(0x41b0_0000));
+        let z = _mm256_or_ps(z, _mm256_and_ps(sign, x));
+        // |x| < 2^-55 (zeros included): x · (1 + x).
+        let z = _mm256_blendv_ps(
+            z,
+            _mm256_mul_ps(x, _mm256_add_ps(one, x)),
+            below(0x2400_0000),
+        );
+        // SAFETY: as for the load.
+        unsafe { _mm256_storeu_ps(c.as_mut_ptr(), z) };
+    }
+    scalar::tanh_f32(chunks.into_remainder());
+}
+
+/// `scalar::expm1` on eight finite lanes with `|x| < 44`, the domain
+/// `tanh` calls it on: the `k` reduction, then every return path of the
+/// body, blended by the lane's own `k`.
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn avx2_expm1_ps(x: __m256) -> __m256 {
+    let sign = _mm256_set1_ps(-0.0);
+    let hx = _mm256_castps_si256(_mm256_andnot_ps(sign, x));
+    let above = |bits: i32| _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(bits - 1));
+    let below = |bits: i32| _mm256_cmpgt_epi32(_mm256_set1_epi32(bits), hx);
+    let neg = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_setzero_ps()));
+    let half = _mm256_set1_ps(0.5);
+    let xsign = _mm256_and_ps(sign, x);
+
+    // k: 0 for |x| ≤ ln2/2, ±1 below 1.5·ln 2, else trunc(x/ln 2 ± 1/2).
+    let kn = _mm256_cvttps_epi32(_mm256_add_ps(
+        _mm256_mul_ps(_mm256_set1_ps(INV_LN2), x),
+        _mm256_or_ps(half, xsign),
+    ));
+    let k1 = _mm256_or_si256(neg, _mm256_set1_epi32(1));
+    let k = _mm256_blendv_epi8(kn, k1, below(0x3f85_1592));
+    let k = _mm256_and_si256(k, above(0x3eb1_7219));
+    let kf = _mm256_cvtepi32_ps(k);
+    let hi = _mm256_sub_ps(x, _mm256_mul_ps(kf, _mm256_set1_ps(LN2_HI)));
+    let lo = _mm256_mul_ps(kf, _mm256_set1_ps(LN2_LO));
+    let xr = _mm256_sub_ps(hi, lo);
+    let c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+
+    let [q1, q2, q3, q4, q5] = EXPM1_Q.map(|q| _mm256_set1_ps(q));
+    let one = _mm256_set1_ps(1.0);
+    let hfx = _mm256_mul_ps(half, xr);
+    let hxs = _mm256_mul_ps(xr, hfx);
+    let p = _mm256_add_ps(q4, _mm256_mul_ps(hxs, q5));
+    let p = _mm256_add_ps(q3, _mm256_mul_ps(hxs, p));
+    let p = _mm256_add_ps(q2, _mm256_mul_ps(hxs, p));
+    let p = _mm256_add_ps(q1, _mm256_mul_ps(hxs, p));
+    let r1 = _mm256_add_ps(one, _mm256_mul_ps(hxs, p));
+    let t = _mm256_sub_ps(_mm256_set1_ps(3.0), _mm256_mul_ps(r1, hfx));
+    let e = _mm256_mul_ps(
+        hxs,
+        _mm256_div_ps(
+            _mm256_sub_ps(r1, t),
+            _mm256_sub_ps(_mm256_set1_ps(6.0), _mm256_mul_ps(xr, t)),
+        ),
+    );
+    // k = 0.
+    let y0 = _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+    let e = _mm256_sub_ps(
+        _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c),
+        hxs,
+    );
+    // k = −1.
+    let y_m1 = _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(xr, e)), half);
+    // k = 1.
+    let two = _mm256_set1_ps(2.0);
+    let y_p1 = _mm256_blendv_ps(
+        _mm256_add_ps(one, _mm256_mul_ps(two, _mm256_sub_ps(xr, e))),
+        _mm256_mul_ps(
+            _mm256_set1_ps(-2.0),
+            _mm256_sub_ps(e, _mm256_add_ps(xr, half)),
+        ),
+        _mm256_cmp_ps::<_CMP_LT_OQ>(xr, _mm256_set1_ps(-0.25)),
+    );
+    let add_k = |y: __m256| {
+        _mm256_castsi256_ps(_mm256_add_epi32(
+            _mm256_castps_si256(y),
+            _mm256_slli_epi32::<23>(k),
+        ))
+    };
+    let e_x = _mm256_sub_ps(e, xr);
+    // k ≤ −2 or k > 56.
+    let y_far = _mm256_sub_ps(add_k(_mm256_sub_ps(one, e_x)), one);
+    // 2 ≤ k < 23: t = 1 − 2^-k.
+    let t_mid = _mm256_castsi256_ps(_mm256_sub_epi32(
+        _mm256_set1_epi32(0x3f80_0000),
+        _mm256_srlv_epi32(_mm256_set1_epi32(0x0100_0000), k),
+    ));
+    let y_mid = add_k(_mm256_sub_ps(t_mid, e_x));
+    // 23 ≤ k ≤ 56: t = 2^-k.
+    let t_high = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(
+        _mm256_set1_epi32(0x7f),
+        k,
+    )));
+    let y_high = add_k(_mm256_add_ps(
+        _mm256_sub_ps(xr, _mm256_add_ps(e, t_high)),
+        one,
+    ));
+
+    let k_is = |v: i32| _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(v)));
+    let k_below = |v: i32| _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(v), k));
+    let k_above = |v: i32| _mm256_castsi256_ps(_mm256_cmpgt_epi32(k, _mm256_set1_epi32(v)));
+    let y = _mm256_blendv_ps(y_high, y_mid, k_below(23));
+    let y = _mm256_blendv_ps(y, y_far, _mm256_or_ps(k_below(-1), k_above(56)));
+    let y = _mm256_blendv_ps(y, y_p1, k_is(1));
+    let y = _mm256_blendv_ps(y, y_m1, k_is(-1));
+    let y = _mm256_blendv_ps(y, y0, k_is(0));
+    // |x| < 2^-25: x itself.
+    _mm256_blendv_ps(y, x, _mm256_castsi256_ps(below(0x3300_0000)))
 }

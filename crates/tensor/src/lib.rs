@@ -21,8 +21,10 @@
 //! - [`ExecEngine::qk_block_i8`] / [`ExecEngine::pv_block_i8`] — the
 //!   per-block int8 attention kernels, which read one paged KV block's
 //!   codes in place for every head's Q·Kᵀ K steps and its P·V tile;
-//! - [`lanes`] — elementwise slice kernels (the APSQ fold's i32 lanes and
-//!   the f32 → i8 activation quantizer) under the same dispatch.
+//! - [`lanes`] — elementwise slice kernels (the APSQ fold's i32 lanes,
+//!   the f32 → i8 activation quantizer, and the workspace's one `exp` and
+//!   one `tanh`, bit for bit glibc's on every host) under the same
+//!   dispatch.
 //!
 //! # Example
 //!
@@ -56,8 +58,8 @@ mod shape;
 mod tensor;
 
 pub use activation::{
-    gelu, gelu_grad, gelu_scalar, relu, relu_grad, sigmoid, silu, silu_grad, softmax_row_into,
-    softmax_rows, softmax_rows_grad,
+    gelu, gelu_grad, gelu_scalar, relu, relu_grad, sigmoid, silu, silu_grad, softmax_exps_into,
+    softmax_row_into, softmax_rows, softmax_rows_grad,
 };
 pub use conv::conv2d_i8_reference;
 pub use exec::{pack_k_pairs, ExecEngine, Gemm, Layout};

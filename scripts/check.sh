@@ -39,6 +39,9 @@ cargo test -q --release -p apsq-nn --test proptest_int8
 echo "==> cargo test -q --release -p apsq-tensor  (engine kernels at release opt)"
 cargo test -q --release -p apsq-tensor
 
+echo "==> exhaustive exp/tanh sweep: AVX2+FMA builds == scalar bodies on all 2^32 inputs"
+cargo test -q --release -p apsq-tensor --lib -- --ignored exp_and_tanh_avx2_builds_are_the_body_on_every_input
+
 echo "==> overflow-checked release: tensor kernels, APSQ fold (i32 lane + i64 fallback) + int8 datapath wrap loudly"
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-tensor
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-quant
@@ -59,12 +62,13 @@ APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_pa
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_decode
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib -- int8 decode::
 
-echo "==> SSE2-forced backend: tensor, int8 + paged suites on the SSE2 kernels"
+echo "==> SSE2-forced backend: tensor (incl. exp/tanh bodies), int8 + paged suites, pinned fingerprints"
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-tensor
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_int8
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_paged
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_decode
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --lib -- int8 decode::
+APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-serve --test determinism
 
 echo "==> cargo test -q --release -p apsq-serve  (server, scheduler, determinism + overload suites at release opt)"
 cargo test -q --release -p apsq-serve
