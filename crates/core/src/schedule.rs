@@ -5,9 +5,9 @@
 //! (Algorithm 1, line 1) and are powers of two so that scaling is a shift.
 
 use crate::config::{ApsqConfig, GroupSize};
-use crate::streaming::StreamingApsq;
+use crate::streaming::{carried_rows, StreamingApsq};
 use apsq_quant::{Bitwidth, Pow2Scale};
-use apsq_tensor::Int32Tensor;
+use apsq_tensor::{FoldPlan, FoldStep, Int32Tensor};
 
 /// The ordered list of power-of-two scales `α_0 .. α_{np−1}` used by one
 /// APSQ run of `np` PSUM tiles.
@@ -131,6 +131,46 @@ impl ScaleSchedule {
     pub fn bits(&self) -> Bitwidth {
         self.scales[0].bits()
     }
+
+    /// Algorithm 1 with this schedule frozen, as the per-step plan
+    /// [`apsq_tensor::ExecEngine::apsq_linear`] runs on its register
+    /// tiles: a `k`-deep reduction in `k_tile` steps, codes stored at
+    /// `config.bits` in a ring of `min(gs, steps)` rows. Step `i` quantizes
+    /// at its own exponent into ring row `i mod gs` and folds the rows
+    /// [`StreamingApsq`] would carry, each at the exponent of the step that
+    /// stored it, so the plan runs the same fold as
+    /// [`StreamingApsq::new`] with this schedule. The plan also carries
+    /// the static `i32` exactness proof ([`FoldPlan::is_i32_exact`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k_tile == 0` or the schedule does not have
+    /// `⌈k / k_tile⌉` steps.
+    pub fn fold_plan(&self, config: &ApsqConfig, k: usize, k_tile: usize) -> FoldPlan {
+        assert!(k_tile > 0, "k_tile must be positive");
+        let (np, gs) = (self.len(), config.group_size.get());
+        assert_eq!(
+            k.div_ceil(k_tile),
+            np,
+            "schedule covers {np} steps but a {k}-deep reduction in tiles of {k_tile} has {}",
+            k.div_ceil(k_tile)
+        );
+        let steps = (0..np)
+            .map(|i| {
+                let row = i % gs;
+                let carried = carried_rows(i, row, np, gs);
+                FoldStep {
+                    shift: self.scales[i].exponent(),
+                    row,
+                    carried: (0..carried)
+                        .map(|r| (r, self.scales[i - carried + r].exponent()))
+                        .collect(),
+                }
+            })
+            .collect();
+        let range = config.bits.signed_range();
+        FoldPlan::new(k, k_tile, (range.qn, range.qp), steps)
+    }
 }
 
 #[cfg(test)]
@@ -203,6 +243,41 @@ mod tests {
         assert_eq!(sched.scale(0).exponent(), 0);
         // Later steps see roughly the prefix sums 300, 700, 1500.
         assert!(sched.scale(3).dequantize(127) >= 1400);
+    }
+
+    #[test]
+    fn fold_plan_lists_algorithm_1() {
+        // 7 steps in groups of 3: steps 3 and 6 open groups and fold the
+        // previous three codes; step 6 is also the last step.
+        let s = ScaleSchedule::from_exponents(&[0, 1, 2, 3, 4, 5, 6], Bitwidth::INT8);
+        let plan = s.fold_plan(&ApsqConfig::int8(3), 27, 4);
+        let step = |shift, row, carried: &[(usize, u32)]| FoldStep {
+            shift,
+            row,
+            carried: carried.to_vec(),
+        };
+        let want = [
+            step(0, 0, &[]),
+            step(1, 1, &[]),
+            step(2, 2, &[]),
+            step(3, 0, &[(0, 0), (1, 1), (2, 2)]),
+            step(4, 1, &[]),
+            step(5, 2, &[]),
+            step(6, 0, &[(0, 3), (1, 4), (2, 5)]),
+        ];
+        assert_eq!(plan.steps(), want);
+        // np − 1 reads per element, whatever gs is.
+        assert_eq!(plan.words_per_element(), (7, 6));
+        // A last step mid-group folds its group's stored prefix.
+        let s = ScaleSchedule::uniform(5, 2, Bitwidth::INT8);
+        let last = s.fold_plan(&ApsqConfig::int8(3), 5, 1).steps()[4].clone();
+        assert_eq!((last.row, last.carried), (1, vec![(0, 2)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule covers 2 steps")]
+    fn fold_plan_rejects_a_schedule_of_the_wrong_length() {
+        ScaleSchedule::uniform(2, 0, Bitwidth::INT8).fold_plan(&ApsqConfig::int8(1), 9, 4);
     }
 
     #[test]

@@ -295,15 +295,7 @@ impl StreamingApsq {
                 "all PSUM tiles must share one shape"
             );
         }
-        // The carried rows are always ring rows `0..carried` — a whole
-        // group starts at a multiple of gs — holding steps `i − carried..i`.
-        let carried = if self.row == 0 {
-            i.min(gs)
-        } else if i == np - 1 {
-            self.row
-        } else {
-            0
-        };
+        let carried = carried_rows(i, self.row, np, gs);
         self.staged = carried > 0;
         if !self.staged {
             return;
@@ -455,6 +447,24 @@ impl StreamingApsq {
             traffic,
             schedule: ScaleSchedule::from_scales(self.scales),
         }
+    }
+}
+
+/// Algorithm 1's control for step `i` of `steps`, whose codes go to ring
+/// row `row = i mod gs`: how many code rows it folds into its input. An
+/// APSQ step (lines 4–7) opens a group and folds the whole previous group
+/// (all `i` steps before the first group is full); a final mid-group step
+/// (lines 13–14) folds its group's stored prefix; a plain PSQ step (lines
+/// 9–11) folds nothing. The carried rows are always ring rows
+/// `0..carried` — a whole group starts at a multiple of `gs` — holding
+/// steps `i − carried..i`.
+pub(crate) fn carried_rows(i: usize, row: usize, steps: usize, gs: usize) -> usize {
+    if row == 0 {
+        i.min(gs)
+    } else if i == steps - 1 {
+        row
+    } else {
+        0
     }
 }
 

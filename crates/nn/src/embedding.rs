@@ -52,9 +52,8 @@ impl Embedding {
         let max_len = self.positions.value.dims()[0];
         assert!(id < vocab, "token id {id} out of vocabulary {vocab}");
         assert!(pos < max_len, "position {pos} exceeds max_len {max_len}");
-        let out: Vec<f32> = (0..d)
-            .map(|j| self.tokens.value.at(&[id, j]) + self.positions.value.at(&[pos, j]))
-            .collect();
+        let mut out = vec![0.0f32; d];
+        self.embed_into(id, pos, &mut out);
         Tensor::from_vec(out, [1, d])
     }
 
@@ -64,13 +63,21 @@ impl Embedding {
         let max_len = self.positions.value.dims()[0];
         assert!(ids.len() <= max_len, "sequence longer than max_len");
         let mut out = vec![0.0f32; ids.len() * d];
-        for (i, &id) in ids.iter().enumerate() {
+        for (pos, (&id, row)) in ids.iter().zip(out.chunks_exact_mut(d)).enumerate() {
             assert!(id < vocab, "token id {id} out of vocabulary {vocab}");
-            for j in 0..d {
-                out[i * d + j] = self.tokens.value.at(&[id, j]) + self.positions.value.at(&[i, j]);
-            }
+            self.embed_into(id, pos, row);
         }
         Tensor::from_vec(out, [ids.len(), d])
+    }
+
+    /// `out = tokens[id] + positions[pos]`, one `[d]` row.
+    fn embed_into(&self, id: usize, pos: usize, out: &mut [f32]) {
+        let d = out.len();
+        let tok = &self.tokens.value.data()[id * d..][..d];
+        let p = &self.positions.value.data()[pos * d..][..d];
+        for ((o, &t), &p) in out.iter_mut().zip(tok).zip(p) {
+            *o = t + p;
+        }
     }
 
     /// Backward: scatters gradients into both tables.
@@ -81,14 +88,14 @@ impl Embedding {
     pub fn backward(&mut self, dy: &Tensor) {
         let ids = self.cache_ids.take().expect("backward before forward");
         let d = self.tokens.value.dims()[1];
+        assert_eq!(dy.dims(), [ids.len(), d], "gradient is not [len, d]");
         let mut dtok = Tensor::zeros(self.tokens.value.shape().clone());
         let mut dpos = Tensor::zeros(self.positions.value.shape().clone());
-        for (i, &id) in ids.iter().enumerate() {
-            for j in 0..d {
-                let g = dy.at(&[i, j]);
-                dtok.set(&[id, j], dtok.at(&[id, j]) + g);
-                dpos.set(&[i, j], dpos.at(&[i, j]) + g);
-            }
+        for (i, (&id, g)) in ids.iter().zip(dy.data().chunks_exact(d)).enumerate() {
+            let tok = &mut dtok.data_mut()[id * d..][..d];
+            tok.iter_mut().zip(g).for_each(|(t, &g)| *t += g);
+            let pos = &mut dpos.data_mut()[i * d..][..d];
+            pos.iter_mut().zip(g).for_each(|(p, &g)| *p += g);
         }
         self.tokens.accumulate(&dtok);
         self.positions.accumulate(&dpos);
@@ -124,6 +131,19 @@ mod tests {
         assert_eq!(e.tokens.grad.at(&[1, 0]), 2.0);
         assert_eq!(e.tokens.grad.at(&[3, 0]), 1.0);
         assert_eq!(e.tokens.grad.at(&[0, 0]), 0.0);
+    }
+
+    #[test]
+    fn embed_one_is_a_row_of_embed() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let e = Embedding::new(10, 8, 5, &mut rng);
+        let ids = [3, 0, 9, 3, 7, 1];
+        let all = e.forward_inference(&ids);
+        for (pos, &id) in ids.iter().enumerate() {
+            let row = e.embed_one(id, pos);
+            assert_eq!(row.dims(), &[1, 5]);
+            assert_eq!(row.data(), &all.data()[pos * 5..][..5], "pos {pos}");
+        }
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! by a PTQ conversion pass.
 //!
 //! [`QuantLinear`] *simulates* the W8A8 + APSQ accumulation path in f32
-//! (fake quantization). [`Int8Linear`] *executes* it: activations are
-//! quantized to i8 codes, weights are stored once as i8 codes in the
-//! weight-stationary k-pair panels of [`Layout::NP`] (`[⌈in/2⌉][out][2]`),
-//! the GEMM's K tiles stream through [`ExecEngine::gemm_k_tiles`], and
-//! every `Pci`-deep PSUM tile is pushed into a [`StreamingApsq`] fold the
-//! moment it is produced — exactly the dataflow of the RAE sitting next to
-//! the PE array.
+//! (fake quantization). [`Int8Linear`] *executes* it: weights are stored
+//! once as i8 codes in the weight-stationary k-pair panels of
+//! [`Layout::NP`] (`[⌈in/2⌉][out][2]`), and the APSQ path is one
+//! [`ExecEngine::apsq_linear`] call that quantizes the activations,
+//! accumulates each `Pci`-deep PSUM tile in registers and folds it at
+//! once through the layer's frozen [`FoldPlan`] — exactly the dataflow of
+//! the RAE sitting next to the PE array: PSUM tiles never leave
+//! registers, and only ring codes are stored.
 //! Nothing leaves the integer domain between the input quantizer and the
 //! single dequantize-and-bias epilogue.
 //!
@@ -35,8 +36,8 @@ use crate::paged::{quantize_int8_kv_row, BlockPool, Int8Segment, PagedKvState, P
 use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule, StreamingApsq};
 use apsq_quant::{pow2_f32, Bitwidth, LsqQuantizer};
 use apsq_tensor::{
-    gelu, lanes, pack_k_pairs, softmax_exps_into, sum_axis0, ExecEngine, Gemm, Int8Tensor, Layout,
-    Tensor,
+    gelu, lanes, pack_k_pairs, softmax_exps_into, sum_axis0, ApsqLinear, ExecEngine, FoldPlan,
+    Gemm, Int8Tensor, Layout, Tensor,
 };
 
 /// Snaps a positive step to the nearest power of two (identity on values
@@ -86,12 +87,9 @@ pub struct Int8PagedScratch {
 enum Int8PsumPath {
     /// Exact i32 accumulation (the W8A8 baseline).
     Exact,
-    /// Grouped APSQ with a frozen per-step power-of-two schedule.
-    Apsq {
-        config: ApsqConfig,
-        k_tile: usize,
-        schedule: ScaleSchedule,
-    },
+    /// Grouped APSQ with a frozen per-step power-of-two schedule, as the
+    /// fold plan the fused kernel runs.
+    Apsq(FoldPlan),
 }
 
 /// A fully integer linear layer: i8 weight codes packed once into the
@@ -172,14 +170,12 @@ impl Int8Linear {
                         apsq_quant::Pow2Scale::from_f32(s, bits).map_or(30, |p| p.exponent())
                     })
                     .collect();
-                Int8PsumPath::Apsq {
-                    config: ApsqConfig {
-                        bits,
-                        group_size: GroupSize::new(gs),
-                    },
-                    k_tile,
-                    schedule: ScaleSchedule::from_exponents(&exponents, bits),
-                }
+                let config = ApsqConfig {
+                    bits,
+                    group_size: GroupSize::new(gs),
+                };
+                let schedule = ScaleSchedule::from_exponents(&exponents, bits);
+                Int8PsumPath::Apsq(schedule.fold_plan(&config, d_in, k_tile))
             }
         };
         Self::build(w, &ql.inner().b.value, ax, aw, psum)
@@ -270,42 +266,54 @@ impl Int8Linear {
     /// [`Int8Linear::forward_inference_with`] also returning the PSUM
     /// buffer traffic the APSQ fold incurred (zero for the exact path,
     /// whose accumulator never leaves registers in this model).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `[m, d_in]`.
     pub fn forward_traced(&self, x: &Tensor, eng: &ExecEngine) -> (Tensor, BufferTraffic) {
-        let q = Int8Tensor::quantize(x, self.x_scale);
         let (m, d_out) = (x.dims()[0], self.d_out);
-        let g = Gemm::dense(
-            Layout::NP,
-            q.data(),
-            q.dims(),
-            &self.panels,
-            &[self.d_in, d_out],
+        assert_eq!(
+            x.dims(),
+            [m, self.d_in],
+            "Int8Linear expects [m, {}] inputs",
+            self.d_in
         );
-        let mut acc = vec![0i32; m * d_out];
-        let traffic = match &self.psum {
-            Int8PsumPath::Exact => {
-                eng.gemm(&g, &mut acc);
-                BufferTraffic::new()
-            }
-            Int8PsumPath::Apsq {
-                config,
-                k_tile,
-                schedule,
-            } => {
-                let mut stream = StreamingApsq::new(schedule.clone(), *config);
-                eng.gemm_k_tiles(&g, *k_tile, |_, tile| stream.push_ref(tile));
-                stream.finish_into(&mut acc)
-            }
-        };
+        // The epilogue multiplies then adds, in the same order as the
+        // fake-quant epilogue (`out * base` then `+ b`), preserving
+        // bit-identity.
         let base = self.x_scale * self.w_scale;
         let mut y = vec![0.0f32; m * d_out];
-        for (yrow, arow) in y.chunks_exact_mut(d_out).zip(acc.chunks_exact(d_out)) {
-            for ((yv, &av), &bf) in yrow.iter_mut().zip(arow).zip(&self.bias_f) {
-                // Multiply-then-add in the same order as the fake-quant
-                // epilogue (`out * base` then `+ b`), preserving bit-identity.
-                *yv = av as f32 * base + bf;
+        match &self.psum {
+            Int8PsumPath::Exact => {
+                let q = Int8Tensor::quantize(x, self.x_scale);
+                let g = Gemm::dense(
+                    Layout::NP,
+                    q.data(),
+                    q.dims(),
+                    &self.panels,
+                    &[self.d_in, d_out],
+                );
+                let mut acc = vec![0i32; m * d_out];
+                eng.gemm(&g, &mut acc);
+                for (yrow, arow) in y.chunks_exact_mut(d_out).zip(acc.chunks_exact(d_out)) {
+                    for ((yv, &av), &bf) in yrow.iter_mut().zip(arow).zip(&self.bias_f) {
+                        *yv = av as f32 * base + bf;
+                    }
+                }
+            }
+            Int8PsumPath::Apsq(plan) => {
+                let op = ApsqLinear {
+                    panels: &self.panels,
+                    n: d_out,
+                    plan,
+                    x_scale: self.x_scale,
+                    out_scale: base,
+                    bias: &self.bias_f,
+                };
+                eng.apsq_linear(&op, x.data(), &mut y, None);
             }
         }
-        (Tensor::from_vec(y, [m, d_out]), traffic)
+        (Tensor::from_vec(y, [m, d_out]), self.psum_words(m))
     }
 }
 
@@ -314,17 +322,19 @@ impl Project for Int8Linear {
         self.forward_inference_with(x, eng)
     }
 
-    /// `np` writes and `np − 1` reads per output element regardless of
-    /// `gs`; zero for the exact register-resident path.
+    /// The fold plan's code traffic — one write per step and one read per
+    /// carried row, so `np` writes and `np − 1` reads per output element
+    /// regardless of `gs` — over the `m · d_out` outputs; zero for the
+    /// exact register-resident path.
     fn psum_words(&self, m: usize) -> BufferTraffic {
         let numel = (m * self.d_out()) as u64;
         match &self.psum {
             Int8PsumPath::Exact => BufferTraffic::new(),
-            Int8PsumPath::Apsq { schedule, .. } => {
-                let np = schedule.len() as u64;
+            Int8PsumPath::Apsq(plan) => {
+                let (writes, reads) = plan.words_per_element();
                 BufferTraffic {
-                    writes: np * numel,
-                    reads: (np - 1) * numel,
+                    writes: writes * numel,
+                    reads: reads * numel,
                 }
             }
         }
@@ -885,6 +895,32 @@ mod tests {
         assert_eq!(traffic.writes, 4 * 18);
         assert_eq!(traffic.reads, 3 * 18);
         assert_eq!(il.psum_words(3), traffic);
+    }
+
+    /// The traffic a forward reports is `psum_words(m)`, and both are the
+    /// closed form — `np` code writes and `np − 1` reads per output — at
+    /// every group size, odd and even `k_tile`, and batch size.
+    #[test]
+    fn int8_linear_traffic_is_psum_words_at_every_gs() {
+        let (d_in, d_out) = (40usize, 12usize);
+        for gs in 1..=5 {
+            for k_tile in [1usize, 3, 8, 16, 40] {
+                let (ql, _) = snapped_layer(d_in, d_out, apsq_mode(gs, k_tile), 5);
+                let il = Int8Linear::from_quant_linear(&ql);
+                let np = d_in.div_ceil(k_tile) as u64;
+                for m in [1usize, 2, 5] {
+                    let x = Tensor::ones([m, d_in]);
+                    let (_, traffic) = il.forward_traced(&x, &ExecEngine::serial());
+                    let numel = (m * d_out) as u64;
+                    let want = BufferTraffic {
+                        writes: np * numel,
+                        reads: (np - 1) * numel,
+                    };
+                    assert_eq!(traffic, want, "gs={gs} k_tile={k_tile} m={m}");
+                    assert_eq!(il.psum_words(m), traffic, "gs={gs} k_tile={k_tile} m={m}");
+                }
+            }
+        }
     }
 
     #[test]

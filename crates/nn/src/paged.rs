@@ -100,14 +100,16 @@
 //! assert_eq!(alloc.blocks_in_use(), 0);
 //! ```
 
+use apsq_tensor::lanes;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Quantizes one `d`-length KV row per head at the tightest covering
 /// power-of-two scale ([`apsq_quant::covering_pow2_exponent`]), writing i8
-/// codes into `codes` (`d` long) and one exponent per head into `exps`
-/// (`heads` long).
+/// codes into `codes` (`d` long) through the workspace's one f32 → i8
+/// quantizer ([`lanes::quantize_i8`]) and one exponent per head into
+/// `exps` (`heads` long).
 ///
 /// This is the **single** KV quantization recipe in the crate: int8
 /// [`BlockAllocator`] appends and
@@ -131,9 +133,7 @@ pub(crate) fn quantize_int8_kv_row(row: &[f32], heads: usize, codes: &mut [i8], 
         let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
         let scale = apsq_quant::pow2_f32(e);
         exps[h] = e as i8;
-        for (c, &x) in codes[h * dh..(h + 1) * dh].iter_mut().zip(slice) {
-            *c = apsq_quant::round_to_i8(x / scale);
-        }
+        lanes::quantize_i8(slice, scale, &mut codes[h * dh..(h + 1) * dh]);
     }
 }
 

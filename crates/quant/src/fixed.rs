@@ -68,31 +68,6 @@ pub fn shift_dequantize(code: i32, sh: u32) -> i32 {
     saturating_shift_left(code, sh)
 }
 
-/// `x.round().clamp(-128.0, 127.0) as i8` — the f32 → i8 code map every
-/// activation quantizer ends in — without the libm `round` call, so
-/// per-element loops over it vectorize. Bit-identical for every input,
-/// NaN (→ 0) and infinities included: after clamping to `[−129, 128]`,
-/// `x − trunc(x)` is exact, and rounding the magnitude half away from
-/// zero is one compare per sign.
-///
-/// # Examples
-///
-/// ```
-/// use apsq_quant::round_to_i8;
-///
-/// assert_eq!(round_to_i8(2.5), 3);
-/// assert_eq!(round_to_i8(-2.5), -3);
-/// assert_eq!(round_to_i8(1e9), 127);
-/// ```
-#[inline]
-pub fn round_to_i8(x: f32) -> i8 {
-    let c = x.clamp(-129.0, 128.0);
-    let t = c as i32;
-    let f = c - t as f32;
-    let r = t + i32::from(f >= 0.5) - i32::from(f <= -0.5);
-    r.clamp(-128, 127) as i8
-}
-
 // ------------------------------------------------------------------ slices
 //
 // Slice forms of the shift quantizer for whole PSUM tiles: the APSQ fold
@@ -187,39 +162,6 @@ mod tests {
         for code in -128i32..=127 {
             let x = shift_dequantize(code, 4); // exact: code * 16
             assert_eq!(shift_quantize(x, 4, r), code);
-        }
-    }
-
-    #[test]
-    fn round_to_i8_matches_round_then_clamp() {
-        let want = |x: f32| x.round().clamp(-128.0, 127.0) as i8;
-        let mut xs = vec![
-            0.0,
-            -0.0,
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::MAX,
-            f32::MIN,
-            f32::MIN_POSITIVE,
-            -f32::MIN_POSITIVE,
-            1e-45,
-            -1e-45,
-        ];
-        // Every half-integer boundary in and past the code range, with its
-        // float neighbours.
-        for k in -140i32..=140 {
-            for base in [k as f32, k as f32 + 0.5, k as f32 - 0.5, k as f32 + 0.25] {
-                xs.extend([base, base.next_up(), base.next_down()]);
-            }
-        }
-        for x in &xs {
-            assert_eq!(round_to_i8(*x), want(*x), "x={x:e}");
-        }
-        // A strided walk over every bit pattern class.
-        for bits in (0..=u32::MAX).step_by(65_521) {
-            let x = f32::from_bits(bits);
-            assert_eq!(round_to_i8(x), want(x), "bits={bits:#x}");
         }
     }
 

@@ -40,9 +40,8 @@ mod uniform;
 
 pub use bitwidth::{Bitwidth, QRange};
 pub use fixed::{
-    round_to_i8, rounding_shift_right, saturating_add_in_range, saturating_shift_left,
-    shift_dequantize, shift_dequantize_add, shift_dequantize_slice, shift_quantize,
-    shift_quantize_slice,
+    rounding_shift_right, saturating_add_in_range, saturating_shift_left, shift_dequantize,
+    shift_dequantize_add, shift_dequantize_slice, shift_quantize, shift_quantize_slice,
 };
 pub use lsq::LsqQuantizer;
 pub use observer::{EmaObserver, MinMaxObserver};

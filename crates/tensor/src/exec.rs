@@ -559,6 +559,19 @@ impl ExecEngine {
         self.backend
     }
 
+    /// The rows per worker chunk of an `m`-row dispatch of `macs`
+    /// multiply-accumulates, or `None` when it runs inline. Chunks are
+    /// rounded up to the register-tile height, so the blocking phase (and
+    /// hence the float reduction order) matches the serial schedule
+    /// exactly.
+    pub(crate) fn chunk_rows(&self, m: usize, macs: usize) -> Option<usize> {
+        let chunks = self.threads.min(m.div_ceil(kernels::MR));
+        if chunks <= 1 || macs < self.spawn_threshold {
+            return None;
+        }
+        Some(m.div_ceil(chunks).div_ceil(kernels::MR) * kernels::MR)
+    }
+
     /// Partitions the `m` rows of `out` (row stride `ld`, `n` addressed
     /// elements per row) into register-tile-aligned contiguous row chunks
     /// and runs `body` on each, in parallel when the estimated `macs`
@@ -580,15 +593,10 @@ impl ExecEngine {
             return;
         }
         let out = &mut out[..(m - 1) * ld + n];
-        let chunks = self.threads.min(m.div_ceil(kernels::MR));
-        if chunks <= 1 || macs < self.spawn_threshold {
+        let Some(rows) = self.chunk_rows(m, macs) else {
             body(0, m, out);
             return;
-        }
-        // Rows per chunk, rounded up to the register-tile height so the
-        // blocking phase (and hence the float reduction order) matches the
-        // serial schedule exactly.
-        let rows = m.div_ceil(chunks).div_ceil(kernels::MR) * kernels::MR;
+        };
         std::thread::scope(|s| {
             let mut rest = out;
             let mut r0 = 0usize;

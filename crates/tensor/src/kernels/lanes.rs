@@ -5,9 +5,10 @@
 //! (`*_segments_i32`) that splits the slice into equal segments, each with
 //! its own shift or maximum, so a stream folding several independent
 //! tiles side by side makes one call per operation, not one per tile.
-//! [`quantize_i8`] is the f32 → i8 quantizer
-//! behind [`crate::Int8Tensor::quantize`] and the int8 attention's
-//! requantization; [`scale_i32_f32`] and [`div_mul_max_abs_f32`] are
+//! [`quantize_i8`] is the workspace's one f32 → i8 quantizer: the fused
+//! APSQ linear kernel's input, [`crate::Int8Tensor::quantize`], the int8
+//! KV rows and the int8 attention's Q codes and requantization;
+//! [`scale_i32_f32`] and [`div_mul_max_abs_f32`] are
 //! that attention's score dequantization and its softmax divide fused
 //! with the value-scale fold, and [`pow2_heads_f32`] stages its
 //! per-(token, head) KV exponents as head-major scales. [`exp_f32`] and
@@ -18,9 +19,11 @@
 //! Each kernel has one body, written as plain scalar Rust. The
 //! [`KernelBackend::Avx2`] tier compiles that same body inside a
 //! `#[target_feature(enable = "avx2")]` wrapper, so the autovectorizer
-//! emits 256-bit lanes (for the quantizer, `f32::round` becomes a vector
-//! round instead of a libm call per element); every other tier runs the
-//! body as is. The integer bodies are exact, the f32 bodies evaluate one
+//! emits 256-bit lanes; every other tier runs the body as is. The
+//! quantizer is the exception: its AVX2 tier is an explicit intrinsic
+//! build, which an exhaustive sweep pins to the body on every input (the
+//! body itself rounds without libm, so it vectorizes on every tier). The
+//! integer bodies are exact, the f32 bodies evaluate one
 //! IEEE expression per element (the exponent staging is a table lookup),
 //! and the one f32 reduction is a maximum,
 //! which no evaluation order changes, so the tiers cannot disagree. The
@@ -95,14 +98,22 @@ lane_kernel! {
         => shl_saturate_body, shl_saturate_avx2;
 }
 
-lane_kernel! {
-    /// `out[j] = clamp(round(xs[j] / scale), −128, 127)` as `i8`, rounding
-    /// half away from zero (NaN maps to 0, like `as i8`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) => quantize_i8_body, quantize_i8_avx2;
+/// `out[j] = clamp(round(xs[j] / scale), −128, 127)` as `i8`, rounding
+/// half away from zero (NaN maps to 0, like `as i8`): the workspace's one
+/// f32 → i8 quantizer. The AVX2 tier runs an explicit intrinsic build
+/// (`x86::avx2_quantize_i8`), bit-identical to the body on every input.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) {
+    #[cfg(target_arch = "x86_64")]
+    if KernelBackend::detect() == KernelBackend::Avx2 {
+        // SAFETY: `detect` yields Avx2 only after
+        // `is_x86_feature_detected!("avx2")` confirmed the feature.
+        return unsafe { super::x86::avx2_quantize_i8(xs, scale, out) };
+    }
+    quantize_i8_body(xs, scale, out)
 }
 
 lane_kernel! {
@@ -354,39 +365,68 @@ fn shl_add_body(codes: &[i32], sh: u32, acc: &mut [i32]) {
 }
 
 #[inline(always)]
-fn round_shift_clamp_body(xs: &[i32], sh: u32, lo: i32, hi: i32, out: &mut [i32]) {
+pub(super) fn round_shift_clamp_body(xs: &[i32], sh: u32, lo: i32, hi: i32, out: &mut [i32]) {
     assert_eq!(xs.len(), out.len(), "input/output length mismatch");
     assert!(sh <= 30, "shift {sh} out of range 0..=30");
-    let pairs = out.iter_mut().zip(xs);
+    // Branch once per slice, not per element, so both loops vectorize.
     if sh == 0 {
-        pairs.for_each(|(o, &x)| *o = x.clamp(lo, hi));
+        out.iter_mut()
+            .zip(xs)
+            .for_each(|(o, &x)| *o = x.clamp(lo, hi));
         return;
     }
-    let add = 1u32 << (sh - 1);
-    pairs.for_each(|(o, &x)| {
-        let s = x >> 31; // 0 for x ≥ 0, −1 for x < 0
-        let t = ((x.unsigned_abs() + add) >> sh) as i32;
-        *o = ((t ^ s) - s).clamp(lo, hi);
-    });
+    for (o, &x) in out.iter_mut().zip(xs) {
+        *o = round_shift_clamp(x, sh, lo, hi);
+    }
+}
+
+/// One element of [`round_shift_clamp_i32`] (`sh ≤ 30`).
+#[inline(always)]
+pub(super) fn round_shift_clamp(x: i32, sh: u32, lo: i32, hi: i32) -> i32 {
+    if sh == 0 {
+        return x.clamp(lo, hi);
+    }
+    let s = x >> 31; // 0 for x ≥ 0, −1 for x < 0
+    let t = ((x.unsigned_abs() + (1 << (sh - 1))) >> sh) as i32;
+    ((t ^ s) - s).clamp(lo, hi)
 }
 
 #[inline(always)]
 fn shl_saturate_body(codes: &[i32], sh: u32, out: &mut [i32]) {
-    const LO: i64 = i32::MIN as i64;
-    const HI: i64 = i32::MAX as i64;
     assert_eq!(codes.len(), out.len(), "code/output length mismatch");
-    let sh = sh.min(62);
     for (o, &c) in out.iter_mut().zip(codes) {
-        *o = ((c as i64) << sh).clamp(LO, HI) as i32;
+        *o = shl_saturate(c, sh);
     }
 }
 
+/// One element of [`shl_saturate_i32`], also the fused APSQ linear body's
+/// dequantizer.
 #[inline(always)]
-fn quantize_i8_body(xs: &[f32], scale: f32, out: &mut [i8]) {
+pub(super) fn shl_saturate(code: i32, sh: u32) -> i32 {
+    ((code as i64) << sh.min(62)).clamp(i32::MIN as i64, i32::MAX as i64) as i32
+}
+
+/// The body of [`quantize_i8`], also its AVX2 build's `< 8`-lane tail.
+#[inline(always)]
+pub(super) fn quantize_i8_body(xs: &[f32], scale: f32, out: &mut [i8]) {
     assert_eq!(xs.len(), out.len(), "input/output length mismatch");
     for (o, &x) in out.iter_mut().zip(xs) {
-        *o = (x / scale).round().clamp(-128.0, 127.0) as i8;
+        *o = round_to_i8(x / scale);
     }
+}
+
+/// `y.round().clamp(−128.0, 127.0) as i8` without the libm `round` call,
+/// so the body vectorizes on every tier. Bit-identical for every input:
+/// after clamping to `[−129, 128]`, `y − trunc(y)` is exact, and rounding
+/// the magnitude half away from zero is one compare per sign; a NaN stays
+/// NaN through the clamp, truncates to 0 and fails both compares.
+#[inline(always)]
+fn round_to_i8(y: f32) -> i8 {
+    let c = y.clamp(-129.0, 128.0);
+    let t = c as i32;
+    let f = c - t as f32;
+    let r = t + i32::from(f >= 0.5) - i32::from(f <= -0.5);
+    r.clamp(-128, 127) as i8
 }
 
 #[cfg(test)]
@@ -489,13 +529,45 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: this host has AVX2 (detected just above).
-                unsafe { quantize_i8_avx2(&xs, scale, &mut got) };
+                unsafe { super::super::x86::avx2_quantize_i8(&xs, scale, &mut got) };
                 assert_eq!(got, want, "avx2, scale {scale}");
             }
         }
         let mut out = [0i8; 4];
         quantize_i8(&[2.5, -2.5, 300.0, -0.4], 1.0, &mut out);
         assert_eq!(out, [3, -3, 127, 0]);
+    }
+
+    /// The body is `round` then clamp, bit for bit: every half-integer
+    /// boundary in and past the code range with its float neighbours, the
+    /// special values, and a strided walk over every bit-pattern class.
+    #[test]
+    fn quantize_body_is_round_then_clamp() {
+        let want = |x: f32| x.round().clamp(-128.0, 127.0) as i8;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-45,
+            -1e-45,
+        ];
+        for k in -140i32..=140 {
+            for base in [k as f32, k as f32 + 0.5, k as f32 - 0.5, k as f32 + 0.25] {
+                xs.extend([base, base.next_up(), base.next_down()]);
+            }
+        }
+        xs.extend((0..=u32::MAX).step_by(65_521).map(f32::from_bits));
+        let mut got = vec![0i8; xs.len()];
+        quantize_i8_body(&xs, 1.0, &mut got);
+        for (x, g) in xs.iter().zip(&got) {
+            assert_eq!(*g, want(*x), "x={x:e} ({:#x})", x.to_bits());
+        }
     }
 
     /// Both builds of the attention glue kernels equal the portable

@@ -59,6 +59,26 @@
 //! value rows and madds them against a broadcast probability pair, so
 //! each i32 lane is one output column. SSE2 runs the scalar body.
 //!
+//! # The fused APSQ linear kernel
+//!
+//! [`apsq_linear_i8`] is `Int8Linear`'s whole APSQ path in one call
+//! (`crate::fold`): the activation rows arrive quantized and staged as the
+//! pair words of each `k_tile` step, and every register tile of the
+//! packed-B product runs the [`crate::FoldPlan`] in place. Per step the
+//! madd loop accumulates the step's exact PSUM tile, the carried ring rows
+//! are added shifted left by their exponents, and the sum is
+//! round-shift-clamped into the step's ring row; the epilogue dequantizes
+//! the last codes and writes `v as f32 · scale + bias`, multiplied then
+//! added, as the unfused epilogue did. The ring is the only state a tile
+//! keeps between steps, and no PSUM tile is ever stored. The scalar body
+//! defines the fold per element: a sum formed in `i64` over saturating
+//! dequantized codes, clamped into `i32`. Under the plan's `i32` proof it
+//! adds `code · 2^e` in `i32` instead, which is the same sum, and an
+//! overflow-checked build would panic on a broken proof. The AVX2 (4×16
+//! and 4×8 tiles) and SSE2 (4×8 and 4×4 tiles) builds run only under the
+//! proof and with at most [`MAX_RING`] ring rows; narrower column tails
+//! and every other plan run the scalar body.
+//!
 //! # The transcendental kernels
 //!
 //! [`exp_f32`] and [`tanh_f32`] (public as [`lanes::exp_f32`] and
@@ -104,6 +124,7 @@ mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
+use crate::fold::Fused;
 use std::sync::OnceLock;
 
 /// Register-tile height: rows of `a` processed together.
@@ -493,6 +514,29 @@ pub(crate) fn pv_block_i8(
     }
 }
 
+/// The fused APSQ linear kernel (module docs, "The fused APSQ linear
+/// kernel") over the `rows` staged rows of `f`: writes the `[rows, n]`
+/// epilogue into `out` and, when `codes` is not empty, the last step's
+/// codes into it.
+pub(crate) fn apsq_linear_i8(
+    bk: KernelBackend,
+    f: &Fused<'_>,
+    rows: usize,
+    out: &mut [f32],
+    codes: &mut [i32],
+) {
+    let simd = f.plan.i32_exact && f.plan.ring_rows <= MAX_RING;
+    match bk {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_f32`.
+        KernelBackend::Avx2 if simd => unsafe { x86::avx2_apsq_linear_i8(f, rows, out, codes) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is part of the x86-64 baseline — always present.
+        KernelBackend::Sse2 if simd => unsafe { x86::sse2_apsq_linear_i8(f, rows, out, codes) },
+        _ => scalar::apsq_linear_i8(f, rows, (0, f.n), out, codes),
+    }
+}
+
 /// `xs[j] = e^xs[j]`, in place, bit for bit glibc 2.36's `expf` on every
 /// backend (module docs, "The transcendental kernels").
 pub(crate) fn exp_f32(bk: KernelBackend, xs: &mut [f32]) {
@@ -535,6 +579,18 @@ pub(crate) use scalar::tanh as tanh_one;
 pub(super) fn qk_chunk(c: usize, heads: usize, dh: usize, k_tile: usize) -> (usize, usize) {
     let (s, h) = (c / heads, c % heads);
     (h * dh + s * k_tile, h * dh + dh.min((s + 1) * k_tile))
+}
+
+/// The most ring rows a SIMD build of [`apsq_linear_i8`] holds per
+/// register tile; a plan with more runs the scalar body.
+pub(crate) const MAX_RING: usize = 8;
+
+/// An activation pair as the one i32 word `madd_epi16` pairs with a
+/// column's `(b[2p], b[2p + 1])`: `lo` in the low half multiplies the
+/// even k.
+#[inline(always)]
+pub(crate) fn pair_word(lo: i16, hi: i16) -> i32 {
+    (lo as u16 as u32 | (hi as u16 as u32) << 16) as i32
 }
 
 /// The staged activation pairs of one [`gemm_np_i8`] row block: row `r`,
@@ -1151,6 +1207,82 @@ mod tests {
             });
             assert_eq!(bad, 0, "{name}: AVX2 build differs from the body");
         }
+    }
+
+    /// The quantizer's edge inputs: NaNs, infinities, signed zeros,
+    /// subnormals, `pred(0.5)`, the ties ±0.5/1.5/2.5, the clamp ties
+    /// ±127.5/128.5 with their neighbours, and `±(2^23 + 1)`, the first
+    /// odd integers past the range where `y + pred(0.5)` rounds.
+    fn quantize_edges() -> Vec<f32> {
+        let mut xs = vec![f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        xs.extend([0.0, -0.0, f32::from_bits(1), f32::from_bits(0x8000_0001)]);
+        xs.extend([f32::from_bits(0x007f_ffff), f32::from_bits(0x807f_ffff)]);
+        let pred_half = f32::from_bits(0x3eff_ffff);
+        for v in [pred_half, 0.5, 1.5, 2.5, 127.5, 128.5, 8_388_609.0] {
+            let b = v.to_bits();
+            for x in [f32::from_bits(b - 1), v, f32::from_bits(b + 1)] {
+                xs.extend([x, -x]);
+            }
+        }
+        xs
+    }
+
+    /// The AVX2 build of the quantizer gives the body's codes on about
+    /// 2^20 bit patterns strided over all of f32 plus the edge inputs,
+    /// at power-of-two scales from 2^-20 to 2^20, and at every length up
+    /// to 64 (its 32-, 8- and 1-lane paths); the dispatched kernel does
+    /// too, whatever tier this process runs.
+    #[test]
+    fn quantize_i8_builds_are_the_body_on_a_strided_sweep() {
+        let mut xs: Vec<f32> = (0..1u32 << 20)
+            .map(|i| f32::from_bits(i.wrapping_mul(4099)))
+            .collect();
+        xs.extend(quantize_edges());
+        type Quantize = fn(&[f32], f32, &mut [i8]);
+        let mut builds: Vec<(&str, Quantize)> = vec![("dispatched", lanes::quantize_i8)];
+        #[cfg(target_arch = "x86_64")]
+        if KernelBackend::Avx2.is_supported() {
+            // SAFETY: this host has AVX2 (checked just above).
+            builds.push(("avx2", |x, s, o| unsafe { x86::avx2_quantize_i8(x, s, o) }));
+        }
+        for scale in [2f32.powi(-20), 0.25, 1.0, 8.0, 2f32.powi(20)] {
+            let mut want = vec![0i8; xs.len()];
+            lanes::quantize_i8_body(&xs, scale, &mut want);
+            for &(name, build) in &builds {
+                let mut got = vec![0i8; xs.len()];
+                build(&xs, scale, &mut got);
+                assert_eq!(got, want, "{name}, scale {scale}");
+                let edges = quantize_edges();
+                for len in 0..=64 {
+                    let x: Vec<f32> = (0..len).map(|i| edges[i % edges.len()]).collect();
+                    let (mut got, mut want) = (vec![0i8; len], vec![0i8; len]);
+                    build(&x, scale, &mut got);
+                    lanes::quantize_i8_body(&x, scale, &mut want);
+                    assert_eq!(got, want, "{name}, scale {scale}, len {len}");
+                }
+            }
+        }
+    }
+
+    /// The AVX2 build of the quantizer equals its body on every f32 input
+    /// at scale 1 — every quotient `x / scale` is some f32, so this covers
+    /// every scale whose division is exact (a release CI step).
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    #[ignore = "exhaustive 2^32 sweep: run with --release -- --ignored"]
+    fn quantize_i8_avx2_build_is_the_body_on_every_input() {
+        if !KernelBackend::Avx2.is_supported() {
+            eprintln!("no AVX2 on this host: nothing to sweep");
+            return;
+        }
+        let bad = exhaustive(|xs| {
+            let (mut got, mut want) = (vec![0i8; xs.len()], vec![0i8; xs.len()]);
+            // SAFETY: this host has AVX2 (checked above).
+            unsafe { x86::avx2_quantize_i8(xs, 1.0, &mut got) };
+            lanes::quantize_i8_body(xs, 1.0, &mut want);
+            got.iter().zip(&want).filter(|(g, w)| g != w).count() as u64
+        });
+        assert_eq!(bad, 0, "quantize_i8: AVX2 build differs from the body");
     }
 
     /// Provenance: the bodies reproduce the platform libm's `expf` and

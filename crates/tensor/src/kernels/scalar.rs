@@ -9,7 +9,9 @@
 //! partial-MR, and remainder paths — is written once and shared with the
 //! SIMD variants.
 
+use super::lanes::{round_shift_clamp_body, shl_saturate};
 use super::{dot_f32_lanes, np_passes, qk_chunk, tail_f32, tail_i8, tail_np_i8, KC, MR, NR};
+use crate::fold::Fused;
 
 pub(super) fn gemm_f32(
     a: &[f32],
@@ -222,6 +224,125 @@ pub(super) fn gemm_np_i8(
         }
         tail_np_i8(pairs, rows, b, ldb, out, ldo, i, (j, n), (pp, pq));
     });
+}
+
+/// Columns per tile of the fused APSQ linear body: twice the GEMM tile,
+/// so each step's fold and ring traffic run over enough lanes to pay for
+/// their loop overhead.
+const FW: usize = 2 * NR;
+
+/// The fused APSQ linear body over columns `[j0, j1)`: the staged row
+/// blocks of up to MR rows, each in [`FW`]-wide tiles, then one column at
+/// a time. Also the SIMD builds' column tail.
+pub(super) fn apsq_linear_i8(
+    f: &Fused<'_>,
+    rows: usize,
+    (j0, j1): (usize, usize),
+    out: &mut [f32],
+    codes: &mut [i32],
+) {
+    let mut ring = vec![0i32; f.plan.ring_rows * MR * FW];
+    for i in (0..rows).step_by(MR) {
+        let cols = (j0, j1);
+        match usize::min(MR, rows - i) {
+            4 => fused_strip::<4>(f, i, cols, &mut ring, out, codes),
+            3 => fused_strip::<3>(f, i, cols, &mut ring, out, codes),
+            2 => fused_strip::<2>(f, i, cols, &mut ring, out, codes),
+            _ => fused_strip::<1>(f, i, cols, &mut ring, out, codes),
+        }
+    }
+}
+
+/// The row block `i..i + R` over columns `[j0, j1)`: [`FW`]-wide tiles,
+/// then one column at a time.
+fn fused_strip<const R: usize>(
+    f: &Fused<'_>,
+    i: usize,
+    (j0, j1): (usize, usize),
+    ring: &mut [i32],
+    out: &mut [f32],
+    codes: &mut [i32],
+) {
+    let mut j = j0;
+    while j + FW <= j1 {
+        fused_tile::<R, FW>(f, i, j, ring, out, codes);
+        j += FW;
+    }
+    for j in j..j1 {
+        fused_tile::<R, 1>(f, i, j, ring, out, codes);
+    }
+}
+
+/// One R×W tile at `(i, j)` through every step of the plan. Ring row
+/// `row` is `ring[row · R · W..]`, `[R][W]` row-major.
+#[inline(always)]
+fn fused_tile<const R: usize, const W: usize>(
+    f: &Fused<'_>,
+    i: usize,
+    j: usize,
+    ring: &mut [i32],
+    out: &mut [f32],
+    codes: &mut [i32],
+) {
+    let plan = f.plan;
+    let tile = R * W;
+    for (step, w) in plan.steps.iter().zip(&plan.windows) {
+        let mut acc = [[0i32; W]; R];
+        let b_rows = f.b[w.pair * f.ldb..].chunks_exact(f.ldb);
+        for (words, b_row) in f.block::<R>(i, w).chunks_exact(R).zip(b_rows) {
+            let bp = &b_row[2 * j..][..2 * W];
+            for (accr, &word) in acc.iter_mut().zip(words) {
+                let (x0, x1) = (word as i16 as i32, word >> 16);
+                for (a, wp) in accr.iter_mut().zip(bp.chunks_exact(2)) {
+                    *a += x0 * wp[0] as i32 + x1 * wp[1] as i32;
+                }
+            }
+        }
+        if plan.i32_exact {
+            // The proof bounds every partial sum, so this is the exact
+            // sum; the multiply (not a shift) makes an overflow-checked
+            // build panic on a broken proof instead of wrapping.
+            for &(row, sh) in &step.carried {
+                let mul = 1i32 << sh;
+                let src = &ring[row * tile..][..tile];
+                for (accr, cr) in acc.iter_mut().zip(src.chunks_exact(W)) {
+                    for (a, &c) in accr.iter_mut().zip(cr) {
+                        *a += c * mul;
+                    }
+                }
+            }
+        } else {
+            for (r, accr) in acc.iter_mut().enumerate() {
+                for (c, a) in accr.iter_mut().enumerate() {
+                    let sum = step.carried.iter().fold(*a as i64, |s, &(row, sh)| {
+                        s + shl_saturate(ring[row * tile + r * W + c], sh) as i64
+                    });
+                    *a = sum.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
+                }
+            }
+        }
+        let dst = &mut ring[step.row * tile..][..tile];
+        round_shift_clamp_body(acc.as_flattened(), step.shift, plan.qn, plan.qp, dst);
+    }
+    let last = &plan.steps[plan.steps.len() - 1];
+    let src = &ring[last.row * tile..][..tile];
+    let mul = 1i32 << last.shift;
+    for (r, cr) in src.chunks_exact(W).enumerate() {
+        let o = (i + r) * f.n + j;
+        let bias = &f.bias[j..][..W];
+        for ((y, &code), &b) in out[o..][..W].iter_mut().zip(cr).zip(bias) {
+            // Under the proof the last codes dequantize without saturating.
+            let v = if plan.i32_exact {
+                code * mul
+            } else {
+                shl_saturate(code, last.shift)
+            };
+            *y = v as f32 * f.scale + b;
+        }
+        if !codes.is_empty() {
+            codes[o..][..W].copy_from_slice(cr);
+        }
+    }
 }
 
 pub(super) fn qk_block_i8(

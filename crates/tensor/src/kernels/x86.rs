@@ -33,8 +33,10 @@ use super::scalar::{
     LN2_HI, LN2_LO,
 };
 use super::{
-    np_passes, qk_chunk, reduce_lanes_f32, tail_f32, tail_i8, tail_np_i8, Pairs, KC, LANES, MR, NR,
+    np_passes, pair_word, qk_chunk, reduce_lanes_f32, tail_f32, tail_i8, tail_np_i8, Pairs, KC,
+    LANES, MAX_RING, MR, NR,
 };
+use crate::fold::Fused;
 
 /// Sign-extends the low 8 bytes of `v` to 8×i16 without SSE4.1:
 /// duplicate each byte into a 16-bit lane, then arithmetic-shift the copy
@@ -73,13 +75,6 @@ fn sse2_hsum_i32(v: __m128i) -> i32 {
     // SAFETY: 4-lane stack array matches the 128-bit store width.
     unsafe { _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, v) };
     lanes.iter().sum()
-}
-
-/// A staged activation pair as the i32 lane `madd_epi16` pairs with one
-/// column's `(b[2p], b[2p + 1])`: the low half multiplies the even k.
-#[inline(always)]
-fn pair_bits([lo, hi]: [i16; 2]) -> i32 {
-    (lo as u16 as u32 | (hi as u16 as u32) << 16) as i32
 }
 
 // ================================================================== SSE2
@@ -457,7 +452,7 @@ fn sse2_np_tile<const R: usize, const C: usize>(
             *v = sse2_load8_i8_as_i16(chunk);
         }
         for (accr, staged) in acc.iter_mut().zip(pairs) {
-            let av = _mm_set1_epi32(pair_bits(staged[t]));
+            let av = _mm_set1_epi32(pair_word(staged[t][0], staged[t][1]));
             for (accv, &v) in accr.iter_mut().zip(&bv) {
                 *accv = _mm_add_epi32(*accv, _mm_madd_epi16(v, av));
             }
@@ -473,6 +468,143 @@ fn sse2_np_tile<const R: usize, const C: usize>(
             }
         }
     }
+}
+
+/// The ring of one SSE2 fused tile: ring row, tile row, 4-lane codes.
+type Ring128 = [[[__m128i; 2]; MR]; MAX_RING];
+
+#[target_feature(enable = "sse2")]
+pub(super) fn sse2_apsq_linear_i8(f: &Fused<'_>, rows: usize, out: &mut [f32], codes: &mut [i32]) {
+    let mut ring: Ring128 = [[[_mm_setzero_si128(); 2]; MR]; MAX_RING];
+    let mut i = 0;
+    while i < rows {
+        let r = usize::min(MR, rows - i);
+        match r {
+            4 => sse2_fused_strip::<4>(f, i, &mut ring, out, codes),
+            3 => sse2_fused_strip::<3>(f, i, &mut ring, out, codes),
+            2 => sse2_fused_strip::<2>(f, i, &mut ring, out, codes),
+            _ => sse2_fused_strip::<1>(f, i, &mut ring, out, codes),
+        }
+        i += r;
+    }
+    let j = f.n / 4 * 4;
+    if j < f.n {
+        scalar::apsq_linear_i8(f, rows, (j, f.n), out, codes);
+    }
+}
+
+/// Rows `i..i + R` of [`sse2_apsq_linear_i8`]: R×8 tiles, then an R×4
+/// tile.
+#[target_feature(enable = "sse2")]
+#[inline]
+fn sse2_fused_strip<const R: usize>(
+    f: &Fused<'_>,
+    i: usize,
+    ring: &mut Ring128,
+    out: &mut [f32],
+    codes: &mut [i32],
+) {
+    let mut j = 0;
+    while j + 8 <= f.n {
+        sse2_fused_tile::<R, 2>(f, i, j, ring, out, codes);
+        j += 8;
+    }
+    if j + 4 <= f.n {
+        sse2_fused_tile::<R, 1>(f, i, j, ring, out, codes);
+    }
+}
+
+/// One R×(4·C) tile at `(i, j)` through every step of the plan: the madd
+/// loop of [`sse2_np_tile`] per step, then the fold on the registers.
+#[target_feature(enable = "sse2")]
+#[inline]
+fn sse2_fused_tile<const R: usize, const C: usize>(
+    f: &Fused<'_>,
+    i: usize,
+    j: usize,
+    ring: &mut Ring128,
+    out: &mut [f32],
+    codes: &mut [i32],
+) {
+    let plan = f.plan;
+    let (lo, hi) = (_mm_set1_epi32(plan.qn), _mm_set1_epi32(plan.qp));
+    for (step, w) in plan.steps.iter().zip(&plan.windows) {
+        let mut acc = [[_mm_setzero_si128(); C]; R];
+        let b_rows = f.b[w.pair * f.ldb..].chunks_exact(f.ldb);
+        for (words, b_row) in f.block::<R>(i, w).chunks_exact(R).zip(b_rows) {
+            let bp = &b_row[2 * j..][..8 * C];
+            let mut bv = [_mm_setzero_si128(); C];
+            for (v, chunk) in bv.iter_mut().zip(bp.chunks_exact(8)) {
+                *v = sse2_load8_i8_as_i16(chunk);
+            }
+            for (accr, &word) in acc.iter_mut().zip(words) {
+                let av = _mm_set1_epi32(word);
+                for (a, &v) in accr.iter_mut().zip(&bv) {
+                    *a = _mm_add_epi32(*a, _mm_madd_epi16(v, av));
+                }
+            }
+        }
+        for &(row, sh) in &step.carried {
+            let cnt = _mm_cvtsi32_si128(sh as i32);
+            for (accr, cr) in acc.iter_mut().zip(&ring[row]) {
+                for (a, &c) in accr.iter_mut().zip(cr) {
+                    *a = _mm_add_epi32(*a, _mm_sll_epi32(c, cnt));
+                }
+            }
+        }
+        let cnt = _mm_cvtsi32_si128(step.shift as i32);
+        let half = _mm_set1_epi32(((1u32 << step.shift) >> 1) as i32);
+        for (dst, accr) in ring[step.row].iter_mut().zip(&acc) {
+            for (d, &a) in dst.iter_mut().zip(accr) {
+                *d = sse2_round_shift_clamp(a, half, cnt, lo, hi);
+            }
+        }
+    }
+    let last = &plan.steps[plan.steps.len() - 1];
+    let cnt = _mm_cvtsi32_si128(last.shift as i32);
+    let scale = _mm_set1_ps(f.scale);
+    for (r, cr) in ring[last.row][..R].iter().enumerate() {
+        for (c, &code) in cr[..C].iter().enumerate() {
+            let o = (i + r) * f.n + j + 4 * c;
+            let bias = &f.bias[j + 4 * c..][..4];
+            let y = &mut out[o..][..4];
+            let v = _mm_cvtepi32_ps(_mm_sll_epi32(code, cnt));
+            // SAFETY: `bias` and `y` hold exactly the 4 f32 lanes loaded
+            // and stored.
+            unsafe {
+                let b = _mm_loadu_ps(bias.as_ptr());
+                _mm_storeu_ps(y.as_mut_ptr(), _mm_add_ps(_mm_mul_ps(v, scale), b));
+            }
+            if !codes.is_empty() {
+                let dst = &mut codes[o..][..4];
+                // SAFETY: `dst` holds exactly the 4 i32 lanes stored.
+                unsafe { _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, code) };
+            }
+        }
+    }
+}
+
+/// [`super::lanes::round_shift_clamp`] on 4 lanes at one shift (`cnt`, with
+/// `half = 2^sh / 2` rounded down): round the magnitude as a `u32`,
+/// restore the sign, clamp with compare masks (SSE2 has no `i32`
+/// min/max).
+#[target_feature(enable = "sse2")]
+#[inline]
+fn sse2_round_shift_clamp(
+    x: __m128i,
+    half: __m128i,
+    cnt: __m128i,
+    lo: __m128i,
+    hi: __m128i,
+) -> __m128i {
+    let s = _mm_srai_epi32::<31>(x);
+    let mag = _mm_sub_epi32(_mm_xor_si128(x, s), s);
+    let t = _mm_srl_epi32(_mm_add_epi32(mag, half), cnt);
+    let v = _mm_sub_epi32(_mm_xor_si128(t, s), s);
+    let over = _mm_cmpgt_epi32(v, hi);
+    let v = _mm_or_si128(_mm_and_si128(over, hi), _mm_andnot_si128(over, v));
+    let under = _mm_cmpgt_epi32(lo, v);
+    _mm_or_si128(_mm_and_si128(under, lo), _mm_andnot_si128(under, v))
 }
 
 // ================================================================== AVX2
@@ -995,7 +1127,7 @@ fn avx2_np_tile<const R: usize, const C: usize>(
             *v = avx2_load16_i8_as_i16(chunk);
         }
         for (accr, staged) in acc.iter_mut().zip(pairs) {
-            let av = _mm256_set1_epi32(pair_bits(staged[t]));
+            let av = _mm256_set1_epi32(pair_word(staged[t][0], staged[t][1]));
             for (accv, &v) in accr.iter_mut().zip(&bv) {
                 *accv = _mm256_add_epi32(*accv, _mm256_madd_epi16(v, av));
             }
@@ -1007,6 +1139,193 @@ fn avx2_np_tile<const R: usize, const C: usize>(
             avx2_add_store_i32(chunk, accv);
         }
     }
+}
+
+/// The ring of one AVX2 fused tile: ring row, tile row, 8-lane codes.
+type Ring256 = [[[__m256i; 2]; MR]; MAX_RING];
+
+#[target_feature(enable = "avx2")]
+pub(super) fn avx2_apsq_linear_i8(f: &Fused<'_>, rows: usize, out: &mut [f32], codes: &mut [i32]) {
+    let mut ring: Ring256 = [[[_mm256_setzero_si256(); 2]; MR]; MAX_RING];
+    let mut i = 0;
+    while i < rows {
+        let r = usize::min(MR, rows - i);
+        match r {
+            4 => avx2_fused_strip::<4>(f, i, &mut ring, out, codes),
+            3 => avx2_fused_strip::<3>(f, i, &mut ring, out, codes),
+            2 => avx2_fused_strip::<2>(f, i, &mut ring, out, codes),
+            _ => avx2_fused_strip::<1>(f, i, &mut ring, out, codes),
+        }
+        i += r;
+    }
+    let j = f.n / NR * NR;
+    if j < f.n {
+        scalar::apsq_linear_i8(f, rows, (j, f.n), out, codes);
+    }
+}
+
+/// Rows `i..i + R` of [`avx2_apsq_linear_i8`]: R×2·NR tiles, then an
+/// R×NR tile.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_fused_strip<const R: usize>(
+    f: &Fused<'_>,
+    i: usize,
+    ring: &mut Ring256,
+    out: &mut [f32],
+    codes: &mut [i32],
+) {
+    let mut j = 0;
+    while j + 2 * NR <= f.n {
+        avx2_fused_tile::<R, 2>(f, i, j, ring, out, codes);
+        j += 2 * NR;
+    }
+    if j + NR <= f.n {
+        avx2_fused_tile::<R, 1>(f, i, j, ring, out, codes);
+    }
+}
+
+/// One R×(C·NR) tile at `(i, j)` through every step of the plan: the
+/// madd loop of [`avx2_np_tile`] per step, then the fold on the
+/// registers.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_fused_tile<const R: usize, const C: usize>(
+    f: &Fused<'_>,
+    i: usize,
+    j: usize,
+    ring: &mut Ring256,
+    out: &mut [f32],
+    codes: &mut [i32],
+) {
+    let plan = f.plan;
+    let (lo, hi) = (_mm256_set1_epi32(plan.qn), _mm256_set1_epi32(plan.qp));
+    for (step, w) in plan.steps.iter().zip(&plan.windows) {
+        let mut acc = [[_mm256_setzero_si256(); C]; R];
+        let b_rows = f.b[w.pair * f.ldb..].chunks_exact(f.ldb);
+        for (words, b_row) in f.block::<R>(i, w).chunks_exact(R).zip(b_rows) {
+            let bp = &b_row[2 * j..][..2 * C * NR];
+            let mut bv = [_mm256_setzero_si256(); C];
+            for (v, chunk) in bv.iter_mut().zip(bp.chunks_exact(2 * NR)) {
+                *v = avx2_load16_i8_as_i16(chunk);
+            }
+            for (accr, &word) in acc.iter_mut().zip(words) {
+                let av = _mm256_set1_epi32(word);
+                for (a, &v) in accr.iter_mut().zip(&bv) {
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(v, av));
+                }
+            }
+        }
+        for &(row, sh) in &step.carried {
+            let cnt = _mm_cvtsi32_si128(sh as i32);
+            for (accr, cr) in acc.iter_mut().zip(&ring[row]) {
+                for (a, &c) in accr.iter_mut().zip(cr) {
+                    *a = _mm256_add_epi32(*a, _mm256_sll_epi32(c, cnt));
+                }
+            }
+        }
+        let cnt = _mm_cvtsi32_si128(step.shift as i32);
+        let half = _mm256_set1_epi32(((1u32 << step.shift) >> 1) as i32);
+        for (dst, accr) in ring[step.row].iter_mut().zip(&acc) {
+            for (d, &a) in dst.iter_mut().zip(accr) {
+                *d = avx2_round_shift_clamp(a, half, cnt, lo, hi);
+            }
+        }
+    }
+    let last = &plan.steps[plan.steps.len() - 1];
+    let cnt = _mm_cvtsi32_si128(last.shift as i32);
+    let scale = _mm256_set1_ps(f.scale);
+    for (r, cr) in ring[last.row][..R].iter().enumerate() {
+        for (c, &code) in cr[..C].iter().enumerate() {
+            let o = (i + r) * f.n + j + NR * c;
+            let bias = &f.bias[j + NR * c..][..NR];
+            let y = &mut out[o..][..NR];
+            let v = _mm256_cvtepi32_ps(_mm256_sll_epi32(code, cnt));
+            // SAFETY: `bias` and `y` hold exactly the NR = 8 f32 lanes
+            // loaded and stored.
+            unsafe {
+                let b = _mm256_loadu_ps(bias.as_ptr());
+                _mm256_storeu_ps(y.as_mut_ptr(), _mm256_add_ps(_mm256_mul_ps(v, scale), b));
+            }
+            if !codes.is_empty() {
+                let dst = &mut codes[o..][..NR];
+                // SAFETY: `dst` holds exactly the NR = 8 i32 lanes stored.
+                unsafe { _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, code) };
+            }
+        }
+    }
+}
+
+/// [`super::lanes::round_shift_clamp`] on 8 lanes at one shift (`cnt`, with
+/// `half = 2^sh / 2` rounded down): round the magnitude as a `u32`
+/// (`|i32::MIN|` included), restore the sign, clamp.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_round_shift_clamp(
+    x: __m256i,
+    half: __m256i,
+    cnt: __m128i,
+    lo: __m256i,
+    hi: __m256i,
+) -> __m256i {
+    let s = _mm256_srai_epi32::<31>(x);
+    let t = _mm256_srl_epi32(_mm256_add_epi32(_mm256_abs_epi32(x), half), cnt);
+    let v = _mm256_sub_epi32(_mm256_xor_si256(t, s), s);
+    _mm256_min_epi32(_mm256_max_epi32(v, lo), hi)
+}
+
+/// [`super::lanes::quantize_i8`]: `clamp(round(x / scale), −128, 127)`
+/// as `i8`, 32 lanes a pass, then 8, then the body for the last < 8.
+/// Per lane: divide, add `copysign(pred(0.5), y)` and truncate — half
+/// away from zero, exactly as `f32::round` — zero NaN lanes through an
+/// ordered-compare mask, clamp, convert, and pack to bytes.
+#[target_feature(enable = "avx2")]
+pub(super) fn avx2_quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) {
+    assert_eq!(xs.len(), out.len(), "input/output length mismatch");
+    let sv = _mm256_set1_ps(scale);
+    // `_mm256_packs_*` interleave their 128-bit halves; this undoes it.
+    let order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    let mut xc = xs.chunks_exact(32);
+    let mut oc = out.chunks_exact_mut(32);
+    for (x, o) in (&mut xc).zip(&mut oc) {
+        let (q0, q1) = (avx2_quantize8(&x[..8], sv), avx2_quantize8(&x[8..], sv));
+        let (q2, q3) = (avx2_quantize8(&x[16..], sv), avx2_quantize8(&x[24..], sv));
+        let lo = _mm256_packs_epi32(q0, q1);
+        let hi = _mm256_packs_epi32(q2, q3);
+        let v = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(lo, hi), order);
+        // SAFETY: `o` holds exactly the 32 bytes stored.
+        unsafe { _mm256_storeu_si256(o.as_mut_ptr() as *mut __m256i, v) };
+    }
+    let mut xc = xc.remainder().chunks_exact(8);
+    let mut oc = oc.into_remainder().chunks_exact_mut(8);
+    for (x, o) in (&mut xc).zip(&mut oc) {
+        let w = _mm256_packs_epi32(avx2_quantize8(x, sv), _mm256_setzero_si256());
+        let v = _mm256_permutevar8x32_epi32(_mm256_packs_epi16(w, w), order);
+        // SAFETY: `o` holds exactly the 8 bytes storel writes.
+        unsafe { _mm_storel_epi64(o.as_mut_ptr() as *mut __m128i, _mm256_castsi256_si128(v)) };
+    }
+    super::lanes::quantize_i8_body(xc.remainder(), scale, oc.into_remainder());
+}
+
+/// The 8 i32 codes of [`avx2_quantize_i8`] for `x[..8]`.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_quantize8(x: &[f32], scale: __m256) -> __m256i {
+    let x = &x[..8];
+    // SAFETY: `x` holds exactly the 8 f32 lanes loaded.
+    let y = _mm256_div_ps(unsafe { _mm256_loadu_ps(x.as_ptr()) }, scale);
+    let pred_half = _mm256_set1_ps(f32::from_bits(0x3eff_ffff));
+    let sign = _mm256_and_ps(y, _mm256_set1_ps(-0.0));
+    let r = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(_mm256_add_ps(
+        y,
+        _mm256_or_ps(pred_half, sign),
+    ));
+    let r = _mm256_and_ps(r, _mm256_cmp_ps::<_CMP_ORD_Q>(y, y));
+    let r = _mm256_min_ps(
+        _mm256_max_ps(r, _mm256_set1_ps(-128.0)),
+        _mm256_set1_ps(127.0),
+    );
+    _mm256_cvttps_epi32(r)
 }
 
 #[target_feature(enable = "avx2")]
@@ -1174,7 +1493,7 @@ fn avx2_pv_madd_rows<const C: usize>(
     r1: &[i8],
     [w0, w1]: [i8; 2],
 ) {
-    let w = _mm256_set1_epi32(pair_bits([w0 as i16, w1 as i16]));
+    let w = _mm256_set1_epi32(pair_word(w0 as i16, w1 as i16));
     let mut cc = 0;
     while cc + 2 <= C {
         let (v0, v1) = (

@@ -18,6 +18,9 @@
 //! - [`KernelBackend`] — the explicit-width SIMD micro-kernel tiers
 //!   (scalar reference, SSE2, AVX2) behind the engine, runtime-detected
 //!   and bit-identical to each other by construction;
+//! - [`ExecEngine::apsq_linear`] — the fused APSQ linear layer: input
+//!   quantizer, packed-B GEMM, the [`FoldPlan`] of Algorithm 1 on each
+//!   register tile, and the dequantize-and-bias epilogue in one call;
 //! - [`ExecEngine::qk_block_i8`] / [`ExecEngine::pv_block_i8`] — the
 //!   per-block int8 attention kernels, which read one paged KV block's
 //!   codes in place for every head's Q·Kᵀ K steps and its P·V tile;
@@ -49,6 +52,7 @@ mod activation;
 mod attn;
 mod conv;
 mod exec;
+mod fold;
 mod init;
 mod int_tensor;
 mod kernels;
@@ -63,6 +67,7 @@ pub use activation::{
 };
 pub use conv::conv2d_i8_reference;
 pub use exec::{pack_k_pairs, ExecEngine, Gemm, Layout};
+pub use fold::{ApsqLinear, FoldPlan, FoldStep};
 pub use init::{kaiming_normal, rand_uniform, randn, xavier_uniform};
 pub use int_tensor::{Int32Tensor, Int8Tensor};
 pub use kernels::{lanes, KernelBackend, BACKEND_ENV};

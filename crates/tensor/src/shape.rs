@@ -74,17 +74,16 @@ impl Shape {
             index.len(),
             self.rank()
         );
-        let mut off = 0usize;
-        let strides = self.strides();
-        for (axis, (&i, &s)) in index.iter().zip(strides.iter()).enumerate() {
+        // The strides, built up from the last axis as the walk goes: no
+        // allocation per element access.
+        let (mut off, mut stride) = (0usize, 1usize);
+        for (axis, (&i, &extent)) in index.iter().zip(&self.0).enumerate().rev() {
             assert!(
-                i < self.0[axis],
-                "index {} out of bounds for axis {} with extent {}",
-                i,
-                axis,
-                self.0[axis]
+                i < extent,
+                "index {i} out of bounds for axis {axis} with extent {extent}"
             );
-            off += i * s;
+            off += i * stride;
+            stride *= extent;
         }
         off
     }

@@ -39,10 +39,10 @@ cargo test -q --release -p apsq-nn --test proptest_int8
 echo "==> cargo test -q --release -p apsq-tensor  (engine kernels at release opt)"
 cargo test -q --release -p apsq-tensor
 
-echo "==> exhaustive exp/tanh sweep: AVX2+FMA builds == scalar bodies on all 2^32 inputs"
-cargo test -q --release -p apsq-tensor --lib -- --ignored exp_and_tanh_avx2_builds_are_the_body_on_every_input
+echo "==> exhaustive exp/tanh/quantize_i8 sweeps: AVX2 builds == scalar bodies on all 2^32 inputs"
+cargo test -q --release -p apsq-tensor --lib -- --ignored exp_and_tanh_avx2_builds_are_the_body_on_every_input quantize_i8_avx2_build_is_the_body_on_every_input
 
-echo "==> overflow-checked release: tensor kernels, APSQ fold (i32 lane + i64 fallback) + int8 datapath wrap loudly"
+echo "==> overflow-checked release: tensor kernels, APSQ fold (i32 lane + i64 fallback), fused Int8Linear proof + int8 datapath wrap loudly"
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-tensor
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-quant
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-core
@@ -64,6 +64,7 @@ APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib -- int8 deco
 
 echo "==> SSE2-forced backend: tensor (incl. exp/tanh bodies), int8 + paged suites, pinned fingerprints"
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-tensor
+APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-core --test proptest_fused
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_int8
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_paged
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_decode
