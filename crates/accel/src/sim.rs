@@ -6,7 +6,7 @@ use crate::stats::SimStats;
 use apsq_core::{ApsqConfig, GroupSize, StreamingApsq};
 use apsq_dataflow::{AcceleratorConfig, Dataflow};
 use apsq_quant::Bitwidth;
-use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
+use apsq_tensor::{pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 
 /// How the simulator treats partial sums.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,6 +155,9 @@ impl GemmSimulator {
         let psum_resident = psum_ws <= self.arch.ofmap_buffer_bytes as f64;
 
         let mut out = vec![0i32; t * co];
+        // The weights, packed once; each co-group reads its columns' pairs
+        // in place (`ldb = 2·co`).
+        let panels = pack_k_pairs(weight.data(), ci, co);
 
         for cog in 0..co_groups {
             let co0 = cog * pco;
@@ -175,15 +178,15 @@ impl GemmSimulator {
             for cig in 0..np {
                 let ci0 = cig * pci;
                 let ci1 = usize::min(ci0 + pci, ci);
-                // The tile reads this co-group's columns of the weights in
-                // place (`ldb = co`) over this ci-group's K slice.
+                // The tile reads this co-group's column pairs of the panels
+                // in place (`ldb = 2·co`) over this ci-group's K slice.
                 let g = Gemm {
-                    ldb: co,
+                    ldb: 2 * co,
                     k_range: ci0..ci1,
                     ..Gemm::new(
-                        Layout::NN,
+                        Layout::NP,
                         ifmap.data(),
-                        &weight.data()[co0..],
+                        &panels[2 * co0..],
                         t,
                         co1 - co0,
                         ci,
@@ -250,6 +253,7 @@ impl GemmSimulator {
         let psum_resident = psum_ws <= self.arch.ofmap_buffer_bytes as f64;
 
         let mut out = vec![0i32; t * co];
+        let panels = pack_k_pairs(weight.data(), ci, co);
 
         for tt in 0..tok_tiles {
             let t0 = tt * po;
@@ -273,9 +277,9 @@ impl GemmSimulator {
                 let g = Gemm {
                     k_range: ci0..ci1,
                     ..Gemm::new(
-                        Layout::NN,
+                        Layout::NP,
                         &ifmap.data()[t0 * ci..],
-                        weight.data(),
+                        &panels,
                         t1 - t0,
                         co,
                         ci,

@@ -6,7 +6,7 @@ use crate::grouped::ApsqRun;
 use crate::schedule::ScaleSchedule;
 use crate::traffic::BufferTraffic;
 use apsq_quant::Pow2Scale;
-use apsq_tensor::{lanes, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
+use apsq_tensor::{lanes, pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 
 /// A truly incremental implementation of Algorithm 1 (grouped APSQ):
 /// each push executes one algorithm step immediately, and between steps
@@ -488,11 +488,12 @@ pub(crate) fn carried_rows(i: usize, row: usize, steps: usize, gs: usize) -> usi
 /// ```
 /// use apsq_core::{grouped_apsq, grouped_apsq_streamed, ApsqConfig, GroupSize, ScaleSchedule};
 /// use apsq_quant::Bitwidth;
-/// use apsq_tensor::{ExecEngine, Gemm, Int8Tensor, Layout};
+/// use apsq_tensor::{pack_k_pairs, ExecEngine, Gemm, Int8Tensor, Layout};
 ///
 /// let a = Int8Tensor::from_vec((0..4 * 16).map(|x| (x % 17) as i8 - 8).collect(), [4, 16]);
 /// let b = Int8Tensor::from_vec((0..16 * 3).map(|x| (x % 11) as i8 - 5).collect(), [16, 3]);
-/// let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+/// let panels = pack_k_pairs(b.data(), 16, 3);
+/// let g = Gemm::dense(Layout::NP, a.data(), a.dims(), &panels, b.dims());
 /// let mut tiles = Vec::new();
 /// ExecEngine::serial().gemm_k_tiles(&g, 4, |_, t| tiles.push(t.clone()));
 /// let sched = ScaleSchedule::calibrate(
@@ -515,7 +516,11 @@ pub fn grouped_apsq_streamed(
     config: &ApsqConfig,
 ) -> ApsqRun {
     assert!(k_tile > 0, "k_tile must be positive");
-    let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+    let &[k, n] = b.dims() else {
+        panic!("gemm: `b` must be rank-2, got {:?}", b.dims())
+    };
+    let panels = pack_k_pairs(b.data(), k, n);
+    let g = Gemm::dense(Layout::NP, a.data(), a.dims(), &panels, b.dims());
     let np = g.k.div_ceil(k_tile);
     assert_eq!(
         schedule.len(),
@@ -572,8 +577,9 @@ mod tests {
             (0..48 * 6).map(|x| ((x * 73) % 251) as i8).collect(),
             [48, 6],
         );
+        let panels = pack_k_pairs(b.data(), 48, 6);
         for (k_tile, gs) in [(8usize, 1usize), (8, 2), (8, 4), (8, 6), (7, 3), (48, 1)] {
-            let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+            let g = Gemm::dense(Layout::NP, a.data(), a.dims(), &panels, b.dims());
             let mut tiles = Vec::new();
             ExecEngine::serial().gemm_k_tiles(&g, k_tile, |_, t| tiles.push(t.clone()));
             let sched = ScaleSchedule::calibrate(

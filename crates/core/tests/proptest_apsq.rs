@@ -6,7 +6,7 @@ use apsq_core::{
     StreamingApsq,
 };
 use apsq_quant::{Bitwidth, Pow2Scale};
-use apsq_tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
+use apsq_tensor::{pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 use proptest::prelude::*;
 
 fn stream_strategy() -> impl Strategy<Value = Vec<Int32Tensor>> {
@@ -288,7 +288,8 @@ proptest! {
             (0..k * n).map(|x| ((x as u32).wrapping_mul(73).wrapping_add(seed / 3) % 251) as i8).collect(),
             [k, n],
         );
-        let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+        let panels = pack_k_pairs(b.data(), k, n);
+        let g = Gemm::dense(Layout::NP, a.data(), a.dims(), &panels, b.dims());
         let mut tiles = Vec::new();
         ExecEngine::serial().gemm_k_tiles(&g, k_tile, |_, t| tiles.push(t.clone()));
         let sched = ScaleSchedule::calibrate(

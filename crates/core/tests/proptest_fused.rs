@@ -2,10 +2,10 @@
 //!
 //! [`ExecEngine::apsq_linear`] runs a [`ScaleSchedule::fold_plan`] on the
 //! packed-B GEMM's register tiles. The oracle is the unfused path: the
-//! activations quantized by the scalar formula, the NN GEMM's K tiles
-//! streamed through [`ExecEngine::gemm_k_tiles`] on the scalar backend
-//! into a [`StreamingApsq`] with the same schedule, and the epilogue
-//! written out here. Every backend this host runs, at 1–4 threads, must
+//! activations quantized by the scalar formula, the K tiles of the
+//! unpacked `[k, n]` product formed by the shared naive oracle
+//! ([`Gemm::reference`]) and streamed into a [`StreamingApsq`] with the
+//! same schedule, and the epilogue written out here. Every backend this host runs, at 1–4 threads, must
 //! match it on the output bits, the last codes and the traffic — over
 //! ragged shapes (`d_in` odd and past the kernels' 256-deep K panel,
 //! `d_out` with 16-, 8- and < 8-column tails), odd `k_tile`s, group
@@ -14,7 +14,9 @@
 
 use apsq_core::{ApsqConfig, BufferTraffic, ScaleSchedule, StreamingApsq};
 use apsq_quant::Bitwidth;
-use apsq_tensor::{pack_k_pairs, ApsqLinear, ExecEngine, Gemm, Int8Tensor, KernelBackend, Layout};
+use apsq_tensor::{
+    pack_k_pairs, ApsqLinear, ExecEngine, Gemm, Int32Tensor, Int8Tensor, KernelBackend, Layout,
+};
 use proptest::prelude::*;
 
 /// One fused call's case: shape, fold and data seeds.
@@ -110,8 +112,15 @@ fn oracle(c: &Case, plan_inputs: &PlanInputs<'_>) -> (Vec<u32>, Vec<i32>, Buffer
     let a = Int8Tensor::from_vec(codes, [c.m, c.k]);
     let g = Gemm::dense(Layout::NN, a.data(), a.dims(), w, &[c.k, c.n]);
     let mut stream = StreamingApsq::new(schedule.clone(), config);
-    let eng = ExecEngine::serial().with_backend(KernelBackend::Scalar);
-    eng.gemm_k_tiles(&g, c.k_tile, |_, tile| stream.push_ref(tile));
+    for k0 in (0..c.k).step_by(c.k_tile) {
+        let mut tile = Int32Tensor::zeros([c.m, c.n]);
+        let slice = Gemm {
+            k_range: k0..c.k.min(k0 + c.k_tile),
+            ..g.clone()
+        };
+        slice.reference(tile.data_mut());
+        stream.push_ref(&tile);
+    }
     let last = stream.last_codes().to_vec();
     let mut acc = vec![0i32; c.m * c.n];
     let traffic = stream.finish_into(&mut acc);

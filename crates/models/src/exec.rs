@@ -17,7 +17,7 @@
 
 use apsq_core::{ApsqConfig, BufferTraffic, StreamingApsq};
 use apsq_dataflow::{LayerShape, Workload};
-use apsq_tensor::{ExecEngine, Gemm, Int8Tensor, Layout, Tensor};
+use apsq_tensor::{pack_k_pairs, ExecEngine, Gemm, Int8Tensor, Layout, Tensor};
 
 /// The numeric datapath a workload executes on — the serving layer's
 /// precision switch.
@@ -157,8 +157,10 @@ pub fn execute_layer(
                 let k_tile = ci.min(64);
                 // One GEMM pass folds each k-tile the moment it lands; the
                 // stream commits each step's scale from the accumulator it
-                // quantizes, so no tile is collected first.
-                let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+                // quantizes, so no tile is collected first. The weight is
+                // packed once into the k-pair panels of the i8 kernel.
+                let panels = pack_k_pairs(b.data(), ci, co);
+                let g = Gemm::dense(Layout::NP, a.data(), a.dims(), &panels, b.dims());
                 let mut stream =
                     StreamingApsq::calibrating(ci.div_ceil(k_tile), ApsqConfig::int8(APSQ_GS));
                 eng.gemm_k_tiles(&g, k_tile, |_, tile| stream.push_ref(tile));

@@ -12,7 +12,7 @@
 //! # One GEMM entry
 //!
 //! Every product is described by one strided [`Gemm`] descriptor — operand
-//! slices, a [`Layout`] (NN, NT, TN or the i8 packed-B NP), extents
+//! slices, a [`Layout`] (the f32 NN, NT and TN, or the i8 packed-B NP), extents
 //! `m, n, k`, leading dimensions, a batch count with per-operand batch
 //! strides, the reduction range `[k0, k1)`, and accumulate-or-overwrite —
 //! and executed by
@@ -58,17 +58,17 @@
 //! ```
 //! use apsq_tensor::{ExecEngine, Gemm, Layout};
 //!
-//! let q = [1i8, 1, 2, 2]; // [heads = 2, 1, dh = 2]
-//! let keys = [1i8, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]; // [t = 3, d = 4]
+//! let q = [1.0f32, 1.0, 2.0, 2.0]; // [heads = 2, 1, dh = 2]
+//! let keys: Vec<f32> = (1..=12).map(|v| v as f32).collect(); // [t = 3, d = 4]
 //! let g = Gemm {
 //!     ldb: 4,       // key rows are d = 4 wide…
 //!     batch: 2,     // …one batch per head…
 //!     stride_b: 2,  // …whose columns start dh = 2 further right
 //!     ..Gemm::new(Layout::NT, &q[..], &keys[..], 1, 3, 2)
 //! };
-//! let mut scores = [0i32; 6]; // [heads, 1, t]
+//! let mut scores = [0.0f32; 6]; // [heads, 1, t]
 //! ExecEngine::serial().gemm(&g, &mut scores);
-//! assert_eq!(scores, [3, 11, 19, 14, 30, 46]);
+//! assert_eq!(scores, [3.0, 11.0, 19.0, 14.0, 30.0, 46.0]);
 //! ```
 //!
 //! # Streaming K tiles
@@ -120,25 +120,27 @@ impl Default for ExecEngine {
     }
 }
 
-/// Which operand of a [`Gemm`] is stored transposed.
+/// How the operands of a [`Gemm`] are stored. NN, NT and TN are the f32
+/// layouts; NP is the one i8 layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Layout {
-    /// `a` is `[m, k]`, `b` is `[k, n]`.
+    /// `a` is `[m, k]`, `b` is `[k, n]`. `f32` only: an i8 `[k, n]`
+    /// matrix is packed once with [`pack_k_pairs`] and run as NP.
     NN,
     /// `a` is `[m, k]`, `b` is stored `[n, k]`: `a · bᵀ`, the layout of
-    /// key rows (the f32 attention's `Q·Kᵀ`; int8 decode attention scores
-    /// whole KV blocks through [`ExecEngine::qk_block_i8`] instead).
+    /// key rows (the f32 attention's `Q·Kᵀ`). `f32` only: int8 attention
+    /// scores whole KV blocks through [`ExecEngine::qk_block_i8`], which
+    /// also runs [`ExecEngine::int8_matmul_bt`].
     NT,
     /// `a` is stored `[k, m]`, `b` is `[k, n]`: `aᵀ · b`, the
-    /// weight-gradient `Xᵀ · dY` layout. `f32` only — there is no i8 TN
-    /// kernel.
+    /// weight-gradient `Xᵀ · dY` layout. `f32` only.
     TN,
     /// `a` is `[m, k]`, `b` is packed in k-pair panels `[⌈k/2⌉][n][2]`
     /// ([`pack_k_pairs`]): element `(l, j)` sits at `(l / 2) · ldb + 2j +
     /// l % 2`, so a panel row is `ldb ≥ 2n` wide. The weight-stationary
-    /// `[B, d] × W` layout `Int8Linear` stores its weights in, run by a
-    /// `madd` kernel that never reduces horizontally. `i8` only — there is
-    /// no f32 NP kernel.
+    /// `[B, d] × W` layout of every i8 product, run by a `madd` kernel
+    /// that never reduces horizontally. `i8` only — there is no f32 NP
+    /// kernel.
     NP,
 }
 
@@ -164,7 +166,8 @@ pub fn pack_k_pairs(b: &[i8], k: usize, n: usize) -> Vec<i8> {
 
 /// One strided (optionally batched) GEMM:
 /// `out[β][i, j] (+)= Σ_{l ∈ k_range} A[β][i, l] · B[β][l, j]` for every
-/// batch `β < batch`, `i < m`, `j < n`.
+/// batch `β < batch`, `i < m`, `j < n`. An `f32` product takes the NN, NT
+/// or TN [`Layout`], an `i8 → i32` product the packed NP.
 ///
 /// Row `r` of a stored operand starts at `r · ld` within its batch, and
 /// batch `β` starts at `β · stride` within its slice, so sub-blocks of
@@ -307,6 +310,46 @@ impl<'a, T> Gemm<'a, T> {
     }
 }
 
+impl Gemm<'_, i8> {
+    /// The naive oracle the i8 products are tested against: for any
+    /// [`Layout`], a triple loop over the descriptor's own addressing,
+    /// summed in `i64`. It writes exactly the elements
+    /// [`ExecEngine::gemm`] writes, overwriting or accumulating.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`ExecEngine::gemm`] would on the extents or the
+    /// slices, or if a result leaves `i32`.
+    pub fn reference(&self, out: &mut [i32]) {
+        self.check(out.len());
+        for batch in 0..self.batch {
+            let (a, b) = (batch * self.stride_a, batch * self.stride_b);
+            for i in 0..self.m {
+                for j in 0..self.n {
+                    let mut acc = 0i64;
+                    for l in self.k_range.clone() {
+                        let x = match self.layout {
+                            Layout::TN => self.a[a + l * self.lda + i],
+                            _ => self.a[a + i * self.lda + l],
+                        };
+                        let w = match self.layout {
+                            Layout::NN | Layout::TN => self.b[b + l * self.ldb + j],
+                            Layout::NT => self.b[b + j * self.ldb + l],
+                            Layout::NP => self.b[b + (l / 2) * self.ldb + 2 * j + l % 2],
+                        };
+                        acc += x as i64 * w as i64;
+                    }
+                    let o = &mut out[batch * self.stride_o + i * self.ldo + j];
+                    if self.accumulate {
+                        acc += *o as i64;
+                    }
+                    *o = i32::try_from(acc).expect("reference: a result leaves i32");
+                }
+            }
+        }
+    }
+}
+
 pub(crate) mod elem {
     use super::Layout;
     use crate::int_tensor::Int32Tensor;
@@ -324,8 +367,10 @@ pub(crate) mod elem {
         type Tile;
         /// The element's name in error messages.
         const NAME: &'static str;
-        /// The one layout this element has no kernel for.
-        const NO_KERNEL: Layout;
+        /// The layouts this element has a kernel for.
+        const LAYOUTS: &'static [Layout];
+        /// What the panic for any other layout suggests instead.
+        const INSTEAD: &'static str;
 
         /// Accumulates output rows `[r0, r1)` into `out` (whose row 0 is
         /// global row `r0`) over the reduction slice `[k0, k1)`.
@@ -356,7 +401,8 @@ pub(crate) mod elem {
         type Acc = f32;
         type Tile = Tensor;
         const NAME: &'static str = "f32";
-        const NO_KERNEL: Layout = Layout::NP;
+        const LAYOUTS: &'static [Layout] = &[Layout::NN, Layout::NT, Layout::TN];
+        const INSTEAD: &'static str = "";
 
         fn kernel(
             bk: KernelBackend,
@@ -417,11 +463,12 @@ pub(crate) mod elem {
         type Acc = i32;
         type Tile = Int32Tensor;
         const NAME: &'static str = "i8";
-        const NO_KERNEL: Layout = Layout::TN;
+        const LAYOUTS: &'static [Layout] = &[Layout::NP];
+        const INSTEAD: &'static str = "; pack `b` once with `pack_k_pairs` and run `Layout::NP`";
 
         fn kernel(
             bk: KernelBackend,
-            layout: Layout,
+            _layout: Layout,
             a: &[i8],
             lda: usize,
             b: &[i8],
@@ -433,48 +480,19 @@ pub(crate) mod elem {
             k0: usize,
             k1: usize,
         ) {
-            match layout {
-                Layout::NN => kernels::gemm_i8(
-                    bk,
-                    &a[r0 * lda..],
-                    lda,
-                    b,
-                    ldb,
-                    out,
-                    ldo,
-                    r1 - r0,
-                    n,
-                    k0,
-                    k1,
-                ),
-                Layout::NT => kernels::gemm_bt_i8(
-                    bk,
-                    &a[r0 * lda..],
-                    lda,
-                    b,
-                    ldb,
-                    out,
-                    ldo,
-                    r1 - r0,
-                    n,
-                    k0,
-                    k1,
-                ),
-                Layout::NP => kernels::gemm_np_i8(
-                    bk,
-                    &a[r0 * lda..],
-                    lda,
-                    b,
-                    ldb,
-                    out,
-                    ldo,
-                    r1 - r0,
-                    n,
-                    k0,
-                    k1,
-                ),
-                Layout::TN => unreachable!("rejected before dispatch"),
-            }
+            kernels::gemm_np_i8(
+                bk,
+                &a[r0 * lda..],
+                lda,
+                b,
+                ldb,
+                out,
+                ldo,
+                r1 - r0,
+                n,
+                k0,
+                k1,
+            );
         }
 
         fn zero_tile(dims: &[usize]) -> Int32Tensor {
@@ -618,16 +636,17 @@ impl ExecEngine {
     /// # Panics
     ///
     /// Panics if `g.k_range` leaves `0..g.k`, a slice is shorter than the
-    /// last element `g` addresses in it, or `g` asks for the i8
-    /// [`Layout::TN`] or the f32 [`Layout::NP`] product (neither has a
-    /// kernel).
+    /// last element `g` addresses in it, or `g` asks for a layout its
+    /// element has no kernel for: an f32 [`Layout::NP`] product, or an i8
+    /// one in any layout but NP.
     pub fn gemm<T: GemmElem>(&self, g: &Gemm<'_, T>, out: &mut [T::Acc]) {
         g.check(out.len());
         assert!(
-            g.layout != T::NO_KERNEL,
-            "gemm: the {} {:?} layout has no kernel",
+            T::LAYOUTS.contains(&g.layout),
+            "gemm: the {} {:?} layout has no kernel{}",
             T::NAME,
-            g.layout
+            g.layout,
+            T::INSTEAD
         );
         if g.m == 0 || g.n == 0 {
             return;
@@ -750,23 +769,48 @@ mod tests {
         }
     }
 
+    /// The shared oracle ([`Gemm::reference`]) of the dense `a · b`.
+    fn reference(a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
+        let mut out = Int32Tensor::zeros([a.dims()[0], b.dims()[1]]);
+        Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims()).reference(out.data_mut());
+        out
+    }
+
+    /// The NP descriptor of `a · b`, with `panels` the packed `b`.
+    fn np<'a>(a: &'a Int8Tensor, panels: &'a [i8], b: &Int8Tensor) -> Gemm<'a, i8> {
+        Gemm::dense(Layout::NP, a.data(), a.dims(), panels, b.dims())
+    }
+
+    /// `g` over the K slice `k0..k1` as one `gemm_k_tiles` tile, by the
+    /// shared oracle.
+    fn reference_tile(g: &Gemm<'_, i8>, k0: usize, k1: usize) -> Int32Tensor {
+        let dims = if g.batch == 1 {
+            vec![g.m, g.n]
+        } else {
+            vec![g.batch, g.m, g.n]
+        };
+        let mut tile = Int32Tensor::zeros(&dims[..]);
+        let slice = Gemm {
+            ldo: g.n,
+            stride_o: g.m * g.n,
+            k_range: k0..k1,
+            accumulate: false,
+            ..g.clone()
+        };
+        slice.reference(tile.data_mut());
+        tile
+    }
+
     #[test]
     fn int8_bit_identical_across_thread_counts_and_matches_reference() {
         for (m, k, n) in [(29, 70, 31), (64, 128, 32)] {
             let (a, b) = i8_pair(m, k, n);
-            let mut reference = vec![0i32; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    reference[i * n + j] = (0..k)
-                        .map(|l| a.data()[i * k + l] as i32 * b.data()[l * n + j] as i32)
-                        .sum();
-                }
-            }
+            let want = reference(&a, &b);
             for threads in [1, 2, 3, 8] {
                 let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
                 assert_eq!(
-                    eng.int8_matmul(&a, &b).data(),
-                    &reference[..],
+                    eng.int8_matmul(&a, &b),
+                    want,
                     "threads={threads} {m}x{k}x{n}"
                 );
             }
@@ -863,50 +907,45 @@ mod tests {
             let (a, b) = i8_pair(m, k, n);
             let bt = transpose_i8(&b);
             let panels = pack_k_pairs(b.data(), k, n);
-            let np = Gemm::new(Layout::NP, a.data(), &panels, m, n, k);
-            let want = ExecEngine::serial().int8_matmul(&a, &b);
+            let want = reference(&a, &b);
             for threads in [1, 3, 8] {
                 let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
                 assert_eq!(eng.int8_matmul_bt(&a, &bt), want, "threads={threads}");
                 let mut packed = Int32Tensor::zeros([m, n]);
-                eng.gemm(&np, packed.data_mut());
+                eng.gemm(&np(&a, &panels, &b), packed.data_mut());
                 assert_eq!(packed, want, "packed, threads={threads}");
             }
         }
     }
 
+    /// The packed product's K tiles equal the oracle's over the `[k, n]`
+    /// and the `[n, k]` descriptors of the same codes.
     #[test]
     fn int8_bt_k_tiles_match_kn_layout_tiles() {
         let (a, b) = i8_pair(6, 33, 5);
         let bt = transpose_i8(&b);
         let eng = ExecEngine::with_threads(3).with_spawn_threshold(0);
-        let mut kn = Vec::new();
-        eng.gemm_k_tiles(
-            &Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims()),
-            8,
-            |_, tile| kn.push(tile.clone()),
-        );
+        let kn = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+        let nt = Gemm::dense(Layout::NT, a.data(), a.dims(), bt.data(), bt.dims());
         let panels = pack_k_pairs(b.data(), 33, 5);
-        for g in [
-            Gemm::dense(Layout::NT, a.data(), a.dims(), bt.data(), bt.dims()),
-            Gemm::dense(Layout::NP, a.data(), a.dims(), &panels, b.dims()),
-        ] {
-            let mut steps = 0;
-            eng.gemm_k_tiles(&g, 8, |step, tile| {
-                assert_eq!(tile, &kn[step], "{:?} step {step}", g.layout);
-                steps += 1;
-            });
-            assert_eq!(steps, 33usize.div_ceil(8));
-        }
+        let mut steps = 0;
+        eng.gemm_k_tiles(&np(&a, &panels, &b), 8, |step, tile| {
+            let (k0, k1) = (step * 8, (step * 8 + 8).min(33));
+            assert_eq!(tile, &reference_tile(&kn, k0, k1), "NN step {step}");
+            assert_eq!(tile, &reference_tile(&nt, k0, k1), "NT step {step}");
+            steps += 1;
+        });
+        assert_eq!(steps, 33usize.div_ceil(8));
     }
 
-    /// Flat `[B, M, K]` and `[B, N, K]` operands whose per-batch contents
-    /// differ.
+    /// Flat `[B, M, K]` activations and `B` weight blocks long enough for
+    /// either `[N, K]` codes or `[⌈K/2⌉][N][2]` panels, per-batch contents
+    /// differing.
     fn batched_i8(bsz: usize, m: usize, k: usize, n: usize) -> (Vec<i8>, Vec<i8>) {
         let a = (0..bsz * m * k)
             .map(|x| ((x * 37 + 11) % 255) as i8)
             .collect();
-        let b = (0..bsz * n * k)
+        let b = (0..bsz * k.div_ceil(2) * 2 * n)
             .map(|x| ((x * 73 + 5) % 251) as i8)
             .collect();
         (a, b)
@@ -931,19 +970,18 @@ mod tests {
     fn int8_batched_bt_matches_per_batch_bt() {
         let (bsz, m, k, n) = (3usize, 2usize, 33usize, 5usize);
         let (a, b) = batched_i8(bsz, m, k, n);
+        let mut want = vec![0i32; bsz * m * n];
+        batched(Layout::NT, &a, &b, bsz, [m, n, k]).reference(&mut want);
         for threads in [1usize, 3] {
             let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-            let mut out = vec![0i32; bsz * m * n];
-            eng.gemm(&batched(Layout::NT, &a, &b, bsz, [m, n, k]), &mut out);
             for batch in 0..bsz {
                 let ab =
                     Int8Tensor::from_vec(a[batch * m * k..(batch + 1) * m * k].to_vec(), [m, k]);
                 let bb =
                     Int8Tensor::from_vec(b[batch * n * k..(batch + 1) * n * k].to_vec(), [n, k]);
-                let want = eng.int8_matmul_bt(&ab, &bb);
                 assert_eq!(
-                    &out[batch * m * n..(batch + 1) * m * n],
-                    want.data(),
+                    &want[batch * m * n..(batch + 1) * m * n],
+                    eng.int8_matmul_bt(&ab, &bb).data(),
                     "batch {batch} threads {threads}"
                 );
             }
@@ -955,9 +993,12 @@ mod tests {
         let (bsz, m, k, n) = (2usize, 2usize, 23usize, 3usize);
         let (a, b) = batched_i8(bsz, m, k, n);
         let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
-        let g = batched(Layout::NT, &a, &b, bsz, [m, n, k]);
+        let g = batched(Layout::NP, &a, &b, bsz, [m, n, k]);
         let mut want = Int32Tensor::zeros([bsz, m, n]);
-        eng.gemm(&g, want.data_mut());
+        g.reference(want.data_mut());
+        let mut full = Int32Tensor::zeros([bsz, m, n]);
+        eng.gemm(&g, full.data_mut());
+        assert_eq!(full, want);
         let mut acc = Int32Tensor::zeros([bsz, m, n]);
         let mut steps = 0;
         eng.gemm_k_tiles(&g, 7, |step, tile| {
@@ -975,14 +1016,14 @@ mod tests {
         let a: Vec<i8> = (0..bsz * m * k)
             .map(|x| ((x * 31 + 7) % 253) as i8)
             .collect();
-        let b: Vec<i8> = (0..bsz * k * n)
+        let b: Vec<i8> = (0..bsz * k.div_ceil(2) * 2 * n)
             .map(|x| ((x * 41 + 13) % 249) as i8)
             .collect();
-        let g = batched(Layout::NN, &a, &b, bsz, [m, n, k]);
+        let g = batched(Layout::NP, &a, &b, bsz, [m, n, k]);
+        let mut want = Int32Tensor::zeros([bsz, m, n]);
+        g.reference(want.data_mut());
         for threads in [1usize, 4] {
             let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-            let mut want = Int32Tensor::zeros([bsz, m, n]);
-            eng.gemm(&g, want.data_mut());
             let mut acc = Int32Tensor::zeros([bsz, m, n]);
             eng.gemm_k_tiles(&g, 8, |_, tile| {
                 acc = acc.checked_add(tile).unwrap();
@@ -997,9 +1038,10 @@ mod tests {
         let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
         let once = eng.int8_matmul(&a, &b);
         let mut acc = once.clone();
+        let panels = pack_k_pairs(b.data(), 40, 6);
         let g = Gemm {
             accumulate: true,
-            ..Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims())
+            ..np(&a, &panels, &b)
         };
         eng.gemm(&g, acc.data_mut());
         for (x, y) in acc.data().iter().zip(once.data()) {
@@ -1018,12 +1060,16 @@ mod tests {
             .iter_mut()
             .for_each(|v| *v = v.wrapping_sub(7));
         let a = [a0.data(), a1.data()].concat();
-        let b = [b0.data(), b1.data()].concat();
+        let b = [
+            pack_k_pairs(b0.data(), 16, 5),
+            pack_k_pairs(b1.data(), 16, 5),
+        ]
+        .concat();
         let eng = ExecEngine::with_threads(2).with_spawn_threshold(0);
         let mut out = vec![0i32; 2 * 3 * 5];
-        eng.gemm(&batched(Layout::NN, &a, &b, 2, [3, 5, 16]), &mut out);
-        assert_eq!(&out[..15], eng.int8_matmul(&a0, &b0).data());
-        assert_eq!(&out[15..], eng.int8_matmul(&a1, &b1).data());
+        eng.gemm(&batched(Layout::NP, &a, &b, 2, [3, 5, 16]), &mut out);
+        assert_eq!(&out[..15], reference(&a0, &b0).data());
+        assert_eq!(&out[15..], reference(&a1, &b1).data());
     }
 
     #[test]
@@ -1032,15 +1078,11 @@ mod tests {
         // equal the ranged products they stand for.
         let (a, b) = i8_pair(6, 33, 5);
         let eng = ExecEngine::with_threads(3).with_spawn_threshold(0);
-        let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+        let panels = pack_k_pairs(b.data(), 33, 5);
+        let g = np(&a, &panels, &b);
         let mut steps = 0;
         eng.gemm_k_tiles(&g, 8, |step, tile| {
-            let mut want = Int32Tensor::zeros([6, 5]);
-            let ranged = Gemm {
-                k_range: step * 8..(step * 8 + 8).min(33),
-                ..g.clone()
-            };
-            ExecEngine::serial().gemm(&ranged, want.data_mut());
+            let want = reference_tile(&g, step * 8, (step * 8 + 8).min(33));
             assert_eq!(tile, &want, "step {step}");
             steps += 1;
         });
@@ -1118,15 +1160,28 @@ mod tests {
         ExecEngine::with_threads(0);
     }
 
+    /// Every i8 layout but NP is rejected before dispatch, and the panic
+    /// names the packing step: NN and NT are caught and checked, TN is the
+    /// panic the harness expects.
     #[test]
-    #[should_panic(expected = "i8 TN layout has no kernel")]
-    fn int8_tn_layout_rejected() {
-        let (a, b) = i8_pair(2, 3, 4);
-        let mut out = vec![0i32; 3 * 4];
-        ExecEngine::serial().gemm(
-            &Gemm::new(Layout::TN, a.data(), b.data(), 3, 4, 2),
-            &mut out,
-        );
+    #[should_panic(expected = "i8 TN layout has no kernel; pack `b` once with `pack_k_pairs`")]
+    fn int8_unpacked_layouts_rejected() {
+        let (a, b) = i8_pair(3, 4, 4);
+        let run = |layout| {
+            let mut out = vec![0i32; 4 * 4];
+            let g = Gemm::new(layout, a.data(), b.data(), 4, 4, 3);
+            ExecEngine::serial().gemm(&g, &mut out);
+        };
+        for layout in [Layout::NN, Layout::NT] {
+            let err = std::panic::catch_unwind(|| run(layout)).expect_err("rejected");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                msg.contains(&format!("i8 {layout:?} layout has no kernel")),
+                "{msg}"
+            );
+            assert!(msg.contains("pack_k_pairs"), "{msg}");
+        }
+        run(Layout::TN);
     }
 
     #[test]

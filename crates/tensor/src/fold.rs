@@ -58,7 +58,7 @@
 //! ```
 
 use crate::exec::ExecEngine;
-use crate::kernels::{self, lanes};
+use crate::kernels;
 
 /// One step of a [`FoldPlan`]: Algorithm 1's work after the step's PSUM
 /// tile is accumulated.
@@ -330,7 +330,7 @@ impl ExecEngine {
         let run = |x: &[f32], out: &mut [f32], codes: &mut [i32]| {
             let rows = x.len() / k;
             let mut q = vec![0i8; x.len()];
-            lanes::quantize_i8(x, op.x_scale, &mut q);
+            kernels::quantize_i8(self.backend(), x, op.x_scale, &mut q);
             let mut staged = vec![0i32; rows * op.plan.stride];
             op.plan.stage(&q, &mut staged);
             let f = Fused {

@@ -282,7 +282,7 @@ fn rel_l2_error(x: &crate::tensor::Tensor, y: &crate::tensor::Tensor) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ExecEngine, Gemm, Layout};
+    use crate::exec::{pack_k_pairs, ExecEngine, Gemm, Layout};
 
     fn int8_matmul(a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
         ExecEngine::serial().int8_matmul(a, b)
@@ -304,7 +304,8 @@ mod tests {
         let a = Int8Tensor::from_vec((0..6 * 16).map(|x| (x % 17) as i8 - 8).collect(), [6, 16]);
         let b = Int8Tensor::from_vec((0..16 * 4).map(|x| (x % 11) as i8 - 5).collect(), [16, 4]);
         let exact = int8_matmul(&a, &b);
-        let g = Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims());
+        let panels = pack_k_pairs(b.data(), 16, 4);
+        let g = Gemm::dense(Layout::NP, a.data(), a.dims(), &panels, b.dims());
         for k_tile in [1, 3, 4, 8, 16, 32] {
             let mut acc = Int32Tensor::zeros([6, 4]);
             ExecEngine::serial().gemm_k_tiles(&g, k_tile, |_, t| {

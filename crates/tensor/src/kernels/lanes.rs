@@ -28,7 +28,9 @@
 //! and the one f32 reduction is a maximum,
 //! which no evaluation order changes, so the tiers cannot disagree. The
 //! process-wide [`KernelBackend::detect`] picks the tier, which makes the
-//! [`crate::BACKEND_ENV`] override force the portable build.
+//! [`crate::BACKEND_ENV`] override force the portable build; inside
+//! [`crate::ExecEngine::apsq_linear`] the quantizer follows the engine's
+//! own backend instead.
 
 use super::KernelBackend;
 
@@ -107,13 +109,7 @@ lane_kernel! {
 ///
 /// Panics if the slices differ in length.
 pub fn quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) {
-    #[cfg(target_arch = "x86_64")]
-    if KernelBackend::detect() == KernelBackend::Avx2 {
-        // SAFETY: `detect` yields Avx2 only after
-        // `is_x86_feature_detected!("avx2")` confirmed the feature.
-        return unsafe { super::x86::avx2_quantize_i8(xs, scale, out) };
-    }
-    quantize_i8_body(xs, scale, out)
+    super::quantize_i8(KernelBackend::detect(), xs, scale, out);
 }
 
 lane_kernel! {

@@ -25,22 +25,29 @@
 //!   digest well). This is the semantic definition of every kernel.
 //! - [`KernelBackend::Sse2`] — `core::arch::x86_64` 128-bit intrinsics.
 //!   SSE2 is part of the x86-64 baseline, so this tier needs no feature
-//!   detection; it is the floor on any x86-64 host.
-//! - [`KernelBackend::Avx2`] — 256-bit intrinsics (i8×i8→i16 widening
-//!   multiply-add into i32 lanes, 8-wide f32 mul/add lanes), used when
+//!   detection; it is the floor on any x86-64 host. It builds the f32
+//!   GEMMs, the packed-B i8 GEMM and the fused APSQ linear kernel; the
+//!   attention, quantizer and transcendental kernels run their scalar
+//!   bodies.
+//! - [`KernelBackend::Avx2`] — 256-bit intrinsics (i16 `madd` into i32
+//!   lanes, 8-wide f32 mul/add lanes), used when
 //!   `is_x86_feature_detected!("avx2")` reports support.
 //!
 //! # The packed-B i8 kernel
 //!
-//! [`gemm_np_i8`] is the weight-stationary product: `b` is stored once as
-//! k-pair panels `[⌈k/2⌉][n][2]` ([`crate::pack_k_pairs`]), so one pair
-//! row holds both k values of every column side by side. Each row of `a`
-//! contributes an activation pair `(a[i, 2p], a[i, 2p + 1])`, staged once
-//! per pass and broadcast against a whole run of columns; a
-//! `madd_epi16` turns that into one i32 partial sum per column, so the
-//! register tile accumulates straight into output lanes and never
-//! reduces horizontally. A `[k0, k1)` boundary at odd k splits a pair:
-//! the out-of-range half is zeroed on the activation side.
+//! [`gemm_np_i8`] is the workspace's one i8 GEMM: every `i8 → i32`
+//! product the engine runs takes its weight-stationary layout, where `b`
+//! is stored once as k-pair panels `[⌈k/2⌉][n][2]`
+//! ([`crate::pack_k_pairs`]), so one pair row holds both k values of
+//! every column side by side. Each row of `a` contributes an activation
+//! pair `(a[i, 2p], a[i, 2p + 1])`, staged once per pass and broadcast
+//! against a whole run of columns; a `madd_epi16` turns that into one i32
+//! partial sum per column, so the register tile accumulates straight into
+//! output lanes and never reduces horizontally. A `[k0, k1)` boundary at
+//! odd k splits a pair: the out-of-range half is zeroed on the activation
+//! side. A caller holding a row-major `[k, n]` matrix packs it once; the
+//! transposed-B `a · bᵀ` wrapper (`int8_matmul_bt`) runs each row of `a`
+//! through [`qk_block_i8`] as a one-head query instead.
 //!
 //! # The per-block attention kernels
 //!
@@ -369,71 +376,6 @@ pub(crate) fn gemm_at_f32(
     }
 }
 
-/// Exact integer micro-kernel:
-/// `out[i, j] += Σ_{l ∈ [k0, k1)} a[i, l] · b[l, j]` with `i8` operands
-/// widened to `i32` products, `i32` accumulation.
-pub(crate) fn gemm_i8(
-    bk: KernelBackend,
-    a: &[i8],
-    lda: usize,
-    b: &[i8],
-    ldb: usize,
-    out: &mut [i32],
-    ldo: usize,
-    m: usize,
-    n: usize,
-    k0: usize,
-    k1: usize,
-) {
-    match bk {
-        KernelBackend::Scalar => scalar::gemm_i8(a, lda, b, ldb, out, ldo, m, n, k0, k1),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline — always present.
-        KernelBackend::Sse2 => unsafe { x86::sse2_gemm_i8(a, lda, b, ldb, out, ldo, m, n, k0, k1) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `gemm_f32`.
-        KernelBackend::Avx2 => unsafe { x86::avx2_gemm_i8(a, lda, b, ldb, out, ldo, m, n, k0, k1) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("x86 backends are rejected at engine construction"),
-    }
-}
-
-/// Exact integer transposed-B micro-kernel:
-/// `out[i, j] += Σ_{l ∈ [k0, k1)} a[i, l] · b[j, l]` — `b` stored `[N, K]`
-/// row-major, one unit-stride dot product per output. Int8 decode
-/// attention scores a whole KV block per call through [`qk_block_i8`]
-/// instead, and weights take the packed-B [`gemm_np_i8`], which needs no
-/// horizontal reduction per output.
-pub(crate) fn gemm_bt_i8(
-    bk: KernelBackend,
-    a: &[i8],
-    lda: usize,
-    b: &[i8],
-    ldb: usize,
-    out: &mut [i32],
-    ldo: usize,
-    m: usize,
-    n: usize,
-    k0: usize,
-    k1: usize,
-) {
-    match bk {
-        KernelBackend::Scalar => scalar::gemm_bt_i8(a, lda, b, ldb, out, ldo, m, n, k0, k1),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline — always present.
-        KernelBackend::Sse2 => unsafe {
-            x86::sse2_gemm_bt_i8(a, lda, b, ldb, out, ldo, m, n, k0, k1)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `gemm_f32`.
-        KernelBackend::Avx2 => unsafe {
-            x86::avx2_gemm_bt_i8(a, lda, b, ldb, out, ldo, m, n, k0, k1)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("x86 backends are rejected at engine construction"),
-    }
-}
-
 /// Exact integer packed-B micro-kernel:
 /// `out[i, j] += Σ_{l ∈ [k0, k1)} a[i, l] · b[(l / 2) · ldb + 2j + l % 2]`
 /// — `b` stored as k-pair panels (module docs), the weight-stationary
@@ -557,6 +499,18 @@ pub(crate) fn tanh_f32(bk: KernelBackend, xs: &mut [f32]) {
         // SAFETY: as in `exp_f32`.
         KernelBackend::Avx2 if has_fma() => unsafe { x86::avx2_tanh_f32(xs) },
         _ => scalar::tanh_f32(xs),
+    }
+}
+
+/// `out[j] = clamp(round(xs[j] / scale), −128, 127)` as `i8`
+/// ([`lanes::quantize_i8`]): the explicit AVX2 build on an `Avx2`
+/// backend, the body on every other.
+pub(crate) fn quantize_i8(bk: KernelBackend, xs: &[f32], scale: f32, out: &mut [i8]) {
+    match bk {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_f32`.
+        KernelBackend::Avx2 => unsafe { x86::avx2_quantize_i8(xs, scale, out) },
+        _ => lanes::quantize_i8_body(xs, scale, out),
     }
 }
 
@@ -751,44 +705,6 @@ pub(super) fn tail_f32(
     }
 }
 
-/// Ragged-edge i8→i32 tile, the integer twin of [`tail_f32`]: one tail
-/// helper for every partial-NR / partial-MR / remainder case of the scalar
-/// kernel and every SIMD variant's edges.
-#[inline]
-pub(super) fn tail_i8(
-    a: &[i8],
-    lda: usize,
-    b: &[i8],
-    ldb: usize,
-    out: &mut [i32],
-    ldo: usize,
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
-    kp: usize,
-    kq: usize,
-) {
-    for i in i0..i1 {
-        let mut j = j0;
-        while j < j1 {
-            let jn = usize::min(j + NR, j1);
-            let mut acc = [0i32; NR];
-            for l in kp..kq {
-                let av = a[i * lda + l] as i32;
-                for (c, accv) in acc[..jn - j].iter_mut().enumerate() {
-                    *accv += av * b[l * ldb + j + c] as i32;
-                }
-            }
-            let orow = &mut out[i * ldo + j..i * ldo + jn];
-            for (o, &v) in orow.iter_mut().zip(acc.iter()) {
-                *o += v;
-            }
-            j = jn;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,11 +747,12 @@ mod tests {
             let (m, k, n) = (6, 40, 10);
             let a: Vec<i8> = (0..m * k).map(|x| ((x * 37 + 5) % 255) as i8).collect();
             let b: Vec<i8> = (0..k * n).map(|x| ((x * 53 + 7) % 251) as i8).collect();
+            let panels = crate::pack_k_pairs(&b, k, n);
             let mut full = vec![0i32; m * n];
-            gemm_i8(bk, &a, k, &b, n, &mut full, n, m, n, 0, k);
+            gemm_np_i8(bk, &a, k, &panels, 2 * n, &mut full, n, m, n, 0, k);
             let mut tiled = vec![0i32; m * n];
             for (k0, k1) in [(0, 13), (13, 14), (14, 40)] {
-                gemm_i8(bk, &a, k, &b, n, &mut tiled, n, m, n, k0, k1);
+                gemm_np_i8(bk, &a, k, &panels, 2 * n, &mut tiled, n, m, n, k0, k1);
             }
             assert_eq!(full, tiled, "{bk}");
         }
@@ -900,35 +817,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bt_i8_matches_plain_i8_and_partitions_k() {
-        for bk in KernelBackend::supported() {
-            let (m, k, n) = (5, 23, 7);
-            let a: Vec<i8> = (0..m * k).map(|x| ((x * 37 + 5) % 255) as i8).collect();
-            let b: Vec<i8> = (0..k * n).map(|x| ((x * 53 + 7) % 251) as i8).collect();
-            let mut plain = vec![0i32; m * n];
-            gemm_i8(bk, &a, k, &b, n, &mut plain, n, m, n, 0, k);
-
-            // bᵀ stored [N, K].
-            let mut bt = vec![0i8; n * k];
-            for l in 0..k {
-                for j in 0..n {
-                    bt[j * k + l] = b[l * n + j];
-                }
-            }
-            let mut out = vec![0i32; m * n];
-            gemm_bt_i8(bk, &a, k, &bt, k, &mut out, n, m, n, 0, k);
-            assert_eq!(out, plain, "{bk}");
-
-            // K ranges partition the reduction exactly (integer addition).
-            let mut tiled = vec![0i32; m * n];
-            for (k0, k1) in [(0, 9), (9, 10), (10, 23)] {
-                gemm_bt_i8(bk, &a, k, &bt, k, &mut tiled, n, m, n, k0, k1);
-            }
-            assert_eq!(tiled, plain, "{bk}");
-        }
-    }
-
     /// Every supported SIMD backend must agree with the scalar reference
     /// bit-for-bit, across ragged shapes and k-ranges — the unit-level
     /// smoke for the contract the backend proptests sweep at scale.
@@ -952,10 +840,10 @@ mod tests {
                     .collect();
                 let ai: Vec<i8> = (0..m * k).map(|x| ((x * 37 + 11) % 255) as i8).collect();
                 let bi: Vec<i8> = (0..k * n).map(|x| ((x * 73 + 5) % 251) as i8).collect();
+                let panels = crate::pack_k_pairs(&bi, k, n);
                 let btf: Vec<f32> = (0..n * k)
                     .map(|x| ((x * 13 + 1) % 89) as f32 * 0.04 - 1.8)
                     .collect();
-                let bti: Vec<i8> = (0..n * k).map(|x| ((x * 29 + 3) % 253) as i8).collect();
                 let atf: Vec<f32> = (0..k * m)
                     .map(|x| ((x * 11 + 5) % 83) as f32 * 0.06 - 2.5)
                     .collect();
@@ -988,12 +876,12 @@ mod tests {
 
                     let mut want = vec![0i32; m * n];
                     let mut got = vec![0i32; m * n];
-                    gemm_i8(
+                    gemm_np_i8(
                         KernelBackend::Scalar,
                         &ai,
                         k,
-                        &bi,
-                        n,
+                        &panels,
+                        2 * n,
                         &mut want,
                         n,
                         m,
@@ -1001,31 +889,15 @@ mod tests {
                         k0,
                         k1,
                     );
-                    gemm_i8(bk, &ai, k, &bi, n, &mut got, n, m, n, k0, k1);
-                    assert_eq!(want, got, "gemm_i8 {bk} {m}x{k}x{n} [{k0},{k1})");
-                    let mut want = vec![0i32; m * n];
-                    let mut got = vec![0i32; m * n];
-                    gemm_bt_i8(
-                        KernelBackend::Scalar,
-                        &ai,
-                        k,
-                        &bti,
-                        k,
-                        &mut want,
-                        n,
-                        m,
-                        n,
-                        k0,
-                        k1,
-                    );
-                    gemm_bt_i8(bk, &ai, k, &bti, k, &mut got, n, m, n, k0, k1);
-                    assert_eq!(want, got, "gemm_bt_i8 {bk} {m}x{k}x{n} [{k0},{k1})");
+                    gemm_np_i8(bk, &ai, k, &panels, 2 * n, &mut got, n, m, n, k0, k1);
+                    assert_eq!(want, got, "gemm_np_i8 {bk} {m}x{k}x{n} [{k0},{k1})");
                 }
             }
         }
     }
 
-    /// The packed-B kernel equals the NN kernel on the unpacked codes on
+    /// The packed-B kernel equals the shared oracle
+    /// ([`crate::Gemm::reference`]) over the unpacked `[k, n]` codes on
     /// every backend: odd and even k, ranges that start or end mid-pair,
     /// a range crossing a [`KP`]-pair pass, every row tail below [`MR`]
     /// and column tails below 16, 8 and 4.
@@ -1047,7 +919,11 @@ mod tests {
                         continue;
                     }
                     let mut want = vec![0i32; m * n];
-                    gemm_i8(bk, &a, k, &b, n, &mut want, n, m, n, k0, k1);
+                    let nn = crate::Gemm {
+                        k_range: k0..k1,
+                        ..crate::Gemm::new(crate::Layout::NN, &a[..], &b[..], m, n, k)
+                    };
+                    nn.reference(&mut want);
                     let mut got = vec![0i32; m * n];
                     gemm_np_i8(bk, &a, k, &panels, 2 * n, &mut got, n, m, n, k0, k1);
                     assert_eq!(got, want, "{bk} {m}x{k}x{n} [{k0},{k1})");

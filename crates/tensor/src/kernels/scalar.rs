@@ -4,13 +4,13 @@
 //! Written with fixed-width lane arrays (the unrolled shape non-x86
 //! autovectorizers digest well): the `MR×NR` register tile of the blocked
 //! kernels, the [`LANES`]-lane K-dot of `gemm_bt_f32`. Ragged edges all go
-//! through the shared [`tail_f32`]/[`tail_i8`]/[`tail_np_i8`] helpers, so
+//! through the shared [`tail_f32`]/[`tail_np_i8`] helpers, so
 //! the edge index arithmetic — historically triplicated across partial-NR,
 //! partial-MR, and remainder paths — is written once and shared with the
 //! SIMD variants.
 
 use super::lanes::{round_shift_clamp_body, shl_saturate};
-use super::{dot_f32_lanes, np_passes, qk_chunk, tail_f32, tail_i8, tail_np_i8, KC, MR, NR};
+use super::{dot_f32_lanes, np_passes, qk_chunk, tail_f32, tail_np_i8, KC, MR, NR};
 use crate::fold::Fused;
 
 pub(super) fn gemm_f32(
@@ -109,80 +109,6 @@ pub(super) fn gemm_at_f32(
             for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
                 *o += av * bv;
             }
-        }
-    }
-}
-
-pub(super) fn gemm_i8(
-    a: &[i8],
-    lda: usize,
-    b: &[i8],
-    ldb: usize,
-    out: &mut [i32],
-    ldo: usize,
-    m: usize,
-    n: usize,
-    k0: usize,
-    k1: usize,
-) {
-    let mut kp = k0;
-    while kp < k1 {
-        let kq = usize::min(kp + KC, k1);
-        let mut i = 0;
-        while i + MR <= m {
-            let mut j = 0;
-            while j + NR <= n {
-                let mut acc = [[0i32; NR]; MR];
-                for l in kp..kq {
-                    let brow = &b[l * ldb + j..l * ldb + j + NR];
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let av = a[(i + r) * lda + l] as i32;
-                        for (c, accv) in accr.iter_mut().enumerate() {
-                            *accv += av * brow[c] as i32;
-                        }
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + NR];
-                    for (o, &v) in orow.iter_mut().zip(accr.iter()) {
-                        *o += v;
-                    }
-                }
-                j += NR;
-            }
-            if j < n {
-                tail_i8(a, lda, b, ldb, out, ldo, i, i + MR, j, n, kp, kq);
-            }
-            i += MR;
-        }
-        if i < m {
-            tail_i8(a, lda, b, ldb, out, ldo, i, m, 0, n, kp, kq);
-        }
-        kp = kq;
-    }
-}
-
-pub(super) fn gemm_bt_i8(
-    a: &[i8],
-    lda: usize,
-    b: &[i8],
-    ldb: usize,
-    out: &mut [i32],
-    ldo: usize,
-    m: usize,
-    n: usize,
-    k0: usize,
-    k1: usize,
-) {
-    for i in 0..m {
-        let arow = &a[i * lda + k0..i * lda + k1];
-        for j in 0..n {
-            let brow = &b[j * ldb + k0..j * ldb + k1];
-            let mut acc = 0i32;
-            for (&x, &y) in arow.iter().zip(brow.iter()) {
-                acc += x as i32 * y as i32;
-            }
-            out[i * ldo + j] += acc;
         }
     }
 }

@@ -6,7 +6,7 @@
 //! ([`ExecEngine::gemm_k_tiles`]).
 
 use crate::exec::elem::GemmElem;
-use crate::exec::{ExecEngine, Gemm, Layout};
+use crate::exec::{pack_k_pairs, ExecEngine, Gemm, Layout};
 use crate::int_tensor::{Int32Tensor, Int8Tensor};
 use crate::tensor::Tensor;
 
@@ -43,25 +43,46 @@ impl ExecEngine {
 
     /// Exact integer matmul: `[M, K]` i8 × `[K, N]` i8 → `[M, N]` i32.
     /// Products and sums are formed in `i32`; for `K ≤ 2^15` this cannot
-    /// overflow (|product| ≤ 2^14, so |sum| ≤ 2^29).
+    /// overflow (|product| ≤ 2^14, so |sum| ≤ 2^29). `b` is packed into
+    /// k-pair panels ([`pack_k_pairs`]) on every call, so a caller that
+    /// reuses a weight packs it once and runs [`Layout::NP`] itself.
     ///
     /// # Panics
     ///
     /// Panics if operands are not rank-2 or inner dims disagree.
     pub fn int8_matmul(&self, a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
-        self.product(Layout::NN, (a.data(), a.dims()), (b.data(), b.dims()))
+        let &[k, n] = b.dims() else {
+            panic!("gemm: `b` must be rank-2, got {:?}", b.dims())
+        };
+        let panels = pack_k_pairs(b.data(), k, n);
+        self.product(Layout::NP, (a.data(), a.dims()), (&panels, b.dims()))
     }
 
     /// Exact integer transposed-B matmul: `a` (`[M, K]` i8) × `bᵀ` (`b`
-    /// stored `[N, K]` i8) → `[M, N]` i32, the layout of key rows. Int8
-    /// decode attention scores whole KV blocks through
-    /// [`ExecEngine::qk_block_i8`] instead.
+    /// stored `[N, K]` i8) → `[M, N]` i32, the layout of key rows. Each row
+    /// of `a` is a one-head query scored against every row of `b` in one
+    /// [`ExecEngine::qk_block_i8`] K step, with the rows split over the
+    /// engine's threads.
     ///
     /// # Panics
     ///
     /// Panics if operands are not rank-2 or the K dims disagree.
     pub fn int8_matmul_bt(&self, a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
-        self.product(Layout::NT, (a.data(), a.dims()), (b.data(), b.dims()))
+        let g = Gemm::dense(Layout::NT, a.data(), a.dims(), b.data(), b.dims());
+        let (m, n, k) = (g.m, g.n, g.k);
+        let mut out = Int32Tensor::zeros([m, n]);
+        if k == 0 || n == 0 {
+            return out;
+        }
+        self.partition_rows(out.data_mut(), n, m, n, m * n * k, &|r0, r1, chunk| {
+            for (q, scores) in a.data()[r0 * k..r1 * k]
+                .chunks_exact(k)
+                .zip(chunk.chunks_exact_mut(n))
+            {
+                self.qk_block_i8(q, 1, k, b.data(), scores, n);
+            }
+        });
+        out
     }
 
     /// The dense product of two rank-2 operands into a fresh tensor.

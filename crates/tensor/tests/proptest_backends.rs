@@ -9,12 +9,15 @@
 //! [`ExecEngine::with_backend`] and compare against the scalar serial
 //! engine across layout × element type × batch × strides × K range /
 //! K tile, at random shapes (including ragged MR/NR/LANES tails) and
-//! thread counts. The i8 packed-B layout (`Layout::NP`) is pinned to the
-//! NT kernel on the unpacked codes as well, and the per-block int8
-//! attention kernels (`qk_block_i8`, `pv_block_i8`) to the NT and NN
-//! GEMMs they replace.
+//! thread counts. Every i8 result is also pinned to the shared naive
+//! oracle (`Gemm::reference`): the packed-B layout (`Layout::NP`, the one
+//! i8 GEMM kernel) over the NN and NT descriptors of the unpacked codes,
+//! and the per-block int8 attention kernels (`qk_block_i8`,
+//! `pv_block_i8`) over the head-batched descriptors they stand for.
 
-use apsq_tensor::{pack_k_pairs, ExecEngine, Gemm, Int8Tensor, KernelBackend, Layout, Tensor};
+use apsq_tensor::{
+    pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor, KernelBackend, Layout, Tensor,
+};
 use proptest::prelude::*;
 use std::fmt::Debug;
 
@@ -47,6 +50,42 @@ fn ragged_dims() -> impl Strategy<Value = (usize, usize, usize)> {
             .prop_flat_map(|base| base..base + 7),
         prop_oneof![1usize..9, 15usize..19, 63usize..67, 255usize..261],
     )
+}
+
+/// [`ragged_dims`], and one case in four with `m`, `k` or `n` empty.
+fn i8_dims() -> impl Strategy<Value = (usize, usize, usize)> {
+    let empty = (ragged_dims(), 0usize..3).prop_map(|((m, k, n), zero)| match zero {
+        0 => (0, k, n),
+        1 => (m, 0, n),
+        _ => (m, k, 0),
+    });
+    prop_oneof![ragged_dims(), ragged_dims(), ragged_dims(), empty]
+}
+
+/// The shared oracle's K tiles of `g`, shaped as `gemm_k_tiles` hands
+/// them out.
+fn reference_tiles(g: &Gemm<'_, i8>, k_tile: usize) -> Vec<Int32Tensor> {
+    let dims = if g.batch == 1 {
+        vec![g.m, g.n]
+    } else {
+        vec![g.batch, g.m, g.n]
+    };
+    let end = g.k_range.end;
+    (g.k_range.start..end)
+        .step_by(k_tile)
+        .map(|k0| {
+            let mut tile = Int32Tensor::zeros(&dims[..]);
+            let slice = Gemm {
+                ldo: g.n,
+                stride_o: g.m * g.n,
+                k_range: k0..end.min(k0 + k_tile),
+                accumulate: false,
+                ..g.clone()
+            };
+            slice.reference(tile.data_mut());
+            tile
+        })
+        .collect()
 }
 
 fn scalar_engine(threads: usize) -> ExecEngine {
@@ -92,7 +131,7 @@ impl Case {
             Layout::NN => ((m, k), (k, n)),
             Layout::NT => ((m, k), (n, k)),
             Layout::TN => ((k, m), (k, n)),
-            Layout::NP => unreachable!("packed cases are built by `PackedCase`"),
+            Layout::NP => ((m, k), (k.div_ceil(2), 2 * n)),
         }
     }
 
@@ -143,14 +182,12 @@ impl Case {
         buf
     }
 
-    /// The i8 variant of this case (i8 has no TN kernel).
+    /// The i8 variant of this case: the same extents, strides and K range
+    /// over packed panels (NP is the one i8 layout), whose padded rows any
+    /// i8 codes fill.
     fn for_i8(&self) -> Case {
-        let layout = match self.layout {
-            Layout::TN => Layout::NN,
-            l => l,
-        };
         Case {
-            layout,
+            layout: Layout::NP,
             ..self.clone()
         }
     }
@@ -266,8 +303,8 @@ fn packed_case() -> impl Strategy<Value = PackedCase> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The packed-B product and its K-tile stream equal the NT kernel on
-    /// the unpacked codes, on every backend (against the scalar body) and
+    /// The packed-B product and its K-tile stream equal the shared oracle
+    /// over the NT descriptor of the unpacked codes, on every backend and
     /// at 1–4 threads: odd k, K ranges and odd `k_tile`s that split a k
     /// pair, and every row and column tail of the 4×16 tile.
     #[test]
@@ -287,7 +324,9 @@ proptest! {
             eng.gemm_k_tiles(g, k_tile, |_, t| tiles.push(t.clone()));
             (out, tiles)
         };
-        let want = run(&scalar_engine(1), &g_nt);
+        let mut out = vec![0i32; len];
+        g_nt.reference(&mut out);
+        let want = (out, reference_tiles(&g_nt, k_tile));
         same_on_every_backend(threads, |eng| {
             let got = run(eng, &g_np);
             prop_assert_eq!(&got, &want);
@@ -315,11 +354,14 @@ proptest! {
         });
     }
 
-    /// The i8 wrappers ([K, N] and transposed-weight layouts) are exact on
-    /// every backend — any association of integer adds gives one answer.
+    /// The i8 wrappers (`[K, N]` weights packed per call, and the
+    /// transposed `[N, K]` weights scored a row at a time through
+    /// `qk_block_i8`) equal the shared oracle on every backend at 1–4
+    /// threads, for ragged `m` and for empty `m`, `k` or `n`, where both
+    /// return an all-zero `[m, n]`.
     #[test]
     fn i8_kernels_bit_identical_across_backends(
-        (m, k, n) in ragged_dims(),
+        (m, k, n) in i8_dims(),
         threads in 1usize..5,
         seed in any::<u16>(),
     ) {
@@ -328,9 +370,12 @@ proptest! {
         // bᵀ stored [N, K].
         let bt: Vec<i8> = (0..n * k).map(|x| b[(x % k) * n + x / k]).collect();
         let (b, bt) = (Int8Tensor::from_vec(b, [k, n]), Int8Tensor::from_vec(bt, [n, k]));
+        let mut want = Int32Tensor::zeros([m, n]);
+        Gemm::dense(Layout::NN, a.data(), a.dims(), b.data(), b.dims()).reference(want.data_mut());
         same_on_every_backend(threads, |eng| {
             let (plain, t) = (eng.int8_matmul(&a, &b), eng.int8_matmul_bt(&a, &bt));
-            prop_assert_eq!(&t, &plain);
+            prop_assert_eq!(&plain, &want);
+            prop_assert_eq!(&t, &want);
             plain
         });
     }
@@ -356,10 +401,11 @@ proptest! {
         let ci = c.for_i8();
         let [la, lb, _] = ci.lens();
         let (a, b) = (seeded_i8(la, seed as u32), seeded_i8(lb, seed as u32 ^ 0x77aa));
+        let want = reference_tiles(&ci.gemm(&a, &b), k_tile);
         same_on_every_backend(threads, |eng| {
             let mut tiles = Vec::new();
             eng.gemm_k_tiles(&ci.gemm(&a, &b), k_tile, |_, t| tiles.push(t.clone()));
-            prop_assert_eq!(tiles.len(), (ci.k_range.1 - ci.k_range.0).div_ceil(k_tile));
+            prop_assert_eq!(&tiles, &want);
             tiles
         });
     }
@@ -382,6 +428,7 @@ proptest! {
         let [la, lb, _] = ci.lens();
         let (a, b) = (seeded_i8(la, seed as u32), seeded_i8(lb, seed as u32 ^ 0x4321));
         let got = ci.run(-7i32, &a, &b, |g, o| scalar_engine(1).gemm(g, o));
+        prop_assert_eq!(&got, &ci.run(-7i32, &a, &b, |g, o| g.reference(o)));
         // The block is the only thing written.
         for (idx, &v) in got.iter().enumerate() {
             if !(ci.off..ci.off + ci.n).contains(&(idx % ci.ldo())) {
@@ -393,11 +440,13 @@ proptest! {
 
     /// Attention-shaped head products (the serve decode hot path): each
     /// head reads its `dh` columns of `[t, d]` K/V rows in place through
-    /// `ld = d` and a batch stride of `dh`, for both element types. The
-    /// context reaches past `KC = 256` (a K panel boundary), and the
-    /// M = 1 P·V product also streams through `gemm_k_tiles` the way the
-    /// APSQ context fold consumes it, with tiles shallow and deeper than
-    /// one panel.
+    /// `ld = d` and a batch stride of `dh`. The context reaches past
+    /// `KC = 256` (a K panel boundary). For i8 the whole context is one
+    /// block of the per-block kernels: Q·Kᵀ in `k_tile` chunks, and the
+    /// M = 1 P·V product cut into K steps the way the APSQ context fold
+    /// consumes it, shallow and deeper than one panel, each equal to the
+    /// shared oracle over the head-batched NT and NN descriptors. The f32
+    /// Q·Kᵀ runs through `gemm`.
     #[test]
     fn batched_i8_bit_identical_across_backends(
         (heads, dh) in (1usize..4, 1usize..20),
@@ -420,23 +469,26 @@ proptest! {
             stride_b: dh,
             ..Gemm::new(Layout::NN, &p[..], &kv[..], 1, dh, t)
         };
+        let concat = |tiles: Vec<Int32Tensor>| -> Vec<i32> {
+            tiles.iter().flat_map(|x| x.data().to_vec()).collect()
+        };
+        let mut ctx = vec![0i32; d];
+        pv.reference(&mut ctx);
+        let want = (concat(reference_tiles(&qk, k_tile)), ctx, concat(reference_tiles(&pv, k_tile)));
         same_on_every_backend(1, |eng| {
-            let (mut scores, mut ctx) = (vec![0i32; heads * t], vec![0i32; d]);
-            eng.gemm(&qk, &mut scores);
-            eng.gemm(&pv, &mut ctx);
-            let mut tiles = Vec::new();
-            eng.gemm_k_tiles(&pv, k_tile, |_, tile| tiles.push(tile.clone()));
-            (scores, ctx, tiles)
+            let mut scores = vec![0i32; dh.div_ceil(k_tile) * heads * t];
+            eng.qk_block_i8(&q, heads, k_tile, &kv, &mut scores, t);
+            let mut ctx = vec![0i32; d];
+            eng.pv_block_i8(&p, t, &kv, heads, &mut ctx, false);
+            let mut tiles = vec![0i32; t.div_ceil(k_tile) * d];
+            for (step, tile) in tiles.chunks_exact_mut(d).enumerate() {
+                let (k0, k1) = (step * k_tile, t.min((step + 1) * k_tile));
+                eng.pv_block_i8(&p[k0..], t, &kv[k0 * d..k1 * d], heads, tile, false);
+            }
+            let got = (scores, ctx, tiles);
+            prop_assert_eq!(&got, &want);
+            got
         });
-        // Head h's scores equal the dense product over a copied-out head.
-        let mut scores = vec![0i32; heads * t];
-        scalar_engine(1).gemm(&qk, &mut scores);
-        for h in 0..heads {
-            let kh: Vec<i8> = (0..t).flat_map(|i| kv[i * d + h * dh..][..dh].to_vec()).collect();
-            let qh = Int8Tensor::from_vec(q[h * dh..(h + 1) * dh].to_vec(), [1, dh]);
-            let want = scalar_engine(1).int8_matmul_bt(&qh, &Int8Tensor::from_vec(kh, [t, dh]));
-            prop_assert_eq!(&scores[h * t..(h + 1) * t], want.data());
-        }
         let (qf, kvf) = (seeded_f32(d, seed as u32), seeded_f32(t * d, seed as u32 ^ 0xabcd));
         let qkf = Gemm {
             ldb: d,
@@ -477,12 +529,12 @@ impl BlockCase {
 
     /// The step-major `[steps, heads, t]` Q·Kᵀ tiles after scoring the
     /// block's rows into their columns (everything else stays −7), by
-    /// `qk_block_i8` or, as the oracle, one head-batched NT GEMM per K
-    /// step.
-    fn qk(&self, eng: &ExecEngine, q: &[i8], keys: &[i8], oracle: bool) -> Vec<i32> {
+    /// `eng`'s `qk_block_i8` or, without an engine, the shared oracle over
+    /// one head-batched NT descriptor per K step.
+    fn qk(&self, eng: Option<&ExecEngine>, q: &[i8], keys: &[i8]) -> Vec<i32> {
         let (heads, t) = (self.heads, self.t);
         let mut tiles = vec![-7i32; self.steps() * heads * t];
-        if !oracle {
+        if let Some(eng) = eng {
             eng.qk_block_i8(q, heads, self.k_tile, keys, &mut tiles[self.off..], t);
             return tiles;
         }
@@ -495,18 +547,19 @@ impl BlockCase {
                 k_range: step * self.k_tile..self.dh.min((step + 1) * self.k_tile),
                 ..Gemm::new(Layout::NT, q, keys, 1, self.len, self.dh)
             };
-            eng.gemm(&g, &mut tiles[step * heads * t + self.off..]);
+            g.reference(&mut tiles[step * heads * t + self.off..]);
         }
         tiles
     }
 
     /// The `[heads, dh]` P·V tile over the block's rows, starting from a
-    /// nonzero tile (so `accumulate` shows), by `pv_block_i8` or by the
-    /// head-batched NN GEMM.
-    fn pv(&self, eng: &ExecEngine, p: &[i8], values: &[i8], oracle: bool) -> Vec<i32> {
+    /// nonzero tile (so `accumulate` shows), by `eng`'s `pv_block_i8` or,
+    /// without an engine, the shared oracle over the head-batched NN
+    /// descriptor.
+    fn pv(&self, eng: Option<&ExecEngine>, p: &[i8], values: &[i8]) -> Vec<i32> {
         let mut out: Vec<i32> = (0..self.d() as i32).map(|x| x * 3 - 11).collect();
         let p = &p[self.off..];
-        if !oracle {
+        if let Some(eng) = eng {
             eng.pv_block_i8(p, self.t, values, self.heads, &mut out, self.accumulate);
             return out;
         }
@@ -519,7 +572,7 @@ impl BlockCase {
             accumulate: self.accumulate,
             ..Gemm::new(Layout::NN, p, values, 1, self.dh, self.len)
         };
-        eng.gemm(&g, &mut out);
+        g.reference(&mut out);
         out
     }
 }
@@ -554,8 +607,8 @@ fn block_case() -> impl Strategy<Value = BlockCase> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The per-block attention kernels equal the head-batched NT and NN
-    /// GEMMs they replace, on every backend: every (K step, head) score
+    /// The per-block attention kernels equal the shared oracle over the
+    /// head-batched NT and NN descriptors they stand for, on every backend: every (K step, head) score
     /// lands in its step-major tile row and nothing else moves, and the
     /// P·V tile overwrites or accumulates as asked.
     #[test]
@@ -571,11 +624,11 @@ proptest! {
         );
         let p = seeded_i8(c.heads * c.t, seed as u32 ^ 0x1111);
         let want = (
-            c.qk(&scalar_engine(1), &q, &keys, true),
-            c.pv(&scalar_engine(1), &p, &values, true),
+            c.qk(None, &q, &keys),
+            c.pv(None, &p, &values),
         );
         same_on_every_backend(1, |eng| {
-            let got = (c.qk(eng, &q, &keys, false), c.pv(eng, &p, &values, false));
+            let got = (c.qk(Some(eng), &q, &keys), c.pv(Some(eng), &p, &values));
             prop_assert_eq!(&got, &want);
             got
         });
@@ -602,12 +655,9 @@ fn block_kernels_match_the_gemm_oracle_at_16_column_chunks() {
             let d = c.d();
             let (q, kv) = (seeded_i8(d, 1), seeded_i8(len * d, 2));
             let p = seeded_i8(heads * c.t, 3);
-            let want = (
-                c.qk(&scalar_engine(1), &q, &kv, true),
-                c.pv(&scalar_engine(1), &p, &kv, true),
-            );
+            let want = (c.qk(None, &q, &kv), c.pv(None, &p, &kv));
             same_on_every_backend(1, |eng| {
-                let got = (c.qk(eng, &q, &kv, false), c.pv(eng, &p, &kv, false));
+                let got = (c.qk(Some(eng), &q, &kv), c.pv(Some(eng), &p, &kv));
                 assert_eq!(got, want, "{heads} heads of {dh}, {len} rows");
                 got
             });

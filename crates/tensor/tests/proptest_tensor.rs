@@ -1,6 +1,8 @@
 //! Property-based tests for the tensor substrate.
 
-use apsq_tensor::{softmax_rows, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout, Tensor};
+use apsq_tensor::{
+    pack_k_pairs, softmax_rows, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout, Tensor,
+};
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 
@@ -37,6 +39,23 @@ fn int8_matmul(a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
 
 fn nn<'a, T>(a: &'a [T], a_dims: &[usize], b: &'a [T], b_dims: &[usize]) -> Gemm<'a, T> {
     Gemm::dense(Layout::NN, a, a_dims, b, b_dims)
+}
+
+/// The shared naive oracle (`Gemm::reference`) of `a · b`.
+fn reference(a: &Int8Tensor, b: &Int8Tensor) -> Int32Tensor {
+    let mut out = Int32Tensor::zeros([a.dims()[0], b.dims()[1]]);
+    nn(a.data(), a.dims(), b.data(), b.dims()).reference(out.data_mut());
+    out
+}
+
+/// `b`'s k-pair panels, for the NP descriptor of `a · b`.
+fn panels(b: &Int8Tensor) -> Vec<i8> {
+    pack_k_pairs(b.data(), b.dims()[0], b.dims()[1])
+}
+
+/// The NP descriptor of `a · b` over `panels(b)`.
+fn np<'a>(a: &'a Int8Tensor, panels: &'a [i8], b: &Int8Tensor) -> Gemm<'a, i8> {
+    Gemm::dense(Layout::NP, a.data(), a.dims(), panels, b.dims())
 }
 
 fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
@@ -151,6 +170,7 @@ proptest! {
         let parallel = ExecEngine::with_threads(threads)
             .with_spawn_threshold(0)
             .int8_matmul(&a, &b);
+        prop_assert_eq!(&serial, &reference(&a, &b));
         prop_assert_eq!(parallel, serial);
     }
 
@@ -185,12 +205,13 @@ proptest! {
     ) {
         let a = seeded_i8(m, k, seed as u32);
         let b = seeded_i8(k, n, seed as u32 ^ 0x51ed);
-        let exact = int8_matmul(&a, &b);
+        let exact = reference(&a, &b);
         let mut acc = Int32Tensor::zeros([m, n]);
         let mut steps = 0usize;
+        let bp = panels(&b);
         ExecEngine::with_threads(threads)
             .with_spawn_threshold(0)
-            .gemm_k_tiles(&nn(a.data(), a.dims(), b.data(), b.dims()), k_tile, |step, tile| {
+            .gemm_k_tiles(&np(&a, &bp, &b), k_tile, |step, tile| {
             prop_assert_eq!(step, steps);
             acc = acc.checked_add(tile).expect("no overflow at these depths");
             steps += 1;
@@ -199,8 +220,10 @@ proptest! {
         prop_assert_eq!(acc, exact);
     }
 
-    /// The transposed-weight int8 GEMM and its K-tile stream agree with
-    /// the `[K, N]`-layout path exactly, for every thread count.
+    /// The transposed-weight int8 GEMM, the packed product's K-tile
+    /// stream and its accumulate mode agree with the shared oracle over
+    /// the `[K, N]` and `[N, K]` descriptors exactly, for every thread
+    /// count.
     #[test]
     fn int8_bt_matches_kn_layout(
         (m, k, n) in small_dims(),
@@ -219,22 +242,25 @@ proptest! {
         }
         let bt = Int8Tensor::from_vec(bt, [n, k]);
         let eng = ExecEngine::with_threads(threads).with_spawn_threshold(0);
-        let want = int8_matmul(&a, &b);
+        let want = reference(&a, &b);
         prop_assert_eq!(&eng.int8_matmul_bt(&a, &bt), &want);
-        let mut tiles = Vec::new();
-        eng.gemm_k_tiles(&nn(a.data(), a.dims(), b.data(), b.dims()), k_tile, |_, t| {
-            tiles.push(t.clone())
-        });
+        let kn = nn(a.data(), a.dims(), b.data(), b.dims());
+        let nt = Gemm::dense(Layout::NT, a.data(), a.dims(), bt.data(), bt.dims());
+        let bp = panels(&b);
         let mut steps = 0usize;
-        let g = Gemm::dense(Layout::NT, a.data(), a.dims(), bt.data(), bt.dims());
-        eng.gemm_k_tiles(&g, k_tile, |step, tile| {
-            prop_assert_eq!(tile, &tiles[step]);
+        eng.gemm_k_tiles(&np(&a, &bp, &b), k_tile, |step, tile| {
+            let k_range = step * k_tile..k.min((step + 1) * k_tile);
+            for g in [&kn, &nt] {
+                let mut slice = Int32Tensor::zeros([m, n]);
+                Gemm { k_range: k_range.clone(), ..g.clone() }.reference(slice.data_mut());
+                prop_assert_eq!(tile, &slice);
+            }
             steps += 1;
         });
         prop_assert_eq!(steps, k.div_ceil(k_tile));
         // Accumulate mode doubles the exact result.
         let mut acc = want.clone();
-        eng.gemm(&Gemm { accumulate: true, ..nn(a.data(), a.dims(), b.data(), b.dims()) }, acc.data_mut());
+        eng.gemm(&Gemm { accumulate: true, ..np(&a, &bp, &b) }, acc.data_mut());
         for (x, y) in acc.data().iter().zip(want.data()) {
             prop_assert_eq!(*x, 2 * y);
         }
@@ -275,9 +301,10 @@ proptest! {
         let mut runner = proptest::test_runner::TestRunner::deterministic();
         let a = int8_strategy(m, k).new_tree(&mut runner).unwrap().current();
         let b = int8_strategy(k, n).new_tree(&mut runner).unwrap().current();
-        let exact = int8_matmul(&a, &b);
+        let exact = reference(&a, &b);
         let mut acc = Int32Tensor::zeros([m, n]);
-        ExecEngine::serial().gemm_k_tiles(&nn(a.data(), a.dims(), b.data(), b.dims()), k_tile, |_, t| {
+        let bp = panels(&b);
+        ExecEngine::serial().gemm_k_tiles(&np(&a, &bp, &b), k_tile, |_, t| {
             acc = acc.checked_add(t).expect("no overflow at these depths");
         });
         prop_assert_eq!(acc, exact);

@@ -52,19 +52,23 @@ RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptes
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_decode
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib -- int8 decode::
 
-echo "==> scalar-forced backend: tensor, APSQ + int8 suites on the portable fallback"
+echo "==> scalar-forced backend: tensor, APSQ, simulator, prefill + int8 suites on the portable fallback"
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-tensor
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-quant
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-core
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-rae
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-accel
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-models
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_int8
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_paged
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_decode
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib -- int8 decode::
 
-echo "==> SSE2-forced backend: tensor (incl. exp/tanh bodies), int8 + paged suites, pinned fingerprints"
+echo "==> SSE2-forced backend: tensor (incl. exp/tanh bodies), APSQ, simulator, prefill, int8 + paged suites, pinned fingerprints"
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-tensor
-APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-core --test proptest_fused
+APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-core
+APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-accel
+APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-models
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_int8
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_paged
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_decode

@@ -7,7 +7,7 @@ use apsq::core::{exact_accumulate, grouped_apsq, ApsqConfig, GroupSize, ScaleSch
 use apsq::dataflow::{AcceleratorConfig, Dataflow};
 use apsq::quant::Bitwidth;
 use apsq::rae::{RaeConfig, RaeEngine};
-use apsq::tensor::{ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
+use apsq::tensor::{pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 
 fn int8_matmul(a: &Int8Tensor, w: &Int8Tensor) -> Int32Tensor {
     ExecEngine::serial().int8_matmul(a, w)
@@ -15,7 +15,8 @@ fn int8_matmul(a: &Int8Tensor, w: &Int8Tensor) -> Int32Tensor {
 
 /// The K-tiled PSUM stream of `a · w`, one tile per `k_tile` input channels.
 fn int8_matmul_psum_tiles(a: &Int8Tensor, w: &Int8Tensor, k_tile: usize) -> Vec<Int32Tensor> {
-    let g = Gemm::dense(Layout::NN, a.data(), a.dims(), w.data(), w.dims());
+    let panels = pack_k_pairs(w.data(), w.dims()[0], w.dims()[1]);
+    let g = Gemm::dense(Layout::NP, a.data(), a.dims(), &panels, w.dims());
     let mut tiles = Vec::new();
     ExecEngine::serial().gemm_k_tiles(&g, k_tile, |_, t| tiles.push(t.clone()));
     tiles
