@@ -24,15 +24,12 @@ use apsq_tensor::{lanes, pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor
 /// power of two covering the exact accumulator it is about to quantize.
 /// That choice is causal — it needs nothing from later tiles — so the
 /// calibrating stream *is* single-stream [`ScaleSchedule::calibrate`];
-/// there is no separate replay. A calibrating stream may also fold
-/// several independent equal-width tiles side by side
-/// ([`StreamingApsq::calibrating_segments`]), each segment with its own
-/// scales, so one push runs each lane operation once for all of them.
+/// there is no separate replay.
 ///
 /// The fold runs in i32 lanes whenever a per-push check proves the exact
 /// sum cannot leave i32 (`max|tile| + Σ_l 2^(bits−1)·2^e_l ≤ i32::MAX`
-/// over the carried rows of every segment); otherwise it falls back to an
-/// i64 fold clamped into i32. Both lanes give the same bits.
+/// over the carried rows); otherwise it falls back to an i64 fold clamped
+/// into i32. Both lanes give the same bits.
 ///
 /// [`crate::grouped_apsq`] is a thin batch wrapper over this type, so the
 /// two stay bit-identical by construction; it records the full code
@@ -77,12 +74,8 @@ pub struct StreamingApsq {
     /// Whether the stream commits its own scales (one per push) instead
     /// of replaying a fixed schedule.
     calibrating: bool,
-    /// Independent equal-width tiles folded side by side in every push,
-    /// each with its own scales (1 for an ordinary stream).
-    segments: usize,
-    /// Committed scales, step-major with one per segment: a fixed stream
-    /// holds all `steps` of them, a calibrating stream commits one step's
-    /// per push.
+    /// Committed scales: a fixed stream holds all `steps` of them, a
+    /// calibrating stream commits one per push.
     scales: Vec<Pow2Scale>,
     step: usize,
     /// `step mod gs`: the ring row the next push writes, kept as a
@@ -92,18 +85,12 @@ pub struct StreamingApsq {
     dims: Vec<usize>,
     /// The current stream's tile width (`dims` product).
     width: usize,
-    /// The width of one segment (`width / segments`).
-    seg_width: usize,
     /// The RAE code banks: `min(gs, steps)` rows of `width` codes.
     ring: Vec<i32>,
     /// The current step's quantizer input when it folds carried codes
     /// (`staged`); a step that folds nothing quantizes its tile directly.
     input: Vec<i32>,
     staged: bool,
-    /// Per-segment scratch: the largest |value| of a tile or input.
-    seg_max: Vec<u32>,
-    /// Per-segment scratch: the shifts of one row of scales.
-    shifts: Vec<u32>,
     traffic: BufferTraffic,
 }
 
@@ -112,7 +99,7 @@ impl StreamingApsq {
     /// the schedule's scales.
     pub fn new(schedule: ScaleSchedule, config: ApsqConfig) -> Self {
         let steps = schedule.len();
-        Self::with_scales(steps, 1, false, schedule.scales().to_vec(), config)
+        Self::with_scales(steps, false, schedule.scales().to_vec(), config)
     }
 
     /// Creates a self-calibrating stream expecting `steps` tiles: step
@@ -126,51 +113,28 @@ impl StreamingApsq {
     ///
     /// Panics if `steps == 0`.
     pub fn calibrating(steps: usize, config: ApsqConfig) -> Self {
-        Self::calibrating_segments(steps, 1, config)
-    }
-
-    /// A self-calibrating stream over `segments` independent tiles of one
-    /// width, pushed side by side: every push is `segments` equal
-    /// segments, each folded as its own [`StreamingApsq::calibrating`]
-    /// stream would fold it, with its own committed scales. One push then
-    /// runs each lane operation once for all segments — how attention
-    /// folds every head's tile of a K step together. The output and the
-    /// traffic are those of the separate streams, side by side and summed;
-    /// the committed scales are stored step-major, one per segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps == 0` or `segments == 0`.
-    pub fn calibrating_segments(steps: usize, segments: usize, config: ApsqConfig) -> Self {
-        let scales = Vec::with_capacity(steps * segments);
-        Self::with_scales(steps, segments, true, scales, config)
+        Self::with_scales(steps, true, Vec::with_capacity(steps), config)
     }
 
     fn with_scales(
         steps: usize,
-        segments: usize,
         calibrating: bool,
         scales: Vec<Pow2Scale>,
         config: ApsqConfig,
     ) -> Self {
         assert!(steps > 0, "stream must cover at least one step");
-        assert!(segments > 0, "stream must fold at least one segment");
         StreamingApsq {
             config,
             steps,
             calibrating,
-            segments,
             scales,
             step: 0,
             row: 0,
             dims: Vec::new(),
             width: 0,
-            seg_width: 0,
             ring: Vec::new(),
             input: Vec::new(),
             staged: false,
-            seg_max: vec![0; segments],
-            shifts: vec![0; segments],
             traffic: BufferTraffic::new(),
         }
     }
@@ -187,7 +151,7 @@ impl StreamingApsq {
         assert!(steps > 0, "stream must cover at least one step");
         if self.calibrating {
             self.scales.clear();
-            self.scales.reserve(steps * self.segments);
+            self.scales.reserve(steps);
         } else {
             assert_eq!(
                 steps,
@@ -246,14 +210,8 @@ impl StreamingApsq {
     fn push_shaped(&mut self, dims: &[usize], tile: &[i32]) {
         self.load(dims, tile);
         if self.calibrating {
-            let input = if self.staged { &self.input } else { tile };
-            lanes::max_abs_segments_i32(input, self.seg_width, &mut self.seg_max);
-            let bits = self.config.bits;
-            self.scales.extend(
-                self.seg_max
-                    .iter()
-                    .map(|&m| Pow2Scale::covering(m.clamp(1, i32::MAX as u32) as i32, bits)),
-            );
+            let scale = Pow2Scale::covering(self.input_max_abs(tile), self.config.bits);
+            self.scales.push(scale);
         }
         self.quantize_step(tile);
     }
@@ -275,16 +233,9 @@ impl StreamingApsq {
         let gs = self.config.group_size.get();
         let i = self.step;
         if i == 0 {
-            assert!(
-                tile.len().is_multiple_of(self.segments),
-                "a {}-wide tile does not split into {} segments",
-                tile.len(),
-                self.segments
-            );
             self.dims.clear();
             self.dims.extend_from_slice(dims);
             self.width = tile.len();
-            self.seg_width = tile.len() / self.segments;
             self.ring.resize(gs.min(np) * tile.len(), 0);
             self.input.clear();
             self.input.reserve(tile.len());
@@ -300,44 +251,32 @@ impl StreamingApsq {
         if !self.staged {
             return;
         }
-        let (w, n) = (self.width, self.segments);
-        // Carried row r holds step i − carried + r, whose scales are
-        // `scales[r·n..(r+1)·n]`. (Index arithmetic: the i32 lane
-        // divides nothing.)
-        let scales = &self.scales[(i - carried) * n..i * n];
+        let w = self.width;
+        // Carried row r holds step i − carried + r, at `scales[i −
+        // carried + r]`.
+        let scales = &self.scales[i - carried..i];
         let ring = &self.ring[..carried * w];
         self.traffic.reads += (carried * w) as u64;
-        // |code| ≤ 2^(bits−1), so this bounds every partial sum of a
-        // segment's fold.
+        // |code| ≤ 2^(bits−1), so this bounds every partial sum of the
+        // fold.
         let code_mag = 1u64 << (self.config.bits.get() - 1);
-        lanes::max_abs_segments_i32(tile, self.seg_width, &mut self.seg_max);
-        let fits = self.seg_max.iter().enumerate().all(|(g, &m)| {
-            let bound = (0..carried).fold(m as u64, |b, r| {
-                b.saturating_add(code_mag << scales[r * n + g].exponent())
-            });
-            bound <= i32::MAX as u64
+        let bound = scales.iter().fold(lanes::max_abs_i32(tile) as u64, |b, s| {
+            b.saturating_add(code_mag << s.exponent())
         });
         self.input.clear();
-        if fits {
+        if bound <= i32::MAX as u64 {
             // i32 lanes: no dequantized code saturates and no partial sum
             // wraps, so this is the exact sum the i64 fold would clamp.
             self.input.extend_from_slice(tile);
-            for r in 0..carried {
-                for (sh, s) in self.shifts.iter_mut().zip(&scales[r * n..][..n]) {
-                    *sh = s.exponent();
-                }
-                let codes = &ring[r * w..][..w];
-                lanes::shl_add_segments_i32(codes, self.seg_width, &self.shifts, &mut self.input);
+            for (codes, s) in ring.chunks_exact(w).zip(scales) {
+                lanes::shl_add_i32(codes, s.exponent(), &mut self.input);
             }
         } else {
             // `Qᵢ(clamp(Σ …))` with every dequantized code saturating at
-            // the i32 limits, as the scalar maps define it. (Where a
-            // segment fits, this is the i32 lane's sum, so one branch
-            // serves every segment.)
-            let seg_w = self.seg_width;
+            // the i32 limits, as the scalar maps define it.
             self.input.extend(tile.iter().enumerate().map(|(j, &t)| {
                 let sum = (0..carried).fold(t as i64, |a, r| {
-                    a + scales[r * n + j / seg_w].dequantize(ring[r * w + j]) as i64
+                    a + scales[r].dequantize(ring[r * w + j]) as i64
                 });
                 sum.clamp(i32::MIN as i64, i32::MAX as i64) as i32
             }));
@@ -345,19 +284,17 @@ impl StreamingApsq {
     }
 
     /// The magnitude a covering scale must reach for the loaded input
-    /// (the staged fold, or else `tile`) of a one-segment stream: its
-    /// largest |value|, clamped to `i32::MAX` and floored at 1.
+    /// (the staged fold, or else `tile`): its largest |value|, clamped to
+    /// `i32::MAX` and floored at 1.
     pub(crate) fn input_max_abs(&self, tile: &[i32]) -> i32 {
-        debug_assert_eq!(self.segments, 1, "one scale per step needs one segment");
         let input = if self.staged { &self.input } else { tile };
         lanes::max_abs_i32(input).clamp(1, i32::MAX as u32) as i32
     }
 
-    /// Second half of one Algorithm-1 step of a one-segment stream:
-    /// quantizes the loaded input at `scale` — committing it when the
-    /// stream is calibrating — straight into the step's ring row.
+    /// Second half of one Algorithm-1 step: quantizes the loaded input at
+    /// `scale` — committing it when the stream is calibrating — straight
+    /// into the step's ring row.
     pub(crate) fn commit(&mut self, scale: Pow2Scale, tile: &[i32]) {
-        debug_assert_eq!(self.segments, 1, "one scale per step needs one segment");
         if self.calibrating {
             self.scales.push(scale);
         }
@@ -365,22 +302,14 @@ impl StreamingApsq {
     }
 
     /// Quantizes the loaded input (the staged fold, or else `tile`) at
-    /// this step's committed scales, one per segment, straight into the
-    /// step's ring row.
+    /// this step's committed scale straight into the step's ring row.
     fn quantize_step(&mut self, tile: &[i32]) {
-        let (w, n) = (self.width, self.segments);
-        for (sh, s) in self
-            .shifts
-            .iter_mut()
-            .zip(&self.scales[self.step * n..][..n])
-        {
-            *sh = s.exponent();
-        }
+        let w = self.width;
+        let sh = self.scales[self.step].exponent();
         let range = self.config.bits.signed_range();
         let input = if self.staged { &self.input } else { tile };
         let row = &mut self.ring[self.row * w..][..w];
-        let seg_w = self.seg_width;
-        lanes::round_shift_clamp_segments_i32(input, seg_w, &self.shifts, range.qn, range.qp, row);
+        lanes::round_shift_clamp_i32(input, sh, range.qn, range.qp, row);
         self.traffic.writes += w as u64;
         self.step += 1;
         self.row += 1;
@@ -416,24 +345,14 @@ impl StreamingApsq {
             "stream received {} of {} tiles",
             self.step, self.steps
         );
-        let n = self.segments;
-        let last = &self.scales[(self.steps - 1) * n..][..n];
-        let seg_w = self.seg_width;
         assert_eq!(out.len(), self.width, "output must be one tile wide");
-        if seg_w > 0 {
-            let segs = self.last_codes().chunks_exact(seg_w);
-            for ((scale, codes), o) in last.iter().zip(segs).zip(out.chunks_exact_mut(seg_w)) {
-                scale.dequantize_slice_into(codes, o);
-            }
-        }
+        self.scales[self.steps - 1].dequantize_slice_into(self.last_codes(), out);
         self.traffic
     }
 
     /// Completes the stream and returns the APSQ result. The ring keeps
     /// only the last group, so [`ApsqRun::stored_codes`] is empty here;
     /// the batch wrappers record it from [`StreamingApsq::last_codes`].
-    /// A segmented stream's schedule lists its scales step-major, one per
-    /// segment.
     ///
     /// # Panics
     ///

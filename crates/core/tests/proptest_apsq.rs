@@ -2,8 +2,7 @@
 
 use apsq_core::{
     apsq_recursion_reference, exact_accumulate, grouped_apsq, grouped_apsq_f32,
-    grouped_apsq_streamed, ApsqConfig, BufferTraffic, FloatScaleSchedule, GroupSize, ScaleSchedule,
-    StreamingApsq,
+    grouped_apsq_streamed, ApsqConfig, FloatScaleSchedule, GroupSize, ScaleSchedule, StreamingApsq,
 };
 use apsq_quant::{Bitwidth, Pow2Scale};
 use apsq_tensor::{pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
@@ -125,51 +124,6 @@ proptest! {
         prop_assert_eq!(&batch.schedule, &sched);
         let exps: Vec<u32> = sched.scales().iter().map(|s| s.exponent()).collect();
         prop_assert_eq!(exps, reference_exponents(&stream, bits, gs));
-    }
-
-    /// A segmented stream folds each segment exactly as a separate
-    /// calibrating stream would: same stored codes after every push, same
-    /// outputs side by side, same summed traffic. The segments differ in
-    /// magnitude (the extreme stream, a small copy, its negation, zeros),
-    /// so one push mixes scales, and the i32 lane and the i64 fallback.
-    #[test]
-    fn segmented_stream_equals_separate_streams(
-        stream in extreme_stream_strategy(),
-        gs in 1usize..9,
-        bits in 0usize..3,
-    ) {
-        let bits = Bitwidth::new([2, 4, 8][bits]);
-        let cfg = ApsqConfig { bits, group_size: GroupSize::new(gs) };
-        let variants: [fn(i32) -> i32; 4] = [|x| x, |x| x / 4096, |x| x.saturating_neg(), |_| 0];
-        let (np, numel) = (stream.len(), stream[0].numel());
-        for segments in 1..=variants.len() {
-            let mut joint = StreamingApsq::calibrating_segments(np, segments, cfg);
-            let mut separate: Vec<_> =
-                (0..segments).map(|_| StreamingApsq::calibrating(np, cfg)).collect();
-            for tile in &stream {
-                let parts: Vec<Vec<i32>> = variants[..segments]
-                    .iter()
-                    .map(|f| tile.data().iter().map(|&x| f(x)).collect())
-                    .collect();
-                for (s, part) in separate.iter_mut().zip(&parts) {
-                    s.push_slice(part);
-                }
-                joint.push_slice(&parts.concat());
-                let codes: Vec<i32> =
-                    separate.iter().flat_map(|s| s.last_codes().to_vec()).collect();
-                prop_assert_eq!(joint.last_codes(), &codes[..], "{} segments", segments);
-            }
-            let mut out = vec![0; segments * numel];
-            let traffic = joint.finish_into(&mut out);
-            let (mut want, mut want_traffic) = (Vec::new(), BufferTraffic::new());
-            for s in &separate {
-                let mut o = vec![0; numel];
-                want_traffic += s.finish_into(&mut o);
-                want.extend(o);
-            }
-            prop_assert_eq!(out, want, "{} segments", segments);
-            prop_assert_eq!(traffic, want_traffic, "{} segments", segments);
-        }
     }
 
     /// gs = 1 must reduce exactly to the eq (10) recursion.

@@ -32,12 +32,12 @@ use crate::block::TransformerBlock;
 use crate::decode::{Attention, Project};
 use crate::linear::{observer_pow2_scale, Linear, PsumMode, QuantLinear};
 use crate::models::{DecoderLm, EncoderClassifier};
-use crate::paged::{quantize_int8_kv_row, BlockPool, Int8Segment, PagedKvState, PinnedTable};
-use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule, StreamingApsq};
+use crate::paged::{quantize_int8_kv_row, BlockPool, PagedKvState, PinnedTable};
+use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, ScaleSchedule};
 use apsq_quant::{pow2_f32, Bitwidth, LsqQuantizer};
 use apsq_tensor::{
     gelu, lanes, pack_k_pairs, softmax_exps_into, sum_axis0, ApsqLinear, ExecEngine, FoldPlan,
-    Gemm, Int8Tensor, Layout, Tensor,
+    Gemm, Int8Tensor, KvSegment, Layout, RowFold, RowScratch, Tensor,
 };
 
 /// Snaps a positive step to the nearest power of two (identity on values
@@ -50,36 +50,24 @@ fn pow2_snap(step: f32) -> f32 {
 /// resized to each row's context and reused across rows and heads, so a
 /// row allocates nothing once the buffers have grown: the paged decode
 /// step creates one per step, the full-sequence forward one per call.
-/// The per-block kernels fill the scale rows and PSUM tiles block by
-/// block, so each row's segments must cover its context: the kernel
-/// asserts it, or a row would read the previous row's scores.
 #[derive(Default)]
 pub struct Int8PagedScratch {
     /// `[d]` the query row's i8 codes.
     qc: Vec<i8>,
-    /// `[H, t]` key scales `2^e` per (head, cached token), head-major.
-    k_scales: Vec<f32>,
-    /// `[H, t]` value scales, head-major.
-    v_scales: Vec<f32>,
-    /// `[np, H, t]` Q·Kᵀ PSUM tiles: per K step, every head's tile.
-    qk_tiles: Vec<i32>,
-    /// `[H, t]` folded Q·Kᵀ accumulators.
-    acc: Vec<i32>,
-    /// `[t]` one head's dequantized scores.
+    /// `[H, t]` dequantized scores, head-major.
     scores: Vec<f32>,
+    /// `[H, t]` value scales `2^e` per (head, cached token), head-major.
+    v_scales: Vec<f32>,
     /// `[t]` one head's probabilities, then its value-scaled weights.
     probs: Vec<f32>,
     /// `[H, t]` requantized P·V operand.
     rc: Vec<i8>,
     /// `[H]` power-of-two exponents of the requantized P·V operand.
     r_exps: Vec<i32>,
-    /// `[np, H, dh]` P·V PSUM tiles: per K step, every head's tile.
-    pv_tiles: Vec<i32>,
     /// `[d]` folded P·V accumulators.
     ctx_i32: Vec<i32>,
-    /// The APSQ stream both folds reuse: one segment per head, reset per
-    /// GEMM.
-    stream: Option<StreamingApsq>,
+    /// The row kernels' tiles and code rings.
+    rows: RowScratch,
 }
 
 /// How an [`Int8Linear`] treats its i32 PSUM stream.
@@ -345,10 +333,11 @@ impl Project for Int8Linear {
 /// the four projections run as [`Int8Linear`] GEMMs, the KV blocks store
 /// i8 codes with per-(token, head) power-of-two scales
 /// ([`crate::BlockAllocator::int8`]), and both activation-activation GEMMs —
-/// `Q·Kᵀ` and `P·V` — execute as i8×i8→i32 per-block kernels
-/// ([`ExecEngine::qk_block_i8`], [`ExecEngine::pv_block_i8`]) with grouped
-/// APSQ folded over their K loops. Only the softmax (and the row-level
-/// dequant/requant glue) stays f32, as on the paper's accelerator.
+/// `Q·Kᵀ` and `P·V` — execute as i8×i8→i32 row kernels
+/// ([`ExecEngine::qk_row_i8`], [`ExecEngine::pv_row_i8`]) with grouped
+/// APSQ folded over their K loops in the same call. Only the softmax (and
+/// the row-level dequant/requant glue) stays f32, as on the paper's
+/// accelerator.
 ///
 /// Q is quantized at a power-of-two scale **frozen at PTQ conversion**
 /// from a calibration sequence; K/V rows are quantized as they enter
@@ -371,9 +360,10 @@ pub struct Int8MultiHeadAttention {
     causal: bool,
     /// Frozen power-of-two exponent of the Q quantizer (`α_q = 2^e`).
     q_exp: i32,
-    /// APSQ config + k_tile for the score/context PSUM streams, inherited
-    /// from the source projections' PSUM mode (`None` = exact i32).
-    seq_apsq: Option<(ApsqConfig, usize)>,
+    /// The self-calibrating fold of the score/context PSUM streams,
+    /// inherited from the source projections' PSUM mode (`None` = exact
+    /// i32).
+    seq_fold: Option<RowFold>,
 }
 
 impl Int8MultiHeadAttention {
@@ -387,15 +377,15 @@ impl Int8MultiHeadAttention {
     /// or non-finite calibration batch.
     pub fn from_float(attn: &crate::MultiHeadAttention, calib: &Tensor, eng: &ExecEngine) -> Self {
         let [wq, wk, wv, wo] = attn.projections();
-        let seq_apsq = match wq.psum_mode() {
+        let seq_fold = match wq.psum_mode() {
             PsumMode::Exact => None,
-            PsumMode::Apsq { bits, gs, k_tile } => Some((
+            PsumMode::Apsq { bits, gs, k_tile } => Some(
                 ApsqConfig {
                     bits,
                     group_size: GroupSize::new(gs),
-                },
-                k_tile,
-            )),
+                }
+                .row_fold(k_tile),
+            ),
         };
         let wq = Int8Linear::from_quant_linear(wq);
         assert!(calib.dims()[0] > 0, "empty Q calibration batch");
@@ -415,40 +405,13 @@ impl Int8MultiHeadAttention {
             heads: attn.heads(),
             causal: attn.is_causal(),
             q_exp,
-            seq_apsq,
+            seq_fold,
         }
     }
 
     /// The frozen power-of-two Q scale `α_q`.
     pub fn q_scale(&self) -> f32 {
         pow2_f32(self.q_exp)
-    }
-
-    /// Reduces step-major PSUM tiles (`tiles`, each `out.len()` wide and
-    /// holding every head's tile side by side) into `out`: through
-    /// Algorithm 1 on `stream`, one self-calibrating segment per head —
-    /// each head's scales are a pure function of its exact integer tiles
-    /// — when the layer folds with APSQ, else the one exact tile is the
-    /// result.
-    fn fold_heads(
-        &self,
-        stream: &mut Option<StreamingApsq>,
-        tiles: &[i32],
-        traffic: &mut BufferTraffic,
-        out: &mut [i32],
-    ) {
-        let Some((config, _)) = &self.seq_apsq else {
-            out.copy_from_slice(tiles);
-            return;
-        };
-        let np = tiles.len() / out.len();
-        let stream = stream
-            .get_or_insert_with(|| StreamingApsq::calibrating_segments(np, self.heads, *config));
-        stream.reset(np);
-        for tile in tiles.chunks_exact(out.len()) {
-            stream.push_slice(tile);
-        }
-        *traffic += stream.finish_into(out);
     }
 
     /// The single int8 attention kernel: quantizes the `[d]` query row
@@ -459,16 +422,14 @@ impl Int8MultiHeadAttention {
     /// decode one pinned block per segment, and both read the codes in
     /// place; every intermediate lives in `scratch`.
     ///
-    /// Each segment costs one call per kernel and K step piece: one
-    /// [`ExecEngine::qk_block_i8`] pass scores the segment's key rows for
-    /// every head and Q·Kᵀ K step, and one [`ExecEngine::pv_block_i8`]
-    /// call adds the segment's part of each P·V K step for every head.
-    /// The K steps are the ones a single GEMM over the flat prefix would
-    /// stream: each Q·Kᵀ step fills the head's `[t]` tile from every
-    /// block, and a P·V step of `k_tile` tokens may straddle a block
-    /// boundary (its second piece accumulates into the same tile).
-    /// Integer tiles are exact, so each head's stream folds the same
-    /// PSUM sequence whatever the block size.
+    /// Each GEMM is one row-kernel call over every segment:
+    /// [`ExecEngine::qk_row_i8`] scores the key rows, folds each head's
+    /// K steps and writes the dequantized scores and the value scales;
+    /// [`ExecEngine::pv_row_i8`] sums the requantized probabilities
+    /// against the value rows one K step at a time, folding each step as
+    /// it completes. The K steps are the ones a single GEMM over the flat
+    /// prefix would stream, and integer tiles are exact, so each head
+    /// folds the same PSUM sequence whatever the block size.
     ///
     /// # Panics
     ///
@@ -476,7 +437,7 @@ impl Int8MultiHeadAttention {
     fn attend_row<'a>(
         &self,
         q: &[f32],
-        kv: impl Iterator<Item = Int8Segment<'a>> + Clone,
+        kv: impl Iterator<Item = KvSegment<'a>> + Clone,
         t: usize,
         eng: &ExecEngine,
         scratch: &mut Int8PagedScratch,
@@ -486,96 +447,51 @@ impl Int8MultiHeadAttention {
         let heads = self.heads;
         let dh = d / heads;
         let inv_sqrt = 1.0 / (dh as f32).sqrt();
-        // Exact mode runs each GEMM as one K step.
-        let (kt_qk, kt_pv) = match &self.seq_apsq {
-            Some((_, k_tile)) => (*k_tile, *k_tile),
-            None => (dh, t),
-        };
-        let (np_qk, np_pv) = (dh.div_ceil(kt_qk), t.div_ceil(kt_pv));
-        let mut traffic = BufferTraffic::new();
+        let fold = self.seq_fold.as_ref();
         let Int8PagedScratch {
             qc,
-            k_scales,
-            v_scales,
-            qk_tiles,
-            acc,
             scores,
+            v_scales,
             probs,
             rc,
             r_exps,
-            pv_tiles,
             ctx_i32,
-            stream,
+            rows,
         } = scratch;
         let q_scale = self.q_scale();
         qc.resize(d, 0);
         lanes::quantize_i8(q, q_scale, qc);
-        k_scales.resize(heads * t, 0.0);
+        scores.resize(heads * t, 0.0);
         v_scales.resize(heads * t, 0.0);
-        qk_tiles.resize(heads * np_qk * t, 0);
-        acc.resize(heads * t, 0);
-        scores.resize(t, 0.0);
         probs.resize(t, 0.0);
         rc.resize(heads * t, 0);
         r_exps.resize(heads, 0);
-        pv_tiles.resize(heads * np_pv * dh, 0);
         ctx_i32.resize(d, 0);
 
-        // One walk over the blocks stages the per-(token, head) exponents
-        // head-major as scales and scores the block's key rows in place:
-        // one `qk_block_i8` pass writes every head's K-step tiles. No mask
-        // needed: the cached prefix *is* the causal window.
-        let mut off = 0;
-        for seg in kv.clone() {
-            lanes::pow2_heads_f32(seg.k_exps, heads, &mut k_scales[off..], t);
-            lanes::pow2_heads_f32(seg.v_exps, heads, &mut v_scales[off..], t);
-            eng.qk_block_i8(qc, heads, kt_qk, seg.k_codes, &mut qk_tiles[off..], t);
-            off += seg.len;
-        }
-        // The scratch outlives the row: a walk that stopped short would
-        // fold the previous row's scores.
-        assert_eq!(off, t, "segments must cover the context");
-
-        // Fold every head's scores at once; then per head dequantize them
-        // with one scale per cached token (1/√dh folded into the Q side),
-        // softmax in f32, fold each value row's scale into the
+        // Scores with one scale per cached token (1/√dh folded into the Q
+        // side); no mask needed: the cached prefix *is* the causal window.
+        let qk_scale = q_scale * inv_sqrt;
+        let (qk_writes, qk_reads) = eng.qk_row_i8(
+            qc,
+            heads,
+            fold,
+            qk_scale,
+            kv.clone(),
+            rows,
+            scores,
+            v_scales,
+        );
+        // Per head: softmax in f32, fold each value row's scale into the
         // probabilities and requantize, so the P·V GEMM runs on a single
         // scale pair and APSQ folds over the context (K) dimension.
-        self.fold_heads(stream, qk_tiles, &mut traffic, acc);
-        let qk_scale = q_scale * inv_sqrt;
         for h in 0..heads {
-            let acc = &acc[h * t..][..t];
-            lanes::scale_i32_f32(acc, qk_scale, &k_scales[h * t..][..t], scores);
-            let sum = softmax_exps_into(scores, probs);
+            let sum = softmax_exps_into(&scores[h * t..][..t], probs);
             let max_abs = lanes::div_mul_max_abs_f32(probs, sum, &v_scales[h * t..][..t]);
             let e = apsq_quant::covering_pow2_exponent(max_abs, 127.0);
             r_exps[h] = e;
             lanes::quantize_i8(probs, pow2_f32(e), &mut rc[h * t..][..t]);
         }
-
-        // P·V, walking the blocks again: each K step of `kt_pv` tokens
-        // lands in its own tile row, and a step that began in an earlier
-        // block accumulates onto that block's piece.
-        let mut off = 0;
-        for seg in kv {
-            let end = off + seg.len;
-            let mut j0 = off;
-            while j0 < end {
-                let step = j0 / kt_pv;
-                let j1 = end.min((step + 1) * kt_pv);
-                eng.pv_block_i8(
-                    &rc[j0..],
-                    t,
-                    &seg.v_codes[(j0 - off) * d..(j1 - off) * d],
-                    heads,
-                    &mut pv_tiles[step * d..][..d],
-                    j0 % kt_pv != 0,
-                );
-                j0 = j1;
-            }
-            off = end;
-        }
-        self.fold_heads(stream, pv_tiles, &mut traffic, ctx_i32);
+        let (pv_writes, pv_reads) = eng.pv_row_i8(rc, heads, fold, kv, rows, ctx_i32);
         let heads_out = ctx.chunks_exact_mut(dh).zip(ctx_i32.chunks_exact(dh));
         for ((out_h, acc_h), &e) in heads_out.zip(r_exps.iter()) {
             let scale = pow2_f32(e);
@@ -583,7 +499,10 @@ impl Int8MultiHeadAttention {
                 *o = v as f32 * scale;
             }
         }
-        traffic
+        BufferTraffic {
+            writes: qk_writes + pv_writes,
+            reads: qk_reads + pv_reads,
+        }
     }
 
     /// The batched paged decode step over `[B, d]` on an **int8**
@@ -647,7 +566,7 @@ impl Attention for Int8MultiHeadAttention {
             .zip(ctx.data_mut().chunks_exact_mut(d));
         for (i, (q_row, ctx_row)) in rows.enumerate() {
             let len = if self.causal { i + 1 } else { t };
-            let seg = Int8Segment {
+            let seg = KvSegment {
                 len,
                 k_codes: &k_codes[..len * d],
                 v_codes: &v_codes[..len * d],
@@ -681,13 +600,13 @@ impl Attention for Int8MultiHeadAttention {
         if t == 0 {
             return BufferTraffic::new();
         }
-        match &self.seq_apsq {
+        match &self.seq_fold {
             None => BufferTraffic::new(),
-            Some((_, k_tile)) => {
+            Some(fold) => {
                 let dh = (self.wq.d_out() / self.heads) as u64;
                 let h = self.heads as u64;
-                let np_qk = (self.wq.d_out() / self.heads).div_ceil(*k_tile) as u64;
-                let np_pv = t.div_ceil(*k_tile) as u64;
+                let np_qk = (self.wq.d_out() / self.heads).div_ceil(fold.k_tile()) as u64;
+                let np_pv = t.div_ceil(fold.k_tile()) as u64;
                 let t = t as u64;
                 BufferTraffic {
                     writes: h * (np_qk * t + np_pv * dh),
@@ -1016,22 +935,44 @@ mod tests {
         state.release(&mut pool.lock());
     }
 
-    /// The exponent staging gives the very scales `pow2_f32` does for
-    /// all 256 per-(token, head) exponents, the subnormal −127 and −128
-    /// included, each in its head's row.
+    /// The row kernel's exponent staging gives the very scales
+    /// `pow2_f32` does for all 256 per-(token, head) exponents, the
+    /// subnormal −127 and −128 included, each in its head's row: exact
+    /// scores of unit codes (`acc = dh = 2`, scaled by 1/2) come out as
+    /// the key scales, and the value scales as staged.
     #[test]
     fn kv_exponent_staging_matches_pow2_f32_for_every_exponent() {
-        let exps: Vec<i8> = (i8::MIN..=i8::MAX).collect();
-        let (heads, t) = (4, 64 + 3);
-        let mut scales = vec![0.0f32; heads * t];
-        lanes::pow2_heads_f32(&exps, heads, &mut scales, t);
-        for (i, &e) in exps.iter().enumerate() {
+        let k_exps: Vec<i8> = (i8::MIN..=i8::MAX).collect();
+        let v_exps: Vec<i8> = k_exps.iter().rev().copied().collect();
+        let (heads, dh) = (4, 2);
+        let (t, d) = (k_exps.len() / heads, heads * dh);
+        let codes = vec![1i8; t * d];
+        let seg = KvSegment {
+            len: t,
+            k_codes: &codes,
+            v_codes: &codes,
+            k_exps: &k_exps,
+            v_exps: &v_exps,
+        };
+        let (mut scores, mut v_scales) = (vec![0.0f32; heads * t], vec![0.0f32; heads * t]);
+        let mut rows = RowScratch::default();
+        let q = vec![1i8; d];
+        let words = ExecEngine::serial().qk_row_i8(
+            &q,
+            heads,
+            None,
+            0.5,
+            [seg],
+            &mut rows,
+            &mut scores,
+            &mut v_scales,
+        );
+        assert_eq!(words, (0, 0), "exact mode folds nothing");
+        for (i, (&ek, &ev)) in k_exps.iter().zip(&v_exps).enumerate() {
             let (j, h) = (i / heads, i % heads);
-            assert_eq!(
-                scales[h * t + j].to_bits(),
-                pow2_f32(e as i32).to_bits(),
-                "2^{e}"
-            );
+            let (k_want, v_want) = (pow2_f32(ek as i32), pow2_f32(ev as i32));
+            assert_eq!(scores[h * t + j].to_bits(), k_want.to_bits(), "2^{ek}");
+            assert_eq!(v_scales[h * t + j].to_bits(), v_want.to_bits(), "2^{ev}");
         }
     }
 

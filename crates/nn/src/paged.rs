@@ -100,7 +100,7 @@
 //! assert_eq!(alloc.blocks_in_use(), 0);
 //! ```
 
-use apsq_tensor::lanes;
+use apsq_tensor::{lanes, KvSegment};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -914,13 +914,13 @@ impl<'a> PinnedTable<'a> {
             .map(move |(i, b)| (&*b.0, bt.min(len - i * bt)))
     }
 
-    /// The table's int8 storage as one [`Int8Segment`] per block, in token
+    /// The table's int8 storage as one [`KvSegment`] per block, in token
     /// order.
     ///
     /// # Panics
     ///
     /// Panics (when iterated) if the payloads are f32 rows.
-    pub(crate) fn int8_segments(self) -> impl Iterator<Item = Int8Segment<'a>> + Clone {
+    pub(crate) fn int8_segments(self) -> impl Iterator<Item = KvSegment<'a>> + Clone {
         let bt = self.block_tokens;
         self.payloads().map(move |(data, take)| {
             let BlockData::Int8 {
@@ -933,7 +933,7 @@ impl<'a> PinnedTable<'a> {
                 panic!("int8 read of an f32 pool");
             };
             let (d, h) = (k_codes.len() / bt, k_exps.len() / bt);
-            Int8Segment {
+            KvSegment {
                 len: take,
                 k_codes: &k_codes[..take * d],
                 v_codes: &v_codes[..take * d],
@@ -942,21 +942,6 @@ impl<'a> PinnedTable<'a> {
             }
         })
     }
-}
-
-/// One contiguous run of int8 KV storage in token order: `[len, d]`
-/// row-major i8 codes for K and V plus `[len, heads]` per-(token, head)
-/// power-of-two exponents. A pinned block yields one
-/// ([`PinnedTable::int8_segments`]); the full-sequence forward's flat
-/// buffers are a single one over the whole prefix, so both attend
-/// byte-identical operands through one kernel.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Int8Segment<'a> {
-    pub(crate) len: usize,
-    pub(crate) k_codes: &'a [i8],
-    pub(crate) v_codes: &'a [i8],
-    pub(crate) k_exps: &'a [i8],
-    pub(crate) v_exps: &'a [i8],
 }
 
 /// One session's paged KV state: a block table per decoder layer plus the

@@ -129,8 +129,9 @@ pub enum Layout {
     NN,
     /// `a` is `[m, k]`, `b` is stored `[n, k]`: `a · bᵀ`, the layout of
     /// key rows (the f32 attention's `Q·Kᵀ`). `f32` only: int8 attention
-    /// scores whole KV blocks through [`ExecEngine::qk_block_i8`], which
-    /// also runs [`ExecEngine::int8_matmul_bt`].
+    /// scores whole KV blocks through [`ExecEngine::qk_row_i8`], over the
+    /// block kernel [`ExecEngine::qk_block_i8`], which also runs
+    /// [`ExecEngine::int8_matmul_bt`].
     NT,
     /// `a` is stored `[k, m]`, `b` is `[k, n]`: `aᵀ · b`, the
     /// weight-gradient `Xᵀ · dY` layout. `f32` only.

@@ -1,20 +1,14 @@
 //! Elementwise slice kernels. Four are the `i32` lanes of the APSQ fold
 //! (`apsq_core::StreamingApsq`): an abs-max, a shifted de-accumulate, the
 //! rounding right shift with clamp that quantizes, and the saturating left
-//! shift that dequantizes. The first three also come in a segmented form
-//! (`*_segments_i32`) that splits the slice into equal segments, each with
-//! its own shift or maximum, so a stream folding several independent
-//! tiles side by side makes one call per operation, not one per tile.
-//! [`quantize_i8`] is the workspace's one f32 → i8 quantizer: the fused
-//! APSQ linear kernel's input, [`crate::Int8Tensor::quantize`], the int8
-//! KV rows and the int8 attention's Q codes and requantization;
-//! [`scale_i32_f32`] and [`div_mul_max_abs_f32`] are
-//! that attention's score dequantization and its softmax divide fused
-//! with the value-scale fold, and [`pow2_heads_f32`] stages its
-//! per-(token, head) KV exponents as head-major scales. [`exp_f32`] and
-//! [`tanh_f32`] are the workspace's `exp` and `tanh` (the softmax's and
-//! GELU's): a scalar body and an AVX2+FMA build of each, bit-identical,
-//! that the [`KernelBackend`] dispatch picks between.
+//! shift that dequantizes. [`quantize_i8`] is the workspace's one f32 → i8
+//! quantizer: the fused APSQ linear kernel's input,
+//! [`crate::Int8Tensor::quantize`], the int8 KV rows and the int8
+//! attention's Q codes and requantization; [`div_mul_max_abs_f32`] is that
+//! attention's softmax divide fused with the value-scale fold.
+//! [`exp_f32`] and [`tanh_f32`] are the workspace's `exp` and `tanh` (the
+//! softmax's and GELU's): a scalar body and an AVX2+FMA build of each,
+//! bit-identical, that the [`KernelBackend`] dispatch picks between.
 //!
 //! Each kernel has one body, written as plain scalar Rust. The
 //! [`KernelBackend::Avx2`] tier compiles that same body inside a
@@ -23,10 +17,9 @@
 //! quantizer is the exception: its AVX2 tier is an explicit intrinsic
 //! build, which an exhaustive sweep pins to the body on every input (the
 //! body itself rounds without libm, so it vectorizes on every tier). The
-//! integer bodies are exact, the f32 bodies evaluate one
-//! IEEE expression per element (the exponent staging is a table lookup),
-//! and the one f32 reduction is a maximum,
-//! which no evaluation order changes, so the tiers cannot disagree. The
+//! integer bodies are exact, the f32 bodies evaluate one IEEE expression
+//! per element, and the one f32 reduction is a maximum, which no
+//! evaluation order changes, so the tiers cannot disagree. The
 //! process-wide [`KernelBackend::detect`] picks the tier, which makes the
 //! [`crate::BACKEND_ENV`] override force the portable build; inside
 //! [`crate::ExecEngine::apsq_linear`] the quantizer follows the engine's
@@ -113,53 +106,6 @@ pub fn quantize_i8(xs: &[f32], scale: f32, out: &mut [i8]) {
 }
 
 lane_kernel! {
-    /// [`max_abs_i32`] of each of the `out.len()` segments of `w`
-    /// elements that make up `xs`: `out[g]` is the largest `|x|` in
-    /// segment `g` (0 when empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is not `out.len()` segments of `w` elements.
-    pub fn max_abs_segments_i32(xs: &[i32], w: usize, out: &mut [u32])
-        => max_abs_segments_body, max_abs_segments_avx2;
-}
-
-lane_kernel! {
-    /// [`shl_add_i32`] over `shifts.len()` segments of `w` elements:
-    /// segment `g` of `acc` gains segment `g` of `codes` times
-    /// `2^shifts[g]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length, are not `shifts.len()`
-    /// segments of `w` elements, or a shift exceeds 30.
-    pub fn shl_add_segments_i32(codes: &[i32], w: usize, shifts: &[u32], acc: &mut [i32])
-        => shl_add_segments_body, shl_add_segments_avx2;
-}
-
-lane_kernel! {
-    /// [`round_shift_clamp_i32`] over `shifts.len()` segments of `w`
-    /// elements, each rounded at its own shift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length, are not `shifts.len()`
-    /// segments of `w` elements, or a shift exceeds 30.
-    pub fn round_shift_clamp_segments_i32(xs: &[i32], w: usize, shifts: &[u32], lo: i32, hi: i32, out: &mut [i32])
-        => round_shift_clamp_segments_body, round_shift_clamp_segments_avx2;
-}
-
-lane_kernel! {
-    /// `out[j] = xs[j] as f32 · s · scales[j]`, multiplied left to right.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn scale_i32_f32(xs: &[i32], s: f32, scales: &[f32], out: &mut [f32])
-        => scale_i32_f32_body, scale_i32_f32_avx2;
-}
-
-lane_kernel! {
     /// `xs[j] = xs[j] / d · scales[j]`, divided then multiplied, returning
     /// the largest `|xs[j]|` afterwards (0 when empty; NaN is skipped, as
     /// by `f32::max`).
@@ -181,95 +127,6 @@ pub fn exp_f32(xs: &mut [f32]) {
 /// every backend and host.
 pub fn tanh_f32(xs: &mut [f32]) {
     super::tanh_f32(KernelBackend::detect(), xs);
-}
-
-lane_kernel! {
-    /// Stages `[len, heads]` token-major power-of-two exponents as
-    /// head-major scales: `out[h · ldo + j] = 2^exps[j · heads + h]` for
-    /// the `len = exps.len() / heads` rows, each looked up in a 256-entry
-    /// table. Every `i8` exponent is exact: `e ≥ −126` sets the f32
-    /// exponent field, and −127 and −128 set the subnormal mantissa bit
-    /// `2^(e + 149)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `heads` is 0, `exps` is not whole rows of `heads`, or
-    /// `out` ends before the last head's row.
-    pub fn pow2_heads_f32(exps: &[i8], heads: usize, out: &mut [f32], ldo: usize)
-        => pow2_heads_body, pow2_heads_avx2;
-}
-
-/// Checks that `len` elements are `segments` segments of `w`; false when
-/// they are empty, so callers skip the (zero-width) segment walk.
-#[inline(always)]
-fn has_segments(len: usize, w: usize, segments: usize) -> bool {
-    assert_eq!(
-        len,
-        w * segments,
-        "{len} elements are not {segments} segments of {w}"
-    );
-    w > 0
-}
-
-#[inline(always)]
-fn max_abs_segments_body(xs: &[i32], w: usize, out: &mut [u32]) {
-    if !has_segments(xs.len(), w, out.len()) {
-        out.fill(0);
-        return;
-    }
-    // One segment is the plain kernel: it keeps the plain kernel's code.
-    if let [o] = out {
-        *o = max_abs_body(xs);
-        return;
-    }
-    // Index arithmetic, not `chunks_exact`, which divides by `w`.
-    for (g, o) in out.iter_mut().enumerate() {
-        *o = max_abs_body(&xs[g * w..][..w]);
-    }
-}
-
-#[inline(always)]
-fn shl_add_segments_body(codes: &[i32], w: usize, shifts: &[u32], acc: &mut [i32]) {
-    assert_eq!(codes.len(), acc.len(), "code/accumulator length mismatch");
-    if !has_segments(codes.len(), w, shifts.len()) {
-        return;
-    }
-    if let [sh] = shifts {
-        return shl_add_body(codes, *sh, acc);
-    }
-    for (g, &sh) in shifts.iter().enumerate() {
-        shl_add_body(&codes[g * w..][..w], sh, &mut acc[g * w..][..w]);
-    }
-}
-
-#[inline(always)]
-fn round_shift_clamp_segments_body(
-    xs: &[i32],
-    w: usize,
-    shifts: &[u32],
-    lo: i32,
-    hi: i32,
-    out: &mut [i32],
-) {
-    assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-    if !has_segments(xs.len(), w, shifts.len()) {
-        return;
-    }
-    if let [sh] = shifts {
-        return round_shift_clamp_body(xs, *sh, lo, hi, out);
-    }
-    for (g, &sh) in shifts.iter().enumerate() {
-        round_shift_clamp_body(&xs[g * w..][..w], sh, lo, hi, &mut out[g * w..][..w]);
-    }
-}
-
-#[inline(always)]
-fn scale_i32_f32_body(xs: &[i32], s: f32, scales: &[f32], out: &mut [f32]) {
-    assert_eq!(xs.len(), scales.len(), "input/scale length mismatch");
-    assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-    for ((o, &x), &c) in out.iter_mut().zip(xs).zip(scales) {
-        *o = x as f32 * s * c;
-    }
 }
 
 #[inline(always)]
@@ -295,9 +152,12 @@ fn div_mul_max_abs_body(xs: &mut [f32], d: f32, scales: &[f32]) -> f32 {
     m.into_iter().fold(0.0, f32::max)
 }
 
-/// `2^e` as an f32, exact for every `i8` exponent (see
-/// [`pow2_heads_f32`]).
-const fn pow2_i8(e: i8) -> f32 {
+/// `2^e` as an f32, exact for every `i8` exponent: `e ≥ −126` sets the
+/// f32 exponent field, and −127 and −128 set the subnormal mantissa bit
+/// `2^(e + 149)`. The int8 attention's per-(token, head) KV scales; a
+/// select of two integer expressions, so it vectorizes.
+#[inline(always)]
+pub(super) const fn pow2_i8(e: i8) -> f32 {
     let e = e as i32;
     let bits = if e >= -126 {
         ((e + 127) as u32) << 23
@@ -305,44 +165,6 @@ const fn pow2_i8(e: i8) -> f32 {
         1u32 << (e + 149)
     };
     f32::from_bits(bits)
-}
-
-/// [`pow2_i8`] of every `i8`, indexed by `e as u8`.
-static POW2_I8: [f32; 256] = {
-    let mut table = [0.0f32; 256];
-    let mut i = 0;
-    while i < 256 {
-        table[i] = pow2_i8(i as u8 as i8);
-        i += 1;
-    }
-    table
-};
-
-#[inline(always)]
-fn pow2_heads_body(exps: &[i8], heads: usize, out: &mut [f32], ldo: usize) {
-    assert!(heads > 0, "no heads to stage");
-    assert_eq!(
-        exps.len() % heads,
-        0,
-        "{} exponents are not rows of {heads} heads",
-        exps.len()
-    );
-    let len = exps.len() / heads;
-    if len == 0 {
-        return;
-    }
-    let need = (heads - 1) * ldo + len;
-    assert!(
-        out.len() >= need,
-        "{} scale slots, {need} needed",
-        out.len()
-    );
-    for h in 0..heads {
-        let row = &mut out[h * ldo..][..len];
-        for (o, erow) in row.iter_mut().zip(exps.chunks_exact(heads)) {
-            *o = POW2_I8[erow[h] as u8 as usize];
-        }
-    }
 }
 
 #[inline(always)]
@@ -566,8 +388,8 @@ mod tests {
         }
     }
 
-    /// Both builds of the attention glue kernels equal the portable
-    /// bodies, and the divide and value-scale fold returns what a
+    /// Both builds of the attention glue kernel equal the portable body,
+    /// and the divide and value-scale fold returns what a
     /// sequential `f32::max` fold over the scaled values does, on ragged
     /// lengths with NaN, infinities, signed zeros and subnormals.
     #[test]
@@ -575,10 +397,6 @@ mod tests {
         let mut xs: Vec<f32> = vec![0.0, -0.0, f32::NAN, 1e-40, -3.5, f32::INFINITY, 2.0];
         xs.extend((0..53).map(|i| (i as f32 * 0.377).cos() * 0.9));
         let scales: Vec<f32> = (0..xs.len()).map(|i| 2f32.powi(i as i32 % 7 - 3)).collect();
-        let ints = awkward();
-        let int_scales: Vec<f32> = (0..ints.len())
-            .map(|i| 2f32.powi(i as i32 % 9 - 20))
-            .collect();
         for len in [0, 1, 7, 8, 9, 31, xs.len()] {
             let want_xs: Vec<f32> = xs[..len]
                 .iter()
@@ -591,12 +409,6 @@ mod tests {
             assert_eq!(max.to_bits(), want_max.to_bits(), "len {len}");
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want_xs), "len {len}");
-            let n = len.min(ints.len());
-            let mut want = vec![0.0f32; n];
-            scale_i32_f32_body(&ints[..n], 0.125, &int_scales[..n], &mut want);
-            let mut got = vec![0.0f32; n];
-            scale_i32_f32(&ints[..n], 0.125, &int_scales[..n], &mut got);
-            assert_eq!(bits(&got), bits(&want), "len {len}");
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
                 let mut got = xs[..len].to_vec();
@@ -604,112 +416,18 @@ mod tests {
                 let max = unsafe { div_mul_max_abs_avx2(&mut got, 3.0, &scales[..len]) };
                 assert_eq!(max.to_bits(), want_max.to_bits(), "avx2 len {len}");
                 assert_eq!(bits(&got), bits(&want_xs), "avx2 len {len}");
-                let mut got = vec![0.0f32; n];
-                // SAFETY: as above.
-                unsafe { scale_i32_f32_avx2(&ints[..n], 0.125, &int_scales[..n], &mut got) };
-                assert_eq!(bits(&got), bits(&want), "avx2 len {len}");
             }
         }
     }
 
-    /// The segmented kernels, dispatched and (on an AVX2 host) as AVX2
-    /// builds, equal the unsegmented bodies applied segment by segment,
-    /// at one, three and seven segments with a distinct shift each.
-    #[test]
-    fn segmented_builds_match_per_segment_bodies() {
-        let mut xs = awkward();
-        xs.push(5); // 77 = 7 · 11 elements
-        let codes: Vec<i32> = (0..77).map(|i| i % 256 - 128).collect();
-        type Seg = (
-            fn(&[i32], usize, &mut [u32]),
-            fn(&[i32], usize, &[u32], &mut [i32]),
-            fn(&[i32], usize, &[u32], i32, i32, &mut [i32]),
-        );
-        let mut builds: Vec<Seg> = vec![(
-            max_abs_segments_i32,
-            shl_add_segments_i32,
-            round_shift_clamp_segments_i32,
-        )];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            builds.push((
-                // SAFETY: this host has AVX2 (detected just above).
-                |xs, w, out| unsafe { max_abs_segments_avx2(xs, w, out) },
-                // SAFETY: as above.
-                |c, w, sh, acc| unsafe { shl_add_segments_avx2(c, w, sh, acc) },
-                // SAFETY: as above.
-                |xs, w, sh, lo, hi, out| unsafe {
-                    round_shift_clamp_segments_avx2(xs, w, sh, lo, hi, out)
-                },
-            ));
-        }
-        for (max_abs, shl_add, round) in builds {
-            for segments in [1usize, 7, 11] {
-                let w = xs.len() / segments;
-                let shifts: Vec<u32> = (0..segments as u32).map(|g| g * 4 % 23).collect();
-                let mut got = vec![0u32; segments];
-                max_abs(&xs, w, &mut got);
-                let want: Vec<u32> = xs.chunks(w).map(max_abs_body).collect();
-                assert_eq!(got, want, "max_abs, {segments} segments");
-                let (mut got, mut want) = (vec![0; xs.len()], vec![0; xs.len()]);
-                round(&xs, w, &shifts, -128, 127, &mut got);
-                for ((x, o), &sh) in xs.chunks(w).zip(want.chunks_mut(w)).zip(&shifts) {
-                    round_shift_clamp_body(x, sh, -128, 127, o);
-                }
-                assert_eq!(got, want, "round, {segments} segments");
-                let base: Vec<i32> = (0..xs.len() as i32).map(|i| i * 1000 - 7).collect();
-                let (mut got, mut want) = (base.clone(), base);
-                shl_add(&codes, w, &shifts, &mut got);
-                for ((c, a), &sh) in codes.chunks(w).zip(want.chunks_mut(w)).zip(&shifts) {
-                    shl_add_body(c, sh, a);
-                }
-                assert_eq!(got, want, "shl_add, {segments} segments");
-            }
-            let mut out = [9u32; 3];
-            max_abs(&[], 0, &mut out);
-            assert_eq!(out, [0; 3], "empty segments");
-        }
-    }
-
-    /// Every build of the exponent staging gives `2^e` for all 256 `i8`
-    /// exponents, the two subnormal ones included, bit for bit as `exp2`
-    /// does, and lands each head's scales in its own row, leaving the
-    /// rest of `out` alone.
+    /// The KV exponent staging gives `2^e` for all 256 `i8` exponents,
+    /// the two subnormal ones included, bit for bit as `exp2` does.
     #[test]
     fn pow2_staging_is_exact_for_every_exponent() {
-        let exps: Vec<i8> = (i8::MIN..=i8::MAX).collect();
-        assert_eq!(POW2_I8[128].to_bits(), 1 << 21, "2^-128 = 2^21 · 2^-149");
-        type Stage = fn(&[i8], usize, &mut [f32], usize);
-        let mut builds: Vec<Stage> = vec![pow2_heads_f32, pow2_heads_body];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: this host has AVX2 (detected just above).
-            builds.push(|e, h, out, ldo| unsafe { pow2_heads_avx2(e, h, out, ldo) });
+        assert_eq!(pow2_i8(-128).to_bits(), 1 << 21, "2^-128 = 2^21 · 2^-149");
+        for e in i8::MIN..=i8::MAX {
+            assert_eq!(pow2_i8(e).to_bits(), (e as f32).exp2().to_bits(), "2^{e}");
         }
-        // Head counts 1 to 4 and row counts with and without an
-        // 8-row tail.
-        for (heads, rows) in [(4, 64), (1, 256), (2, 128), (4, 61), (2, 13), (3, 85)] {
-            let exps = &exps[..heads * rows];
-            let ldo = rows + 3;
-            let want: Vec<u32> = (0..heads * ldo)
-                .map(|i| match (i / ldo, i % ldo) {
-                    (h, j) if j < rows => (exps[j * heads + h] as f32).exp2().to_bits(),
-                    _ => 7.0f32.to_bits(),
-                })
-                .collect();
-            for stage in &builds {
-                let mut out = vec![7.0f32; heads * ldo];
-                stage(exps, heads, &mut out, ldo);
-                let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got, want, "{heads} heads, {rows} rows");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "are not 2 segments of 2")]
-    fn segments_must_cover_the_slice() {
-        max_abs_segments_i32(&[1, 2, 3], 2, &mut [0; 2]);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   SSE2 is part of the x86-64 baseline, so this tier needs no feature
 //!   detection; it is the floor on any x86-64 host. It builds the f32
 //!   GEMMs, the packed-B i8 GEMM and the fused APSQ linear kernel; the
-//!   attention, quantizer and transcendental kernels run their scalar
-//!   bodies.
+//!   attention (block and row), quantizer and transcendental kernels run
+//!   their scalar bodies.
 //! - [`KernelBackend::Avx2`] — 256-bit intrinsics (i16 `madd` into i32
 //!   lanes, 8-wide f32 mul/add lanes), used when
 //!   `is_x86_feature_detected!("avx2")` reports support.
@@ -57,14 +57,35 @@
 //! `d` into *chunks*, one per (K step `s`, head `h`): columns
 //! `h·dh + [s·k_tile, min((s + 1)·k_tile, dh))`. Chunk `c = s·heads + h`
 //! of row `j` lands in `tiles[c · ldt + j]`, so the caller's step-major
-//! `[steps][heads][t]` tiles fill block by block ([`qk_chunk`]).
+//! `[steps][heads][t]` tiles fill block by block ([`for_qk_chunks`]).
 //! [`pv_block_i8`] is the P·V piece of one K step that a block holds:
 //! every head's `[dh]` tile summed over the block's rows, overwriting or
 //! accumulating. The AVX2 builds use `madd_epi16` on sign-extended i16
-//! codes, never `maddubs`, so no sum saturates in i16. Q·Kᵀ reduces each
-//! chunk with an `hadd` tree over eight rows at once. P·V interleaves two
-//! value rows and madds them against a broadcast probability pair, so
-//! each i32 lane is one output column. SSE2 runs the scalar body.
+//! codes, never `maddubs`, so no sum saturates in i16. When every chunk
+//! is whole 16-column groups (`dh` and `k_tile` multiples of 16, as
+//! served), Q·Kᵀ splits each 32-byte key load into its even and odd bytes
+//! by shifts alone, so the product has no shuffle, and two levels of
+//! `hadd` over four rows leave one score per (row, group); other shapes
+//! reduce each chunk with an `hadd` tree over eight rows. The query is
+//! prepared once per call (`x86::Avx2Query`). P·V interleaves two value
+//! rows and madds them against a broadcast probability pair, so each i32
+//! lane is one output column. SSE2 runs the scalar body.
+//!
+//! # The row attention kernels
+//!
+//! [`qk_row_i8`] and [`pv_row_i8`] run one attention row's whole Q·Kᵀ or
+//! P·V, every block of it, in one call, with each head's PSUM stream
+//! folded by self-calibrating Algorithm 1 (`rows.rs`; the module docs of
+//! `crate::attn` give the dataflow). The body is written once, generic
+//! over the backend's pieces: the per-block kernels above and the
+//! per-head exponent reads. The AVX2 build compiles it inside a
+//! `#[target_feature]` wrapper around the AVX2 pieces, so the fold's
+//! elementwise loops get 256-bit lanes and the exponents are read with
+//! one gather per eight tokens. Every fold step checks
+//! the bound `max|tile| + Σ max|code| · 2^e ≤ i32::MAX` and, where it
+//! fails, forms the sum in `i64` over saturating dequantized codes,
+//! clamped into `i32`, exactly as `apsq_core::StreamingApsq` does. SSE2
+//! runs the scalar body.
 //!
 //! # The fused APSQ linear kernel
 //!
@@ -127,10 +148,12 @@
 #![allow(clippy::too_many_arguments)]
 
 pub mod lanes;
+mod rows;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
+use crate::attn::{KvSegment, RowFold, RowScratch};
 use crate::fold::Fused;
 use std::sync::OnceLock;
 
@@ -456,6 +479,54 @@ pub(crate) fn pv_block_i8(
     }
 }
 
+/// One attention row's Q·Kᵀ over every segment of `kv`, folded by
+/// `fold` (module docs, "The row attention kernels"). Callers check the
+/// extents.
+pub(crate) fn qk_row_i8<'a>(
+    bk: KernelBackend,
+    q: &[i8],
+    heads: usize,
+    fold: Option<&RowFold>,
+    scale: f32,
+    kv: impl Iterator<Item = KvSegment<'a>>,
+    t: usize,
+    scratch: &mut RowScratch,
+    scores: &mut [f32],
+    v_scales: &mut [f32],
+) -> (u64, u64) {
+    match bk {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_f32`.
+        KernelBackend::Avx2 => unsafe {
+            x86::avx2_qk_row_i8(q, heads, fold, scale, kv, t, scratch, scores, v_scales)
+        },
+        _ => {
+            rows::qk_row::<rows::ScalarOps>(q, heads, fold, scale, kv, t, scratch, scores, v_scales)
+        }
+    }
+}
+
+/// One attention row's P·V over every segment of `kv`, folded by `fold`
+/// (module docs, "The row attention kernels"). Callers check the
+/// extents.
+pub(crate) fn pv_row_i8<'a>(
+    bk: KernelBackend,
+    p: &[i8],
+    heads: usize,
+    fold: Option<&RowFold>,
+    kv: impl Iterator<Item = KvSegment<'a>>,
+    t: usize,
+    scratch: &mut RowScratch,
+    out: &mut [i32],
+) -> (u64, u64) {
+    match bk {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_f32`.
+        KernelBackend::Avx2 => unsafe { x86::avx2_pv_row_i8(p, heads, fold, kv, t, scratch, out) },
+        _ => rows::pv_row::<rows::ScalarOps>(p, heads, fold, kv, t, scratch, out),
+    }
+}
+
 /// The fused APSQ linear kernel (module docs, "The fused APSQ linear
 /// kernel") over the `rows` staged rows of `f`: writes the `[rows, n]`
 /// epilogue into `out` and, when `codes` is not empty, the last step's
@@ -526,13 +597,27 @@ pub(crate) use scalar::tanh as tanh_one;
 
 // ------------------------------------------------------- shared helpers
 
-/// The columns `[l0, l1)` of [`qk_block_i8`]'s chunk `c`: head
-/// `c % heads`'s K step `c / heads` of width `k_tile` (the last step of a
-/// head may be narrower).
+/// Calls `f(c, l0, l1)` for every chunk of [`qk_block_i8`] in chunk order
+/// `c = s · heads + h`: head `h`'s K step `s` covers columns `[l0, l1)`,
+/// `k_tile` wide (the last step of a head may be narrower). Nested loops,
+/// so a block divides nothing per chunk.
 #[inline(always)]
-pub(super) fn qk_chunk(c: usize, heads: usize, dh: usize, k_tile: usize) -> (usize, usize) {
-    let (s, h) = (c / heads, c % heads);
-    (h * dh + s * k_tile, h * dh + dh.min((s + 1) * k_tile))
+pub(super) fn for_qk_chunks(
+    heads: usize,
+    dh: usize,
+    k_tile: usize,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let mut c = 0;
+    let mut k0 = 0;
+    while k0 < dh {
+        let k1 = dh.min(k0 + k_tile);
+        for h in 0..heads {
+            f(c, h * dh + k0, h * dh + k1);
+            c += 1;
+        }
+        k0 = k1;
+    }
 }
 
 /// The most ring rows a SIMD build of [`apsq_linear_i8`] holds per

@@ -10,7 +10,7 @@
 //! SIMD variants.
 
 use super::lanes::{round_shift_clamp_body, shl_saturate};
-use super::{dot_f32_lanes, np_passes, qk_chunk, tail_f32, tail_np_i8, KC, MR, NR};
+use super::{dot_f32_lanes, for_qk_chunks, np_passes, tail_f32, tail_np_i8, KC, MR, NR};
 use crate::fold::Fused;
 
 pub(super) fn gemm_f32(
@@ -282,14 +282,13 @@ pub(super) fn qk_block_i8(
     let d = q.len();
     let dh = d / heads;
     for (j, krow) in keys.chunks_exact(d).enumerate() {
-        for c in 0..heads * dh.div_ceil(k_tile) {
-            let (l0, l1) = qk_chunk(c, heads, dh, k_tile);
+        for_qk_chunks(heads, dh, k_tile, |c, l0, l1| {
             let mut acc = 0i32;
             for (&x, &y) in q[l0..l1].iter().zip(&krow[l0..l1]) {
                 acc += x as i32 * y as i32;
             }
             tiles[c * ldt + j] = acc;
-        }
+        });
     }
 }
 

@@ -28,14 +28,16 @@
 
 use core::arch::x86_64::*;
 
+use super::rows::{self, RowOps};
 use super::scalar::{
     self, EXPM1_Q, EXP_INV_LN2_N, EXP_N, EXP_POLY, EXP_SHIFT, EXP_SPECIAL_TOP, EXP_TAB, INV_LN2,
     LN2_HI, LN2_LO,
 };
 use super::{
-    np_passes, pair_word, qk_chunk, reduce_lanes_f32, tail_f32, tail_np_i8, Pairs, KC, LANES,
+    for_qk_chunks, np_passes, pair_word, reduce_lanes_f32, tail_f32, tail_np_i8, Pairs, KC, LANES,
     MAX_RING, MR, NR,
 };
+use crate::attn::{KvSegment, RowFold, RowScratch};
 use crate::fold::Fused;
 
 /// Sign-extends the low 8 bytes of `v` to 8×i16 without SSE4.1:
@@ -958,13 +960,174 @@ pub(super) fn avx2_qk_block_i8(
     tiles: &mut [i32],
     ldt: usize,
 ) {
-    let d = q.len();
-    let dh = d / heads;
-    let len = keys.len() / d;
-    for c in 0..heads * dh.div_ceil(k_tile) {
-        let row = &mut tiles[c * ldt..][..len];
-        avx2_qk_chunk(q, keys, row, qk_chunk(c, heads, dh, k_tile));
+    let query = Avx2Query::new(q, heads, k_tile);
+    avx2_qk_rows(&query, keys, keys.len() / q.len(), tiles, ldt);
+}
+
+/// The most 16-column groups an [`Avx2Query`] holds the query of.
+const MAX_GROUPS: usize = 64;
+
+/// A query row prepared once for [`avx2_qk_rows`] over any number of
+/// blocks. When every chunk is whole 16-column groups (`dh` and `k_tile`
+/// multiples of 16), the query's even and odd bytes are staged per 32
+/// columns with each group's chunk; otherwise every chunk runs
+/// [`avx2_qk_chunk`].
+pub(super) struct Avx2Query<'q> {
+    q: &'q [i8],
+    heads: usize,
+    k_tile: usize,
+    groups: usize,
+    /// Per 32 columns: the query's even and odd bytes as i16 lanes.
+    pairs: [[__m256i; 2]; MAX_GROUPS / 2],
+    /// Per group: its chunk, and whether it opens it (overwrite) or adds.
+    chunk: [(usize, bool); MAX_GROUPS],
+}
+
+impl<'q> Avx2Query<'q> {
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) fn new(q: &'q [i8], heads: usize, k_tile: usize) -> Self {
+        let d = q.len();
+        let dh = d / heads;
+        let mut query = Avx2Query {
+            q,
+            heads,
+            k_tile,
+            groups: 0,
+            pairs: [[_mm256_setzero_si256(); 2]; MAX_GROUPS / 2],
+            chunk: [(0, false); MAX_GROUPS],
+        };
+        if !dh.is_multiple_of(16) || !k_tile.is_multiple_of(16) || d > 16 * MAX_GROUPS {
+            return query;
+        }
+        query.groups = d / 16;
+        let mut g = 0;
+        for h in 0..heads {
+            let (mut c, mut into) = (h, 0);
+            for _ in 0..dh / 16 {
+                query.chunk[g] = (c, into == 0);
+                g += 1;
+                into += 16;
+                if into == k_tile {
+                    (c, into) = (c + heads, 0);
+                }
+            }
+        }
+        for (b, qb) in query.pairs[..d.div_ceil(32)].iter_mut().enumerate() {
+            let x = avx2_load_group_pair(q, 32 * b);
+            *qb = [avx2_even_i8(x), _mm256_srai_epi16::<8>(x)];
+        }
+        query
     }
+
+    /// Writes, or adds when the group does not open its chunk, the `v`
+    /// scores of group `g` for rows `j..` into `tiles`.
+    #[inline(always)]
+    fn put(&self, g: usize, tiles: &mut [i32], ldt: usize, j: usize, v: &[i32]) {
+        let (c, opens) = self.chunk[g];
+        let dst = &mut tiles[c * ldt + j..][..v.len()];
+        if opens {
+            dst.copy_from_slice(v);
+        } else {
+            dst.iter_mut().zip(v).for_each(|(o, &x)| *o += x);
+        }
+    }
+}
+
+/// [`avx2_qk_block_i8`] for a prepared query over the `len` rows of
+/// `keys`. With 16-column groups, there is no shuffle in the product: a
+/// 32-byte load of a key row splits into its even and odd bytes, each
+/// sign-extended in i16 lanes by shifts alone, and two madds against the
+/// query's even and odd bytes leave lane `i` the sum of columns
+/// `4i..4i + 4`, so lanes 0–3 and 4–7 are the two groups. Two levels of
+/// hadd over four rows reduce each group to one score per row; a chunk
+/// of several groups adds them.
+#[target_feature(enable = "avx2")]
+pub(super) fn avx2_qk_rows(
+    query: &Avx2Query<'_>,
+    keys: &[i8],
+    len: usize,
+    tiles: &mut [i32],
+    ldt: usize,
+) {
+    let (q, d) = (query.q, query.q.len());
+    let groups = query.groups;
+    if groups == 0 {
+        let dh = d / query.heads;
+        for_qk_chunks(query.heads, dh, query.k_tile, |c, l0, l1| {
+            avx2_qk_chunk(q, keys, &mut tiles[c * ldt..][..len], (l0, l1));
+        });
+        return;
+    }
+    let keys = &keys[..len * d];
+    let mut j = 0;
+    while j + 4 <= len {
+        let rows = &keys[j * d..(j + 4) * d];
+        for b in 0..groups.div_ceil(2) {
+            let qb = query.pairs[b];
+            let r0 = avx2_group_dots(&rows[..d], b, qb);
+            let r1 = avx2_group_dots(&rows[d..2 * d], b, qb);
+            let r2 = avx2_group_dots(&rows[2 * d..3 * d], b, qb);
+            let r3 = avx2_group_dots(&rows[3 * d..], b, qb);
+            let h = _mm256_hadd_epi32(_mm256_hadd_epi32(r0, r1), _mm256_hadd_epi32(r2, r3));
+            let mut sums = [0i32; 8];
+            // SAFETY: `sums` holds exactly the 8 i32 lanes stored.
+            unsafe { _mm256_storeu_si256(sums.as_mut_ptr() as *mut __m256i, h) };
+            query.put(2 * b, tiles, ldt, j, &sums[..4]);
+            if 2 * b + 1 < groups {
+                query.put(2 * b + 1, tiles, ldt, j, &sums[4..]);
+            }
+        }
+        j += 4;
+    }
+    for (j, row) in keys.chunks_exact(d).enumerate().skip(j) {
+        for b in 0..groups.div_ceil(2) {
+            let mut lanes = [0i32; 8];
+            let v = avx2_group_dots(row, b, query.pairs[b]);
+            // SAFETY: `lanes` holds exactly the 8 i32 lanes stored.
+            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, v) };
+            query.put(2 * b, tiles, ldt, j, &[lanes[..4].iter().sum()]);
+            if 2 * b + 1 < groups {
+                query.put(2 * b + 1, tiles, ldt, j, &[lanes[4..].iter().sum()]);
+            }
+        }
+    }
+}
+
+/// Columns `32b..32b + 32` of `row` dotted with the query's even and odd
+/// bytes `[qe, qo]` of the same columns: lane `i` sums columns
+/// `32b + 4i..32b + 4i + 4`.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_group_dots(row: &[i8], b: usize, [qe, qo]: [__m256i; 2]) -> __m256i {
+    let x = avx2_load_group_pair(row, 32 * b);
+    let even = _mm256_madd_epi16(avx2_even_i8(x), qe);
+    _mm256_add_epi32(even, _mm256_madd_epi16(_mm256_srai_epi16::<8>(x), qo))
+}
+
+/// Columns `c..c + 32` of `row` as 16 i16 lanes of byte pairs; a row
+/// that ends after 16 of them leaves the high lanes zero.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_load_group_pair(row: &[i8], c: usize) -> __m256i {
+    if c + 32 <= row.len() {
+        let s = &row[c..c + 32];
+        // SAFETY: `s` holds exactly the 32 bytes loaded.
+        unsafe { _mm256_loadu_si256(s.as_ptr() as *const __m256i) }
+    } else {
+        let s = &row[c..c + 16];
+        // SAFETY: `s` holds exactly the 16 bytes loaded.
+        let lo = unsafe { _mm_loadu_si128(s.as_ptr() as *const __m128i) };
+        _mm256_set_m128i(_mm_setzero_si128(), lo)
+    }
+}
+
+/// The even bytes of `x`'s 16-bit lanes, sign-extended: shifted up to the
+/// high byte and arithmetic-shifted back.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_even_i8(x: __m256i) -> __m256i {
+    _mm256_srai_epi16::<8>(_mm256_slli_epi16::<8>(x))
 }
 
 /// Chunk `[l0, l1)` of every key row into `row`, one score per key row,
@@ -1054,23 +1217,51 @@ pub(super) fn avx2_pv_block_i8(
     accumulate: bool,
 ) {
     let d = out.len();
-    let dh = d / heads;
-    let len = values.len() / d;
-    for (h, o) in out.chunks_exact_mut(dh).enumerate() {
-        if !accumulate {
-            o.fill(0);
-        }
+    avx2_pv_rows(
+        p,
+        ldp,
+        values,
+        values.len() / d,
+        heads,
+        d / heads,
+        out,
+        accumulate,
+    );
+}
+
+/// [`avx2_pv_block_i8`] over the `len` rows of `values` with the head
+/// width `dh` given, so a caller running many blocks divides nothing per
+/// block.
+#[target_feature(enable = "avx2")]
+pub(super) fn avx2_pv_rows(
+    p: &[i8],
+    ldp: usize,
+    values: &[i8],
+    len: usize,
+    heads: usize,
+    dh: usize,
+    out: &mut [i32],
+    accumulate: bool,
+) {
+    let d = heads * dh;
+    for h in 0..heads {
+        let o = &mut out[h * dh..][..dh];
         let ph = &p[h * ldp..][..len];
         let mut c = 0;
         while c + 4 * NR <= dh {
-            avx2_pv_cols::<4>(ph, values, d, h * dh + c, &mut o[c..c + 4 * NR]);
+            let cols = &mut o[c..c + 4 * NR];
+            avx2_pv_cols::<4>(ph, values, d, h * dh + c, cols, accumulate);
             c += 4 * NR;
         }
         while c + NR <= dh {
-            avx2_pv_cols::<1>(ph, values, d, h * dh + c, &mut o[c..c + NR]);
+            let cols = &mut o[c..c + NR];
+            avx2_pv_cols::<1>(ph, values, d, h * dh + c, cols, accumulate);
             c += NR;
         }
         if c < dh {
+            if !accumulate {
+                o[c..].fill(0);
+            }
             for (&pj, vrow) in ph.iter().zip(values.chunks_exact(d)) {
                 for (oc, &v) in o[c..].iter_mut().zip(&vrow[h * dh + c..(h + 1) * dh]) {
                     *oc += pj as i32 * v as i32;
@@ -1080,14 +1271,22 @@ pub(super) fn avx2_pv_block_i8(
     }
 }
 
-/// Adds `Σ_j ph[j] · values[j · d + col + c]` into `o[c]` for the
-/// `C · NR` columns of `o`. Rows go in pairs: the two rows' codes
-/// interleave into (row j, row j + 1) i16 pairs, and one madd against the
-/// broadcast probability pair gives each column's two-row sum in its own
-/// i32 lane. An odd last row pairs with itself at probability zero.
+/// Adds `Σ_j ph[j] · values[j · d + col + c]` into `o[c]`, or with
+/// `accumulate` false stores it there, for the `C · NR` columns of `o`.
+/// Rows go in pairs: the two rows' codes interleave into (row j, row
+/// j + 1) i16 pairs, and one madd against the broadcast probability pair
+/// gives each column's two-row sum in its own i32 lane. An odd last row
+/// pairs with itself at probability zero.
 #[target_feature(enable = "avx2")]
 #[inline]
-fn avx2_pv_cols<const C: usize>(ph: &[i8], values: &[i8], d: usize, col: usize, o: &mut [i32]) {
+fn avx2_pv_cols<const C: usize>(
+    ph: &[i8],
+    values: &[i8],
+    d: usize,
+    col: usize,
+    o: &mut [i32],
+    accumulate: bool,
+) {
     let mut acc = [_mm256_setzero_si256(); C];
     let row = |j: usize| &values[j * d + col..][..C * NR];
     let mut j = 0;
@@ -1099,7 +1298,13 @@ fn avx2_pv_cols<const C: usize>(ph: &[i8], values: &[i8], d: usize, col: usize, 
         avx2_pv_madd_rows(&mut acc, row(j), row(j), [ph[j], 0]);
     }
     for (chunk, &accv) in o.chunks_exact_mut(NR).zip(&acc) {
-        avx2_add_store_i32(chunk, accv);
+        if accumulate {
+            avx2_add_store_i32(chunk, accv);
+        } else {
+            let chunk = &mut chunk[..NR];
+            // SAFETY: `chunk` has exactly NR = 8 i32 slots.
+            unsafe { _mm256_storeu_si256(chunk.as_mut_ptr() as *mut __m256i, accv) };
+        }
     }
 }
 
@@ -1137,6 +1342,156 @@ fn avx2_pv_madd_rows<const C: usize>(
 #[inline]
 fn avx2_madd_pairs(acc: __m256i, pairs: __m128i, w: __m256i) -> __m256i {
     _mm256_add_epi32(acc, _mm256_madd_epi16(_mm256_cvtepi8_epi16(pairs), w))
+}
+
+/// The AVX2 block kernels, for the row bodies' AVX2 builds.
+struct Avx2Ops;
+
+impl RowOps for Avx2Ops {
+    type Query<'q> = Avx2Query<'q>;
+
+    #[inline(always)]
+    fn query(q: &[i8], heads: usize, k_tile: usize) -> Avx2Query<'_> {
+        // SAFETY: only `avx2_qk_row_i8` and `avx2_pv_row_i8` instantiate
+        // the row bodies with these kernels, and the dispatch reaches them
+        // only on an `Avx2` backend, which exists only on hosts with AVX2.
+        unsafe { Avx2Query::new(q, heads, k_tile) }
+    }
+
+    #[inline(always)]
+    fn qk(query: &Avx2Query<'_>, keys: &[i8], len: usize, tiles: &mut [i32], ldt: usize) {
+        // SAFETY: as in `query`.
+        unsafe { avx2_qk_rows(query, keys, len, tiles, ldt) }
+    }
+
+    #[inline(always)]
+    fn pv(
+        p: &[i8],
+        ldp: usize,
+        values: &[i8],
+        (len, heads, dh): (usize, usize, usize),
+        out: &mut [i32],
+        accumulate: bool,
+    ) {
+        // SAFETY: as in `query`.
+        unsafe { avx2_pv_rows(p, ldp, values, len, heads, dh, out, accumulate) }
+    }
+
+    #[inline(always)]
+    fn scores(acc: &[i32], scale: f32, exps: &[i8], heads: usize, h: usize, out: &mut [f32]) {
+        // SAFETY: as in `query`.
+        unsafe { avx2_head_scales(Some((acc, scale)), exps, heads, h, out) }
+    }
+
+    #[inline(always)]
+    fn scales(exps: &[i8], heads: usize, h: usize, out: &mut [f32]) {
+        // SAFETY: as in `query`.
+        unsafe { avx2_head_scales(None, exps, heads, h, out) }
+    }
+}
+
+/// [`rows::scores_body`] (with `acc`) or [`rows::scales_body`] (without),
+/// eight tokens a pass: one gather loads the word at each token's
+/// exponent byte, a shift pair sign-extends the byte, and the exponent
+/// bits become `2^e` exactly as [`super::lanes::pow2_i8`] builds it — the
+/// biased exponent field, or for −127 and −128 the subnormal mantissa
+/// bit. The products run in the scalar order. Tokens whose 4-byte word
+/// would end past `exps` take the body.
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx2_head_scales(
+    acc: Option<(&[i32], f32)>,
+    exps: &[i8],
+    heads: usize,
+    h: usize,
+    out: &mut [f32],
+) {
+    let len = out.len();
+    assert!(
+        heads > 0 && h < heads && exps.len() >= len * heads,
+        "exponents are not [{len}, {heads}] rows"
+    );
+    // The gather's byte offsets are i32 lanes.
+    assert!(
+        exps.len() <= i32::MAX as usize,
+        "{} exponents overflow the gather's offsets",
+        exps.len()
+    );
+    // Token j's word is exps[j · heads + h..][..4].
+    let simd = (exps.len().saturating_sub(h + 3)).div_ceil(heads).min(len) / 8 * 8;
+    let step = _mm256_set1_epi32(heads as i32);
+    let mut idx = _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), step);
+    idx = _mm256_add_epi32(idx, _mm256_set1_epi32(h as i32));
+    let stride8 = _mm256_set1_epi32(8 * heads as i32);
+    let (bias, sub_bias, one) = (
+        _mm256_set1_epi32(127),
+        _mm256_set1_epi32(149),
+        _mm256_set1_epi32(1),
+    );
+    let normal_min = _mm256_set1_epi32(-127);
+    for j in (0..simd).step_by(8) {
+        // SAFETY: every lane's word starts at (j + i) · heads + h and ends
+        // 4 bytes later, within `exps` for the `simd` tokens (bound above);
+        // the gather reads nothing else.
+        let w = unsafe { _mm256_i32gather_epi32::<1>(exps.as_ptr() as *const i32, idx) };
+        idx = _mm256_add_epi32(idx, stride8);
+        let e = _mm256_srai_epi32::<24>(_mm256_slli_epi32::<24>(w));
+        let normal = _mm256_slli_epi32::<23>(_mm256_add_epi32(e, bias));
+        let subnormal = _mm256_sllv_epi32(one, _mm256_add_epi32(e, sub_bias));
+        let is_normal = _mm256_cmpgt_epi32(e, normal_min);
+        let p = _mm256_castsi256_ps(_mm256_blendv_epi8(subnormal, normal, is_normal));
+        let v = match acc {
+            Some((acc, scale)) => {
+                let a = &acc[j..j + 8];
+                // SAFETY: `a` holds exactly the 8 i32 lanes loaded.
+                let x = unsafe { _mm256_loadu_si256(a.as_ptr() as *const __m256i) };
+                let x = _mm256_mul_ps(_mm256_cvtepi32_ps(x), _mm256_set1_ps(scale));
+                _mm256_mul_ps(x, p)
+            }
+            None => p,
+        };
+        let o = &mut out[j..j + 8];
+        // SAFETY: `o` holds exactly the 8 f32 lanes stored.
+        unsafe { _mm256_storeu_ps(o.as_mut_ptr(), v) };
+    }
+    let tail = &exps[simd * heads..];
+    match acc {
+        Some((acc, scale)) => {
+            rows::scores_body(&acc[simd..], scale, tail, heads, h, &mut out[simd..])
+        }
+        None => rows::scales_body(tail, heads, h, &mut out[simd..]),
+    }
+}
+
+/// [`rows::qk_row`] built for AVX2: the fold's elementwise loops get
+/// 256-bit lanes around the AVX2 block kernels.
+#[target_feature(enable = "avx2")]
+pub(super) fn avx2_qk_row_i8<'a>(
+    q: &[i8],
+    heads: usize,
+    fold: Option<&RowFold>,
+    scale: f32,
+    kv: impl Iterator<Item = KvSegment<'a>>,
+    t: usize,
+    scratch: &mut RowScratch,
+    scores: &mut [f32],
+    v_scales: &mut [f32],
+) -> (u64, u64) {
+    rows::qk_row::<Avx2Ops>(q, heads, fold, scale, kv, t, scratch, scores, v_scales)
+}
+
+/// [`rows::pv_row`] built for AVX2.
+#[target_feature(enable = "avx2")]
+pub(super) fn avx2_pv_row_i8<'a>(
+    p: &[i8],
+    heads: usize,
+    fold: Option<&RowFold>,
+    kv: impl Iterator<Item = KvSegment<'a>>,
+    t: usize,
+    scratch: &mut RowScratch,
+    out: &mut [i32],
+) -> (u64, u64) {
+    rows::pv_row::<Avx2Ops>(p, heads, fold, kv, t, scratch, out)
 }
 
 // ======================================================= AVX2+FMA exp/tanh

@@ -21,9 +21,12 @@
 //! - [`ExecEngine::apsq_linear`] — the fused APSQ linear layer: input
 //!   quantizer, packed-B GEMM, the [`FoldPlan`] of Algorithm 1 on each
 //!   register tile, and the dequantize-and-bias epilogue in one call;
-//! - [`ExecEngine::qk_block_i8`] / [`ExecEngine::pv_block_i8`] — the
-//!   per-block int8 attention kernels, which read one paged KV block's
-//!   codes in place for every head's Q·Kᵀ K steps and its P·V tile;
+//! - [`ExecEngine::qk_row_i8`] / [`ExecEngine::pv_row_i8`] — the int8
+//!   attention row kernels: each reads a row's paged KV blocks
+//!   ([`KvSegment`]s) in place and folds every head's PSUM stream by
+//!   self-calibrating Algorithm 1 ([`RowFold`]) in one call, over the
+//!   per-block kernels [`ExecEngine::qk_block_i8`] /
+//!   [`ExecEngine::pv_block_i8`];
 //! - [`lanes`] — elementwise slice kernels (the APSQ fold's i32 lanes,
 //!   the f32 → i8 activation quantizer, and the workspace's one `exp` and
 //!   one `tanh`, bit for bit glibc's on every host) under the same
@@ -65,6 +68,7 @@ pub use activation::{
     gelu, gelu_grad, gelu_scalar, relu, relu_grad, sigmoid, silu, silu_grad, softmax_exps_into,
     softmax_row_into, softmax_rows, softmax_rows_grad,
 };
+pub use attn::{KvSegment, RowFold, RowScratch};
 pub use conv::conv2d_i8_reference;
 pub use exec::{pack_k_pairs, ExecEngine, Gemm, Layout};
 pub use fold::{ApsqLinear, FoldPlan, FoldStep};

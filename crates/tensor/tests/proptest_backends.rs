@@ -635,18 +635,29 @@ proptest! {
     }
 }
 
-/// Shapes whose every Q·Kᵀ chunk is 16 columns wide — the served four
-/// 32-wide heads at `k_tile` 16, plus eight 16-wide heads and five
-/// 32-wide heads — at every block length up to 17, against the GEMM
-/// oracle on every backend.
+/// Shapes whose every Q·Kᵀ chunk is whole 16-column groups — the served
+/// four 32-wide heads at `k_tile` 16, eight 16-wide heads, five 32-wide
+/// heads, three 16-wide heads (an odd group count, so a half 32-column
+/// load), chunks of two and three groups, and one 48-wide head as one
+/// chunk — at every block length up to 17, against the GEMM oracle on
+/// every backend.
 #[test]
 fn block_kernels_match_the_gemm_oracle_at_16_column_chunks() {
-    for (heads, dh) in [(4, 32), (8, 16), (5, 32)] {
+    let shapes = [
+        (4, 32, 16),
+        (8, 16, 16),
+        (5, 32, 16),
+        (3, 16, 16),
+        (2, 64, 32),
+        (3, 48, 32),
+        (1, 48, 48),
+    ];
+    for (heads, dh, k_tile) in shapes {
         for len in 1..=17 {
             let c = BlockCase {
                 heads,
                 dh,
-                k_tile: 16,
+                k_tile,
                 len,
                 off: 3,
                 t: len + 5,

@@ -52,7 +52,7 @@ RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptes
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --test proptest_decode
 RUSTFLAGS="-C overflow-checks" cargo test -q --release -p apsq-nn --lib -- int8 decode::
 
-echo "==> scalar-forced backend: tensor, APSQ, simulator, prefill + int8 suites on the portable fallback"
+echo "==> scalar-forced backend: tensor, APSQ, simulator, prefill + int8 suites and pinned fingerprints on the portable fallback"
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-tensor
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-quant
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-core
@@ -63,6 +63,7 @@ APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_in
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_paged
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_decode
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib -- int8 decode::
+APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-serve --test determinism
 
 echo "==> SSE2-forced backend: tensor (incl. exp/tanh bodies), APSQ, simulator, prefill, int8 + paged suites, pinned fingerprints"
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-tensor
