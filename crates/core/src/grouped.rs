@@ -146,6 +146,102 @@ pub fn apsq_recursion_reference(tiles: &[Int32Tensor], schedule: &ScaleSchedule)
     )
 }
 
+/// Algorithm 1 for any group size, written independently of
+/// [`grouped_apsq`] as its oracle: one element at a time, in `i64`, the
+/// way the paper states it. Step `i` of `np` with `gs = config.group_size`:
+///
+/// - `i ≡ 0 (mod gs)`: `AP_i = Qᵢ(Tp_i + Σ_{l ∈ [i−gs, i)} α_l·AP_l)`
+///   (nothing to add at `i = 0`);
+/// - otherwise, `i < np − 1`: `AP_i = Qᵢ(Tp_i)`;
+/// - `i = np − 1` mid-group: `AP_i = Qᵢ(Tp_i + Σ_{l ∈ [i − i mod gs, i)}
+///   α_l·AP_l)`;
+///
+/// and `To = α_{np−1}·AP_{np−1}`. `α_l·AP_l` saturates at the `i32`
+/// limits, each sum is clamped into `i32` before it is quantized, and
+/// `Qᵢ(x) = clamp(round(x / 2^eᵢ), −2^(bits−1), 2^(bits−1) − 1)`, rounding
+/// half away from zero. With `schedule = None` every step commits its own
+/// exponent first: the least `e` in `0..=30` with `(2^(bits−1) − 1)·2^e ≥
+/// max(1, max|x|)` over the step's clamped sums `x` (`|i32::MIN|` counting
+/// as `i32::MAX`), or 30 when none covers it.
+///
+/// Returns the output, every step's codes, the traffic and the exponents
+/// used.
+///
+/// # Panics
+///
+/// Panics if `tiles` is empty, tiles have mismatched sizes, or `schedule`
+/// does not have one scale per tile.
+pub fn grouped_apsq_reference(
+    tiles: &[Int32Tensor],
+    schedule: Option<&ScaleSchedule>,
+    config: &ApsqConfig,
+) -> ApsqRun {
+    let np = tiles.len();
+    assert!(np > 0, "requires at least one PSUM tile");
+    let numel = tiles[0].numel();
+    assert!(
+        tiles.iter().all(|t| t.numel() == numel),
+        "all PSUM tiles must share one size"
+    );
+    if let Some(s) = schedule {
+        assert_eq!(s.len(), np, "schedule length mismatch");
+    }
+    let gs = config.group_size.get();
+    let bits = u32::from(config.bits.get());
+    let (qn, qp) = (-(1i64 << (bits - 1)), (1i64 << (bits - 1)) - 1);
+    let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+    let dequantize = |code: i32, e: u32| (i64::from(code) * (1i64 << e)).clamp(lo, hi);
+    let quantize = |x: i64, e: u32| {
+        // round(|x| / 2^e) half up, then the sign back.
+        let d = 1i64 << e;
+        let q = (2 * x.abs() + d) / (2 * d);
+        (if x < 0 { -q } else { q }).clamp(qn, qp) as i32
+    };
+
+    let mut codes: Vec<Vec<i32>> = Vec::with_capacity(np);
+    let mut exps: Vec<u32> = Vec::with_capacity(np);
+    let mut traffic = BufferTraffic::new();
+    for (i, tile) in tiles.iter().enumerate() {
+        let folded = if i % gs == 0 {
+            i.saturating_sub(gs)..i
+        } else if i == np - 1 {
+            i - i % gs..i
+        } else {
+            i..i
+        };
+        traffic.reads += (folded.len() * numel) as u64;
+        let sums: Vec<i64> = (0..numel)
+            .map(|j| {
+                let carried: i64 = folded
+                    .clone()
+                    .map(|l| dequantize(codes[l][j], exps[l]))
+                    .sum();
+                (i64::from(tile.data()[j]) + carried).clamp(lo, hi)
+            })
+            .collect();
+        let e = match schedule {
+            Some(s) => s.scale(i).exponent(),
+            None => {
+                let m = sums.iter().map(|x| x.abs()).max().unwrap_or(0).clamp(1, hi);
+                (0..=30).find(|&e| qp << e >= m).unwrap_or(30)
+            }
+        };
+        codes.push(sums.iter().map(|&x| quantize(x, e)).collect());
+        exps.push(e);
+        traffic.writes += numel as u64;
+    }
+    let output = codes[np - 1]
+        .iter()
+        .map(|&c| dequantize(c, exps[np - 1]) as i32)
+        .collect();
+    ApsqRun {
+        output: Int32Tensor::from_vec(output, tiles[0].shape().clone()),
+        stored_codes: codes,
+        traffic,
+        schedule: ScaleSchedule::from_exponents(&exps, config.bits),
+    }
+}
+
 pub(crate) fn clamp_i64(v: i64) -> i32 {
     v.clamp(i32::MIN as i64, i32::MAX as i64) as i32
 }

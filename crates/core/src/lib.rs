@@ -18,7 +18,8 @@
 //!   model the RAE hardware simulator must match bit-for-bit), with
 //!   [`BufferTraffic`] accounting;
 //! - [`apsq_recursion_reference`] — an independent eq (10) implementation
-//!   for cross-checking `gs = 1`;
+//!   for cross-checking `gs = 1`, and [`grouped_apsq_reference`] — a naive
+//!   per-element Algorithm 1 for any group size, the oracle of every fold;
 //! - [`grouped_apsq_f32`] — the float fake-quant twin used during QAT;
 //! - [`StreamingApsq`] / [`grouped_apsq_streamed`] — the incremental form:
 //!   one algorithm step per pushed tile, with a fixed schedule or scales
@@ -61,7 +62,7 @@ pub use analysis::{
 };
 pub use config::{ApsqConfig, GroupSize};
 pub use float_apsq::{grouped_apsq_f32, FloatScaleSchedule};
-pub use grouped::{apsq_recursion_reference, grouped_apsq, ApsqRun};
+pub use grouped::{apsq_recursion_reference, grouped_apsq, grouped_apsq_reference, ApsqRun};
 pub use reference::{exact_accumulate, psq_adc_reference};
 pub use schedule::ScaleSchedule;
 pub use streaming::{grouped_apsq_streamed, StreamingApsq};

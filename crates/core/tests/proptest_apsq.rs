@@ -2,9 +2,10 @@
 
 use apsq_core::{
     apsq_recursion_reference, exact_accumulate, grouped_apsq, grouped_apsq_f32,
-    grouped_apsq_streamed, ApsqConfig, FloatScaleSchedule, GroupSize, ScaleSchedule, StreamingApsq,
+    grouped_apsq_reference, grouped_apsq_streamed, ApsqConfig, FloatScaleSchedule, GroupSize,
+    ScaleSchedule, StreamingApsq,
 };
-use apsq_quant::{Bitwidth, Pow2Scale};
+use apsq_quant::Bitwidth;
 use apsq_tensor::{pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 use proptest::prelude::*;
 
@@ -53,50 +54,12 @@ fn extreme_stream_strategy() -> impl Strategy<Value = Vec<Int32Tensor>> {
     })
 }
 
-/// An independent scalar spelling of single-stream calibration: replay
-/// Algorithm 1 step by step, committing each step's covering exponent
-/// (of the exact input, clamped to `i32::MAX`, floored at 1) before
-/// quantizing with it.
-fn reference_exponents(stream: &[Int32Tensor], bits: Bitwidth, gs: usize) -> Vec<u32> {
-    let np = stream.len();
-    let mut scales: Vec<Pow2Scale> = Vec::new();
-    let mut stored: Vec<Vec<i32>> = Vec::new();
-    for (i, tile) in stream.iter().enumerate() {
-        let prefix = if i % gs == 0 {
-            i.saturating_sub(gs)..i
-        } else if i == np - 1 {
-            (i / gs) * gs..i
-        } else {
-            0..0
-        };
-        let input: Vec<i64> = (0..tile.numel())
-            .map(|j| {
-                let carried: i64 = prefix
-                    .clone()
-                    .map(|l| scales[l].dequantize(stored[l][j]) as i64)
-                    .sum();
-                tile.data()[j] as i64 + carried
-            })
-            .collect();
-        let max_abs = input.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
-        let scale = Pow2Scale::covering(max_abs.clamp(1, i32::MAX as u64) as i32, bits);
-        stored.push(
-            input
-                .iter()
-                .map(|&v| scale.quantize(v.clamp(i32::MIN as i64, i32::MAX as i64) as i32))
-                .collect(),
-        );
-        scales.push(scale);
-    }
-    scales.iter().map(|s| s.exponent()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The self-calibrating stream is `ScaleSchedule::calibrate` followed
     /// by `grouped_apsq`: same output, per-step codes, traffic and scales —
-    /// and those scales match an independent scalar replay — for long
+    /// and all of them match the naive oracle `grouped_apsq_reference` — for long
     /// streams, every group size (including gs = 1 and gs > np), all-zero
     /// tiles and values at the i32 limits (exponents saturating at 30 for
     /// 2-bit codes).
@@ -122,8 +85,36 @@ proptest! {
         prop_assert_eq!(run.traffic, batch.traffic);
         prop_assert_eq!(&run.schedule, &sched);
         prop_assert_eq!(&batch.schedule, &sched);
-        let exps: Vec<u32> = sched.scales().iter().map(|s| s.exponent()).collect();
-        prop_assert_eq!(exps, reference_exponents(&stream, bits, gs));
+        let naive = grouped_apsq_reference(&stream, None, &cfg);
+        prop_assert_eq!(&naive.schedule, &sched);
+        prop_assert_eq!(naive.output.data(), batch.output.data());
+        prop_assert_eq!(&naive.stored_codes, &batch.stored_codes);
+        prop_assert_eq!(naive.traffic, batch.traffic);
+    }
+
+    /// With a fixed schedule — exponents anywhere in the shifter's
+    /// 0..=30, so dequantized codes saturate and sums clamp — the naive
+    /// oracle is `grouped_apsq` at every group size and bit-width, and at
+    /// gs = 1 it is the eq (10) recursion.
+    #[test]
+    fn naive_reference_equals_the_fold_on_fixed_schedules(
+        stream in extreme_stream_strategy(),
+        gs in 1usize..9,
+        bits in 0usize..4,
+        exps in proptest::collection::vec(0u32..=30, 40),
+    ) {
+        let bits = Bitwidth::new([2, 4, 8, 32][bits]);
+        let sched = ScaleSchedule::from_exponents(&exps[..stream.len()], bits);
+        let cfg = ApsqConfig { bits, group_size: GroupSize::new(gs) };
+        let naive = grouped_apsq_reference(&stream, Some(&sched), &cfg);
+        let batch = grouped_apsq(&stream, &sched, &cfg);
+        prop_assert_eq!(naive.output.data(), batch.output.data());
+        prop_assert_eq!(&naive.stored_codes, &batch.stored_codes);
+        prop_assert_eq!(naive.traffic, batch.traffic);
+        prop_assert_eq!(&naive.schedule, &sched);
+        let gs1 = ApsqConfig { bits, group_size: GroupSize::new(1) };
+        let naive = grouped_apsq_reference(&stream, Some(&sched), &gs1);
+        prop_assert_eq!(naive.output, apsq_recursion_reference(&stream, &sched));
     }
 
     /// gs = 1 must reduce exactly to the eq (10) recursion.
@@ -136,6 +127,8 @@ proptest! {
         );
         let run = grouped_apsq(&stream, &sched, &ApsqConfig::int8(1));
         let reference = apsq_recursion_reference(&stream, &sched);
+        let naive = grouped_apsq_reference(&stream, None, &ApsqConfig::int8(1));
+        prop_assert_eq!(&naive.output, &reference);
         prop_assert_eq!(run.output, reference);
     }
 

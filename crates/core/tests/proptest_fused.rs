@@ -5,14 +5,16 @@
 //! activations quantized by the scalar formula, the K tiles of the
 //! unpacked `[k, n]` product formed by the shared naive oracle
 //! ([`Gemm::reference`]) and streamed into a [`StreamingApsq`] with the
-//! same schedule, and the epilogue written out here. Every backend this host runs, at 1–4 threads, must
+//! same schedule, and the epilogue written out here; the stream itself
+//! must equal the naive per-element Algorithm 1
+//! ([`apsq_core::grouped_apsq_reference`]). Every backend this host runs, at 1–4 threads, must
 //! match it on the output bits, the last codes and the traffic — over
 //! ragged shapes (`d_in` odd and past the kernels' 256-deep K panel,
 //! `d_out` with 16-, 8- and < 8-column tails), odd `k_tile`s, group
 //! sizes 1–8, and exponents 0–30, whose large end breaks the plan's i32
 //! proof and sends the call to the scalar body's clamped-i64 fold.
 
-use apsq_core::{ApsqConfig, BufferTraffic, ScaleSchedule, StreamingApsq};
+use apsq_core::{grouped_apsq_reference, ApsqConfig, BufferTraffic, ScaleSchedule, StreamingApsq};
 use apsq_quant::Bitwidth;
 use apsq_tensor::{
     pack_k_pairs, ApsqLinear, ExecEngine, Gemm, Int32Tensor, Int8Tensor, KernelBackend, Layout,
@@ -112,6 +114,7 @@ fn oracle(c: &Case, plan_inputs: &PlanInputs<'_>) -> (Vec<u32>, Vec<i32>, Buffer
     let a = Int8Tensor::from_vec(codes, [c.m, c.k]);
     let g = Gemm::dense(Layout::NN, a.data(), a.dims(), w, &[c.k, c.n]);
     let mut stream = StreamingApsq::new(schedule.clone(), config);
+    let mut tiles = Vec::new();
     for k0 in (0..c.k).step_by(c.k_tile) {
         let mut tile = Int32Tensor::zeros([c.m, c.n]);
         let slice = Gemm {
@@ -120,10 +123,19 @@ fn oracle(c: &Case, plan_inputs: &PlanInputs<'_>) -> (Vec<u32>, Vec<i32>, Buffer
         };
         slice.reference(tile.data_mut());
         stream.push_ref(&tile);
+        tiles.push(tile);
     }
     let last = stream.last_codes().to_vec();
     let mut acc = vec![0i32; c.m * c.n];
     let traffic = stream.finish_into(&mut acc);
+    let naive = grouped_apsq_reference(&tiles, Some(schedule), &config);
+    assert_eq!(naive.output.data(), acc, "stream vs naive oracle");
+    assert_eq!(
+        naive.stored_codes.last(),
+        Some(&last),
+        "stream vs naive codes"
+    );
+    assert_eq!(naive.traffic, traffic, "stream vs naive traffic");
     let y = acc
         .iter()
         .enumerate()

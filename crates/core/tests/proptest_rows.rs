@@ -2,11 +2,13 @@
 //! `ExecEngine::pv_row_i8`) against their unfused composition: the exact
 //! per-block Q·Kᵀ and P·V tiles from a naive loop, one
 //! `StreamingApsq::calibrating` stream per head, and the scalar scale maps
-//! (`pow2_f32`), bit for bit on every supported kernel backend.
+//! (`pow2_f32`), bit for bit on every supported kernel backend. Each
+//! head's stream must also equal the naive per-element Algorithm 1
+//! (`apsq_core::grouped_apsq_reference`).
 
-use apsq_core::{ApsqConfig, BufferTraffic, GroupSize, StreamingApsq};
+use apsq_core::{grouped_apsq_reference, ApsqConfig, BufferTraffic, GroupSize, StreamingApsq};
 use apsq_quant::{pow2_f32, Bitwidth};
-use apsq_tensor::{ExecEngine, KernelBackend, KvSegment, RowScratch};
+use apsq_tensor::{ExecEngine, Int32Tensor, KernelBackend, KvSegment, RowScratch};
 use proptest::prelude::*;
 
 /// One attention row: a `[d]` query, `t` cached tokens stored in blocks
@@ -148,7 +150,18 @@ fn fold_heads(
                 stream.push_slice(&step[h]);
             }
             let mut out = vec![0; tiles[0][h].len()];
-            traffic += stream.finish_into(&mut out);
+            let head_traffic = stream.finish_into(&mut out);
+            traffic += head_traffic;
+            let head: Vec<Int32Tensor> = tiles
+                .iter()
+                .map(|step| Int32Tensor::from_vec(step[h].clone(), [step[h].len()]))
+                .collect();
+            let naive = grouped_apsq_reference(&head, None, &config);
+            assert_eq!(naive.output.data(), out, "head {h}: stream vs naive oracle");
+            assert_eq!(
+                naive.traffic, head_traffic,
+                "head {h}: stream vs naive traffic"
+            );
             let exps: Vec<u32> = stream
                 .finish()
                 .schedule

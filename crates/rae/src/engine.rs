@@ -279,7 +279,7 @@ impl RaeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apsq_core::{grouped_apsq, ApsqConfig, GroupSize};
+    use apsq_core::{grouped_apsq, grouped_apsq_reference, ApsqConfig, GroupSize};
     use apsq_quant::Bitwidth;
 
     fn stream(np: usize, numel: usize, seed: i32) -> Vec<Int32Tensor> {
@@ -308,9 +308,11 @@ mod tests {
                 GroupSize::new(gs),
             );
             let golden = grouped_apsq(&tiles, &sched, &ApsqConfig::int8(gs));
+            let naive = grouped_apsq_reference(&tiles, Some(&sched), &ApsqConfig::int8(gs));
             let mut engine = RaeEngine::new(RaeConfig::int8(gs));
             let out = engine.process_stream(&tiles, &sched);
             assert_eq!(out, golden.output, "gs={gs}");
+            assert_eq!(out, naive.output, "gs={gs} vs the naive oracle");
         }
     }
 

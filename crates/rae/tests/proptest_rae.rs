@@ -1,7 +1,8 @@
 //! Property-based bit-exactness tests: the RAE hardware model vs the
-//! software golden model, across random streams and all group sizes.
+//! software golden model and the naive per-element Algorithm 1, across
+//! random streams and all group sizes.
 
-use apsq_core::{grouped_apsq, ApsqConfig, GroupSize, ScaleSchedule};
+use apsq_core::{grouped_apsq, grouped_apsq_reference, ApsqConfig, GroupSize, ScaleSchedule};
 use apsq_quant::Bitwidth;
 use apsq_rae::{RaeConfig, RaeEngine};
 use apsq_tensor::Int32Tensor;
@@ -35,7 +36,12 @@ proptest! {
         let golden = grouped_apsq(&stream, &sched, &ApsqConfig::int8(gs));
         let mut engine = RaeEngine::new(RaeConfig::int8(gs));
         let out = engine.process_stream(&stream, &sched);
+        let naive = grouped_apsq_reference(&stream, Some(&sched), &ApsqConfig::int8(gs));
+        prop_assert_eq!(&out, &naive.output);
         prop_assert_eq!(out, golden.output);
+        // Calibration is the naive oracle's self-calibrated run.
+        let naive = grouped_apsq_reference(&stream, None, &ApsqConfig::int8(gs));
+        prop_assert_eq!(naive.schedule, sched);
     }
 
     #[test]
@@ -46,6 +52,8 @@ proptest! {
             GroupSize::new(gs),
         );
         let golden = grouped_apsq(&stream, &sched, &ApsqConfig::int8(gs));
+        let naive = grouped_apsq_reference(&stream, Some(&sched), &ApsqConfig::int8(gs));
+        prop_assert_eq!(naive.traffic, golden.traffic);
         let mut engine = RaeEngine::new(RaeConfig::int8(gs));
         engine.process_stream(&stream, &sched);
         prop_assert_eq!(engine.stats().bank_reads, golden.traffic.reads);
