@@ -72,9 +72,7 @@ impl ApsqConfig {
     /// ([`apsq_tensor::ExecEngine::qk_row_i8`],
     /// [`apsq_tensor::ExecEngine::pv_row_i8`]) run it: each head's stream
     /// folds as a [`crate::StreamingApsq::calibrating`] stream with this
-    /// configuration would, and [`RowFold::covering_shift`] is
-    /// [`apsq_quant::Pow2Scale::covering`] at these bits (pinned by a test
-    /// at every boundary).
+    /// configuration would: both run the [`apsq_tensor::apsq`] step.
     ///
     /// # Panics
     ///
@@ -106,37 +104,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_group_panics() {
         GroupSize::new(0);
-    }
-
-    /// The row kernels' copy of the covering rule is
-    /// [`apsq_quant::Pow2Scale::covering`] on the magnitude a calibrating
-    /// stream passes it (clamped to `1..=i32::MAX`), at every bit-width
-    /// and on both sides of every boundary `qp · 2^e` for e in 0..=30,
-    /// plus 0, 1, `i32::MAX` and `|i32::MIN|`.
-    #[test]
-    fn row_fold_covering_matches_pow2_scale_at_every_boundary() {
-        for bits in 1..=32u8 {
-            let config = ApsqConfig {
-                bits: Bitwidth::new(bits),
-                group_size: GroupSize::new(1),
-            };
-            let fold = config.row_fold(1);
-            let qp = u64::from(config.bits.signed_range().qp.unsigned_abs());
-            let mut mags = vec![0u64, 1, i32::MAX as u64, 1 << 31];
-            for e in 0..=30 {
-                let b = qp << e;
-                mags.extend([b.saturating_sub(1), b, b + 1]);
-            }
-            for m in mags.into_iter().filter(|&m| m <= u32::MAX as u64) {
-                let m = m as u32;
-                let want = apsq_quant::Pow2Scale::covering(
-                    m.clamp(1, i32::MAX as u32) as i32,
-                    config.bits,
-                )
-                .exponent();
-                assert_eq!(fold.covering_shift(m), want, "{bits} bits, max_abs {m}");
-            }
-        }
     }
 
     #[test]

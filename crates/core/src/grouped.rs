@@ -147,25 +147,16 @@ pub fn apsq_recursion_reference(tiles: &[Int32Tensor], schedule: &ScaleSchedule)
 }
 
 /// Algorithm 1 for any group size, written independently of
-/// [`grouped_apsq`] as its oracle: one element at a time, in `i64`, the
-/// way the paper states it. Step `i` of `np` with `gs = config.group_size`:
-///
-/// - `i ≡ 0 (mod gs)`: `AP_i = Qᵢ(Tp_i + Σ_{l ∈ [i−gs, i)} α_l·AP_l)`
-///   (nothing to add at `i = 0`);
-/// - otherwise, `i < np − 1`: `AP_i = Qᵢ(Tp_i)`;
-/// - `i = np − 1` mid-group: `AP_i = Qᵢ(Tp_i + Σ_{l ∈ [i − i mod gs, i)}
-///   α_l·AP_l)`;
-///
-/// and `To = α_{np−1}·AP_{np−1}`. `α_l·AP_l` saturates at the `i32`
-/// limits, each sum is clamped into `i32` before it is quantized, and
-/// `Qᵢ(x) = clamp(round(x / 2^eᵢ), −2^(bits−1), 2^(bits−1) − 1)`, rounding
-/// half away from zero. With `schedule = None` every step commits its own
-/// exponent first: the least `e` in `0..=30` with `(2^(bits−1) − 1)·2^e ≥
-/// max(1, max|x|)` over the step's clamped sums `x` (`|i32::MIN|` counting
-/// as `i32::MAX`), or 30 when none covers it.
-///
-/// Returns the output, every step's codes, the traffic and the exponents
-/// used.
+/// [`grouped_apsq`] as its oracle: per element, in `i64`, as the paper
+/// states it. Step `i` of `np` in groups of `gs` computes
+/// `AP_i = Qᵢ(Tp_i + Σ_l α_l·AP_l)` over `l ∈ [i − gs, i)` when
+/// `i ≡ 0 (mod gs)`, over its group's prefix `[i − i mod gs, i)` when it
+/// is the last step, and over nothing otherwise; `To = α_{np−1}·AP_{np−1}`.
+/// `α_l·AP_l` saturates at the `i32` limits, each sum is clamped into
+/// `i32`, and `Qᵢ(x) = clamp(round(x / 2^eᵢ))` into the signed `bits`
+/// range, rounding half away from zero. With `schedule = None` each step
+/// first commits the least `e` in `0..=30` with `qp·2^e ≥ max(1, max|x|)`
+/// over its clamped sums (`|i32::MIN|` counting as `i32::MAX`), or 30.
 ///
 /// # Panics
 ///

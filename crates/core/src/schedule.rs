@@ -5,9 +5,9 @@
 //! (Algorithm 1, line 1) and are powers of two so that scaling is a shift.
 
 use crate::config::{ApsqConfig, GroupSize};
-use crate::streaming::{carried_rows, StreamingApsq};
+use crate::streaming::StreamingApsq;
 use apsq_quant::{Bitwidth, Pow2Scale};
-use apsq_tensor::{FoldPlan, FoldStep, Int32Tensor};
+use apsq_tensor::{apsq, FoldPlan, FoldStep, Int32Tensor};
 
 /// The ordered list of power-of-two scales `α_0 .. α_{np−1}` used by one
 /// APSQ run of `np` PSUM tiles.
@@ -59,12 +59,13 @@ impl ScaleSchedule {
     /// quantization step clips, for a given group size.
     ///
     /// Each step's exponent is the tightest power of two covering the
-    /// largest |value| entering quantizer `Q^i_k` on any stream (floored
-    /// at 1). Because later steps see *dequantized* values produced by
-    /// earlier steps, every exponent is committed before the next step
-    /// runs. That makes calibration causal: the streams run Algorithm 1
-    /// in lockstep as [`StreamingApsq::calibrating`] folds, and one
-    /// stream's committed scales are exactly its self-calibrated run.
+    /// largest |value| entering quantizer `Q^i_k` on any stream
+    /// ([`apsq::covering_shift`], which floors it at 1). Because later
+    /// steps see *dequantized* values produced by earlier steps, every
+    /// exponent is committed before the next step runs. That makes
+    /// calibration causal: the streams run Algorithm 1 in lockstep as
+    /// [`StreamingApsq::calibrating`] folds, and one stream's committed
+    /// scales are exactly its self-calibrated run.
     ///
     /// # Panics
     ///
@@ -84,23 +85,17 @@ impl ScaleSchedule {
             .map(|_| StreamingApsq::calibrating(np, config))
             .collect();
         for i in 0..np {
-            let mut max_abs = 1;
+            let mut max_abs = 0;
             for (run, stream) in runs.iter_mut().zip(streams) {
                 run.load(stream[i].dims(), stream[i].data());
                 max_abs = max_abs.max(run.input_max_abs(stream[i].data()));
             }
-            let scale = Pow2Scale::covering(max_abs, bits);
+            let shift = apsq::covering_shift(max_abs, bits.signed_range().qp);
             for (run, stream) in runs.iter_mut().zip(streams) {
-                run.commit(scale, stream[i].data());
+                run.commit(shift, stream[i].data());
             }
         }
         runs.swap_remove(0).finish().schedule
-    }
-
-    /// Wraps already-validated scales (one per step).
-    pub(crate) fn from_scales(scales: Vec<Pow2Scale>) -> Self {
-        debug_assert!(!scales.is_empty());
-        ScaleSchedule { scales }
     }
 
     /// Number of steps covered.
@@ -158,7 +153,7 @@ impl ScaleSchedule {
         let steps = (0..np)
             .map(|i| {
                 let row = i % gs;
-                let carried = carried_rows(i, row, np, gs);
+                let carried = apsq::carried_rows(i, row, np, gs);
                 FoldStep {
                     shift: self.scales[i].exponent(),
                     row,

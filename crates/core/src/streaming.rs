@@ -5,8 +5,8 @@ use crate::config::ApsqConfig;
 use crate::grouped::ApsqRun;
 use crate::schedule::ScaleSchedule;
 use crate::traffic::BufferTraffic;
-use apsq_quant::Pow2Scale;
-use apsq_tensor::{lanes, pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
+use apsq_quant::Bitwidth;
+use apsq_tensor::{apsq, lanes, pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 
 /// A truly incremental implementation of Algorithm 1 (grouped APSQ):
 /// each push executes one algorithm step immediately, and between steps
@@ -26,10 +26,13 @@ use apsq_tensor::{lanes, pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor
 /// calibrating stream *is* single-stream [`ScaleSchedule::calibrate`];
 /// there is no separate replay.
 ///
-/// The fold runs in i32 lanes whenever a per-push check proves the exact
-/// sum cannot leave i32 (`max|tile| + Σ_l 2^(bits−1)·2^e_l ≤ i32::MAX`
-/// over the carried rows); otherwise it falls back to an i64 fold clamped
-/// into i32. Both lanes give the same bits.
+/// Each push runs the [`apsq_tensor::apsq`] step every fold in the
+/// workspace runs ([`lanes::apsq_fold_i32`] and
+/// [`lanes::apsq_quantize_i32`], built for AVX2 when detected): the fold
+/// runs in i32 whenever a per-push check proves the exact sum cannot
+/// leave i32 (`max|tile| + Σ_l 2^(bits−1)·2^e_l ≤ i32::MAX` over the
+/// carried rows); otherwise it falls back to an i64 fold clamped into
+/// i32. Both give the same bits.
 ///
 /// [`crate::grouped_apsq`] is a thin batch wrapper over this type, so the
 /// two stay bit-identical by construction; it records the full code
@@ -74,9 +77,12 @@ pub struct StreamingApsq {
     /// Whether the stream commits its own scales (one per push) instead
     /// of replaying a fixed schedule.
     calibrating: bool,
-    /// Committed scales: a fixed stream holds all `steps` of them, a
-    /// calibrating stream commits one per push.
-    scales: Vec<Pow2Scale>,
+    /// The bit-width of the scales [`StreamingApsq::finish`] reports: the
+    /// schedule's, or the configuration's when calibrating.
+    scale_bits: Bitwidth,
+    /// Committed scale exponents: a fixed stream holds all `steps` of
+    /// them, a calibrating stream commits one per push.
+    shifts: Vec<u32>,
     step: usize,
     /// `step mod gs`: the ring row the next push writes, kept as a
     /// counter so a push divides nothing.
@@ -98,14 +104,14 @@ impl StreamingApsq {
     /// Creates a stream expecting `schedule.len()` tiles, quantized with
     /// the schedule's scales.
     pub fn new(schedule: ScaleSchedule, config: ApsqConfig) -> Self {
-        let steps = schedule.len();
-        Self::with_scales(steps, false, schedule.scales().to_vec(), config)
+        let shifts = schedule.scales().iter().map(|s| s.exponent()).collect();
+        Self::with_shifts(schedule.len(), false, schedule.bits(), shifts, config)
     }
 
     /// Creates a self-calibrating stream expecting `steps` tiles: step
-    /// `i`'s scale is [`Pow2Scale::covering`] the largest |value| of the
-    /// exact accumulator it quantizes (clamped to `i32::MAX`, floored at
-    /// 1), committed before the step runs. The run is bit-identical to
+    /// `i`'s scale is the [`apsq::covering_shift`] of the largest |value|
+    /// of the exact accumulator it quantizes, committed before the step
+    /// runs. The run is bit-identical to
     /// [`ScaleSchedule::calibrate`] over the collected stream followed by
     /// [`crate::grouped_apsq`] with that schedule.
     ///
@@ -113,13 +119,15 @@ impl StreamingApsq {
     ///
     /// Panics if `steps == 0`.
     pub fn calibrating(steps: usize, config: ApsqConfig) -> Self {
-        Self::with_scales(steps, true, Vec::with_capacity(steps), config)
+        let shifts = Vec::with_capacity(steps);
+        Self::with_shifts(steps, true, config.bits, shifts, config)
     }
 
-    fn with_scales(
+    fn with_shifts(
         steps: usize,
         calibrating: bool,
-        scales: Vec<Pow2Scale>,
+        scale_bits: Bitwidth,
+        shifts: Vec<u32>,
         config: ApsqConfig,
     ) -> Self {
         assert!(steps > 0, "stream must cover at least one step");
@@ -127,7 +135,8 @@ impl StreamingApsq {
             config,
             steps,
             calibrating,
-            scales,
+            scale_bits,
+            shifts,
             step: 0,
             row: 0,
             dims: Vec::new(),
@@ -150,12 +159,12 @@ impl StreamingApsq {
     pub fn reset(&mut self, steps: usize) {
         assert!(steps > 0, "stream must cover at least one step");
         if self.calibrating {
-            self.scales.clear();
-            self.scales.reserve(steps);
+            self.shifts.clear();
+            self.shifts.reserve(steps);
         } else {
             assert_eq!(
                 steps,
-                self.scales.len(),
+                self.shifts.len(),
                 "a fixed-schedule stream resets to its schedule's length"
             );
         }
@@ -209,11 +218,8 @@ impl StreamingApsq {
 
     fn push_shaped(&mut self, dims: &[usize], tile: &[i32]) {
         self.load(dims, tile);
-        if self.calibrating {
-            let scale = Pow2Scale::covering(self.input_max_abs(tile), self.config.bits);
-            self.scales.push(scale);
-        }
-        self.quantize_step(tile);
+        let shift = (!self.calibrating).then(|| self.shifts[self.step]);
+        self.quantize_step(tile, shift);
     }
 
     /// First half of one Algorithm-1 step: on an APSQ step (lines 4–7)
@@ -237,8 +243,7 @@ impl StreamingApsq {
             self.dims.extend_from_slice(dims);
             self.width = tile.len();
             self.ring.resize(gs.min(np) * tile.len(), 0);
-            self.input.clear();
-            self.input.reserve(tile.len());
+            self.input.resize(tile.len(), 0);
         } else {
             assert_eq!(
                 self.dims.as_slice(),
@@ -246,76 +251,54 @@ impl StreamingApsq {
                 "all PSUM tiles must share one shape"
             );
         }
-        let carried = carried_rows(i, self.row, np, gs);
+        let carried = apsq::carried_rows(i, self.row, np, gs);
         self.staged = carried > 0;
-        if !self.staged {
-            return;
-        }
-        let w = self.width;
-        // Carried row r holds step i − carried + r, at `scales[i −
-        // carried + r]`.
-        let scales = &self.scales[i - carried..i];
-        let ring = &self.ring[..carried * w];
-        self.traffic.reads += (carried * w) as u64;
-        // |code| ≤ 2^(bits−1), so this bounds every partial sum of the
-        // fold.
-        let code_mag = 1u64 << (self.config.bits.get() - 1);
-        let bound = scales.iter().fold(lanes::max_abs_i32(tile) as u64, |b, s| {
-            b.saturating_add(code_mag << s.exponent())
-        });
-        self.input.clear();
-        if bound <= i32::MAX as u64 {
-            // i32 lanes: no dequantized code saturates and no partial sum
-            // wraps, so this is the exact sum the i64 fold would clamp.
-            self.input.extend_from_slice(tile);
-            for (codes, s) in ring.chunks_exact(w).zip(scales) {
-                lanes::shl_add_i32(codes, s.exponent(), &mut self.input);
-            }
-        } else {
-            // `Qᵢ(clamp(Σ …))` with every dequantized code saturating at
-            // the i32 limits, as the scalar maps define it.
-            self.input.extend(tile.iter().enumerate().map(|(j, &t)| {
-                let sum = (0..carried).fold(t as i64, |a, r| {
-                    a + scales[r].dequantize(ring[r * w + j]) as i64
-                });
-                sum.clamp(i32::MIN as i64, i32::MAX as i64) as i32
-            }));
+        if self.staged {
+            // Carried row r holds step i − carried + r.
+            self.traffic.reads += (carried * self.width) as u64;
+            let shifts = &self.shifts[i - carried..i];
+            lanes::apsq_fold_i32(tile, &self.ring, shifts, self.range(), &mut self.input);
         }
     }
 
-    /// The magnitude a covering scale must reach for the loaded input
-    /// (the staged fold, or else `tile`): its largest |value|, clamped to
-    /// `i32::MAX` and floored at 1.
-    pub(crate) fn input_max_abs(&self, tile: &[i32]) -> i32 {
-        let input = if self.staged { &self.input } else { tile };
-        lanes::max_abs_i32(input).clamp(1, i32::MAX as u32) as i32
+    /// The largest magnitude of the loaded input (the staged fold, or else
+    /// `tile`).
+    pub(crate) fn input_max_abs(&self, tile: &[i32]) -> u32 {
+        apsq::max_abs(if self.staged { &self.input } else { tile })
     }
 
     /// Second half of one Algorithm-1 step: quantizes the loaded input at
-    /// `scale` — committing it when the stream is calibrating — straight
+    /// `shift` — committing it when the stream is calibrating — straight
     /// into the step's ring row.
-    pub(crate) fn commit(&mut self, scale: Pow2Scale, tile: &[i32]) {
-        if self.calibrating {
-            self.scales.push(scale);
-        }
-        self.quantize_step(tile);
+    pub(crate) fn commit(&mut self, shift: u32, tile: &[i32]) {
+        self.quantize_step(tile, Some(shift));
     }
 
     /// Quantizes the loaded input (the staged fold, or else `tile`) at
-    /// this step's committed scale straight into the step's ring row.
-    fn quantize_step(&mut self, tile: &[i32]) {
+    /// `shift`, or at its covering shift when `None`, straight into the
+    /// step's ring row, committing the shift when the stream is
+    /// calibrating.
+    fn quantize_step(&mut self, tile: &[i32], shift: Option<u32>) {
         let w = self.width;
-        let sh = self.scales[self.step].exponent();
-        let range = self.config.bits.signed_range();
+        let range = self.range();
         let input = if self.staged { &self.input } else { tile };
         let row = &mut self.ring[self.row * w..][..w];
-        lanes::round_shift_clamp_i32(input, sh, range.qn, range.qp, row);
+        let sh = lanes::apsq_quantize_i32(input, shift, range, row);
+        if self.calibrating {
+            self.shifts.push(sh);
+        }
         self.traffic.writes += w as u64;
         self.step += 1;
         self.row += 1;
         if self.row == self.config.group_size.get() {
             self.row = 0;
         }
+    }
+
+    /// The code range `(qn, qp)`.
+    fn range(&self) -> (i32, i32) {
+        let r = self.config.bits.signed_range();
+        (r.qn, r.qp)
     }
 
     /// The codes the latest push stored — its RAE bank row.
@@ -346,7 +329,8 @@ impl StreamingApsq {
             self.step, self.steps
         );
         assert_eq!(out.len(), self.width, "output must be one tile wide");
-        self.scales[self.steps - 1].dequantize_slice_into(self.last_codes(), out);
+        out.copy_from_slice(self.last_codes());
+        apsq::dequantize(out, self.shifts[self.steps - 1], self.range());
         self.traffic
     }
 
@@ -364,26 +348,8 @@ impl StreamingApsq {
             output: Int32Tensor::from_vec(out, self.dims),
             stored_codes: Vec::new(),
             traffic,
-            schedule: ScaleSchedule::from_scales(self.scales),
+            schedule: ScaleSchedule::from_exponents(&self.shifts, self.scale_bits),
         }
-    }
-}
-
-/// Algorithm 1's control for step `i` of `steps`, whose codes go to ring
-/// row `row = i mod gs`: how many code rows it folds into its input. An
-/// APSQ step (lines 4–7) opens a group and folds the whole previous group
-/// (all `i` steps before the first group is full); a final mid-group step
-/// (lines 13–14) folds its group's stored prefix; a plain PSQ step (lines
-/// 9–11) folds nothing. The carried rows are always ring rows
-/// `0..carried` — a whole group starts at a multiple of `gs` — holding
-/// steps `i − carried..i`.
-pub(crate) fn carried_rows(i: usize, row: usize, steps: usize, gs: usize) -> usize {
-    if row == 0 {
-        i.min(gs)
-    } else if i == steps - 1 {
-        row
-    } else {
-        0
     }
 }
 
@@ -464,7 +430,6 @@ pub fn grouped_apsq_streamed(
 mod tests {
     use super::*;
     use crate::grouped::{apsq_recursion_reference, grouped_apsq};
-    use apsq_quant::Bitwidth;
 
     #[test]
     fn matches_batch_api() {
@@ -521,7 +486,7 @@ mod tests {
     /// Address and capacity of every buffer a stream owns.
     fn buffers(s: &StreamingApsq) -> [(usize, usize); 4] {
         [
-            (s.scales.as_ptr() as usize, s.scales.capacity()),
+            (s.shifts.as_ptr() as usize, s.shifts.capacity()),
             (s.dims.as_ptr() as usize, s.dims.capacity()),
             (s.ring.as_ptr() as usize, s.ring.capacity()),
             (s.input.as_ptr() as usize, s.input.capacity()),

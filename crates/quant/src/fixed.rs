@@ -6,14 +6,17 @@
 //! hardware agree bit-for-bit.
 
 use crate::bitwidth::QRange;
-use apsq_tensor::lanes;
+use apsq_tensor::apsq;
 
 /// Arithmetic right shift by `sh` with round-half-away-from-zero.
 ///
 /// `rounding_shift_right(x, sh)` equals `round(x / 2^sh)` computed without
-/// leaving the integer domain. `sh == 0` returns `x` unchanged.
+/// leaving the integer domain ([`apsq::round_shift_clamp`] over the whole
+/// `i32` range). `sh == 0` returns `x` unchanged.
 ///
-/// The intermediate sum is formed in `i64`, so no input can overflow.
+/// # Panics
+///
+/// Panics if `sh > 31`.
 ///
 /// # Examples
 ///
@@ -25,27 +28,14 @@ use apsq_tensor::lanes;
 /// assert_eq!(rounding_shift_right(4, 1), 2);
 /// ```
 pub fn rounding_shift_right(x: i32, sh: u32) -> i32 {
-    if sh == 0 {
-        return x;
-    }
-    debug_assert!(sh < 63, "shift {sh} out of range");
-    let add = 1i64 << (sh - 1);
-    let wide = x as i64;
-    let r = if wide >= 0 {
-        (wide + add) >> sh
-    } else {
-        -((-wide + add) >> sh)
-    };
-    r as i32
+    assert!(sh <= 31, "shift {sh} out of range 0..=31");
+    apsq::round_shift_clamp(x, sh, i32::MIN, i32::MAX)
 }
 
-/// Left shift (`x · 2^sh`) saturating at the `i32` limits.
+/// Left shift (`x · 2^sh`) saturating at the `i32` limits, for every
+/// shift ([`apsq::shl_saturate`]).
 pub fn saturating_shift_left(x: i32, sh: u32) -> i32 {
-    if sh == 0 {
-        return x;
-    }
-    let wide = (x as i64) << sh.min(62);
-    wide.clamp(i32::MIN as i64, i32::MAX as i64) as i32
+    apsq::shl_saturate(x, sh)
 }
 
 /// Saturating addition clamped into an arbitrary code range.
@@ -58,64 +48,20 @@ pub fn saturating_add_in_range(a: i32, b: i32, range: QRange) -> i32 {
 }
 
 /// `round(x / 2^sh)` followed by clamping into `range` — the complete
-/// shift-quantize step performed by the RAE quantization shifter.
+/// shift-quantize step performed by the RAE quantization shifter
+/// ([`apsq::round_shift_clamp`]).
+///
+/// # Panics
+///
+/// Panics if `sh > 31`.
 pub fn shift_quantize(x: i32, sh: u32, range: QRange) -> i32 {
-    range.clamp_i32(rounding_shift_right(x, sh))
+    assert!(sh <= 31, "shift {sh} out of range 0..=31");
+    apsq::round_shift_clamp(x, sh, range.qn, range.qp)
 }
 
 /// `code · 2^sh` — the RAE dequantization shifter. Saturates at `i32`.
 pub fn shift_dequantize(code: i32, sh: u32) -> i32 {
-    saturating_shift_left(code, sh)
-}
-
-// ------------------------------------------------------------------ slices
-//
-// Slice forms of the shift quantizer for whole PSUM tiles: the APSQ fold
-// runs them inside the GEMM K loop. They run on the branch-free
-// `apsq_tensor::lanes` kernels, which vectorize (AVX2 when detected), and
-// each is bit-identical to mapping its scalar twin over the slice (pinned
-// by unit tests).
-
-/// Maps [`shift_quantize`] over a slice of exact i32 PSUMs into `out`,
-/// branch-free for every shift a [`crate::Pow2Scale`] can hold
-/// (`sh ≤ 30`).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn shift_quantize_slice(xs: &[i32], sh: u32, range: QRange, out: &mut [i32]) {
-    assert_eq!(xs.len(), out.len(), "input/code length mismatch");
-    if sh <= 30 {
-        lanes::round_shift_clamp_i32(xs, sh, range.qn, range.qp, out);
-    } else {
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = shift_quantize(x, sh, range);
-        }
-    }
-}
-
-/// Adds the dequantized codes into an i32 accumulator
-/// (`acc[j] += codes[j] · 2^sh`) — the de-accumulation of Algorithm 1
-/// lines 4–6 in 32-bit lanes, for callers that have proven no product or
-/// sum leaves i32 (the APSQ stream checks `max|tile| + Σ 2^(bits−1)·2^sh
-/// ≤ i32::MAX` before taking this lane). An overflow-checked build
-/// panics on a broken proof instead of wrapping
-/// ([`lanes::shl_add_i32`]).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or `sh > 30`.
-pub fn shift_dequantize_add(codes: &[i32], sh: u32, acc: &mut [i32]) {
-    lanes::shl_add_i32(codes, sh, acc);
-}
-
-/// Maps [`shift_dequantize`] over a slice into `out`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn shift_dequantize_slice(codes: &[i32], sh: u32, out: &mut [i32]) {
-    lanes::shl_saturate_i32(codes, sh, out);
+    apsq::shl_saturate(code, sh)
 }
 
 #[cfg(test)]
@@ -146,6 +92,10 @@ mod tests {
         assert_eq!(saturating_shift_left(i32::MAX, 1), i32::MAX);
         assert_eq!(saturating_shift_left(i32::MIN, 1), i32::MIN);
         assert_eq!(saturating_shift_left(-3, 2), -12);
+        // Past 32 every nonzero value saturates: no i64 wrap.
+        assert_eq!(saturating_shift_left(1 << 30, 40), i32::MAX);
+        assert_eq!(saturating_shift_left(3, 62), i32::MAX);
+        assert_eq!(shift_dequantize(-2, 62), i32::MIN);
     }
 
     #[test]
@@ -175,48 +125,46 @@ mod tests {
         v
     }
 
+    /// The step's slice quantizer is the scalar map at every shift.
     #[test]
     fn quantize_slice_matches_scalar_map() {
         let xs = awkward_i32();
-        let mut out = vec![0; xs.len()];
         for bits in [Bitwidth::INT8, Bitwidth::new(4), Bitwidth::new(16)] {
             let r = bits.signed_range();
-            for sh in 0u32..=32 {
-                shift_quantize_slice(&xs, sh, r, &mut out);
+            for sh in 0u32..=31 {
+                let mut out = vec![0; xs.len()];
+                apsq::quantize(&xs, sh, (r.qn, r.qp), &mut out);
                 let want: Vec<i32> = xs.iter().map(|&x| shift_quantize(x, sh, r)).collect();
                 assert_eq!(out, want, "sh={sh}");
             }
         }
     }
 
+    /// The step's slice dequantizer and both paths of its carried-row
+    /// fold are the scalar map.
     #[test]
     fn dequantize_slice_and_add_match_scalar() {
-        let codes: Vec<i32> = awkward_i32();
-        let mut out = vec![0; codes.len()];
-        for sh in [0u32, 1, 4, 15, 30] {
-            shift_dequantize_slice(&codes, sh, &mut out);
+        let r = Bitwidth::INT8.signed_range();
+        let codes: Vec<i32> = (-128..=127).collect();
+        for sh in [0u32, 1, 4, 15, 22, 24, 25, 30] {
+            let mut out = codes.clone();
+            apsq::dequantize(&mut out, sh, (r.qn, r.qp));
             let want: Vec<i32> = codes.iter().map(|&c| shift_dequantize(c, sh)).collect();
             assert_eq!(out, want, "sh={sh}");
         }
-        // The i32 lane on 8-bit codes, up to the largest shift whose sum
-        // stays in range.
-        let codes: Vec<i32> = (-128..=127).collect();
-        for sh in [0u32, 1, 4, 15, 22] {
-            let mut acc: Vec<i32> = (0..codes.len() as i32).map(|i| i * 1000 - 7).collect();
+        // The i32 fold on 8-bit codes, up to the largest shift whose sum
+        // stays in range, and the i64 fold past it.
+        for sh in [0u32, 1, 4, 15, 22, 30] {
+            let acc: Vec<i32> = (0..codes.len() as i32).map(|i| i * 1000 - 7).collect();
             let want: Vec<i32> = acc
                 .iter()
                 .zip(&codes)
-                .map(|(&a, &c)| a + shift_dequantize(c, sh))
+                .map(|(&a, &c)| a as i64 + shift_dequantize(c, sh) as i64)
+                .map(|v| v.clamp(i32::MIN as i64, i32::MAX as i64) as i32)
                 .collect();
-            shift_dequantize_add(&codes, sh, &mut acc);
-            assert_eq!(acc, want, "sh={sh}");
+            let mut got = acc.clone();
+            apsq::fold(&mut got, 1, |_| (&codes[..], sh), (r.qn, r.qp));
+            assert_eq!(got, want, "sh={sh}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn dequantize_add_rejects_length_mismatch() {
-        let mut acc = vec![0i32; 3];
-        shift_dequantize_add(&[1, 2], 0, &mut acc);
     }
 }

@@ -41,7 +41,7 @@ mod uniform;
 pub use bitwidth::{Bitwidth, QRange};
 pub use fixed::{
     rounding_shift_right, saturating_add_in_range, saturating_shift_left, shift_dequantize,
-    shift_dequantize_add, shift_dequantize_slice, shift_quantize, shift_quantize_slice,
+    shift_quantize,
 };
 pub use lsq::LsqQuantizer;
 pub use observer::{EmaObserver, MinMaxObserver};

@@ -10,9 +10,8 @@
 //!   continuous `log₂ α` and snaps it to an integer through a rounding STE.
 
 use crate::bitwidth::{Bitwidth, QRange};
-use crate::fixed::{shift_dequantize, shift_quantize};
 use crate::lsq::LsqQuantizer;
-use apsq_tensor::Tensor;
+use apsq_tensor::{apsq, Tensor};
 
 /// A power-of-two scale `α = 2^e` with `e ≥ 0`, operating on `i32` values.
 ///
@@ -54,22 +53,12 @@ impl Pow2Scale {
 
     /// Chooses the tightest exponent so `max_abs` quantizes without
     /// clipping: the least `e ≤ 30` with `qp · 2^e ≥ |max_abs|`, or 30 when
-    /// none covers it. Closed form: `qp · 2^e` shares its top bit with
-    /// `|max_abs|` at `e = lz(qp) − lz(|max_abs|)`, and one compare decides
-    /// whether that `e` or the next covers.
+    /// none covers it, with `|max_abs|` clamped to `1..=i32::MAX` first
+    /// ([`apsq::covering_shift`], the rule every self-calibrating fold
+    /// uses).
     pub fn covering(max_abs: i32, bits: Bitwidth) -> Self {
-        let qp = bits.signed_range().qp as u32;
-        let m = max_abs.unsigned_abs();
-        let exp = if m <= qp {
-            0
-        } else if qp == 0 {
-            30
-        } else {
-            let e = qp.leading_zeros() - m.leading_zeros();
-            let e = e + u32::from(u64::from(qp) << e < u64::from(m));
-            e.min(30)
-        };
-        Pow2Scale::new(exp, bits)
+        let qp = bits.signed_range().qp;
+        Pow2Scale::new(apsq::covering_shift(max_abs.unsigned_abs(), qp), bits)
     }
 
     /// Builds the scale from a float that is an exact non-negative power
@@ -107,50 +96,21 @@ impl Pow2Scale {
         self.range
     }
 
-    /// Quantizes an exact i32 value to a k-bit code (shift + round + clip).
+    /// Quantizes an exact i32 value to a k-bit code (shift + round + clip,
+    /// [`apsq::round_shift_clamp`]).
     pub fn quantize(&self, x: i32) -> i32 {
-        shift_quantize(x, self.exp, self.range)
+        apsq::round_shift_clamp(x, self.exp, self.range.qn, self.range.qp)
     }
 
-    /// Dequantizes a code back to the i32 domain (left shift).
+    /// Dequantizes a code back to the i32 domain (left shift,
+    /// [`apsq::shl_saturate`]).
     pub fn dequantize(&self, code: i32) -> i32 {
-        shift_dequantize(code, self.exp)
+        apsq::shl_saturate(code, self.exp)
     }
 
     /// Quantize-then-dequantize in the integer domain.
     pub fn requantize(&self, x: i32) -> i32 {
         self.dequantize(self.quantize(x))
-    }
-
-    /// Slice form of [`Pow2Scale::quantize`] into `out` — branch-free
-    /// ([`crate::shift_quantize_slice`]), bit-identical to mapping
-    /// `quantize` over the slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn quantize_slice_into(&self, xs: &[i32], out: &mut [i32]) {
-        crate::fixed::shift_quantize_slice(xs, self.exp, self.range, out);
-    }
-
-    /// Adds the dequantized codes into an i32 accumulator
-    /// (`acc[j] += dequantize(codes[j])`) in 32-bit lanes; the caller
-    /// proves no sum leaves i32 ([`crate::shift_dequantize_add`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn dequantize_add(&self, codes: &[i32], acc: &mut [i32]) {
-        crate::fixed::shift_dequantize_add(codes, self.exp, acc);
-    }
-
-    /// Slice form of [`Pow2Scale::dequantize`] into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn dequantize_slice_into(&self, codes: &[i32], out: &mut [i32]) {
-        crate::fixed::shift_dequantize_slice(codes, self.exp, out);
     }
 }
 

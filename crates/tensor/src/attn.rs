@@ -75,9 +75,9 @@ use crate::kernels;
 
 /// Self-calibrating grouped APSQ (paper Algorithm 1) as the row kernels
 /// run it: K steps of `k_tile`, groups of `group_size` steps, codes in
-/// `[qn, qp]`, and every step quantized at [`RowFold::covering_shift`] of
-/// the exact input it folds. `apsq_core` builds one from an `ApsqConfig`
-/// and pins the covering rule to its `Pow2Scale::covering`.
+/// `[qn, qp]`, and every step quantized at the [`crate::apsq::covering_shift`]
+/// of the exact input it folds. `apsq_core` builds one from an
+/// `ApsqConfig`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RowFold {
     k_tile: usize,
@@ -118,30 +118,6 @@ impl RowFold {
     /// Algorithm 1's group size.
     pub fn group_size(&self) -> usize {
         self.group_size
-    }
-
-    /// The shift `e` of the tightest power-of-two scale `2^e` covering a
-    /// largest magnitude `max_abs`: the least `e ≤ 30` with
-    /// `qp · 2^e ≥ max_abs`, with `max_abs` clamped to `1..=i32::MAX`
-    /// first (so a 0-wide range saturates at 30 and `|i32::MIN|` counts
-    /// as `i32::MAX`).
-    pub fn covering_shift(&self, max_abs: u32) -> u32 {
-        let m = max_abs.clamp(1, i32::MAX as u32);
-        let qp = self.qp as u32;
-        if m <= qp {
-            0
-        } else if qp == 0 {
-            30
-        } else {
-            let e = qp.leading_zeros() - m.leading_zeros();
-            let e = e + u32::from(u64::from(qp) << e < u64::from(m));
-            e.min(30)
-        }
-    }
-
-    /// The largest magnitude a stored code dequantizes from.
-    pub(crate) fn code_mag(&self) -> u64 {
-        u64::from(self.qn.unsigned_abs().max(self.qp.unsigned_abs()))
     }
 
     /// The code range.

@@ -14,15 +14,15 @@
 //! the last codes are dequantized and the affine epilogue
 //! `code·2^e as f32 · scale + bias` writes the output once.
 //!
-//! The plan is built by `apsq_core` from a schedule (the Algorithm-1
-//! control lives there); this crate checks its invariants and proves, per
-//! step, whether the fold can run in `i32` registers:
-//! `k_tile·2^14 + Σ_carried max|code|·2^e ≤ i32::MAX` (the tile's largest
-//! magnitude plus every dequantized carried code), and the last codes
-//! dequantize without saturating. The scalar body defines the semantics —
-//! each element's sum is formed in `i64`, every dequantized code saturates
-//! at the `i32` limits and the sum is clamped into `i32`, exactly as the
-//! streaming fold does — and takes its `i32` form only under the proof.
+//! The plan is built by `apsq_core` from a schedule and the
+//! Algorithm-1 control ([`crate::apsq::carried_rows`]); this crate checks
+//! its invariants and proves, per step, whether the fold can run in `i32`
+//! registers: the [`crate::apsq::fold_fits_i32`] bound at the largest
+//! tile, `k_tile·2^14 + Σ_carried max|code|·2^e ≤ i32::MAX`, and the last
+//! codes dequantize without saturating. The scalar body runs the
+//! [`crate::apsq::fold_carried`] step the streaming fold runs — in `i64`
+//! over saturating dequantized codes, clamped into `i32` — and takes its
+//! `i32` form only under the proof.
 //! The SIMD builds run only under the proof; a plan or shape they do not
 //! cover runs the scalar body.
 //!
@@ -58,7 +58,7 @@
 //! ```
 
 use crate::exec::ExecEngine;
-use crate::kernels;
+use crate::kernels::{self, apsq};
 
 /// One step of a [`FoldPlan`]: Algorithm 1's work after the step's PSUM
 /// tile is accumulated.
@@ -156,19 +156,12 @@ impl FoldPlan {
             });
             off += end - pair;
         }
-        // Every dequantized code of the range is at most this in magnitude.
-        let code_mag = qn.unsigned_abs().max(qp.unsigned_abs()) as u64;
+        // A step's tile is at most `k_tile · 2^14` in magnitude.
         let tile_mag = (k_tile as u64) << 14;
-        let folds_fit = steps.iter().all(|s| {
-            let bound = s
-                .carried
-                .iter()
-                .fold(tile_mag, |b, &(_, sh)| b + (code_mag << sh));
-            bound <= i32::MAX as u64
-        });
-        let last = steps[np - 1].shift;
-        let dequant_fits =
-            (qn as i64) << last >= i32::MIN as i64 && (qp as i64) << last <= i32::MAX as i64;
+        let folds_fit = steps
+            .iter()
+            .all(|s| apsq::fold_fits_i32(tile_mag, (qn, qp), s.carried.len(), |r| s.carried[r].1));
+        let dequant_fits = apsq::dequantize_fits_i32((qn, qp), steps[np - 1].shift);
         FoldPlan {
             k,
             k_tile,

@@ -1,9 +1,9 @@
-//! Elementwise slice kernels. Four are the `i32` lanes of the APSQ fold
-//! (`apsq_core::StreamingApsq`): an abs-max, a shifted de-accumulate, the
-//! rounding right shift with clamp that quantizes, and the saturating left
-//! shift that dequantizes. [`quantize_i8`] is the workspace's one f32 → i8
-//! quantizer: the fused APSQ linear kernel's input,
-//! [`crate::Int8Tensor::quantize`], the int8 KV rows and the int8
+//! Elementwise slice kernels. Two are one stream step of Algorithm 1
+//! (`apsq_core::StreamingApsq`) over the [`apsq`] step: the fold of the
+//! carried code rows ([`apsq_fold_i32`]) and the quantizer that picks or
+//! takes the step's shift ([`apsq_quantize_i32`]). [`quantize_i8`] is
+//! the workspace's one f32 → i8 quantizer: the fused APSQ linear kernel's
+//! input, [`crate::Int8Tensor::quantize`], the int8 KV rows and the int8
 //! attention's Q codes and requantization; [`div_mul_max_abs_f32`] is that
 //! attention's softmax divide fused with the value-scale fold.
 //! [`exp_f32`] and [`tanh_f32`] are the workspace's `exp` and `tanh` (the
@@ -25,7 +25,7 @@
 //! [`crate::ExecEngine::apsq_linear`] the quantizer follows the engine's
 //! own backend instead.
 
-use super::KernelBackend;
+use super::{apsq, KernelBackend};
 
 /// Defines the public kernel `$name` over the `#[inline(always)]` body
 /// `$body`, and `$avx2`, the body built for AVX2, which `$name` runs when
@@ -53,44 +53,28 @@ macro_rules! lane_kernel {
 }
 
 lane_kernel! {
-    /// The largest `|x|` in `xs` (0 when empty), as a `u32` so
-    /// `|i32::MIN|` is exact.
-    pub fn max_abs_i32(xs: &[i32]) -> u32 => max_abs_body, max_abs_avx2;
-}
-
-lane_kernel! {
-    /// `acc[j] += codes[j] · 2^sh` in 32-bit lanes, for callers that have
-    /// proven no product or sum leaves `i32`. The product is a multiply,
-    /// not a shift, so an overflow-checked build panics on a broken proof
-    /// instead of wrapping; an optimized build lowers it to a shift.
+    /// A stream step's fold ([`apsq::fold`] over codes of `range`):
+    /// `input = tile` plus the carried code rows `ring[r · w..][..w]`
+    /// (`w = tile.len()`) dequantized at `shifts[r]`, oldest first.
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length or `sh > 30`.
-    pub fn shl_add_i32(codes: &[i32], sh: u32, acc: &mut [i32]) => shl_add_body, shl_add_avx2;
+    /// Panics if `input` is not as long as `tile`, or `ring` holds fewer
+    /// than `shifts.len()` rows.
+    pub fn apsq_fold_i32(tile: &[i32], ring: &[i32], shifts: &[u32], range: (i32, i32), input: &mut [i32])
+        => apsq_fold_body, apsq_fold_avx2;
 }
 
 lane_kernel! {
-    /// `out[j] = clamp(round(xs[j] / 2^sh), lo, hi)`, rounding half away
-    /// from zero without a sign branch: take the sign mask, round the
-    /// magnitude (`|x| + 2^(sh−1)` cannot overflow a `u32` for
-    /// `sh ≤ 30`), restore the sign.
+    /// A stream step's codes `out` ([`apsq::quantize`] of `xs`) at `shift`,
+    /// or at the [`apsq::covering_shift`] of `xs` when `None`; returns the
+    /// shift used.
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length or `sh > 30`.
-    pub fn round_shift_clamp_i32(xs: &[i32], sh: u32, lo: i32, hi: i32, out: &mut [i32])
-        => round_shift_clamp_body, round_shift_clamp_avx2;
-}
-
-lane_kernel! {
-    /// `out[j] = codes[j] · 2^sh`, saturating at the `i32` limits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn shl_saturate_i32(codes: &[i32], sh: u32, out: &mut [i32])
-        => shl_saturate_body, shl_saturate_avx2;
+    /// Panics if the slices differ in length or the shift exceeds 31.
+    pub fn apsq_quantize_i32(xs: &[i32], shift: Option<u32>, range: (i32, i32), out: &mut [i32]) -> u32
+        => apsq_quantize_body, apsq_quantize_avx2;
 }
 
 /// `out[j] = clamp(round(xs[j] / scale), −128, 127)` as `i8`, rounding
@@ -168,60 +152,28 @@ pub(super) const fn pow2_i8(e: i8) -> f32 {
 }
 
 #[inline(always)]
-fn max_abs_body(xs: &[i32]) -> u32 {
-    xs.iter().fold(0, |m, x| m.max(x.unsigned_abs()))
+fn apsq_fold_body(
+    tile: &[i32],
+    ring: &[i32],
+    shifts: &[u32],
+    range: (i32, i32),
+    input: &mut [i32],
+) {
+    input.copy_from_slice(tile);
+    let w = tile.len();
+    apsq::fold(
+        input,
+        shifts.len(),
+        |r| (&ring[r * w..][..w], shifts[r]),
+        range,
+    );
 }
 
 #[inline(always)]
-fn shl_add_body(codes: &[i32], sh: u32, acc: &mut [i32]) {
-    assert_eq!(codes.len(), acc.len(), "code/accumulator length mismatch");
-    assert!(sh <= 30, "shift {sh} out of range 0..=30");
-    let step = 1i32 << sh;
-    for (a, &c) in acc.iter_mut().zip(codes) {
-        *a += c * step;
-    }
-}
-
-#[inline(always)]
-pub(super) fn round_shift_clamp_body(xs: &[i32], sh: u32, lo: i32, hi: i32, out: &mut [i32]) {
-    assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-    assert!(sh <= 30, "shift {sh} out of range 0..=30");
-    // Branch once per slice, not per element, so both loops vectorize.
-    if sh == 0 {
-        out.iter_mut()
-            .zip(xs)
-            .for_each(|(o, &x)| *o = x.clamp(lo, hi));
-        return;
-    }
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = round_shift_clamp(x, sh, lo, hi);
-    }
-}
-
-/// One element of [`round_shift_clamp_i32`] (`sh ≤ 30`).
-#[inline(always)]
-pub(super) fn round_shift_clamp(x: i32, sh: u32, lo: i32, hi: i32) -> i32 {
-    if sh == 0 {
-        return x.clamp(lo, hi);
-    }
-    let s = x >> 31; // 0 for x ≥ 0, −1 for x < 0
-    let t = ((x.unsigned_abs() + (1 << (sh - 1))) >> sh) as i32;
-    ((t ^ s) - s).clamp(lo, hi)
-}
-
-#[inline(always)]
-fn shl_saturate_body(codes: &[i32], sh: u32, out: &mut [i32]) {
-    assert_eq!(codes.len(), out.len(), "code/output length mismatch");
-    for (o, &c) in out.iter_mut().zip(codes) {
-        *o = shl_saturate(c, sh);
-    }
-}
-
-/// One element of [`shl_saturate_i32`], also the fused APSQ linear body's
-/// dequantizer.
-#[inline(always)]
-pub(super) fn shl_saturate(code: i32, sh: u32) -> i32 {
-    ((code as i64) << sh.min(62)).clamp(i32::MIN as i64, i32::MAX as i64) as i32
+fn apsq_quantize_body(xs: &[i32], shift: Option<u32>, range: (i32, i32), out: &mut [i32]) -> u32 {
+    let sh = shift.unwrap_or_else(|| apsq::covering_shift(apsq::max_abs(xs), range.1));
+    apsq::quantize(xs, sh, range, out);
+    sh
 }
 
 /// The body of [`quantize_i8`], also its AVX2 build's `< 8`-lane tail.
@@ -261,36 +213,28 @@ mod tests {
         v
     }
 
-    /// One build of the four kernels.
-    struct Build {
-        max_abs: fn(&[i32]) -> u32,
-        shl_add: fn(&[i32], u32, &mut [i32]),
-        round: fn(&[i32], u32, i32, i32, &mut [i32]),
-        saturate: fn(&[i32], u32, &mut [i32]),
-    }
-
-    /// `build` against the portable bodies on awkward inputs at every
-    /// shift.
-    fn check_build(build: &Build) {
+    /// One build of the two stream-step kernels against the portable
+    /// bodies on awkward inputs: folds of one to three carried rows at
+    /// shifts that keep the `i32` bound and that break it, and
+    /// quantization at every shift and covering.
+    fn check_build(
+        fold: impl Fn(&[i32], &[i32], &[u32], (i32, i32), &mut [i32]),
+        quantize: impl Fn(&[i32], Option<u32>, (i32, i32), &mut [i32]) -> u32,
+    ) {
         let xs = awkward();
-        let codes: Vec<i32> = (0..xs.len() as i32).map(|i| i % 256 - 128).collect();
-        assert_eq!((build.max_abs)(&xs), max_abs_body(&xs));
-        assert_eq!((build.max_abs)(&[]), 0);
-        for sh in 0..=30 {
-            let (mut got, mut want) = (vec![0; xs.len()], vec![0; xs.len()]);
-            (build.round)(&xs, sh, -128, 127, &mut got);
-            round_shift_clamp_body(&xs, sh, -128, 127, &mut want);
-            assert_eq!(got, want, "round sh={sh}");
-            (build.saturate)(&codes, sh, &mut got);
-            shl_saturate_body(&codes, sh, &mut want);
-            assert_eq!(got, want, "saturate sh={sh}");
-            if sh <= 22 {
-                let base: Vec<i32> = (0..xs.len() as i32).map(|i| i * 1000 - 7).collect();
-                let (mut got, mut want) = (base.clone(), base);
-                (build.shl_add)(&codes, sh, &mut got);
-                shl_add_body(&codes, sh, &mut want);
-                assert_eq!(got, want, "add sh={sh}");
-            }
+        let w = xs.len();
+        let ring: Vec<i32> = (0..3 * w as i32).map(|i| i % 256 - 128).collect();
+        for shifts in [&[0u32][..], &[3, 7], &[12, 22, 5], &[30], &[24, 24, 24]] {
+            let (mut got, mut want) = (vec![0; w], vec![0; w]);
+            fold(&xs, &ring, shifts, (-128, 127), &mut got);
+            apsq_fold_body(&xs, &ring, shifts, (-128, 127), &mut want);
+            assert_eq!(got, want, "fold at {shifts:?}");
+        }
+        for sh in (0..=30).map(Some).chain([None]) {
+            let (mut got, mut want) = (vec![0; w], vec![0; w]);
+            let g = quantize(&xs, sh, (-128, 127), &mut got);
+            let e = apsq_quantize_body(&xs, sh, (-128, 127), &mut want);
+            assert_eq!((g, got), (e, want), "quantize at {sh:?}");
         }
     }
 
@@ -299,24 +243,15 @@ mod tests {
     /// scalar tier forced still checks them — equal the portable bodies.
     #[test]
     fn every_build_matches_the_portable_bodies() {
-        check_build(&Build {
-            max_abs: max_abs_i32,
-            shl_add: shl_add_i32,
-            round: round_shift_clamp_i32,
-            saturate: shl_saturate_i32,
-        });
+        check_build(apsq_fold_i32, apsq_quantize_i32);
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            check_build(&Build {
+            check_build(
                 // SAFETY: this host has AVX2 (detected just above).
-                max_abs: |xs| unsafe { max_abs_avx2(xs) },
+                |t, ring, sh, range, input| unsafe { apsq_fold_avx2(t, ring, sh, range, input) },
                 // SAFETY: as above.
-                shl_add: |c, sh, acc| unsafe { shl_add_avx2(c, sh, acc) },
-                // SAFETY: as above.
-                round: |xs, sh, lo, hi, out| unsafe { round_shift_clamp_avx2(xs, sh, lo, hi, out) },
-                // SAFETY: as above.
-                saturate: |c, sh, out| unsafe { shl_saturate_avx2(c, sh, out) },
-            });
+                |xs, sh, range, out| unsafe { apsq_quantize_avx2(xs, sh, range, out) },
+            );
         }
     }
 
@@ -433,20 +368,21 @@ mod tests {
     #[test]
     fn rounding_is_half_away_from_zero_and_clamped() {
         let mut out = [0; 6];
-        round_shift_clamp_i32(&[5, -5, 4, -4, 1 << 20, -(1 << 20)], 1, -128, 127, &mut out);
-        assert_eq!(out, [3, -3, 2, -2, 127, -128]);
+        let sh = apsq_quantize_i32(
+            &[5, -5, 4, -4, 1 << 20, -(1 << 20)],
+            Some(1),
+            (-128, 127),
+            &mut out,
+        );
+        assert_eq!((sh, out), (1, [3, -3, 2, -2, 127, -128]));
     }
 
     #[test]
     fn saturating_shift_clamps_at_the_limits() {
+        // A fold that breaks the i32 bound saturates each dequantized code
+        // and clamps the sum.
         let mut out = [0; 3];
-        shl_saturate_i32(&[127, -128, -2], 30, &mut out);
+        apsq_fold_i32(&[0, 0, -1], &[127, -128, -2], &[30], (-128, 127), &mut out);
         assert_eq!(out, [i32::MAX, i32::MIN, i32::MIN]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn shl_add_rejects_length_mismatch() {
-        shl_add_i32(&[1, 2], 0, &mut [0; 3]);
     }
 }

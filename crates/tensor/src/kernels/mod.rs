@@ -81,11 +81,11 @@
 //! per-head exponent reads. The AVX2 build compiles it inside a
 //! `#[target_feature]` wrapper around the AVX2 pieces, so the fold's
 //! elementwise loops get 256-bit lanes and the exponents are read with
-//! one gather per eight tokens. Every fold step checks
-//! the bound `max|tile| + Σ max|code| · 2^e ≤ i32::MAX` and, where it
-//! fails, forms the sum in `i64` over saturating dequantized codes,
-//! clamped into `i32`, exactly as `apsq_core::StreamingApsq` does. SSE2
-//! runs the scalar body.
+//! one gather per eight tokens. Every fold step is the [`apsq`] step
+//! `apsq_core::StreamingApsq` runs: it checks the bound
+//! `max|tile| + Σ max|code| · 2^e ≤ i32::MAX` and, where it fails, forms
+//! the sum in `i64` over saturating dequantized codes, clamped into
+//! `i32`. SSE2 runs the scalar body.
 //!
 //! # The fused APSQ linear kernel
 //!
@@ -99,9 +99,9 @@
 //! the last codes and writes `v as f32 · scale + bias`, multiplied then
 //! added, as the unfused epilogue did. The ring is the only state a tile
 //! keeps between steps, and no PSUM tile is ever stored. The scalar body
-//! defines the fold per element: a sum formed in `i64` over saturating
-//! dequantized codes, clamped into `i32`. Under the plan's `i32` proof it
-//! adds `code · 2^e` in `i32` instead, which is the same sum, and an
+//! runs the [`apsq::fold_carried`] step: a sum formed in `i64` over
+//! saturating dequantized codes, clamped into `i32`, or, under the plan's
+//! `i32` proof, `code · 2^e` added in `i32`, which is the same sum, and an
 //! overflow-checked build would panic on a broken proof. The AVX2 (4×16
 //! and 4×8 tiles) and SSE2 (4×8 and 4×4 tiles) builds run only under the
 //! proof and with at most [`MAX_RING`] ring rows; narrower column tails
@@ -147,6 +147,7 @@
 // clearest way to spell these kernels.
 #![allow(clippy::too_many_arguments)]
 
+pub mod apsq;
 pub mod lanes;
 mod rows;
 mod scalar;

@@ -10,17 +10,15 @@
 //! lanes, around the AVX2 pieces. The scalar body, which every other tier
 //! runs, defines the semantics.
 //!
-//! A step of one head's stream is what `apsq_core::StreamingApsq` does on
-//! one calibrating push: it folds the carried code rows into the step's
-//! exact tile, in `i32` when a bound proves the sum fits
-//! (`max|tile| + Σ max|code| · 2^e ≤ i32::MAX`) and otherwise in `i64`
-//! over saturating dequantized codes, clamped into `i32`; it quantizes at
-//! the covering shift of the result's largest magnitude
-//! ([`RowFold::covering_shift`]); and it stores the codes where the
-//! stream's ring row would hold them.
+//! A step of one head's stream is the [`apsq`] step that
+//! `apsq_core::StreamingApsq` runs on one calibrating push: it folds the
+//! [`apsq::carried_rows`] into the step's exact tile ([`apsq::fold`]),
+//! quantizes at the [`apsq::covering_shift`] of the result's largest
+//! magnitude, and stores the codes where the stream's ring row would hold
+//! them.
 
-use super::lanes::{pow2_i8, round_shift_clamp, round_shift_clamp_body, shl_saturate};
-use super::scalar;
+use super::lanes::pow2_i8;
+use super::{apsq, scalar};
 use crate::attn::{KvSegment, RowFold, RowScratch};
 
 /// The pieces a backend runs inside the row bodies, extents already
@@ -124,23 +122,6 @@ pub(super) fn scales_body(exps: &[i8], heads: usize, h: usize, out: &mut [f32]) 
     }
 }
 
-/// Algorithm 1's control for step `i` of `steps` in groups of `gs`,
-/// whose codes go to ring row `row = i mod gs`, as `apsq_core` defines
-/// it: an APSQ step (`row = 0`) folds the whole previous group (all `i`
-/// steps before the first group is full), a final mid-group step folds
-/// its group's stored prefix, and a plain PSQ step folds nothing. The
-/// carried rows hold steps `i − carried..i`, in ring rows `0..carried`.
-#[inline(always)]
-fn carried_rows(i: usize, row: usize, steps: usize, gs: usize) -> usize {
-    if row == 0 {
-        i.min(gs)
-    } else if i == steps - 1 {
-        row
-    } else {
-        0
-    }
-}
-
 /// Checks one segment against the row: whole `[len, d]` code rows and
 /// `[len, heads]` exponents, within the row's `t` tokens from `off`.
 #[inline(always)]
@@ -157,81 +138,6 @@ fn check_segment(seg: &KvSegment<'_>, d: usize, heads: usize, off: usize, t: usi
         "a {}-token segment is not [len, {d}] codes and [len, {heads}] exponents",
         seg.len
     );
-}
-
-/// The largest `|x|`, as a `u32` so `|i32::MIN|` is exact.
-#[inline(always)]
-fn max_abs(xs: &[i32]) -> u32 {
-    xs.iter().fold(0, |m, x| m.max(x.unsigned_abs()))
-}
-
-/// Folds one step of one head's stream: adds the `carried` code rows
-/// (`row(r)` gives row `r`'s codes and shift, oldest first) into the
-/// step's exact tile `input`, in place, and returns the covering shift
-/// of the result.
-#[inline(always)]
-fn fold_input<'r>(
-    f: &RowFold,
-    input: &mut [i32],
-    carried: usize,
-    row: impl Fn(usize) -> (&'r [i32], u32),
-) -> u32 {
-    let tile_max = max_abs(input);
-    if carried == 0 {
-        return f.covering_shift(tile_max);
-    }
-    let code_mag = f.code_mag();
-    let bound = (0..carried).fold(u64::from(tile_max), |b, r| {
-        b.saturating_add(code_mag << row(r).1)
-    });
-    if bound <= i32::MAX as u64 {
-        // No dequantized code saturates and no partial sum wraps, so this
-        // is the exact sum the i64 fold would clamp; the multiply (not a
-        // shift) makes an overflow-checked build panic on a broken bound.
-        for r in 0..carried {
-            let (codes, sh) = row(r);
-            let mul = 1i32 << sh;
-            for (a, &c) in input.iter_mut().zip(codes) {
-                *a += c * mul;
-            }
-        }
-    } else {
-        for (j, a) in input.iter_mut().enumerate() {
-            let sum = (0..carried).fold(i64::from(*a), |s, r| {
-                let (codes, sh) = row(r);
-                s + i64::from(shl_saturate(codes[j], sh))
-            });
-            *a = sum.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
-        }
-    }
-    f.covering_shift(max_abs(input))
-}
-
-/// `xs[j] = clamp(round(xs[j] / 2^sh))` into the fold's code range, in
-/// place.
-#[inline(always)]
-fn quantize_in_place(f: &RowFold, xs: &mut [i32], sh: u32) {
-    let (lo, hi) = f.range();
-    // Branch once per slice, not per element, so both loops vectorize.
-    if sh == 0 {
-        xs.iter_mut().for_each(|x| *x = (*x).clamp(lo, hi));
-        return;
-    }
-    xs.iter_mut()
-        .for_each(|x| *x = round_shift_clamp(*x, sh, lo, hi));
-}
-
-/// `xs[j] = xs[j] · 2^sh`, saturating at the `i32` limits, in place: in
-/// `i32` when no code of the range can saturate.
-#[inline(always)]
-fn dequantize_in_place(f: &RowFold, xs: &mut [i32], sh: u32) {
-    let (lo, hi) = f.range();
-    if i64::from(lo) << sh >= i32::MIN.into() && i64::from(hi) << sh <= i32::MAX.into() {
-        let mul = 1i32 << sh;
-        xs.iter_mut().for_each(|x| *x *= mul);
-    } else {
-        xs.iter_mut().for_each(|x| *x = shl_saturate(*x, sh));
-    }
 }
 
 /// The Q·Kᵀ row body ([`crate::ExecEngine::qk_row_i8`]): scores every
@@ -281,17 +187,19 @@ pub(super) fn qk_row<'a, K: RowOps>(
 
     let mut words = (0, 0);
     if let Some(f) = fold {
-        let gs = f.group_size();
+        let (gs, range) = (f.group_size(), f.range());
         shifts.resize(np * heads, 0);
         for i in 0..np {
-            let carried = carried_rows(i, i % gs, np, gs);
+            let carried = apsq::carried_rows(i, i % gs, np, gs);
             let (done, rest) = tiles.split_at_mut(i * heads * t);
             for (h, input) in rest[..heads * t].chunks_exact_mut(t).enumerate() {
-                let sh = fold_input(f, input, carried, |r| {
+                let carried_row = |r| {
                     let s = (i - carried + r) * heads + h;
                     (&done[s * t..][..t], shifts[s])
-                });
-                quantize_in_place(f, input, sh);
+                };
+                apsq::fold(input, carried, carried_row, range);
+                let sh = apsq::covering_shift(apsq::max_abs(input), range.1);
+                apsq::quantize_in_place(input, sh, range);
                 shifts[i * heads + h] = sh;
             }
             words.0 += (heads * t) as u64;
@@ -299,7 +207,7 @@ pub(super) fn qk_row<'a, K: RowOps>(
         }
         let last = (np - 1) * heads;
         for (h, codes) in tiles[last * t..].chunks_exact_mut(t).enumerate() {
-            dequantize_in_place(f, codes, shifts[last + h]);
+            apsq::dequantize(codes, shifts[last + h], range);
         }
     }
 
@@ -344,9 +252,8 @@ pub(super) fn pv_row<'a, K: RowOps>(
         assert_eq!(off, t, "segments must cover the context");
         return (0, 0);
     };
-    let (k_tile, gs) = (f.k_tile(), f.group_size());
+    let (k_tile, gs, range) = (f.k_tile(), f.group_size(), f.range());
     let np = t.div_ceil(k_tile);
-    let (lo, hi) = f.range();
     let RowScratch {
         shifts, tile, ring, ..
     } = scratch;
@@ -375,12 +282,12 @@ pub(super) fn pv_row<'a, K: RowOps>(
             if filled < k_tile && off + j < t {
                 continue;
             }
-            let carried = carried_rows(i, row, np, gs);
+            let carried = apsq::carried_rows(i, row, np, gs);
             for (h, input) in tile.chunks_exact_mut(dh).enumerate() {
-                let sh = fold_input(f, input, carried, |r| {
-                    (&ring[r * d + h * dh..][..dh], shifts[r * heads + h])
-                });
-                round_shift_clamp_body(input, sh, lo, hi, &mut ring[row * d + h * dh..][..dh]);
+                let carried_row = |r| (&ring[r * d + h * dh..][..dh], shifts[r * heads + h]);
+                apsq::fold(input, carried, carried_row, range);
+                let sh = apsq::covering_shift(apsq::max_abs(input), range.1);
+                apsq::quantize(input, sh, range, &mut ring[row * d + h * dh..][..dh]);
                 shifts[row * heads + h] = sh;
             }
             words.0 += d as u64;
@@ -393,7 +300,7 @@ pub(super) fn pv_row<'a, K: RowOps>(
     let row = (np - 1) % gs;
     out.copy_from_slice(&ring[row * d..][..d]);
     for (h, o) in out.chunks_exact_mut(dh).enumerate() {
-        dequantize_in_place(f, o, shifts[row * heads + h]);
+        apsq::dequantize(o, shifts[row * heads + h], range);
     }
     words
 }

@@ -9,7 +9,7 @@
 //! partial-MR, and remainder paths — is written once and shared with the
 //! SIMD variants.
 
-use super::lanes::{round_shift_clamp_body, shl_saturate};
+use super::apsq;
 use super::{dot_f32_lanes, for_qk_chunks, np_passes, tail_f32, tail_np_i8, KC, MR, NR};
 use crate::fold::Fused;
 
@@ -224,31 +224,15 @@ fn fused_tile<const R: usize, const W: usize>(
                 }
             }
         }
-        if plan.i32_exact {
-            // The proof bounds every partial sum, so this is the exact
-            // sum; the multiply (not a shift) makes an overflow-checked
-            // build panic on a broken proof instead of wrapping.
-            for &(row, sh) in &step.carried {
-                let mul = 1i32 << sh;
-                let src = &ring[row * tile..][..tile];
-                for (accr, cr) in acc.iter_mut().zip(src.chunks_exact(W)) {
-                    for (a, &c) in accr.iter_mut().zip(cr) {
-                        *a += c * mul;
-                    }
-                }
-            }
-        } else {
-            for (r, accr) in acc.iter_mut().enumerate() {
-                for (c, a) in accr.iter_mut().enumerate() {
-                    let sum = step.carried.iter().fold(*a as i64, |s, &(row, sh)| {
-                        s + shl_saturate(ring[row * tile + r * W + c], sh) as i64
-                    });
-                    *a = sum.clamp(i32::MIN as i64, i32::MAX as i64) as i32;
-                }
-            }
-        }
+        // The plan's proof is the fold's bound at the largest tile.
+        let carried = |r: usize| {
+            let (row, sh) = step.carried[r];
+            (&ring[row * tile..][..tile], sh)
+        };
+        let acc = acc.as_flattened_mut();
+        apsq::fold_carried(acc, step.carried.len(), carried, plan.i32_exact);
         let dst = &mut ring[step.row * tile..][..tile];
-        round_shift_clamp_body(acc.as_flattened(), step.shift, plan.qn, plan.qp, dst);
+        apsq::quantize(acc, step.shift, (plan.qn, plan.qp), dst);
     }
     let last = &plan.steps[plan.steps.len() - 1];
     let src = &ring[last.row * tile..][..tile];
@@ -261,7 +245,7 @@ fn fused_tile<const R: usize, const W: usize>(
             let v = if plan.i32_exact {
                 code * mul
             } else {
-                shl_saturate(code, last.shift)
+                apsq::shl_saturate(code, last.shift)
             };
             *y = v as f32 * f.scale + b;
         }

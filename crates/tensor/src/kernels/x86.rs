@@ -420,7 +420,7 @@ fn sse2_fused_tile<const R: usize, const C: usize>(
     }
 }
 
-/// [`super::lanes::round_shift_clamp`] on 4 lanes at one shift (`cnt`, with
+/// [`super::apsq::round_shift_clamp`] on 4 lanes at one shift (`cnt`, with
 /// `half = 2^sh / 2` rounded down): round the magnitude as a `u32`,
 /// restore the sign, clamp with compare masks (SSE2 has no `i32`
 /// min/max).
@@ -879,7 +879,7 @@ fn avx2_fused_tile<const R: usize, const C: usize>(
     }
 }
 
-/// [`super::lanes::round_shift_clamp`] on 8 lanes at one shift (`cnt`, with
+/// [`super::apsq::round_shift_clamp`] on 8 lanes at one shift (`cnt`, with
 /// `half = 2^sh / 2` rounded down): round the magnitude as a `u32`
 /// (`|i32::MIN|` included), restore the sign, clamp.
 #[target_feature(enable = "avx2")]

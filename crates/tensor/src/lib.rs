@@ -27,7 +27,10 @@
 //!   self-calibrating Algorithm 1 ([`RowFold`]) in one call, over the
 //!   per-block kernels [`ExecEngine::qk_block_i8`] /
 //!   [`ExecEngine::pv_block_i8`];
-//! - [`lanes`] — elementwise slice kernels (the APSQ fold's i32 lanes,
+//! - [`apsq`] — one step of Algorithm 1 (its control, the carried-row
+//!   fold, the covering shift and the element shifters), the one scalar
+//!   definition every APSQ fold in the workspace runs;
+//! - [`lanes`] — elementwise slice kernels (a stream step of that fold,
 //!   the f32 → i8 activation quantizer, and the workspace's one `exp` and
 //!   one `tanh`, bit for bit glibc's on every host) under the same
 //!   dispatch.
@@ -74,7 +77,7 @@ pub use exec::{pack_k_pairs, ExecEngine, Gemm, Layout};
 pub use fold::{ApsqLinear, FoldPlan, FoldStep};
 pub use init::{kaiming_normal, rand_uniform, randn, xavier_uniform};
 pub use int_tensor::{Int32Tensor, Int8Tensor};
-pub use kernels::{lanes, KernelBackend, BACKEND_ENV};
+pub use kernels::{apsq, lanes, KernelBackend, BACKEND_ENV};
 pub use reduce::{argmax_axis1, mean_axis1, sum_axis0, sum_axis1, var_axis1};
 pub use shape::Shape;
 pub use tensor::Tensor;

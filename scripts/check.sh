@@ -68,6 +68,8 @@ APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-serve --test determin
 echo "==> SSE2-forced backend: tensor (incl. exp/tanh bodies), APSQ, simulator, prefill, int8 + paged suites, pinned fingerprints"
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-tensor
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-core
+APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-quant
+APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-rae
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-accel
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-models
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-nn --test proptest_int8
