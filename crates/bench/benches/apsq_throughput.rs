@@ -1,5 +1,6 @@
 //! Criterion: software APSQ throughput vs the exact and ADC-PSQ baselines,
-//! across group sizes (the ablation DESIGN.md calls out).
+//! across group sizes (the throughput side of the accuracy ablation in
+//! `src/bin/ablation_group_size.rs`).
 
 use apsq_core::{
     exact_accumulate, grouped_apsq, psq_adc_reference, synthetic_psum_stream, ApsqConfig,

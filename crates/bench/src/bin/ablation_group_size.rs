@@ -3,7 +3,7 @@
 //! Sweeps group sizes past the RAE's hardware limit (gs ≤ 4) and PSUM
 //! widths below INT8, measuring SQNR against exact accumulation on
 //! synthetic PSUM streams of several accumulation depths. This quantifies
-//! two design choices DESIGN.md calls out: why the paper stops at gs = 4
+//! two of the paper's design choices: why it stops at gs = 4
 //! (diminishing returns vs buffer working set) and why INT8 is the
 //! operating point (INT4/6 lose double-digit dB).
 

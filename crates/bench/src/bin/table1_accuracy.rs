@@ -3,10 +3,12 @@
 //! stand-ins.
 //!
 //! Default protocol: one FP teacher + one W8A8 QAT student per task, with
-//! the APSQ columns evaluated post-training on the shared student (see
-//! DESIGN.md §2). Flags: `--quick` reduces the budget, `--steps N`
-//! overrides it, `--qat-per-method` restores the paper's full protocol
-//! (a separate QAT run per column, ~3× slower).
+//! the APSQ columns evaluated post-training on the shared student, which
+//! isolates the PSUM noise at a third of the compute and upper-bounds the
+//! paper's degradation (`apsq_bench::experiments::table1_glue`). Flags:
+//! `--quick` reduces the budget, `--steps N` overrides it,
+//! `--qat-per-method` restores the paper's full protocol (a separate QAT
+//! run per column, ~3× slower).
 
 use apsq_bench::experiments::{table1_glue, table1_glue_qat_per_method, table1_seg, Method};
 use apsq_bench::report::{f, Table};

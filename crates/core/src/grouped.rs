@@ -46,9 +46,14 @@ pub struct ApsqRun {
 /// accumulated once at the end — pure PSUM quantization (PSQ, paper refs 19 and 20
 /// of the paper) with low-bit storage.
 ///
-/// The paper's Algorithm 1 line 13 contains an off-by-one (`np − i + 1`
-/// reads); this implementation reads the consistent `np − 1 − group_start`
-/// stored codes, which reduces to eq (10) at `gs = 1` (see DESIGN.md).
+/// The paper's Algorithm 1 line 13 contains an off-by-one: it reads
+/// `np − i + 1` codes, which is 2 at `i = np − 1` wherever the group
+/// starts, but the final step's group has stored exactly the codes of
+/// steps `group_start..np−1`. This implementation reads those
+/// `np − 1 − group_start` codes, so every stored code is read exactly once
+/// (`np − 1` reads per element for any `gs`), and at `gs = 1`, where every
+/// step is an APSQ step folding the one previous code, the recursion is
+/// eq (10).
 ///
 /// # Panics
 ///

@@ -139,10 +139,15 @@ impl ScaleSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if `k_tile == 0` or the schedule does not have
-    /// `⌈k / k_tile⌉` steps.
+    /// Panics if `k_tile == 0`, the schedule does not have `⌈k / k_tile⌉`
+    /// steps, or its bit-width is not `config.bits`.
     pub fn fold_plan(&self, config: &ApsqConfig, k: usize, k_tile: usize) -> FoldPlan {
         assert!(k_tile > 0, "k_tile must be positive");
+        assert_eq!(
+            self.bits(),
+            config.bits,
+            "schedule bit-width differs from the configuration's"
+        );
         let (np, gs) = (self.len(), config.group_size.get());
         assert_eq!(
             k.div_ceil(k_tile),
@@ -273,6 +278,12 @@ mod tests {
     #[should_panic(expected = "schedule covers 2 steps")]
     fn fold_plan_rejects_a_schedule_of_the_wrong_length() {
         ScaleSchedule::uniform(2, 0, Bitwidth::INT8).fold_plan(&ApsqConfig::int8(1), 9, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule bit-width differs")]
+    fn fold_plan_rejects_a_schedule_of_another_bit_width() {
+        ScaleSchedule::uniform(3, 0, Bitwidth::new(4)).fold_plan(&ApsqConfig::int8(1), 9, 4);
     }
 
     #[test]

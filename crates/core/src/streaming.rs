@@ -5,7 +5,6 @@ use crate::config::ApsqConfig;
 use crate::grouped::ApsqRun;
 use crate::schedule::ScaleSchedule;
 use crate::traffic::BufferTraffic;
-use apsq_quant::Bitwidth;
 use apsq_tensor::{apsq, lanes, pack_k_pairs, ExecEngine, Gemm, Int32Tensor, Int8Tensor, Layout};
 
 /// A truly incremental implementation of Algorithm 1 (grouped APSQ):
@@ -77,9 +76,6 @@ pub struct StreamingApsq {
     /// Whether the stream commits its own scales (one per push) instead
     /// of replaying a fixed schedule.
     calibrating: bool,
-    /// The bit-width of the scales [`StreamingApsq::finish`] reports: the
-    /// schedule's, or the configuration's when calibrating.
-    scale_bits: Bitwidth,
     /// Committed scale exponents: a fixed stream holds all `steps` of
     /// them, a calibrating stream commits one per push.
     shifts: Vec<u32>,
@@ -103,9 +99,19 @@ pub struct StreamingApsq {
 impl StreamingApsq {
     /// Creates a stream expecting `schedule.len()` tiles, quantized with
     /// the schedule's scales.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule's bit-width is not `config.bits`, the width
+    /// the stream's codes are stored at.
     pub fn new(schedule: ScaleSchedule, config: ApsqConfig) -> Self {
+        assert_eq!(
+            schedule.bits(),
+            config.bits,
+            "schedule bit-width differs from the configuration's"
+        );
         let shifts = schedule.scales().iter().map(|s| s.exponent()).collect();
-        Self::with_shifts(schedule.len(), false, schedule.bits(), shifts, config)
+        Self::with_shifts(schedule.len(), false, shifts, config)
     }
 
     /// Creates a self-calibrating stream expecting `steps` tiles: step
@@ -120,22 +126,15 @@ impl StreamingApsq {
     /// Panics if `steps == 0`.
     pub fn calibrating(steps: usize, config: ApsqConfig) -> Self {
         let shifts = Vec::with_capacity(steps);
-        Self::with_shifts(steps, true, config.bits, shifts, config)
+        Self::with_shifts(steps, true, shifts, config)
     }
 
-    fn with_shifts(
-        steps: usize,
-        calibrating: bool,
-        scale_bits: Bitwidth,
-        shifts: Vec<u32>,
-        config: ApsqConfig,
-    ) -> Self {
+    fn with_shifts(steps: usize, calibrating: bool, shifts: Vec<u32>, config: ApsqConfig) -> Self {
         assert!(steps > 0, "stream must cover at least one step");
         StreamingApsq {
             config,
             steps,
             calibrating,
-            scale_bits,
             shifts,
             step: 0,
             row: 0,
@@ -348,7 +347,7 @@ impl StreamingApsq {
             output: Int32Tensor::from_vec(out, self.dims),
             stored_codes: Vec::new(),
             traffic,
-            schedule: ScaleSchedule::from_exponents(&self.shifts, self.scale_bits),
+            schedule: ScaleSchedule::from_exponents(&self.shifts, self.config.bits),
         }
     }
 }
@@ -430,6 +429,7 @@ pub fn grouped_apsq_streamed(
 mod tests {
     use super::*;
     use crate::grouped::{apsq_recursion_reference, grouped_apsq};
+    use apsq_quant::Bitwidth;
 
     #[test]
     fn matches_batch_api() {
@@ -594,6 +594,13 @@ mod tests {
         let mut s = StreamingApsq::new(sched, ApsqConfig::int8(1));
         s.push(Int32Tensor::zeros([1]));
         s.push(Int32Tensor::zeros([1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule bit-width differs")]
+    fn schedule_of_another_bit_width_rejected() {
+        let sched = ScaleSchedule::uniform(2, 0, Bitwidth::new(4));
+        StreamingApsq::new(sched, ApsqConfig::int8(1));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! N_d/s = Si·N^i + Sw·N^w + β·So·N^p + So·N^o
 //! ```
 //!
-//! Conventions (documented deviations are paper typos, see DESIGN.md):
+//! Conventions (where the paper's text is ambiguous, each reading below is
+//! the one that reproduces its figures):
 //!
 //! - "fits" means `working set ≤ capacity` (boundary-inclusive); this is
 //!   required to reproduce Fig 6b, where Segformer-B0 at `gs = 2` still

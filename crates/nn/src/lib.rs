@@ -27,8 +27,8 @@
 //!   `decode_batch_paged_with` — the one incremental decode path,
 //!   bit-identical to the full-sequence `forward_inference_with` oracle;
 //! - [`GlueTask`], [`SegTask`], [`LmFamily`] — synthetic stand-ins for
-//!   GLUE / ADE20K / zero-shot-reasoning benchmarks (see DESIGN.md for the
-//!   substitution argument);
+//!   GLUE / ADE20K / zero-shot-reasoning benchmarks (the module docs
+//!   of `src/data.rs` give the substitution argument);
 //! - [`train_glue`] / [`train_seg`] / [`train_lm`] and the matching
 //!   evaluators — the QAT drivers behind Tables I and III and Fig 5.
 //!

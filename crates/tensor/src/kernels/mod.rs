@@ -25,13 +25,20 @@
 //!   digest well). This is the semantic definition of every kernel.
 //! - [`KernelBackend::Sse2`] — `core::arch::x86_64` 128-bit intrinsics.
 //!   SSE2 is part of the x86-64 baseline, so this tier needs no feature
-//!   detection; it is the floor on any x86-64 host. It builds the f32
+//!   detection; it is the floor on any x86-64 host. It runs the f32
 //!   GEMMs, the packed-B i8 GEMM and the fused APSQ linear kernel; the
 //!   attention (block and row), quantizer and transcendental kernels run
 //!   their scalar bodies.
 //! - [`KernelBackend::Avx2`] — 256-bit intrinsics (i16 `madd` into i32
 //!   lanes, 8-wide f32 mul/add lanes), used when
-//!   `is_x86_feature_detected!("avx2")` reports support.
+//!   `is_x86_feature_detected!("avx2")` reports support. It runs the same
+//!   GEMM kernels and has its own builds of the rest.
+//!
+//! The two x86 tiers share one body per GEMM kernel (`x86.rs`): each is
+//! written once, generic over a tier trait of vector registers and the
+//! few operations the bodies run on them, with an SSE2 and an AVX2
+//! implementation; each tier's `#[target_feature]` entry point compiles
+//! the body with its own instructions.
 //!
 //! # The packed-B i8 kernel
 //!
@@ -102,10 +109,10 @@
 //! runs the [`apsq::fold_carried`] step: a sum formed in `i64` over
 //! saturating dequantized codes, clamped into `i32`, or, under the plan's
 //! `i32` proof, `code · 2^e` added in `i32`, which is the same sum, and an
-//! overflow-checked build would panic on a broken proof. The AVX2 (4×16
-//! and 4×8 tiles) and SSE2 (4×8 and 4×4 tiles) builds run only under the
-//! proof and with at most [`MAX_RING`] ring rows; narrower column tails
-//! and every other plan run the scalar body.
+//! overflow-checked build would panic on a broken proof. The x86 body,
+//! one for both tiers (4×16 and 4×8 tiles on AVX2, 4×8 and 4×4 on SSE2),
+//! runs only under the proof and with at most [`MAX_RING`] ring rows;
+//! narrower column tails and every other plan run the scalar body.
 //!
 //! # The transcendental kernels
 //!

@@ -2,6 +2,14 @@
 //! detection needed) and 256-bit AVX2 (runtime-detected; the `exp` and
 //! `tanh` builds also need FMA).
 //!
+//! The GEMM kernels — f32 NN, NT and TN, the packed-B i8 product and the
+//! fused APSQ linear kernel — are each written once, generic over a
+//! [`Tier`]: the registers of one ISA tier and the few operations the
+//! bodies run on them. [`Sse2`] and [`Avx2`] implement it; a tier's entry
+//! point is compiled with its features and the body, `#[inline(always)]`,
+//! is compiled into it. The attention, quantizer and transcendental
+//! kernels are AVX2 builds only; SSE2 runs their scalar bodies.
+//!
 //! Bit-identity with the scalar reference is the design rule, not a test
 //! afterthought:
 //!
@@ -13,13 +21,13 @@
 //!   one output element per lane, so each element still reduces in `l`
 //!   order, exactly like scalar.
 //! - `gemm_bt_f32` maps SIMD lanes onto the pinned [`LANES`]-lane partial
-//!   sums of [`super::dot_f32_lanes`] (SSE2 splits them across two
-//!   128-bit registers), then reduces through the same lane array.
+//!   sums of [`super::dot_f32_lanes`] (SSE2 holds them in two 128-bit
+//!   registers), then reduces through the same lane array.
 //! - Integer kernels accumulate in `i32`; any summation order is exact, so
 //!   they are free to use `madd_epi16` widening reductions. The packed-B
-//!   kernels (`*_gemm_np_i8`) madd a broadcast activation pair against a
-//!   run of column pairs, so each i32 lane is one output column and no
-//!   tile ever reduces horizontally.
+//!   kernels (`gemm_np_i8`, `apsq_linear_i8`) madd a broadcast activation
+//!   pair against a run of column pairs, so each i32 lane is one output
+//!   column and no tile ever reduces horizontally.
 //!
 //! Memory safety: every vector load/store first carves a bounds-checked
 //! subslice of exactly the lanes it touches, then loads from the slice
@@ -40,29 +48,375 @@ use super::{
 use crate::attn::{KvSegment, RowFold, RowScratch};
 use crate::fold::Fused;
 
-/// Sign-extends the low 8 bytes of `v` to 8×i16 without SSE4.1:
-/// duplicate each byte into a 16-bit lane, then arithmetic-shift the copy
-/// back down.
-#[target_feature(enable = "sse2")]
-#[inline]
-fn sse2_cvtepi8_epi16(v: __m128i) -> __m128i {
-    _mm_srai_epi16::<8>(_mm_unpacklo_epi8(v, v))
+// ================================================================= tiers
+
+/// The registers of one x86 SIMD tier and the operations the generic
+/// GEMM bodies run on them: an `i32` vector of [`Tier::W`] lanes and an
+/// f32 vector of the [`LANES`] pinned lanes.
+///
+/// # Safety
+///
+/// Every method is compiled with the tier's target features: call one
+/// only on a host that has them (SSE2: every x86-64; AVX2: detected).
+/// Slice arguments are cut to the lanes a method touches first, so a
+/// short slice panics.
+trait Tier {
+    /// `i32` lanes of [`Tier::I`].
+    const W: usize;
+    /// The widest f32 NN tile, in [`LANES`]-column vectors: 2 (4×16) on
+    /// AVX2, 1 (4×8) on SSE2.
+    const NN_VECS: usize;
+    /// `W` lanes of `i32`.
+    type I: Copy;
+    /// [`LANES`] lanes of `f32`.
+    type F: Copy;
+
+    /// `x` in every lane. Safety: [`Tier`].
+    unsafe fn splat(x: i32) -> Self::I;
+    /// `s[..2·W]` as `2·W` lanes of `i16`. Safety: [`Tier`].
+    unsafe fn load_i8_as_i16(s: &[i8]) -> Self::I;
+    /// `acc + madd_epi16(v, w)`. Safety: [`Tier`].
+    unsafe fn madd(acc: Self::I, v: Self::I, w: Self::I) -> Self::I;
+    /// Lane-wise `acc + (v << sh)`, wrapping. Safety: [`Tier`].
+    unsafe fn add_shl(acc: Self::I, v: Self::I, sh: u32) -> Self::I;
+    /// [`super::apsq::round_shift_clamp`] per lane, `sh ≤ 30`. Safety:
+    /// [`Tier`].
+    unsafe fn round_shift_clamp(x: Self::I, sh: u32, lo: Self::I, hi: Self::I) -> Self::I;
+    /// `dst[..W] = v`. Safety: [`Tier`].
+    unsafe fn store(dst: &mut [i32], v: Self::I);
+    /// `dst[..W] += v`. Safety: [`Tier`].
+    unsafe fn add_store(dst: &mut [i32], v: Self::I);
+    /// `y[..W] = (v << sh) as f32 · scale + bias[..W]`, multiplied then
+    /// added. Safety: [`Tier`].
+    unsafe fn epilogue(v: Self::I, sh: u32, scale: f32, bias: &[f32], y: &mut [f32]);
+
+    /// `x` in every lane. Safety: [`Tier`].
+    unsafe fn fsplat(x: f32) -> Self::F;
+    /// `s[..LANES]`. Safety: [`Tier`].
+    unsafe fn fload(s: &[f32]) -> Self::F;
+    /// `dst[..LANES] = v`. Safety: [`Tier`].
+    unsafe fn fstore(dst: &mut [f32], v: Self::F);
+    /// Lane-wise `a + b`. Safety: [`Tier`].
+    unsafe fn fadd(a: Self::F, b: Self::F) -> Self::F;
+    /// Lane-wise `a · b`. Safety: [`Tier`].
+    unsafe fn fmul(a: Self::F, b: Self::F) -> Self::F;
 }
 
-/// Loads 8 `i8` values from a bounds-checked slice as 8×i16.
-#[target_feature(enable = "sse2")]
-#[inline]
-fn sse2_load8_i8_as_i16(s: &[i8]) -> __m128i {
-    debug_assert!(s.len() >= 8);
-    // SAFETY: caller's slice carries ≥8 elements; loadl reads exactly 8
-    // bytes (unaligned allowed).
-    sse2_cvtepi8_epi16(unsafe { _mm_loadl_epi64(s.as_ptr() as *const __m128i) })
+/// The 128-bit tier: 4 `i32` lanes, and the [`LANES`] f32 lanes as two
+/// registers, lanes 0..4 and 4..8.
+struct Sse2;
+
+impl Tier for Sse2 {
+    const W: usize = 4;
+    const NN_VECS: usize = 1;
+    type I = __m128i;
+    type F = [__m128; 2];
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn splat(x: i32) -> __m128i {
+        _mm_set1_epi32(x)
+    }
+
+    /// Sign-extends without SSE4.1: each byte is duplicated into a 16-bit
+    /// lane, then arithmetic-shifted down. Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn load_i8_as_i16(s: &[i8]) -> __m128i {
+        let s = &s[..8];
+        // SAFETY: `s` holds exactly the 8 bytes loadl reads (unaligned
+        // allowed).
+        let v = unsafe { _mm_loadl_epi64(s.as_ptr() as *const __m128i) };
+        _mm_srai_epi16::<8>(_mm_unpacklo_epi8(v, v))
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn madd(acc: __m128i, v: __m128i, w: __m128i) -> __m128i {
+        _mm_add_epi32(acc, _mm_madd_epi16(v, w))
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn add_shl(acc: __m128i, v: __m128i, sh: u32) -> __m128i {
+        _mm_add_epi32(acc, _mm_sll_epi32(v, _mm_cvtsi32_si128(sh as i32)))
+    }
+
+    /// Rounds the magnitude as a `u32` (`|i32::MIN|` included), restores
+    /// the sign, and clamps with compare masks (SSE2 has no `i32`
+    /// min/max). Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn round_shift_clamp(x: __m128i, sh: u32, lo: __m128i, hi: __m128i) -> __m128i {
+        let half = _mm_set1_epi32(((1u32 << sh) >> 1) as i32);
+        let s = _mm_srai_epi32::<31>(x);
+        let mag = _mm_sub_epi32(_mm_xor_si128(x, s), s);
+        let t = _mm_srl_epi32(_mm_add_epi32(mag, half), _mm_cvtsi32_si128(sh as i32));
+        let v = _mm_sub_epi32(_mm_xor_si128(t, s), s);
+        let over = _mm_cmpgt_epi32(v, hi);
+        let v = _mm_or_si128(_mm_and_si128(over, hi), _mm_andnot_si128(over, v));
+        let under = _mm_cmpgt_epi32(lo, v);
+        _mm_or_si128(_mm_and_si128(under, lo), _mm_andnot_si128(under, v))
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn store(dst: &mut [i32], v: __m128i) {
+        let dst = &mut dst[..4];
+        // SAFETY: `dst` holds exactly the 4 i32 lanes stored.
+        unsafe { _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, v) };
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn add_store(dst: &mut [i32], v: __m128i) {
+        let dst = &mut dst[..4];
+        // SAFETY: `dst` holds exactly the 4 i32 lanes loaded and stored.
+        unsafe {
+            let p = dst.as_mut_ptr() as *mut __m128i;
+            _mm_storeu_si128(p, _mm_add_epi32(_mm_loadu_si128(p), v));
+        }
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn epilogue(v: __m128i, sh: u32, scale: f32, bias: &[f32], y: &mut [f32]) {
+        let (bias, y) = (&bias[..4], &mut y[..4]);
+        let v = _mm_cvtepi32_ps(_mm_sll_epi32(v, _mm_cvtsi32_si128(sh as i32)));
+        let v = _mm_mul_ps(v, _mm_set1_ps(scale));
+        // SAFETY: `bias` and `y` hold exactly the 4 f32 lanes loaded and
+        // stored.
+        unsafe { _mm_storeu_ps(y.as_mut_ptr(), _mm_add_ps(v, _mm_loadu_ps(bias.as_ptr()))) };
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn fsplat(x: f32) -> [__m128; 2] {
+        [_mm_set1_ps(x); 2]
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn fload(s: &[f32]) -> [__m128; 2] {
+        let s = &s[..LANES];
+        // SAFETY: `s` holds exactly the 8 f32 lanes of the two loads.
+        unsafe { [_mm_loadu_ps(s.as_ptr()), _mm_loadu_ps(s.as_ptr().add(4))] }
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn fstore(dst: &mut [f32], [v0, v1]: [__m128; 2]) {
+        let dst = &mut dst[..LANES];
+        // SAFETY: `dst` holds exactly the 8 f32 lanes of the two stores.
+        unsafe {
+            _mm_storeu_ps(dst.as_mut_ptr(), v0);
+            _mm_storeu_ps(dst.as_mut_ptr().add(4), v1);
+        }
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn fadd([a0, a1]: [__m128; 2], [b0, b1]: [__m128; 2]) -> [__m128; 2] {
+        [_mm_add_ps(a0, b0), _mm_add_ps(a1, b1)]
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn fmul([a0, a1]: [__m128; 2], [b0, b1]: [__m128; 2]) -> [__m128; 2] {
+        [_mm_mul_ps(a0, b0), _mm_mul_ps(a1, b1)]
+    }
 }
 
-// ================================================================== SSE2
+/// The 256-bit tier: 8 `i32` lanes, and the [`LANES`] f32 lanes in one
+/// register.
+struct Avx2;
 
-#[target_feature(enable = "sse2")]
-pub(super) fn sse2_gemm_f32(
+impl Tier for Avx2 {
+    const W: usize = 8;
+    const NN_VECS: usize = 2;
+    type I = __m256i;
+    type F = __m256;
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn splat(x: i32) -> __m256i {
+        _mm256_set1_epi32(x)
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load_i8_as_i16(s: &[i8]) -> __m256i {
+        avx2_load16_i8_as_i16(s)
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn madd(acc: __m256i, v: __m256i, w: __m256i) -> __m256i {
+        _mm256_add_epi32(acc, _mm256_madd_epi16(v, w))
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn add_shl(acc: __m256i, v: __m256i, sh: u32) -> __m256i {
+        _mm256_add_epi32(acc, _mm256_sll_epi32(v, _mm_cvtsi32_si128(sh as i32)))
+    }
+
+    /// Rounds the magnitude as a `u32` (`|i32::MIN|` included), restores
+    /// the sign, clamps. Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn round_shift_clamp(x: __m256i, sh: u32, lo: __m256i, hi: __m256i) -> __m256i {
+        let half = _mm256_set1_epi32(((1u32 << sh) >> 1) as i32);
+        let s = _mm256_srai_epi32::<31>(x);
+        let t = _mm256_add_epi32(_mm256_abs_epi32(x), half);
+        let t = _mm256_srl_epi32(t, _mm_cvtsi32_si128(sh as i32));
+        let v = _mm256_sub_epi32(_mm256_xor_si256(t, s), s);
+        _mm256_min_epi32(_mm256_max_epi32(v, lo), hi)
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store(dst: &mut [i32], v: __m256i) {
+        let dst = &mut dst[..8];
+        // SAFETY: `dst` holds exactly the 8 i32 lanes stored.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, v) };
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn add_store(dst: &mut [i32], v: __m256i) {
+        avx2_add_store_i32(dst, v);
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn epilogue(v: __m256i, sh: u32, scale: f32, bias: &[f32], y: &mut [f32]) {
+        let (bias, y) = (&bias[..8], &mut y[..8]);
+        let v = _mm256_cvtepi32_ps(_mm256_sll_epi32(v, _mm_cvtsi32_si128(sh as i32)));
+        let v = _mm256_mul_ps(v, _mm256_set1_ps(scale));
+        // SAFETY: `bias` and `y` hold exactly the 8 f32 lanes loaded and
+        // stored.
+        unsafe {
+            _mm256_storeu_ps(
+                y.as_mut_ptr(),
+                _mm256_add_ps(v, _mm256_loadu_ps(bias.as_ptr())),
+            )
+        };
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn fsplat(x: f32) -> __m256 {
+        _mm256_set1_ps(x)
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn fload(s: &[f32]) -> __m256 {
+        let s = &s[..LANES];
+        // SAFETY: `s` holds exactly the 8 f32 lanes loaded.
+        unsafe { _mm256_loadu_ps(s.as_ptr()) }
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn fstore(dst: &mut [f32], v: __m256) {
+        let dst = &mut dst[..LANES];
+        // SAFETY: `dst` holds exactly the 8 f32 lanes stored.
+        unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), v) };
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn fadd(a: __m256, b: __m256) -> __m256 {
+        _mm256_add_ps(a, b)
+    }
+
+    /// Safety: [`Tier`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn fmul(a: __m256, b: __m256) -> __m256 {
+        _mm256_mul_ps(a, b)
+    }
+}
+
+/// Defines one kernel's entry point on each tier: a function compiled
+/// with the tier's features that runs the kernel's generic body, which is
+/// `#[inline(always)]` and so compiled into it for that tier. The
+/// dispatch calls an entry point only on a host with its tier.
+macro_rules! entry_points {
+    ($body:ident: $sse2:ident, $avx2:ident ($($arg:ident: $ty:ty),*)) => {
+        #[target_feature(enable = "sse2")]
+        pub(super) fn $sse2($($arg: $ty),*) {
+            // SAFETY: this function runs only on a host with SSE2, which
+            // is all `Sse2` needs.
+            unsafe { $body::<Sse2>($($arg),*) }
+        }
+
+        #[target_feature(enable = "avx2")]
+        pub(super) fn $avx2($($arg: $ty),*) {
+            // SAFETY: this function runs only on a host with AVX2, which
+            // is all `Avx2` needs.
+            unsafe { $body::<Avx2>($($arg),*) }
+        }
+    };
+}
+
+entry_points!(gemm_f32: sse2_gemm_f32, avx2_gemm_f32 (
+    a: &[f32], lda: usize, b: &[f32], ldb: usize, out: &mut [f32], ldo: usize,
+    m: usize, n: usize, k0: usize, k1: usize
+));
+entry_points!(gemm_bt_f32: sse2_gemm_bt_f32, avx2_gemm_bt_f32 (
+    a: &[f32], lda: usize, b: &[f32], ldb: usize, out: &mut [f32], ldo: usize,
+    m: usize, n: usize, k0: usize, k1: usize
+));
+entry_points!(gemm_at_f32: sse2_gemm_at_f32, avx2_gemm_at_f32 (
+    a: &[f32], lda: usize, b: &[f32], ldb: usize, out: &mut [f32], ldo: usize,
+    i0: usize, i1: usize, n: usize, k0: usize, k1: usize
+));
+entry_points!(gemm_np_i8: sse2_gemm_np_i8, avx2_gemm_np_i8 (
+    a: &[i8], lda: usize, b: &[i8], ldb: usize, out: &mut [i32], ldo: usize,
+    m: usize, n: usize, k0: usize, k1: usize
+));
+entry_points!(apsq_linear_i8: sse2_apsq_linear_i8, avx2_apsq_linear_i8 (
+    f: &Fused<'_>, rows: usize, out: &mut [f32], codes: &mut [i32]
+));
+
+// ======================================================== generic bodies
+
+/// [`super::gemm_f32`] on tier `T`: [`MR`]-row register tiles of
+/// `T::NN_VECS` f32 vectors per row (4×16 on AVX2), then 4×8, each
+/// output element summing its own lane in `l` order with separate mul and
+/// add — the scalar sequence — so no tile width can change a bit. Edges
+/// run [`tail_f32`].
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn gemm_f32<T: Tier>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -80,35 +434,15 @@ pub(super) fn sse2_gemm_f32(
         let mut i = 0;
         while i + MR <= m {
             let mut j = 0;
-            while j + NR <= n {
-                // MR rows × NR cols, each row's accumulator split across
-                // two 4-wide registers. Lane c still sums in l order.
-                let mut acc = [[_mm_setzero_ps(); 2]; MR];
-                for l in kp..kq {
-                    let brow = &b[l * ldb + j..l * ldb + j + NR];
-                    // SAFETY: brow has exactly NR = 8 elements.
-                    let (bv0, bv1) = unsafe {
-                        (
-                            _mm_loadu_ps(brow.as_ptr()),
-                            _mm_loadu_ps(brow.as_ptr().add(4)),
-                        )
-                    };
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let av = _mm_set1_ps(a[(i + r) * lda + l]);
-                        accr[0] = _mm_add_ps(accr[0], _mm_mul_ps(av, bv0));
-                        accr[1] = _mm_add_ps(accr[1], _mm_mul_ps(av, bv1));
-                    }
+            if T::NN_VECS == 2 {
+                while j + 2 * LANES <= n {
+                    nn_tile::<T, 2>(a, lda, b, ldb, out, ldo, (i, j), (kp, kq));
+                    j += 2 * LANES;
                 }
-                for (r, accr) in acc.iter().enumerate() {
-                    let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + NR];
-                    // SAFETY: orow has exactly NR = 8 elements.
-                    unsafe {
-                        let p = orow.as_mut_ptr();
-                        _mm_storeu_ps(p, _mm_add_ps(_mm_loadu_ps(p), accr[0]));
-                        _mm_storeu_ps(p.add(4), _mm_add_ps(_mm_loadu_ps(p.add(4)), accr[1]));
-                    }
-                }
-                j += NR;
+            }
+            while j + LANES <= n {
+                nn_tile::<T, 1>(a, lda, b, ldb, out, ldo, (i, j), (kp, kq));
+                j += LANES;
             }
             if j < n {
                 tail_f32(a, lda, b, ldb, out, ldo, i, i + MR, j, n, kp, kq);
@@ -122,8 +456,54 @@ pub(super) fn sse2_gemm_f32(
     }
 }
 
-#[target_feature(enable = "sse2")]
-pub(super) fn sse2_gemm_bt_f32(
+/// One [`MR`]×`C·LANES` tile of [`gemm_f32`] at `(i, j)` over the K panel
+/// `[kp, kq)`: each `a` value broadcast once feeds the row's `C` column
+/// vectors.
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn nn_tile<T: Tier, const C: usize>(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldo: usize,
+    (i, j): (usize, usize),
+    (kp, kq): (usize, usize),
+) {
+    let mut acc = [[T::fsplat(0.0); C]; MR];
+    for l in kp..kq {
+        let brow = &b[l * ldb + j..][..C * LANES];
+        let mut bv = [T::fsplat(0.0); C];
+        for (v, chunk) in bv.iter_mut().zip(brow.chunks_exact(LANES)) {
+            *v = T::fload(chunk);
+        }
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av = T::fsplat(a[(i + r) * lda + l]);
+            for (x, &v) in accr.iter_mut().zip(&bv) {
+                *x = T::fadd(*x, T::fmul(av, v));
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let orow = &mut out[(i + r) * ldo + j..][..C * LANES];
+        for (o, &x) in orow.chunks_exact_mut(LANES).zip(accr) {
+            T::fstore(o, T::fadd(T::fload(o), x));
+        }
+    }
+}
+
+/// [`super::gemm_bt_f32`] on tier `T`: every output element is one
+/// [`dot_f32`].
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn gemm_bt_f32<T: Tier>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -139,49 +519,45 @@ pub(super) fn sse2_gemm_bt_f32(
         let arow = &a[i * lda + k0..i * lda + k1];
         for j in 0..n {
             let brow = &b[j * ldb + k0..j * ldb + k1];
-            out[i * ldo + j] += sse2_dot_f32(arow, brow);
+            out[i * ldo + j] += dot_f32::<T>(arow, brow);
         }
     }
 }
 
-/// [`super::dot_f32_lanes`] with lanes 0..4 in one register and 4..8 in
-/// another — same per-lane sequence, same final reduction.
-#[target_feature(enable = "sse2")]
-#[inline]
-fn sse2_dot_f32(x: &[f32], y: &[f32]) -> f32 {
+/// [`super::dot_f32_lanes`] with the [`LANES`] partial sums in one f32
+/// vector — vector lane c is pinned lane c — and the same tail and final
+/// reduction.
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn dot_f32<T: Tier>(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
     let full = x.len() - x.len() % LANES;
-    let mut acc0 = _mm_setzero_ps();
-    let mut acc1 = _mm_setzero_ps();
-    let mut t = 0;
-    while t < full {
-        let xs = &x[t..t + LANES];
-        let ys = &y[t..t + LANES];
-        // SAFETY: both chunks carry exactly LANES = 8 elements.
-        unsafe {
-            let xv0 = _mm_loadu_ps(xs.as_ptr());
-            let xv1 = _mm_loadu_ps(xs.as_ptr().add(4));
-            let yv0 = _mm_loadu_ps(ys.as_ptr());
-            let yv1 = _mm_loadu_ps(ys.as_ptr().add(4));
-            acc0 = _mm_add_ps(acc0, _mm_mul_ps(xv0, yv0));
-            acc1 = _mm_add_ps(acc1, _mm_mul_ps(xv1, yv1));
-        }
-        t += LANES;
+    let mut acc = T::fsplat(0.0);
+    for (xs, ys) in x[..full]
+        .chunks_exact(LANES)
+        .zip(y[..full].chunks_exact(LANES))
+    {
+        acc = T::fadd(acc, T::fmul(T::fload(xs), T::fload(ys)));
     }
     let mut lanes = [0.0f32; LANES];
-    // SAFETY: lanes has 8 f32 slots, one 128-bit store into each half.
-    unsafe {
-        _mm_storeu_ps(lanes.as_mut_ptr(), acc0);
-        _mm_storeu_ps(lanes.as_mut_ptr().add(4), acc1);
-    }
+    T::fstore(&mut lanes, acc);
     for (c, i) in (full..x.len()).enumerate() {
         lanes[c] += x[i] * y[i];
     }
     reduce_lanes_f32(&lanes)
 }
 
-#[target_feature(enable = "sse2")]
-pub(super) fn sse2_gemm_at_f32(
+/// [`super::gemm_at_f32`] on tier `T`: each `a` value broadcast against
+/// its `b` row, [`LANES`] columns a vector, the < [`LANES`] tail scalar.
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn gemm_at_f32<T: Tier>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -194,33 +570,36 @@ pub(super) fn sse2_gemm_at_f32(
     k0: usize,
     k1: usize,
 ) {
-    let wide = n - n % 4;
+    let wide = n - n % LANES;
     for l in k0..k1 {
         let brow = &b[l * ldb..l * ldb + n];
         for i in i0..i1 {
             // No zero-skip: 0.0 * inf/NaN must still poison the gradient.
             let av = a[l * lda + i];
-            let avv = _mm_set1_ps(av);
+            let avv = T::fsplat(av);
             let orow = &mut out[(i - i0) * ldo..(i - i0) * ldo + n];
-            let mut j = 0;
-            while j < wide {
-                // SAFETY: j + 4 <= wide <= n bounds both row slices.
-                unsafe {
-                    let p = orow.as_mut_ptr().add(j);
-                    let bv = _mm_loadu_ps(brow.as_ptr().add(j));
-                    _mm_storeu_ps(p, _mm_add_ps(_mm_loadu_ps(p), _mm_mul_ps(avv, bv)));
-                }
-                j += 4;
+            for (o, bv) in orow[..wide]
+                .chunks_exact_mut(LANES)
+                .zip(brow.chunks_exact(LANES))
+            {
+                T::fstore(o, T::fadd(T::fload(o), T::fmul(avv, T::fload(bv))));
             }
-            for (o, &bv) in orow[wide..].iter_mut().zip(brow[wide..].iter()) {
+            for (o, &bv) in orow[wide..].iter_mut().zip(&brow[wide..]) {
                 *o += av * bv;
             }
         }
     }
 }
 
-#[target_feature(enable = "sse2")]
-pub(super) fn sse2_gemm_np_i8(
+/// [`super::gemm_np_i8`] on tier `T`: per staged row block
+/// ([`np_passes`]), R×`2·W` madd tiles, then an R×`W` tile, then the
+/// < `W` column tail through [`tail_np_i8`].
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn gemm_np_i8<T: Tier>(
     a: &[i8],
     lda: usize,
     b: &[i8],
@@ -233,18 +612,20 @@ pub(super) fn sse2_gemm_np_i8(
     k1: usize,
 ) {
     np_passes(a, lda, m, (k0, k1), |pairs, i, rows, pass| match rows {
-        4 => sse2_np_strip::<4>(pairs, b, ldb, out, ldo, i, n, pass),
-        3 => sse2_np_strip::<3>(pairs, b, ldb, out, ldo, i, n, pass),
-        2 => sse2_np_strip::<2>(pairs, b, ldb, out, ldo, i, n, pass),
-        _ => sse2_np_strip::<1>(pairs, b, ldb, out, ldo, i, n, pass),
+        4 => np_strip::<T, 4>(pairs, b, ldb, out, ldo, i, n, pass),
+        3 => np_strip::<T, 3>(pairs, b, ldb, out, ldo, i, n, pass),
+        2 => np_strip::<T, 2>(pairs, b, ldb, out, ldo, i, n, pass),
+        _ => np_strip::<T, 1>(pairs, b, ldb, out, ldo, i, n, pass),
     });
 }
 
-/// Rows `i..i + R` of [`sse2_gemm_np_i8`] over one pass: R×8 madd tiles,
-/// then an R×4 tile, then the < 4 column tail through [`tail_np_i8`].
-#[target_feature(enable = "sse2")]
-#[inline]
-fn sse2_np_strip<const R: usize>(
+/// Rows `i..i + R` of [`gemm_np_i8`] over one pass.
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn np_strip<T: Tier, const R: usize>(
     pairs: &Pairs,
     b: &[i8],
     ldb: usize,
@@ -255,195 +636,182 @@ fn sse2_np_strip<const R: usize>(
     pass: (usize, usize),
 ) {
     let mut j = 0;
-    while j + 8 <= n {
-        sse2_np_tile::<R, 2>(pairs, b, ldb, out, ldo, i, j, pass);
-        j += 8;
+    while j + 2 * T::W <= n {
+        np_tile::<T, R, 2>(pairs, b, ldb, out, ldo, (i, j), pass);
+        j += 2 * T::W;
     }
-    while j + 4 <= n {
-        sse2_np_tile::<R, 1>(pairs, b, ldb, out, ldo, i, j, pass);
-        j += 4;
+    while j + T::W <= n {
+        np_tile::<T, R, 1>(pairs, b, ldb, out, ldo, (i, j), pass);
+        j += T::W;
     }
     tail_np_i8(pairs, R, b, ldb, out, ldo, i, (j, n), pass);
 }
 
-/// One R×(4·C) tile at `(i, j)`: per pair, C loads of 4 columns × 2 k,
-/// widened to 8×i16 and madd'd against each row's broadcast pair.
-#[target_feature(enable = "sse2")]
-#[inline]
-fn sse2_np_tile<const R: usize, const C: usize>(
+/// One R×`C·W` tile of [`gemm_np_i8`] at `(i, j)`: [`madd_pair`] per
+/// pass pair, then each row's `C` accumulators added into `out`.
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn np_tile<T: Tier, const R: usize, const C: usize>(
     pairs: &Pairs,
     b: &[i8],
     ldb: usize,
     out: &mut [i32],
     ldo: usize,
-    i: usize,
-    j: usize,
+    (i, j): (usize, usize),
     (pp, pq): (usize, usize),
 ) {
-    let mut acc = [[_mm_setzero_si128(); C]; R];
+    let mut acc = [[T::splat(0); C]; R];
     for (t, p) in (pp..pq).enumerate() {
-        let bp = &b[p * ldb + 2 * j..p * ldb + 2 * (j + 4 * C)];
-        let mut bv = [_mm_setzero_si128(); C];
-        for (v, chunk) in bv.iter_mut().zip(bp.chunks_exact(8)) {
-            *v = sse2_load8_i8_as_i16(chunk);
-        }
-        for (accr, staged) in acc.iter_mut().zip(pairs) {
-            let av = _mm_set1_epi32(pair_word(staged[t][0], staged[t][1]));
-            for (accv, &v) in accr.iter_mut().zip(&bv) {
-                *accv = _mm_add_epi32(*accv, _mm_madd_epi16(v, av));
-            }
-        }
+        let words = pairs.iter().map(|s| pair_word(s[t][0], s[t][1]));
+        let bp = &b[p * ldb + 2 * j..p * ldb + 2 * (j + C * T::W)];
+        madd_pair::<T, R, C>(&mut acc, bp, words);
     }
     for (r, accr) in acc.iter().enumerate() {
-        let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + 4 * C];
-        for (chunk, accv) in orow.chunks_exact_mut(4).zip(accr) {
-            // SAFETY: chunk has exactly 4 i32 slots.
-            unsafe {
-                let p = chunk.as_mut_ptr() as *mut __m128i;
-                _mm_storeu_si128(p, _mm_add_epi32(_mm_loadu_si128(p), *accv));
-            }
+        let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + C * T::W];
+        for (o, &x) in orow.chunks_exact_mut(T::W).zip(accr) {
+            T::add_store(o, x);
         }
     }
 }
 
-/// The ring of one SSE2 fused tile: ring row, tile row, 4-lane codes.
-type Ring128 = [[[__m128i; 2]; MR]; MAX_RING];
+/// One k pair of an R×`C·W` packed-B tile: the pair's `2·C·W` bytes
+/// `bp`, widened to i16 once, madd'd against each row's pair word into
+/// that row's `C` accumulators.
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn madd_pair<T: Tier, const R: usize, const C: usize>(
+    acc: &mut [[T::I; C]; R],
+    bp: &[i8],
+    words: impl Iterator<Item = i32>,
+) {
+    let mut bv = [T::splat(0); C];
+    for (v, chunk) in bv.iter_mut().zip(bp.chunks_exact(2 * T::W)) {
+        *v = T::load_i8_as_i16(chunk);
+    }
+    for (accr, word) in acc.iter_mut().zip(words) {
+        let w = T::splat(word);
+        for (x, &v) in accr.iter_mut().zip(&bv) {
+            *x = T::madd(*x, v, w);
+        }
+    }
+}
 
-#[target_feature(enable = "sse2")]
-pub(super) fn sse2_apsq_linear_i8(f: &Fused<'_>, rows: usize, out: &mut [f32], codes: &mut [i32]) {
-    let mut ring: Ring128 = [[[_mm_setzero_si128(); 2]; MR]; MAX_RING];
+/// The ring of one fused tile: ring row, tile row, the tile's codes as up
+/// to two vectors.
+type Ring<T> = [[[<T as Tier>::I; 2]; MR]; MAX_RING];
+
+/// [`super::apsq_linear_i8`] on tier `T`, under the plan's `i32` proof
+/// and with at most [`MAX_RING`] ring rows: R×`2·W` tiles, then an
+/// R×`W` tile; the < `W` column tail runs the scalar body.
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn apsq_linear_i8<T: Tier>(f: &Fused<'_>, rows: usize, out: &mut [f32], codes: &mut [i32]) {
+    let mut ring: Ring<T> = [[[T::splat(0); 2]; MR]; MAX_RING];
     let mut i = 0;
     while i < rows {
         let r = usize::min(MR, rows - i);
         match r {
-            4 => sse2_fused_strip::<4>(f, i, &mut ring, out, codes),
-            3 => sse2_fused_strip::<3>(f, i, &mut ring, out, codes),
-            2 => sse2_fused_strip::<2>(f, i, &mut ring, out, codes),
-            _ => sse2_fused_strip::<1>(f, i, &mut ring, out, codes),
+            4 => fused_strip::<T, 4>(f, i, &mut ring, out, codes),
+            3 => fused_strip::<T, 3>(f, i, &mut ring, out, codes),
+            2 => fused_strip::<T, 2>(f, i, &mut ring, out, codes),
+            _ => fused_strip::<T, 1>(f, i, &mut ring, out, codes),
         }
         i += r;
     }
-    let j = f.n / 4 * 4;
+    let j = f.n / T::W * T::W;
     if j < f.n {
         scalar::apsq_linear_i8(f, rows, (j, f.n), out, codes);
     }
 }
 
-/// Rows `i..i + R` of [`sse2_apsq_linear_i8`]: R×8 tiles, then an R×4
-/// tile.
-#[target_feature(enable = "sse2")]
-#[inline]
-fn sse2_fused_strip<const R: usize>(
+/// Rows `i..i + R` of [`apsq_linear_i8`].
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn fused_strip<T: Tier, const R: usize>(
     f: &Fused<'_>,
     i: usize,
-    ring: &mut Ring128,
+    ring: &mut Ring<T>,
     out: &mut [f32],
     codes: &mut [i32],
 ) {
     let mut j = 0;
-    while j + 8 <= f.n {
-        sse2_fused_tile::<R, 2>(f, i, j, ring, out, codes);
-        j += 8;
+    while j + 2 * T::W <= f.n {
+        fused_tile::<T, R, 2>(f, (i, j), ring, out, codes);
+        j += 2 * T::W;
     }
-    if j + 4 <= f.n {
-        sse2_fused_tile::<R, 1>(f, i, j, ring, out, codes);
+    if j + T::W <= f.n {
+        fused_tile::<T, R, 1>(f, (i, j), ring, out, codes);
     }
 }
 
-/// One R×(4·C) tile at `(i, j)` through every step of the plan: the madd
-/// loop of [`sse2_np_tile`] per step, then the fold on the registers.
-#[target_feature(enable = "sse2")]
-#[inline]
-fn sse2_fused_tile<const R: usize, const C: usize>(
+/// One R×`C·W` tile at `(i, j)` through every step of the plan: the madd
+/// loop of [`np_tile`] per step, the carried ring rows added shifted left,
+/// the sum round-shift-clamped into the step's ring row; then the
+/// epilogue on the last codes.
+///
+/// # Safety
+///
+/// The host runs `T` ([`Tier`]).
+#[inline(always)]
+unsafe fn fused_tile<T: Tier, const R: usize, const C: usize>(
     f: &Fused<'_>,
-    i: usize,
-    j: usize,
-    ring: &mut Ring128,
+    (i, j): (usize, usize),
+    ring: &mut Ring<T>,
     out: &mut [f32],
     codes: &mut [i32],
 ) {
     let plan = f.plan;
-    let (lo, hi) = (_mm_set1_epi32(plan.qn), _mm_set1_epi32(plan.qp));
+    let (lo, hi) = (T::splat(plan.qn), T::splat(plan.qp));
     for (step, w) in plan.steps.iter().zip(&plan.windows) {
-        let mut acc = [[_mm_setzero_si128(); C]; R];
+        let mut acc = [[T::splat(0); C]; R];
         let b_rows = f.b[w.pair * f.ldb..].chunks_exact(f.ldb);
         for (words, b_row) in f.block::<R>(i, w).chunks_exact(R).zip(b_rows) {
-            let bp = &b_row[2 * j..][..8 * C];
-            let mut bv = [_mm_setzero_si128(); C];
-            for (v, chunk) in bv.iter_mut().zip(bp.chunks_exact(8)) {
-                *v = sse2_load8_i8_as_i16(chunk);
-            }
-            for (accr, &word) in acc.iter_mut().zip(words) {
-                let av = _mm_set1_epi32(word);
-                for (a, &v) in accr.iter_mut().zip(&bv) {
-                    *a = _mm_add_epi32(*a, _mm_madd_epi16(v, av));
-                }
-            }
+            let bp = &b_row[2 * j..][..2 * C * T::W];
+            madd_pair::<T, R, C>(&mut acc, bp, words.iter().copied());
         }
         for &(row, sh) in &step.carried {
-            let cnt = _mm_cvtsi32_si128(sh as i32);
             for (accr, cr) in acc.iter_mut().zip(&ring[row]) {
                 for (a, &c) in accr.iter_mut().zip(cr) {
-                    *a = _mm_add_epi32(*a, _mm_sll_epi32(c, cnt));
+                    *a = T::add_shl(*a, c, sh);
                 }
             }
         }
-        let cnt = _mm_cvtsi32_si128(step.shift as i32);
-        let half = _mm_set1_epi32(((1u32 << step.shift) >> 1) as i32);
+        // Shifts and scales are read into locals once: read through the
+        // plan after each store, their vectors would be rebuilt per vector.
+        let sh = step.shift;
         for (dst, accr) in ring[step.row].iter_mut().zip(&acc) {
             for (d, &a) in dst.iter_mut().zip(accr) {
-                *d = sse2_round_shift_clamp(a, half, cnt, lo, hi);
+                *d = T::round_shift_clamp(a, sh, lo, hi);
             }
         }
     }
     let last = &plan.steps[plan.steps.len() - 1];
-    let cnt = _mm_cvtsi32_si128(last.shift as i32);
-    let scale = _mm_set1_ps(f.scale);
+    let (sh, scale) = (last.shift, f.scale);
     for (r, cr) in ring[last.row][..R].iter().enumerate() {
         for (c, &code) in cr[..C].iter().enumerate() {
-            let o = (i + r) * f.n + j + 4 * c;
-            let bias = &f.bias[j + 4 * c..][..4];
-            let y = &mut out[o..][..4];
-            let v = _mm_cvtepi32_ps(_mm_sll_epi32(code, cnt));
-            // SAFETY: `bias` and `y` hold exactly the 4 f32 lanes loaded
-            // and stored.
-            unsafe {
-                let b = _mm_loadu_ps(bias.as_ptr());
-                _mm_storeu_ps(y.as_mut_ptr(), _mm_add_ps(_mm_mul_ps(v, scale), b));
-            }
+            let o = (i + r) * f.n + j + T::W * c;
+            let bias = &f.bias[j + T::W * c..];
+            T::epilogue(code, sh, scale, bias, &mut out[o..]);
             if !codes.is_empty() {
-                let dst = &mut codes[o..][..4];
-                // SAFETY: `dst` holds exactly the 4 i32 lanes stored.
-                unsafe { _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, code) };
+                T::store(&mut codes[o..], code);
             }
         }
     }
 }
 
-/// [`super::apsq::round_shift_clamp`] on 4 lanes at one shift (`cnt`, with
-/// `half = 2^sh / 2` rounded down): round the magnitude as a `u32`,
-/// restore the sign, clamp with compare masks (SSE2 has no `i32`
-/// min/max).
-#[target_feature(enable = "sse2")]
-#[inline]
-fn sse2_round_shift_clamp(
-    x: __m128i,
-    half: __m128i,
-    cnt: __m128i,
-    lo: __m128i,
-    hi: __m128i,
-) -> __m128i {
-    let s = _mm_srai_epi32::<31>(x);
-    let mag = _mm_sub_epi32(_mm_xor_si128(x, s), s);
-    let t = _mm_srl_epi32(_mm_add_epi32(mag, half), cnt);
-    let v = _mm_sub_epi32(_mm_xor_si128(t, s), s);
-    let over = _mm_cmpgt_epi32(v, hi);
-    let v = _mm_or_si128(_mm_and_si128(over, hi), _mm_andnot_si128(over, v));
-    let under = _mm_cmpgt_epi32(lo, v);
-    _mm_or_si128(_mm_and_si128(under, lo), _mm_andnot_si128(under, v))
-}
-
-// ================================================================== AVX2
+// ========================================================== AVX2 only
 
 /// Horizontal sum of 8×i32 — exact, so the order is free.
 #[target_feature(enable = "avx2")]
@@ -499,402 +867,6 @@ fn avx2_add_store_i32(out: &mut [i32], v: __m256i) {
         let p = out.as_mut_ptr() as *mut __m256i;
         _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), v));
     }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) fn avx2_gemm_f32(
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    out: &mut [f32],
-    ldo: usize,
-    m: usize,
-    n: usize,
-    k0: usize,
-    k1: usize,
-) {
-    let mut kp = k0;
-    while kp < k1 {
-        let kq = usize::min(kp + KC, k1);
-        let mut i = 0;
-        while i + MR <= m {
-            let mut j = 0;
-            // MR rows × two 8-wide registers (a 4×16 tile): each a-value
-            // broadcast feeds two column vectors, halving the broadcast
-            // cost per MAC. Every output element still sums its own lane
-            // in l order with separate mul and add — the scalar sequence
-            // — so the wider tile cannot change a bit.
-            while j + 2 * NR <= n {
-                let mut acc0 = [_mm256_setzero_ps(); MR];
-                let mut acc1 = [_mm256_setzero_ps(); MR];
-                for l in kp..kq {
-                    let brow = &b[l * ldb + j..l * ldb + j + 2 * NR];
-                    // SAFETY: brow has exactly 2·NR = 16 elements.
-                    let (bv0, bv1) = unsafe {
-                        (
-                            _mm256_loadu_ps(brow.as_ptr()),
-                            _mm256_loadu_ps(brow.as_ptr().add(NR)),
-                        )
-                    };
-                    for r in 0..MR {
-                        let av = _mm256_set1_ps(a[(i + r) * lda + l]);
-                        acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, bv0));
-                        acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, bv1));
-                    }
-                }
-                for r in 0..MR {
-                    let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + 2 * NR];
-                    // SAFETY: orow has exactly 2·NR = 16 elements.
-                    unsafe {
-                        let p = orow.as_mut_ptr();
-                        _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), acc0[r]));
-                        let p1 = p.add(NR);
-                        _mm256_storeu_ps(p1, _mm256_add_ps(_mm256_loadu_ps(p1), acc1[r]));
-                    }
-                }
-                j += 2 * NR;
-            }
-            while j + NR <= n {
-                // Narrow 4×8 tile for the last full-NR block.
-                let mut acc = [_mm256_setzero_ps(); MR];
-                for l in kp..kq {
-                    let brow = &b[l * ldb + j..l * ldb + j + NR];
-                    // SAFETY: brow has exactly NR = 8 elements.
-                    let bv = unsafe { _mm256_loadu_ps(brow.as_ptr()) };
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let av = _mm256_set1_ps(a[(i + r) * lda + l]);
-                        *accr = _mm256_add_ps(*accr, _mm256_mul_ps(av, bv));
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + NR];
-                    // SAFETY: orow has exactly NR = 8 elements.
-                    unsafe {
-                        let p = orow.as_mut_ptr();
-                        _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), *accr));
-                    }
-                }
-                j += NR;
-            }
-            if j < n {
-                tail_f32(a, lda, b, ldb, out, ldo, i, i + MR, j, n, kp, kq);
-            }
-            i += MR;
-        }
-        if i < m {
-            tail_f32(a, lda, b, ldb, out, ldo, i, m, 0, n, kp, kq);
-        }
-        kp = kq;
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) fn avx2_gemm_bt_f32(
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    out: &mut [f32],
-    ldo: usize,
-    m: usize,
-    n: usize,
-    k0: usize,
-    k1: usize,
-) {
-    for i in 0..m {
-        let arow = &a[i * lda + k0..i * lda + k1];
-        for j in 0..n {
-            let brow = &b[j * ldb + k0..j * ldb + k1];
-            out[i * ldo + j] += avx2_dot_f32(arow, brow);
-        }
-    }
-}
-
-/// [`super::dot_f32_lanes`] with all [`LANES`] partial sums in one 256-bit
-/// register — vector lane c IS pinned lane c.
-#[target_feature(enable = "avx2")]
-#[inline]
-fn avx2_dot_f32(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    let full = x.len() - x.len() % LANES;
-    let mut acc = _mm256_setzero_ps();
-    let mut t = 0;
-    while t < full {
-        let xs = &x[t..t + LANES];
-        let ys = &y[t..t + LANES];
-        // SAFETY: both chunks carry exactly LANES = 8 elements.
-        unsafe {
-            let xv = _mm256_loadu_ps(xs.as_ptr());
-            let yv = _mm256_loadu_ps(ys.as_ptr());
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, yv));
-        }
-        t += LANES;
-    }
-    let mut lanes = [0.0f32; LANES];
-    // SAFETY: lanes has exactly 8 f32 slots for the 256-bit store.
-    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
-    for (c, i) in (full..x.len()).enumerate() {
-        lanes[c] += x[i] * y[i];
-    }
-    reduce_lanes_f32(&lanes)
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) fn avx2_gemm_at_f32(
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    out: &mut [f32],
-    ldo: usize,
-    i0: usize,
-    i1: usize,
-    n: usize,
-    k0: usize,
-    k1: usize,
-) {
-    let wide = n - n % NR;
-    for l in k0..k1 {
-        let brow = &b[l * ldb..l * ldb + n];
-        for i in i0..i1 {
-            // No zero-skip: 0.0 * inf/NaN must still poison the gradient.
-            let av = a[l * lda + i];
-            let avv = _mm256_set1_ps(av);
-            let orow = &mut out[(i - i0) * ldo..(i - i0) * ldo + n];
-            let mut j = 0;
-            while j < wide {
-                // SAFETY: j + 8 <= wide <= n bounds both row slices.
-                unsafe {
-                    let p = orow.as_mut_ptr().add(j);
-                    let bv = _mm256_loadu_ps(brow.as_ptr().add(j));
-                    _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), _mm256_mul_ps(avv, bv)));
-                }
-                j += NR;
-            }
-            for (o, &bv) in orow[wide..].iter_mut().zip(brow[wide..].iter()) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) fn avx2_gemm_np_i8(
-    a: &[i8],
-    lda: usize,
-    b: &[i8],
-    ldb: usize,
-    out: &mut [i32],
-    ldo: usize,
-    m: usize,
-    n: usize,
-    k0: usize,
-    k1: usize,
-) {
-    np_passes(a, lda, m, (k0, k1), |pairs, i, rows, pass| match rows {
-        4 => avx2_np_strip::<4>(pairs, b, ldb, out, ldo, i, n, pass),
-        3 => avx2_np_strip::<3>(pairs, b, ldb, out, ldo, i, n, pass),
-        2 => avx2_np_strip::<2>(pairs, b, ldb, out, ldo, i, n, pass),
-        _ => avx2_np_strip::<1>(pairs, b, ldb, out, ldo, i, n, pass),
-    });
-}
-
-/// Rows `i..i + R` of [`avx2_gemm_np_i8`] over one pass: R×2·NR madd
-/// tiles (4×16 for a full row block), then an R×NR tile, then the < NR
-/// column tail through [`tail_np_i8`].
-#[target_feature(enable = "avx2")]
-#[inline]
-fn avx2_np_strip<const R: usize>(
-    pairs: &Pairs,
-    b: &[i8],
-    ldb: usize,
-    out: &mut [i32],
-    ldo: usize,
-    i: usize,
-    n: usize,
-    pass: (usize, usize),
-) {
-    let mut j = 0;
-    while j + 2 * NR <= n {
-        avx2_np_tile::<R, 2>(pairs, b, ldb, out, ldo, i, j, pass);
-        j += 2 * NR;
-    }
-    while j + NR <= n {
-        avx2_np_tile::<R, 1>(pairs, b, ldb, out, ldo, i, j, pass);
-        j += NR;
-    }
-    tail_np_i8(pairs, R, b, ldb, out, ldo, i, (j, n), pass);
-}
-
-/// One R×(C·NR) tile at `(i, j)`: per pair, C loads of NR columns × 2 k,
-/// widened to 16×i16 once and madd'd against every row's broadcast pair
-/// into that row's C 8×i32 accumulators.
-#[target_feature(enable = "avx2")]
-#[inline]
-fn avx2_np_tile<const R: usize, const C: usize>(
-    pairs: &Pairs,
-    b: &[i8],
-    ldb: usize,
-    out: &mut [i32],
-    ldo: usize,
-    i: usize,
-    j: usize,
-    (pp, pq): (usize, usize),
-) {
-    let mut acc = [[_mm256_setzero_si256(); C]; R];
-    for (t, p) in (pp..pq).enumerate() {
-        let bp = &b[p * ldb + 2 * j..p * ldb + 2 * (j + C * NR)];
-        let mut bv = [_mm256_setzero_si256(); C];
-        for (v, chunk) in bv.iter_mut().zip(bp.chunks_exact(2 * NR)) {
-            *v = avx2_load16_i8_as_i16(chunk);
-        }
-        for (accr, staged) in acc.iter_mut().zip(pairs) {
-            let av = _mm256_set1_epi32(pair_word(staged[t][0], staged[t][1]));
-            for (accv, &v) in accr.iter_mut().zip(&bv) {
-                *accv = _mm256_add_epi32(*accv, _mm256_madd_epi16(v, av));
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let orow = &mut out[(i + r) * ldo + j..(i + r) * ldo + j + C * NR];
-        for (chunk, &accv) in orow.chunks_exact_mut(NR).zip(accr) {
-            avx2_add_store_i32(chunk, accv);
-        }
-    }
-}
-
-/// The ring of one AVX2 fused tile: ring row, tile row, 8-lane codes.
-type Ring256 = [[[__m256i; 2]; MR]; MAX_RING];
-
-#[target_feature(enable = "avx2")]
-pub(super) fn avx2_apsq_linear_i8(f: &Fused<'_>, rows: usize, out: &mut [f32], codes: &mut [i32]) {
-    let mut ring: Ring256 = [[[_mm256_setzero_si256(); 2]; MR]; MAX_RING];
-    let mut i = 0;
-    while i < rows {
-        let r = usize::min(MR, rows - i);
-        match r {
-            4 => avx2_fused_strip::<4>(f, i, &mut ring, out, codes),
-            3 => avx2_fused_strip::<3>(f, i, &mut ring, out, codes),
-            2 => avx2_fused_strip::<2>(f, i, &mut ring, out, codes),
-            _ => avx2_fused_strip::<1>(f, i, &mut ring, out, codes),
-        }
-        i += r;
-    }
-    let j = f.n / NR * NR;
-    if j < f.n {
-        scalar::apsq_linear_i8(f, rows, (j, f.n), out, codes);
-    }
-}
-
-/// Rows `i..i + R` of [`avx2_apsq_linear_i8`]: R×2·NR tiles, then an
-/// R×NR tile.
-#[target_feature(enable = "avx2")]
-#[inline]
-fn avx2_fused_strip<const R: usize>(
-    f: &Fused<'_>,
-    i: usize,
-    ring: &mut Ring256,
-    out: &mut [f32],
-    codes: &mut [i32],
-) {
-    let mut j = 0;
-    while j + 2 * NR <= f.n {
-        avx2_fused_tile::<R, 2>(f, i, j, ring, out, codes);
-        j += 2 * NR;
-    }
-    if j + NR <= f.n {
-        avx2_fused_tile::<R, 1>(f, i, j, ring, out, codes);
-    }
-}
-
-/// One R×(C·NR) tile at `(i, j)` through every step of the plan: the
-/// madd loop of [`avx2_np_tile`] per step, then the fold on the
-/// registers.
-#[target_feature(enable = "avx2")]
-#[inline]
-fn avx2_fused_tile<const R: usize, const C: usize>(
-    f: &Fused<'_>,
-    i: usize,
-    j: usize,
-    ring: &mut Ring256,
-    out: &mut [f32],
-    codes: &mut [i32],
-) {
-    let plan = f.plan;
-    let (lo, hi) = (_mm256_set1_epi32(plan.qn), _mm256_set1_epi32(plan.qp));
-    for (step, w) in plan.steps.iter().zip(&plan.windows) {
-        let mut acc = [[_mm256_setzero_si256(); C]; R];
-        let b_rows = f.b[w.pair * f.ldb..].chunks_exact(f.ldb);
-        for (words, b_row) in f.block::<R>(i, w).chunks_exact(R).zip(b_rows) {
-            let bp = &b_row[2 * j..][..2 * C * NR];
-            let mut bv = [_mm256_setzero_si256(); C];
-            for (v, chunk) in bv.iter_mut().zip(bp.chunks_exact(2 * NR)) {
-                *v = avx2_load16_i8_as_i16(chunk);
-            }
-            for (accr, &word) in acc.iter_mut().zip(words) {
-                let av = _mm256_set1_epi32(word);
-                for (a, &v) in accr.iter_mut().zip(&bv) {
-                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(v, av));
-                }
-            }
-        }
-        for &(row, sh) in &step.carried {
-            let cnt = _mm_cvtsi32_si128(sh as i32);
-            for (accr, cr) in acc.iter_mut().zip(&ring[row]) {
-                for (a, &c) in accr.iter_mut().zip(cr) {
-                    *a = _mm256_add_epi32(*a, _mm256_sll_epi32(c, cnt));
-                }
-            }
-        }
-        let cnt = _mm_cvtsi32_si128(step.shift as i32);
-        let half = _mm256_set1_epi32(((1u32 << step.shift) >> 1) as i32);
-        for (dst, accr) in ring[step.row].iter_mut().zip(&acc) {
-            for (d, &a) in dst.iter_mut().zip(accr) {
-                *d = avx2_round_shift_clamp(a, half, cnt, lo, hi);
-            }
-        }
-    }
-    let last = &plan.steps[plan.steps.len() - 1];
-    let cnt = _mm_cvtsi32_si128(last.shift as i32);
-    let scale = _mm256_set1_ps(f.scale);
-    for (r, cr) in ring[last.row][..R].iter().enumerate() {
-        for (c, &code) in cr[..C].iter().enumerate() {
-            let o = (i + r) * f.n + j + NR * c;
-            let bias = &f.bias[j + NR * c..][..NR];
-            let y = &mut out[o..][..NR];
-            let v = _mm256_cvtepi32_ps(_mm256_sll_epi32(code, cnt));
-            // SAFETY: `bias` and `y` hold exactly the NR = 8 f32 lanes
-            // loaded and stored.
-            unsafe {
-                let b = _mm256_loadu_ps(bias.as_ptr());
-                _mm256_storeu_ps(y.as_mut_ptr(), _mm256_add_ps(_mm256_mul_ps(v, scale), b));
-            }
-            if !codes.is_empty() {
-                let dst = &mut codes[o..][..NR];
-                // SAFETY: `dst` holds exactly the NR = 8 i32 lanes stored.
-                unsafe { _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, code) };
-            }
-        }
-    }
-}
-
-/// [`super::apsq::round_shift_clamp`] on 8 lanes at one shift (`cnt`, with
-/// `half = 2^sh / 2` rounded down): round the magnitude as a `u32`
-/// (`|i32::MIN|` included), restore the sign, clamp.
-#[target_feature(enable = "avx2")]
-#[inline]
-fn avx2_round_shift_clamp(
-    x: __m256i,
-    half: __m256i,
-    cnt: __m128i,
-    lo: __m256i,
-    hi: __m256i,
-) -> __m256i {
-    let s = _mm256_srai_epi32::<31>(x);
-    let t = _mm256_srl_epi32(_mm256_add_epi32(_mm256_abs_epi32(x), half), cnt);
-    let v = _mm256_sub_epi32(_mm256_xor_si256(t, s), s);
-    _mm256_min_epi32(_mm256_max_epi32(v, lo), hi)
 }
 
 /// [`super::lanes::quantize_i8`]: `clamp(round(x / scale), −128, 127)`
@@ -1698,4 +1670,107 @@ fn avx2_expm1_ps(x: __m256) -> __m256 {
     let y = _mm256_blendv_ps(y, y0, k_is(0));
     // |x| < 2^-25: x itself.
     _mm256_blendv_ps(y, x, _mm256_castsi256_ps(below(0x3300_0000)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernels::{apsq, KernelBackend};
+
+    /// The `i32` lanes of `v`.
+    ///
+    /// # Safety
+    ///
+    /// The host runs `T` ([`Tier`]).
+    unsafe fn lanes<T: Tier>(v: T::I) -> Vec<i32> {
+        let mut out = [0; 8];
+        T::store(&mut out, v);
+        out[..T::W].to_vec()
+    }
+
+    /// Every primitive the fused tile reaches only through whole tiles,
+    /// against scalar arithmetic: the round-shift-clamp against
+    /// [`apsq::round_shift_clamp`] at every shift 0..=30, on both limits,
+    /// zero and the rounding boundaries `±(2^sh/2)` and `±(2^sh/2 − 1)`,
+    /// at the code ranges of 1-, 4-, 8- and 32-bit codes; shift-left and
+    /// the f32 epilogue; the madd on i8 pairs at −128 and 127; and the f32
+    /// lanes.
+    ///
+    /// # Safety
+    ///
+    /// The host runs `T` ([`Tier`]).
+    unsafe fn check_tier<T: Tier>(bk: KernelBackend) {
+        for (lo, hi) in [(-1, 0), (-8, 7), (-128, 127), (i32::MIN, i32::MAX)] {
+            for sh in 0..=30u32 {
+                let half = (1i32 << sh) / 2;
+                for x in [i32::MIN, i32::MAX, 0, half, -half, half - 1, 1 - half] {
+                    let (vlo, vhi) = (T::splat(lo), T::splat(hi));
+                    let got = lanes::<T>(T::round_shift_clamp(T::splat(x), sh, vlo, vhi));
+                    let want = apsq::round_shift_clamp(x, sh, lo, hi);
+                    assert!(
+                        got.iter().all(|&g| g == want),
+                        "{bk} rsc({x}, {sh}) in [{lo}, {hi}]"
+                    );
+                }
+            }
+        }
+        let codes = [0, 1, -1, 127, -128, 0x1234, -0x1234, i32::MAX, i32::MIN];
+        let bias: Vec<f32> = (0..T::W).map(|c| c as f32 * 0.75 - 2.0).collect();
+        for &x in &codes {
+            for sh in 0..=31u32 {
+                let v = T::add_shl(T::splat(-3), T::splat(x), sh);
+                let want = x.wrapping_shl(sh);
+                let sum = lanes::<T>(v);
+                assert!(
+                    sum.iter().all(|&g| g == want.wrapping_sub(3)),
+                    "{bk} {x} << {sh}"
+                );
+                let mut y = [0.0f32; 8];
+                T::epilogue(T::splat(x), sh, 0.3, &bias, &mut y);
+                for (c, &yc) in y[..T::W].iter().enumerate() {
+                    let want = want as f32 * 0.3 + bias[c];
+                    assert_eq!(yc.to_bits(), want.to_bits(), "{bk} epilogue({x} << {sh})");
+                }
+            }
+        }
+        let b: Vec<i8> = (0..2 * T::W)
+            .map(|c| [-128, 127, -128, -128, 127, 127][c % 6])
+            .collect();
+        for (w0, w1) in [(-128, -128), (-128, 127), (127, -128), (127, 127)] {
+            let acc = T::splat(-7);
+            let v = T::madd(acc, T::load_i8_as_i16(&b), T::splat(pair_word(w0, w1)));
+            let want: Vec<i32> = (0..T::W)
+                .map(|c| {
+                    -7 + i32::from(b[2 * c]) * i32::from(w0)
+                        + i32::from(b[2 * c + 1]) * i32::from(w1)
+                })
+                .collect();
+            assert_eq!(lanes::<T>(v), want, "{bk} madd ({w0}, {w1})");
+        }
+        let x: Vec<f32> = (0..LANES).map(|c| c as f32 * 1.37 - 4.1).collect();
+        let y: Vec<f32> = (0..LANES).map(|c| 0.3 - c as f32 * 0.71).collect();
+        let mut got = [0.0f32; LANES];
+        let v = T::fadd(T::fmul(T::fload(&x), T::fload(&y)), T::fsplat(0.1));
+        T::fstore(&mut got, v);
+        let want: Vec<u32> = x
+            .iter()
+            .zip(&y)
+            .map(|(a, b)| (a * b + 0.1).to_bits())
+            .collect();
+        assert_eq!(got.map(f32::to_bits).to_vec(), want, "{bk} f32 lanes");
+    }
+
+    /// Each x86 tier this host supports passes [`check_tier`].
+    #[test]
+    fn every_tier_matches_scalar_arithmetic() {
+        for bk in KernelBackend::supported() {
+            match bk {
+                // SAFETY: `supported` lists only the tiers this host runs.
+                KernelBackend::Sse2 => unsafe { check_tier::<Sse2>(bk) },
+                // SAFETY: as above.
+                KernelBackend::Avx2 => unsafe { check_tier::<Avx2>(bk) },
+                KernelBackend::Scalar => {}
+            }
+        }
+    }
 }

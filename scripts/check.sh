@@ -65,7 +65,7 @@ APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --test proptest_de
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-nn --lib -- int8 decode::
 APSQ_KERNEL_BACKEND=scalar cargo test -q --release -p apsq-serve --test determinism
 
-echo "==> SSE2-forced backend: tensor (incl. exp/tanh bodies), APSQ, simulator, prefill, int8 + paged suites, pinned fingerprints"
+echo "==> SSE2-forced backend: the generic x86 GEMM bodies on the SSE2 tier impl; tensor (incl. exp/tanh bodies), APSQ, simulator, prefill, int8 + paged suites, pinned fingerprints"
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-tensor
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-core
 APSQ_KERNEL_BACKEND=sse2 cargo test -q --release -p apsq-quant
